@@ -18,6 +18,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/basic_intersection.h"
 #include "core/checkpoint.h"
@@ -27,8 +31,10 @@
 #include "core/private_coin.h"
 #include "core/toy_protocol.h"
 #include "core/verification_tree.h"
+#include "eq/equality.h"
 #include "multiparty/coordinator.h"
 #include "multiparty/tournament.h"
+#include "obs/tracer.h"
 #include "sim/channel.h"
 #include "sim/network.h"
 #include "sim/randomness.h"
@@ -136,6 +142,169 @@ TEST(TranscriptDigest, PrivateCoin) {
   expect_pin(ch, {8901u, 18u, 0x8a404eecbff2b953ull});
 }
 
+// Fact 3.5 equality on its own (the verification-tree pins cover it only
+// as a sub-protocol). One pin per hash width folds every case at that
+// width: single tests on equal and unequal strings, and batches of 0, 1
+// and 37 instances mixing equal and unequal pairs. The fold covers bits,
+// rounds, transcript digest and verdicts of every case.
+TEST(TranscriptDigest, Equality) {
+  struct WidthPin {
+    std::size_t width;
+    std::uint64_t bits;
+    std::uint64_t rounds;
+    std::uint64_t fold;
+  };
+  const WidthPin pins[] = {
+      {1u, 80u, 8u, 0xe8394cc9e052d1f2ull},
+      {63u, 2560u, 8u, 0xf8975478536381beull},
+      {64u, 2600u, 8u, 0x11094ac6253e3beull},
+      {65u, 2640u, 8u, 0xbf683412c21756faull},
+      {512u, 20520u, 8u, 0xf3f93647d8a0bdcbull},  // 2k, k = 256
+  };
+  // Instance i: a random string of 1..300 bits; odd instances compare it
+  // against a copy with one bit flipped, even ones against an exact copy.
+  util::Rng wrng(0xE0);
+  std::vector<util::BitBuffer> xa(37);
+  std::vector<util::BitBuffer> xb(37);
+  for (std::size_t i = 0; i < xa.size(); ++i) {
+    const std::size_t len = 1 + wrng.below(300);
+    const std::size_t flip = i % 2 == 1 ? wrng.below(len) : len;
+    for (std::size_t b = 0; b < len; ++b) {
+      const bool bit = wrng.below(2) == 1;
+      xa[i].append_bit(bit);
+      xb[i].append_bit(b == flip ? !bit : bit);
+    }
+  }
+  for (const WidthPin& pin : pins) {
+    SCOPED_TRACE(testing::Message() << "width=" << pin.width);
+    std::uint64_t bits = 0;
+    std::uint64_t rounds = 0;
+    std::uint64_t fold = 0;
+    const auto absorb = [&](const sim::Channel& ch,
+                            const std::vector<bool>& verdicts) {
+      bits += ch.cost().bits_total;
+      rounds += ch.cost().rounds;
+      fold = util::mix64(fold, ch.transcript()->digest());
+      for (bool v : verdicts) fold = util::mix64(fold, v ? 1 : 2);
+    };
+    sim::SharedRandomness sh(31337);
+    for (std::size_t i = 0; i < 2; ++i) {
+      sim::Channel ch(/*record_transcript=*/true);
+      const bool v = eq::equality_test(ch, sh, 7 + i, xa[i], xb[i], pin.width);
+      if (i % 2 == 0) {
+        EXPECT_TRUE(v);  // one-sided: equal => "equal"
+      }
+      absorb(ch, {v});
+    }
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, xa.size()}) {
+      sim::Channel ch(/*record_transcript=*/true);
+      const std::vector<bool> v = eq::batch_equality_test(
+          ch, sh, 11 + n, std::span(xa).first(n), std::span(xb).first(n),
+          pin.width);
+      ASSERT_EQ(v.size(), n);
+      for (std::size_t i = 0; i < n; i += 2) EXPECT_TRUE(v[i]);
+      absorb(ch, v);
+    }
+    EXPECT_EQ(bits, pin.bits);
+    EXPECT_EQ(rounds, pin.rounds);
+    EXPECT_EQ(fold, pin.fold) << std::hex << "0x" << fold;
+  }
+}
+
+// Phase tables of traced runs: one row per phase as
+// "path bits messages rounds enters".
+std::vector<std::string> phase_table(const obs::Tracer& tracer) {
+  std::vector<std::string> rows;
+  for (const obs::PhaseRow& row : tracer.breakdown()) {
+    rows.push_back(row.path + " " + std::to_string(row.bits) + " " +
+                   std::to_string(row.messages) + " " +
+                   std::to_string(row.rounds) + " " +
+                   std::to_string(row.enters));
+  }
+  return rows;
+}
+
+TEST(TranscriptDigest, BasicIntersectionBatchPhaseTable) {
+  const util::SetPair p = reference_pair();
+  // Eight instances over slices of the reference pair, two of them with
+  // an empty side (no image bits flow for those).
+  std::vector<std::pair<util::SetView, util::SetView>> pairs;
+  const util::SetView s(p.s);
+  const util::SetView t(p.t);
+  for (std::size_t j = 0; j < 8; ++j) {
+    const util::SetView sj = j == 3 ? util::SetView{} : s.subspan(j * 32, 32);
+    const util::SetView tj = j == 5 ? util::SetView{} : t.subspan(j * 32, 32);
+    pairs.emplace_back(sj, tj);
+  }
+  sim::Channel ch(/*record_transcript=*/true);
+  obs::Tracer tracer;
+  ch.set_tracer(&tracer);
+  sim::SharedRandomness sh(31337);
+  const auto cands =
+      core::basic_intersection_batch(ch, sh, 7, kUniverse, pairs, 0.01);
+  ASSERT_EQ(cands.size(), pairs.size());
+  const std::vector<std::string> want = {
+      " 7200 4 4 1",
+      "size_exchange 156 2 2 1",
+      "hash_exchange 7044 2 2 1",
+  };
+  EXPECT_EQ(phase_table(tracer), want);
+  EXPECT_EQ(tracer.metrics().counter("bi.batches").value(), 1u);
+  EXPECT_EQ(tracer.metrics().counter("bi.instances").value(), 8u);
+  expect_pin(ch, {7200u, 4u, 0x0a2380a0506ce48dull});
+}
+
+TEST(TranscriptDigest, OneRoundHashPhaseTable) {
+  const util::SetPair p = reference_pair();
+  sim::Channel ch(/*record_transcript=*/true);
+  obs::Tracer tracer;
+  ch.set_tracer(&tracer);
+  sim::SharedRandomness sh(31337);
+  const auto out = core::one_round_hash(ch, sh, 7, kUniverse, p.s, p.t);
+  EXPECT_EQ(out.alice, p.expected_intersection);
+  const std::vector<std::string> want = {
+      " 12322 2 2 1",
+      "one_round_hash 12322 2 2 1",
+      "one_round_hash/hash_exchange 12322 2 2 1",
+  };
+  EXPECT_EQ(phase_table(tracer), want);
+  expect_pin(ch, {12322u, 2u, 0x36c9418be963de9dull});
+}
+
+TEST(TranscriptDigest, VerificationTreePhaseTable) {
+  const util::SetPair p = reference_pair();
+  sim::Channel ch(/*record_transcript=*/true);
+  obs::Tracer tracer;
+  ch.set_tracer(&tracer);
+  sim::SharedRandomness sh(31337);
+  const auto out = core::verification_tree_intersection(ch, sh, 7, kUniverse,
+                                                        p.s, p.t, {});
+  EXPECT_EQ(out.alice, p.expected_intersection);
+  const std::vector<std::string> want = {
+      " 8928 20 20 1",
+      "verification_tree 8928 20 20 1",
+      "verification_tree/level=0 4651 6 6 1",
+      "verification_tree/level=0/equality 1280 2 2 1",
+      "verification_tree/level=0/basic_intersection 3371 4 4 1",
+      "verification_tree/level=0/basic_intersection/size_exchange 820 2 2 1",
+      "verification_tree/level=0/basic_intersection/hash_exchange 2551 2 2 1",
+      "verification_tree/level=1 1876 6 6 1",
+      "verification_tree/level=1/equality 1280 2 2 1",
+      "verification_tree/level=1/basic_intersection 596 4 4 1",
+      "verification_tree/level=1/basic_intersection/size_exchange 114 2 2 1",
+      "verification_tree/level=1/basic_intersection/hash_exchange 482 2 2 1",
+      "verification_tree/level=2 1345 6 6 1",
+      "verification_tree/level=2/equality 1248 2 2 1",
+      "verification_tree/level=2/basic_intersection 97 4 4 1",
+      "verification_tree/level=2/basic_intersection/size_exchange 14 2 2 1",
+      "verification_tree/level=2/basic_intersection/hash_exchange 83 2 2 1",
+      "verification_tree/level=3 1056 2 2 1",
+      "verification_tree/level=3/equality 1056 2 2 1",
+  };
+  EXPECT_EQ(phase_table(tracer), want);
+  expect_pin(ch, {8928u, 20u, 0x2cb7e9e0ecbacad5ull});
+}
+
 // Checkpoint determinism (docs/ROBUSTNESS.md § checkpoint granularity):
 // interrupting at a phase boundary and resuming ON THE SAME CHANNEL must
 // reproduce the uninterrupted transcript bit-for-bit, so the pins above
@@ -152,6 +321,23 @@ TEST(TranscriptDigest, BasicIntersectionResumesToSamePin) {
   EXPECT_THROW(
       core::basic_intersection(ch, sh, 7, kUniverse, p.s, p.t, 0.01, &ckpt),
       core::CheckpointInterrupt);
+  const auto cand =
+      core::basic_intersection(ch, sh, 7, kUniverse, p.s, p.t, 0.01, &ckpt);
+  EXPECT_TRUE(util::is_subset(p.expected_intersection, cand.s_candidate));
+  EXPECT_EQ(ckpt.restores(), 1u);
+  expect_pin(ch, {12356u, 4u, 0x20c1b15d0918bd46ull});
+}
+
+TEST(TranscriptDigest, BasicIntersectionResumesAfterImagesToSamePin) {
+  const util::SetPair p = reference_pair();
+  sim::Channel ch(/*record_transcript=*/true);
+  sim::SharedRandomness sh(31337);
+  core::Checkpoint ckpt;
+  ckpt.interrupt_after("bi", 2);  // crash after Alice's images
+  EXPECT_THROW(
+      core::basic_intersection(ch, sh, 7, kUniverse, p.s, p.t, 0.01, &ckpt),
+      core::CheckpointInterrupt);
+  EXPECT_EQ(ckpt.bits_at_boundary(), 6195u);
   const auto cand =
       core::basic_intersection(ch, sh, 7, kUniverse, p.s, p.t, 0.01, &ckpt);
   EXPECT_TRUE(util::is_subset(p.expected_intersection, cand.s_candidate));
