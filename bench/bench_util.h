@@ -16,6 +16,8 @@
 //   root are produced this way by tools/run_benches.sh.
 // * --smoke shrinks workloads to seconds-scale so ctest can keep every
 //   bench binary from bit-rotting.
+// * A flag value that does not parse whole (--seed=abc, --threads=2x, an
+//   empty --json=) exits 2 like an unknown flag, never a silent default.
 //
 // Usage inside a binary:
 //
@@ -26,6 +28,7 @@
 //   return rep.finish();
 #pragma once
 
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -65,6 +68,18 @@ namespace setint::bench {
 // --perf-tol. tools/bench_compare consumes v1 through v3.
 inline constexpr int kBenchSchemaVersion = 3;
 
+// The whole of `value` as a number, or a usage error naming `flag`.
+template <typename T>
+T parse_flag_value(const std::string& flag, const std::string& value) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (value.empty() || ec != std::errc() || ptr != end) {
+    throw std::runtime_error("bad value for " + flag + ": '" + value + "'");
+  }
+  return out;
+}
+
 struct Options {
   std::uint64_t seed = 0x5e71;
   bool smoke = false;
@@ -80,16 +95,18 @@ struct Options {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg.rfind("--seed=", 0) == 0) {
-        o.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+        o.seed = parse_flag_value<std::uint64_t>("--seed", arg.substr(7));
       } else if (arg.rfind("--json=", 0) == 0) {
         o.json_path = arg.substr(7);
+        if (o.json_path.empty()) throw std::runtime_error("--json= needs a path");
       } else if (arg.rfind("--threads=", 0) == 0) {
-        o.threads = static_cast<int>(std::strtol(arg.c_str() + 10, nullptr, 10));
+        o.threads = parse_flag_value<int>("--threads", arg.substr(10));
         if (o.threads < 0) {
           throw std::runtime_error("--threads must be >= 0 (0 = auto)");
         }
       } else if (arg.rfind("--gate-overhead=", 0) == 0) {
-        o.gate_overhead_pct = std::strtod(arg.c_str() + 16, nullptr);
+        o.gate_overhead_pct =
+            parse_flag_value<double>("--gate-overhead", arg.substr(16));
       } else if (arg == "--smoke") {
         o.smoke = true;
       } else {

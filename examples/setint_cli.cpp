@@ -9,7 +9,8 @@
 //   tree (default) | one-round | bucket-eq | toy | private-coin | naive
 //
 // Prints the intersection size (and the elements with --print) plus the
-// exact communication cost the exchange would have taken.
+// exact communication cost the exchange would have taken. Exits 2 on a
+// usage error, including a numeric flag value that does not parse whole.
 //
 // --trace-out=PATH runs the library facade (the verified tree pipeline)
 // with full phase tracing and writes PATH as a Chrome-trace-format
@@ -17,11 +18,13 @@
 // 1 transmitted bit) plus PATH.report.json with the phase breakdown and
 // metric snapshot. Only the default tree protocol can be traced this way.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "core/bucket_eq.h"
@@ -71,7 +74,17 @@ std::unique_ptr<core::IntersectionProtocol> make_protocol(
   throw std::runtime_error("unknown protocol: " + name);
 }
 
-std::uint64_t parse_u64(const char* s) { return std::strtoull(s, nullptr, 10); }
+// The whole of `value` as a number, or a usage error naming `flag`.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& value) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (value.empty() || ec != std::errc() || ptr != end) {
+    throw std::runtime_error("bad value for " + flag + ": '" + value + "'");
+  }
+  return out;
+}
 
 // Facade run with full tracing; writes the Chrome trace + run report and
 // prints the top of the phase breakdown.
@@ -144,9 +157,11 @@ int main(int argc, char** argv) {
     for (int i = 3; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg.rfind("--protocol=", 0) == 0) protocol_name = arg.substr(11);
-      else if (arg.rfind("--r=", 0) == 0) r = std::atoi(arg.c_str() + 4);
-      else if (arg.rfind("--universe=", 0) == 0) universe = parse_u64(arg.c_str() + 11);
-      else if (arg.rfind("--seed=", 0) == 0) seed = parse_u64(arg.c_str() + 7);
+      else if (arg.rfind("--r=", 0) == 0) r = parse_number<int>("--r", arg.substr(4));
+      else if (arg.rfind("--universe=", 0) == 0)
+        universe = parse_number<std::uint64_t>("--universe", arg.substr(11));
+      else if (arg.rfind("--seed=", 0) == 0)
+        seed = parse_number<std::uint64_t>("--seed", arg.substr(7));
       else if (arg.rfind("--trace-out=", 0) == 0) trace_path = arg.substr(12);
       else if (arg == "--print") print_elements = true;
       else throw std::runtime_error("unknown flag: " + arg);

@@ -4,11 +4,10 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "hashing/pairwise.h"
+#include "core/parties.h"
 #include "obs/tracer.h"
+#include "sim/runtime.h"
 #include "util/arena.h"
-#include "util/bitio.h"
-#include "util/iterated_log.h"
 
 namespace setint::core {
 
@@ -27,41 +26,6 @@ std::uint64_t basic_intersection_range(std::uint64_t total_size,
   return std::max<std::uint64_t>(2, static_cast<std::uint64_t>(std::ceil(t)));
 }
 
-namespace {
-
-// Batched per-instance hash evaluation: hash every element in one pass
-// into arena scratch. The raw (input-order) value array doubles as the
-// lookup table for the final filter; the sorted-unique copy is the image
-// sent on the wire.
-std::span<std::uint64_t> hashed_values(util::SetView s,
-                                       const hashing::PairwiseHash& h,
-                                       util::ScratchArena& arena) {
-  const std::span<std::uint64_t> vals = arena.alloc_u64(s.size());
-  h.hash_many(s, vals);
-  return vals;
-}
-
-std::span<const std::uint64_t> sorted_unique_image(
-    std::span<const std::uint64_t> vals, util::ScratchArena& arena) {
-  const std::span<std::uint64_t> image = arena.alloc_u64(vals.size());
-  std::copy(vals.begin(), vals.end(), image.begin());
-  std::sort(image.begin(), image.end());
-  const auto last = std::unique(image.begin(), image.end());
-  return {image.data(), static_cast<std::size_t>(last - image.begin())};
-}
-
-util::Set filter_by_peer_image(util::SetView own,
-                               std::span<const std::uint64_t> own_vals,
-                               util::SetView peer_image) {
-  util::Set out;
-  for (std::size_t i = 0; i < own.size(); ++i) {
-    if (util::set_contains(peer_image, own_vals[i])) out.push_back(own[i]);
-  }
-  return out;
-}
-
-}  // namespace
-
 std::vector<CandidatePair> basic_intersection_batch(
     sim::Channel& channel, const sim::SharedRandomness& shared,
     std::uint64_t nonce, std::uint64_t universe,
@@ -74,166 +38,28 @@ std::vector<CandidatePair> basic_intersection_batch(
   std::vector<CandidatePair> result(n);
   if (n == 0) return result;
 
+  obs::count(channel.tracer(), "bi.batches");
+  obs::count(channel.tracer(), "bi.instances", n);
+
+  // Alice's views first, then Bob's.
+  std::vector<util::SetView> sides(2 * n);
+  for (std::size_t j = 0; j < n; ++j) {
+    sides[j] = pairs[j].first;
+    sides[n + j] = pairs[j].second;
+  }
+  const std::span<const util::SetView> views(sides);
   util::ScratchArena::Frame scratch_frame(channel.scratch());
-  util::ScratchArena& arena = channel.scratch();
-
-  obs::Tracer* tracer = channel.tracer();
-  obs::count(tracer, "bi.batches");
-  obs::count(tracer, "bi.instances", n);
-
+  const sim::PartyEnv env(channel);
+  BasicIntersectionAlice alice(shared, nonce, universe, views.first(n),
+                               target_failure, env);
+  BasicIntersectionBob bob(shared, nonce, universe, views.last(n),
+                           target_failure, env);
   // Crash resume (tag "bi"): phase 1 = sizes exchanged, phase 2 = sizes +
-  // Alice's images exchanged. The snapshot carries the agreed m_j values;
-  // everything else is recomputed locally, so only the not-yet-delivered
-  // messages are replayed on the channel.
-  std::uint64_t start_phase = 0;
-  std::vector<std::uint64_t> m(n);
-  if (ckpt != nullptr && ckpt->has("bi")) {
-    util::BitReader rd(ckpt->state());
-    const std::uint64_t saved_n = rd.read_gamma64();
-    if (saved_n != n) {
-      throw std::logic_error("basic_intersection: checkpoint batch size "
-                             "mismatch");
-    }
-    for (std::size_t j = 0; j < n; ++j) m[j] = rd.read_gamma64();
-    start_phase = ckpt->phase();
-    ckpt->note_restore();
-  }
-
-  const auto snapshot_m = [&]() {
-    util::BitBuffer blob;
-    blob.append_gamma64(n);
-    for (std::size_t j = 0; j < n; ++j) blob.append_gamma64(m[j]);
-    return blob;
-  };
-
-  if (start_phase == 0) {
-    // Rounds 1 and 2: sizes in both directions.
-    util::BitBuffer alice_sizes;
-    for (const auto& [s, t] : pairs) {
-      (void)t;
-      alice_sizes.append_gamma64(s.size());
-    }
-    util::BitBuffer a_sz;
-    util::BitBuffer b_sz;
-    {
-      obs::Span size_span(tracer, "size_exchange");
-      a_sz = channel.send(sim::PartyId::kAlice, std::move(alice_sizes),
-                          "bi-sizes-a");
-      util::BitBuffer bob_sizes;
-      for (const auto& [s, t] : pairs) {
-        (void)s;
-        bob_sizes.append_gamma64(t.size());
-      }
-      b_sz = channel.send(sim::PartyId::kBob, std::move(bob_sizes),
-                          "bi-sizes-b");
-    }
-
-    // Both parties now know every m_j and can derive identical hash
-    // functions from shared randomness. Readers carry the channel's
-    // resource limits so crafted length prefixes are charged against
-    // max_decoded_items (docs/ROBUSTNESS.md).
-    util::BitReader ra = channel.reader(a_sz);
-    util::BitReader rb = channel.reader(b_sz);
-    for (std::size_t j = 0; j < n; ++j) {
-      m[j] = ra.read_gamma64() + rb.read_gamma64();
-    }
-    if (ckpt != nullptr) {
-      ckpt->save("bi", 1, snapshot_m(), channel.cost().bits_total);
-    }
-  }
-
-  std::vector<hashing::PairwiseHash> hashes;
-  hashes.reserve(n);
+  // Alice's images exchanged.
+  sim::run_two_party(channel, alice, bob, 4, ckpt, "bi");
   for (std::size_t j = 0; j < n; ++j) {
-    util::Rng stream = shared.stream("basic-intersection", nonce, j);
-    hashes.push_back(hashing::PairwiseHash::sample(
-        stream, universe,
-        basic_intersection_range(m[j], target_failure)));
-  }
-
-  // Rounds 3 and 4: hashed images in both directions, fixed-width coded
-  // (the paper's O(i * m log m) accounting). Instances where either side
-  // is empty have a certainly-empty intersection — both parties know the
-  // sizes by now, so no hash bits flow for them.
-  const auto skip = [&pairs](std::size_t j) {
-    return pairs[j].first.empty() || pairs[j].second.empty();
-  };
-  const auto append_image = [](util::BitBuffer& out,
-                               std::span<const std::uint64_t> image,
-                               std::uint64_t range) {
-    out.append_gamma64(image.size());
-    const unsigned width = util::ceil_log2(std::max<std::uint64_t>(range, 2));
-    for (std::uint64_t v : image) out.append_bits(v, width);
-  };
-  const auto read_image = [](util::BitReader& in, std::uint64_t range) {
-    const std::uint64_t count = in.read_gamma64();
-    const unsigned width = util::ceil_log2(std::max<std::uint64_t>(range, 2));
-    in.expect_at_least(count, width, "image count");
-    util::Set image(count);
-    for (auto& v : image) v = in.read_bits(width);
-    // Images are sorted-unique by construction; the binary searches in
-    // filter_by_peer_image rely on it.
-    if (!util::is_canonical_set(image)) {
-      throw std::invalid_argument(
-          "decode: hashed image not strictly increasing (field 'image')");
-    }
-    return image;
-  };
-
-  // Hash every instance's elements once; the raw arrays feed both the
-  // transmitted images and the final filter without re-evaluating h.
-  std::vector<std::span<std::uint64_t>> a_vals(n);
-  std::vector<std::span<std::uint64_t>> b_vals(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    if (skip(j)) continue;
-    a_vals[j] = hashed_values(pairs[j].first, hashes[j], arena);
-    b_vals[j] = hashed_values(pairs[j].second, hashes[j], arena);
-  }
-
-  util::BitBuffer a_msg;
-  util::BitBuffer b_msg;
-  {
-    obs::Span hash_span(tracer, "hash_exchange");
-    util::BitBuffer alice_hashes;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (skip(j)) continue;
-      append_image(alice_hashes, sorted_unique_image(a_vals[j], arena),
-                   hashes[j].range());
-    }
-    if (start_phase >= 2) {
-      // Alice's images were already delivered before the crash; the
-      // delivered copy is recomputed locally instead of re-sent (a
-      // successful framed send means it arrived intact).
-      a_msg = std::move(alice_hashes);
-    } else {
-      a_msg = channel.send(sim::PartyId::kAlice, std::move(alice_hashes),
-                           "bi-hashes-a");
-      if (ckpt != nullptr) {
-        ckpt->save("bi", 2, snapshot_m(), channel.cost().bits_total);
-      }
-    }
-
-    util::BitBuffer bob_hashes;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (skip(j)) continue;
-      append_image(bob_hashes, sorted_unique_image(b_vals[j], arena),
-                   hashes[j].range());
-    }
-    b_msg = channel.send(sim::PartyId::kBob, std::move(bob_hashes),
-                         "bi-hashes-b");
-  }
-
-  // Decode the peer's images and filter own elements.
-  util::BitReader a_reader = channel.reader(a_msg);
-  util::BitReader b_reader = channel.reader(b_msg);
-  for (std::size_t j = 0; j < n; ++j) {
-    if (skip(j)) continue;  // candidates stay empty
-    const util::Set peer_for_bob = read_image(a_reader, hashes[j].range());
-    const util::Set peer_for_alice = read_image(b_reader, hashes[j].range());
-    result[j].s_candidate =
-        filter_by_peer_image(pairs[j].first, a_vals[j], peer_for_alice);
-    result[j].t_candidate =
-        filter_by_peer_image(pairs[j].second, b_vals[j], peer_for_bob);
+    result[j].s_candidate = alice.take_candidate(j);
+    result[j].t_candidate = bob.take_candidate(j);
   }
   return result;
 }

@@ -13,7 +13,8 @@
 //
 // Four rounds: sizes A->B, B->A; hashed sets A->B, B->A. The batched form
 // runs many leaf instances in the same four rounds, which is what keeps a
-// verification-tree stage at six rounds total.
+// verification-tree stage at six rounds total. Both entry points run the
+// BasicIntersection{Alice,Bob} parties of core/parties.h.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +46,9 @@ CandidatePair basic_intersection(sim::Channel& channel,
                                  double target_failure,
                                  Checkpoint* ckpt = nullptr);
 
-// Deterministic hash-range derivation from the exchanged sizes; shared by
-// the driver implementation and the separated-party endpoints
-// (core/parties.h) so their transcripts match bit-for-bit.
+// Deterministic hash-range derivation from the exchanged sizes, which both
+// Basic-Intersection parties (core/parties.h) apply to derive the same
+// hash function.
 std::uint64_t basic_intersection_range(std::uint64_t total_size,
                                        double target_failure);
 

@@ -26,8 +26,9 @@
 //
 // Partial-read audit (why the park lives HERE and nowhere deeper): every
 // BitReader::expect_at_least call site in the protocol decoders
-// (set_util, equality, basic_intersection, join, reconcile, parties,
-// one_round_hash) decodes a buffer returned by Channel::send(), which by
+// (set_util, parties — equality, Basic-Intersection and one-round
+// hashing — join, reconcile) decodes a buffer returned by Channel::send()
+// or replayed from a checkpoint of such buffers, which by
 // construction is a complete frame — a short read there is corruption,
 // and throwing is correct. The ONLY place a legitimately incomplete
 // message can exist is this byte-stream boundary, so FrameAssembler is

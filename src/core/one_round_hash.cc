@@ -1,14 +1,11 @@
 #include "core/one_round_hash.h"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 
-#include "hashing/pairwise.h"
+#include "core/parties.h"
 #include "obs/tracer.h"
+#include "sim/runtime.h"
 #include "util/arena.h"
-#include "util/bitio.h"
-#include "util/iterated_log.h"
 
 namespace setint::core {
 
@@ -18,83 +15,14 @@ IntersectionOutput one_round_hash(sim::Channel& channel,
                                   util::SetView s, util::SetView t,
                                   int strength) {
   validate_instance(universe, s, t);
-  if (strength < 3) throw std::invalid_argument("one_round_hash: strength < 3");
-  const std::uint64_t k = std::max<std::uint64_t>({s.size(), t.size(), 2});
-  const double range = std::pow(static_cast<double>(k),
-                                static_cast<double>(strength));
-  if (range > 0x1p62) throw std::invalid_argument("one_round_hash: range overflow");
-  // Floor of 2^16 keeps tiny-k instances reliable at negligible cost.
-  const std::uint64_t big_n =
-      std::max<std::uint64_t>(1u << 16, static_cast<std::uint64_t>(range));
-
-  util::Rng stream = shared.stream("one-round-hash", nonce);
-  const auto h = hashing::PairwiseHash::sample(stream, universe, big_n);
-
-  // Each side hashes its set once in a batched pass; the raw value array
-  // is reused for the final membership filter, the sorted-unique copy
-  // becomes the transmitted image. All scratch lives in the session arena.
+  const std::uint64_t k_bound = std::max(s.size(), t.size());
   util::ScratchArena::Frame scratch_frame(channel.scratch());
-  util::ScratchArena& arena = channel.scratch();
-  const std::span<std::uint64_t> s_vals = arena.alloc_u64(s.size());
-  const std::span<std::uint64_t> t_vals = arena.alloc_u64(t.size());
-  h.hash_many(s, s_vals);
-  h.hash_many(t, t_vals);
-  auto image_of = [&arena](std::span<const std::uint64_t> vals) {
-    const std::span<std::uint64_t> image = arena.alloc_u64(vals.size());
-    std::copy(vals.begin(), vals.end(), image.begin());
-    std::sort(image.begin(), image.end());
-    const auto last = std::unique(image.begin(), image.end());
-    return std::span<const std::uint64_t>(
-        image.data(), static_cast<std::size_t>(last - image.begin()));
-  };
-
-  // Fixed-width hashed values — the paper's "c k log k bits" accounting.
-  const unsigned width = util::ceil_log2(big_n);
-  const auto append_image = [width](util::BitBuffer& out,
-                                    std::span<const std::uint64_t> image) {
-    out.append_gamma64(image.size());
-    for (std::uint64_t v : image) out.append_bits(v, width);
-  };
-  const auto read_image = [width](util::BitReader& in) {
-    const std::uint64_t count = in.read_gamma64();
-    in.expect_at_least(count, width, "image count");
-    util::Set image(count);
-    for (auto& v : image) v = in.read_bits(width);
-    if (!util::is_canonical_set(image)) {
-      throw std::invalid_argument(
-          "decode: hashed image not strictly increasing (field 'image')");
-    }
-    return image;
-  };
-
+  const sim::PartyEnv env(channel);
+  OneRoundHashAlice alice(shared, nonce, universe, s, k_bound, strength, env);
+  OneRoundHashBob bob(shared, nonce, universe, t, k_bound, strength, env);
   obs::Span protocol_span(channel.tracer(), "one_round_hash");
-  obs::Span exchange_span(channel.tracer(), "hash_exchange");
-
-  const std::span<const std::uint64_t> a_image = image_of(s_vals);
-  util::BitBuffer a_msg;
-  append_image(a_msg, a_image);
-  const util::BitBuffer a_delivered =
-      channel.send(sim::PartyId::kAlice, std::move(a_msg), "hash-image-a");
-
-  const std::span<const std::uint64_t> b_image = image_of(t_vals);
-  util::BitBuffer b_msg;
-  append_image(b_msg, b_image);
-  const util::BitBuffer b_delivered =
-      channel.send(sim::PartyId::kBob, std::move(b_msg), "hash-image-b");
-
-  util::BitReader ra = channel.reader(a_delivered);
-  util::BitReader rb = channel.reader(b_delivered);
-  const util::Set peer_for_bob = read_image(ra);
-  const util::Set peer_for_alice = read_image(rb);
-
-  IntersectionOutput out;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (util::set_contains(peer_for_alice, s_vals[i])) out.alice.push_back(s[i]);
-  }
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (util::set_contains(peer_for_bob, t_vals[i])) out.bob.push_back(t[i]);
-  }
-  return out;
+  sim::run_two_party(channel, alice, bob, 2);
+  return {alice.take_candidates(), bob.take_candidates()};
 }
 
 RunResult OneRoundHashProtocol::run(std::uint64_t seed, std::uint64_t universe,

@@ -6,31 +6,49 @@
 
 #include "core/basic_intersection.h"
 #include "hashing/mask_hash.h"
+#include "util/arena.h"
 #include "util/iterated_log.h"
 
 namespace setint::core {
 
 namespace {
 
-util::Set hashed_image(util::SetView s, const hashing::PairwiseHash& h) {
-  util::Set image;
-  image.reserve(s.size());
-  for (std::uint64_t x : s) image.push_back(h(x));
+constexpr std::string_view kHashExchange = "hash_exchange";
+
+unsigned image_width(const hashing::PairwiseHash& h) {
+  return util::ceil_log2(std::max<std::uint64_t>(h.range(), 2));
+}
+
+// h of every element of `set`, in input order, in arena scratch. The raw
+// array doubles as the lookup table for the final filter; its sorted-unique
+// copy is the image sent on the wire.
+std::span<std::uint64_t> hash_all(util::SetView set,
+                                  const hashing::PairwiseHash& h,
+                                  util::ScratchArena& arena) {
+  const std::span<std::uint64_t> vals = arena.alloc_u64(set.size());
+  h.hash_many(set, vals);
+  return vals;
+}
+
+// Fixed-width coded image (the paper's O(m log m) accounting).
+void append_image(util::BitBuffer& out, std::span<const std::uint64_t> vals,
+                  unsigned width, util::ScratchArena& arena) {
+  util::ScratchArena::Frame scratch_frame(arena);
+  const std::span<std::uint64_t> image = arena.alloc_u64(vals.size());
+  std::copy(vals.begin(), vals.end(), image.begin());
   std::sort(image.begin(), image.end());
-  image.erase(std::unique(image.begin(), image.end()), image.end());
-  return image;
+  const auto last = std::unique(image.begin(), image.end());
+  out.append_gamma64(static_cast<std::uint64_t>(last - image.begin()));
+  for (auto it = image.begin(); it != last; ++it) out.append_bits(*it, width);
 }
 
-void append_fixed_width_image(util::BitBuffer& out, const util::Set& image,
-                              unsigned width) {
-  out.append_gamma64(image.size());
-  for (std::uint64_t v : image) out.append_bits(v, width);
-}
-
-util::Set read_fixed_width_image(util::BitReader& in, unsigned width) {
+// Images are sorted-unique by construction; the binary searches in
+// filter_own rely on it, so anything else is rejected.
+util::SetView read_image(util::BitReader& in, unsigned width,
+                         util::ScratchArena& arena) {
   const std::uint64_t count = in.read_gamma64();
   in.expect_at_least(count, width, "image count");
-  util::Set image(count);
+  const std::span<std::uint64_t> image = arena.alloc_u64(count);
   for (auto& v : image) v = in.read_bits(width);
   if (!util::is_canonical_set(image)) {
     throw std::invalid_argument(
@@ -39,12 +57,12 @@ util::Set read_fixed_width_image(util::BitReader& in, unsigned width) {
   return image;
 }
 
-util::Set filter_by_peer_image(util::SetView own,
-                               const hashing::PairwiseHash& h,
-                               util::SetView peer_image) {
+// The own elements whose hash appears in the peer's image.
+util::Set filter_own(util::SetView own, std::span<const std::uint64_t> vals,
+                     util::SetView peer_image) {
   util::Set out;
-  for (std::uint64_t x : own) {
-    if (util::set_contains(peer_image, h(x))) out.push_back(x);
+  for (std::size_t i = 0; i < own.size(); ++i) {
+    if (util::set_contains(peer_image, vals[i])) out.push_back(own[i]);
   }
   return out;
 }
@@ -53,70 +71,81 @@ util::Set filter_by_peer_image(util::SetView own,
 
 // ---------- equality ----------
 
-EqualitySender::EqualitySender(sim::SharedRandomness shared,
-                               std::uint64_t nonce, util::BitBuffer content,
-                               std::size_t bits)
-    : shared_(shared), nonce_(nonce), content_(std::move(content)),
-      bits_(bits) {
-  if (bits == 0) throw std::invalid_argument("EqualitySender: 0 bits");
-}
+EqualityParty::EqualityParty(const sim::SharedRandomness& shared,
+                             std::uint64_t nonce,
+                             std::span<const util::BitBuffer> strings,
+                             std::size_t bits, sim::PartyEnv env)
+    : shared_(shared), nonce_(nonce), strings_(strings), bits_(bits),
+      env_(env) {}
 
-std::optional<util::BitBuffer> EqualitySender::start() {
-  util::BitBuffer msg;
-  hashing::mask_hash_wide(content_, bits_, shared_.stream("eq", nonce_, 0),
-                          msg);
+std::optional<sim::Outgoing> EqualityAlice::start() {
+  sim::Outgoing msg{{}, "eq-hashes"};
+  msg.bits.reserve_bits(strings_.size() * bits_);
+  for (std::size_t i = 0; i < strings_.size(); ++i) {
+    hashing::mask_hash_wide(strings_[i], bits_,
+                            shared_.stream("eq", nonce_, i), msg.bits);
+  }
   return msg;
 }
 
-std::optional<util::BitBuffer> EqualitySender::on_message(
+std::optional<sim::Outgoing> EqualityAlice::on_message(
     const util::BitBuffer& message) {
-  util::BitReader reader(message);
-  declared_equal_ = reader.read_bit();
+  util::BitReader reader = env_.reader(message);
+  reader.expect_at_least(strings_.size(), 1, "eq verdicts");
+  verdicts_.resize(strings_.size());
+  for (std::size_t i = 0; i < strings_.size(); ++i) {
+    verdicts_[i] = reader.read_bit();
+  }
   done_ = true;
   return std::nullopt;
 }
 
-EqualityResponder::EqualityResponder(sim::SharedRandomness shared,
-                                     std::uint64_t nonce,
-                                     util::BitBuffer content,
-                                     std::size_t bits)
-    : shared_(shared), nonce_(nonce), content_(std::move(content)),
-      bits_(bits) {
-  if (bits == 0) throw std::invalid_argument("EqualityResponder: 0 bits");
-}
-
-std::optional<util::BitBuffer> EqualityResponder::on_message(
+std::optional<sim::Outgoing> EqualityBob::on_message(
     const util::BitBuffer& message) {
-  util::BitBuffer expected;
-  hashing::mask_hash_wide(content_, bits_, shared_.stream("eq", nonce_, 0),
-                          expected);
-  util::BitReader got(message);
-  util::BitReader want(expected);
-  bool match = true;
-  for (std::size_t b = 0; b < bits_; ++b) {
-    if (got.read_bit() != want.read_bit()) match = false;
+  const std::size_t n = strings_.size();
+  util::BitReader reader = env_.reader(message);
+  // All n hashes must be present up front: a short (truncated or crafted)
+  // frame is rejected by name instead of failing mid-comparison.
+  reader.expect_at_least(n, bits_, "eq hashes");
+  sim::Outgoing reply{{}, "eq-verdicts"};
+  verdicts_.resize(n);
+  // One pooled scratch buffer for all n expected-hash encodes, its word
+  // storage reused across instances and across runs in the session.
+  util::PooledBuffer expected(*env_.pool);
+  for (std::size_t i = 0; i < n; ++i) {
+    expected->clear();
+    hashing::mask_hash_wide(strings_[i], bits_,
+                            shared_.stream("eq", nonce_, i), *expected);
+    bool match = true;
+    util::BitReader er(*expected);
+    for (std::size_t b = 0; b < bits_; b += 64) {
+      const unsigned chunk =
+          static_cast<unsigned>(std::min<std::size_t>(64, bits_ - b));
+      if (reader.read_bits(chunk) != er.read_bits(chunk)) match = false;
+    }
+    verdicts_[i] = match;
+    reply.bits.append_bit(match);
   }
-  declared_equal_ = match;
   done_ = true;
-  util::BitBuffer verdict;
-  verdict.append_bit(match);
-  return verdict;
+  return reply;
 }
 
 // ---------- one-round hashing ----------
 
 namespace {
 
-// Identical derivation to core::one_round_hash: the size bound k is
-// public protocol knowledge (|S|, |T| <= k), so parties take it as a
-// constructor argument rather than peeking at the peer's input.
+// Range N = max(2^16, k^strength): the 2^16 floor keeps tiny-k instances
+// reliable at negligible cost.
 hashing::PairwiseHash one_round_hash_function(
     const sim::SharedRandomness& shared, std::uint64_t nonce,
     std::uint64_t universe, std::uint64_t k_bound, int strength) {
+  if (strength < 3) throw std::invalid_argument("one_round_hash: strength < 3");
   const std::uint64_t k = std::max<std::uint64_t>(k_bound, 2);
   const double range =
       std::pow(static_cast<double>(k), static_cast<double>(strength));
-  if (range > 0x1p62) throw std::invalid_argument("one-round: range overflow");
+  if (range > 0x1p62) {
+    throw std::invalid_argument("one_round_hash: range overflow");
+  }
   const std::uint64_t big_n =
       std::max<std::uint64_t>(1u << 16, static_cast<std::uint64_t>(range));
   util::Rng stream = shared.stream("one-round-hash", nonce);
@@ -125,146 +154,130 @@ hashing::PairwiseHash one_round_hash_function(
 
 }  // namespace
 
-OneRoundHashAlice::OneRoundHashAlice(sim::SharedRandomness shared,
+OneRoundHashParty::OneRoundHashParty(const sim::SharedRandomness& shared,
                                      std::uint64_t nonce,
-                                     std::uint64_t universe, util::Set input,
-                                     std::uint64_t k_bound, int strength)
-    : shared_(shared), nonce_(nonce), universe_(universe),
-      input_(std::move(input)), k_bound_(k_bound), strength_(strength) {}
+                                     std::uint64_t universe,
+                                     util::SetView input,
+                                     std::uint64_t k_bound, int strength,
+                                     sim::PartyEnv env)
+    : input_(input),
+      hash_(one_round_hash_function(shared, nonce, universe, k_bound,
+                                    strength)),
+      env_(env) {}
 
-std::optional<util::BitBuffer> OneRoundHashAlice::start() {
-  const auto h = one_round_hash_function(shared_, nonce_, universe_,
-                                         k_bound_, strength_);
-  util::BitBuffer msg;
-  append_fixed_width_image(msg, hashed_image(input_, h),
-                           util::ceil_log2(h.range()));
+sim::Outgoing OneRoundHashParty::image_message(std::string_view label) const {
+  sim::Outgoing msg{{}, label, kHashExchange};
+  append_image(msg.bits, vals_, image_width(hash_), *env_.arena);
   return msg;
 }
 
-std::optional<util::BitBuffer> OneRoundHashAlice::on_message(
-    const util::BitBuffer& message) {
-  const auto h = one_round_hash_function(shared_, nonce_, universe_,
-                                         k_bound_, strength_);
-  util::BitReader reader(message);
-  const util::Set peer_image =
-      read_fixed_width_image(reader, util::ceil_log2(h.range()));
-  candidates_ = filter_by_peer_image(input_, h, peer_image);
+void OneRoundHashParty::filter_by_peer_image(const util::BitBuffer& message) {
+  util::BitReader reader = env_.reader(message);
+  const util::SetView peer_image =
+      read_image(reader, image_width(hash_), *env_.arena);
+  candidates_ = filter_own(input_, vals_, peer_image);
   done_ = true;
+}
+
+std::optional<sim::Outgoing> OneRoundHashAlice::start() {
+  vals_ = hash_all(input_, hash_, *env_.arena);
+  return image_message("hash-image-a");
+}
+
+std::optional<sim::Outgoing> OneRoundHashAlice::on_message(
+    const util::BitBuffer& message) {
+  filter_by_peer_image(message);
   return std::nullopt;
 }
 
-OneRoundHashBob::OneRoundHashBob(sim::SharedRandomness shared,
-                                 std::uint64_t nonce, std::uint64_t universe,
-                                 util::Set input, std::uint64_t k_bound,
-                                 int strength)
-    : shared_(shared), nonce_(nonce), universe_(universe),
-      input_(std::move(input)), k_bound_(k_bound), strength_(strength) {}
-
-std::optional<util::BitBuffer> OneRoundHashBob::on_message(
+std::optional<sim::Outgoing> OneRoundHashBob::on_message(
     const util::BitBuffer& message) {
-  const auto h = one_round_hash_function(shared_, nonce_, universe_,
-                                         k_bound_, strength_);
-  const unsigned width = util::ceil_log2(h.range());
-  util::BitReader reader(message);
-  const util::Set peer_image = read_fixed_width_image(reader, width);
-  candidates_ = filter_by_peer_image(input_, h, peer_image);
-  done_ = true;
-  util::BitBuffer reply;
-  append_fixed_width_image(reply, hashed_image(input_, h), width);
-  return reply;
+  vals_ = hash_all(input_, hash_, *env_.arena);
+  filter_by_peer_image(message);
+  return image_message("hash-image-b");
 }
 
 // ---------- Basic-Intersection ----------
 
-BasicIntersectionAlice::BasicIntersectionAlice(sim::SharedRandomness shared,
-                                               std::uint64_t nonce,
-                                               std::uint64_t universe,
-                                               util::Set input,
-                                               double target_failure)
-    : shared_(shared), nonce_(nonce), universe_(universe),
-      input_(std::move(input)), target_failure_(target_failure) {}
+BasicIntersectionParty::BasicIntersectionParty(
+    const sim::SharedRandomness& shared, std::uint64_t nonce,
+    std::uint64_t universe, std::span<const util::SetView> sets,
+    double target_failure, sim::PartyEnv env)
+    : shared_(shared), nonce_(nonce), universe_(universe), sets_(sets),
+      target_failure_(target_failure), env_(env),
+      instances_(sets.size()) {}
 
-std::optional<util::BitBuffer> BasicIntersectionAlice::start() {
-  state_ = State::kAwaitSizes;
-  util::BitBuffer msg;
-  msg.append_gamma64(input_.size());
+sim::Outgoing BasicIntersectionParty::sizes_message(std::string_view label,
+                                                    bool boundary) const {
+  sim::Outgoing msg{{}, label, "size_exchange", boundary};
+  for (util::SetView set : sets_) msg.bits.append_gamma64(set.size());
   return msg;
 }
 
-std::optional<util::BitBuffer> BasicIntersectionAlice::on_message(
-    const util::BitBuffer& message) {
-  switch (state_) {
-    case State::kAwaitSizes: {
-      util::BitReader reader(message);
-      peer_size_ = reader.read_gamma64();
-      const std::uint64_t m = input_.size() + peer_size_;
-      util::Rng stream = shared_.stream("basic-intersection", nonce_, 0);
-      hash_ = hashing::PairwiseHash::sample(
-          stream, universe_, basic_intersection_range(m, target_failure_));
-      state_ = State::kAwaitPeerImage;
-      util::BitBuffer msg;
-      if (!input_.empty() && peer_size_ != 0) {
-        append_fixed_width_image(
-            msg, hashed_image(input_, *hash_),
-            util::ceil_log2(std::max<std::uint64_t>(hash_->range(), 2)));
-      }
-      return msg;
-    }
-    case State::kAwaitPeerImage: {
-      if (!input_.empty() && peer_size_ != 0) {
-        util::BitReader reader(message);
-        const util::Set peer_image = read_fixed_width_image(
-            reader,
-            util::ceil_log2(std::max<std::uint64_t>(hash_->range(), 2)));
-        candidates_ = filter_by_peer_image(input_, *hash_, peer_image);
-      }
-      state_ = State::kDone;
-      return std::nullopt;
-    }
-    default:
-      throw std::logic_error("BasicIntersectionAlice: unexpected message");
+void BasicIntersectionParty::read_peer_sizes(const util::BitBuffer& message) {
+  util::BitReader reader = env_.reader(message);
+  for (std::size_t j = 0; j < sets_.size(); ++j) {
+    Instance& inst = instances_[j];
+    const std::uint64_t peer_size = reader.read_gamma64();
+    // Either side empty: the intersection is certainly empty, and both
+    // parties know it from the sizes, so no hash bits flow.
+    if (sets_[j].empty() || peer_size == 0) continue;
+    util::Rng stream = shared_.stream("basic-intersection", nonce_, j);
+    inst.hash = hashing::PairwiseHash::sample(
+        stream, universe_,
+        basic_intersection_range(sets_[j].size() + peer_size,
+                                 target_failure_));
+    inst.vals = hash_all(sets_[j], *inst.hash, *env_.arena);
   }
+  sizes_known_ = true;
 }
 
-BasicIntersectionBob::BasicIntersectionBob(sim::SharedRandomness shared,
-                                           std::uint64_t nonce,
-                                           std::uint64_t universe,
-                                           util::Set input,
-                                           double target_failure)
-    : shared_(shared), nonce_(nonce), universe_(universe),
-      input_(std::move(input)), target_failure_(target_failure) {}
-
-std::optional<util::BitBuffer> BasicIntersectionBob::on_message(
-    const util::BitBuffer& message) {
-  switch (state_) {
-    case State::kAwaitSizes: {
-      util::BitReader reader(message);
-      peer_size_ = reader.read_gamma64();
-      const std::uint64_t m = input_.size() + peer_size_;
-      util::Rng stream = shared_.stream("basic-intersection", nonce_, 0);
-      hash_ = hashing::PairwiseHash::sample(
-          stream, universe_, basic_intersection_range(m, target_failure_));
-      state_ = State::kAwaitImage;
-      util::BitBuffer msg;
-      msg.append_gamma64(input_.size());
-      return msg;
-    }
-    case State::kAwaitImage: {
-      state_ = State::kDone;
-      util::BitBuffer reply;
-      if (!input_.empty() && peer_size_ != 0) {
-        const unsigned width =
-            util::ceil_log2(std::max<std::uint64_t>(hash_->range(), 2));
-        util::BitReader reader(message);
-        const util::Set peer_image = read_fixed_width_image(reader, width);
-        candidates_ = filter_by_peer_image(input_, *hash_, peer_image);
-        append_fixed_width_image(reply, hashed_image(input_, *hash_), width);
-      }
-      return reply;
-    }
-    default:
-      throw std::logic_error("BasicIntersectionBob: unexpected message");
+sim::Outgoing BasicIntersectionParty::images_message(std::string_view label,
+                                                     bool boundary) const {
+  sim::Outgoing msg{{}, label, kHashExchange, boundary};
+  for (const Instance& inst : instances_) {
+    if (!inst.hash) continue;
+    append_image(msg.bits, inst.vals, image_width(*inst.hash), *env_.arena);
   }
+  return msg;
+}
+
+void BasicIntersectionParty::filter_by_peer_images(
+    const util::BitBuffer& message) {
+  util::BitReader reader = env_.reader(message);
+  for (std::size_t j = 0; j < sets_.size(); ++j) {
+    Instance& inst = instances_[j];
+    if (!inst.hash) continue;  // candidate stays empty
+    util::ScratchArena::Frame scratch_frame(*env_.arena);
+    const util::SetView peer_image =
+        read_image(reader, image_width(*inst.hash), *env_.arena);
+    inst.candidate = filter_own(sets_[j], inst.vals, peer_image);
+  }
+  done_ = true;
+}
+
+std::optional<sim::Outgoing> BasicIntersectionAlice::start() {
+  return sizes_message("bi-sizes-a", /*boundary=*/false);
+}
+
+std::optional<sim::Outgoing> BasicIntersectionAlice::on_message(
+    const util::BitBuffer& message) {
+  if (!sizes_known_) {
+    read_peer_sizes(message);
+    return images_message("bi-hashes-a", /*boundary=*/true);
+  }
+  filter_by_peer_images(message);
+  return std::nullopt;
+}
+
+std::optional<sim::Outgoing> BasicIntersectionBob::on_message(
+    const util::BitBuffer& message) {
+  if (!sizes_known_) {
+    read_peer_sizes(message);
+    return sizes_message("bi-sizes-b", /*boundary=*/true);
+  }
+  filter_by_peer_images(message);
+  return images_message("bi-hashes-b", /*boundary=*/false);
 }
 
 }  // namespace setint::core

@@ -1,13 +1,21 @@
-// Strictly-separated party implementations of the building-block
-// protocols (see sim/runtime.h). Each party object holds ONLY its own
-// input plus its view of the common random string, and mirrors the
-// driver-style implementation bit-for-bit: identical substream labels and
-// encodings, hence identical transcripts — which the runtime tests verify
-// by digest comparison.
+// The building-block protocols as strictly-separated parties (see
+// sim/runtime.h) — their ONLY implementation. eq::equality_test,
+// eq::batch_equality_test, core::basic_intersection(_batch) and
+// core::one_round_hash build a pair of these over views of the inputs and
+// call sim::run_two_party; the tree parties (core/tree_parties.h) hand each
+// stage's messages to them too.
+//
+// Each party holds ONLY views of its own input plus its view of the common
+// random string, reads every received frame under the session's resource
+// limits, and takes scratch from the session (sim::PartyEnv). The views and
+// the caller's arena frame must outlive the run.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <string_view>
+#include <vector>
 
 #include "hashing/pairwise.h"
 #include "sim/randomness.h"
@@ -16,141 +24,149 @@
 
 namespace setint::core {
 
-// ---------- Fact 3.5 equality ----------
+// ---------- Fact 3.5 equality, batched ----------
+//
+// Instance i compares Alice's strings[i] with Bob's strings[i] on `bits`
+// (>= 1) mask-hash bits. Alice sends every hash in one message ("eq-hashes"), Bob
+// replies the verdict bitmap ("eq-verdicts"): two rounds for any count.
 
-// Opener: sends the mask hash of its string, then reads the verdict.
-class EqualitySender final : public sim::Party {
+class EqualityParty : public sim::Party {
  public:
-  EqualitySender(sim::SharedRandomness shared, std::uint64_t nonce,
-                 util::BitBuffer content, std::size_t bits);
-  std::optional<util::BitBuffer> start() override;
-  std::optional<util::BitBuffer> on_message(
-      const util::BitBuffer& message) override;
+  EqualityParty(const sim::SharedRandomness& shared, std::uint64_t nonce,
+                std::span<const util::BitBuffer> strings, std::size_t bits,
+                sim::PartyEnv env);
   bool done() const override { return done_; }
-  bool declared_equal() const { return declared_equal_; }
+  // Bob's verdicts (true = declared equal), as this party knows them.
+  const std::vector<bool>& verdicts() const { return verdicts_; }
+  std::vector<bool> take_verdicts() { return std::move(verdicts_); }
 
- private:
+ protected:
   sim::SharedRandomness shared_;
   std::uint64_t nonce_;
-  util::BitBuffer content_;
+  std::span<const util::BitBuffer> strings_;
   std::size_t bits_;
+  sim::PartyEnv env_;
   bool done_ = false;
-  bool declared_equal_ = false;
+  std::vector<bool> verdicts_;
 };
 
-// Responder: compares the received hash with its own, replies the verdict.
-class EqualityResponder final : public sim::Party {
+class EqualityAlice final : public EqualityParty {
  public:
-  EqualityResponder(sim::SharedRandomness shared, std::uint64_t nonce,
-                    util::BitBuffer content, std::size_t bits);
-  std::optional<util::BitBuffer> on_message(
+  using EqualityParty::EqualityParty;
+  std::optional<sim::Outgoing> start() override;
+  std::optional<sim::Outgoing> on_message(
       const util::BitBuffer& message) override;
-  bool done() const override { return done_; }
-  bool declared_equal() const { return declared_equal_; }
+};
 
- private:
-  sim::SharedRandomness shared_;
-  std::uint64_t nonce_;
-  util::BitBuffer content_;
-  std::size_t bits_;
-  bool done_ = false;
-  bool declared_equal_ = false;
+class EqualityBob final : public EqualityParty {
+ public:
+  using EqualityParty::EqualityParty;
+  std::optional<sim::Outgoing> on_message(
+      const util::BitBuffer& message) override;
 };
 
 // ---------- one-round hashing (R^(1)) ----------
+//
+// k_bound is the public size bound (|S|, |T| <= k_bound); both parties
+// must pass the same value or their hash functions desynchronize.
 
-class OneRoundHashAlice final : public sim::Party {
+class OneRoundHashParty : public sim::Party {
  public:
-  // k_bound is the public size bound (|S|, |T| <= k_bound); both parties
-  // must pass the same value or their hash functions desynchronize.
-  OneRoundHashAlice(sim::SharedRandomness shared, std::uint64_t nonce,
-                    std::uint64_t universe, util::Set input,
-                    std::uint64_t k_bound, int strength = 3);
-  std::optional<util::BitBuffer> start() override;
-  std::optional<util::BitBuffer> on_message(
-      const util::BitBuffer& message) override;
+  OneRoundHashParty(const sim::SharedRandomness& shared, std::uint64_t nonce,
+                    std::uint64_t universe, util::SetView input,
+                    std::uint64_t k_bound, int strength, sim::PartyEnv env);
   bool done() const override { return done_; }
+  util::Set take_candidates() { return std::move(candidates_); }
   const util::Set& candidates() const { return candidates_; }
 
- private:
-  sim::SharedRandomness shared_;
-  std::uint64_t nonce_;
-  std::uint64_t universe_;
-  util::Set input_;
-  std::uint64_t k_bound_;
-  int strength_;
+ protected:
+  sim::Outgoing image_message(std::string_view label) const;
+  void filter_by_peer_image(const util::BitBuffer& message);
+
+  util::SetView input_;
+  hashing::PairwiseHash hash_;
+  sim::PartyEnv env_;
+  std::span<std::uint64_t> vals_;  // hash_ of every input element
   bool done_ = false;
   util::Set candidates_;
 };
 
-class OneRoundHashBob final : public sim::Party {
+class OneRoundHashAlice final : public OneRoundHashParty {
  public:
-  OneRoundHashBob(sim::SharedRandomness shared, std::uint64_t nonce,
-                  std::uint64_t universe, util::Set input,
-                  std::uint64_t k_bound, int strength = 3);
-  std::optional<util::BitBuffer> on_message(
+  using OneRoundHashParty::OneRoundHashParty;
+  std::optional<sim::Outgoing> start() override;
+  std::optional<sim::Outgoing> on_message(
       const util::BitBuffer& message) override;
+};
+
+class OneRoundHashBob final : public OneRoundHashParty {
+ public:
+  using OneRoundHashParty::OneRoundHashParty;
+  std::optional<sim::Outgoing> on_message(
+      const util::BitBuffer& message) override;
+};
+
+// ---------- Basic-Intersection (Lemma 3.3), batched ----------
+//
+// Instance j intersects Alice's sets[j] with Bob's sets[j]. Four messages
+// for any count: sizes A->B, B->A (checkpoint boundary 1), hashed images
+// A->B (boundary 2), B->A. Instances with an empty side send no image
+// bits and end with empty candidates.
+
+class BasicIntersectionParty : public sim::Party {
+ public:
+  BasicIntersectionParty(const sim::SharedRandomness& shared,
+                         std::uint64_t nonce, std::uint64_t universe,
+                         std::span<const util::SetView> sets,
+                         double target_failure, sim::PartyEnv env);
   bool done() const override { return done_; }
-  const util::Set& candidates() const { return candidates_; }
+  const util::Set& candidate(std::size_t j) const {
+    return instances_[j].candidate;
+  }
+  util::Set take_candidate(std::size_t j) {
+    return std::move(instances_[j].candidate);
+  }
 
- private:
-  sim::SharedRandomness shared_;
-  std::uint64_t nonce_;
-  std::uint64_t universe_;
-  util::Set input_;
-  std::uint64_t k_bound_;
-  int strength_;
+ protected:
+  sim::Outgoing sizes_message(std::string_view label, bool boundary) const;
+  // Reads the peer's sizes, derives every instance's hash function and
+  // hashes the own side.
+  void read_peer_sizes(const util::BitBuffer& message);
+  sim::Outgoing images_message(std::string_view label, bool boundary) const;
+  void filter_by_peer_images(const util::BitBuffer& message);
+
+  bool sizes_known_ = false;
   bool done_ = false;
-  util::Set candidates_;
-};
-
-// ---------- Basic-Intersection (Lemma 3.3), single instance ----------
-
-class BasicIntersectionAlice final : public sim::Party {
- public:
-  BasicIntersectionAlice(sim::SharedRandomness shared, std::uint64_t nonce,
-                         std::uint64_t universe, util::Set input,
-                         double target_failure);
-  std::optional<util::BitBuffer> start() override;
-  std::optional<util::BitBuffer> on_message(
-      const util::BitBuffer& message) override;
-  bool done() const override { return state_ == State::kDone; }
-  const util::Set& candidates() const { return candidates_; }
 
  private:
-  enum class State { kStart, kAwaitSizes, kAwaitPeerImage, kDone };
+  struct Instance {
+    std::optional<hashing::PairwiseHash> hash;  // unset when skipped
+    std::span<std::uint64_t> vals;              // hash of every element
+    util::Set candidate;
+  };
+
   sim::SharedRandomness shared_;
   std::uint64_t nonce_;
   std::uint64_t universe_;
-  util::Set input_;
+  std::span<const util::SetView> sets_;
   double target_failure_;
-  State state_ = State::kStart;
-  std::uint64_t peer_size_ = 0;
-  std::optional<hashing::PairwiseHash> hash_;
-  util::Set candidates_;
+  sim::PartyEnv env_;
+  std::vector<Instance> instances_;
 };
 
-class BasicIntersectionBob final : public sim::Party {
+class BasicIntersectionAlice final : public BasicIntersectionParty {
  public:
-  BasicIntersectionBob(sim::SharedRandomness shared, std::uint64_t nonce,
-                       std::uint64_t universe, util::Set input,
-                       double target_failure);
-  std::optional<util::BitBuffer> on_message(
+  using BasicIntersectionParty::BasicIntersectionParty;
+  std::optional<sim::Outgoing> start() override;
+  std::optional<sim::Outgoing> on_message(
       const util::BitBuffer& message) override;
-  bool done() const override { return state_ == State::kDone; }
-  const util::Set& candidates() const { return candidates_; }
+};
 
- private:
-  enum class State { kAwaitSizes, kAwaitImage, kDone };
-  sim::SharedRandomness shared_;
-  std::uint64_t nonce_;
-  std::uint64_t universe_;
-  util::Set input_;
-  double target_failure_;
-  State state_ = State::kAwaitSizes;
-  std::uint64_t peer_size_ = 0;
-  std::optional<hashing::PairwiseHash> hash_;
-  util::Set candidates_;
+class BasicIntersectionBob final : public BasicIntersectionParty {
+ public:
+  using BasicIntersectionParty::BasicIntersectionParty;
+  std::optional<sim::Outgoing> on_message(
+      const util::BitBuffer& message) override;
 };
 
 }  // namespace setint::core

@@ -4,36 +4,19 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/basic_intersection.h"
-#include "hashing/mask_hash.h"
 #include "util/bitio.h"
 #include "util/iterated_log.h"
 #include "util/rng.h"
 
 namespace setint::core {
 
-namespace {
-
-util::Set image_of(util::SetView s, const hashing::PairwiseHash& h) {
-  util::Set image;
-  image.reserve(s.size());
-  for (std::uint64_t x : s) image.push_back(h(x));
-  std::sort(image.begin(), image.end());
-  image.erase(std::unique(image.begin(), image.end()), image.end());
-  return image;
-}
-
-unsigned image_width(const hashing::PairwiseHash& h) {
-  return util::ceil_log2(std::max<std::uint64_t>(h.range(), 2));
-}
-
-}  // namespace
-
 TreePartyBase::TreePartyBase(sim::SharedRandomness shared,
                              std::uint64_t nonce, std::uint64_t universe,
                              util::Set input,
-                             const VerificationTreeParams& params)
-    : shared_(shared), nonce_(nonce), universe_(universe), params_(params) {
+                             const VerificationTreeParams& params,
+                             const ResourceLimits* limits)
+    : shared_(shared), nonce_(nonce), universe_(universe), params_(params),
+      env_(limits, pool_, arena_) {
   util::validate_set(input, universe);
   if (params.bucket_count == 0) {
     // A party cannot see the peer's size, so the public bound must be
@@ -58,6 +41,14 @@ TreePartyBase::TreePartyBase(sim::SharedRandomness shared,
   for (auto& bucket : assignment_) std::sort(bucket.begin(), bucket.end());
 }
 
+std::uint64_t TreePartyBase::eq_nonce(int stage) const {
+  return util::mix64(nonce_, util::mix64(0xE9, stage));
+}
+
+std::uint64_t TreePartyBase::bi_nonce(int stage) const {
+  return util::mix64(nonce_, util::mix64(0xB1, stage));
+}
+
 std::size_t TreePartyBase::eq_bits(int stage) const {
   const double tower = std::max(
       2.0, util::iterated_log(r_ - stage - 1, static_cast<double>(buckets_)));
@@ -72,106 +63,35 @@ double TreePartyBase::bi_failure(int stage) const {
                             std::max(1e-6, params_.bi_range_scale));
 }
 
-std::vector<util::BitBuffer> TreePartyBase::node_contents(int stage) const {
+std::span<const util::BitBuffer> TreePartyBase::node_contents(int stage) {
   const auto& ranges = layout_[static_cast<std::size_t>(stage)];
-  std::vector<util::BitBuffer> contents(ranges.size());
+  contents_.resize(ranges.size());
   for (std::size_t v = 0; v < ranges.size(); ++v) {
+    contents_[v].clear();
     for (std::size_t u = ranges[v].first; u < ranges[v].second; ++u) {
-      util::append_set(contents[v], assignment_[u]);
+      util::append_set(contents_[v], assignment_[u]);
     }
   }
-  return contents;
+  return contents_;
 }
 
-util::BitBuffer TreePartyBase::build_eq_hashes(int stage) const {
-  const std::uint64_t eq_nonce =
-      util::mix64(nonce_, util::mix64(0xE9, stage));
-  const std::size_t bits = eq_bits(stage);
-  util::BitBuffer message;
-  const std::vector<util::BitBuffer> contents = node_contents(stage);
-  for (std::size_t i = 0; i < contents.size(); ++i) {
-    hashing::mask_hash_wide(contents[i], bits,
-                            shared_.stream("eq", eq_nonce, i), message);
-  }
-  return message;
-}
-
-void TreePartyBase::set_failed_from_verdicts(const std::vector<bool>& pass,
-                                             int stage) {
+bool TreePartyBase::fail_leaves(const std::vector<bool>& pass, int stage) {
   failed_leaves_.clear();
+  failed_sets_.clear();
   const auto& ranges = layout_[static_cast<std::size_t>(stage)];
   for (std::size_t v = 0; v < ranges.size(); ++v) {
     if (pass[v]) continue;
     for (std::size_t u = ranges[v].first; u < ranges[v].second; ++u) {
       failed_leaves_.push_back(u);
+      failed_sets_.push_back(assignment_[u]);
     }
   }
+  return !failed_leaves_.empty();
 }
 
-util::BitBuffer TreePartyBase::build_bi_sizes() const {
-  util::BitBuffer message;
-  for (std::size_t u : failed_leaves_) {
-    message.append_gamma64(assignment_[u].size());
-  }
-  return message;
-}
-
-void TreePartyBase::decode_peer_sizes(const util::BitBuffer& message) {
-  util::BitReader reader(message);
-  peer_sizes_.clear();
+void TreePartyBase::take_candidates(BasicIntersectionParty& bi) {
   for (std::size_t j = 0; j < failed_leaves_.size(); ++j) {
-    peer_sizes_.push_back(reader.read_gamma64());
-  }
-}
-
-util::BitBuffer TreePartyBase::build_bi_images(int stage) {
-  // Derive the per-pair hash functions (both parties know both sizes by
-  // now), then emit images for the non-skip pairs.
-  const std::uint64_t bi_nonce =
-      util::mix64(nonce_, util::mix64(0xB1, stage));
-  const double failure = bi_failure(stage);
-  bi_hashes_.clear();
-  util::BitBuffer message;
-  for (std::size_t j = 0; j < failed_leaves_.size(); ++j) {
-    const std::size_t u = failed_leaves_[j];
-    const std::uint64_t m = assignment_[u].size() + peer_sizes_[j];
-    util::Rng stream = shared_.stream("basic-intersection", bi_nonce, j);
-    bi_hashes_.push_back(hashing::PairwiseHash::sample(
-        stream, universe_, basic_intersection_range(m, failure)));
-    if (assignment_[u].empty() || peer_sizes_[j] == 0) continue;
-    const util::Set image = image_of(assignment_[u], bi_hashes_[j]);
-    message.append_gamma64(image.size());
-    const unsigned width = image_width(bi_hashes_[j]);
-    for (std::uint64_t v : image) message.append_bits(v, width);
-  }
-  return message;
-}
-
-void TreePartyBase::apply_peer_images(const util::BitBuffer& message,
-                                      int /*stage*/) {
-  util::BitReader reader(message);
-  for (std::size_t j = 0; j < failed_leaves_.size(); ++j) {
-    const std::size_t u = failed_leaves_[j];
-    if (assignment_[u].empty() || peer_sizes_[j] == 0) {
-      assignment_[u].clear();  // certainly-empty intersection
-      continue;
-    }
-    const unsigned width = image_width(bi_hashes_[j]);
-    const std::uint64_t count = reader.read_gamma64();
-    reader.expect_at_least(count, width, "image count");
-    util::Set peer_image(count);
-    for (auto& v : peer_image) v = reader.read_bits(width);
-    if (!util::is_canonical_set(peer_image)) {
-      throw std::invalid_argument(
-          "decode: hashed image not strictly increasing (field 'image')");
-    }
-    util::Set filtered;
-    for (std::uint64_t x : assignment_[u]) {
-      if (util::set_contains(peer_image, bi_hashes_[j](x))) {
-        filtered.push_back(x);
-      }
-    }
-    assignment_[u] = std::move(filtered);
+    assignment_[failed_leaves_[j]] = bi.take_candidate(j);
   }
 }
 
@@ -188,108 +108,73 @@ util::Set TreePartyBase::gather_output() const {
 
 TreeAlice::TreeAlice(sim::SharedRandomness shared, std::uint64_t nonce,
                      std::uint64_t universe, util::Set input,
-                     const VerificationTreeParams& params)
-    : TreePartyBase(shared, nonce, universe, std::move(input), params) {}
+                     const VerificationTreeParams& params,
+                     const ResourceLimits* limits)
+    : TreePartyBase(shared, nonce, universe, std::move(input), params,
+                    limits) {}
 
-std::optional<util::BitBuffer> TreeAlice::start() {
-  phase_ = Phase::kAwaitVerdicts;
-  return build_eq_hashes(stage_);
+std::optional<sim::Outgoing> TreeAlice::start() { return begin_stage(); }
+
+std::optional<sim::Outgoing> TreeAlice::begin_stage() {
+  if (stage_ >= r_) return std::nullopt;
+  eq_.emplace(shared_, eq_nonce(stage_), node_contents(stage_),
+              eq_bits(stage_), env_);
+  return eq_->start();
 }
 
-std::optional<util::BitBuffer> TreeAlice::advance_stage() {
-  ++stage_;
-  if (stage_ >= r_) {
-    phase_ = Phase::kDone;
-    return std::nullopt;
-  }
-  phase_ = Phase::kAwaitVerdicts;
-  return build_eq_hashes(stage_);
-}
-
-std::optional<util::BitBuffer> TreeAlice::on_message(
+std::optional<sim::Outgoing> TreeAlice::on_message(
     const util::BitBuffer& message) {
-  switch (phase_) {
-    case Phase::kAwaitVerdicts: {
-      util::BitReader reader(message);
-      const std::size_t nodes =
-          layout_[static_cast<std::size_t>(stage_)].size();
-      std::vector<bool> pass(nodes);
-      for (std::size_t v = 0; v < nodes; ++v) pass[v] = reader.read_bit();
-      set_failed_from_verdicts(pass, stage_);
-      if (failed_leaves_.empty()) return advance_stage();
-      phase_ = Phase::kAwaitSizes;
-      return build_bi_sizes();
+  if (bi_) {
+    std::optional<sim::Outgoing> reply = bi_->on_message(message);
+    if (!bi_->done()) return reply;
+    take_candidates(*bi_);
+    bi_.reset();
+  } else {
+    if (!eq_) throw std::logic_error("TreeAlice: unexpected message");
+    eq_->on_message(message);
+    const bool repair = fail_leaves(eq_->verdicts(), stage_);
+    eq_.reset();
+    if (repair) {
+      bi_.emplace(shared_, bi_nonce(stage_), universe_, failed_sets_,
+                  bi_failure(stage_), env_);
+      return bi_->start();
     }
-    case Phase::kAwaitSizes: {
-      decode_peer_sizes(message);
-      phase_ = Phase::kAwaitImages;
-      return build_bi_images(stage_);
-    }
-    case Phase::kAwaitImages: {
-      apply_peer_images(message, stage_);
-      return advance_stage();
-    }
-    default:
-      throw std::logic_error("TreeAlice: unexpected message");
   }
+  ++stage_;
+  return begin_stage();
 }
 
 // ---------- Bob ----------
 
 TreeBob::TreeBob(sim::SharedRandomness shared, std::uint64_t nonce,
                  std::uint64_t universe, util::Set input,
-                 const VerificationTreeParams& params)
-    : TreePartyBase(shared, nonce, universe, std::move(input), params) {}
+                 const VerificationTreeParams& params,
+                 const ResourceLimits* limits)
+    : TreePartyBase(shared, nonce, universe, std::move(input), params,
+                    limits) {}
 
-std::optional<util::BitBuffer> TreeBob::on_message(
+std::optional<sim::Outgoing> TreeBob::on_message(
     const util::BitBuffer& message) {
-  switch (phase_) {
-    case Phase::kAwaitEqHashes: {
-      const std::size_t bits = eq_bits(stage_);
-      const std::uint64_t eq_nonce =
-          util::mix64(nonce_, util::mix64(0xE9, stage_));
-      const std::vector<util::BitBuffer> contents = node_contents(stage_);
-      util::BitReader reader(message);
-      util::BitBuffer verdicts;
-      std::vector<bool> pass(contents.size());
-      for (std::size_t i = 0; i < contents.size(); ++i) {
-        util::BitBuffer expected;
-        hashing::mask_hash_wide(contents[i], bits,
-                                shared_.stream("eq", eq_nonce, i), expected);
-        util::BitReader er(expected);
-        bool match = true;
-        for (std::size_t b = 0; b < bits; ++b) {
-          if (reader.read_bit() != er.read_bit()) match = false;
-        }
-        pass[i] = match;
-        verdicts.append_bit(match);
-      }
-      set_failed_from_verdicts(pass, stage_);
-      if (failed_leaves_.empty()) {
-        ++stage_;
-        if (stage_ >= r_) phase_ = Phase::kDone;
-      } else {
-        phase_ = Phase::kAwaitSizes;
-      }
-      return verdicts;
-    }
-    case Phase::kAwaitSizes: {
-      decode_peer_sizes(message);
-      phase_ = Phase::kAwaitImages;
-      return build_bi_sizes();
-    }
-    case Phase::kAwaitImages: {
-      // Build own images from the PRE-update assignments (the driver does
-      // the same), then filter by Alice's images.
-      util::BitBuffer reply = build_bi_images(stage_);
-      apply_peer_images(message, stage_);
+  if (done()) throw std::logic_error("TreeBob: unexpected message");
+  if (bi_) {
+    std::optional<sim::Outgoing> reply = bi_->on_message(message);
+    if (bi_->done()) {
+      take_candidates(*bi_);
+      bi_.reset();
       ++stage_;
-      phase_ = stage_ >= r_ ? Phase::kDone : Phase::kAwaitEqHashes;
-      return reply;
     }
-    default:
-      throw std::logic_error("TreeBob: unexpected message");
+    return reply;
   }
+  EqualityBob eq(shared_, eq_nonce(stage_), node_contents(stage_),
+                 eq_bits(stage_), env_);
+  std::optional<sim::Outgoing> verdicts = eq.on_message(message);
+  if (fail_leaves(eq.verdicts(), stage_)) {
+    bi_.emplace(shared_, bi_nonce(stage_), universe_, failed_sets_,
+                bi_failure(stage_), env_);
+  } else {
+    ++stage_;
+  }
+  return verdicts;
 }
 
 }  // namespace setint::core

@@ -1,10 +1,10 @@
 #include "eq/equality.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
-#include "hashing/mask_hash.h"
+#include "core/parties.h"
+#include "sim/runtime.h"
 
 namespace setint::eq {
 
@@ -19,11 +19,8 @@ std::size_t bits_for_failure(double target_failure) {
 bool equality_test(sim::Channel& channel, const sim::SharedRandomness& shared,
                    std::uint64_t nonce, const util::BitBuffer& xa,
                    const util::BitBuffer& xb, std::size_t bits) {
-  std::vector<util::BitBuffer> va(1);
-  std::vector<util::BitBuffer> vb(1);
-  va[0].append_buffer(xa);
-  vb[0].append_buffer(xb);
-  return batch_equality_test(channel, shared, nonce, va, vb, bits)[0];
+  return batch_equality_test(channel, shared, nonce, {&xa, 1}, {&xb, 1},
+                             bits)[0];
 }
 
 std::vector<bool> batch_equality_test(sim::Channel& channel,
@@ -36,58 +33,17 @@ std::vector<bool> batch_equality_test(sim::Channel& channel,
     throw std::invalid_argument("batch_equality_test: size mismatch");
   }
   if (bits == 0) throw std::invalid_argument("batch_equality_test: 0 bits");
-  const std::size_t n = xa.size();
-  if (n == 0) return {};
+  if (xa.empty()) return {};
 
-  // Alice -> Bob: concatenated hashes, one per instance.
-  util::BitBuffer alice_msg;
-  alice_msg.reserve_bits(n * bits);
-  for (std::size_t i = 0; i < n; ++i) {
-    hashing::mask_hash_wide(xa[i], bits, shared.stream("eq", nonce, i),
-                            alice_msg);
+  const sim::PartyEnv env(channel);
+  core::EqualityAlice alice(shared, nonce, xa, bits, env);
+  core::EqualityBob bob(shared, nonce, xb, bits, env);
+  sim::run_two_party(channel, alice, bob, 2);
+  // Both parties now hold the verdicts; they must agree.
+  if (alice.verdicts() != bob.verdicts()) {
+    throw std::logic_error("equality verdict mismatch");
   }
-  const util::BitBuffer delivered =
-      channel.send(sim::PartyId::kAlice, std::move(alice_msg), "eq-hashes");
-
-  // Bob compares against his own hashes and replies the verdict bitmap.
-  util::BitReader reader = channel.reader(delivered);
-  // All n instances at `bits` hash bits each must be present up front — a
-  // short (truncated or crafted) frame is rejected by name here instead
-  // of failing bit-by-bit mid-comparison.
-  reader.expect_at_least(n, bits, "eq hashes");
-  util::BitBuffer verdicts;
-  std::vector<bool> result(n);
-  // One pooled scratch buffer for all n expected-hash encodes: cleared
-  // per instance, word storage reused across instances AND across calls
-  // within the session (the channel owns the pool).
-  util::PooledBuffer expected(channel.buffer_pool());
-  for (std::size_t i = 0; i < n; ++i) {
-    expected->clear();
-    hashing::mask_hash_wide(xb[i], bits, shared.stream("eq", nonce, i),
-                            *expected);
-    // Word-chunked comparison: same bits consumed from `reader` as the old
-    // bit-by-bit loop, 64 at a time.
-    bool match = true;
-    util::BitReader er(*expected);
-    for (std::size_t b = 0; b < bits; b += 64) {
-      const unsigned chunk =
-          static_cast<unsigned>(std::min<std::size_t>(64, bits - b));
-      if (reader.read_bits(chunk) != er.read_bits(chunk)) match = false;
-    }
-    result[i] = match;
-    verdicts.append_bit(match);
-  }
-  const util::BitBuffer verdicts_delivered =
-      channel.send(sim::PartyId::kBob, std::move(verdicts), "eq-verdicts");
-
-  // Alice decodes the same verdicts; both parties now agree on `result`.
-  util::BitReader vr = channel.reader(verdicts_delivered);
-  vr.expect_at_least(n, 1, "eq verdicts");
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool v = vr.read_bit();
-    if (v != result[i]) throw std::logic_error("equality verdict mismatch");
-  }
-  return result;
+  return bob.take_verdicts();
 }
 
 }  // namespace setint::eq

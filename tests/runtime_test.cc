@@ -1,15 +1,16 @@
-// Tests for the strictly-separated execution mode: scheduler behaviour,
-// party correctness, and BIT-FOR-BIT transcript equivalence with the
-// driver-style implementations — the strongest evidence that the driver
-// versions use no out-of-band knowledge.
+// Tests for the strictly-separated execution mode: runner behaviour and
+// party correctness. The parties are the only implementation of equality,
+// one-round hashing and Basic-Intersection, so their transcripts are
+// pinned by tests/transcript_digest_test.cc and tests/golden_test.cc.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
-#include "core/basic_intersection.h"
-#include "core/one_round_hash.h"
+#include "core/checkpoint.h"
 #include "core/parties.h"
-#include "eq/equality.h"
+#include "core/resource_limits.h"
+#include "sim/adversary.h"
 #include "sim/channel.h"
 #include "sim/randomness.h"
 #include "sim/runtime.h"
@@ -29,8 +30,8 @@ util::BitBuffer content(std::uint64_t v) {
 
 class StallingParty final : public sim::Party {
  public:
-  std::optional<util::BitBuffer> start() override { return util::BitBuffer{}; }
-  std::optional<util::BitBuffer> on_message(const util::BitBuffer&) override {
+  std::optional<sim::Outgoing> start() override { return sim::Outgoing{}; }
+  std::optional<sim::Outgoing> on_message(const util::BitBuffer&) override {
     return std::nullopt;  // never finishes, never replies
   }
   bool done() const override { return false; }
@@ -45,9 +46,9 @@ TEST(Runtime, DetectsStalledConversations) {
 
 class ChattyParty final : public sim::Party {
  public:
-  std::optional<util::BitBuffer> start() override { return util::BitBuffer{}; }
-  std::optional<util::BitBuffer> on_message(const util::BitBuffer&) override {
-    return util::BitBuffer{};  // ping-pong forever
+  std::optional<sim::Outgoing> start() override { return sim::Outgoing{}; }
+  std::optional<sim::Outgoing> on_message(const util::BitBuffer&) override {
+    return sim::Outgoing{};  // ping-pong forever
   }
   bool done() const override { return false; }
 };
@@ -60,49 +61,97 @@ TEST(Runtime, EnforcesMessageBudget) {
                std::runtime_error);
 }
 
+// Alice sends one 64-bit word (a checkpoint boundary once delivered); Bob
+// records what he receives and replies one bit.
+class WordAlice final : public sim::Party {
+ public:
+  std::optional<sim::Outgoing> start() override {
+    sim::Outgoing msg{{}, "word", {}, /*boundary=*/true};
+    msg.bits.append_bits(0x0123456789abcdefull, 64);
+    return msg;
+  }
+  std::optional<sim::Outgoing> on_message(const util::BitBuffer&) override {
+    done_ = true;
+    return std::nullopt;
+  }
+  bool done() const override { return done_; }
+
+ private:
+  bool done_ = false;
+};
+
+class RecordingBob final : public sim::Party {
+ public:
+  explicit RecordingBob(std::vector<util::BitBuffer>* received)
+      : received_(received) {}
+  std::optional<sim::Outgoing> on_message(
+      const util::BitBuffer& message) override {
+    received_->push_back(message);
+    sim::Outgoing ack{{}, "ack"};
+    ack.bits.append_bit(true);
+    return ack;
+  }
+  bool done() const override { return !received_->empty(); }
+
+ private:
+  std::vector<util::BitBuffer>* received_;
+};
+
+// A resumed run hands the receiver the bytes that were delivered before
+// the interruption, not a regeneration of the honest message: under a
+// Byzantine sender the two differ.
+TEST(Runtime, ResumeReplaysTheDeliveredBytes) {
+  sim::AdversarySpec spec;
+  spec.party = sim::PartyId::kAlice;
+  spec.attack = sim::AttackClass::kRandomGarbage;
+  spec.frame_bits = 256;
+  sim::Adversary adversary(spec);
+  sim::Channel ch(/*record_transcript=*/true);
+  ch.set_adversary(&adversary);
+  core::Checkpoint ckpt;
+  ckpt.interrupt_after("word", 1);
+  std::vector<util::BitBuffer> received;
+  {
+    WordAlice alice;
+    RecordingBob bob(&received);
+    EXPECT_THROW(sim::run_two_party(ch, alice, bob, 2, &ckpt, "word"),
+                 core::CheckpointInterrupt);
+  }
+  EXPECT_TRUE(received.empty());
+  WordAlice alice;
+  RecordingBob bob(&received);
+  sim::run_two_party(ch, alice, bob, 2, &ckpt, "word");
+  ASSERT_EQ(received.size(), 1u);
+  const util::BitBuffer& delivered = ch.transcript()->entries()[0].payload;
+  EXPECT_EQ(received[0], delivered);
+  EXPECT_NE(received[0], alice.start()->bits);  // the crafted frame
+  EXPECT_EQ(ckpt.restores(), 1u);
+  EXPECT_EQ(ch.cost().messages, 2u);  // the word is not sent again
+}
+
 // ---------- equality parties ----------
 
 TEST(RuntimeEquality, CorrectVerdicts) {
   sim::SharedRandomness shared(1);
+  const util::BitBuffer seven[] = {content(7)};
+  const util::BitBuffer eight[] = {content(8)};
   {
     sim::Channel ch;
-    core::EqualitySender alice(shared, 0, content(7), 24);
-    core::EqualityResponder bob(shared, 0, content(7), 24);
+    core::EqualityAlice alice(shared, 0, seven, 24, sim::PartyEnv(ch));
+    core::EqualityBob bob(shared, 0, seven, 24, sim::PartyEnv(ch));
     sim::run_two_party(ch, alice, bob);
-    EXPECT_TRUE(alice.declared_equal());
-    EXPECT_TRUE(bob.declared_equal());
+    EXPECT_EQ(alice.verdicts(), std::vector<bool>{true});
+    EXPECT_EQ(bob.verdicts(), std::vector<bool>{true});
     EXPECT_EQ(ch.cost().bits_total, 25u);
     EXPECT_EQ(ch.cost().rounds, 2u);
   }
   {
     sim::Channel ch;
-    core::EqualitySender alice(shared, 1, content(7), 24);
-    core::EqualityResponder bob(shared, 1, content(8), 24);
+    core::EqualityAlice alice(shared, 1, seven, 24, sim::PartyEnv(ch));
+    core::EqualityBob bob(shared, 1, eight, 24, sim::PartyEnv(ch));
     sim::run_two_party(ch, alice, bob);
-    EXPECT_FALSE(alice.declared_equal());
-    EXPECT_FALSE(bob.declared_equal());
-  }
-}
-
-TEST(RuntimeEquality, TranscriptMatchesDriverBitForBit) {
-  for (std::uint64_t nonce = 0; nonce < 20; ++nonce) {
-    sim::SharedRandomness shared(42);
-    const util::BitBuffer xa = content(nonce * 3);
-    const util::BitBuffer xb = content(nonce % 2 ? nonce * 3 : nonce * 3 + 1);
-
-    sim::Channel driver_ch(/*record_transcript=*/true);
-    const bool driver_verdict =
-        eq::equality_test(driver_ch, shared, nonce, xa, xb, 16);
-
-    sim::Channel fsm_ch(/*record_transcript=*/true);
-    core::EqualitySender alice(shared, nonce, xa, 16);
-    core::EqualityResponder bob(shared, nonce, xb, 16);
-    sim::run_two_party(fsm_ch, alice, bob);
-
-    EXPECT_EQ(driver_ch.transcript()->digest(), fsm_ch.transcript()->digest())
-        << nonce;
-    EXPECT_EQ(driver_verdict, alice.declared_equal()) << nonce;
-    EXPECT_EQ(driver_ch.cost().bits_total, fsm_ch.cost().bits_total);
+    EXPECT_EQ(alice.verdicts(), std::vector<bool>{false});
+    EXPECT_EQ(bob.verdicts(), std::vector<bool>{false});
   }
 }
 
@@ -114,38 +163,14 @@ TEST(RuntimeOneRound, ComputesIntersection) {
   sim::SharedRandomness shared(2);
   sim::Channel ch;
   const std::uint64_t k_bound = 256;
-  core::OneRoundHashAlice alice(shared, 0, 1u << 24, p.s, k_bound);
-  core::OneRoundHashBob bob(shared, 0, 1u << 24, p.t, k_bound);
+  core::OneRoundHashAlice alice(shared, 0, 1u << 24, p.s, k_bound, 3,
+                                sim::PartyEnv(ch));
+  core::OneRoundHashBob bob(shared, 0, 1u << 24, p.t, k_bound, 3,
+                            sim::PartyEnv(ch));
   sim::run_two_party(ch, alice, bob);
   EXPECT_EQ(alice.candidates(), p.expected_intersection);
   EXPECT_EQ(bob.candidates(), p.expected_intersection);
   EXPECT_EQ(ch.cost().rounds, 2u);
-}
-
-TEST(RuntimeOneRound, TranscriptMatchesDriverBitForBit) {
-  util::Rng wrng(3);
-  for (std::uint64_t trial = 0; trial < 10; ++trial) {
-    const std::size_t k = 16 + wrng.below(200);
-    const util::SetPair p =
-        util::random_set_pair(wrng, 1u << 26, k, wrng.below(k + 1));
-    sim::SharedRandomness shared(trial);
-
-    sim::Channel driver_ch(/*record_transcript=*/true);
-    const core::IntersectionOutput driver_out =
-        core::one_round_hash(driver_ch, shared, trial, 1u << 26, p.s, p.t);
-
-    sim::Channel fsm_ch(/*record_transcript=*/true);
-    // The driver derives the bound from both inputs; pass the same value.
-    const std::uint64_t k_bound = std::max(p.s.size(), p.t.size());
-    core::OneRoundHashAlice alice(shared, trial, 1u << 26, p.s, k_bound);
-    core::OneRoundHashBob bob(shared, trial, 1u << 26, p.t, k_bound);
-    sim::run_two_party(fsm_ch, alice, bob);
-
-    EXPECT_EQ(driver_ch.transcript()->digest(), fsm_ch.transcript()->digest())
-        << trial;
-    EXPECT_EQ(driver_out.alice, alice.candidates()) << trial;
-    EXPECT_EQ(driver_out.bob, bob.candidates()) << trial;
-  }
 }
 
 // ---------- Basic-Intersection parties ----------
@@ -156,50 +181,58 @@ TEST(RuntimeBasicIntersection, LemmaProperties) {
     const util::SetPair p = util::random_set_pair(wrng, 1u << 24, 64, 32);
     sim::SharedRandomness shared(trial);
     sim::Channel ch;
-    core::BasicIntersectionAlice alice(shared, trial, 1u << 24, p.s, 0.01);
-    core::BasicIntersectionBob bob(shared, trial, 1u << 24, p.t, 0.01);
+    const util::SetView s[] = {p.s};
+    const util::SetView t[] = {p.t};
+    core::BasicIntersectionAlice alice(shared, trial, 1u << 24, s, 0.01,
+                                       sim::PartyEnv(ch));
+    core::BasicIntersectionBob bob(shared, trial, 1u << 24, t, 0.01,
+                                   sim::PartyEnv(ch));
     sim::run_two_party(ch, alice, bob);
-    EXPECT_TRUE(util::is_subset(alice.candidates(), p.s));
-    EXPECT_TRUE(util::is_subset(bob.candidates(), p.t));
-    EXPECT_TRUE(util::is_subset(p.expected_intersection, alice.candidates()));
-    EXPECT_TRUE(util::is_subset(p.expected_intersection, bob.candidates()));
+    EXPECT_TRUE(util::is_subset(alice.candidate(0), p.s));
+    EXPECT_TRUE(util::is_subset(bob.candidate(0), p.t));
+    EXPECT_TRUE(util::is_subset(p.expected_intersection, alice.candidate(0)));
+    EXPECT_TRUE(util::is_subset(p.expected_intersection, bob.candidate(0)));
     EXPECT_EQ(ch.cost().rounds, 4u);
-  }
-}
-
-TEST(RuntimeBasicIntersection, TranscriptMatchesDriverBitForBit) {
-  util::Rng wrng(5);
-  for (std::uint64_t trial = 0; trial < 10; ++trial) {
-    const std::size_t k = 4 + wrng.below(100);
-    const util::SetPair p =
-        util::random_set_pair(wrng, 1u << 22, k, wrng.below(k + 1));
-    sim::SharedRandomness shared(trial * 7);
-
-    sim::Channel driver_ch(/*record_transcript=*/true);
-    const core::CandidatePair driver_out = core::basic_intersection(
-        driver_ch, shared, trial, 1u << 22, p.s, p.t, 0.05);
-
-    sim::Channel fsm_ch(/*record_transcript=*/true);
-    core::BasicIntersectionAlice alice(shared, trial, 1u << 22, p.s, 0.05);
-    core::BasicIntersectionBob bob(shared, trial, 1u << 22, p.t, 0.05);
-    sim::run_two_party(fsm_ch, alice, bob);
-
-    EXPECT_EQ(driver_ch.transcript()->digest(), fsm_ch.transcript()->digest())
-        << trial;
-    EXPECT_EQ(driver_out.s_candidate, alice.candidates()) << trial;
-    EXPECT_EQ(driver_out.t_candidate, bob.candidates()) << trial;
   }
 }
 
 TEST(RuntimeBasicIntersection, EmptySideShortCircuits) {
   sim::SharedRandomness shared(6);
   sim::Channel ch;
-  core::BasicIntersectionAlice alice(shared, 0, 1000, util::Set{}, 0.01);
-  core::BasicIntersectionBob bob(shared, 0, 1000, util::Set{1, 2}, 0.01);
+  const util::Set one_two = {1, 2};
+  const util::SetView s[] = {util::SetView{}};
+  const util::SetView t[] = {one_two};
+  core::BasicIntersectionAlice alice(shared, 0, 1000, s, 0.01,
+                                     sim::PartyEnv(ch));
+  core::BasicIntersectionBob bob(shared, 0, 1000, t, 0.01, sim::PartyEnv(ch));
   sim::run_two_party(ch, alice, bob);
-  EXPECT_TRUE(alice.candidates().empty());
-  EXPECT_TRUE(bob.candidates().empty());
+  EXPECT_TRUE(alice.candidate(0).empty());
+  EXPECT_TRUE(bob.candidate(0).empty());
   EXPECT_LT(ch.cost().bits_total, 10u);
+}
+
+// A hashed-image frame whose count fits inside the frame but exceeds
+// max_decoded_items is refused by the party that decodes it.
+TEST(RuntimeBasicIntersection, ImageCountOverDecodeLimitThrows) {
+  util::Rng wrng(7);
+  const util::SetPair p = util::random_set_pair(wrng, 1u << 20, 64, 16);
+  core::ResourceLimits limits;
+  limits.max_decoded_items = 32;
+  sim::Channel ch;
+  ch.set_limits(&limits);
+  sim::SharedRandomness shared(7);
+  const util::SetView t[] = {p.t};
+  core::BasicIntersectionBob bob(shared, 0, 1u << 20, t, 0.01,
+                                 sim::PartyEnv(ch));
+  util::BitBuffer sizes;
+  sizes.append_gamma64(64);
+  ASSERT_TRUE(bob.on_message(sizes).has_value());
+  // 40 items of 64 bits each, wider than any image width: the frame holds
+  // every item it claims, so only the item cap can refuse it.
+  util::BitBuffer images;
+  images.append_gamma64(40);
+  for (int i = 0; i < 40; ++i) images.append_bits(i, 64);
+  EXPECT_THROW(bob.on_message(images), core::ResourceLimitError);
 }
 
 }  // namespace

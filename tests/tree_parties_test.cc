@@ -5,6 +5,7 @@
 
 #include <cstdint>
 
+#include "core/resource_limits.h"
 #include "core/tree_parties.h"
 #include "core/verification_tree.h"
 #include "sim/channel.h"
@@ -121,6 +122,38 @@ TEST(TreeFsm, EmptyAndDegenerateInputs) {
     EXPECT_TRUE(alice.output().empty());
     EXPECT_TRUE(bob.output().empty());
   }
+}
+
+// A Basic-Intersection image frame whose count fits inside the frame but
+// exceeds max_decoded_items is refused inside the tree party too.
+TEST(TreeFsm, ImageCountOverDecodeLimitThrows) {
+  util::Rng wrng(3);
+  const util::SetPair p = util::random_set_pair(wrng, 1u << 20, 64, 16);
+  core::ResourceLimits limits;
+  limits.max_decoded_items = 32;
+  sim::SharedRandomness shared(3);
+  core::TreeBob bob(shared, 0, 1u << 20, p.t, params_for(4, 2), &limits);
+  // Stage 0: all-ones "hashes" (more bits than the stage needs) fail the
+  // equality tests, so Bob moves on to Basic-Intersection.
+  util::BitBuffer hashes;
+  for (int i = 0; i < 64; ++i) hashes.append_bits(~std::uint64_t{0}, 64);
+  const auto verdicts = bob.on_message(hashes);
+  ASSERT_TRUE(verdicts.has_value());
+  bool any_failed = false;
+  for (std::size_t v = 0; v < verdicts->bits.size_bits(); ++v) {
+    any_failed = any_failed || !verdicts->bits.bit(v);
+  }
+  ASSERT_TRUE(any_failed);
+  // Alice claims one element in every failed leaf (surplus codes unread).
+  util::BitBuffer sizes;
+  for (int i = 0; i < 4; ++i) sizes.append_gamma64(1);
+  ASSERT_TRUE(bob.on_message(sizes).has_value());
+  // 40 items of 64 bits each, wider than any image width: the frame holds
+  // every item it claims, so only the item cap can refuse it.
+  util::BitBuffer images;
+  images.append_gamma64(40);
+  for (int i = 0; i < 40; ++i) images.append_bits(i, 64);
+  EXPECT_THROW(bob.on_message(images), core::ResourceLimitError);
 }
 
 }  // namespace

@@ -31,6 +31,8 @@
 #      tiers (timing is skipped as cross-tier incomparable) — plus an
 #      ASan/UBSan pass over the intrinsics (ctest -L simd in
 #      build-sanitize/)
+#   7c. the parties slice by label (runner + party tests, transcript,
+#      golden, checkpoint and sans-IO pins), natively and under ASan/UBSan
 #   8. the telemetry-overhead gate (exp_cpu --gate-overhead=50) and the
 #      bench_compare self-diff + injected-regression check
 #   9. the bench determinism contract (same seed => identical JSON modulo
@@ -182,6 +184,15 @@ step "simd sanitizer pass (ASan+UBSan over the intrinsics, -L simd)"
 # output; ASan proves the padding contract is honored, UBSan the pointer
 # arithmetic in the gallop kernels. Reuses the build-sanitize/ tree.
 tools/run_sanitized_tests.sh -L simd
+
+step "parties slice (ctest -L parties), native + ASan/UBSan"
+# Equality, Basic-Intersection and one-round hashing exist only as
+# separated parties; both parties of a run share the session's scratch
+# arena, and the checkpoint replay feeds recorded frames back in. The
+# runner/party tests plus every transcript, golden, resume and sans-IO pin
+# run natively and under the sanitizers (reusing build-sanitize/).
+(cd "$BUILD_DIR" && ctest --output-on-failure -L parties -j "$JOBS")
+tools/run_sanitized_tests.sh -L parties
 
 step "telemetry overhead gate (exp_cpu --gate-overhead=50)"
 # The recorder hook may cost at most 50% on the un-instrumented hot path
