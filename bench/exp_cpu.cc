@@ -28,6 +28,7 @@
 #include <bit>
 #include <ctime>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,14 +40,15 @@
 #include "obs/recorder.h"
 #include "obs/tracer.h"
 #include "hashing/fks.h"
-#include "hashing/mask_hash.h"
 #include "hashing/modmath.h"
 #include "hashing/pairwise.h"
 #include "hashing/primes.h"
+#include "hashing/toeplitz_hash.h"
 #include "sim/channel.h"
 #include "sim/randomness.h"
 #include "simd/dispatch.h"
 #include "simd/kernels.h"
+#include "util/arena.h"
 #include "util/rng.h"
 #include "util/set_util.h"
 
@@ -83,9 +85,9 @@ struct GoldenPin {
 // Constants mirrored from tests/golden_test.cc — update both together,
 // and only for a deliberate protocol change.
 constexpr GoldenPin kPins[] = {
-    {"verification_tree", 17718, 16, 0x076458b27132f643ull},
+    {"verification_tree", 17668, 20, 0x1f91a2d4faecdd32ull},
     {"one_round_hash", 27686, 0, 0x9e818e562ca190cfull},
-    {"bucket_eq", 10201, 0, 0xc18884eae55cd105ull},
+    {"bucket_eq", 9981, 0, 0x86729d961cf82f94ull},
 };
 
 bool run_identity_gate(bench::Reporter& rep, obs::EnvelopeAuditor& auditor) {
@@ -122,7 +124,7 @@ bool run_identity_gate(bench::Reporter& rep, obs::EnvelopeAuditor& auditor) {
 }
 
 // ---------------------------------------------------------------------------
-// E-CPU.1: substrate microbenchmarks — engine vs plain-division baseline.
+// E-CPU.1: substrate microbenchmarks — engine vs reference baseline.
 // ---------------------------------------------------------------------------
 
 // Pre-change reference evaluation: the textbook formula with two hardware
@@ -135,28 +137,25 @@ std::uint64_t pairwise_reference(const hashing::PairwiseHash& h,
   return ((ax + h.offset()) % p) % h.range();
 }
 
-// Pre-change mask_hash: the generic per-word loop without the single-word
-// fast path (copied shape, same Rng draw order — outputs must match).
-std::uint64_t mask_hash_reference(const util::BitBuffer& data, unsigned bits,
-                                  util::Rng stream) {
-  const auto& words = data.words();
-  const std::size_t nbits = data.size_bits();
-  const std::size_t full = nbits / 64;
-  const unsigned tail = static_cast<unsigned>(nbits % 64);
-  const std::uint64_t tail_mask =
-      tail == 0 ? 0
-                : ((tail == 64) ? ~std::uint64_t{0}
-                                : ((std::uint64_t{1} << tail) - 1));
-  std::uint64_t out = 0;
-  for (unsigned b = 0; b < bits; ++b) {
-    unsigned parity = std::popcount(stream.next() & nbits) & 1u;
-    for (std::size_t w = 0; w < full; ++w) {
-      parity ^= std::popcount(stream.next() & words[w]) & 1u;
-    }
-    if (tail != 0) {
-      parity ^= std::popcount(stream.next() & words[full] & tail_mask) & 1u;
-    }
-    out |= static_cast<std::uint64_t>(parity) << b;
+// Bit-at-a-time Hankel reference for hashing::toeplitz_hash: z is the
+// 64-bit length word followed by the data bits, r the stream's bits in
+// draw order, and hash bit j is the parity of z AND r[j, j + |z|). Packs
+// the hash into words laid out like the kernel's output.
+std::vector<std::uint64_t> toeplitz_hash_reference(
+    const util::BitBuffer& data, std::size_t bits, util::Rng stream) {
+  std::vector<std::uint8_t> z;
+  for (unsigned c = 0; c < 64; ++c) z.push_back((data.size_bits() >> c) & 1);
+  for (std::size_t i = 0; i < data.size_bits(); ++i) z.push_back(data.bit(i));
+  std::vector<std::uint8_t> r;
+  while (r.size() < z.size() + bits) {
+    const std::uint64_t w = stream.next();
+    for (unsigned c = 0; c < 64; ++c) r.push_back((w >> c) & 1);
+  }
+  std::vector<std::uint64_t> out(hashing::toeplitz_hash_words(bits));
+  for (std::size_t j = 0; j < bits; ++j) {
+    std::uint8_t parity = 0;
+    for (std::size_t i = 0; i < z.size(); ++i) parity ^= z[i] & r[j + i];
+    out[j / 64] |= static_cast<std::uint64_t>(parity) << (j % 64);
   }
   return out;
 }
@@ -186,7 +185,7 @@ bool run_substrate_micro(bench::Reporter& rep) {
   bool all_ok = true;
 
   auto& t = rep.table(
-      "E-CPU.1: hashing substrate, batched engine vs division baseline",
+      "E-CPU.1: hashing substrate, engine vs reference baseline",
       {"op", "n", "reps", "checksum", "identical",
        "baseline ns_per_elem (wall_ms)", "engine ns_per_elem (wall_ms)",
        "speedup (wall_ms ratio)"});
@@ -241,17 +240,38 @@ bool run_substrate_micro(bench::Reporter& rep) {
     add_micro_row(t, "fks_mod_prime", n, reps, r, all_ok);
   }
 
-  {  // GF(2) mask hashing of single-word payloads (the bucket-EQ case).
-    const std::size_t hashes = rep.smoke() ? (1u << 10) : (1u << 14);
+  // Toeplitz GF(2) hashing: 16-bit hashes of single-word payloads (the
+  // bucket-EQ case) and one 8192-bit hash of a certificate-sized payload
+  // (the 2k-bit set-intersection certificate at k = 4096).
+  struct ToeplitzCase {
+    const char* op;
+    std::size_t payload_bits;
+    std::size_t hash_bits;
+    std::size_t hashes;
+  };
+  const ToeplitzCase toeplitz_cases[] = {
+      {"toeplitz_hash_16b", 24, 16, rep.smoke() ? (1u << 10) : (1u << 14)},
+      {"toeplitz_hash_cert_8192b", 82618, 8192, 1},
+  };
+  util::ScratchArena arena;
+  for (const ToeplitzCase& c : toeplitz_cases) {
     util::BitBuffer payload;
-    payload.append_bits(rng.next() & ((std::uint64_t{1} << 24) - 1), 24);
+    for (std::size_t i = 0; i < c.payload_bits; ++i) {
+      payload.append_bit(rng.coin());
+    }
     const util::Rng stream(rep.seed_for(0xAA));
+    std::vector<std::uint64_t> hash(hashing::toeplitz_hash_words(c.hash_bits));
+    auto fold = [](std::uint64_t acc, std::span<const std::uint64_t> words) {
+      for (std::uint64_t w : words) acc = util::mix64(acc, w);
+      return acc;
+    };
     MicroResult r;
     double t0 = cpu_seconds();
     for (int rep_i = 0; rep_i < reps; ++rep_i) {
       std::uint64_t acc = 0;
-      for (std::size_t i = 0; i < hashes; ++i) {
-        acc += mask_hash_reference(payload, 16, stream.substream(i));
+      for (std::size_t i = 0; i < c.hashes; ++i) {
+        acc = fold(acc, toeplitz_hash_reference(payload, c.hash_bits,
+                                                stream.substream(i)));
       }
       r.checksum_baseline = acc;
     }
@@ -259,13 +279,15 @@ bool run_substrate_micro(bench::Reporter& rep) {
     t0 = cpu_seconds();
     for (int rep_i = 0; rep_i < reps; ++rep_i) {
       std::uint64_t acc = 0;
-      for (std::size_t i = 0; i < hashes; ++i) {
-        acc += hashing::mask_hash(payload, 16, stream.substream(i));
+      for (std::size_t i = 0; i < c.hashes; ++i) {
+        hashing::toeplitz_hash(payload, c.hash_bits, stream.substream(i),
+                               arena, hash);
+        acc = fold(acc, hash);
       }
       r.checksum_engine = acc;
     }
     r.engine_ms = (cpu_seconds() - t0) * 1e3;
-    add_micro_row(t, "mask_hash_16b", hashes, reps, r, all_ok);
+    add_micro_row(t, c.op, c.hashes, reps, r, all_ok);
   }
 
   t.print();

@@ -1,16 +1,17 @@
 // M1 — google-benchmark micro-benchmarks for the substrates: bit I/O,
-// gamma coding, hashing (pairwise, mask, FKS), prime sampling, and
+// gamma coding, hashing (pairwise, Toeplitz, FKS), prime sampling, and
 // end-to-end protocol wall-clock.
 #include <benchmark/benchmark.h>
 
 #include "core/verification_tree.h"
 #include "hashing/fks.h"
-#include "hashing/mask_hash.h"
 #include "hashing/pairwise.h"
 #include "hashing/primes.h"
+#include "hashing/toeplitz_hash.h"
 #include "obs/tracer.h"
 #include "sim/channel.h"
 #include "sim/randomness.h"
+#include "util/arena.h"
 #include "util/bitio.h"
 #include "util/rng.h"
 #include "util/set_util.h"
@@ -59,18 +60,19 @@ void BM_PairwiseHashEval(benchmark::State& state) {
 }
 BENCHMARK(BM_PairwiseHashEval);
 
-void BM_MaskHash(benchmark::State& state) {
+void BM_ToeplitzHash(benchmark::State& state) {
   util::Rng rng(3);
   util::BitBuffer data;
   for (int i = 0; i < state.range(0); ++i) data.append_bit(i & 1);
+  util::ScratchArena arena;
   std::uint64_t n = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        hashing::mask_hash(data, 16, rng.substream(n++)));
+        hashing::toeplitz_hash64(data, 16, rng.substream(n++), arena));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0) / 8);
 }
-BENCHMARK(BM_MaskHash)->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_ToeplitzHash)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_RandomPrime(benchmark::State& state) {
   util::Rng rng(4);

@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "core/basic_intersection.h"
-#include "hashing/mask_hash.h"
+#include "hashing/toeplitz_hash.h"
 #include "util/arena.h"
 #include "util/iterated_log.h"
 
@@ -14,6 +14,11 @@ namespace setint::core {
 namespace {
 
 constexpr std::string_view kHashExchange = "hash_exchange";
+
+// Width of word w of a `bits`-bit equality hash on the wire.
+unsigned chunk_width(std::size_t bits, std::size_t w) {
+  return static_cast<unsigned>(std::min<std::size_t>(64, bits - 64 * w));
+}
 
 unsigned image_width(const hashing::PairwiseHash& h) {
   return util::ceil_log2(std::max<std::uint64_t>(h.range(), 2));
@@ -81,9 +86,15 @@ EqualityParty::EqualityParty(const sim::SharedRandomness& shared,
 std::optional<sim::Outgoing> EqualityAlice::start() {
   sim::Outgoing msg{{}, "eq-hashes"};
   msg.bits.reserve_bits(strings_.size() * bits_);
+  util::ScratchArena::Frame scratch_frame(*env_.arena);
+  const std::span<std::uint64_t> hash =
+      env_.arena->alloc_u64(hashing::toeplitz_hash_words(bits_));
   for (std::size_t i = 0; i < strings_.size(); ++i) {
-    hashing::mask_hash_wide(strings_[i], bits_,
-                            shared_.stream("eq", nonce_, i), msg.bits);
+    hashing::toeplitz_hash(strings_[i], bits_,
+                           shared_.stream("eq", nonce_, i), *env_.arena, hash);
+    for (std::size_t w = 0; w < hash.size(); ++w) {
+      msg.bits.append_bits(hash[w], chunk_width(bits_, w));
+    }
   }
   return msg;
 }
@@ -109,19 +120,18 @@ std::optional<sim::Outgoing> EqualityBob::on_message(
   reader.expect_at_least(n, bits_, "eq hashes");
   sim::Outgoing reply{{}, "eq-verdicts"};
   verdicts_.resize(n);
-  // One pooled scratch buffer for all n expected-hash encodes, its word
-  // storage reused across instances and across runs in the session.
-  util::PooledBuffer expected(*env_.pool);
+  util::ScratchArena::Frame scratch_frame(*env_.arena);
+  const std::span<std::uint64_t> expected =
+      env_.arena->alloc_u64(hashing::toeplitz_hash_words(bits_));
   for (std::size_t i = 0; i < n; ++i) {
-    expected->clear();
-    hashing::mask_hash_wide(strings_[i], bits_,
-                            shared_.stream("eq", nonce_, i), *expected);
+    hashing::toeplitz_hash(strings_[i], bits_,
+                           shared_.stream("eq", nonce_, i), *env_.arena,
+                           expected);
     bool match = true;
-    util::BitReader er(*expected);
-    for (std::size_t b = 0; b < bits_; b += 64) {
-      const unsigned chunk =
-          static_cast<unsigned>(std::min<std::size_t>(64, bits_ - b));
-      if (reader.read_bits(chunk) != er.read_bits(chunk)) match = false;
+    for (std::size_t w = 0; w < expected.size(); ++w) {
+      if (reader.read_bits(chunk_width(bits_, w)) != expected[w]) {
+        match = false;
+      }
     }
     verdicts_[i] = match;
     reply.bits.append_bit(match);

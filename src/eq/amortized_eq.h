@@ -5,7 +5,7 @@
 // Construction: a binary merge tree over the K instances. At level j the
 // surviving instances are grouped into blocks of ~2^j; each block's
 // concatenated contents are compared with a beta_j = Theta(2^(j/2))-bit
-// mask hash. A mismatching block certainly contains an unequal instance
+// Toeplitz hash. A mismatching block certainly contains an unequal instance
 // and is binary-searched down; a singleton mismatch resolves that instance
 // as "not equal" (exactly, one-sided). Blocks that pass are merged
 // pairwise and move up a level.

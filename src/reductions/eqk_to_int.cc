@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "hashing/mask_hash.h"
+#include "hashing/toeplitz_hash.h"
 #include "util/iterated_log.h"
 #include "util/rng.h"
 #include "util/set_util.h"
@@ -36,8 +36,9 @@ std::vector<bool> eqk_via_intersection(
     util::Set out;
     out.reserve(k);
     for (std::size_t i = 0; i < k; ++i) {
-      const std::uint64_t h = hashing::mask_hash(
-          side[i], hash_bits, shared.stream("eqk-h", nonce, i));
+      const std::uint64_t h = hashing::toeplitz_hash64(
+          side[i], hash_bits, shared.stream("eqk-h", nonce, i),
+          channel.scratch());
       out.push_back((static_cast<std::uint64_t>(i) << hash_bits) | h);
     }
     std::sort(out.begin(), out.end());

@@ -51,7 +51,7 @@ void BitBuffer::truncate(std::size_t new_size_bits) {
   const unsigned tail = static_cast<unsigned>(new_size_bits % 64);
   if (tail != 0) {
     // Re-zero the dropped bits so append_bit's OR-in stays correct and
-    // word-level consumers (fingerprint, mask_hash) see a normalized tail.
+    // word-level consumers (fingerprint, toeplitz_hash) see a normalized tail.
     words_.back() &= (std::uint64_t{1} << tail) - 1;
   }
   size_bits_ = new_size_bits;

@@ -5,16 +5,16 @@
 // BufferPool recycling contract.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "hashing/fks.h"
-#include "hashing/mask_hash.h"
 #include "hashing/pairwise.h"
+#include "hashing/toeplitz_hash.h"
 #include "simd/dispatch.h"
+#include "util/arena.h"
 #include "util/bitio.h"
 #include "util/rng.h"
 #include "util/set_util.h"
@@ -429,43 +429,62 @@ TEST(BatchedHash, SeedRoundTripPreservesBatchedImage) {
   }
 }
 
-// Bit-at-a-time reference for mask_hash: one stream draw for the length
-// word, then one per data word, per output bit — no single-word shortcut.
-std::uint64_t mask_hash_reference(const BitBuffer& data, unsigned bits,
-                                  Rng stream) {
-  const auto& words = data.words();
-  const std::size_t nbits = data.size_bits();
-  const std::size_t full = nbits / 64;
-  const unsigned tail = static_cast<unsigned>(nbits % 64);
-  const std::uint64_t tail_mask =
-      tail == 0 ? 0 : (std::uint64_t{1} << tail) - 1;
-  std::uint64_t out = 0;
-  for (unsigned b = 0; b < bits; ++b) {
-    unsigned parity = std::popcount(stream.next() & nbits) & 1u;
-    for (std::size_t w = 0; w < full; ++w) {
-      parity ^= std::popcount(stream.next() & words[w]) & 1u;
-    }
-    if (tail != 0) {
-      parity ^= std::popcount(stream.next() & words[full] & tail_mask) & 1u;
-    }
-    out |= static_cast<std::uint64_t>(parity) << b;
+// Bit-at-a-time Hankel reference for toeplitz_hash: z is the 64-bit
+// length word followed by the data bits, r the stream's bits in draw
+// order, and hash bit j is the parity of z AND r[j, j + |z|).
+std::vector<std::uint8_t> toeplitz_hash_reference(const BitBuffer& data,
+                                                  std::size_t bits,
+                                                  Rng stream) {
+  std::vector<std::uint8_t> z;
+  for (unsigned c = 0; c < 64; ++c) z.push_back((data.size_bits() >> c) & 1);
+  for (std::size_t i = 0; i < data.size_bits(); ++i) z.push_back(data.bit(i));
+  std::vector<std::uint8_t> r;
+  while (r.size() < z.size() + bits) {
+    const std::uint64_t w = stream.next();
+    for (unsigned c = 0; c < 64; ++c) r.push_back((w >> c) & 1);
   }
-  return out;
+  std::vector<std::uint8_t> h(bits);
+  for (std::size_t j = 0; j < bits; ++j) {
+    std::uint8_t parity = 0;
+    for (std::size_t i = 0; i < z.size(); ++i) parity ^= z[i] & r[j + i];
+    h[j] = parity;
+  }
+  return h;
 }
 
-TEST(BatchedHash, MaskHashSingleWordFastPathMatchesReference) {
+TEST(BatchedHash, ToeplitzHashMatchesHankelReference) {
   Rng rng(0x3A5C);
-  for (int trial = 0; trial < 400; ++trial) {
-    // Lengths straddling the single-word fast-path boundary (0..130 bits).
-    const std::size_t nbits = rng.below(131);
+  ScratchArena arena;
+  // Word-boundary lengths plus random ones in 0..400 bits.
+  std::vector<std::size_t> lengths = {0, 1, 63, 64, 65, 127, 128, 129, 400};
+  for (int i = 0; i < 12; ++i) lengths.push_back(rng.below(401));
+  std::uint64_t trial = 0;
+  for (const std::size_t nbits : lengths) {
     BitBuffer data;
     for (std::size_t i = 0; i < nbits; ++i) data.append_bit(rng.coin());
-    const unsigned bits = 1 + static_cast<unsigned>(rng.below(64));
-    const Rng stream = Rng(0xC0FFEE).substream(trial);
-    EXPECT_EQ(hashing::mask_hash(data, bits, stream),
-              mask_hash_reference(data, bits, stream))
-        << "nbits " << nbits << " bits " << bits;
+    // Widths >= 64 cover every shift s = j % 64, s = 0 included.
+    for (const std::size_t bits : {1u, 63u, 64u, 65u, 200u, 8192u}) {
+      const Rng stream = Rng(0xC0FFEE).substream(trial++);
+      std::vector<std::uint64_t> out(hashing::toeplitz_hash_words(bits));
+      hashing::toeplitz_hash(data, bits, stream, arena, out);
+      const std::vector<std::uint8_t> ref =
+          toeplitz_hash_reference(data, bits, stream);
+      std::size_t mismatches = 0;
+      for (std::size_t j = 0; j < bits; ++j) {
+        mismatches += ((out[j / 64] >> (j % 64)) & 1) != ref[j];
+      }
+      EXPECT_EQ(mismatches, 0u) << "nbits " << nbits << " bits " << bits;
+      if (bits % 64 != 0) {
+        EXPECT_EQ(out.back() >> (bits % 64), 0u) << "bits past the width";
+      }
+      if (bits <= 64) {
+        EXPECT_EQ(hashing::toeplitz_hash64(data, static_cast<unsigned>(bits),
+                                           stream, arena),
+                  out[0]);
+      }
+    }
   }
+  EXPECT_EQ(arena.words_in_use(), 0u);
 }
 
 // ---------- BufferPool ----------

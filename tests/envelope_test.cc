@@ -181,9 +181,9 @@ GoldenRun run_reference(const char* protocol) {
 
 TEST(EnvelopeGolden, VerificationTreeReferenceWithinEnvelope) {
   const GoldenRun run = run_reference("verification_tree");
-  EXPECT_EQ(run.bits, 17718u);
-  EXPECT_EQ(run.rounds, 16u);
-  EXPECT_EQ(run.digest, 0x076458b27132f643ull);
+  EXPECT_EQ(run.bits, 17668u);
+  EXPECT_EQ(run.rounds, 20u);
+  EXPECT_EQ(run.digest, 0x1f91a2d4faecdd32ull);
   EnvelopeAuditor auditor;
   auditor.add("verification_tree", {512, 0, run.bits, run.rounds, 1});
   EXPECT_TRUE(auditor.all_within());
@@ -200,8 +200,8 @@ TEST(EnvelopeGolden, OneRoundHashReferenceWithinEnvelope) {
 
 TEST(EnvelopeGolden, BucketEqReferenceWithinEnvelope) {
   const GoldenRun run = run_reference("bucket_eq");
-  EXPECT_EQ(run.bits, 10201u);
-  EXPECT_EQ(run.digest, 0xc18884eae55cd105ull);
+  EXPECT_EQ(run.bits, 9981u);
+  EXPECT_EQ(run.digest, 0x86729d961cf82f94ull);
   EnvelopeAuditor auditor;
   auditor.add("bucket_eq", {512, 0, run.bits, run.rounds, 1});
   EXPECT_TRUE(auditor.all_within());

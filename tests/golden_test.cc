@@ -39,9 +39,9 @@ TEST(Golden, VerificationTreeReferenceRun) {
   const auto out = core::verification_tree_intersection(
       ch, ref.shared, 42, 1u << 24, ref.pair.s, ref.pair.t, {});
   EXPECT_EQ(out.alice, ref.pair.expected_intersection);
-  EXPECT_EQ(ch.cost().bits_total, 17718u);
-  EXPECT_EQ(ch.cost().rounds, 16u);
-  EXPECT_EQ(ch.transcript()->digest(), 0x76458b27132f643ull);
+  EXPECT_EQ(ch.cost().bits_total, 17668u);
+  EXPECT_EQ(ch.cost().rounds, 20u);
+  EXPECT_EQ(ch.transcript()->digest(), 0x1f91a2d4faecdd32ull);
 }
 
 TEST(Golden, OneRoundHashReferenceRun) {
@@ -60,8 +60,8 @@ TEST(Golden, BucketEqReferenceRun) {
   const auto out = core::bucket_eq_intersection(ch, ref.shared, 42, 1u << 24,
                                                 ref.pair.s, ref.pair.t);
   EXPECT_EQ(out.alice, ref.pair.expected_intersection);
-  EXPECT_EQ(ch.cost().bits_total, 10201u);
-  EXPECT_EQ(ch.transcript()->digest(), 0xc18884eae55cd105ull);
+  EXPECT_EQ(ch.cost().bits_total, 9981u);
+  EXPECT_EQ(ch.transcript()->digest(), 0x86729d961cf82f94ull);
 }
 
 TEST(Golden, WorkloadGeneratorIsStable) {

@@ -1,18 +1,22 @@
 // Tests for the hashing substrate: modular arithmetic, Miller-Rabin,
 // random primes, the Carter-Wegman pairwise family, FKS compression, and
-// GF(2) mask hashing.
+// Toeplitz GF(2) hashing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <unordered_set>
 #include <vector>
 
 #include "hashing/barrett.h"
 #include "hashing/fks.h"
-#include "hashing/mask_hash.h"
 #include "hashing/modmath.h"
 #include "hashing/pairwise.h"
 #include "hashing/primes.h"
+#include "hashing/toeplitz_hash.h"
+#include "util/arena.h"
+#include "util/bitio.h"
 #include "util/rng.h"
 #include "util/set_util.h"
 
@@ -221,21 +225,44 @@ TEST(Fks, SeedCostIsLogarithmic) {
   EXPECT_LT(fks.seed_bits(), 100u);
 }
 
-// ---------- mask hashing ----------
+// ---------- Toeplitz GF(2) hashing ----------
 
-TEST(MaskHash, EqualInputsAlwaysHashEqual) {
-  util::Rng stream(42);
-  util::BitBuffer a;
-  a.append_bits(0xdeadbeef, 32);
-  util::BitBuffer b;
-  b.append_bits(0xdeadbeef, 32);
-  for (int i = 0; i < 50; ++i) {
-    util::Rng s = stream.substream(i);
-    EXPECT_EQ(hashing::mask_hash(a, 16, s), hashing::mask_hash(b, 16, s));
+std::uint64_t hash64(const util::BitBuffer& data, unsigned bits,
+                     const util::Rng& stream) {
+  util::ScratchArena arena;
+  return hashing::toeplitz_hash64(data, bits, stream, arena);
+}
+
+std::vector<std::uint64_t> hash_wide(const util::BitBuffer& data,
+                                     std::size_t bits,
+                                     const util::Rng& stream) {
+  util::ScratchArena arena;
+  std::vector<std::uint64_t> out(hashing::toeplitz_hash_words(bits));
+  hashing::toeplitz_hash(data, bits, stream, arena, out);
+  return out;
+}
+
+util::BitBuffer random_bits(util::Rng& rng, std::size_t n) {
+  util::BitBuffer out;
+  for (std::size_t i = 0; i < n; ++i) out.append_bit(rng.coin());
+  return out;
+}
+
+TEST(ToeplitzHash, EqualInputsAlwaysHashEqual) {
+  util::Rng rng(42);
+  for (const std::size_t nbits : {0u, 32u, 64u, 65u, 1000u}) {
+    const util::BitBuffer a = random_bits(rng, nbits);
+    const util::BitBuffer b = a;
+    for (const std::size_t bits : {16u, 64u, 200u, 8192u}) {
+      for (int i = 0; i < 5; ++i) {
+        const util::Rng s = util::Rng(7).substream(i);
+        EXPECT_EQ(hash_wide(a, bits, s), hash_wide(b, bits, s));
+      }
+    }
   }
 }
 
-TEST(MaskHash, UnequalInputsDisagreePerBitAboutHalfTheTime) {
+TEST(ToeplitzHash, UnequalInputsDisagreePerBitAboutHalfTheTime) {
   util::Rng stream(42);
   util::BitBuffer a;
   a.append_bits(0x1111, 16);
@@ -244,32 +271,40 @@ TEST(MaskHash, UnequalInputsDisagreePerBitAboutHalfTheTime) {
   int disagreements = 0;
   const int trials = 4000;
   for (int i = 0; i < trials; ++i) {
-    util::Rng s = stream.substream(i);
-    disagreements +=
-        (hashing::mask_hash(a, 1, s) != hashing::mask_hash(b, 1, s));
+    const util::Rng s = stream.substream(i);
+    disagreements += hash64(a, 1, s) != hash64(b, 1, s);
   }
   EXPECT_NEAR(disagreements, trials / 2, trials / 10);
 }
 
-TEST(MaskHash, MultiBitCollisionRateIsGeometric) {
-  util::Rng stream(7);
-  util::BitBuffer a;
-  a.append_bits(123456, 24);
-  util::BitBuffer b;
-  b.append_bits(654321, 24);
+TEST(ToeplitzHash, MultiBitCollisionRateIsGeometric) {
+  // Single-word and multi-word pairs; multi-word differing only in the
+  // last word, where the fresh bits of r start furthest in.
+  util::Rng rng(7);
+  util::BitBuffer a1;
+  a1.append_bits(123456, 24);
+  util::BitBuffer b1;
+  b1.append_bits(654321, 24);
+  const util::BitBuffer a2 = random_bits(rng, 300);
+  util::BitBuffer b2 = a2;
+  b2.toggle_bit(299);
   const unsigned bits = 6;  // expected collision rate 1/64
-  int collisions = 0;
   const int trials = 64000;
-  for (int i = 0; i < trials; ++i) {
-    util::Rng s = stream.substream(i);
-    collisions +=
-        (hashing::mask_hash(a, bits, s) == hashing::mask_hash(b, bits, s));
-  }
-  EXPECT_NEAR(collisions, trials / 64, trials / 200);
+  auto collisions = [&](const util::BitBuffer& a, const util::BitBuffer& b) {
+    int count = 0;
+    for (int i = 0; i < trials; ++i) {
+      const util::Rng s = util::Rng(7).substream(i);
+      count += hash64(a, bits, s) == hash64(b, bits, s);
+    }
+    return count;
+  };
+  EXPECT_NEAR(collisions(a1, b1), trials / 64, trials / 200);
+  EXPECT_NEAR(collisions(a2, b2), trials / 64, trials / 200);
 }
 
-TEST(MaskHash, PrefixInputsStillSeparate) {
-  // One message a strict bit-prefix of the other (same leading content).
+TEST(ToeplitzHash, PrefixInputsStillSeparate) {
+  // One message a strict bit-prefix of the other, zero-extended: only
+  // the length word tells them apart.
   util::Rng stream(21);
   util::BitBuffer a;
   a.append_bits(0xff, 8);
@@ -279,44 +314,60 @@ TEST(MaskHash, PrefixInputsStillSeparate) {
   int collisions = 0;
   const int trials = 2000;
   for (int i = 0; i < trials; ++i) {
-    util::Rng s = stream.substream(i);
-    collisions +=
-        (hashing::mask_hash(a, 8, s) == hashing::mask_hash(b, 8, s));
+    const util::Rng s = stream.substream(i);
+    collisions += hash64(a, 8, s) == hash64(b, 8, s);
   }
   EXPECT_LT(collisions, trials / 50);
 }
 
-TEST(MaskHash, WideMatchesRequestedWidth) {
-  util::Rng stream(33);
-  util::BitBuffer data;
-  data.append_bits(0xabcdef, 24);
-  for (std::size_t bits : {1u, 63u, 64u, 65u, 130u, 200u}) {
-    util::BitBuffer out;
-    hashing::mask_hash_wide(data, bits, stream, out);
-    EXPECT_EQ(out.size_bits(), bits);
+TEST(ToeplitzHash, NarrowHashIsPrefixOfWideHash) {
+  // Bit j reads r[j, j + |z|) whatever the width, so a b-bit hash is the
+  // first b bits of any wider one.
+  util::Rng rng(33);
+  const util::BitBuffer data = random_bits(rng, 150);
+  const util::Rng stream(33);
+  const std::vector<std::uint64_t> wide = hash_wide(data, 8192, stream);
+  for (const std::size_t bits : {1u, 63u, 64u, 65u, 130u, 200u}) {
+    const std::vector<std::uint64_t> narrow = hash_wide(data, bits, stream);
+    ASSERT_EQ(narrow.size(), hashing::toeplitz_hash_words(bits));
+    for (std::size_t w = 0; w < narrow.size(); ++w) {
+      const unsigned width =
+          static_cast<unsigned>(std::min<std::size_t>(64, bits - 64 * w));
+      const std::uint64_t mask =
+          width == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+      EXPECT_EQ(narrow[w], wide[w] & mask) << "bits " << bits << " word " << w;
+    }
   }
 }
 
-TEST(MaskHash, WideIsDeterministicAndContentSensitive) {
-  util::Rng stream(33);
+TEST(ToeplitzHash, WideIsDeterministicAndContentSensitive) {
+  const util::Rng stream(33);
   util::BitBuffer d1;
   d1.append_bits(111, 32);
   util::BitBuffer d2;
   d2.append_bits(222, 32);
-  util::BitBuffer o1;
-  util::BitBuffer o1again;
-  util::BitBuffer o2;
-  hashing::mask_hash_wide(d1, 100, stream, o1);
-  hashing::mask_hash_wide(d1, 100, stream, o1again);
-  hashing::mask_hash_wide(d2, 100, stream, o2);
-  EXPECT_TRUE(o1 == o1again);
-  EXPECT_FALSE(o1 == o2);
+  EXPECT_EQ(hash_wide(d1, 100, stream), hash_wide(d1, 100, stream));
+  EXPECT_NE(hash_wide(d1, 100, stream), hash_wide(d2, 100, stream));
 }
 
-TEST(MaskHash, RejectsOverwideSingle) {
+TEST(ToeplitzHash, ScratchComesFromTheArenaAndIsReleased) {
+  util::Rng rng(5);
+  const util::BitBuffer data = random_bits(rng, 5000);
+  util::ScratchArena arena;
+  std::vector<std::uint64_t> out(hashing::toeplitz_hash_words(1000));
+  hashing::toeplitz_hash(data, 1000, util::Rng(1), arena, out);
+  EXPECT_EQ(arena.words_in_use(), 0u);
+  EXPECT_GT(arena.high_water_words(), 2 * (5000 / 64));
+}
+
+TEST(ToeplitzHash, RejectsBadWidths) {
   util::BitBuffer data;
-  util::Rng stream(1);
-  EXPECT_THROW(hashing::mask_hash(data, 65, stream), std::invalid_argument);
+  util::ScratchArena arena;
+  EXPECT_THROW(hashing::toeplitz_hash64(data, 65, util::Rng(1), arena),
+               std::invalid_argument);
+  std::vector<std::uint64_t> out(1);
+  EXPECT_THROW(hashing::toeplitz_hash(data, 65, util::Rng(1), arena, out),
+               std::invalid_argument);
 }
 
 // --- The division-free reduction engine (hashing/barrett.h) -----------------

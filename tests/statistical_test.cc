@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/basic_intersection.h"
@@ -53,33 +54,106 @@ double chernoff_upper(double n, double p) {
 
 // ---------- Fact 3.5: equality ----------
 
-TEST(StatisticalEquality, FalsePositiveRateUnderTwoToMinusB) {
-  constexpr std::size_t kSessions = 4000;
-  constexpr std::size_t kHashBits = 6;  // error <= 2^-6 = 1/64
+// Sessions of eq::equality_test, at `hash_bits` bits, that declared the
+// pair make_pair(rng, i) equal; every pair it builds is unequal.
+template <typename MakePair>
+std::uint64_t count_false_equal(std::size_t sessions, std::size_t hash_bits,
+                                std::uint64_t master, MakePair make_pair) {
   std::atomic<std::uint64_t> false_equal{0};
-  runtime::run_sessions(kSessions, kThreads, [&](std::size_t i) {
-    const std::uint64_t seed = util::mix64(0xEC0A57, i);
+  runtime::run_sessions(sessions, kThreads, [&](std::size_t i) {
+    const std::uint64_t seed = util::mix64(master, i);
     util::Rng rng(seed);
-    // Distinct 48-bit contents (forced different in the low bits).
-    util::BitBuffer xa;
-    util::BitBuffer xb;
-    const std::uint64_t base = rng.next() & ((std::uint64_t{1} << 48) - 1);
-    xa.append_bits(base, 48);
-    xb.append_bits(base ^ (1 + rng.below(255)), 48);
+    const auto [xa, xb] = make_pair(rng, i);
     sim::Channel ch;
     sim::SharedRandomness shared(seed);
-    if (eq::equality_test(ch, shared, /*nonce=*/i, xa, xb, kHashBits)) {
+    if (eq::equality_test(ch, shared, /*nonce=*/i, xa, xb, hash_bits)) {
       false_equal.fetch_add(1);
     }
   });
-  const double bound =
-      chernoff_upper(kSessions, std::pow(2.0, -double(kHashBits)));
-  EXPECT_LE(static_cast<double>(false_equal.load()), bound)
-      << false_equal.load() << " false positives in " << kSessions
-      << " sessions (bound " << bound << ")";
-  // Sanity that the test has power: the rate is also not absurdly small
-  // only because nothing ran.
-  EXPECT_EQ(kSessions, 4000u);
+  return false_equal.load();
+}
+
+util::BitBuffer random_bits(util::Rng& rng, std::size_t n) {
+  util::BitBuffer out;
+  for (std::size_t i = 0; i < n; ++i) out.append_bit(rng.coin());
+  return out;
+}
+
+constexpr std::size_t kFalsePositiveSessions = 4000;
+constexpr std::size_t kFalsePositiveBits = 6;  // error <= 2^-6 = 1/64
+
+void expect_within_chernoff(std::uint64_t false_equal, const char* what) {
+  const double bound = chernoff_upper(
+      kFalsePositiveSessions, std::pow(2.0, -double(kFalsePositiveBits)));
+  EXPECT_LE(static_cast<double>(false_equal), bound)
+      << what << ": " << false_equal << " false positives in "
+      << kFalsePositiveSessions << " sessions (bound " << bound << ")";
+}
+
+TEST(StatisticalEquality, FalsePositiveRateUnderTwoToMinusB) {
+  // Distinct 48-bit contents (forced different in the low bits).
+  expect_within_chernoff(
+      count_false_equal(kFalsePositiveSessions, kFalsePositiveBits, 0xEC0A57,
+                        [](util::Rng& rng, std::size_t) {
+                          util::BitBuffer xa;
+                          util::BitBuffer xb;
+                          const std::uint64_t base =
+                              rng.next() & ((std::uint64_t{1} << 48) - 1);
+                          xa.append_bits(base, 48);
+                          xb.append_bits(base ^ (1 + rng.below(255)), 48);
+                          return std::pair{xa, xb};
+                        }),
+      "single-word");
+}
+
+TEST(StatisticalEquality, MultiWordFalsePositiveRateUnderTwoToMinusB) {
+  // 65..640-bit strings differing in one random bit.
+  expect_within_chernoff(
+      count_false_equal(kFalsePositiveSessions, kFalsePositiveBits, 0xEC0A59,
+                        [](util::Rng& rng, std::size_t) {
+                          const util::BitBuffer xa =
+                              random_bits(rng, 65 + rng.below(576));
+                          util::BitBuffer xb = xa;
+                          xb.toggle_bit(rng.below(xa.size_bits()));
+                          return std::pair{xa, xb};
+                        }),
+      "multi-word");
+}
+
+TEST(StatisticalEquality, LengthOnlyPairsUnderTwoToMinusB) {
+  // x against x||0 and x||0^64: the strings differ only in length.
+  for (const std::size_t zeros : {1u, 64u}) {
+    expect_within_chernoff(
+        count_false_equal(kFalsePositiveSessions, kFalsePositiveBits,
+                          0xEC0A5A + zeros,
+                          [zeros](util::Rng& rng, std::size_t) {
+                            const util::BitBuffer xa =
+                                random_bits(rng, rng.below(200));
+                            util::BitBuffer xb = xa;
+                            for (std::size_t z = 0; z < zeros; ++z) {
+                              xb.append_bit(false);
+                            }
+                            return std::pair{xa, xb};
+                          }),
+        zeros == 1 ? "x vs x||0" : "x vs x||0^64");
+  }
+}
+
+TEST(StatisticalEquality, WideHashesAreContentSensitive) {
+  // At b = 65..130 a false positive has probability <= 2^-65: none of
+  // these sessions may declare its one-bit-apart pair equal.
+  for (std::size_t bits = 65; bits <= 130; ++bits) {
+    EXPECT_EQ(count_false_equal(32, bits, 0xEC0A5C + bits,
+                                [](util::Rng& rng, std::size_t) {
+                                  const util::BitBuffer xa =
+                                      random_bits(rng, 1 + rng.below(300));
+                                  util::BitBuffer xb = xa;
+                                  xb.toggle_bit(rng.below(xa.size_bits()));
+                                  return std::pair{xa, xb};
+                                }),
+              0u)
+        << "b = " << bits;
+  }
 }
 
 TEST(StatisticalEquality, EqualInputsNeverFail) {

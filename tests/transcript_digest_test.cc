@@ -86,7 +86,7 @@ TEST(TranscriptDigest, BucketEq) {
   sim::SharedRandomness sh(31337);
   const auto out = core::bucket_eq_intersection(ch, sh, 7, kUniverse, p.s, p.t);
   EXPECT_EQ(out.alice, p.expected_intersection);
-  expect_pin(ch, {4285u, 46u, 0x86c456de5495ada7ull});
+  expect_pin(ch, {4363u, 46u, 0xbd4364874c24a98eull});
 }
 
 TEST(TranscriptDigest, BasicIntersection) {
@@ -106,7 +106,7 @@ TEST(TranscriptDigest, ToyProtocol) {
   sim::SharedRandomness sh(31337);
   const auto out = core::toy_bucket_intersection(ch, sh, 7, kUniverse, p.s, p.t);
   EXPECT_EQ(out.alice, p.expected_intersection);
-  expect_pin(ch, {6391u, 12u, 0x8050d4ac26394e88ull});
+  expect_pin(ch, {6391u, 12u, 0x05646f9009dbef1dull});
 }
 
 // One pin per tree depth: r=1 (the one-round base case), r=2 (one real
@@ -114,8 +114,8 @@ TEST(TranscriptDigest, ToyProtocol) {
 TEST(TranscriptDigest, VerificationTreeDepths) {
   const RunPin pins[] = {
       {12322u, 2u, 0x36c9418be963de9dull},   // r=1
-      {10574u, 8u, 0x2555644ef1bb7fa3ull},   // r=2
-      {8928u, 20u, 0x2cb7e9e0ecbacad5ull},   // r=0 (auto)
+      {10574u, 8u, 0x52ebaebb9b12cb11ull},   // r=2
+      {8808u, 16u, 0x255e2378e362b8a1ull},   // r=0 (auto)
   };
   const int depths[] = {1, 2, 0};
   const util::SetPair p = reference_pair();
@@ -139,7 +139,7 @@ TEST(TranscriptDigest, PrivateCoin) {
   const auto out =
       core::private_coin_intersection(ch, priv, kUniverse, p.s, p.t, {});
   EXPECT_EQ(out.alice, p.expected_intersection);
-  expect_pin(ch, {8901u, 18u, 0x8a404eecbff2b953ull});
+  expect_pin(ch, {8911u, 18u, 0x17e29b13f9733177ull});
 }
 
 // Fact 3.5 equality on its own (the verification-tree pins cover it only
@@ -155,11 +155,11 @@ TEST(TranscriptDigest, Equality) {
     std::uint64_t fold;
   };
   const WidthPin pins[] = {
-      {1u, 80u, 8u, 0xe8394cc9e052d1f2ull},
-      {63u, 2560u, 8u, 0xf8975478536381beull},
-      {64u, 2600u, 8u, 0x11094ac6253e3beull},
-      {65u, 2640u, 8u, 0xbf683412c21756faull},
-      {512u, 20520u, 8u, 0xf3f93647d8a0bdcbull},  // 2k, k = 256
+      {1u, 80u, 8u, 0x9ddc60ea243eed5aull},
+      {63u, 2560u, 8u, 0xf91f9a2628ba812full},
+      {64u, 2600u, 8u, 0xbf8889a290139e7full},
+      {65u, 2640u, 8u, 0x642014a0581fe75dull},
+      {512u, 20520u, 8u, 0x0bfd697a224462e4ull},  // 2k, k = 256
   };
   // Instance i: a random string of 1..300 bits; odd instances compare it
   // against a copy with one bit flipped, even ones against an exact copy.
@@ -281,28 +281,25 @@ TEST(TranscriptDigest, VerificationTreePhaseTable) {
                                                         p.s, p.t, {});
   EXPECT_EQ(out.alice, p.expected_intersection);
   const std::vector<std::string> want = {
-      " 8928 20 20 1",
-      "verification_tree 8928 20 20 1",
-      "verification_tree/level=0 4651 6 6 1",
+      " 8808 16 16 1",
+      "verification_tree 8808 16 16 1",
+      "verification_tree/level=0 4720 6 6 1",
       "verification_tree/level=0/equality 1280 2 2 1",
-      "verification_tree/level=0/basic_intersection 3371 4 4 1",
-      "verification_tree/level=0/basic_intersection/size_exchange 820 2 2 1",
-      "verification_tree/level=0/basic_intersection/hash_exchange 2551 2 2 1",
-      "verification_tree/level=1 1876 6 6 1",
+      "verification_tree/level=0/basic_intersection 3440 4 4 1",
+      "verification_tree/level=0/basic_intersection/size_exchange 830 2 2 1",
+      "verification_tree/level=0/basic_intersection/hash_exchange 2610 2 2 1",
+      "verification_tree/level=1 1784 6 6 1",
       "verification_tree/level=1/equality 1280 2 2 1",
-      "verification_tree/level=1/basic_intersection 596 4 4 1",
-      "verification_tree/level=1/basic_intersection/size_exchange 114 2 2 1",
-      "verification_tree/level=1/basic_intersection/hash_exchange 482 2 2 1",
-      "verification_tree/level=2 1345 6 6 1",
+      "verification_tree/level=1/basic_intersection 504 4 4 1",
+      "verification_tree/level=1/basic_intersection/size_exchange 110 2 2 1",
+      "verification_tree/level=1/basic_intersection/hash_exchange 394 2 2 1",
+      "verification_tree/level=2 1248 2 2 1",
       "verification_tree/level=2/equality 1248 2 2 1",
-      "verification_tree/level=2/basic_intersection 97 4 4 1",
-      "verification_tree/level=2/basic_intersection/size_exchange 14 2 2 1",
-      "verification_tree/level=2/basic_intersection/hash_exchange 83 2 2 1",
       "verification_tree/level=3 1056 2 2 1",
       "verification_tree/level=3/equality 1056 2 2 1",
   };
   EXPECT_EQ(phase_table(tracer), want);
-  expect_pin(ch, {8928u, 20u, 0x2cb7e9e0ecbacad5ull});
+  expect_pin(ch, {8808u, 16u, 0x255e2378e362b8a1ull});
 }
 
 // Checkpoint determinism (docs/ROBUSTNESS.md § checkpoint granularity):
@@ -360,7 +357,7 @@ TEST(TranscriptDigest, VerificationTreeResumesToSamePin) {
       ch, sh, 7, kUniverse, p.s, p.t, params, nullptr, &ckpt);
   EXPECT_EQ(out.alice, p.expected_intersection);
   EXPECT_EQ(ckpt.restores(), 1u);
-  expect_pin(ch, {10574u, 8u, 0x2555644ef1bb7fa3ull});
+  expect_pin(ch, {10574u, 8u, 0x52ebaebb9b12cb11ull});
 }
 
 TEST(TranscriptDigest, BucketEqResumesToSamePin) {
@@ -379,7 +376,7 @@ TEST(TranscriptDigest, BucketEqResumesToSamePin) {
                                                 3, nullptr, &ckpt);
   EXPECT_EQ(out.alice, p.expected_intersection);
   EXPECT_GE(ckpt.restores(), 1u);
-  expect_pin(ch, {4285u, 46u, 0x86c456de5495ada7ull});
+  expect_pin(ch, {4363u, 46u, 0xbd4364874c24a98eull});
 }
 
 TEST(TranscriptDigest, MultipartyCoordinator) {
@@ -391,9 +388,9 @@ TEST(TranscriptDigest, MultipartyCoordinator) {
   const auto res =
       multiparty::coordinator_intersection(net, sh, 1u << 20, inst.sets);
   EXPECT_EQ(res.intersection, inst.expected_intersection);
-  EXPECT_EQ(net.total_bits(), 20186u);
+  EXPECT_EQ(net.total_bits(), 20176u);
   EXPECT_EQ(net.rounds(), 22u);
-  EXPECT_EQ(net.max_player_bits(), 20186u);
+  EXPECT_EQ(net.max_player_bits(), 20176u);
 }
 
 TEST(TranscriptDigest, MultipartyTournament) {
@@ -405,9 +402,9 @@ TEST(TranscriptDigest, MultipartyTournament) {
   const auto res =
       multiparty::tournament_intersection(net, sh, 1u << 20, inst.sets);
   EXPECT_EQ(res.intersection, inst.expected_intersection);
-  EXPECT_EQ(net.total_bits(), 12086u);
+  EXPECT_EQ(net.total_bits(), 12080u);
   EXPECT_EQ(net.rounds(), 46u);
-  EXPECT_EQ(net.max_player_bits(), 4777u);
+  EXPECT_EQ(net.max_player_bits(), 4801u);
 }
 
 }  // namespace
