@@ -133,11 +133,7 @@ void Adversary::craft_replay(util::BitBuffer& payload) {
 
 void Adversary::craft_truncate(util::BitBuffer& payload) {
   if (payload.empty()) return;
-  const std::size_t keep =
-      static_cast<std::size_t>(rng_.below(payload.size_bits()));
-  util::BitBuffer prefix;
-  for (std::size_t i = 0; i < keep; ++i) prefix.append_bit(payload.bit(i));
-  payload = std::move(prefix);
+  payload.truncate(static_cast<std::size_t>(rng_.below(payload.size_bits())));
 }
 
 // A frame that decodes cleanly as a canonical set — correct format,

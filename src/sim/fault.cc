@@ -37,9 +37,7 @@ AppliedFaults FaultPlan::apply(util::BitBuffer& payload) {
     const std::size_t keep =
         static_cast<std::size_t>(rng_.below(payload.size_bits()));
     applied.truncated_bits = payload.size_bits() - keep;
-    util::BitBuffer prefix;
-    for (std::size_t i = 0; i < keep; ++i) prefix.append_bit(payload.bit(i));
-    payload = std::move(prefix);
+    payload.truncate(keep);
   }
 
   if (spec_.flip_per_bit > 0.0) {

@@ -1,8 +1,26 @@
 #include "util/bitio.h"
 
+#include <algorithm>
 #include <bit>
 
 namespace setint::util {
+
+namespace {
+
+// Reverses the order of the low n bits of x (1 <= n <= 64); bits of x at
+// index n and above must be zero. Gamma codes carry their value MSB-first
+// while words are filled LSB-first, so both directions go through here.
+std::uint64_t reverse_low_bits(std::uint64_t x, unsigned n) {
+  x = __builtin_bswap64(x);
+  x = ((x >> 4) & 0x0F0F0F0F0F0F0F0Full) | ((x & 0x0F0F0F0F0F0F0F0Full) << 4);
+  x = ((x >> 2) & 0x3333333333333333ull) | ((x & 0x3333333333333333ull) << 2);
+  x = ((x >> 1) & 0x5555555555555555ull) | ((x & 0x5555555555555555ull) << 1);
+  return x >> (64 - n);
+}
+
+constexpr const char kReadPastEnd[] = "BitReader: read past end of message";
+
+}  // namespace
 
 void BitBuffer::append_bit(bool b) {
   const std::size_t word = size_bits_ / 64;
@@ -60,11 +78,10 @@ void BitBuffer::truncate(std::size_t new_size_bits) {
 void BitBuffer::append_elias_gamma(std::uint64_t v) {
   if (v == 0) throw std::invalid_argument("elias gamma requires v >= 1");
   const unsigned n = 63u - static_cast<unsigned>(std::countl_zero(v));
-  for (unsigned i = 0; i < n; ++i) append_bit(false);
-  // v MSB-first, n + 1 bits.
-  for (unsigned i = 0; i <= n; ++i) {
-    append_bit((v >> (n - i)) & 1);
-  }
+  append_bits(0, n);
+  // v MSB-first, n + 1 bits: reversed, so the LSB-first layout emits the
+  // top bit first.
+  append_bits(reverse_low_bits(v, n + 1), n + 1);
 }
 
 void BitBuffer::append_rice(std::uint64_t v, unsigned b) {
@@ -75,8 +92,10 @@ void BitBuffer::append_rice(std::uint64_t v, unsigned b) {
     // the data; refuse rather than emit megabit unary runs.
     throw std::invalid_argument("rice: quotient too large for parameter");
   }
-  for (std::uint64_t i = 0; i < q; ++i) append_bit(true);
-  append_bit(false);
+  std::uint64_t ones = q;
+  for (; ones >= 64; ones -= 64) append_bits(~std::uint64_t{0}, 64);
+  // The last < 64 ones and the terminating zero in one write.
+  append_bits((std::uint64_t{1} << ones) - 1, static_cast<unsigned>(ones) + 1);
   append_bits(v & ((std::uint64_t{1} << b) - 1), b);
 }
 
@@ -112,11 +131,9 @@ std::uint64_t BitBuffer::fingerprint() const {
 }
 
 bool BitBuffer::operator==(const BitBuffer& other) const {
-  if (size_bits_ != other.size_bits_) return false;
-  for (std::size_t i = 0; i < size_bits_; ++i) {
-    if (bit(i) != other.bit(i)) return false;
-  }
-  return true;
+  // Storage past size_bits_ is zero: append ORs into zeroed words, and
+  // truncate/clear re-normalize.
+  return size_bits_ == other.size_bits_ && words_ == other.words_;
 }
 
 void BitBuffer::clear() {
@@ -132,19 +149,29 @@ std::string BitBuffer::to_string() const {
 }
 
 bool BitReader::read_bit() {
-  if (pos_ >= buffer_->size_bits()) {
-    throw std::out_of_range("BitReader: read past end of message");
-  }
+  if (pos_ >= buffer_->size_bits()) throw std::out_of_range(kReadPastEnd);
   return buffer_->bit(pos_++);
+}
+
+std::uint64_t BitReader::peek64() const {
+  if (exhausted()) return 0;
+  const std::vector<std::uint64_t>& words = buffer_->words();
+  const std::size_t w = pos_ / 64;
+  const unsigned offset = static_cast<unsigned>(pos_ % 64);
+  std::uint64_t window = words[w] >> offset;
+  if (offset != 0 && w + 1 < words.size()) {
+    window |= words[w + 1] << (64 - offset);
+  }
+  return window;
 }
 
 std::uint64_t BitReader::read_bits(unsigned width) {
   if (width > 64) throw std::invalid_argument("read_bits: width > 64");
-  std::uint64_t value = 0;
-  for (unsigned i = 0; i < width; ++i) {
-    if (read_bit()) value |= (std::uint64_t{1} << i);
-  }
-  return value;
+  if (width > remaining()) throw std::out_of_range(kReadPastEnd);
+  if (width == 0) return 0;
+  const std::uint64_t window = peek64();
+  pos_ += width;
+  return width == 64 ? window : window & ((std::uint64_t{1} << width) - 1);
 }
 
 void BitReader::expect_at_least(std::uint64_t items,
@@ -173,37 +200,45 @@ void BitReader::charge_items(std::uint64_t items, const char* field) {
 }
 
 std::uint64_t BitReader::read_elias_gamma() {
-  unsigned n = 0;
-  while (!read_bit()) {
-    ++n;
-    if (n > 63) {
+  const std::uint64_t window = peek64();
+  if (window == 0) {
+    if (remaining() >= 64) {
       // 64+ leading zeros cannot start a codeword for a 64-bit value; a
       // crafted all-zeros frame lands here instead of widening past 64.
       throw std::invalid_argument(
           "decode: gamma zero-run exceeds 63 bits (field 'gamma')");
     }
+    throw std::out_of_range(kReadPastEnd);
   }
-  std::uint64_t v = 1;  // the leading 1 bit just consumed
-  for (unsigned i = 0; i < n; ++i) {
-    v = (v << 1) | static_cast<std::uint64_t>(read_bit());
-  }
-  return v;
+  const unsigned n = static_cast<unsigned>(std::countr_zero(window));
+  pos_ += n + 1;  // the zero run and the leading 1 bit
+  if (n == 0) return 1;
+  return (std::uint64_t{1} << n) | reverse_low_bits(read_bits(n), n);
 }
 
 std::uint64_t BitReader::read_rice(unsigned b) {
   if (b > 63) throw std::invalid_argument("rice: parameter > 63");
   // Largest quotient whose value q << b still fits in 64 bits; anything
   // beyond is unencodable, so a longer unary run is a crafted frame.
-  const std::uint64_t max_q = ~std::uint64_t{0} >> b;
+  // The encoder's 2^20 cap bounds the scan as well.
+  const std::uint64_t max_q =
+      std::min(~std::uint64_t{0} >> b, std::uint64_t{1} << 20);
   std::uint64_t q = 0;
-  while (read_bit()) {
-    ++q;
-    if (q > (std::uint64_t{1} << 20) || q > max_q) {
+  while (true) {
+    const std::size_t avail = std::min<std::size_t>(remaining(), 64);
+    if (avail == 0) throw std::out_of_range(kReadPastEnd);
+    // peek64 zero-fills past the end, so the run never counts beyond it.
+    const unsigned ones = static_cast<unsigned>(std::countr_one(peek64()));
+    q += ones;
+    if (q > max_q) {
       throw std::invalid_argument(
           "decode: rice unary quotient overflows the 64-bit value "
           "(field 'rice')");
     }
+    pos_ += ones;
+    if (ones < avail) break;
   }
+  ++pos_;  // the terminating zero
   return (q << b) | read_bits(b);
 }
 

@@ -18,7 +18,9 @@ namespace setint::util {
 
 // Append-only sequence of bits. Bits are stored LSB-first within 64-bit
 // words; append_bits() writes `width` low-order bits of `value` so that
-// read_bits(width) on the other side returns `value` unchanged.
+// read_bits(width) on the other side returns `value` unchanged. Word
+// storage past size_bits() is always zero, so whole-word reads and
+// comparisons need no masking.
 class BitBuffer {
  public:
   BitBuffer() = default;
@@ -132,6 +134,11 @@ class BitReader {
   const core::ResourceLimits* limits() const { return limits_; }
 
  private:
+  // The next min(64, remaining()) bits, first-read bit lowest. Bits past
+  // the end read as zero: BitBuffer keeps its storage past size_bits()
+  // zeroed.
+  std::uint64_t peek64() const;
+
   const BitBuffer* buffer_;
   const core::ResourceLimits* limits_;
   std::size_t pos_ = 0;

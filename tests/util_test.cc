@@ -84,6 +84,10 @@ TEST(BitBuffer, EqualityAndFingerprint) {
   b.append_bit(false);
   EXPECT_FALSE(a == b);
   EXPECT_NE(a.fingerprint(), b.fingerprint());
+  a.append_bit(true);
+  EXPECT_FALSE(a == b);  // same length, last bit differs
+  a.toggle_bit(16);
+  EXPECT_TRUE(a == b);
 }
 
 TEST(BitBuffer, FingerprintDistinguishesLengthOfZeroRuns) {

@@ -33,6 +33,8 @@
 #      build-sanitize/)
 #   7c. the parties slice by label (runner + party tests, transcript,
 #      golden, checkpoint and sans-IO pins), natively and under ASan/UBSan
+#   7d. the robustness tests (robustness_test, adversary_test, fuzz_smoke)
+#      under ASan/UBSan: crafted frames through the word-level decoders
 #   8. the telemetry-overhead gate (exp_cpu --gate-overhead=50) and the
 #      bench_compare self-diff + injected-regression check
 #   9. the bench determinism contract (same seed => identical JSON modulo
@@ -193,6 +195,12 @@ step "parties slice (ctest -L parties), native + ASan/UBSan"
 # run natively and under the sanitizers (reusing build-sanitize/).
 (cd "$BUILD_DIR" && ctest --output-on-failure -L parties -j "$JOBS")
 tools/run_sanitized_tests.sh -L parties
+
+step "robustness sanitizer pass (ASan+UBSan over the word-level decoders)"
+# BitReader reads a word and its successor at a time; truncated, flipped
+# and crafted frames from the fault, adversary and fuzz tests put every
+# read next to the end of the word vector. Reuses build-sanitize/.
+tools/run_sanitized_tests.sh -R '^(robustness_test|adversary_test|fuzz_smoke)$'
 
 step "telemetry overhead gate (exp_cpu --gate-overhead=50)"
 # The recorder hook may cost at most 50% on the un-instrumented hot path
