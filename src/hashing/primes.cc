@@ -1,13 +1,8 @@
 #include "hashing/primes.h"
 
-#include <array>
 #include <atomic>
-#include <bit>
 #include <limits>
-#include <mutex>
-#include <shared_mutex>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "hashing/barrett.h"
 #include "hashing/modmath.h"
@@ -54,39 +49,7 @@ bool miller_rabin_witness_wide(std::uint64_t n, std::uint64_t a,
   return true;
 }
 
-// Next-prime memo, sharded by candidate bit-width (the satellite contract:
-// one thread-safe table per magnitude class, so concurrent batch sessions
-// probing different size regimes never contend on one lock). Bounded per
-// shard; a full shard stops inserting but stays correct.
-struct CacheShard {
-  std::shared_mutex mu;
-  std::unordered_map<std::uint64_t, std::uint64_t> next_prime;
-};
-
-constexpr std::size_t kMaxEntriesPerShard = 1 << 14;
-
-std::array<CacheShard, 64>& cache_shards() {
-  static std::array<CacheShard, 64> shards;
-  return shards;
-}
-
-CacheShard& shard_for(std::uint64_t n) {
-  return cache_shards()[63 - static_cast<unsigned>(std::countl_zero(n | 1))];
-}
-
-std::atomic<std::uint64_t> g_cache_hits{0};
-std::atomic<std::uint64_t> g_cache_misses{0};
-
-std::uint64_t next_prime_uncached(std::uint64_t n) {
-  std::uint64_t c = n | 1;  // first odd >= n
-  while (true) {
-    if (is_prime(c)) return c;
-    if (c > std::numeric_limits<std::uint64_t>::max() - 2) {
-      throw std::overflow_error("next_prime_at_least: no 64-bit prime");
-    }
-    c += 2;
-  }
-}
+std::atomic<std::uint64_t> g_next_prime_calls{0};
 
 }  // namespace
 
@@ -117,25 +80,16 @@ bool is_prime(std::uint64_t n) {
 }
 
 std::uint64_t next_prime_at_least(std::uint64_t n) {
+  g_next_prime_calls.fetch_add(1, std::memory_order_relaxed);
   if (n <= 2) return 2;
-  CacheShard& shard = shard_for(n);
-  {
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    const auto it = shard.next_prime.find(n);
-    if (it != shard.next_prime.end()) {
-      g_cache_hits.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
+  std::uint64_t c = n | 1;  // first odd >= n
+  while (true) {
+    if (is_prime(c)) return c;
+    if (c > std::numeric_limits<std::uint64_t>::max() - 2) {
+      throw std::overflow_error("next_prime_at_least: no 64-bit prime");
     }
+    c += 2;
   }
-  g_cache_misses.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t p = next_prime_uncached(n);
-  {
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
-    if (shard.next_prime.size() < kMaxEntriesPerShard) {
-      shard.next_prime.emplace(n, p);
-    }
-  }
-  return p;
 }
 
 std::uint64_t random_prime_in(util::Rng& rng, std::uint64_t lo,
@@ -154,22 +108,12 @@ std::uint64_t random_prime_in(util::Rng& rng, std::uint64_t lo,
 
 PrimeCacheStats prime_cache_stats() {
   PrimeCacheStats stats;
-  stats.hits = g_cache_hits.load(std::memory_order_relaxed);
-  stats.misses = g_cache_misses.load(std::memory_order_relaxed);
-  for (CacheShard& shard : cache_shards()) {
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    stats.entries += shard.next_prime.size();
-  }
+  stats.misses = g_next_prime_calls.load(std::memory_order_relaxed);
   return stats;
 }
 
 void prime_cache_clear() {
-  for (CacheShard& shard : cache_shards()) {
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
-    shard.next_prime.clear();
-  }
-  g_cache_hits.store(0, std::memory_order_relaxed);
-  g_cache_misses.store(0, std::memory_order_relaxed);
+  g_next_prime_calls.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace setint::hashing

@@ -1,16 +1,11 @@
 // Primality testing and random prime sampling.
 //
-// Random primes back the Carter-Wegman pairwise family and the FKS
-// universe-compression step; both need primes of a prescribed magnitude,
-// sampled from few random bits.
+// Random primes back the FKS universe-compression step (hashing/fks.h),
+// where the random prime is what bounds the collision probability; the
+// pairwise family uses one fixed prime (hashing/pairwise.h).
 //
-// Perf engine (docs/PERFORMANCE.md): Miller-Rabin exponentiation runs in
-// the Montgomery domain (hashing/barrett.h) for odd inputs below 2^63,
-// and every next-prime search result is memoized in a thread-safe table
-// sharded by candidate bit-width. Caching never changes WHICH prime a
-// session picks — the candidate draw still consumes the same Rng values,
-// and next_prime_at_least is a pure function of its argument — it only
-// skips re-verifying a prime that an earlier session already verified.
+// Miller-Rabin exponentiation runs in the Montgomery domain
+// (hashing/barrett.h) for odd inputs below 2^63.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +18,7 @@ namespace setint::hashing {
 // set {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}).
 bool is_prime(std::uint64_t n);
 
-// Smallest prime >= n; throws if none fits in 64 bits. Results are
-// memoized in the process-wide prime cache.
+// Smallest prime >= n; throws if none fits in 64 bits.
 std::uint64_t next_prime_at_least(std::uint64_t n);
 
 // Uniform-ish random prime in [lo, hi): samples uniform candidates and
@@ -33,9 +27,9 @@ std::uint64_t next_prime_at_least(std::uint64_t n);
 std::uint64_t random_prime_in(util::Rng& rng, std::uint64_t lo,
                               std::uint64_t hi);
 
-// Observability for the next-prime memo table. `entries` is the current
-// number of cached (candidate -> prime) pairs across all bit-width shards;
-// hits/misses count next_prime_at_least lookups process-wide.
+// Process-wide count of next_prime_at_least calls, for the work counters
+// of benchmarks. `misses` counts every call; there is no memo, so `hits`
+// and `entries` always read 0.
 struct PrimeCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -43,8 +37,7 @@ struct PrimeCacheStats {
 };
 PrimeCacheStats prime_cache_stats();
 
-// Drops every cached entry and zeroes the hit/miss counters (tests and
-// cold-vs-warm benchmarking).
+// Zeroes the call count.
 void prime_cache_clear();
 
 }  // namespace setint::hashing

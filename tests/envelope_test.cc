@@ -181,9 +181,9 @@ GoldenRun run_reference(const char* protocol) {
 
 TEST(EnvelopeGolden, VerificationTreeReferenceWithinEnvelope) {
   const GoldenRun run = run_reference("verification_tree");
-  EXPECT_EQ(run.bits, 17668u);
+  EXPECT_EQ(run.bits, 18161u);
   EXPECT_EQ(run.rounds, 20u);
-  EXPECT_EQ(run.digest, 0x1f91a2d4faecdd32ull);
+  EXPECT_EQ(run.digest, 0x88aaea5ee4eb3737ull);
   EnvelopeAuditor auditor;
   auditor.add("verification_tree", {512, 0, run.bits, run.rounds, 1});
   EXPECT_TRUE(auditor.all_within());
@@ -192,7 +192,7 @@ TEST(EnvelopeGolden, VerificationTreeReferenceWithinEnvelope) {
 TEST(EnvelopeGolden, OneRoundHashReferenceWithinEnvelope) {
   const GoldenRun run = run_reference("one_round_hash");
   EXPECT_EQ(run.bits, 27686u);
-  EXPECT_EQ(run.digest, 0x9e818e562ca190cfull);
+  EXPECT_EQ(run.digest, 0x9083d7c54c7c9afeull);
   EnvelopeAuditor auditor;
   auditor.add("one_round_hash", {512, 0, run.bits, run.rounds, 1});
   EXPECT_TRUE(auditor.all_within());
@@ -200,8 +200,8 @@ TEST(EnvelopeGolden, OneRoundHashReferenceWithinEnvelope) {
 
 TEST(EnvelopeGolden, BucketEqReferenceWithinEnvelope) {
   const GoldenRun run = run_reference("bucket_eq");
-  EXPECT_EQ(run.bits, 9981u);
-  EXPECT_EQ(run.digest, 0x86729d961cf82f94ull);
+  EXPECT_EQ(run.bits, 9023u);
+  EXPECT_EQ(run.digest, 0xe1cdad82c6c8c0b0ull);
   EnvelopeAuditor auditor;
   auditor.add("bucket_eq", {512, 0, run.bits, run.rounds, 1});
   EXPECT_TRUE(auditor.all_within());

@@ -39,9 +39,9 @@ TEST(Golden, VerificationTreeReferenceRun) {
   const auto out = core::verification_tree_intersection(
       ch, ref.shared, 42, 1u << 24, ref.pair.s, ref.pair.t, {});
   EXPECT_EQ(out.alice, ref.pair.expected_intersection);
-  EXPECT_EQ(ch.cost().bits_total, 17668u);
+  EXPECT_EQ(ch.cost().bits_total, 18161u);
   EXPECT_EQ(ch.cost().rounds, 20u);
-  EXPECT_EQ(ch.transcript()->digest(), 0x1f91a2d4faecdd32ull);
+  EXPECT_EQ(ch.transcript()->digest(), 0x88aaea5ee4eb3737ull);
 }
 
 TEST(Golden, OneRoundHashReferenceRun) {
@@ -51,7 +51,7 @@ TEST(Golden, OneRoundHashReferenceRun) {
                                         ref.pair.s, ref.pair.t);
   EXPECT_EQ(out.alice, ref.pair.expected_intersection);
   EXPECT_EQ(ch.cost().bits_total, 27686u);
-  EXPECT_EQ(ch.transcript()->digest(), 0x9e818e562ca190cfull);
+  EXPECT_EQ(ch.transcript()->digest(), 0x9083d7c54c7c9afeull);
 }
 
 TEST(Golden, BucketEqReferenceRun) {
@@ -60,8 +60,8 @@ TEST(Golden, BucketEqReferenceRun) {
   const auto out = core::bucket_eq_intersection(ch, ref.shared, 42, 1u << 24,
                                                 ref.pair.s, ref.pair.t);
   EXPECT_EQ(out.alice, ref.pair.expected_intersection);
-  EXPECT_EQ(ch.cost().bits_total, 9981u);
-  EXPECT_EQ(ch.transcript()->digest(), 0x86729d961cf82f94ull);
+  EXPECT_EQ(ch.cost().bits_total, 9023u);
+  EXPECT_EQ(ch.transcript()->digest(), 0xe1cdad82c6c8c0b0ull);
 }
 
 TEST(Golden, WorkloadGeneratorIsStable) {

@@ -1,6 +1,6 @@
 // Tests for the hashing substrate: modular arithmetic, Miller-Rabin,
-// random primes, the Carter-Wegman pairwise family, FKS compression, and
-// Toeplitz GF(2) hashing.
+// random primes, the fixed-prime Carter-Wegman pairwise family, FKS
+// compression, and Toeplitz GF(2) hashing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -156,21 +156,38 @@ TEST(PairwiseHash, RoughlyUniformOverRange) {
   for (int c : counts) EXPECT_NEAR(c, trials / 16, trials / 80);
 }
 
-TEST(PairwiseHash, SeedRoundtrip) {
-  util::Rng rng(7);
-  const auto h = hashing::PairwiseHash::sample(rng, 1u << 22, 555);
-  util::BitBuffer buf;
-  h.append_seed(buf);
-  EXPECT_EQ(buf.size_bits(), h.seed_bits());
-  util::BitReader reader(buf);
-  const auto h2 = hashing::PairwiseHash::read_seed(reader, 555);
-  for (std::uint64_t x = 0; x < 2000; x += 7) EXPECT_EQ(h(x), h2(x));
-}
-
 TEST(PairwiseHash, RejectsBadParameters) {
   util::Rng rng(7);
   EXPECT_THROW(hashing::PairwiseHash::sample(rng, 100, 0),
                std::invalid_argument);
+  const std::uint64_t max = hashing::PairwiseHash::kMaxUniverse;
+  EXPECT_NO_THROW(hashing::PairwiseHash::sample(rng, max, max));
+  EXPECT_THROW(hashing::PairwiseHash::sample(rng, max + 1, 2),
+               std::invalid_argument);
+  EXPECT_THROW(hashing::PairwiseHash::sample(rng, 2, max + 1),
+               std::invalid_argument);
+}
+
+TEST(PairwiseHash, FixedPrimeIsTheSmallestPrimeAboveTheUniverse) {
+  constexpr std::uint64_t p = hashing::PairwiseHash::kPrime;
+  EXPECT_TRUE(hashing::is_prime(p));
+  EXPECT_GT(p, hashing::PairwiseHash::kMaxUniverse);
+  EXPECT_LT(p, std::uint64_t{1} << 63);  // Montgomery modulus bound
+  EXPECT_EQ(hashing::next_prime_at_least(hashing::PairwiseHash::kMaxUniverse),
+            p);
+}
+
+TEST(PairwiseHash, SamplingSearchesNoPrimes) {
+  const hashing::PrimeCacheStats before = hashing::prime_cache_stats();
+  util::Rng rng(1000);
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t universe = 2 + rng.below(std::uint64_t{1} << 40);
+    (void)hashing::PairwiseHash::sample(rng, universe, 1 + i);
+  }
+  const hashing::PrimeCacheStats after = hashing::prime_cache_stats();
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.entries, before.entries);
 }
 
 // ---------- FKS compression ----------
@@ -436,7 +453,7 @@ TEST(PairwiseHash, EngineMatchesPlainFormula) {
     const auto h = hashing::PairwiseHash::sample(rng, universe, range);
     for (int i = 0; i < 200; ++i) {
       const std::uint64_t x = rng.below(universe);
-      const std::uint64_t p = h.prime();
+      const std::uint64_t p = hashing::PairwiseHash::kPrime;
       const std::uint64_t expected =
           (hashing::mulmod(h.multiplier(), x % p, p) + h.offset()) % p %
           h.range();
@@ -445,58 +462,41 @@ TEST(PairwiseHash, EngineMatchesPlainFormula) {
   }
 }
 
-// --- The next-prime memo (hashing/primes.h) ---------------------------------
+// --- The next-prime call counter (hashing/primes.h) ------------------------
 
-TEST(PrimeCache, WarmLookupsHitAndAgree) {
+TEST(PrimeCache, CountsCallsAndSearchesDeterministically) {
   hashing::prime_cache_clear();
-  const auto before = hashing::prime_cache_stats();
-  EXPECT_EQ(before.entries, 0u);
-  EXPECT_EQ(before.hits, 0u);
+  EXPECT_EQ(hashing::prime_cache_stats().misses, 0u);
 
   util::Rng rng(99);
   std::vector<std::uint64_t> candidates(64);
   for (auto& c : candidates) c = 100 + rng.below(1u << 26);
-
-  std::vector<std::uint64_t> cold;
+  std::vector<std::uint64_t> first, second;
   for (std::uint64_t c : candidates) {
-    cold.push_back(hashing::next_prime_at_least(c));
+    first.push_back(hashing::next_prime_at_least(c));
   }
-  const auto after_cold = hashing::prime_cache_stats();
-  EXPECT_EQ(after_cold.misses, candidates.size());
-  EXPECT_EQ(after_cold.entries, candidates.size());
-
-  std::vector<std::uint64_t> warm;
   for (std::uint64_t c : candidates) {
-    warm.push_back(hashing::next_prime_at_least(c));
+    second.push_back(hashing::next_prime_at_least(c));
   }
-  EXPECT_EQ(warm, cold);
-  const auto after_warm = hashing::prime_cache_stats();
-  EXPECT_EQ(after_warm.hits, candidates.size());
-  EXPECT_EQ(after_warm.entries, candidates.size());
-}
+  EXPECT_EQ(first, second);
+  const hashing::PrimeCacheStats stats = hashing::prime_cache_stats();
+  EXPECT_EQ(stats.misses, 2 * candidates.size());
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.entries, 0u);
 
-TEST(PrimeCache, DoesNotChangeWhichPrimeASessionPicks) {
-  // The satellite contract: caching must preserve seed-determinism of
-  // WHICH prime a session samples — cold and warm runs of the same seeded
-  // stream agree.
+  // Same seed, same primes.
+  std::vector<std::uint64_t> sampled[2];
+  for (auto& primes : sampled) {
+    util::Rng prng(4242);
+    for (int i = 0; i < 32; ++i) {
+      primes.push_back(hashing::random_prime_in(prng, 1u << 16, 1u << 22));
+    }
+  }
+  EXPECT_EQ(sampled[0], sampled[1]);
+  EXPECT_GE(hashing::prime_cache_stats().misses, 2 * candidates.size() + 64);
+
   hashing::prime_cache_clear();
-  std::vector<std::uint64_t> cold_primes;
-  {
-    util::Rng rng(4242);
-    for (int i = 0; i < 32; ++i) {
-      cold_primes.push_back(
-          hashing::random_prime_in(rng, 1u << 16, 1u << 22));
-    }
-  }
-  std::vector<std::uint64_t> warm_primes;
-  {
-    util::Rng rng(4242);
-    for (int i = 0; i < 32; ++i) {
-      warm_primes.push_back(
-          hashing::random_prime_in(rng, 1u << 16, 1u << 22));
-    }
-  }
-  EXPECT_EQ(warm_primes, cold_primes);
+  EXPECT_EQ(hashing::prime_cache_stats().misses, 0u);
 }
 
 }  // namespace

@@ -542,7 +542,7 @@ TEST(SansioCertified, FaultPlanInteropMatchesBlocking) {
   sim::FaultSpec spec;
   spec.flip_per_bit = 5e-4;
   spec.drop_prob = 0.03;
-  spec.seed = 0xFA17;
+  spec.seed = 0xFA18;  // a stream that flips or drops in this session
   std::vector<std::unique_ptr<sim::FaultPlan>> plans;
   VerifiedRunResult blocking;
   differential_certified_session(

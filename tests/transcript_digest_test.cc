@@ -77,7 +77,7 @@ TEST(TranscriptDigest, OneRoundHash) {
   sim::SharedRandomness sh(31337);
   const auto out = core::one_round_hash(ch, sh, 7, kUniverse, p.s, p.t);
   EXPECT_EQ(out.alice, p.expected_intersection);
-  expect_pin(ch, {12322u, 2u, 0x36c9418be963de9dull});
+  expect_pin(ch, {12322u, 2u, 0x46b573f738b3d517ull});
 }
 
 TEST(TranscriptDigest, BucketEq) {
@@ -86,7 +86,7 @@ TEST(TranscriptDigest, BucketEq) {
   sim::SharedRandomness sh(31337);
   const auto out = core::bucket_eq_intersection(ch, sh, 7, kUniverse, p.s, p.t);
   EXPECT_EQ(out.alice, p.expected_intersection);
-  expect_pin(ch, {4363u, 46u, 0xbd4364874c24a98eull});
+  expect_pin(ch, {4456u, 50u, 0x164304b897a7afb2ull});
 }
 
 TEST(TranscriptDigest, BasicIntersection) {
@@ -97,7 +97,7 @@ TEST(TranscriptDigest, BasicIntersection) {
       core::basic_intersection(ch, sh, 7, kUniverse, p.s, p.t, 0.01);
   // Lemma 3.3: candidates always contain the true intersection.
   EXPECT_TRUE(util::is_subset(p.expected_intersection, cand.s_candidate));
-  expect_pin(ch, {12356u, 4u, 0x20c1b15d0918bd46ull});
+  expect_pin(ch, {12356u, 4u, 0x39744265dda51437ull});
 }
 
 TEST(TranscriptDigest, ToyProtocol) {
@@ -106,16 +106,16 @@ TEST(TranscriptDigest, ToyProtocol) {
   sim::SharedRandomness sh(31337);
   const auto out = core::toy_bucket_intersection(ch, sh, 7, kUniverse, p.s, p.t);
   EXPECT_EQ(out.alice, p.expected_intersection);
-  expect_pin(ch, {6391u, 12u, 0x05646f9009dbef1dull});
+  expect_pin(ch, {6326u, 12u, 0xf0591adbb82d0dd1ull});
 }
 
 // One pin per tree depth: r=1 (the one-round base case), r=2 (one real
 // verification stage), r=0 (auto: log* k).
 TEST(TranscriptDigest, VerificationTreeDepths) {
   const RunPin pins[] = {
-      {12322u, 2u, 0x36c9418be963de9dull},   // r=1
-      {10574u, 8u, 0x52ebaebb9b12cb11ull},   // r=2
-      {8808u, 16u, 0x255e2378e362b8a1ull},   // r=0 (auto)
+      {12322u, 2u, 0x46b573f738b3d517ull},   // r=1
+      {10541u, 8u, 0xc571e58501bd451full},   // r=2
+      {8773u, 16u, 0x75047fe49cc263a9ull},   // r=0 (auto)
   };
   const int depths[] = {1, 2, 0};
   const util::SetPair p = reference_pair();
@@ -139,7 +139,7 @@ TEST(TranscriptDigest, PrivateCoin) {
   const auto out =
       core::private_coin_intersection(ch, priv, kUniverse, p.s, p.t, {});
   EXPECT_EQ(out.alice, p.expected_intersection);
-  expect_pin(ch, {8911u, 18u, 0x17e29b13f9733177ull});
+  expect_pin(ch, {9151u, 18u, 0x3e21fc4cd69323e4ull});
 }
 
 // Fact 3.5 equality on its own (the verification-tree pins cover it only
@@ -251,7 +251,7 @@ TEST(TranscriptDigest, BasicIntersectionBatchPhaseTable) {
   EXPECT_EQ(phase_table(tracer), want);
   EXPECT_EQ(tracer.metrics().counter("bi.batches").value(), 1u);
   EXPECT_EQ(tracer.metrics().counter("bi.instances").value(), 8u);
-  expect_pin(ch, {7200u, 4u, 0x0a2380a0506ce48dull});
+  expect_pin(ch, {7200u, 4u, 0xeebd2f4e843f855dull});
 }
 
 TEST(TranscriptDigest, OneRoundHashPhaseTable) {
@@ -268,7 +268,7 @@ TEST(TranscriptDigest, OneRoundHashPhaseTable) {
       "one_round_hash/hash_exchange 12322 2 2 1",
   };
   EXPECT_EQ(phase_table(tracer), want);
-  expect_pin(ch, {12322u, 2u, 0x36c9418be963de9dull});
+  expect_pin(ch, {12322u, 2u, 0x46b573f738b3d517ull});
 }
 
 TEST(TranscriptDigest, VerificationTreePhaseTable) {
@@ -281,25 +281,25 @@ TEST(TranscriptDigest, VerificationTreePhaseTable) {
                                                         p.s, p.t, {});
   EXPECT_EQ(out.alice, p.expected_intersection);
   const std::vector<std::string> want = {
-      " 8808 16 16 1",
-      "verification_tree 8808 16 16 1",
-      "verification_tree/level=0 4720 6 6 1",
+      " 8773 16 16 1",
+      "verification_tree 8773 16 16 1",
+      "verification_tree/level=0 4644 6 6 1",
       "verification_tree/level=0/equality 1280 2 2 1",
-      "verification_tree/level=0/basic_intersection 3440 4 4 1",
-      "verification_tree/level=0/basic_intersection/size_exchange 830 2 2 1",
-      "verification_tree/level=0/basic_intersection/hash_exchange 2610 2 2 1",
-      "verification_tree/level=1 1784 6 6 1",
+      "verification_tree/level=0/basic_intersection 3364 4 4 1",
+      "verification_tree/level=0/basic_intersection/size_exchange 810 2 2 1",
+      "verification_tree/level=0/basic_intersection/hash_exchange 2554 2 2 1",
+      "verification_tree/level=1 1825 6 6 1",
       "verification_tree/level=1/equality 1280 2 2 1",
-      "verification_tree/level=1/basic_intersection 504 4 4 1",
-      "verification_tree/level=1/basic_intersection/size_exchange 110 2 2 1",
-      "verification_tree/level=1/basic_intersection/hash_exchange 394 2 2 1",
+      "verification_tree/level=1/basic_intersection 545 4 4 1",
+      "verification_tree/level=1/basic_intersection/size_exchange 104 2 2 1",
+      "verification_tree/level=1/basic_intersection/hash_exchange 441 2 2 1",
       "verification_tree/level=2 1248 2 2 1",
       "verification_tree/level=2/equality 1248 2 2 1",
       "verification_tree/level=3 1056 2 2 1",
       "verification_tree/level=3/equality 1056 2 2 1",
   };
   EXPECT_EQ(phase_table(tracer), want);
-  expect_pin(ch, {8808u, 16u, 0x255e2378e362b8a1ull});
+  expect_pin(ch, {8773u, 16u, 0x75047fe49cc263a9ull});
 }
 
 // Checkpoint determinism (docs/ROBUSTNESS.md § checkpoint granularity):
@@ -322,7 +322,7 @@ TEST(TranscriptDigest, BasicIntersectionResumesToSamePin) {
       core::basic_intersection(ch, sh, 7, kUniverse, p.s, p.t, 0.01, &ckpt);
   EXPECT_TRUE(util::is_subset(p.expected_intersection, cand.s_candidate));
   EXPECT_EQ(ckpt.restores(), 1u);
-  expect_pin(ch, {12356u, 4u, 0x20c1b15d0918bd46ull});
+  expect_pin(ch, {12356u, 4u, 0x39744265dda51437ull});
 }
 
 TEST(TranscriptDigest, BasicIntersectionResumesAfterImagesToSamePin) {
@@ -339,7 +339,7 @@ TEST(TranscriptDigest, BasicIntersectionResumesAfterImagesToSamePin) {
       core::basic_intersection(ch, sh, 7, kUniverse, p.s, p.t, 0.01, &ckpt);
   EXPECT_TRUE(util::is_subset(p.expected_intersection, cand.s_candidate));
   EXPECT_EQ(ckpt.restores(), 1u);
-  expect_pin(ch, {12356u, 4u, 0x20c1b15d0918bd46ull});
+  expect_pin(ch, {12356u, 4u, 0x39744265dda51437ull});
 }
 
 TEST(TranscriptDigest, VerificationTreeResumesToSamePin) {
@@ -357,7 +357,7 @@ TEST(TranscriptDigest, VerificationTreeResumesToSamePin) {
       ch, sh, 7, kUniverse, p.s, p.t, params, nullptr, &ckpt);
   EXPECT_EQ(out.alice, p.expected_intersection);
   EXPECT_EQ(ckpt.restores(), 1u);
-  expect_pin(ch, {10574u, 8u, 0x52ebaebb9b12cb11ull});
+  expect_pin(ch, {10541u, 8u, 0xc571e58501bd451full});
 }
 
 TEST(TranscriptDigest, BucketEqResumesToSamePin) {
@@ -376,7 +376,7 @@ TEST(TranscriptDigest, BucketEqResumesToSamePin) {
                                                 3, nullptr, &ckpt);
   EXPECT_EQ(out.alice, p.expected_intersection);
   EXPECT_GE(ckpt.restores(), 1u);
-  expect_pin(ch, {4363u, 46u, 0xbd4364874c24a98eull});
+  expect_pin(ch, {4456u, 50u, 0x164304b897a7afb2ull});
 }
 
 TEST(TranscriptDigest, MultipartyCoordinator) {
@@ -388,9 +388,9 @@ TEST(TranscriptDigest, MultipartyCoordinator) {
   const auto res =
       multiparty::coordinator_intersection(net, sh, 1u << 20, inst.sets);
   EXPECT_EQ(res.intersection, inst.expected_intersection);
-  EXPECT_EQ(net.total_bits(), 20176u);
+  EXPECT_EQ(net.total_bits(), 20587u);
   EXPECT_EQ(net.rounds(), 22u);
-  EXPECT_EQ(net.max_player_bits(), 20176u);
+  EXPECT_EQ(net.max_player_bits(), 20587u);
 }
 
 TEST(TranscriptDigest, MultipartyTournament) {
@@ -402,9 +402,9 @@ TEST(TranscriptDigest, MultipartyTournament) {
   const auto res =
       multiparty::tournament_intersection(net, sh, 1u << 20, inst.sets);
   EXPECT_EQ(res.intersection, inst.expected_intersection);
-  EXPECT_EQ(net.total_bits(), 12080u);
+  EXPECT_EQ(net.total_bits(), 12209u);
   EXPECT_EQ(net.rounds(), 46u);
-  EXPECT_EQ(net.max_player_bits(), 4801u);
+  EXPECT_EQ(net.max_player_bits(), 4704u);
 }
 
 }  // namespace
