@@ -14,13 +14,16 @@
 //
 // The snapshot is single-slot by design: a session is a linear execution,
 // so only the newest boundary matters, and a nested protocol (e.g. the
-// Basic-Intersection batches inside a verification-tree stage) simply
+// Basic-Intersection exchange inside a verification-tree stage) simply
 // runs un-checkpointed under its parent's coarser granularity. A snapshot
 // is (tag, phase, state blob, bits_at_boundary): `tag` names the protocol
 // that wrote it, `phase` the first phase still to run, `state` a
 // self-contained BitBuffer the protocol can rebuild its live state from,
 // and `bits_at_boundary` the channel's bits_total at save time (what
-// bits_replayed is measured against).
+// bits_replayed is measured against). For the separated-party protocols
+// (verification tree, Basic-Intersection) sim::run_two_party writes the
+// snapshot: the state is the log of messages delivered so far, which a
+// resumed run replays into fresh parties.
 //
 // Determinism contract (pinned in tests/transcript_digest_test.cc):
 // snapshot -> restore -> finish on the same channel produces a transcript

@@ -62,10 +62,8 @@ double estimate_local_ns(PlanKind kind, const PlannerQuery& query,
                          int rounds_r, simd::Tier tier) {
   validate(query);
   // Per-element throughput constants (ns/element on the reference box,
-  // BENCH_cpu.json SIMD lane). Hash lanes default-route to the batched
-  // scalar pipeline at EVERY hardware tier — the measured crossover says
-  // scalar MULX beats the AVX2 32-bit-limb mulhi emulation (see
-  // simd/kernels.cc hash_lane_tier) — so their cost is tier-independent.
+  // BENCH_cpu.json SIMD lane). Hash lanes are scalar on every tier (see
+  // simd/kernels.h), so their cost is tier-independent.
   // The intersection oracle genuinely gains on both vector tiers.
   const double hash_ns = 5.0;
   const double isect_ns = tier == simd::Tier::kAvx2  ? 0.6

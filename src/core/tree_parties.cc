@@ -2,83 +2,210 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
+#include <map>
+#include <mutex>
 #include <stdexcept>
+#include <string>
 
+#include "hashing/pairwise.h"
+#include "util/arena.h"
 #include "util/bitio.h"
 #include "util/iterated_log.h"
 #include "util/rng.h"
 
 namespace setint::core {
 
-TreePartyBase::TreePartyBase(sim::SharedRandomness shared,
-                             std::uint64_t nonce, std::uint64_t universe,
-                             util::Set input,
-                             const VerificationTreeParams& params,
-                             const ResourceLimits* limits)
+namespace {
+
+using Range = std::pair<std::size_t, std::size_t>;  // [first, second)
+
+// Leaves covered by a level-i node: |C(v)| = log^(r-i) k, rounded, clamped
+// into [1, k] and kept monotone in i so ranges nest.
+std::vector<std::size_t> level_cover_sizes(std::size_t leaves, int r) {
+  std::vector<std::size_t> cover(static_cast<std::size_t>(r) + 1);
+  cover[static_cast<std::size_t>(r)] = leaves;
+  for (int i = r - 1; i >= 0; --i) {
+    const double v =
+        util::iterated_log(r - i, static_cast<double>(leaves));
+    auto c = static_cast<std::size_t>(std::llround(std::max(1.0, v)));
+    c = std::min(c, cover[static_cast<std::size_t>(i) + 1]);
+    cover[static_cast<std::size_t>(i)] = std::max<std::size_t>(1, c);
+  }
+  cover[0] = 1;  // level 0 nodes are the leaves themselves
+  return cover;
+}
+
+TreeLayout compute_layout(std::size_t leaves, int rounds_r) {
+  if (leaves == 0) throw std::invalid_argument("layout: zero leaves");
+  if (rounds_r < 1) throw std::invalid_argument("layout: r < 1");
+  const std::vector<std::size_t> cover = level_cover_sizes(leaves, rounds_r);
+  TreeLayout layout(static_cast<std::size_t>(rounds_r) + 1);
+  layout[static_cast<std::size_t>(rounds_r)] = {Range{0, leaves}};
+  for (int i = rounds_r - 1; i >= 0; --i) {
+    const std::size_t chunk = cover[static_cast<std::size_t>(i)];
+    for (const Range& parent : layout[static_cast<std::size_t>(i) + 1]) {
+      for (std::size_t lo = parent.first; lo < parent.second; lo += chunk) {
+        layout[static_cast<std::size_t>(i)].push_back(
+            Range{lo, std::min(lo + chunk, parent.second)});
+      }
+    }
+  }
+  return layout;
+}
+
+// Bounded, thread-safe memo: the iterated-log level-degree schedule depends
+// only on (leaves, r), and benchmark/batch workloads ask for the same
+// shapes thousands of times (each session twice, once per party).
+constexpr std::size_t kMaxLayoutCacheEntries = 256;
+
+// Tracer paths of one stage's messages. Outgoing::phase is a view, so the
+// paths live in a table built once per process, not in per-session
+// strings.
+struct StagePhases {
+  std::string equality;
+  std::string size_exchange;
+  std::string hash_exchange;
+};
+
+const StagePhases& stage_phases(int stage) {
+  static const std::vector<StagePhases> table = [] {
+    std::vector<StagePhases> t;
+    for (int i = 0; i < kMaxTreeStages; ++i) {
+      const std::string level = "level=" + std::to_string(i);
+      t.push_back({level + "/equality",
+                   level + "/basic_intersection/size_exchange",
+                   level + "/basic_intersection/hash_exchange"});
+    }
+    return t;
+  }();
+  return table[static_cast<std::size_t>(stage)];
+}
+
+// Failure target 1/(log^(r-i-1) k)^4 of stage i's equality tests and
+// Basic-Intersection re-runs (Algorithm 1) is 1/tower^4.
+double stage_tower(int r, int stage, std::size_t leaves) {
+  return std::max(2.0, util::iterated_log(r - stage - 1,
+                                          static_cast<double>(leaves)));
+}
+
+}  // namespace
+
+std::shared_ptr<const TreeLayout> tree_layout(std::size_t leaves,
+                                              int rounds_r) {
+  static std::mutex mu;
+  static std::map<std::pair<std::size_t, int>,
+                  std::shared_ptr<const TreeLayout>>
+      cache;
+  const std::pair<std::size_t, int> key{leaves, rounds_r};
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    const auto it = cache.find(key);
+    if (it != cache.end()) return it->second;
+  }
+  auto fresh =
+      std::make_shared<const TreeLayout>(compute_layout(leaves, rounds_r));
+  std::lock_guard<std::mutex> lock(mu);
+  const auto [it, inserted] = cache.try_emplace(key, fresh);
+  if (!inserted) return it->second;  // another thread won the race
+  if (cache.size() > kMaxLayoutCacheEntries) {
+    // Never evict the entry just added: the peer party asks for the same
+    // shape right after this one.
+    cache.erase(cache.begin() != it ? cache.begin() : std::next(it));
+  }
+  return fresh;
+}
+
+TreeParty::TreeParty(const sim::SharedRandomness& shared, std::uint64_t nonce,
+                     std::uint64_t universe, util::SetView input,
+                     const VerificationTreeParams& params, sim::PartyEnv env)
     : shared_(shared), nonce_(nonce), universe_(universe), params_(params),
-      env_(limits, pool_, arena_) {
-  util::validate_set(input, universe);
+      env_(env) {
   if (params.bucket_count == 0) {
     // A party cannot see the peer's size, so the public bound must be
     // explicit in this execution mode.
     throw std::invalid_argument("tree party: bucket_count must be explicit");
   }
-  if (params.worst_case_cutoff_factor != 0.0) {
-    throw std::invalid_argument("tree party: cutoff unsupported");
-  }
-  buckets_ = params.bucket_count;
-  r_ = params.rounds_r != 0
-           ? params.rounds_r
-           : std::max(1, util::log_star(static_cast<double>(buckets_)));
+  const std::size_t k = params.bucket_count;
+  const double kd = static_cast<double>(k);
+  r_ = params.rounds_r != 0 ? params.rounds_r
+                            : std::max(1, util::log_star(kd));
   if (r_ < 2) throw std::invalid_argument("tree party: requires r >= 2");
-  layout_ = verification_tree_layout(buckets_, r_);
+  if (r_ > kMaxTreeStages) {
+    throw std::invalid_argument("tree party: r > kMaxTreeStages");
+  }
+  layout_ = tree_layout(k, r_);
+  budget_ = params.worst_case_cutoff_factor > 0
+                ? params.worst_case_cutoff_factor * kd *
+                      std::max(1.0, util::iterated_log(r_, kd))
+                : std::numeric_limits<double>::infinity();
 
+  // Bucket partition (the leaves' initial assignments S^(-1), T^(-1)):
+  // batched hashing, then one stable counting sort into a CSR table.
+  // Inputs are sorted and counting sort keeps input order, so every bucket
+  // comes out sorted.
   util::Rng bucket_stream = shared_.stream("vt-buckets", nonce_);
-  const auto h =
-      hashing::PairwiseHash::sample(bucket_stream, universe_, buckets_);
-  assignment_.resize(buckets_);
-  for (std::uint64_t x : input) assignment_[h(x)].push_back(x);
-  for (auto& bucket : assignment_) std::sort(bucket.begin(), bucket.end());
+  const auto h = hashing::PairwiseHash::sample(bucket_stream, universe_, k);
+  const std::span<std::uint64_t> keys = env_.arena->alloc_u64(input.size());
+  h.hash_many(input, keys);
+  buckets_ = util::build_flat_buckets_values(keys, input, k, *env_.arena);
+  assignment_.resize(k);
+  for (std::size_t u = 0; u < k; ++u) assignment_[u] = buckets_.bucket(u);
+
+  const auto stages = static_cast<std::size_t>(r_);
+  repaired_.reserve(stages);
+  diag_.stage_failures.assign(stages, 0);
+  diag_.stage_eq_bits.assign(stages, 0);
+  diag_.stage_bi_bits.assign(stages, 0);
+  diag_.leaf_reruns.assign(k, 0);
 }
 
-std::uint64_t TreePartyBase::eq_nonce(int stage) const {
-  return util::mix64(nonce_, util::mix64(0xE9, stage));
+std::uint64_t TreeParty::eq_nonce() const {
+  return util::mix64(nonce_, util::mix64(0xE9, stage_));
 }
 
-std::uint64_t TreePartyBase::bi_nonce(int stage) const {
-  return util::mix64(nonce_, util::mix64(0xB1, stage));
-}
-
-std::size_t TreePartyBase::eq_bits(int stage) const {
-  const double tower = std::max(
-      2.0, util::iterated_log(r_ - stage - 1, static_cast<double>(buckets_)));
+std::size_t TreeParty::eq_bits(int stage) const {
+  const double tower = stage_tower(r_, stage, params_.bucket_count);
   return static_cast<std::size_t>(std::max(
       1.0, std::ceil(params_.eq_bits_scale * 4.0 * std::log2(tower))));
 }
 
-double TreePartyBase::bi_failure(int stage) const {
-  const double tower = std::max(
-      2.0, util::iterated_log(r_ - stage - 1, static_cast<double>(buckets_)));
-  return std::min(0.25, (1.0 / std::pow(tower, 4.0)) /
-                            std::max(1e-6, params_.bi_range_scale));
+template <typename BiParty>
+void TreeParty::start_repair(std::optional<BiParty>& bi) {
+  const double tower = stage_tower(r_, stage_, params_.bucket_count);
+  const double failure = std::min(
+      0.25, (1.0 / std::pow(tower, 4.0)) /
+                std::max(1e-6, params_.bi_range_scale));
+  bi.emplace(shared_, util::mix64(nonce_, util::mix64(0xB1, stage_)),
+             universe_, failed_sets_, failure, env_);
 }
 
-std::span<const util::BitBuffer> TreePartyBase::node_contents(int stage) {
-  const auto& ranges = layout_[static_cast<std::size_t>(stage)];
-  contents_.resize(ranges.size());
+std::span<const util::BitBuffer> TreeParty::node_contents() {
+  const auto& ranges = (*layout_)[static_cast<std::size_t>(stage_)];
+  // Stage 0 has the most nodes, so later stages reuse its buffers.
+  if (contents_.size() < ranges.size()) contents_.resize(ranges.size());
   for (std::size_t v = 0; v < ranges.size(); ++v) {
     contents_[v].clear();
     for (std::size_t u = ranges[v].first; u < ranges[v].second; ++u) {
       util::append_set(contents_[v], assignment_[u]);
     }
   }
-  return contents_;
+  return std::span<const util::BitBuffer>(contents_.data(), ranges.size());
 }
 
-bool TreePartyBase::fail_leaves(const std::vector<bool>& pass, int stage) {
+bool TreeParty::fail_leaves(const std::vector<bool>& pass) {
+  const auto& ranges = (*layout_)[static_cast<std::size_t>(stage_)];
+  std::size_t leaves = 0;
+  for (std::size_t v = 0; v < ranges.size(); ++v) {
+    if (pass[v]) continue;
+    diag_.stage_failures[static_cast<std::size_t>(stage_)] += 1;
+    leaves += ranges[v].second - ranges[v].first;
+  }
   failed_leaves_.clear();
   failed_sets_.clear();
-  const auto& ranges = layout_[static_cast<std::size_t>(stage)];
+  failed_leaves_.reserve(leaves);
+  failed_sets_.reserve(leaves);
   for (std::size_t v = 0; v < ranges.size(); ++v) {
     if (pass[v]) continue;
     for (std::size_t u = ranges[v].first; u < ranges[v].second; ++u) {
@@ -86,19 +213,49 @@ bool TreePartyBase::fail_leaves(const std::vector<bool>& pass, int stage) {
       failed_sets_.push_back(assignment_[u]);
     }
   }
-  return !failed_leaves_.empty();
+  return leaves > 0;
 }
 
-void TreePartyBase::take_candidates(BasicIntersectionParty& bi) {
+void TreeParty::take_candidates(BasicIntersectionParty& bi) {
+  // Sized once and never resized, so the views into it stay valid.
+  std::vector<util::Set>& store =
+      repaired_.emplace_back(failed_leaves_.size());
   for (std::size_t j = 0; j < failed_leaves_.size(); ++j) {
-    assignment_[failed_leaves_[j]] = bi.take_candidate(j);
+    const std::size_t u = failed_leaves_[j];
+    store[j] = bi.take_candidate(j);
+    assignment_[u] = store[j];
+    diag_.leaf_reruns[u] += 1;
   }
+  diag_.total_bi_runs += failed_leaves_.size();
 }
 
-util::Set TreePartyBase::gather_output() const {
+void TreeParty::meter(const util::BitBuffer& frame, bool repair) {
+  const std::uint64_t bits = frame.size_bits();
+  bits_seen_ += bits;
+  auto& stage_bits = repair ? diag_.stage_bi_bits : diag_.stage_eq_bits;
+  stage_bits[static_cast<std::size_t>(stage_)] += bits;
+}
+
+sim::Outgoing TreeParty::send(std::optional<sim::Outgoing> msg, bool repair) {
+  meter(msg->bits, repair);
+  const StagePhases& phases = stage_phases(stage_);
+  msg->phase = msg->phase.empty()              ? phases.equality
+               : msg->phase == "size_exchange" ? phases.size_exchange
+                                               : phases.hash_exchange;
+  msg->boundary = false;
+  return std::move(*msg);
+}
+
+bool TreeParty::end_stage() {
+  ++stage_;
+  if (static_cast<double>(bits_seen_) > budget_) diag_.fallback_used = true;
+  return !done();
+}
+
+util::Set TreeParty::output() const {
   util::Set out;
-  for (const util::Set& bucket : assignment_) {
-    out.insert(out.end(), bucket.begin(), bucket.end());
+  for (util::SetView leaf : assignment_) {
+    out.insert(out.end(), leaf.begin(), leaf.end());
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -106,75 +263,69 @@ util::Set TreePartyBase::gather_output() const {
 
 // ---------- Alice ----------
 
-TreeAlice::TreeAlice(sim::SharedRandomness shared, std::uint64_t nonce,
-                     std::uint64_t universe, util::Set input,
-                     const VerificationTreeParams& params,
-                     const ResourceLimits* limits)
-    : TreePartyBase(shared, nonce, universe, std::move(input), params,
-                    limits) {}
-
 std::optional<sim::Outgoing> TreeAlice::start() { return begin_stage(); }
 
 std::optional<sim::Outgoing> TreeAlice::begin_stage() {
-  if (stage_ >= r_) return std::nullopt;
-  eq_.emplace(shared_, eq_nonce(stage_), node_contents(stage_),
-              eq_bits(stage_), env_);
-  return eq_->start();
+  eq_.emplace(shared_, eq_nonce(), node_contents(), eq_bits(stage_), env_);
+  return send(eq_->start(), /*repair=*/false);
 }
 
 std::optional<sim::Outgoing> TreeAlice::on_message(
     const util::BitBuffer& message) {
   if (bi_) {
+    meter(message, /*repair=*/true);
     std::optional<sim::Outgoing> reply = bi_->on_message(message);
-    if (!bi_->done()) return reply;
+    if (!bi_->done()) return send(std::move(reply), /*repair=*/true);
     take_candidates(*bi_);
     bi_.reset();
   } else {
     if (!eq_) throw std::logic_error("TreeAlice: unexpected message");
+    meter(message, /*repair=*/false);
     eq_->on_message(message);
-    const bool repair = fail_leaves(eq_->verdicts(), stage_);
+    const bool repair = fail_leaves(eq_->verdicts());
     eq_.reset();
     if (repair) {
-      bi_.emplace(shared_, bi_nonce(stage_), universe_, failed_sets_,
-                  bi_failure(stage_), env_);
-      return bi_->start();
+      start_repair(bi_);
+      return send(bi_->start(), /*repair=*/true);
     }
   }
-  ++stage_;
+  if (!end_stage()) return std::nullopt;
   return begin_stage();
 }
 
 // ---------- Bob ----------
 
-TreeBob::TreeBob(sim::SharedRandomness shared, std::uint64_t nonce,
-                 std::uint64_t universe, util::Set input,
-                 const VerificationTreeParams& params,
-                 const ResourceLimits* limits)
-    : TreePartyBase(shared, nonce, universe, std::move(input), params,
-                    limits) {}
-
 std::optional<sim::Outgoing> TreeBob::on_message(
     const util::BitBuffer& message) {
   if (done()) throw std::logic_error("TreeBob: unexpected message");
-  if (bi_) {
-    std::optional<sim::Outgoing> reply = bi_->on_message(message);
-    if (bi_->done()) {
+  const bool repair = bi_.has_value();
+  meter(message, repair);
+  std::optional<sim::Outgoing> reply;
+  bool stage_over = true;
+  if (repair) {
+    reply = bi_->on_message(message);
+    stage_over = bi_->done();
+    if (stage_over) {
       take_candidates(*bi_);
       bi_.reset();
-      ++stage_;
     }
-    return reply;
-  }
-  EqualityBob eq(shared_, eq_nonce(stage_), node_contents(stage_),
-                 eq_bits(stage_), env_);
-  std::optional<sim::Outgoing> verdicts = eq.on_message(message);
-  if (fail_leaves(eq.verdicts(), stage_)) {
-    bi_.emplace(shared_, bi_nonce(stage_), universe_, failed_sets_,
-                bi_failure(stage_), env_);
   } else {
-    ++stage_;
+    EqualityBob eq(shared_, eq_nonce(), node_contents(), eq_bits(stage_),
+                   env_);
+    reply = eq.on_message(message);
+    if (fail_leaves(eq.verdicts())) {
+      start_repair(bi_);
+      stage_over = false;
+    }
   }
-  return verdicts;
+  sim::Outgoing out = send(std::move(reply), repair);
+  if (stage_over) {
+    // The stage's last message is the checkpoint boundary, unless the
+    // cutoff ends the protocol here.
+    end_stage();
+    out.boundary = !diag_.fallback_used;
+  }
+  return out;
 }
 
 }  // namespace setint::core

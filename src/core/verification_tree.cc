@@ -1,117 +1,83 @@
 #include "core/verification_tree.h"
 
 #include <algorithm>
-#include <cmath>
-#include <deque>
-#include <limits>
-#include <map>
-#include <memory>
-#include <mutex>
+#include <optional>
 #include <stdexcept>
 
-#include "core/basic_intersection.h"
 #include "core/deterministic_exchange.h"
 #include "core/one_round_hash.h"
-#include "eq/equality.h"
-#include "hashing/pairwise.h"
+#include "core/tree_parties.h"
 #include "obs/tracer.h"
+#include "sim/runtime.h"
 #include "util/arena.h"
-#include "util/bitio.h"
-#include "util/flat_buckets.h"
 #include "util/iterated_log.h"
-#include "util/rng.h"
 
 namespace setint::core {
 
 namespace {
 
-using Range = std::pair<std::size_t, std::size_t>;  // [first, second)
-
-// Leaves covered by a level-i node: |C(v)| = log^(r-i) k, rounded, clamped
-// into [1, k] and kept monotone in i so ranges nest.
-std::vector<std::size_t> level_cover_sizes(std::size_t leaves, int r) {
-  std::vector<std::size_t> cover(static_cast<std::size_t>(r) + 1);
-  cover[static_cast<std::size_t>(r)] = leaves;
-  for (int i = r - 1; i >= 0; --i) {
-    const double v =
-        util::iterated_log(r - i, static_cast<double>(leaves));
-    auto c = static_cast<std::size_t>(std::llround(std::max(1.0, v)));
-    c = std::min(c, cover[static_cast<std::size_t>(i) + 1]);
-    cover[static_cast<std::size_t>(i)] = std::max<std::size_t>(1, c);
-  }
-  cover[0] = 1;  // level 0 nodes are the leaves themselves
-  return cover;
-}
-
-using Layout = std::vector<std::vector<Range>>;
-
-Layout compute_layout(std::size_t leaves, int rounds_r) {
-  if (leaves == 0) throw std::invalid_argument("layout: zero leaves");
-  if (rounds_r < 1) throw std::invalid_argument("layout: r < 1");
-  const std::vector<std::size_t> cover = level_cover_sizes(leaves, rounds_r);
-  Layout layout(static_cast<std::size_t>(rounds_r) + 1);
-  layout[static_cast<std::size_t>(rounds_r)] = {Range{0, leaves}};
-  for (int i = rounds_r - 1; i >= 0; --i) {
-    const std::size_t chunk = cover[static_cast<std::size_t>(i)];
-    for (const Range& parent : layout[static_cast<std::size_t>(i) + 1]) {
-      for (std::size_t lo = parent.first; lo < parent.second; lo += chunk) {
-        layout[static_cast<std::size_t>(i)].push_back(
-            Range{lo, std::min(lo + chunk, parent.second)});
-      }
+// Alice as the runner drives her, plus the loud check a simulation that
+// holds both parties can afford: once Alice has read Bob's verdicts, both
+// must repair the same leaves. A tampered verdict frame fails the run
+// right there, before the desynchronised repair sends anything.
+class CheckedAlice final : public sim::Party {
+ public:
+  CheckedAlice(TreeAlice& alice, const TreeBob& bob)
+      : alice_(alice), bob_(bob) {}
+  std::optional<sim::Outgoing> start() override { return alice_.start(); }
+  std::optional<sim::Outgoing> on_message(
+      const util::BitBuffer& message) override {
+    std::optional<sim::Outgoing> reply = alice_.on_message(message);
+    if (alice_.failed_leaves() != bob_.failed_leaves()) {
+      throw std::logic_error("verification_tree: equality verdict mismatch");
     }
+    return reply;
   }
-  return layout;
-}
+  bool done() const override { return alice_.done(); }
 
-// Layout memo: the iterated-log level-degree schedule depends only on
-// (leaves, r), and benchmark/batch workloads recompute it for the same
-// shapes thousands of times. Bounded, thread-safe, shared-pointer values so
-// concurrent sessions read one immutable copy without holding the lock.
-constexpr std::size_t kMaxLayoutCacheEntries = 256;
+ private:
+  TreeAlice& alice_;
+  const TreeBob& bob_;
+};
 
-std::shared_ptr<const Layout> layout_cached(std::size_t leaves, int rounds_r) {
-  static std::mutex mu;
-  static std::map<std::pair<std::size_t, int>, std::shared_ptr<const Layout>>
-      cache;
-  const std::pair<std::size_t, int> key{leaves, rounds_r};
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    const auto it = cache.find(key);
-    if (it != cache.end()) return it->second;
+// The vt.* and bi.* metrics of a finished run, from the parties'
+// diagnostics; stages the cutoff skipped recorded no bits and emit nothing.
+void emit_metrics(obs::Tracer* tracer, const TreeAlice& alice,
+                  const TreeBob& bob, std::size_t leaves) {
+  if (tracer == nullptr) return;
+  const VerificationTreeDiag& diag = alice.diag();
+  for (std::size_t u = 0; u < leaves; ++u) {
+    obs::observe(tracer, "vt.bucket_size",
+                 alice.bucket_size(u) + bob.bucket_size(u));
   }
-  auto fresh =
-      std::make_shared<const Layout>(compute_layout(leaves, rounds_r));
-  std::lock_guard<std::mutex> lock(mu);
-  const auto [it, inserted] = cache.try_emplace(key, fresh);
-  if (!inserted) return it->second;  // another thread won the race
-  if (cache.size() > kMaxLayoutCacheEntries) cache.erase(cache.begin());
-  return fresh;
+  std::uint64_t bi_batches = 0;
+  for (std::size_t i = 0; i < diag.stage_failures.size(); ++i) {
+    if (diag.stage_eq_bits[i] == 0) break;
+    obs::observe(tracer, "vt.eq_hash_bits",
+                 alice.eq_bits(static_cast<int>(i)));
+    obs::count(tracer, "vt.stage_failures", diag.stage_failures[i]);
+    bi_batches += diag.stage_failures[i] > 0 ? 1 : 0;
+  }
+  if (diag.total_bi_runs > 0) {
+    obs::count(tracer, "vt.bi_runs", diag.total_bi_runs);
+    obs::count(tracer, "bi.batches", bi_batches);
+    obs::count(tracer, "bi.instances", diag.total_bi_runs);
+  }
+  if (diag.fallback_used) {
+    obs::count(tracer, "vt.fallbacks");
+    return;
+  }
+  for (std::uint32_t reruns : diag.leaf_reruns) {
+    obs::observe(tracer, "vt.leaf_reruns", reruns);
+  }
 }
 
 }  // namespace
 
-std::vector<std::vector<Range>> verification_tree_layout(std::size_t leaves,
-                                                         int rounds_r) {
-  return *layout_cached(leaves, rounds_r);
+std::vector<std::vector<std::pair<std::size_t, std::size_t>>>
+verification_tree_layout(std::size_t leaves, int rounds_r) {
+  return *tree_layout(leaves, rounds_r);
 }
-
-namespace {
-
-// Snapshot blob for the "vt" checkpoint: bucket count (sanity), then the
-// per-leaf candidate assignments, gamma-delta coded like any wire set.
-util::BitBuffer encode_vt_state(std::size_t k,
-                                const std::vector<util::SetView>& sa,
-                                const std::vector<util::SetView>& tb) {
-  util::BitBuffer blob;
-  blob.append_gamma64(k);
-  for (std::size_t u = 0; u < k; ++u) {
-    util::append_set(blob, sa[u]);
-    util::append_set(blob, tb[u]);
-  }
-  return blob;
-}
-
-}  // namespace
 
 IntersectionOutput verification_tree_intersection(
     sim::Channel& channel, const sim::SharedRandomness& shared,
@@ -119,219 +85,45 @@ IntersectionOutput verification_tree_intersection(
     util::SetView t, const VerificationTreeParams& params,
     VerificationTreeDiag* diag, Checkpoint* ckpt) {
   validate_instance(universe, s, t);
-  const std::size_t k =
-      params.bucket_count != 0
-          ? params.bucket_count
-          : std::max<std::size_t>({s.size(), t.size(), 2});
-  const double kd = static_cast<double>(k);
-  const int r = params.rounds_r != 0 ? params.rounds_r
-                                     : std::max(1, util::log_star(kd));
-  if (r < 1) throw std::invalid_argument("verification_tree: r < 1");
+  // The public parameters both parties derive from: the size bound k and
+  // the stage count r.
+  VerificationTreeParams pub = params;
+  if (pub.bucket_count == 0) {
+    pub.bucket_count = std::max<std::size_t>({s.size(), t.size(), 2});
+  }
+  if (pub.rounds_r == 0) {
+    pub.rounds_r =
+        std::max(1, util::log_star(static_cast<double>(pub.bucket_count)));
+  }
+  if (pub.rounds_r < 1 || pub.rounds_r > kMaxTreeStages) {
+    throw std::invalid_argument("verification_tree: r out of range");
+  }
 
   obs::Tracer* tracer = channel.tracer();
   obs::Span protocol_span(tracer, "verification_tree");
 
   // Theorem 3.6, r = 1 base case: plain hash exchange with range k^c —
   // exactly the one-round protocol, c k log k bits in two messages.
-  if (r == 1) {
+  if (pub.rounds_r == 1) {
     if (diag != nullptr) *diag = VerificationTreeDiag{};
     return one_round_hash(channel, shared, nonce, universe, s, t);
   }
 
   util::ScratchArena::Frame scratch_frame(channel.scratch());
-  util::ScratchArena& arena = channel.scratch();
-  // Per-leaf candidate assignments are views: initially into the CSR data,
-  // and after a Basic-Intersection re-run into `cand_store` (a deque, so
-  // stored candidates never move when later stages append).
-  std::vector<util::SetView> sa(k);
-  std::vector<util::SetView> tb(k);
-  std::deque<CandidatePair> cand_store;
-  int start_stage = 0;
-  if (ckpt != nullptr && ckpt->has("vt")) {
-    // Crash resume: the per-leaf assignments at the last completed stage
-    // boundary come out of the snapshot; the bucket partition is not
-    // recomputed (it is subsumed by the stage-0 state).
-    util::BitReader rd(ckpt->state());
-    const std::uint64_t saved_k = rd.read_gamma64();
-    if (saved_k != k) {
-      throw std::logic_error("verification_tree: checkpoint bucket count "
-                             "mismatch");
-    }
-    for (std::size_t u = 0; u < k; ++u) {
-      CandidatePair cp;
-      cp.s_candidate = util::read_set(rd);
-      cp.t_candidate = util::read_set(rd);
-      cand_store.push_back(std::move(cp));
-      sa[u] = cand_store.back().s_candidate;
-      tb[u] = cand_store.back().t_candidate;
-    }
-    start_stage = static_cast<int>(ckpt->phase());
-    ckpt->note_restore();
-  } else {
-    // Bucket partition (the leaves' initial assignments S^(-1), T^(-1)):
-    // batched hashing, then one stable counting sort into a CSR table per
-    // side. Inputs are sorted and counting sort preserves input order, so
-    // every bucket comes out sorted — the explicit per-bucket sort the old
-    // vector-of-vector code needed is now a structural guarantee.
-    util::Rng bucket_stream = shared.stream("vt-buckets", nonce);
-    const auto h = hashing::PairwiseHash::sample(bucket_stream, universe, k);
-    const std::span<std::uint64_t> keys_s = arena.alloc_u64(s.size());
-    const std::span<std::uint64_t> keys_t = arena.alloc_u64(t.size());
-    h.hash_many(s, keys_s);
-    h.hash_many(t, keys_t);
-    const util::FlatBuckets sb_init =
-        util::build_flat_buckets_values(keys_s, s, k, arena);
-    const util::FlatBuckets tb_init =
-        util::build_flat_buckets_values(keys_t, t, k, arena);
-    for (std::size_t u = 0; u < k; ++u) {
-      sa[u] = sb_init.bucket(u);
-      tb[u] = tb_init.bucket(u);
-    }
-    if (tracer != nullptr) {
-      for (std::size_t u = 0; u < k; ++u) {
-        obs::observe(tracer, "vt.bucket_size", sa[u].size() + tb[u].size());
-      }
-    }
+  const sim::PartyEnv env(channel);
+  TreeAlice alice(shared, nonce, universe, s, pub, env);
+  TreeBob bob(shared, nonce, universe, t, pub, env);
+  CheckedAlice checked(alice, bob);
+  // At most six messages per stage; every completed stage is a "vt"
+  // checkpoint boundary.
+  sim::run_two_party(channel, checked, bob,
+                     6 * static_cast<std::size_t>(pub.rounds_r), ckpt, "vt");
+  emit_metrics(tracer, alice, bob, pub.bucket_count);
+  if (diag != nullptr) *diag = alice.diag();
+  if (alice.diag().fallback_used) {
+    return deterministic_exchange(channel, universe, s, t);
   }
-
-  const std::shared_ptr<const std::vector<std::vector<Range>>> layout_ptr =
-      layout_cached(k, r);
-  const auto& layout = *layout_ptr;
-
-  VerificationTreeDiag local;
-  local.stage_failures.assign(static_cast<std::size_t>(r), 0);
-  local.stage_eq_bits.assign(static_cast<std::size_t>(r), 0);
-  local.stage_bi_bits.assign(static_cast<std::size_t>(r), 0);
-  local.leaf_reruns.assign(k, 0);
-
-  const std::uint64_t start_bits = channel.cost().bits_total;
-  const double budget =
-      params.worst_case_cutoff_factor > 0
-          ? params.worst_case_cutoff_factor * kd *
-                std::max(1.0, util::iterated_log(r, kd))
-          : std::numeric_limits<double>::infinity();
-
-  // Per-node concatenated-encoding scratch, hoisted out of the stage loop:
-  // stage 0 has the most nodes, so later (smaller) stages reuse its word
-  // storage instead of re-allocating k buffers per stage.
-  std::vector<util::BitBuffer> ca;
-  std::vector<util::BitBuffer> cb;
-
-  for (int stage = start_stage; stage < r; ++stage) {
-    obs::Span stage_span(tracer, "level=" + std::to_string(stage));
-    // Failure target 1/(log^(r-i-1) k)^4 for this stage's equality tests
-    // and Basic-Intersection re-runs (Algorithm 1).
-    const double tower =
-        std::max(2.0, util::iterated_log(r - stage - 1, kd));
-    const double stage_failure = 1.0 / std::pow(tower, 4.0);
-    const auto eq_bits = static_cast<std::size_t>(std::max(
-        1.0, std::ceil(params.eq_bits_scale * 4.0 * std::log2(tower))));
-    const double bi_failure =
-        std::min(0.25, stage_failure / std::max(1e-6, params.bi_range_scale));
-    obs::observe(tracer, "vt.eq_hash_bits", eq_bits);
-
-    // Step 1: batched equality tests at every level-`stage` node.
-    const auto& ranges = layout[static_cast<std::size_t>(stage)];
-    if (ca.size() < ranges.size()) {
-      ca.resize(ranges.size());
-      cb.resize(ranges.size());
-    }
-    for (std::size_t v = 0; v < ranges.size(); ++v) {
-      ca[v].clear();
-      cb[v].clear();
-      for (std::size_t u = ranges[v].first; u < ranges[v].second; ++u) {
-        util::append_set(ca[v], sa[u]);
-        util::append_set(cb[v], tb[u]);
-      }
-    }
-    const std::uint64_t eq_before = channel.cost().bits_total;
-    std::vector<bool> pass;
-    {
-      obs::Span eq_span(tracer, "equality");
-      pass = eq::batch_equality_test(
-          channel, shared, util::mix64(nonce, util::mix64(0xE9, stage)),
-          std::span<const util::BitBuffer>(ca.data(), ranges.size()),
-          std::span<const util::BitBuffer>(cb.data(), ranges.size()),
-          eq_bits);
-    }
-    local.stage_eq_bits[static_cast<std::size_t>(stage)] =
-        channel.cost().bits_total - eq_before;
-
-    // Step 2: re-run Basic-Intersection on every leaf under a failed node.
-    std::vector<std::size_t> failed_leaves;
-    for (std::size_t v = 0; v < ranges.size(); ++v) {
-      if (pass[v]) continue;
-      local.stage_failures[static_cast<std::size_t>(stage)] += 1;
-      for (std::size_t u = ranges[v].first; u < ranges[v].second; ++u) {
-        failed_leaves.push_back(u);
-      }
-    }
-    if (!failed_leaves.empty()) {
-      std::vector<std::pair<util::SetView, util::SetView>> pairs;
-      pairs.reserve(failed_leaves.size());
-      for (std::size_t u : failed_leaves) {
-        pairs.emplace_back(sa[u], tb[u]);
-      }
-      const std::uint64_t bi_before = channel.cost().bits_total;
-      obs::Span bi_span(tracer, "basic_intersection");
-      std::vector<CandidatePair> cands = basic_intersection_batch(
-          channel, shared, util::mix64(nonce, util::mix64(0xB1, stage)),
-          universe, pairs, bi_failure);
-      local.stage_bi_bits[static_cast<std::size_t>(stage)] =
-          channel.cost().bits_total - bi_before;
-      for (std::size_t j = 0; j < failed_leaves.size(); ++j) {
-        const std::size_t u = failed_leaves[j];
-        cand_store.push_back(std::move(cands[j]));
-        sa[u] = cand_store.back().s_candidate;
-        tb[u] = cand_store.back().t_candidate;
-        local.leaf_reruns[u] += 1;
-      }
-      local.total_bi_runs += failed_leaves.size();
-      // Emitted here — per completed stage, before the phase-boundary
-      // save — not from local.total_bi_runs at the end: `local` restarts
-      // from zero on every checkpoint re-entry, so an end-of-run total
-      // under-counts any resumed session (crash restore or sans-IO park).
-      obs::count(tracer, "vt.bi_runs", failed_leaves.size());
-    }
-
-    obs::count(tracer, "vt.stage_failures",
-               local.stage_failures[static_cast<std::size_t>(stage)]);
-
-    if (static_cast<double>(channel.cost().bits_total - start_bits) >
-        budget) {
-      local.fallback_used = true;
-      obs::count(tracer, "vt.fallbacks");
-      IntersectionOutput exact =
-          deterministic_exchange(channel, universe, s, t);
-      if (diag != nullptr) *diag = local;
-      return exact;
-    }
-
-    // Phase boundary: stage complete, assignments consistent on both
-    // sides. A crash after this point resumes at stage + 1 (phase == r
-    // means "all stages done": only the final concatenation — which sends
-    // nothing — remains).
-    if (ckpt != nullptr) {
-      ckpt->save("vt", static_cast<std::uint64_t>(stage) + 1,
-                 encode_vt_state(k, sa, tb), channel.cost().bits_total);
-    }
-  }
-
-  if (tracer != nullptr) {
-    for (std::uint32_t reruns : local.leaf_reruns) {
-      obs::observe(tracer, "vt.leaf_reruns", reruns);
-    }
-  }
-
-  IntersectionOutput out;
-  for (std::size_t u = 0; u < k; ++u) {
-    out.alice.insert(out.alice.end(), sa[u].begin(), sa[u].end());
-    out.bob.insert(out.bob.end(), tb[u].begin(), tb[u].end());
-  }
-  std::sort(out.alice.begin(), out.alice.end());
-  std::sort(out.bob.begin(), out.bob.end());
-  if (diag != nullptr) *diag = local;
-  return out;
+  return IntersectionOutput{alice.output(), bob.output()};
 }
 
 std::string VerificationTreeProtocol::name() const {

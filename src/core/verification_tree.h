@@ -21,6 +21,10 @@
 // candidates are exactly the intersection (Corollary 3.4), so the output
 // equals S cap T unless some final equality test passes falsely —
 // probability <= 1/poly(k) (Corollary 3.8).
+//
+// The protocol exists once, as the party machines of core/tree_parties.h;
+// verification_tree_intersection derives the public parameters (k, r) and
+// runs a TreeAlice against a TreeBob with sim::run_two_party.
 #pragma once
 
 #include <cstdint>
@@ -34,9 +38,13 @@
 
 namespace setint::core {
 
+// Deepest tree the protocol runs. log*(k) <= 5 for every k < 2^64, so
+// deeper trees only add degenerate stages.
+inline constexpr int kMaxTreeStages = 64;
+
 struct VerificationTreeParams {
-  // Number of stages r. 0 means "auto": log*(k), the communication-optimal
-  // choice (Theorem 1.1 with O(k) bits).
+  // Number of stages r, at most kMaxTreeStages. 0 means "auto": log*(k),
+  // the communication-optimal choice (Theorem 1.1 with O(k) bits).
   int rounds_r = 0;
 
   // Number of buckets / tree leaves. 0 means "auto": max(|S|, |T|, 2).
@@ -49,10 +57,10 @@ struct VerificationTreeParams {
   // Multiplier on Basic-Intersection hash ranges (ablation knob).
   double bi_range_scale = 1.0;
 
-  // If > 0, abort the randomized protocol once communication exceeds
-  // cutoff * k * log^(r) k bits and fall back to deterministic exchange —
-  // the paper's trick for turning the expected bound into a worst-case
-  // one. 0 disables.
+  // If > 0, stop the randomized protocol at the first stage end past
+  // cutoff * k * log^(r) k payload bits and fall back to deterministic
+  // exchange — the paper's trick for turning the expected bound into a
+  // worst-case one. 0 disables.
   double worst_case_cutoff_factor = 0.0;
 };
 
@@ -66,13 +74,14 @@ struct VerificationTreeDiag {
   bool fallback_used = false;
 };
 
-// With a Checkpoint (core/checkpoint.h) installed, the protocol saves a
-// snapshot (tag "vt") of the per-leaf candidate assignments after every
-// completed stage and, on re-entry after a crash, restores it and resumes
-// from the first unfinished stage — the transcript from that point on is
-// bit-identical to an uninterrupted run, because every stage draws from an
-// independent nonce substream. nullptr disables checkpointing (no
-// serialization cost on the clean path).
+// With a Checkpoint (core/checkpoint.h) installed, the runner saves a
+// snapshot (tag "vt", phase = completed stages) after every completed
+// stage: the log of messages delivered so far. On re-entry after a crash
+// it feeds that log to fresh parties and resumes live from the first
+// unfinished stage, so the transcript is bit-identical to an
+// uninterrupted run. A stage that trips the worst-case cutoff saves no
+// snapshot. nullptr disables checkpointing (no logging cost on the clean
+// path).
 IntersectionOutput verification_tree_intersection(
     sim::Channel& channel, const sim::SharedRandomness& shared,
     std::uint64_t nonce, std::uint64_t universe, util::SetView s,

@@ -48,9 +48,9 @@ void PairwiseHash::hash_many(std::span<const std::uint64_t> xs,
   if (out.size() < xs.size()) {
     throw std::invalid_argument("PairwiseHash::hash_many: output too small");
   }
-  // Hand the whole batch to the SIMD engine (4-wide mulhi pipelines on
-  // the AVX2 tier, the identical scalar chain otherwise). Exact on every
-  // tier, so batched == scalar output bit for bit.
+  // Hand the whole batch to the SIMD engine's hash lanes (the batched
+  // scalar chain on every tier), so batched == element-wise output bit
+  // for bit.
   simd::PairwiseConstants c;
   c.p = kPrime;
   c.b = b_;

@@ -134,10 +134,18 @@ void set_replay_context(obs::FlightRecorder& rec, util::SetView s,
   if (options.adversary != nullptr) rec.set_context("adversary", "1");
 }
 
+// Options a caller can get wrong in ways no attempt should absorb.
+void validate_options(const IntersectOptions& options) {
+  if (options.rounds_r < 0 || options.rounds_r > core::kMaxTreeStages) {
+    throw std::invalid_argument("intersect: rounds_r out of range");
+  }
+}
+
 }  // namespace
 
 IntersectResult intersect(util::SetView s, util::SetView t,
                           const IntersectOptions& options) {
+  validate_options(options);
   // Degenerate inputs: with either side empty the intersection is empty
   // by definition and no protocol run is needed — this also covers
   // universe = 0 with both sets empty, which would otherwise bottom out
@@ -244,6 +252,7 @@ std::uint64_t batch_session_seed(std::uint64_t master_seed,
 BatchResult run_batch(const IntersectOptions& options,
                       std::span<const Instance> instances,
                       const BatchOptions& batch) {
+  validate_options(options);
   if (options.tracer != nullptr || options.recorder != nullptr ||
       options.fault_plan != nullptr || options.adversary != nullptr ||
       options.chaos_plan != nullptr) {

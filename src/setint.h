@@ -69,8 +69,10 @@ namespace setint {
 struct IntersectOptions {
   std::uint64_t universe = 0;  // 0 = infer: max element + 1
   std::uint64_t seed = 0x5e71;
-  // 0 = auto (log* k). Larger r never helps; smaller r trades rounds for
-  // bits per Theorem 1.1.
+  // Verification-tree stages r: 0 = auto (log* k), 1..64 explicit (r = 1
+  // is the one-round hash exchange). Larger r never helps; smaller r
+  // trades rounds for bits per Theorem 1.1. Values outside [0, 64] throw
+  // std::invalid_argument before any attempt runs.
   int rounds_r = 0;
   // Optional phase/metric sink (not owned). When set, the returned
   // IntersectResult::report carries the full phase breakdown.

@@ -33,9 +33,11 @@ std::vector<util::BitBuffer> read_messages(const util::BitBuffer& log) {
   return messages;
 }
 
-// The tracer phase live messages are metered under: consecutive messages
-// of one phase share a single span entry, and leaving a phase (or the
-// run, also by exception) closes it.
+// The tracer phase live messages are metered under, a '/'-separated path
+// below the caller's span. Moving to the next message's path pops and
+// pushes only the segments that change, so consecutive messages of one
+// phase share a single span entry; leaving the run (also by exception)
+// closes every open segment.
 class PhaseSpan {
  public:
   explicit PhaseSpan(obs::Tracer* tracer) : tracer_(tracer) {}
@@ -45,12 +47,41 @@ class PhaseSpan {
 
   void enter(std::string_view phase) {
     if (phase == phase_ || tracer_ == nullptr) return;
-    if (!phase_.empty()) tracer_->pop();
+    const std::size_t keep = shared_prefix(phase_, phase);
+    for (std::size_t n = segments(phase_.substr(keep)); n > 0; --n) {
+      tracer_->pop();
+    }
+    for (std::string_view rest = phase.substr(keep); !rest.empty();) {
+      if (rest.front() == '/') rest.remove_prefix(1);
+      const std::size_t end = std::min(rest.find('/'), rest.size());
+      tracer_->push(rest.substr(0, end));
+      rest.remove_prefix(end);
+    }
     phase_ = phase;
-    if (!phase_.empty()) tracer_->push(phase_);
   }
 
  private:
+  // Length of the leading whole segments two paths share.
+  static std::size_t shared_prefix(std::string_view a, std::string_view b) {
+    const auto ends_segment = [](std::string_view path, std::size_t i) {
+      return i == path.size() || path[i] == '/';
+    };
+    std::size_t i = static_cast<std::size_t>(
+        std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first -
+        a.begin());
+    while (i > 0 && !(ends_segment(a, i) && ends_segment(b, i))) --i;
+    return i;
+  }
+
+  // Segments in a path remainder ("", "/a/b" or "a/b").
+  static std::size_t segments(std::string_view rest) {
+    if (!rest.empty() && rest.front() == '/') rest.remove_prefix(1);
+    return rest.empty()
+               ? 0
+               : 1 + static_cast<std::size_t>(
+                         std::count(rest.begin(), rest.end(), '/'));
+  }
+
   obs::Tracer* tracer_;
   std::string_view phase_;
 };

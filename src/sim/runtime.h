@@ -3,8 +3,9 @@
 // Each party is an object holding ONLY its own input and randomness view,
 // reacting to delivered messages; run_two_party() carries the messages
 // over a metered sim::Channel. A protocol written this way provably uses
-// no out-of-band knowledge. Equality, Basic-Intersection and one-round
-// hashing exist only in this form (core/parties.h): their public entry
+// no out-of-band knowledge. Equality, Basic-Intersection, one-round
+// hashing (core/parties.h) and the verification tree
+// (core/tree_parties.h) exist only in this form: their public entry
 // points build two parties and call run_two_party().
 //
 // The runner owns everything that is not protocol logic, so no party
@@ -30,8 +31,9 @@ namespace setint::sim {
 struct Outgoing {
   util::BitBuffer bits;
   std::string_view label;  // transcript / flight-recorder label
-  // Tracer span the send is metered under; consecutive messages with the
-  // same phase share one span entry. Empty: the caller's current span.
+  // Tracer span path the send is metered under, '/'-separated below the
+  // caller's current span (empty: that span itself); consecutive messages
+  // share every leading segment they have in common. Must outlive the run.
   std::string_view phase = {};
   // Once delivered, the protocol has crossed a checkpoint boundary.
   bool boundary = false;

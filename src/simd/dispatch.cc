@@ -30,43 +30,29 @@ Tier tier_from_features(const CpuFeatures& f) {
 
 // Environment cap, parsed once. SETINT_FORCE_SCALAR=1 (or any value other
 // than "0"/"") wins over SETINT_FORCE_TIER.
-struct EnvTier {
-  Tier tier;
-  bool forced;  // an env override was present and recognized
-};
-
-EnvTier env_capped_tier() {
+Tier env_capped_tier() {
   const Tier hw = tier_from_features(detected_features());
   const char* scalar = std::getenv("SETINT_FORCE_SCALAR");
   if (scalar != nullptr && scalar[0] != '\0' &&
       !(scalar[0] == '0' && scalar[1] == '\0')) {
-    return {Tier::kScalar, true};
+    return Tier::kScalar;
   }
   const char* name = std::getenv("SETINT_FORCE_TIER");
-  if (name != nullptr) {
-    Tier requested = hw;
-    bool recognized = false;
-    if (std::strcmp(name, "scalar") == 0) {
-      requested = Tier::kScalar;
-      recognized = true;
-    } else if (std::strcmp(name, "sse41") == 0) {
-      requested = Tier::kSse41;
-      recognized = true;
-    } else if (std::strcmp(name, "avx2") == 0) {
-      requested = Tier::kAvx2;
-      recognized = true;
-    }
-    // Clamp: forcing a tier the hardware lacks must not SIGILL.
-    if (static_cast<int>(requested) < static_cast<int>(hw)) {
-      return {requested, recognized};
-    }
-    return {hw, recognized};
+  if (name == nullptr) return hw;
+  Tier requested = hw;
+  if (std::strcmp(name, "scalar") == 0) {
+    requested = Tier::kScalar;
+  } else if (std::strcmp(name, "sse41") == 0) {
+    requested = Tier::kSse41;
+  } else if (std::strcmp(name, "avx2") == 0) {
+    requested = Tier::kAvx2;
   }
-  return {hw, false};
+  // Clamp: forcing a tier the hardware lacks must not SIGILL.
+  return static_cast<int>(requested) < static_cast<int>(hw) ? requested : hw;
 }
 
-const EnvTier& env_tier_cached() {
-  static const EnvTier env = env_capped_tier();
+Tier env_tier_cached() {
+  static const Tier env = env_capped_tier();
   return env;
 }
 
@@ -85,12 +71,7 @@ Tier detected_tier() { return tier_from_features(detected_features()); }
 Tier active_tier() {
   const int forced = g_override.load(std::memory_order_relaxed);
   if (forced >= 0) return static_cast<Tier>(forced);
-  return env_tier_cached().tier;
-}
-
-bool tier_forced() {
-  return g_override.load(std::memory_order_relaxed) >= 0 ||
-         env_tier_cached().forced;
+  return env_tier_cached();
 }
 
 const char* tier_name(Tier tier) {

@@ -56,13 +56,6 @@ Tier detected_tier();
 // by the environment overrides and any live ScopedTierOverride.
 Tier active_tier();
 
-// True when active_tier() comes from an override (scoped or environment)
-// rather than plain hardware detection. Kernel families whose measured
-// crossover says a narrower tier wins by default (the 64-bit hash lanes:
-// scalar mulx beats AVX2 32-bit-limb emulation) still honor a pinned
-// tier, so forced-dispatch differential suites reach every code path.
-bool tier_forced();
-
 // Stable lowercase name ("scalar", "sse41", "avx2") — used in BENCH
 // environment blocks, bench_compare classification, and test logs.
 const char* tier_name(Tier tier);

@@ -12,38 +12,15 @@
 
 namespace setint::simd {
 
-namespace {
-
-// Per-family routing for the hash lanes. Measured crossover (see
-// docs/PERFORMANCE.md "honest numbers"): the scalar pipeline's 64-bit
-// mulhi is one MULX, while AVX2 has no 64-bit multiply and must emulate
-// it from four 32-bit limb products — on AVX2-class cores the emulation
-// LOSES to scalar by ~2x, so default dispatch keeps hash lanes on the
-// scalar tier at every hardware level. A pinned tier (ScopedTierOverride
-// or SETINT_FORCE_*) is honored so the differential suites and exp_cpu's
-// E-CPU.7 gate still execute the vector hash kernels; the lanes also
-// stay the landing slot for AVX-512 IFMA parts, where 52-bit multipliers
-// flip the crossover.
-Tier hash_lane_tier() {
-  return tier_forced() ? active_tier() : Tier::kScalar;
-}
-
-}  // namespace
-
+// The hash lanes run the batched scalar pipeline on every tier: scalar
+// MULX beats any 32-bit-limb vector emulation of the 64-bit mulhi
+// (docs/PERFORMANCE.md, "Hash lanes").
 void reduce_mod_many(const ReduceConstants& c,
                      std::span<const std::uint64_t> xs,
                      std::span<std::uint64_t> out) {
   if (out.size() < xs.size()) {
     throw std::invalid_argument("simd::reduce_mod_many: output too small");
   }
-#if defined(__x86_64__) || defined(_M_X64)
-  // sse41 tier has no hash lanes (2-wide mulhi does not pay; see
-  // kernels_internal.h) — only avx2 diverges from scalar here.
-  if (hash_lane_tier() == Tier::kAvx2) {
-    avx2::reduce_mod_many(c, xs.data(), xs.size(), out.data());
-    return;
-  }
-#endif
   scalar::reduce_mod_many(c, xs.data(), xs.size(), out.data());
 }
 
@@ -53,12 +30,6 @@ void pairwise_hash_many(const PairwiseConstants& c,
   if (out.size() < xs.size()) {
     throw std::invalid_argument("simd::pairwise_hash_many: output too small");
   }
-#if defined(__x86_64__) || defined(_M_X64)
-  if (hash_lane_tier() == Tier::kAvx2) {
-    avx2::pairwise_hash_many(c, xs.data(), xs.size(), out.data());
-    return;
-  }
-#endif
   scalar::pairwise_hash_many(c, xs.data(), xs.size(), out.data());
 }
 

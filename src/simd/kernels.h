@@ -7,13 +7,9 @@
 //
 //   1. hash lanes — array-batched Barrett/Montgomery evaluation for the
 //      hash families in src/hashing/ (the pairwise Carter-Wegman pipeline
-//      and plain fixed-divisor reduction). The AVX2 tier runs 4-wide
-//      64-bit mulhi pipelines built from 32-bit limb products; the math is
-//      exact, so seeded draw order and golden transcripts are unchanged.
-//      Default dispatch keeps these lanes on the batched scalar pipeline
-//      (measured crossover: scalar MULX beats the limb emulation on
-//      AVX2-class cores — kernels.cc hash_lane_tier); pinning a tier via
-//      ScopedTierOverride / SETINT_FORCE_* executes the vector kernels.
+//      and plain fixed-divisor reduction). Scalar on every tier: one MULX
+//      per 64-bit mulhi beats any 32-bit-limb vector emulation by ~2x
+//      (docs/PERFORMANCE.md, "Hash lanes").
 //   2. adaptive sorted-set intersection — an intersectInt-style oracle
 //      (Lemire/Kurz lineage): a size-ratio heuristic selects scalar merge,
 //      galloping, a SIMD block-compare kernel, or SIMD galloping. Backs

@@ -1,12 +1,8 @@
-// AVX2 tier: 4-wide 64-bit kernels. This translation unit is compiled
-// with -mavx2 -mpopcnt (per-file flags in src/CMakeLists.txt) and must
-// only be entered when the dispatcher has confirmed those features via
-// cpuid — nothing here may be called from generic code paths directly.
-//
-// All arithmetic is exact: the mulhi pipelines decompose 64x64->128
-// multiplies into 32-bit limb products (_mm256_mul_epu32) and reassemble
-// the precise high/low halves, so every lane equals the scalar
-// unsigned __int128 computation bit for bit.
+// AVX2 tier: 4-wide 64-bit intersection and bitmap kernels. This
+// translation unit is compiled with -mavx2 -mpopcnt (per-file flags in
+// src/CMakeLists.txt) and must only be entered when the dispatcher has
+// confirmed those features via cpuid — nothing here may be called from
+// generic code paths directly.
 
 #if defined(__x86_64__) || defined(_M_X64)
 
@@ -21,142 +17,10 @@
 
 namespace setint::simd::avx2 {
 
-namespace {
-
 // NOTE: no namespace-scope __m256i constants in this TU — their dynamic
 // initializers would execute AVX2 instructions at program startup even on
 // hardware the dispatcher would never route here. All vector constants
 // are materialized inside the functions (hoisted by the compiler).
-
-// Exact 64x64 -> 128 multiply per lane: four 32x32 partial products.
-// t = (ll >> 32) + lo32(lh) + lo32(hl) fits 64 bits (< 3 * 2^32); the
-// final hi never overflows because the true product high half is < 2^64.
-inline void mul64x64(__m256i a, __m256i b, __m256i* hi, __m256i* lo) {
-  const __m256i mask32 = _mm256_set1_epi64x(0xffffffff);
-  const __m256i a_hi = _mm256_srli_epi64(a, 32);
-  const __m256i b_hi = _mm256_srli_epi64(b, 32);
-  const __m256i ll = _mm256_mul_epu32(a, b);
-  const __m256i lh = _mm256_mul_epu32(a, b_hi);
-  const __m256i hl = _mm256_mul_epu32(a_hi, b);
-  const __m256i hh = _mm256_mul_epu32(a_hi, b_hi);
-  const __m256i t = _mm256_add_epi64(
-      _mm256_add_epi64(_mm256_srli_epi64(ll, 32), _mm256_and_si256(lh, mask32)),
-      _mm256_and_si256(hl, mask32));
-  *lo = _mm256_or_si256(_mm256_and_si256(ll, mask32),
-                        _mm256_slli_epi64(t, 32));
-  *hi = _mm256_add_epi64(
-      _mm256_add_epi64(hh, _mm256_srli_epi64(lh, 32)),
-      _mm256_add_epi64(_mm256_srli_epi64(hl, 32), _mm256_srli_epi64(t, 32)));
-}
-
-// High 64 bits only (the low half of the product is discarded).
-inline __m256i mulhi64(__m256i a, __m256i b) {
-  __m256i hi, lo;
-  mul64x64(a, b, &hi, &lo);
-  return hi;
-}
-
-// Low 64 bits of the per-lane product (cross terms shifted into place).
-inline __m256i mullo64(__m256i a, __m256i b) {
-  const __m256i cross =
-      _mm256_add_epi64(_mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)),
-                       _mm256_mul_epu32(_mm256_srli_epi64(a, 32), b));
-  return _mm256_add_epi64(_mm256_mul_epu32(a, b),
-                          _mm256_slli_epi64(cross, 32));
-}
-
-// Unsigned per-lane a < b (AVX2 only has signed cmpgt: bias both signs).
-inline __m256i cmplt_u64(__m256i a, __m256i b) {
-  const __m256i bias =
-      _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ull));
-  return _mm256_cmpgt_epi64(_mm256_xor_si256(b, bias),
-                            _mm256_xor_si256(a, bias));
-}
-
-struct ReduceVecConstants {
-  __m256i m_hi, m_lo, d;
-};
-
-inline ReduceVecConstants broadcast(const ReduceConstants& c) {
-  return {_mm256_set1_epi64x(static_cast<long long>(c.m_hi)),
-          _mm256_set1_epi64x(static_cast<long long>(c.m_lo)),
-          _mm256_set1_epi64x(static_cast<long long>(c.d))};
-}
-
-// Lemire-Kaser reduction, vectorized mirror of scalar::reduce_one:
-//   low128 = M * a mod 2^128; result = mulhi_128x64(low128, d).
-inline __m256i reduce_vec(const ReduceVecConstants& c, __m256i a) {
-  __m256i p_hi, p_lo;
-  mul64x64(c.m_lo, a, &p_hi, &p_lo);
-  const __m256i hi = _mm256_add_epi64(p_hi, mullo64(c.m_hi, a));  // mod 2^64
-  const __m256i bottom = mulhi64(p_lo, c.d);
-  // result = hi64(hi * d + bottom); the 128-bit sum cannot overflow.
-  __m256i hd_hi, hd_lo;
-  mul64x64(hi, c.d, &hd_hi, &hd_lo);
-  const __m256i sum_lo = _mm256_add_epi64(hd_lo, bottom);
-  const __m256i carry = cmplt_u64(sum_lo, bottom);  // all-ones on carry
-  return _mm256_sub_epi64(hd_hi, carry);            // subtracting -1 adds 1
-}
-
-// REDC of the 128-bit lanes (x_hi, x_lo) for modulus m: mirror of
-// Montgomery64::redc. x_lo + q*m is 0 mod 2^64 by construction, so the
-// carry into the high half is exactly (x_lo != 0).
-inline __m256i redc_vec(__m256i x_hi, __m256i x_lo, __m256i m,
-                        __m256i neg_inv) {
-  const __m256i q = mullo64(x_lo, neg_inv);
-  const __m256i qm_hi = mulhi64(q, m);
-  const __m256i is_zero =
-      _mm256_cmpeq_epi64(x_lo, _mm256_setzero_si256());  // all-ones when 0
-  const __m256i carry =
-      _mm256_add_epi64(_mm256_set1_epi64x(1), is_zero);  // 1, or 0 when x_lo==0
-  __m256i t = _mm256_add_epi64(_mm256_add_epi64(x_hi, qm_hi), carry);
-  // t >= m ? t - m : t
-  const __m256i keep = cmplt_u64(t, m);  // all-ones where t < m
-  return _mm256_sub_epi64(t, _mm256_andnot_si256(keep, m));
-}
-
-}  // namespace
-
-void reduce_mod_many(const ReduceConstants& c, const std::uint64_t* xs,
-                     std::size_t n, std::uint64_t* out) {
-  const ReduceVecConstants vc = broadcast(c);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xs + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        reduce_vec(vc, x));
-  }
-  if (i < n) scalar::reduce_mod_many(c, xs + i, n - i, out + i);
-}
-
-void pairwise_hash_many(const PairwiseConstants& c, const std::uint64_t* xs,
-                        std::size_t n, std::uint64_t* out) {
-  const ReduceVecConstants red_p = broadcast(c.red_p);
-  const ReduceVecConstants red_t = broadcast(c.red_t);
-  const __m256i p = _mm256_set1_epi64x(static_cast<long long>(c.p));
-  const __m256i b = _mm256_set1_epi64x(static_cast<long long>(c.b));
-  const __m256i a_mont = _mm256_set1_epi64x(static_cast<long long>(c.a_mont));
-  const __m256i neg_inv = _mm256_set1_epi64x(static_cast<long long>(c.neg_inv));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xs + i));
-    const __m256i xr = reduce_vec(red_p, x);
-    __m256i ax_hi, ax_lo;
-    mul64x64(a_mont, xr, &ax_hi, &ax_lo);
-    const __m256i ax = redc_vec(ax_hi, ax_lo, p, neg_inv);
-    // v = b >= space ? b - space : ax + b, space = p - ax
-    const __m256i space = _mm256_sub_epi64(p, ax);
-    const __m256i wrap = _mm256_sub_epi64(b, space);
-    const __m256i plain = _mm256_add_epi64(ax, b);
-    const __m256i lt = cmplt_u64(b, space);  // all-ones where b < space
-    const __m256i v = _mm256_blendv_epi8(wrap, plain, lt);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        reduce_vec(red_t, v));
-  }
-  if (i < n) scalar::pairwise_hash_many(c, xs + i, n - i, out + i);
-}
 
 namespace {
 

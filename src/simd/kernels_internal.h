@@ -8,13 +8,10 @@
 // reference implementation every other tier is differential-tested
 // against (tests/simd_test.cc).
 //
-// Tier notes:
-//   * sse41 carries real intersect + bitmap kernels but NO hash lanes:
-//     a 2-wide 64-bit mulhi pipeline spends more on limb shuffling than
-//     it saves over the scalar 128-bit multiply, so the dispatcher
-//     routes sse41-tier hash calls to the scalar lanes (measured; see
-//     docs/PERFORMANCE.md).
-//   * avx2 implements all three families 4-wide.
+// Tier notes: the hash lanes exist only as scalar code. Neither x86
+// vector tier has a 64-bit multiply, and emulating one from 32-bit limb
+// products lost ~2x to scalar MULX (measured; see docs/PERFORMANCE.md).
+// sse41 and avx2 carry the intersect and bitmap kernels.
 #pragma once
 
 #include <cstddef>
@@ -68,10 +65,6 @@ void bitmap_and(const std::uint64_t* a, const std::uint64_t* b,
 
 namespace avx2 {
 
-void reduce_mod_many(const ReduceConstants& c, const std::uint64_t* xs,
-                     std::size_t n, std::uint64_t* out);
-void pairwise_hash_many(const PairwiseConstants& c, const std::uint64_t* xs,
-                        std::size_t n, std::uint64_t* out);
 std::size_t intersect_block(const std::uint64_t* a, std::size_t na,
                             const std::uint64_t* b, std::size_t nb,
                             std::uint64_t* out);

@@ -140,8 +140,9 @@ TEST(Checkpoint, AmortizedEqResumeMatchesUninterrupted) {
   }
 }
 
-// The verification tree checkpoints per stage; resuming mid-tree must not
-// change the final intersection.
+// The verification tree checkpoints per stage; resuming at any stage
+// boundary must not change the final intersection, and the resumed
+// session's bits, rounds and transcript must equal the uninterrupted one.
 TEST(Checkpoint, VerificationTreeResumeMatchesUninterrupted) {
   const std::uint64_t universe = std::uint64_t{1} << 20;
   util::Rng wrng(808);
@@ -150,14 +151,15 @@ TEST(Checkpoint, VerificationTreeResumeMatchesUninterrupted) {
   core::VerificationTreeParams params;
   params.rounds_r = 0;  // auto depth: several checkpointable stages
 
-  sim::Channel clean;
+  sim::Channel clean(/*record_transcript=*/true);
   const auto want = core::verification_tree_intersection(clean, sh, 9, universe,
                                                          p.s, p.t, params);
   EXPECT_EQ(want.alice, p.expected_intersection);
 
-  for (std::uint64_t stage = 1; stage <= 3; ++stage) {
+  std::uint64_t interrupted = 0;
+  for (std::uint64_t stage = 1; stage <= 8; ++stage) {
     SCOPED_TRACE(testing::Message() << "interrupt after stage " << stage);
-    sim::Channel ch;
+    sim::Channel ch(/*record_transcript=*/true);
     core::Checkpoint ckpt;
     ckpt.interrupt_after("vt", stage);
     try {
@@ -166,11 +168,18 @@ TEST(Checkpoint, VerificationTreeResumeMatchesUninterrupted) {
       continue;  // tree shallower than `stage`: nothing to resume
     } catch (const core::CheckpointInterrupt&) {
     }
+    ++interrupted;
+    EXPECT_EQ(ckpt.phase(), stage);
     const auto got = core::verification_tree_intersection(
         ch, sh, 9, universe, p.s, p.t, params, nullptr, &ckpt);
     EXPECT_EQ(got.alice, want.alice);
+    EXPECT_EQ(got.bob, want.bob);
     EXPECT_GE(ckpt.restores(), 1u);
+    EXPECT_EQ(ch.cost().bits_total, clean.cost().bits_total);
+    EXPECT_EQ(ch.cost().rounds, clean.cost().rounds);
+    EXPECT_EQ(ch.transcript()->digest(), clean.transcript()->digest());
   }
+  EXPECT_GE(interrupted, 3u);
 }
 
 }  // namespace

@@ -97,6 +97,23 @@ TEST(Facade, RejectsNonCanonicalInput) {
                std::invalid_argument);
 }
 
+// A stage count outside [0, 64] is a caller error, refused before any
+// attempt: the retry loop must not absorb it and answer through the
+// fallback.
+TEST(Facade, RejectsOutOfRangeRounds) {
+  util::Rng wrng(3);
+  const util::SetPair p = util::random_set_pair(wrng, 1u << 20, 64, 32);
+  const Instance instances[] = {{p.s, p.t}};
+  for (const int r : {-1, 65}) {
+    SCOPED_TRACE(testing::Message() << "rounds_r=" << r);
+    const IntersectOptions options{.universe = 1u << 20, .rounds_r = r};
+    EXPECT_THROW(intersect(p.s, p.t, options), std::invalid_argument);
+    EXPECT_THROW(intersect(util::Set{}, util::Set{}, options),
+                 std::invalid_argument);
+    EXPECT_THROW(run_batch(options, instances), std::invalid_argument);
+  }
+}
+
 TEST(Facade, DeterministicForSeed) {
   util::Rng wrng(3);
   const util::SetPair p = util::random_set_pair(wrng, 1u << 20, 128, 64);

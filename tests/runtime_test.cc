@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.h"
 #include "core/parties.h"
 #include "core/resource_limits.h"
+#include "obs/tracer.h"
 #include "sim/adversary.h"
 #include "sim/channel.h"
 #include "sim/randomness.h"
@@ -127,6 +131,52 @@ TEST(Runtime, ResumeReplaysTheDeliveredBytes) {
   EXPECT_NE(received[0], alice.start()->bits);  // the crafted frame
   EXPECT_EQ(ckpt.restores(), 1u);
   EXPECT_EQ(ch.cost().messages, 2u);  // the word is not sent again
+}
+
+// Speaks one bit per turn, metered under the next phase path of its
+// script; done once the script is spent.
+class ScriptedParty final : public sim::Party {
+ public:
+  explicit ScriptedParty(std::vector<std::string_view> phases)
+      : phases_(std::move(phases)) {}
+  std::optional<sim::Outgoing> start() override { return next(); }
+  std::optional<sim::Outgoing> on_message(const util::BitBuffer&) override {
+    return next();
+  }
+  bool done() const override { return next_ == phases_.size(); }
+
+ private:
+  std::optional<sim::Outgoing> next() {
+    if (done()) return std::nullopt;
+    sim::Outgoing msg{{}, "m", phases_[next_++]};
+    msg.bits.append_bit(true);
+    return msg;
+  }
+
+  std::vector<std::string_view> phases_;
+  std::size_t next_ = 0;
+};
+
+// Moving between '/'-separated phase paths pops and pushes only the
+// segments that change: a shared leading segment stays one span entry.
+TEST(Runtime, PhasePathsOpenOnlyChangedSegments) {
+  sim::Channel ch;
+  obs::Tracer tracer;
+  ch.set_tracer(&tracer);
+  // Delivered order: a/b, a/b, a/c, a, a/c/d, (caller's span), e.
+  ScriptedParty alice({"a/b", "a/c", "a/c/d", "e"});
+  ScriptedParty bob({"a/b", "a", ""});
+  sim::run_two_party(ch, alice, bob);
+  std::vector<std::string> rows;
+  for (const obs::PhaseRow& row : tracer.breakdown()) {
+    rows.push_back(row.path + " " + std::to_string(row.messages) + " " +
+                   std::to_string(row.enters));
+  }
+  const std::vector<std::string> want = {
+      " 7 1", "a 5 1", "a/b 2 1", "a/c 2 2", "a/c/d 1 1", "e 1 1",
+  };
+  EXPECT_EQ(rows, want);
+  EXPECT_EQ(tracer.depth(), 0);  // every segment closed at the end
 }
 
 // ---------- equality parties ----------

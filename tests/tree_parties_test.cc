@@ -1,16 +1,18 @@
-// The main protocol under strictly-separated execution: correctness and
-// bit-for-bit transcript equivalence with the driver implementation —
-// the strongest evidence Algorithm 1 needs no out-of-band knowledge.
+// The main protocol's party machines, driven directly: correctness,
+// transcripts pinned to the former two-sided driver's, the worst-case
+// cutoff, and decode limits inside a party.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
+#include "core/checkpoint.h"
 #include "core/resource_limits.h"
 #include "core/tree_parties.h"
 #include "core/verification_tree.h"
 #include "sim/channel.h"
 #include "sim/randomness.h"
 #include "sim/runtime.h"
+#include "util/arena.h"
 #include "util/rng.h"
 #include "util/set_util.h"
 
@@ -40,8 +42,9 @@ TEST_P(TreeFsm, ComputesExactIntersection) {
   const auto params = params_for(std::max<std::size_t>(c.k, 2), c.r);
   sim::SharedRandomness shared(c.k + 13);
   sim::Channel ch;
-  core::TreeAlice alice(shared, 5, std::uint64_t{1} << 28, p.s, params);
-  core::TreeBob bob(shared, 5, std::uint64_t{1} << 28, p.t, params);
+  const sim::PartyEnv env(ch);
+  core::TreeAlice alice(shared, 5, std::uint64_t{1} << 28, p.s, params, env);
+  core::TreeBob bob(shared, 5, std::uint64_t{1} << 28, p.t, params, env);
   sim::run_two_party(ch, alice, bob);
   EXPECT_EQ(alice.output(), p.expected_intersection);
   EXPECT_EQ(bob.output(), p.expected_intersection);
@@ -55,7 +58,29 @@ INSTANTIATE_TEST_SUITE_P(
                       TreeFsmCase{1024, 512, 4}, TreeFsmCase{4096, 2048, 4},
                       TreeFsmCase{1024, 512, 6}));
 
-TEST(TreeFsm, TranscriptMatchesDriverBitForBit) {
+// Bits, rounds and transcript digest of each trial, as the two-sided
+// driver that preceded the parties produced them. Both the parties on
+// their own and the public entry point must reproduce every one.
+TEST(TreeFsm, TranscriptMatchesRecordedDriverPins) {
+  struct Pin {
+    std::uint64_t bits;
+    std::uint64_t rounds;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {18547u, 22u, 0x7d16f8be1d01d26eull},  // k=448 r=5
+      {17275u, 16u, 0x5acf2caaf8db9e76ull},  // k=481 r=4
+      {5093u, 16u, 0xc2ed1e4f2c549bd7ull},   // k=132 r=4
+      {26085u, 8u, 0xeeb221fb90f7d2e6ull},   // k=587 r=2
+      {15359u, 20u, 0xaf9312a77e11f5c0ull},  // k=435 r=4
+      {6396u, 22u, 0xb6c3bbf2d4a41e4eull},   // k=153 r=5
+      {11273u, 16u, 0xeb6594a14a38eeadull},  // k=310 r=4
+      {9706u, 16u, 0x706aab59fd451e99ull},   // k=421 r=4
+      {10400u, 10u, 0xddf60ac52ad4a137ull},  // k=494 r=3
+      {23093u, 26u, 0x361ac79d48a51b5aull},  // k=566 r=5
+      {7122u, 18u, 0x27993cde3ca02979ull},   // k=170 r=5
+      {27547u, 8u, 0x68697d480dc1efa2ull},   // k=593 r=2
+  };
   util::Rng wrng(9);
   for (std::uint64_t trial = 0; trial < 12; ++trial) {
     const std::size_t k = 8 + wrng.below(600);
@@ -63,61 +88,102 @@ TEST(TreeFsm, TranscriptMatchesDriverBitForBit) {
     const int r = 2 + static_cast<int>(wrng.below(4));
     const util::SetPair p =
         util::random_set_pair(wrng, std::uint64_t{1} << 26, k, shared_count);
-    // The driver derives buckets from max(|S|, |T|, 2); make it explicit
-    // so both executions agree on the public bound.
+    SCOPED_TRACE(testing::Message()
+                 << "trial " << trial << " k=" << k << " r=" << r);
     const auto params =
         params_for(std::max<std::size_t>({p.s.size(), p.t.size(), 2}), r);
     sim::SharedRandomness shared(trial * 31);
 
-    sim::Channel driver_ch(/*record_transcript=*/true);
-    const core::IntersectionOutput driver_out =
-        core::verification_tree_intersection(driver_ch, shared, trial,
+    sim::Channel fsm_ch(/*record_transcript=*/true);
+    const sim::PartyEnv env(fsm_ch);
+    core::TreeAlice alice(shared, trial, std::uint64_t{1} << 26, p.s, params,
+                          env);
+    core::TreeBob bob(shared, trial, std::uint64_t{1} << 26, p.t, params, env);
+    sim::run_two_party(fsm_ch, alice, bob);
+
+    sim::Channel entry_ch(/*record_transcript=*/true);
+    const core::IntersectionOutput entry_out =
+        core::verification_tree_intersection(entry_ch, shared, trial,
                                              std::uint64_t{1} << 26, p.s,
                                              p.t, params);
 
-    sim::Channel fsm_ch(/*record_transcript=*/true);
-    core::TreeAlice alice(shared, trial, std::uint64_t{1} << 26, p.s, params);
-    core::TreeBob bob(shared, trial, std::uint64_t{1} << 26, p.t, params);
-    sim::run_two_party(fsm_ch, alice, bob);
-
-    ASSERT_EQ(driver_ch.transcript()->digest(), fsm_ch.transcript()->digest())
-        << "trial " << trial << " k=" << k << " r=" << r;
-    EXPECT_EQ(driver_ch.cost().bits_total, fsm_ch.cost().bits_total);
-    EXPECT_EQ(driver_ch.cost().rounds, fsm_ch.cost().rounds);
-    EXPECT_EQ(driver_out.alice, alice.output());
-    EXPECT_EQ(driver_out.bob, bob.output());
+    for (const sim::Channel* ch : {&fsm_ch, &entry_ch}) {
+      EXPECT_EQ(ch->cost().bits_total, pins[trial].bits);
+      EXPECT_EQ(ch->cost().rounds, pins[trial].rounds);
+      EXPECT_EQ(ch->transcript()->digest(), pins[trial].digest);
+    }
+    EXPECT_EQ(entry_out.alice, alice.output());
+    EXPECT_EQ(entry_out.bob, bob.output());
   }
 }
 
 TEST(TreeFsm, RequiresExplicitPublicParameters) {
   sim::SharedRandomness shared(1);
+  sim::Channel ch;
+  const sim::PartyEnv env(ch);
+  const util::Set one{1};
   core::VerificationTreeParams no_buckets;
   no_buckets.rounds_r = 2;
-  EXPECT_THROW(core::TreeAlice(shared, 0, 100, util::Set{1}, no_buckets),
+  EXPECT_THROW(core::TreeAlice(shared, 0, 100, one, no_buckets, env),
                std::invalid_argument);
   core::VerificationTreeParams r1 = params_for(4, 1);
-  EXPECT_THROW(core::TreeAlice(shared, 0, 100, util::Set{1}, r1),
+  EXPECT_THROW(core::TreeAlice(shared, 0, 100, one, r1, env),
                std::invalid_argument);
-  core::VerificationTreeParams cutoff = params_for(4, 2);
-  cutoff.worst_case_cutoff_factor = 1.0;
-  EXPECT_THROW(core::TreeAlice(shared, 0, 100, util::Set{1}, cutoff),
-               std::invalid_argument);
+}
+
+// With a budget no stage fits in, both parties stop after stage 0 with the
+// fallback flagged, the stage's last message is no checkpoint boundary,
+// and the public entry point answers exactly through the deterministic
+// exchange.
+TEST(TreeFsm, WorstCaseCutoffStopsBothParties) {
+  util::Rng wrng(14);
+  const util::SetPair p = util::random_set_pair(wrng, 1u << 22, 256, 128);
+  auto params = params_for(256, 3);
+  params.worst_case_cutoff_factor = 0.0001;
+  sim::SharedRandomness shared(14);
+
+  sim::Channel ch;
+  const sim::PartyEnv env(ch);
+  core::TreeAlice alice(shared, 0, 1u << 22, p.s, params, env);
+  core::TreeBob bob(shared, 0, 1u << 22, p.t, params, env);
+  core::Checkpoint ckpt;
+  sim::run_two_party(ch, alice, bob, 18, &ckpt, "vt");
+  EXPECT_TRUE(alice.diag().fallback_used);
+  EXPECT_TRUE(bob.diag().fallback_used);
+  EXPECT_TRUE(alice.done());
+  EXPECT_TRUE(bob.done());
+  EXPECT_EQ(alice.diag().stage_eq_bits[1], 0u);  // stage 1 never ran
+  EXPECT_TRUE(ckpt.empty());
+
+  sim::Channel entry_ch;
+  core::VerificationTreeDiag diag;
+  const core::IntersectionOutput out = core::verification_tree_intersection(
+      entry_ch, shared, 0, 1u << 22, p.s, p.t, params, &diag);
+  EXPECT_TRUE(diag.fallback_used);
+  EXPECT_EQ(out.alice, p.expected_intersection);
+  EXPECT_EQ(out.bob, p.expected_intersection);
+  // The fallback's bits come on top of the abandoned stage's.
+  EXPECT_GT(entry_ch.cost().bits_total, ch.cost().bits_total);
 }
 
 TEST(TreeFsm, EmptyAndDegenerateInputs) {
   sim::SharedRandomness shared(2);
   const auto params = params_for(4, 2);
+  const util::Set none;
+  const util::Set three{1, 2, 3};
   {
     sim::Channel ch;
-    core::TreeAlice alice(shared, 0, 100, util::Set{}, params);
-    core::TreeBob bob(shared, 0, 100, util::Set{}, params);
+    const sim::PartyEnv env(ch);
+    core::TreeAlice alice(shared, 0, 100, none, params, env);
+    core::TreeBob bob(shared, 0, 100, none, params, env);
     sim::run_two_party(ch, alice, bob);
     EXPECT_TRUE(alice.output().empty());
   }
   {
     sim::Channel ch;
-    core::TreeAlice alice(shared, 1, 100, util::Set{1, 2, 3}, params);
-    core::TreeBob bob(shared, 1, 100, util::Set{}, params);
+    const sim::PartyEnv env(ch);
+    core::TreeAlice alice(shared, 1, 100, three, params, env);
+    core::TreeBob bob(shared, 1, 100, none, params, env);
     sim::run_two_party(ch, alice, bob);
     EXPECT_TRUE(alice.output().empty());
     EXPECT_TRUE(bob.output().empty());
@@ -132,7 +198,10 @@ TEST(TreeFsm, ImageCountOverDecodeLimitThrows) {
   core::ResourceLimits limits;
   limits.max_decoded_items = 32;
   sim::SharedRandomness shared(3);
-  core::TreeBob bob(shared, 0, 1u << 20, p.t, params_for(4, 2), &limits);
+  util::BufferPool pool;
+  util::ScratchArena arena;
+  core::TreeBob bob(shared, 0, 1u << 20, p.t, params_for(4, 2),
+                    sim::PartyEnv(&limits, pool, arena));
   // Stage 0: all-ones "hashes" (more bits than the stage needs) fail the
   // equality tests, so Bob moves on to Basic-Intersection.
   util::BitBuffer hashes;

@@ -1,12 +1,13 @@
 // Tests for the main protocol (Algorithm 1 / Theorems 1.1, 3.6): layout
 // construction, exactness across (k, r, overlap) sweeps, the always-true
 // superset invariant, round bounds, diagnostics, stress with hostile
-// parameters, and the worst-case fallback.
+// parameters, the verdict cross-check, and the worst-case fallback.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
 #include "core/verification_tree.h"
+#include "sim/adversary.h"
 #include "sim/channel.h"
 #include "sim/randomness.h"
 #include "util/iterated_log.h"
@@ -193,10 +194,12 @@ TEST(TreeProtocol, RejectsInvalidInputs) {
                    ch, shared, 0, 0, util::Set{}, util::Set{}, {}),
                std::invalid_argument);
   core::VerificationTreeParams bad;
-  bad.rounds_r = -3;
-  EXPECT_THROW(core::verification_tree_intersection(
-                   ch, shared, 0, 100, util::Set{1}, util::Set{1}, bad),
-               std::invalid_argument);
+  for (const int r : {-3, core::kMaxTreeStages + 1}) {
+    bad.rounds_r = r;
+    EXPECT_THROW(core::verification_tree_intersection(
+                     ch, shared, 0, 100, util::Set{1}, util::Set{1}, bad),
+                 std::invalid_argument);
+  }
 }
 
 // ---------- round and cost accounting ----------
@@ -329,6 +332,28 @@ TEST(TreeProtocol, WorstCaseCutoffFallsBackToExactExchange) {
   EXPECT_TRUE(diag.fallback_used);
   EXPECT_EQ(out.alice, p.expected_intersection);  // fallback is exact
   EXPECT_EQ(out.bob, p.expected_intersection);
+}
+
+// A lying verdict frame desynchronises which leaves the two parties would
+// repair; the entry point fails the run as soon as Alice has read it, so
+// nothing after the equality exchange is sent.
+TEST(TreeProtocol, TamperedVerdictsFailLoudlyBeforeRepair) {
+  util::Rng wrng(15);
+  const util::SetPair p = util::random_set_pair(wrng, 1u << 22, 64, 32);
+  core::VerificationTreeParams params;
+  params.rounds_r = 2;
+  sim::AdversarySpec spec;
+  spec.party = sim::PartyId::kBob;
+  spec.attack = sim::AttackClass::kRandomGarbage;
+  spec.frame_bits = 256;
+  sim::Adversary adversary(spec);
+  sim::SharedRandomness shared(15);
+  sim::Channel ch;
+  ch.set_adversary(&adversary);
+  EXPECT_THROW(core::verification_tree_intersection(ch, shared, 0, 1u << 22,
+                                                    p.s, p.t, params),
+               std::logic_error);
+  EXPECT_EQ(ch.cost().messages, 2u);  // hashes and the forged verdicts
 }
 
 TEST(TreeProtocol, ExplicitBucketCountsStayExact) {

@@ -31,8 +31,9 @@
 #      tiers (timing is skipped as cross-tier incomparable) — plus an
 #      ASan/UBSan pass over the intrinsics (ctest -L simd in
 #      build-sanitize/)
-#   7c. the parties slice by label (runner + party tests, transcript,
-#      golden, checkpoint and sans-IO pins), natively and under ASan/UBSan
+#   7c. the parties slice by label (runner + party tests, the
+#      verification-tree suite, transcript, golden, checkpoint and sans-IO
+#      pins), natively and under ASan/UBSan
 #   7d. the robustness tests (robustness_test, adversary_test, fuzz_smoke)
 #      under ASan/UBSan: crafted frames through the word-level decoders
 #   8. the telemetry-overhead gate (exp_cpu --gate-overhead=50) and the
@@ -188,11 +189,12 @@ step "simd sanitizer pass (ASan+UBSan over the intrinsics, -L simd)"
 tools/run_sanitized_tests.sh -L simd
 
 step "parties slice (ctest -L parties), native + ASan/UBSan"
-# Equality, Basic-Intersection and one-round hashing exist only as
-# separated parties; both parties of a run share the session's scratch
-# arena, and the checkpoint replay feeds recorded frames back in. The
-# runner/party tests plus every transcript, golden, resume and sans-IO pin
-# run natively and under the sanitizers (reusing build-sanitize/).
+# Equality, Basic-Intersection, one-round hashing and the verification
+# tree exist only as separated parties; both parties of a run share the
+# session's scratch arena, and a resumed run decodes from the runner's
+# replay log of recorded frames. The runner/party tests, the
+# verification-tree suite and every transcript, golden, resume and sans-IO
+# pin run natively and under the sanitizers (reusing build-sanitize/).
 (cd "$BUILD_DIR" && ctest --output-on-failure -L parties -j "$JOBS")
 tools/run_sanitized_tests.sh -L parties
 
