@@ -60,7 +60,7 @@ namespace setint::bench {
 // v2.
 //
 // v3 (SIMD engine PR): environment gains a "cpu" block — the detected
-// feature bits (avx2, sse4_1, popcnt) and the kernel tier the process
+// feature bits (avx2, sse4_1, popcnt, pclmul) and the kernel tier the process
 // actually dispatched to (environment.cpu.dispatch_tier: "scalar" |
 // "sse41" | "avx2", after SETINT_FORCE_SCALAR / SETINT_FORCE_TIER).
 // Timing numbers from records with different dispatch_tier values are
@@ -151,6 +151,7 @@ inline obs::Json environment_json() {
   cpu_block["avx2"] = cpu.avx2;
   cpu_block["sse4_1"] = cpu.sse4_1;
   cpu_block["popcnt"] = cpu.popcnt;
+  cpu_block["pclmul"] = cpu.pclmul;
   cpu_block["dispatch_tier"] = simd::tier_name(simd::active_tier());
   env["cpu"] = std::move(cpu_block);
   return env;

@@ -30,6 +30,8 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -240,53 +242,87 @@ bool run_substrate_micro(bench::Reporter& rep) {
   }
 
   // Toeplitz GF(2) hashing: 16-bit hashes of single-word payloads (the
-  // bucket-EQ case) and one 8192-bit hash of a certificate-sized payload
-  // (the 2k-bit set-intersection certificate at k = 4096).
+  // bucket-EQ tag) and one 2k-bit hash of a certificate-sized payload
+  // (the set-intersection certificate; 82618 bits at k = 4096, scaled
+  // linearly in k). Each shape times three evaluators on the same hashes:
+  // the bit-at-a-time reference (the two small shapes only), the scalar
+  // word loop (forced kScalar) and the dispatched product, which runs
+  // carry-less multiplies on PCLMULQDQ parts. Rows "<shape>" compare the
+  // word loop against the reference, rows "<shape>_clmul" (appended
+  // after them) the dispatched product against the word loop. Under
+  // SETINT_FORCE_SCALAR the dispatched product is the word loop, so the
+  // checksum cells do not depend on the tier.
   struct ToeplitzCase {
     const char* op;
     std::size_t payload_bits;
     std::size_t hash_bits;
     std::size_t hashes;
+    bool reference;  // bit-at-a-time reference affordable
+    bool in_smoke;
   };
   const ToeplitzCase toeplitz_cases[] = {
-      {"toeplitz_hash_16b", 24, 16, rep.smoke() ? (1u << 10) : (1u << 14)},
-      {"toeplitz_hash_cert_8192b", 82618, 8192, 1},
+      {"toeplitz_hash_16b", 24, 16, rep.smoke() ? (1u << 10) : (1u << 14),
+       true, true},
+      {"toeplitz_hash_cert_8192b", 82618, 8192, 1, true, true},  // k = 4096
+      {"toeplitz_hash_cert_32768b", 82618 * 4, 32768, 1, false,
+       false},  // k = 16384
+      {"toeplitz_hash_cert_131072b", 82618 * 16, 131072, 1, false,
+       false},  // k = 65536
   };
+  struct ClmulRow {
+    std::string op;
+    std::size_t hashes;
+    MicroResult result;
+  };
+  std::vector<ClmulRow> clmul_rows;
   util::ScratchArena arena;
   for (const ToeplitzCase& c : toeplitz_cases) {
+    if (rep.smoke() && !c.in_smoke) continue;
     util::BitBuffer payload;
     for (std::size_t i = 0; i < c.payload_bits; ++i) {
       payload.append_bit(rng.coin());
     }
     const util::Rng stream(rep.seed_for(0xAA));
     std::vector<std::uint64_t> hash(hashing::toeplitz_hash_words(c.hash_bits));
-    auto fold = [](std::uint64_t acc, std::span<const std::uint64_t> words) {
-      for (std::uint64_t w : words) acc = util::mix64(acc, w);
-      return acc;
+    // Checksum of `reps` passes over the shape's hashes, and their CPU ms.
+    const auto timed = [&](auto&& hash_fn) {
+      std::uint64_t acc = 0;
+      const double t0 = cpu_seconds();
+      for (int rep_i = 0; rep_i < reps; ++rep_i) {
+        acc = 0;
+        for (std::size_t i = 0; i < c.hashes; ++i) {
+          for (std::uint64_t w : hash_fn(stream.substream(i))) {
+            acc = util::mix64(acc, w);
+          }
+        }
+      }
+      return std::pair{acc, (cpu_seconds() - t0) * 1e3};
     };
-    MicroResult r;
-    double t0 = cpu_seconds();
-    for (int rep_i = 0; rep_i < reps; ++rep_i) {
-      std::uint64_t acc = 0;
-      for (std::size_t i = 0; i < c.hashes; ++i) {
-        acc = fold(acc, toeplitz_hash_reference(payload, c.hash_bits,
-                                                stream.substream(i)));
-      }
-      r.checksum_baseline = acc;
+    const auto dispatched = [&](const util::Rng& s) {
+      hashing::toeplitz_hash(payload, c.hash_bits, s, arena, hash);
+      return std::span<const std::uint64_t>(hash);
+    };
+    MicroResult word_loop;  // the word loop as the engine
+    {
+      const simd::ScopedTierOverride scalar(simd::Tier::kScalar);
+      std::tie(word_loop.checksum_engine, word_loop.engine_ms) =
+          timed(dispatched);
     }
-    r.baseline_ms = (cpu_seconds() - t0) * 1e3;
-    t0 = cpu_seconds();
-    for (int rep_i = 0; rep_i < reps; ++rep_i) {
-      std::uint64_t acc = 0;
-      for (std::size_t i = 0; i < c.hashes; ++i) {
-        hashing::toeplitz_hash(payload, c.hash_bits, stream.substream(i),
-                               arena, hash);
-        acc = fold(acc, hash);
-      }
-      r.checksum_engine = acc;
+    if (c.reference) {
+      std::tie(word_loop.checksum_baseline, word_loop.baseline_ms) =
+          timed([&](const util::Rng& s) {
+            return toeplitz_hash_reference(payload, c.hash_bits, s);
+          });
+      add_micro_row(t, c.op, c.hashes, reps, word_loop, all_ok);
     }
-    r.engine_ms = (cpu_seconds() - t0) * 1e3;
-    add_micro_row(t, c.op, c.hashes, reps, r, all_ok);
+    MicroResult clmul;  // the word loop as the baseline
+    clmul.checksum_baseline = word_loop.checksum_engine;
+    clmul.baseline_ms = word_loop.engine_ms;
+    std::tie(clmul.checksum_engine, clmul.engine_ms) = timed(dispatched);
+    clmul_rows.push_back({std::string(c.op) + "_clmul", c.hashes, clmul});
+  }
+  for (const ClmulRow& row : clmul_rows) {
+    add_micro_row(t, row.op, row.hashes, reps, row.result, all_ok);
   }
 
   t.print();
@@ -590,7 +626,8 @@ bool run_bitmap_micro(bench::Reporter& rep) {
 bool run_simd_differential_gate(bench::Reporter& rep) {
   auto& t = rep.table(
       "E-CPU.7: scalar-vs-SIMD differential gate (forced tiers)",
-      {"tier", "intersect_cases", "hash_cases", "bitmap_cases", "identical"});
+      {"tier", "intersect_cases", "hash_cases", "bitmap_cases",
+       "identical", "toeplitz_cases"});
   bool all_ok = true;
   const int trials = rep.smoke() ? 12 : 60;
   const std::uint64_t universe = std::uint64_t{1} << 24;
@@ -666,10 +703,37 @@ bool run_simd_differential_gate(bench::Reporter& rep) {
       }
     }
 
+    // Toeplitz product (the carry-less multiply from kSse41 up on
+    // PCLMULQDQ parts) vs the scalar word loop, on random lengths and
+    // widths across word boundaries.
+    std::uint64_t toeplitz_cases = 0;
+    {
+      util::ScratchArena arena;
+      for (int trial = 0; trial < trials; ++trial) {
+        util::BitBuffer data;
+        const std::size_t nbits = rng.below(3000);
+        for (std::size_t i = 0; i < nbits; ++i) data.append_bit(rng.coin());
+        const std::size_t bits = 1 + rng.below(3000);
+        const util::Rng stream = rng.substream(trial);
+        std::vector<std::uint64_t> want(hashing::toeplitz_hash_words(bits));
+        std::vector<std::uint64_t> got(want.size());
+        {
+          const simd::ScopedTierOverride scalar(simd::Tier::kScalar);
+          hashing::toeplitz_hash(data, bits, stream, arena, want);
+        }
+        {
+          const simd::ScopedTierOverride forced(tier);
+          hashing::toeplitz_hash(data, bits, stream, arena, got);
+        }
+        tier_ok = tier_ok && got == want;
+        ++toeplitz_cases;
+      }
+    }
+
     all_ok = all_ok && tier_ok;
     t.add_row({simd::tier_name(tier), bench::fmt_u64(isect_cases),
                bench::fmt_u64(hash_cases), bench::fmt_u64(bitmap_cases),
-               tier_ok ? "yes" : "NO"});
+               tier_ok ? "yes" : "NO", bench::fmt_u64(toeplitz_cases)});
   }
   t.print();
 

@@ -4,6 +4,7 @@
 
 #include "eq/equality.h"
 #include "hashing/pairwise.h"
+#include "util/arena.h"
 #include "util/bitio.h"
 #include "util/iterated_log.h"
 #include "util/rng.h"
@@ -194,13 +195,14 @@ ReconcileResult reconcile_intersection(
   // Step 3 (2 rounds): constant-size certificate. A hash collision puts
   // DIFFERENT elements into the two views, so equal views are correct up
   // to the 2^-64 certificate error.
-  util::BitBuffer ca;
-  util::append_set(ca, alice_view);
-  util::BitBuffer cb;
-  util::append_set(cb, bob_view);
-  const bool certified =
-      eq::equality_test(channel, shared, util::mix64(nonce, 0xCE7), ca, cb,
-                        64);
+  bool certified = false;
+  {
+    util::ScratchArena::Frame certificate_frame(channel.scratch());
+    certified = eq::equality_test(
+        channel, shared, util::mix64(nonce, 0xCE7),
+        util::pack_set(alice_view, channel.scratch()),
+        util::pack_set(bob_view, channel.scratch()), 64);
+  }
 
   ReconcileResult result;
   if (certified) {

@@ -58,8 +58,10 @@ std::vector<CandidatePair> basic_intersection_batch(
   // Alice's images exchanged.
   sim::run_two_party(channel, alice, bob, 4, ckpt, "bi");
   for (std::size_t j = 0; j < n; ++j) {
-    result[j].s_candidate = alice.take_candidate(j);
-    result[j].t_candidate = bob.take_candidate(j);
+    result[j].s_candidate.assign(alice.candidate(j).begin(),
+                                 alice.candidate(j).end());
+    result[j].t_candidate.assign(bob.candidate(j).begin(),
+                                 bob.candidate(j).end());
   }
   return result;
 }

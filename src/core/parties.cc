@@ -62,14 +62,15 @@ util::SetView read_image(util::BitReader& in, unsigned width,
   return image;
 }
 
-// The own elements whose hash appears in the peer's image.
-util::Set filter_own(util::SetView own, std::span<const std::uint64_t> vals,
-                     util::SetView peer_image) {
-  util::Set out;
+// Writes the own elements whose hash appears in the peer's image to the
+// front of `out` (at least own.size() words); returns how many.
+std::size_t filter_own(util::SetView own, std::span<const std::uint64_t> vals,
+                       util::SetView peer_image, std::span<std::uint64_t> out) {
+  std::size_t n = 0;
   for (std::size_t i = 0; i < own.size(); ++i) {
-    if (util::set_contains(peer_image, vals[i])) out.push_back(own[i]);
+    if (util::set_contains(peer_image, vals[i])) out[n++] = own[i];
   }
-  return out;
+  return n;
 }
 
 }  // namespace
@@ -78,7 +79,7 @@ util::Set filter_own(util::SetView own, std::span<const std::uint64_t> vals,
 
 EqualityParty::EqualityParty(const sim::SharedRandomness& shared,
                              std::uint64_t nonce,
-                             std::span<const util::BitBuffer> strings,
+                             std::span<const util::BitSpan> strings,
                              std::size_t bits, sim::PartyEnv env)
     : shared_(shared), nonce_(nonce), strings_(strings), bits_(bits),
       env_(env) {}
@@ -96,15 +97,16 @@ std::optional<sim::Outgoing> EqualityAlice::start() {
       msg.bits.append_bits(hash[w], chunk_width(bits_, w));
     }
   }
+  verdicts_.resize(strings_.size());
+  strings_ = {};  // never read again
   return msg;
 }
 
 std::optional<sim::Outgoing> EqualityAlice::on_message(
     const util::BitBuffer& message) {
   util::BitReader reader = env_.reader(message);
-  reader.expect_at_least(strings_.size(), 1, "eq verdicts");
-  verdicts_.resize(strings_.size());
-  for (std::size_t i = 0; i < strings_.size(); ++i) {
+  reader.expect_at_least(verdicts_.size(), 1, "eq verdicts");
+  for (std::size_t i = 0; i < verdicts_.size(); ++i) {
     verdicts_[i] = reader.read_bit();
   }
   done_ = true;
@@ -136,6 +138,7 @@ std::optional<sim::Outgoing> EqualityBob::on_message(
     verdicts_[i] = match;
     reply.bits.append_bit(match);
   }
+  strings_ = {};  // never read again
   done_ = true;
   return reply;
 }
@@ -185,7 +188,8 @@ void OneRoundHashParty::filter_by_peer_image(const util::BitBuffer& message) {
   util::BitReader reader = env_.reader(message);
   const util::SetView peer_image =
       read_image(reader, image_width(hash_), *env_.arena);
-  candidates_ = filter_own(input_, vals_, peer_image);
+  candidates_.resize(input_.size());
+  candidates_.resize(filter_own(input_, vals_, peer_image, candidates_));
   done_ = true;
 }
 
@@ -233,11 +237,12 @@ void BasicIntersectionParty::read_peer_sizes(const util::BitBuffer& message) {
     // parties know it from the sizes, so no hash bits flow.
     if (sets_[j].empty() || peer_size == 0) continue;
     util::Rng stream = shared_.stream("basic-intersection", nonce_, j);
-    inst.hash = hashing::PairwiseHash::sample(
+    const auto hash = hashing::PairwiseHash::sample(
         stream, universe_,
         basic_intersection_range(sets_[j].size() + peer_size,
                                  target_failure_));
-    inst.vals = hash_all(sets_[j], *inst.hash, *env_.arena);
+    inst.width = image_width(hash);
+    inst.vals = hash_all(sets_[j], hash, *env_.arena);
   }
   sizes_known_ = true;
 }
@@ -246,8 +251,8 @@ sim::Outgoing BasicIntersectionParty::images_message(std::string_view label,
                                                      bool boundary) const {
   sim::Outgoing msg{{}, label, kHashExchange, boundary};
   for (const Instance& inst : instances_) {
-    if (!inst.hash) continue;
-    append_image(msg.bits, inst.vals, image_width(*inst.hash), *env_.arena);
+    if (inst.width == 0) continue;
+    append_image(msg.bits, inst.vals, inst.width, *env_.arena);
   }
   return msg;
 }
@@ -257,11 +262,15 @@ void BasicIntersectionParty::filter_by_peer_images(
   util::BitReader reader = env_.reader(message);
   for (std::size_t j = 0; j < sets_.size(); ++j) {
     Instance& inst = instances_[j];
-    if (!inst.hash) continue;  // candidate stays empty
+    if (inst.width == 0) continue;  // candidate stays empty
+    // Room for every own element, taken before the image's scratch frame
+    // so the candidate outlives it.
+    const std::span<std::uint64_t> out = env_.arena->alloc_u64(sets_[j].size());
     util::ScratchArena::Frame scratch_frame(*env_.arena);
     const util::SetView peer_image =
-        read_image(reader, image_width(*inst.hash), *env_.arena);
-    inst.candidate = filter_own(sets_[j], inst.vals, peer_image);
+        read_image(reader, inst.width, *env_.arena);
+    inst.candidate =
+        out.first(filter_own(sets_[j], inst.vals, peer_image, out));
   }
   done_ = true;
 }

@@ -26,14 +26,17 @@ namespace setint::core {
 
 // ---------- Fact 3.5 equality, batched ----------
 //
-// Instance i compares Alice's strings[i] with Bob's strings[i] on `bits`
-// (>= 1) mask-hash bits. Alice sends every hash in one message ("eq-hashes"), Bob
-// replies the verdict bitmap ("eq-verdicts"): two rounds for any count.
+// Instance i compares Alice's strings[i] with Bob's strings[i] on a
+// `bits`-bit (>= 1) Toeplitz hash (hashing/toeplitz_hash.h). Alice sends
+// every hash in one message ("eq-hashes"), Bob replies the verdict bitmap
+// ("eq-verdicts"): two rounds for any count. Each party reads the strings
+// only while producing its message — Alice in start(), Bob in
+// on_message() — so callers may release them afterwards.
 
 class EqualityParty : public sim::Party {
  public:
   EqualityParty(const sim::SharedRandomness& shared, std::uint64_t nonce,
-                std::span<const util::BitBuffer> strings, std::size_t bits,
+                std::span<const util::BitSpan> strings, std::size_t bits,
                 sim::PartyEnv env);
   bool done() const override { return done_; }
   // Bob's verdicts (true = declared equal), as this party knows them.
@@ -43,7 +46,7 @@ class EqualityParty : public sim::Party {
  protected:
   sim::SharedRandomness shared_;
   std::uint64_t nonce_;
-  std::span<const util::BitBuffer> strings_;
+  std::span<const util::BitSpan> strings_;
   std::size_t bits_;
   sim::PartyEnv env_;
   bool done_ = false;
@@ -111,7 +114,8 @@ class OneRoundHashBob final : public OneRoundHashParty {
 // Instance j intersects Alice's sets[j] with Bob's sets[j]. Four messages
 // for any count: sizes A->B, B->A (checkpoint boundary 1), hashed images
 // A->B (boundary 2), B->A. Instances with an empty side send no image
-// bits and end with empty candidates.
+// bits and end with empty candidates. Candidates live in the session's
+// arena, in the caller's frame.
 
 class BasicIntersectionParty : public sim::Party {
  public:
@@ -120,11 +124,8 @@ class BasicIntersectionParty : public sim::Party {
                          std::span<const util::SetView> sets,
                          double target_failure, sim::PartyEnv env);
   bool done() const override { return done_; }
-  const util::Set& candidate(std::size_t j) const {
+  util::SetView candidate(std::size_t j) const {
     return instances_[j].candidate;
-  }
-  util::Set take_candidate(std::size_t j) {
-    return std::move(instances_[j].candidate);
   }
 
  protected:
@@ -140,9 +141,9 @@ class BasicIntersectionParty : public sim::Party {
 
  private:
   struct Instance {
-    std::optional<hashing::PairwiseHash> hash;  // unset when skipped
-    std::span<std::uint64_t> vals;              // hash of every element
-    util::Set candidate;
+    unsigned width = 0;              // image bits per value; 0 = skipped
+    std::span<std::uint64_t> vals;   // hash of every element
+    util::SetView candidate;         // in the arena
   };
 
   sim::SharedRandomness shared_;

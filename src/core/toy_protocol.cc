@@ -6,6 +6,7 @@
 #include "core/basic_intersection.h"
 #include "eq/equality.h"
 #include "hashing/pairwise.h"
+#include "util/arena.h"
 #include "util/bitio.h"
 #include "util/iterated_log.h"
 #include "util/rng.h"
@@ -65,11 +66,12 @@ IntersectionOutput toy_bucket_intersection(sim::Channel& channel,
     local.total_reruns += iter == 0 ? 0 : pending.size();
 
     // Verification: one O(log k)-bit equality test per pending bucket.
-    std::vector<util::BitBuffer> ca(pending.size());
-    std::vector<util::BitBuffer> cb(pending.size());
+    util::ScratchArena::Frame contents_frame(channel.scratch());
+    std::vector<util::BitSpan> ca(pending.size());
+    std::vector<util::BitSpan> cb(pending.size());
     for (std::size_t j = 0; j < pending.size(); ++j) {
-      util::append_set(ca[j], sa[pending[j]]);
-      util::append_set(cb[j], tb[pending[j]]);
+      ca[j] = util::pack_set(sa[pending[j]], channel.scratch());
+      cb[j] = util::pack_set(tb[pending[j]], channel.scratch());
     }
     const std::vector<bool> pass = eq::batch_equality_test(
         channel, shared, util::mix64(nonce, util::mix64(0x7E, iter)), ca, cb,

@@ -154,7 +154,6 @@ TreeParty::TreeParty(const sim::SharedRandomness& shared, std::uint64_t nonce,
   for (std::size_t u = 0; u < k; ++u) assignment_[u] = buckets_.bucket(u);
 
   const auto stages = static_cast<std::size_t>(r_);
-  repaired_.reserve(stages);
   diag_.stage_failures.assign(stages, 0);
   diag_.stage_eq_bits.assign(stages, 0);
   diag_.stage_bi_bits.assign(stages, 0);
@@ -181,17 +180,12 @@ void TreeParty::start_repair(std::optional<BiParty>& bi) {
              universe_, failed_sets_, failure, env_);
 }
 
-std::span<const util::BitBuffer> TreeParty::node_contents() {
+std::span<const util::BitSpan> TreeParty::node_contents() {
   const auto& ranges = (*layout_)[static_cast<std::size_t>(stage_)];
-  // Stage 0 has the most nodes, so later stages reuse its buffers.
-  if (contents_.size() < ranges.size()) contents_.resize(ranges.size());
-  for (std::size_t v = 0; v < ranges.size(); ++v) {
-    contents_[v].clear();
-    for (std::size_t u = ranges[v].first; u < ranges[v].second; ++u) {
-      util::append_set(contents_[v], assignment_[u]);
-    }
-  }
-  return std::span<const util::BitBuffer>(contents_.data(), ranges.size());
+  // Stage 0 has the most nodes, so later stages never reallocate.
+  nodes_.resize(ranges.size());
+  util::pack_sets(assignment_, ranges, *env_.arena, nodes_);
+  return nodes_;
 }
 
 bool TreeParty::fail_leaves(const std::vector<bool>& pass) {
@@ -216,14 +210,10 @@ bool TreeParty::fail_leaves(const std::vector<bool>& pass) {
   return leaves > 0;
 }
 
-void TreeParty::take_candidates(BasicIntersectionParty& bi) {
-  // Sized once and never resized, so the views into it stay valid.
-  std::vector<util::Set>& store =
-      repaired_.emplace_back(failed_leaves_.size());
+void TreeParty::take_candidates(const BasicIntersectionParty& bi) {
   for (std::size_t j = 0; j < failed_leaves_.size(); ++j) {
     const std::size_t u = failed_leaves_[j];
-    store[j] = bi.take_candidate(j);
-    assignment_[u] = store[j];
+    assignment_[u] = bi.candidate(j);
     diag_.leaf_reruns[u] += 1;
   }
   diag_.total_bi_runs += failed_leaves_.size();
@@ -266,6 +256,8 @@ util::Set TreeParty::output() const {
 std::optional<sim::Outgoing> TreeAlice::start() { return begin_stage(); }
 
 std::optional<sim::Outgoing> TreeAlice::begin_stage() {
+  // EqualityAlice reads the node contents only in start().
+  util::ScratchArena::Frame contents_frame(*env_.arena);
   eq_.emplace(shared_, eq_nonce(), node_contents(), eq_bits(stage_), env_);
   return send(eq_->start(), /*repair=*/false);
 }
@@ -310,10 +302,15 @@ std::optional<sim::Outgoing> TreeBob::on_message(
       bi_.reset();
     }
   } else {
-    EqualityBob eq(shared_, eq_nonce(), node_contents(), eq_bits(stage_),
-                   env_);
-    reply = eq.on_message(message);
-    if (fail_leaves(eq.verdicts())) {
+    std::vector<bool> pass;
+    {
+      util::ScratchArena::Frame contents_frame(*env_.arena);
+      EqualityBob eq(shared_, eq_nonce(), node_contents(), eq_bits(stage_),
+                     env_);
+      reply = eq.on_message(message);
+      pass = eq.take_verdicts();
+    }
+    if (fail_leaves(pass)) {
       start_repair(bi_);
       stage_over = false;
     }

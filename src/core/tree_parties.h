@@ -86,10 +86,18 @@ class TreeParty : public sim::Party {
   const std::vector<std::size_t>& failed_leaves() const {
     return failed_leaves_;
   }
+  // Stages completed so far.
+  int stage() const { return stage_; }
+  // Per-leaf candidates: views of the bucket table and of the
+  // Basic-Intersection candidates, all in the session's arena.
+  std::span<const util::SetView> assignment() const { return assignment_; }
+  // The current stage's node contents, for equality: node v's string is
+  // the append_set encodings of its leaves' candidates, concatenated,
+  // packed into one region of the session's arena (util::pack_sets).
+  // Valid until the caller's arena frame closes or the next call.
+  std::span<const util::BitSpan> node_contents();
 
  protected:
-  // Per-node concatenated encodings of the current stage, for equality.
-  std::span<const util::BitBuffer> node_contents();
   std::uint64_t eq_nonce() const;
   // Records the failed nodes and the own sets of the leaves under them
   // (failed_sets_); true if there are any.
@@ -97,7 +105,7 @@ class TreeParty : public sim::Party {
   // Basic-Intersection over failed_sets_ for the current stage.
   template <typename BiParty>
   void start_repair(std::optional<BiParty>& bi);
-  void take_candidates(BasicIntersectionParty& bi);
+  void take_candidates(const BasicIntersectionParty& bi);
 
   // Adds a frame's payload to the stage's equality or BI bits.
   void meter(const util::BitBuffer& frame, bool repair);
@@ -119,10 +127,7 @@ class TreeParty : public sim::Party {
   std::uint64_t bits_seen_ = 0;   // payload bits sent plus received
   util::FlatBuckets buckets_;     // initial partition, in the arena
   std::vector<util::SetView> assignment_;     // per-leaf candidates
-  // Backs repaired leaves: one store per stage, reserved for r stages so
-  // neither level ever reallocates under the views.
-  std::vector<std::vector<util::Set>> repaired_;
-  std::vector<util::BitBuffer> contents_;     // current stage's node contents
+  std::vector<util::BitSpan> nodes_;          // node_contents() views
   std::vector<std::size_t> failed_leaves_;    // current stage's repairs
   std::vector<util::SetView> failed_sets_;    // own sets of those leaves
   VerificationTreeDiag diag_;

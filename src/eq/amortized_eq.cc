@@ -54,10 +54,10 @@ std::vector<bool> test_groups(sim::Channel& channel,
     group_content(groups[g], xs, scratch.a[g]);
     group_content(groups[g], ys, scratch.b[g]);
   }
-  return batch_equality_test(
-      channel, shared, batch_nonce,
-      std::span<const util::BitBuffer>(scratch.a.data(), groups.size()),
-      std::span<const util::BitBuffer>(scratch.b.data(), groups.size()), bits);
+  const auto n = static_cast<std::ptrdiff_t>(groups.size());
+  const std::vector<util::BitSpan> a(scratch.a.begin(), scratch.a.begin() + n);
+  const std::vector<util::BitSpan> b(scratch.b.begin(), scratch.b.begin() + n);
+  return batch_equality_test(channel, shared, batch_nonce, a, b, bits);
 }
 
 }  // namespace

@@ -17,8 +17,8 @@ std::size_t bits_for_failure(double target_failure) {
 }
 
 bool equality_test(sim::Channel& channel, const sim::SharedRandomness& shared,
-                   std::uint64_t nonce, const util::BitBuffer& xa,
-                   const util::BitBuffer& xb, std::size_t bits) {
+                   std::uint64_t nonce, util::BitSpan xa, util::BitSpan xb,
+                   std::size_t bits) {
   return batch_equality_test(channel, shared, nonce, {&xa, 1}, {&xb, 1},
                              bits)[0];
 }
@@ -26,8 +26,8 @@ bool equality_test(sim::Channel& channel, const sim::SharedRandomness& shared,
 std::vector<bool> batch_equality_test(sim::Channel& channel,
                                       const sim::SharedRandomness& shared,
                                       std::uint64_t nonce,
-                                      std::span<const util::BitBuffer> xa,
-                                      std::span<const util::BitBuffer> xb,
+                                      std::span<const util::BitSpan> xa,
+                                      std::span<const util::BitSpan> xb,
                                       std::size_t bits) {
   if (xa.size() != xb.size()) {
     throw std::invalid_argument("batch_equality_test: size mismatch");

@@ -21,9 +21,11 @@ namespace setint::eq {
 
 // Single equality test with `bits` hash bits (error 2^-bits). `nonce`
 // must be fresh per invocation so repeated tests use fresh randomness.
+// Strings are word spans (a BitBuffer converts implicitly; arena-packed
+// strings come from util::pack_sets).
 bool equality_test(sim::Channel& channel, const sim::SharedRandomness& shared,
-                   std::uint64_t nonce, const util::BitBuffer& xa,
-                   const util::BitBuffer& xb, std::size_t bits);
+                   std::uint64_t nonce, util::BitSpan xa, util::BitSpan xb,
+                   std::size_t bits);
 
 // Batched: instance i compares xa[i] (Alice's side) against xb[i] (Bob's).
 // Returns the per-instance verdicts (true = declared equal), known to both
@@ -32,8 +34,8 @@ bool equality_test(sim::Channel& channel, const sim::SharedRandomness& shared,
 std::vector<bool> batch_equality_test(sim::Channel& channel,
                                       const sim::SharedRandomness& shared,
                                       std::uint64_t nonce,
-                                      std::span<const util::BitBuffer> xa,
-                                      std::span<const util::BitBuffer> xb,
+                                      std::span<const util::BitSpan> xa,
+                                      std::span<const util::BitSpan> xb,
                                       std::size_t bits);
 
 // Hash width needed for failure probability <= `target_failure` (Fact 3.5:

@@ -7,6 +7,10 @@
 // unequal ones collide with probability exactly 2^-b (proof sketch in
 // docs/PROTOCOL.md, "The equality hash"). The length word keeps x and
 // x||0...0 apart.
+//
+// The product itself is simd::toeplitz_product (kernel family 4): a word
+// loop at the scalar tier, carry-less multiplies from kSse41 up on parts
+// with PCLMULQDQ. Every tier returns the same bits.
 #pragma once
 
 #include <cstddef>
@@ -29,12 +33,11 @@ constexpr std::size_t toeplitz_hash_words(std::size_t bits) {
 // out[j / 64], bits past b are zero. Both parties must pass
 // identically-seeded streams. Scratch comes from `arena` and is released
 // before returning.
-void toeplitz_hash(const util::BitBuffer& data, std::size_t bits,
-                   util::Rng stream, util::ScratchArena& arena,
-                   std::span<std::uint64_t> out);
+void toeplitz_hash(util::BitSpan data, std::size_t bits, util::Rng stream,
+                   util::ScratchArena& arena, std::span<std::uint64_t> out);
 
 // The same hash as one word, for b <= 64.
-std::uint64_t toeplitz_hash64(const util::BitBuffer& data, unsigned bits,
+std::uint64_t toeplitz_hash64(util::BitSpan data, unsigned bits,
                               util::Rng stream, util::ScratchArena& arena);
 
 }  // namespace setint::hashing

@@ -9,8 +9,10 @@
 #include "eq/equality.h"
 #include "obs/recorder.h"
 #include "sim/channel.h"
+#include "util/arena.h"
 #include "util/bitio.h"
 #include "util/rng.h"
+#include "util/set_util.h"
 
 namespace setint::multiparty {
 
@@ -215,10 +217,9 @@ bool VerifiedSessionDriver::run_attempt_loop() {
         // 2k-bit certificate (Section 4): candidates are subsets of the
         // inputs and supersets of the intersection, so equality implies
         // exactness.
-        util::BitBuffer ca;
-        util::append_set(ca, out.alice);
-        util::BitBuffer cb;
-        util::append_set(cb, out.bob);
+        util::ScratchArena::Frame certificate_frame(channel_.scratch());
+        const util::BitSpan ca = util::pack_set(out.alice, channel_.scratch());
+        const util::BitSpan cb = util::pack_set(out.bob, channel_.scratch());
         obs::Span certificate_span(tracer_, "certificate");
         const bool certified = eq::equality_test(
             channel_, shared_,

@@ -16,6 +16,7 @@ CpuFeatures detect() {
   f.avx2 = __builtin_cpu_supports("avx2");
   f.sse4_1 = __builtin_cpu_supports("sse4.1");
   f.popcnt = __builtin_cpu_supports("popcnt");
+  f.pclmul = __builtin_cpu_supports("pclmul");
 #endif
   return f;
 }

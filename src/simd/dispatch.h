@@ -44,6 +44,9 @@ struct CpuFeatures {
   bool avx2 = false;
   bool sse4_1 = false;
   bool popcnt = false;
+  // Carry-less multiply (PCLMULQDQ). Not a tier of its own: the Toeplitz
+  // product uses it at kSse41 and above (simd/kernels.h, family 4).
+  bool pclmul = false;
 };
 
 // Features of the machine we are running on (detected once, cached).

@@ -175,4 +175,23 @@ void bitmap_and(std::span<const std::uint64_t> a,
   scalar::bitmap_and(a.data(), b.data(), out.data(), a.size());
 }
 
+void toeplitz_product(std::span<const std::uint64_t> z,
+                      std::span<const std::uint64_t> r, std::size_t bits,
+                      std::span<std::uint64_t> out,
+                      std::span<std::uint64_t> scratch) {
+  if (bits == 0 || out.size() != (bits + 63) / 64 ||
+      r.size() < z.size() + out.size() || scratch.size() + 1 < r.size()) {
+    throw std::invalid_argument("simd::toeplitz_product: bad span sizes");
+  }
+#if defined(__x86_64__) || defined(_M_X64)
+  if (active_tier() >= Tier::kSse41 && detected_features().pclmul) {
+    clmul::toeplitz_product(z.data(), z.size(), r.data(), bits, out.data(),
+                            out.size(), scratch.data());
+    return;
+  }
+#endif
+  scalar::toeplitz_product(z.data(), z.size(), r.data(), bits, out.data(),
+                           out.size(), scratch.data());
+}
+
 }  // namespace setint::simd

@@ -1,6 +1,6 @@
 // The stable kernel API of the SIMD local-compute engine.
 //
-// Three kernel families, each dispatched at runtime across the tier
+// Four kernel families, each dispatched at runtime across the tier
 // ladder of simd/dispatch.h (scalar / SSE4.1 / AVX2). Callers never see
 // intrinsics; they see plain functions over spans whose results are
 // bit-identical on every tier:
@@ -19,6 +19,10 @@
 //      kernels over the occupancy bitmaps that util::FlatBuckets CSR
 //      tables carry (core/bucket_eq joins them to skip memberless
 //      buckets).
+//   4. GF(2) Toeplitz product — the equality hash of
+//      hashing/toeplitz_hash.h. The scalar tier runs a word loop of
+//      AND + popcount parity; from kSse41 up, on parts with PCLMULQDQ, one
+//      carry-less multiply per (input word, output word) pair.
 //
 // Contract shared by every kernel: results equal the scalar reference for
 // all inputs (randomized differential suite: tests/simd_test.cc, pinned
@@ -139,5 +143,23 @@ void bitmap_and(std::span<const std::uint64_t> a,
 inline bool bitmap_test(std::span<const std::uint64_t> bits, std::size_t i) {
   return (bits[i >> 6] >> (i & 63)) & 1u;
 }
+
+// ---------------------------------------------------------------------------
+// Family 4: GF(2) Toeplitz product
+// ---------------------------------------------------------------------------
+
+// Bit j < bits of the result, stored at bit j % 64 of out[j / 64], is the
+// parity of z AND r[j, j + 64 z.size()), where bit t of a word array is
+// bit t % 64 of word t / 64. Bits of out at j >= bits are zero. Requires
+// bits >= 1, out.size() == ceil(bits / 64), r.size() >= z.size() +
+// out.size() and scratch.size() >= r.size() - 1 (scratch is clobbered).
+// Runs carry-less multiplies when the active tier is kSse41 or above and
+// the CPU reports PCLMULQDQ, the word loop otherwise;
+// tests/bitio_property_test.cc pins every tier against a bit-at-a-time
+// reference.
+void toeplitz_product(std::span<const std::uint64_t> z,
+                      std::span<const std::uint64_t> r, std::size_t bits,
+                      std::span<std::uint64_t> out,
+                      std::span<std::uint64_t> scratch);
 
 }  // namespace setint::simd

@@ -11,7 +11,8 @@
 // Tier notes: the hash lanes exist only as scalar code. Neither x86
 // vector tier has a 64-bit multiply, and emulating one from 32-bit limb
 // products lost ~2x to scalar MULX (measured; see docs/PERFORMANCE.md).
-// sse41 and avx2 carry the intersect and bitmap kernels.
+// sse41 and avx2 carry the intersect and bitmap kernels; the clmul
+// namespace carries the carry-less Toeplitz product both of them use.
 #pragma once
 
 #include <cstddef>
@@ -43,6 +44,13 @@ std::uint64_t bitmap_and_count(const std::uint64_t* a, const std::uint64_t* b,
                                std::size_t n);
 void bitmap_and(const std::uint64_t* a, const std::uint64_t* b,
                 std::uint64_t* out, std::size_t n);
+
+// The word loop: 64 AND + popcount parity passes per output word.
+// `shifted` holds zw + nw - 1 words.
+void toeplitz_product(const std::uint64_t* z, std::size_t zw,
+                      const std::uint64_t* r, std::size_t bits,
+                      std::uint64_t* out, std::size_t nw,
+                      std::uint64_t* shifted);
 
 }  // namespace scalar
 
@@ -77,6 +85,17 @@ void bitmap_and(const std::uint64_t* a, const std::uint64_t* b,
                 std::uint64_t* out, std::size_t n);
 
 }  // namespace avx2
+
+// PCLMULQDQ (compiled with -mpclmul -msse4.1); entered only when cpuid
+// reports both. `zrev` holds zw words.
+namespace clmul {
+
+void toeplitz_product(const std::uint64_t* z, std::size_t zw,
+                      const std::uint64_t* r, std::size_t bits,
+                      std::uint64_t* out, std::size_t nw,
+                      std::uint64_t* zrev);
+
+}  // namespace clmul
 
 #endif  // x86-64
 

@@ -84,6 +84,31 @@ void BitBuffer::append_elias_gamma(std::uint64_t v) {
   append_bits(reverse_low_bits(v, n + 1), n + 1);
 }
 
+void BitSpanWriter::append_bits(std::uint64_t value, unsigned width) {
+  if (width > 64) throw std::invalid_argument("append_bits: width > 64");
+  if (width < 64 && (value >> width) != 0) {
+    throw std::invalid_argument("append_bits: value does not fit in width");
+  }
+  if (width == 0) return;
+  if (size_bits_ + width > 64 * words_.size()) {
+    throw std::out_of_range("BitSpanWriter: append past the end of the span");
+  }
+  const std::size_t word = size_bits_ / 64;
+  const unsigned offset = static_cast<unsigned>(size_bits_ % 64);
+  words_[word] |= value << offset;
+  const unsigned placed = 64 - offset;
+  if (width > placed) words_[word + 1] |= value >> placed;
+  size_bits_ += width;
+}
+
+void BitSpanWriter::append_gamma64(std::uint64_t v) {
+  const std::uint64_t g = v + 1;
+  if (g == 0) throw std::invalid_argument("elias gamma requires v >= 1");
+  const unsigned n = 63u - static_cast<unsigned>(std::countl_zero(g));
+  append_bits(0, n);
+  append_bits(reverse_low_bits(g, n + 1), n + 1);
+}
+
 void BitBuffer::append_rice(std::uint64_t v, unsigned b) {
   if (b > 63) throw std::invalid_argument("rice: parameter > 63");
   const std::uint64_t q = v >> b;

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -84,6 +85,41 @@ class BitBuffer {
 
  private:
   std::vector<std::uint64_t> words_;
+  std::size_t size_bits_ = 0;
+};
+
+// Read-only view of a bit string in BitBuffer's layout: `bits` bits
+// stored LSB-first in exactly ceil(bits / 64) words, every bit past the
+// end zero. A BitBuffer converts to it implicitly, the way std::string
+// converts to std::string_view; the words must outlive the view.
+struct BitSpan {
+  BitSpan() = default;
+  BitSpan(std::span<const std::uint64_t> words, std::size_t bits)
+      : words(words), bits(bits) {}
+  BitSpan(const BitBuffer& buffer)  // NOLINT(google-explicit-constructor)
+      : words(buffer.words()), bits(buffer.size_bits()) {}
+
+  std::span<const std::uint64_t> words;
+  std::size_t bits = 0;
+};
+
+// Appends bits to a caller-sized, zero-filled word span, with the layout
+// and codes of BitBuffer: a string written here is word for word the
+// BitBuffer the same appends would build. Appending past the span throws
+// std::out_of_range.
+class BitSpanWriter {
+ public:
+  explicit BitSpanWriter(std::span<std::uint64_t> words) : words_(words) {}
+
+  // Same contract as BitBuffer::append_bits.
+  void append_bits(std::uint64_t value, unsigned width);
+  // Same code as BitBuffer::append_gamma64.
+  void append_gamma64(std::uint64_t v);
+
+  std::size_t size_bits() const { return size_bits_; }
+
+ private:
+  std::span<std::uint64_t> words_;
   std::size_t size_bits_ = 0;
 };
 

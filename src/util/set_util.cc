@@ -65,7 +65,10 @@ bool is_subset(SetView a, SetView b) {
   return std::includes(b.begin(), b.end(), a.begin(), a.end());
 }
 
-void append_set(BitBuffer& out, SetView s) {
+namespace {
+
+template <typename Sink>
+void append_set_to(Sink& out, SetView s) {
   out.append_gamma64(s.size());
   if (s.empty()) return;
   out.append_gamma64(s[0]);
@@ -73,6 +76,12 @@ void append_set(BitBuffer& out, SetView s) {
     out.append_gamma64(s[i] - s[i - 1] - 1);
   }
 }
+
+}  // namespace
+
+void append_set(BitBuffer& out, SetView s) { append_set_to(out, s); }
+
+void append_set(BitSpanWriter& out, SetView s) { append_set_to(out, s); }
 
 Set read_set(BitReader& in) {
   const std::uint64_t size = in.read_gamma64();
@@ -109,6 +118,42 @@ std::size_t set_encoding_cost_bits(SetView s) {
     bits += gamma64_cost_bits(s[i] - s[i - 1] - 1);
   }
   return bits;
+}
+
+void pack_sets(std::span<const SetView> sets,
+               std::span<const std::pair<std::size_t, std::size_t>> groups,
+               ScratchArena& arena, std::span<BitSpan> out) {
+  if (out.size() != groups.size()) {
+    throw std::invalid_argument("pack_sets: output size != group count");
+  }
+  // Sizes first, so the region is allocated once and exactly.
+  std::size_t words = 0;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    std::size_t bits = 0;
+    for (std::size_t i = groups[g].first; i < groups[g].second; ++i) {
+      bits += set_encoding_cost_bits(sets[i]);
+    }
+    out[g].bits = bits;
+    words += (bits + 63) / 64;
+  }
+  const std::span<std::uint64_t> region = arena.alloc_u64_zeroed(words);
+  std::size_t offset = 0;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const std::size_t n = (out[g].bits + 63) / 64;
+    BitSpanWriter writer(region.subspan(offset, n));
+    for (std::size_t i = groups[g].first; i < groups[g].second; ++i) {
+      append_set(writer, sets[i]);
+    }
+    out[g].words = region.subspan(offset, n);
+    offset += n;
+  }
+}
+
+BitSpan pack_set(SetView s, ScratchArena& arena) {
+  const std::pair<std::size_t, std::size_t> group{0, 1};
+  BitSpan out;
+  pack_sets({&s, 1}, {&group, 1}, arena, {&out, 1});
+  return out;
 }
 
 namespace {

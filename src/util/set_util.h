@@ -7,8 +7,10 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "util/arena.h"
 #include "util/bitio.h"
 #include "util/rng.h"
 
@@ -36,10 +38,24 @@ bool is_subset(SetView a, SetView b);
 // sets; cost ~ |s| * (2 log2(n/|s|) + O(1)) bits for a spread-out set,
 // which is how the trivial D^(1) = O(k log(n/k)) bound is realized.
 void append_set(BitBuffer& out, SetView s);
+void append_set(BitSpanWriter& out, SetView s);
 Set read_set(BitReader& in);
 
 // Exact encoded size in bits of append_set(s).
 std::size_t set_encoding_cost_bits(SetView s);
+
+// Encodes groups of sets into one zero-filled arena region: out[g] is the
+// append_set encodings of sets[groups[g].first, groups[g].second)
+// concatenated. Every string starts on a word boundary and keeps its tail
+// bits zero, so out[g] is word for word the BitBuffer the same append_set
+// calls would build. Requires out.size() == groups.size(); the strings
+// live as long as the caller's arena frame.
+void pack_sets(std::span<const SetView> sets,
+               std::span<const std::pair<std::size_t, std::size_t>> groups,
+               ScratchArena& arena, std::span<BitSpan> out);
+
+// pack_sets for a single set.
+BitSpan pack_set(SetView s, ScratchArena& arena);
 
 // Rice-coded set encoding: gamma64(size), then element gaps Rice-coded
 // with parameter b = floor(log2(universe / size)). Both parties must know

@@ -609,62 +609,214 @@ TEST(BatchedHash, HashManyRejectsShortOutput) {
   EXPECT_THROW(f.hash_many(xs, out), std::invalid_argument);
 }
 
+// ---------- BitSpanWriter / pack_sets ----------
+
+// The span writer lays bits and gamma codes out exactly like BitBuffer,
+// and refuses to write past its span.
+TEST(BitioProperty, SpanWriterMatchesBitBuffer) {
+  Rng rng(0x5A17);
+  for (int trial = 0; trial < 300; ++trial) {
+    struct Op {
+      bool gamma;
+      std::uint64_t value;
+      unsigned width;
+    };
+    std::vector<Op> ops;
+    BitBuffer ref;
+    const int n = static_cast<int>(rng.below(40));
+    for (int i = 0; i < n; ++i) {
+      if (rng.coin()) {
+        const std::uint64_t v = rng.next() >> rng.below(64);
+        ops.push_back({true, v, 0});
+        ref.append_gamma64(v);
+      } else {
+        const auto width = static_cast<unsigned>(rng.below(65));
+        const std::uint64_t v =
+            width == 0 ? 0 : rng.next() >> (64 - width);
+        ops.push_back({false, v, width});
+        ref.append_bits(v, width);
+      }
+    }
+    std::vector<std::uint64_t> words(ref.words().size(), 0);
+    BitSpanWriter writer(words);
+    for (const Op& op : ops) {
+      if (op.gamma) {
+        writer.append_gamma64(op.value);
+      } else {
+        writer.append_bits(op.value, op.width);
+      }
+    }
+    ASSERT_EQ(writer.size_bits(), ref.size_bits());
+    EXPECT_EQ(words, ref.words());
+    const std::size_t spare = 64 * words.size() - ref.size_bits();
+    const auto over =
+        static_cast<unsigned>(std::min<std::size_t>(64, spare + 1));
+    EXPECT_THROW(writer.append_bits(0, over), std::out_of_range);
+  }
+}
+
+// Each packed string is word for word the BitBuffer that append_set
+// builds for its group, empty groups and empty sets included.
+TEST(BitioProperty, PackSetsMatchesAppendSet) {
+  Rng rng(0xBAC5);
+  ScratchArena arena;
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<Set> owned(1 + rng.below(30));
+    for (Set& s : owned) {
+      s = random_set(rng, std::uint64_t{1} << (3 + rng.below(40)),
+                     rng.below(6));
+    }
+    const std::vector<SetView> sets(owned.begin(), owned.end());
+    std::vector<std::pair<std::size_t, std::size_t>> groups;
+    for (std::size_t lo = 0; lo < sets.size();) {
+      const std::size_t hi = std::min(sets.size(), lo + rng.below(4));
+      groups.emplace_back(lo, hi);  // empty groups too
+      lo = hi;
+    }
+    ScratchArena::Frame frame(arena);
+    std::vector<BitSpan> packed(groups.size());
+    pack_sets(sets, groups, arena, packed);
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      BitBuffer ref;
+      for (std::size_t i = groups[g].first; i < groups[g].second; ++i) {
+        append_set(ref, sets[i]);
+      }
+      EXPECT_EQ(packed[g].bits, ref.size_bits());
+      EXPECT_TRUE(std::equal(packed[g].words.begin(), packed[g].words.end(),
+                             ref.words().begin(), ref.words().end()));
+    }
+  }
+}
+
 // Bit-at-a-time Hankel reference for toeplitz_hash: z is the 64-bit
 // length word followed by the data bits, r the stream's bits in draw
 // order, and hash bit j is the parity of z AND r[j, j + |z|).
-std::vector<std::uint8_t> toeplitz_hash_reference(const BitBuffer& data,
-                                                  std::size_t bits,
-                                                  Rng stream) {
-  std::vector<std::uint8_t> z;
-  for (unsigned c = 0; c < 64; ++c) z.push_back((data.size_bits() >> c) & 1);
-  for (std::size_t i = 0; i < data.size_bits(); ++i) z.push_back(data.bit(i));
-  std::vector<std::uint8_t> r;
-  while (r.size() < z.size() + bits) {
-    const std::uint64_t w = stream.next();
-    for (unsigned c = 0; c < 64; ++c) r.push_back((w >> c) & 1);
+class ToeplitzReference {
+ public:
+  ToeplitzReference(const BitBuffer& data, std::size_t bits, Rng stream) {
+    for (unsigned c = 0; c < 64; ++c) z_.push_back((data.size_bits() >> c) & 1);
+    for (std::size_t i = 0; i < data.size_bits(); ++i) {
+      z_.push_back(data.bit(i));
+    }
+    while (r_.size() < z_.size() + bits) {
+      const std::uint64_t w = stream.next();
+      for (unsigned c = 0; c < 64; ++c) r_.push_back((w >> c) & 1);
+    }
   }
-  std::vector<std::uint8_t> h(bits);
-  for (std::size_t j = 0; j < bits; ++j) {
+
+  bool bit(std::size_t j) const {
     std::uint8_t parity = 0;
-    for (std::size_t i = 0; i < z.size(); ++i) parity ^= z[i] & r[j + i];
-    h[j] = parity;
+    for (std::size_t i = 0; i < z_.size(); ++i) parity ^= z_[i] & r_[j + i];
+    return parity != 0;
   }
-  return h;
+
+ private:
+  std::vector<std::uint8_t> z_;
+  std::vector<std::uint8_t> r_;
+};
+
+// Every tier this machine runs: the scalar word loop, and the carry-less
+// multiply product at kSse41 and kAvx2 when the CPU reports PCLMULQDQ.
+std::vector<simd::Tier> toeplitz_tiers() {
+  std::vector<simd::Tier> tiers;
+  for (const simd::Tier t :
+       {simd::Tier::kScalar, simd::Tier::kSse41, simd::Tier::kAvx2}) {
+    if (t <= simd::detected_tier()) tiers.push_back(t);
+  }
+  return tiers;
 }
 
+std::vector<std::uint64_t> toeplitz_hash_at(simd::Tier tier,
+                                            const BitBuffer& data,
+                                            std::size_t bits, Rng stream,
+                                            ScratchArena& arena) {
+  const simd::ScopedTierOverride forced(tier);
+  std::vector<std::uint64_t> out(hashing::toeplitz_hash_words(bits));
+  hashing::toeplitz_hash(data, bits, stream, arena, out);
+  return out;
+}
+
+// |z| = 64 + |data| covers every residue class the kernels special-case:
+// |z| = 0, 1 and 63 (mod 64), plus random lengths; widths >= 64 cover
+// every shift s = j % 64, s = 0 included.
 TEST(BatchedHash, ToeplitzHashMatchesHankelReference) {
   Rng rng(0x3A5C);
   ScratchArena arena;
-  // Word-boundary lengths plus random ones in 0..400 bits.
   std::vector<std::size_t> lengths = {0, 1, 63, 64, 65, 127, 128, 129, 400};
   for (int i = 0; i < 12; ++i) lengths.push_back(rng.below(401));
   std::uint64_t trial = 0;
   for (const std::size_t nbits : lengths) {
     BitBuffer data;
     for (std::size_t i = 0; i < nbits; ++i) data.append_bit(rng.coin());
-    // Widths >= 64 cover every shift s = j % 64, s = 0 included.
-    for (const std::size_t bits : {1u, 63u, 64u, 65u, 200u, 8192u}) {
+    for (const std::size_t bits : {1u, 63u, 64u, 65u, 128u, 200u, 8192u}) {
       const Rng stream = Rng(0xC0FFEE).substream(trial++);
-      std::vector<std::uint64_t> out(hashing::toeplitz_hash_words(bits));
-      hashing::toeplitz_hash(data, bits, stream, arena, out);
-      const std::vector<std::uint8_t> ref =
-          toeplitz_hash_reference(data, bits, stream);
-      std::size_t mismatches = 0;
-      for (std::size_t j = 0; j < bits; ++j) {
-        mismatches += ((out[j / 64] >> (j % 64)) & 1) != ref[j];
-      }
-      EXPECT_EQ(mismatches, 0u) << "nbits " << nbits << " bits " << bits;
-      if (bits % 64 != 0) {
-        EXPECT_EQ(out.back() >> (bits % 64), 0u) << "bits past the width";
-      }
-      if (bits <= 64) {
-        EXPECT_EQ(hashing::toeplitz_hash64(data, static_cast<unsigned>(bits),
-                                           stream, arena),
-                  out[0]);
+      const ToeplitzReference ref(data, bits, stream);
+      for (const simd::Tier tier : toeplitz_tiers()) {
+        SCOPED_TRACE(testing::Message()
+                     << "tier " << simd::tier_name(tier) << " nbits " << nbits
+                     << " bits " << bits);
+        const std::vector<std::uint64_t> out =
+            toeplitz_hash_at(tier, data, bits, stream, arena);
+        std::size_t mismatches = 0;
+        for (std::size_t j = 0; j < bits; ++j) {
+          mismatches += ((out[j / 64] >> (j % 64)) & 1) != ref.bit(j);
+        }
+        EXPECT_EQ(mismatches, 0u);
+        if (bits % 64 != 0) {
+          EXPECT_EQ(out.back() >> (bits % 64), 0u) << "bits past the width";
+        }
+        if (bits <= 64) {
+          const simd::ScopedTierOverride forced(tier);
+          EXPECT_EQ(hashing::toeplitz_hash64(
+                        data, static_cast<unsigned>(bits), stream, arena),
+                    out[0]);
+        }
       }
     }
   }
   EXPECT_EQ(arena.words_in_use(), 0u);
+}
+
+// The certificate's shape at k = 4096: |z| ~ 82.7k bits, b = 8192. The
+// reference is checked on the first and last output words and on random
+// bits in between; the tiers must agree on every word.
+TEST(BatchedHash, ToeplitzHashCertificateShapeOnEveryTier) {
+  Rng rng(0xCE27);
+  ScratchArena arena;
+  BitBuffer data;
+  for (std::size_t i = 0; i < 82618; ++i) data.append_bit(rng.coin());
+  constexpr std::size_t kBits = 8192;
+  const Rng stream(0x5EED);
+  const ToeplitzReference ref(data, kBits, stream);
+  std::vector<std::size_t> probes;
+  for (std::size_t j = 0; j < 64; ++j) {
+    probes.push_back(j);
+    probes.push_back(kBits - 64 + j);
+  }
+  for (int i = 0; i < 64; ++i) probes.push_back(rng.below(kBits));
+  const std::vector<std::uint64_t> scalar =
+      toeplitz_hash_at(simd::Tier::kScalar, data, kBits, stream, arena);
+  for (const simd::Tier tier : toeplitz_tiers()) {
+    SCOPED_TRACE(simd::tier_name(tier));
+    const std::vector<std::uint64_t> out =
+        toeplitz_hash_at(tier, data, kBits, stream, arena);
+    EXPECT_EQ(out, scalar);
+    for (const std::size_t j : probes) {
+      EXPECT_EQ(((out[j / 64] >> (j % 64)) & 1) != 0, ref.bit(j)) << j;
+    }
+  }
+}
+
+// A span that does not hold exactly ceil(bits / 64) words is refused.
+TEST(BatchedHash, ToeplitzHashRejectsMisSizedSpans) {
+  ScratchArena arena;
+  const std::uint64_t words[2] = {1, 0};
+  std::uint64_t out = 0;
+  EXPECT_THROW(hashing::toeplitz_hash(BitSpan(words, 64), 8, Rng(1), arena,
+                                      {&out, 1}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(hashing::toeplitz_hash(BitSpan({words, 1}, 64), 8, Rng(1),
+                                         arena, {&out, 1}));
 }
 
 // ---------- BufferPool ----------

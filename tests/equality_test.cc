@@ -20,6 +20,11 @@ util::BitBuffer message(std::uint64_t v, unsigned w = 32) {
   return b;
 }
 
+// Views of a batch, as batch_equality_test takes them.
+std::vector<util::BitSpan> spans(const std::vector<util::BitBuffer>& xs) {
+  return {xs.begin(), xs.end()};
+}
+
 TEST(Equality, EqualInputsAlwaysAccepted) {
   sim::SharedRandomness shared(5);
   for (std::uint64_t nonce = 0; nonce < 200; ++nonce) {
@@ -94,7 +99,7 @@ TEST(BatchEquality, MixedVerdictsAreCorrect) {
     xb.push_back(message(i % 2 == 0 ? i : i + 1000));  // evens equal
   }
   const std::vector<bool> verdicts =
-      eq::batch_equality_test(ch, shared, 0, xa, xb, 30);
+      eq::batch_equality_test(ch, shared, 0, spans(xa), spans(xb), 30);
   for (std::uint64_t i = 0; i < 64; ++i) {
     EXPECT_EQ(verdicts[i], i % 2 == 0) << i;
   }
@@ -106,7 +111,7 @@ TEST(BatchEquality, StaysTwoRoundsRegardlessOfBatchSize) {
     sim::Channel ch;
     std::vector<util::BitBuffer> xa(n, message(1));
     std::vector<util::BitBuffer> xb(n, message(1));
-    eq::batch_equality_test(ch, shared, 0, xa, xb, 5);
+    eq::batch_equality_test(ch, shared, 0, spans(xa), spans(xb), 5);
     EXPECT_EQ(ch.cost().rounds, 2u) << n;
     EXPECT_EQ(ch.cost().bits_total, n * 6) << n;  // 5 hash + 1 verdict each
   }
@@ -126,10 +131,12 @@ TEST(BatchEquality, RejectsMismatchedSizesAndZeroBits) {
   sim::Channel ch;
   std::vector<util::BitBuffer> one(1, message(1));
   std::vector<util::BitBuffer> two(2, message(1));
-  EXPECT_THROW(eq::batch_equality_test(ch, shared, 0, one, two, 5),
-               std::invalid_argument);
-  EXPECT_THROW(eq::batch_equality_test(ch, shared, 0, one, one, 0),
-               std::invalid_argument);
+  EXPECT_THROW(
+      eq::batch_equality_test(ch, shared, 0, spans(one), spans(two), 5),
+      std::invalid_argument);
+  EXPECT_THROW(
+      eq::batch_equality_test(ch, shared, 0, spans(one), spans(one), 0),
+      std::invalid_argument);
 }
 
 TEST(BatchEquality, FreshNoncesGiveFreshRandomness) {
@@ -150,7 +157,8 @@ TEST(BatchEquality, WideHashesSpanMultipleWords) {
   sim::Channel ch;
   std::vector<util::BitBuffer> xa{message(1), message(2)};
   std::vector<util::BitBuffer> xb{message(1), message(3)};
-  const auto verdicts = eq::batch_equality_test(ch, shared, 0, xa, xb, 200);
+  const auto verdicts =
+      eq::batch_equality_test(ch, shared, 0, spans(xa), spans(xb), 200);
   EXPECT_TRUE(verdicts[0]);
   EXPECT_FALSE(verdicts[1]);
   EXPECT_EQ(ch.cost().bits_total, 2u * 200u + 2u);

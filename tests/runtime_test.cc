@@ -183,8 +183,10 @@ TEST(Runtime, PhasePathsOpenOnlyChangedSegments) {
 
 TEST(RuntimeEquality, CorrectVerdicts) {
   sim::SharedRandomness shared(1);
-  const util::BitBuffer seven[] = {content(7)};
-  const util::BitBuffer eight[] = {content(8)};
+  const util::BitBuffer seven_bits = content(7);
+  const util::BitBuffer eight_bits = content(8);
+  const util::BitSpan seven[] = {seven_bits};
+  const util::BitSpan eight[] = {eight_bits};
   {
     sim::Channel ch;
     core::EqualityAlice alice(shared, 0, seven, 24, sim::PartyEnv(ch));

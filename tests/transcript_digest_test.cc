@@ -175,6 +175,8 @@ TEST(TranscriptDigest, Equality) {
       xb[i].append_bit(b == flip ? !bit : bit);
     }
   }
+  const std::vector<util::BitSpan> va(xa.begin(), xa.end());
+  const std::vector<util::BitSpan> vb(xb.begin(), xb.end());
   for (const WidthPin& pin : pins) {
     SCOPED_TRACE(testing::Message() << "width=" << pin.width);
     std::uint64_t bits = 0;
@@ -199,7 +201,7 @@ TEST(TranscriptDigest, Equality) {
     for (std::size_t n : {std::size_t{0}, std::size_t{1}, xa.size()}) {
       sim::Channel ch(/*record_transcript=*/true);
       const std::vector<bool> v = eq::batch_equality_test(
-          ch, sh, 11 + n, std::span(xa).first(n), std::span(xb).first(n),
+          ch, sh, 11 + n, std::span(va).first(n), std::span(vb).first(n),
           pin.width);
       ASSERT_EQ(v.size(), n);
       for (std::size_t i = 0; i < n; i += 2) EXPECT_TRUE(v[i]);

@@ -1,9 +1,16 @@
 // The main protocol's party machines, driven directly: correctness,
 // transcripts pinned to the former two-sided driver's, the worst-case
-// cutoff, and decode limits inside a party.
+// cutoff, decode limits inside a party, the packed node contents, and
+// the heap allocations of one run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <optional>
+#include <set>
 
 #include "core/checkpoint.h"
 #include "core/resource_limits.h"
@@ -15,6 +22,36 @@
 #include "util/arena.h"
 #include "util/rng.h"
 #include "util/set_util.h"
+
+// Heap accounting for the allocation ceiling below: every operator new in
+// this binary bumps a counter. Every form of new and delete is replaced
+// so each allocation is paired with its own deallocation under ASan too.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+namespace {
+std::atomic<std::uint64_t> g_news{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return ::operator new(n, tag);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace setint {
 namespace {
@@ -223,6 +260,88 @@ TEST(TreeFsm, ImageCountOverDecodeLimitThrows) {
   images.append_gamma64(40);
   for (int i = 0; i < 40; ++i) images.append_bits(i, 64);
   EXPECT_THROW(bob.on_message(images), core::ResourceLimitError);
+}
+
+// At every stage, each party's packed node contents are word for word
+// the BitBuffers that per-node append_set calls over its current leaf
+// candidates build. Stage 0 sends leaves through Basic-Intersection, so
+// later stages pack arena-backed candidates too.
+TEST(TreeFsm, PackedNodeContentsMatchAppendSetAtEveryStage) {
+  util::Rng wrng(21);
+  const util::SetPair p = util::random_set_pair(wrng, 1u << 24, 512, 256);
+  const int r = 3;
+  const auto params = params_for(512, r);
+  const auto layout = core::tree_layout(512, r);
+  sim::SharedRandomness shared(21);
+  sim::Channel ch;
+  const sim::PartyEnv env(ch);
+  core::TreeAlice alice(shared, 0, 1u << 24, p.s, params, env);
+  core::TreeBob bob(shared, 0, 1u << 24, p.t, params, env);
+
+  std::set<int> stages_checked;
+  const auto check = [&](core::TreeParty& party) {
+    if (party.done()) return;
+    util::ScratchArena::Frame frame(ch.scratch());
+    const std::span<const util::BitSpan> packed = party.node_contents();
+    const auto& ranges = (*layout)[static_cast<std::size_t>(party.stage())];
+    ASSERT_EQ(packed.size(), ranges.size());
+    for (std::size_t v = 0; v < ranges.size(); ++v) {
+      util::BitBuffer ref;
+      for (std::size_t u = ranges[v].first; u < ranges[v].second; ++u) {
+        util::append_set(ref, party.assignment()[u]);
+      }
+      ASSERT_EQ(packed[v].bits, ref.size_bits()) << "node " << v;
+      ASSERT_TRUE(std::equal(packed[v].words.begin(), packed[v].words.end(),
+                             ref.words().begin(), ref.words().end()))
+          << "node " << v;
+    }
+    stages_checked.insert(party.stage());
+  };
+
+  std::optional<sim::Outgoing> msg = alice.start();
+  bool to_bob = true;
+  while (msg.has_value()) {
+    check(alice);
+    check(bob);
+    msg = to_bob ? bob.on_message(msg->bits) : alice.on_message(msg->bits);
+    to_bob = !to_bob;
+  }
+  EXPECT_EQ(stages_checked.size(), static_cast<std::size_t>(r));
+  EXPECT_GT(alice.diag().total_bi_runs, 0u);
+  EXPECT_EQ(alice.output(), p.expected_intersection);
+  EXPECT_EQ(bob.output(), p.expected_intersection);
+}
+
+// Node contents and Basic-Intersection candidates live in the session's
+// arena, so a k = 4096 run allocates from the heap only for per-stage
+// bookkeeping and messages. The count is deterministic.
+TEST(TreeFsm, K4096RunStaysUnderAllocationCeiling) {
+  constexpr std::uint64_t kCeiling = 500;  // 134 measured
+  util::Rng wrng(4096);
+  const util::SetPair p =
+      util::random_set_pair(wrng, std::uint64_t{1} << 32, 4096, 2048);
+  core::VerificationTreeParams params;
+  params.bucket_count = 4096;
+  sim::SharedRandomness shared(4096);
+  const auto run = [&] {
+    const std::uint64_t before = g_news.load(std::memory_order_relaxed);
+    {
+      sim::Channel ch;
+      const sim::PartyEnv env(ch);
+      core::TreeAlice alice(shared, 1, std::uint64_t{1} << 32, p.s, params,
+                            env);
+      core::TreeBob bob(shared, 1, std::uint64_t{1} << 32, p.t, params, env);
+      sim::run_two_party(ch, alice, bob);
+      EXPECT_EQ(alice.output(), p.expected_intersection);
+    }
+    return g_news.load(std::memory_order_relaxed) - before;
+  };
+  run();  // first use builds the layout memo and the phase-path table
+  const std::uint64_t news = run();
+  std::printf("[ allocations ] k=4096 tree-party run: %llu operator new\n",
+              static_cast<unsigned long long>(news));
+  EXPECT_LE(news, kCeiling);
+  EXPECT_EQ(run(), news);
 }
 
 }  // namespace
