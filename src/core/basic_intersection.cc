@@ -4,10 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/parties.h"
 #include "obs/tracer.h"
-#include "sim/runtime.h"
-#include "util/arena.h"
 
 namespace setint::core {
 
@@ -26,43 +23,65 @@ std::uint64_t basic_intersection_range(std::uint64_t total_size,
   return std::max<std::uint64_t>(2, static_cast<std::uint64_t>(std::ceil(t)));
 }
 
-std::vector<CandidatePair> basic_intersection_batch(
-    sim::Channel& channel, const sim::SharedRandomness& shared,
-    std::uint64_t nonce, std::uint64_t universe,
+namespace {
+
+std::vector<util::SetView> alice_then_bob(
     std::span<const std::pair<util::SetView, util::SetView>> pairs,
-    double target_failure, Checkpoint* ckpt) {
+    double target_failure) {
   if (!(target_failure > 0.0) || !(target_failure < 1.0)) {
     throw std::invalid_argument("basic_intersection: failure must be in (0,1)");
   }
   const std::size_t n = pairs.size();
-  std::vector<CandidatePair> result(n);
-  if (n == 0) return result;
-
-  obs::count(channel.tracer(), "bi.batches");
-  obs::count(channel.tracer(), "bi.instances", n);
-
-  // Alice's views first, then Bob's.
   std::vector<util::SetView> sides(2 * n);
   for (std::size_t j = 0; j < n; ++j) {
     sides[j] = pairs[j].first;
     sides[n + j] = pairs[j].second;
   }
-  const std::span<const util::SetView> views(sides);
-  util::ScratchArena::Frame scratch_frame(channel.scratch());
-  const sim::PartyEnv env(channel);
-  BasicIntersectionAlice alice(shared, nonce, universe, views.first(n),
-                               target_failure, env);
-  BasicIntersectionBob bob(shared, nonce, universe, views.last(n),
-                           target_failure, env);
-  // Crash resume (tag "bi"): phase 1 = sizes exchanged, phase 2 = sizes +
-  // Alice's images exchanged.
-  sim::run_two_party(channel, alice, bob, 4, ckpt, "bi");
-  for (std::size_t j = 0; j < n; ++j) {
-    result[j].s_candidate.assign(alice.candidate(j).begin(),
-                                 alice.candidate(j).end());
-    result[j].t_candidate.assign(bob.candidate(j).begin(),
-                                 bob.candidate(j).end());
+  return sides;
+}
+
+}  // namespace
+
+// Crash resume (tag "bi"): phase 1 = sizes exchanged, phase 2 = sizes +
+// Alice's images exchanged.
+BasicIntersectionRun::BasicIntersectionRun(
+    sim::Channel& channel, const sim::SharedRandomness& shared,
+    std::uint64_t nonce, std::uint64_t universe,
+    std::span<const std::pair<util::SetView, util::SetView>> pairs,
+    double target_failure, Checkpoint* ckpt)
+    : sides_(alice_then_bob(pairs, target_failure)),
+      frame_(channel.scratch()),
+      alice_(shared, nonce, universe,
+             std::span<const util::SetView>(sides_).first(pairs.size()),
+             target_failure, sim::PartyEnv(channel)),
+      bob_(shared, nonce, universe,
+           std::span<const util::SetView>(sides_).last(pairs.size()),
+           target_failure, sim::PartyEnv(channel)),
+      run_(channel, alice_, bob_, 4, ckpt, "bi") {
+  obs::count(channel.tracer(), "bi.batches");
+  obs::count(channel.tracer(), "bi.instances", pairs.size());
+}
+
+CandidatePair BasicIntersectionRun::candidates(std::size_t j) const {
+  return {util::Set(alice_.candidate(j).begin(), alice_.candidate(j).end()),
+          util::Set(bob_.candidate(j).begin(), bob_.candidate(j).end())};
+}
+
+std::vector<CandidatePair> basic_intersection_batch(
+    sim::Channel& channel, const sim::SharedRandomness& shared,
+    std::uint64_t nonce, std::uint64_t universe,
+    std::span<const std::pair<util::SetView, util::SetView>> pairs,
+    double target_failure, Checkpoint* ckpt) {
+  std::vector<CandidatePair> result(pairs.size());
+  if (pairs.empty()) {
+    alice_then_bob(pairs, target_failure);  // validates the target
+    return result;
   }
+  BasicIntersectionRun run(channel, shared, nonce, universe, pairs,
+                           target_failure, ckpt);
+  while (!run.step()) {
+  }
+  for (std::size_t j = 0; j < pairs.size(); ++j) result[j] = run.candidates(j);
   return result;
 }
 

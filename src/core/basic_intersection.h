@@ -13,8 +13,9 @@
 //
 // Four rounds: sizes A->B, B->A; hashed sets A->B, B->A. The batched form
 // runs many leaf instances in the same four rounds, which is what keeps a
-// verification-tree stage at six rounds total. Both entry points run the
-// BasicIntersection{Alice,Bob} parties of core/parties.h.
+// verification-tree stage at six rounds total. Both entry points step a
+// BasicIntersectionRun over the BasicIntersection{Alice,Bob} parties of
+// core/parties.h to completion.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +24,11 @@
 #include <vector>
 
 #include "core/checkpoint.h"
+#include "core/parties.h"
 #include "sim/channel.h"
 #include "sim/randomness.h"
+#include "sim/runtime.h"
+#include "util/arena.h"
 #include "util/set_util.h"
 
 namespace setint::core {
@@ -59,5 +63,31 @@ std::vector<CandidatePair> basic_intersection_batch(
     std::uint64_t nonce, std::uint64_t universe,
     std::span<const std::pair<util::SetView, util::SetView>> pairs,
     double target_failure, Checkpoint* ckpt = nullptr);
+
+// One batched Basic-Intersection run as a steppable object: both parties
+// and the sim::TwoPartyRun between them, in the caller's arena frame.
+// basic_intersection_batch steps it to completion; the sans-IO "bi"
+// machine (core/engine.h) steps it one boundary at a time. Requires at
+// least one pair; the views, the channel and the checkpoint must outlive
+// the run.
+class BasicIntersectionRun {
+ public:
+  BasicIntersectionRun(
+      sim::Channel& channel, const sim::SharedRandomness& shared,
+      std::uint64_t nonce, std::uint64_t universe,
+      std::span<const std::pair<util::SetView, util::SetView>> pairs,
+      double target_failure, Checkpoint* ckpt = nullptr);
+
+  bool step() { return run_.step(); }
+  // Instance j's candidates, once step() has returned true.
+  CandidatePair candidates(std::size_t j) const;
+
+ private:
+  std::vector<util::SetView> sides_;  // Alice's views, then Bob's
+  util::ScratchArena::Frame frame_;
+  BasicIntersectionAlice alice_;
+  BasicIntersectionBob bob_;
+  sim::TwoPartyRun run_;
+};
 
 }  // namespace setint::core

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "core/checkpoint.h"
 #include "core/protocol.h"
@@ -27,11 +28,10 @@ struct BucketEqStats {
   std::uint64_t levels = 0;     // amortized-equality tree levels
 };
 
-// With a Checkpoint installed, the size exchange is one phase boundary
-// (tag "bucket_eq") and the amortized-equality stage checkpoints per
-// level (tag "amortized_eq", see eq/amortized_eq.h) — so a crashed
-// session resumes mid-equality-tree instead of re-bucketing and
-// re-sending everything.
+// With a Checkpoint installed, the runner snapshots (tag "bucket_eq")
+// after the size exchange (phase 1) and after every completed non-final
+// amortized-equality level (phases 2, 3, ...) — so a crashed session
+// resumes mid-equality-tree instead of re-sending everything.
 IntersectionOutput bucket_eq_intersection(sim::Channel& channel,
                                           const sim::SharedRandomness& shared,
                                           std::uint64_t nonce,
@@ -40,6 +40,29 @@ IntersectionOutput bucket_eq_intersection(sim::Channel& channel,
                                           int strength = 3,
                                           BucketEqStats* stats = nullptr,
                                           Checkpoint* ckpt = nullptr);
+
+// One run as a steppable object (parties in bucket_eq.cc): Alice sends
+// her bucket sizes ("bucket-sizes-a"), Bob replies his ("bucket-sizes-b",
+// the first boundary), both list the instances from the two size vectors
+// and run the amortized-equality parties over them. Messages are metered
+// under `bucket_eq/size_exchange` and `bucket_eq/amortized_eq/...`.
+// bucket_eq_intersection steps it to completion, the "bucket_eq" machine
+// (core/engine.h) one boundary at a time. The inputs, channel and
+// checkpoint must outlive it.
+class BucketEqRun {
+ public:
+  BucketEqRun(sim::Channel& channel, const sim::SharedRandomness& shared,
+              std::uint64_t nonce, std::uint64_t universe, util::SetView s,
+              util::SetView t, int strength, Checkpoint* ckpt = nullptr);
+  ~BucketEqRun();
+  bool step();
+  IntersectionOutput output() const;
+  BucketEqStats stats() const;
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
+};
 
 class BucketEqProtocol final : public IntersectionProtocol {
  public:

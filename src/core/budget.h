@@ -8,12 +8,13 @@
 // governance):
 //
 // 1. `SessionBudgetSpec` / `SessionBudget` — cooperative per-session caps
-//    on bits, rounds and a simulated wall-clock deadline, enforced at
-//    phase boundaries via the PR-7 `core::Checkpoint` hook
-//    (`Checkpoint::set_budget`) and between retry attempts. Exhaustion
-//    throws `BudgetExhaustedError`, which the recovery layer routes into
-//    the degradation ladder instead of the next attempt. The retry-count
-//    budget stays where it always lived, `RetryPolicy::max_attempts`.
+//    on bits, rounds and a simulated wall-clock deadline, enforced by the
+//    certified session (multiparty/coordinator.h) after every
+//    verification-tree stage boundary and between retry attempts, with or
+//    without a checkpoint. Exhaustion throws `BudgetExhaustedError`, which
+//    the recovery layer routes into the degradation ladder instead of the
+//    next attempt. The retry-count budget stays where it always lived,
+//    `RetryPolicy::max_attempts`.
 // 2. `retry_backoff_rounds` — a deterministic seeded
 //    exponential-backoff-with-jitter schedule replacing the flat
 //    `backoff_rounds` charge. The default policy (multiplier 1, no
@@ -114,9 +115,9 @@ struct SessionBudgetSpec {
 
 // One session's live budget: wraps the channel's monotonic CostStats (and
 // optionally the chaos clock) and throws when a cap is crossed. Checks
-// run at phase boundaries (via Checkpoint::set_budget) and between retry
-// attempts — cooperative, like resource limits, so a session stops at the
-// next boundary after blowing its budget rather than mid-message.
+// run at stage boundaries and between retry attempts — cooperative, like
+// resource limits, so a session stops at the next boundary after blowing
+// its budget rather than mid-message.
 class SessionBudget {
  public:
   // `cost` is the session channel's live counter (not owned, must outlive

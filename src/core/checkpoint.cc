@@ -1,7 +1,5 @@
 #include "core/checkpoint.h"
 
-#include "core/budget.h"
-
 namespace setint::core {
 
 void Checkpoint::save(std::string_view tag, std::uint64_t phase,
@@ -15,17 +13,6 @@ void Checkpoint::save(std::string_view tag, std::uint64_t phase,
     interrupt_armed_ = false;
     throw CheckpointInterrupt("checkpoint: injected interrupt after " + tag_ +
                               " phase " + std::to_string(phase_));
-  }
-  // Budget enforcement point: the snapshot is stored above, so a
-  // BudgetExhaustedError here interrupts exactly on the boundary.
-  if (budget_ != nullptr) budget_->check();
-  // Sans-IO park, strictly after the budget hook: an exhausted budget at
-  // this boundary surfaces as BudgetExhaustedError in the stepped path
-  // exactly as it would blocking, and budget.checks counts stay equal.
-  if (park_at_boundaries_) {
-    park_pending_ = true;
-    throw CheckpointPark("checkpoint: parked at " + tag_ + " phase " +
-                         std::to_string(phase_));
   }
 }
 

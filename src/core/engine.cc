@@ -2,9 +2,12 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
+#include <variant>
 
 #include "core/basic_intersection.h"
 #include "core/bucket_eq.h"
+#include "core/tree_parties.h"
 #include "eq/amortized_eq.h"
 #include "sim/randomness.h"
 #include "util/rng.h"
@@ -168,23 +171,6 @@ void ProtocolMachine::step_once(MachineOutput& out) {
   out.frames += 1;
 }
 
-bool CheckpointedMachine::advance() {
-  ckpt_.set_park_at_boundaries(true);
-  bool finished = false;
-  try {
-    run_protocol();
-    finished = true;
-  } catch (const CheckpointPark&) {
-    // Parked exactly on a phase boundary; the snapshot is stored and the
-    // next advance() re-enters the protocol to restore it.
-  } catch (...) {
-    ckpt_.set_park_at_boundaries(false);
-    throw;
-  }
-  ckpt_.set_park_at_boundaries(false);
-  return finished;
-}
-
 std::uint64_t fingerprint_set(std::uint64_t h, util::SetView s) {
   h = util::mix64(h, s.size());
   for (const std::uint64_t v : s) h = util::mix64(h, v);
@@ -220,117 +206,96 @@ void make_amortized_eq_inputs(std::uint64_t seed, std::size_t count,
 
 namespace {
 
-class BasicIntersectionMachine final : public CheckpointedMachine {
+// Machine over one core protocol: owns the channel and steps the run
+// object the protocol's blocking entry point steps to completion. The run
+// is built on the first step, so a bad config fails the session rather
+// than the factory.
+class CoreMachine final : public ProtocolMachine {
  public:
-  explicit BasicIntersectionMachine(MachineConfig cfg)
-      : cfg_(std::move(cfg)), shared_(cfg_.seed) {}
-  std::string_view kind() const override { return "bi"; }
+  CoreMachine(std::string_view kind, MachineConfig cfg)
+      : kind_(kind), cfg_(std::move(cfg)), shared_(cfg_.seed) {
+    channel_.enable_digest();
+  }
+  std::string_view kind() const override { return kind_; }
+  sim::Channel& channel() override { return channel_; }
+
   std::uint64_t result_fingerprint() const override {
-    return fingerprint_set(fingerprint_set(0xB1, result_.s_candidate),
-                           result_.t_candidate);
+    const auto pair = [](std::uint64_t h, const IntersectionOutput& out) {
+      return fingerprint_set(fingerprint_set(h, out.alice), out.bob);
+    };
+    if (const auto* bi = std::get_if<BasicIntersectionRun>(&run_)) {
+      const CandidatePair c = bi->candidates(0);
+      return pair(0xB1, {c.s_candidate, c.t_candidate});
+    }
+    if (const auto* vt = std::get_if<VerificationTreeRun>(&run_)) {
+      return pair(0x57, vt->output());
+    }
+    if (const auto* be = std::get_if<BucketEqRun>(&run_)) {
+      return pair(0xB7, be->output());
+    }
+    return fingerprint_bools(0xE9,
+                             std::get<eq::AmortizedEqRun>(run_).verdicts());
   }
 
  protected:
-  void run_protocol() override {
-    result_ = basic_intersection(channel_, shared_, cfg_.nonce, cfg_.universe,
-                                 cfg_.s, cfg_.t, cfg_.bi_target_failure,
-                                 &ckpt_);
+  bool advance() override {
+    if (std::holds_alternative<std::monostate>(run_)) make_run();
+    return std::visit(
+        [](auto& run) {
+          if constexpr (std::is_same_v<decltype(run), std::monostate&>) {
+            return true;
+          } else {
+            return run.step();
+          }
+        },
+        run_);
   }
 
  private:
+  void make_run() {
+    if (kind_ == "bi") {
+      util::validate_set(cfg_.s, cfg_.universe);
+      util::validate_set(cfg_.t, cfg_.universe);
+      const std::pair<util::SetView, util::SetView> one[] = {{cfg_.s, cfg_.t}};
+      run_.emplace<BasicIntersectionRun>(channel_, shared_, cfg_.nonce,
+                                         cfg_.universe, one,
+                                         cfg_.bi_target_failure);
+    } else if (kind_ == "vt") {
+      run_.emplace<VerificationTreeRun>(channel_, shared_, cfg_.nonce,
+                                        cfg_.universe, cfg_.s, cfg_.t,
+                                        cfg_.tree);
+    } else if (kind_ == "bucket_eq") {
+      run_.emplace<BucketEqRun>(channel_, shared_, cfg_.nonce, cfg_.universe,
+                                cfg_.s, cfg_.t, cfg_.bucket_eq_strength);
+    } else {
+      make_amortized_eq_inputs(cfg_.seed,
+                               cfg_.eq_instances != 0
+                                   ? cfg_.eq_instances
+                                   : std::max<std::size_t>(cfg_.s.size(), 4),
+                               &xs_, &ys_);
+      run_.emplace<eq::AmortizedEqRun>(channel_, shared_, cfg_.nonce, xs_,
+                                       ys_);
+    }
+  }
+
+  std::string_view kind_;
   MachineConfig cfg_;
   sim::SharedRandomness shared_;
-  CandidatePair result_;
-};
-
-class VerificationTreeMachine final : public CheckpointedMachine {
- public:
-  explicit VerificationTreeMachine(MachineConfig cfg)
-      : cfg_(std::move(cfg)), shared_(cfg_.seed) {}
-  std::string_view kind() const override { return "vt"; }
-  std::uint64_t result_fingerprint() const override {
-    return fingerprint_set(fingerprint_set(0x57, result_.alice), result_.bob);
-  }
-
- protected:
-  void run_protocol() override {
-    result_ = verification_tree_intersection(channel_, shared_, cfg_.nonce,
-                                             cfg_.universe, cfg_.s, cfg_.t,
-                                             cfg_.tree, /*diag=*/nullptr,
-                                             &ckpt_);
-  }
-
- private:
-  MachineConfig cfg_;
-  sim::SharedRandomness shared_;
-  IntersectionOutput result_;
-};
-
-class BucketEqMachine final : public CheckpointedMachine {
- public:
-  explicit BucketEqMachine(MachineConfig cfg)
-      : cfg_(std::move(cfg)), shared_(cfg_.seed) {}
-  std::string_view kind() const override { return "bucket_eq"; }
-  std::uint64_t result_fingerprint() const override {
-    return fingerprint_set(fingerprint_set(0xB7, result_.alice), result_.bob);
-  }
-
- protected:
-  void run_protocol() override {
-    result_ = bucket_eq_intersection(channel_, shared_, cfg_.nonce,
-                                     cfg_.universe, cfg_.s, cfg_.t,
-                                     cfg_.bucket_eq_strength,
-                                     /*stats=*/nullptr, &ckpt_);
-  }
-
- private:
-  MachineConfig cfg_;
-  sim::SharedRandomness shared_;
-  IntersectionOutput result_;
-};
-
-class AmortizedEqMachine final : public CheckpointedMachine {
- public:
-  explicit AmortizedEqMachine(MachineConfig cfg)
-      : cfg_(std::move(cfg)), shared_(cfg_.seed) {
-    const std::size_t count = cfg_.eq_instances != 0
-                                  ? cfg_.eq_instances
-                                  : std::max<std::size_t>(cfg_.s.size(), 4);
-    make_amortized_eq_inputs(cfg_.seed, count, &xs_, &ys_);
-  }
-  std::string_view kind() const override { return "amortized_eq"; }
-  std::uint64_t result_fingerprint() const override {
-    return fingerprint_bools(0xE9, result_);
-  }
-
- protected:
-  void run_protocol() override {
-    result_ = eq::amortized_equality(channel_, shared_, cfg_.nonce, xs_, ys_,
-                                     /*stats=*/nullptr, &ckpt_);
-  }
-
- private:
-  MachineConfig cfg_;
-  sim::SharedRandomness shared_;
-  std::vector<util::BitBuffer> xs_, ys_;
-  std::vector<bool> result_;
+  std::vector<util::BitBuffer> xs_, ys_;  // "amortized_eq" instances
+  sim::Channel channel_;
+  std::variant<std::monostate, BasicIntersectionRun, VerificationTreeRun,
+               BucketEqRun, eq::AmortizedEqRun>
+      run_;
 };
 
 }  // namespace
 
 std::unique_ptr<ProtocolMachine> make_machine(std::string_view kind,
                                               MachineConfig cfg) {
-  if (kind == "bi") {
-    return std::make_unique<BasicIntersectionMachine>(std::move(cfg));
-  }
-  if (kind == "vt") {
-    return std::make_unique<VerificationTreeMachine>(std::move(cfg));
-  }
-  if (kind == "bucket_eq") {
-    return std::make_unique<BucketEqMachine>(std::move(cfg));
-  }
-  if (kind == "amortized_eq") {
-    return std::make_unique<AmortizedEqMachine>(std::move(cfg));
+  for (const std::string_view known : kMachineKinds) {
+    if (kind == known) {
+      return std::make_unique<CoreMachine>(known, std::move(cfg));
+    }
   }
   throw std::invalid_argument("make_machine: unknown kind '" +
                               std::string(kind) + "'");

@@ -1,18 +1,18 @@
-// Sans-IO protocol engine: resumable state machines over the blocking
-// driver-style protocols.
+// Sans-IO protocol engine: state machines that step party runs one
+// boundary at a time.
 //
-// Every core protocol in this repo is a run-to-completion function over a
-// synchronous sim::Channel — the right shape for bit-exact accounting,
-// the wrong shape for a service multiplexing 10^4-10^6 concurrent
-// sessions on a few threads. This engine makes each protocol resumable
-// WITHOUT rewriting it: a ProtocolMachine re-enters the blocking function
-// repeatedly with a core::Checkpoint whose park-at-boundaries knob is
-// armed, so each entry restores the newest phase-boundary snapshot, runs
-// exactly one boundary further, saves, and throws CheckpointPark back to
-// the engine. The machine owns no sockets and performs no I/O ("sans-IO"):
-// it consumes raw bytes (on_bytes) and produces raw bytes to transmit,
-// and the caller — runtime/scheduler.h's event loop, or a test harness —
-// decides how those bytes move.
+// Every core protocol in this repo is a party pair under a
+// sim::TwoPartyRun, wrapped in a run object (BasicIntersectionRun,
+// VerificationTreeRun, BucketEqRun, eq::AmortizedEqRun) whose step()
+// advances to the next boundary the parties flag, or to the end. The
+// blocking entry point steps that object to completion — the right shape
+// for bit-exact accounting — and a ProtocolMachine steps the SAME object
+// one boundary per ack — the shape a service multiplexing 10^4-10^6
+// concurrent sessions on a few threads needs. There is no second loop to
+// drift from the first. The machine owns no sockets and performs no I/O
+// ("sans-IO"): it consumes raw bytes (on_bytes) and produces raw bytes to
+// transmit, and the caller — runtime/scheduler.h's event loop, or a test
+// harness — decides how those bytes move.
 //
 // Wire model. Per phase boundary the machine emits ONE framed progress
 // report (step index, cumulative bits, running transcript digest) and
@@ -24,8 +24,8 @@
 // machine parks (status kNeedInput, never a throw) until the rest shows
 // up — the re-chunking invariance pinned by tests/sansio_test.cc.
 //
-// Partial-read audit (why the park lives HERE and nowhere deeper): every
-// BitReader::expect_at_least call site in the protocol decoders
+// Partial-read audit (why suspension lives HERE and nowhere deeper):
+// every BitReader::expect_at_least call site in the protocol decoders
 // (set_util, parties — equality, Basic-Intersection and one-round
 // hashing — join, reconcile) decodes a buffer returned by Channel::send()
 // or replayed from a checkpoint of such buffers, which by
@@ -38,12 +38,11 @@
 //
 // Determinism contract (the differential harness's foundation): a
 // machine stepped to completion — under any interleaving with other
-// sessions, any ack re-chunking, any park/resume schedule — produces a
+// sessions, any ack re-chunking, any suspend/resume schedule — produces a
 // channel whose streaming digest equals the blocking run's transcript
-// digest for the same seed, bit for bit. This follows from the
-// checkpoint determinism contract (resume replays exactly the remaining
-// sends) plus session isolation, and is pinned in tests/sansio_test.cc
-// and gated non-zero-exit in bench/exp_service.
+// digest for the same seed, bit for bit. This follows from stepping the
+// blocking path's own run object plus session isolation, and is pinned in
+// tests/sansio_test.cc and gated non-zero-exit in bench/exp_service.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +51,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/checkpoint.h"
 #include "core/verification_tree.h"
 #include "sim/channel.h"
 #include "util/set_util.h"
@@ -164,7 +162,8 @@ class ProtocolMachine {
   std::uint64_t digest() const { return channel().digest(); }
 
   // Order-insensitive hash of the protocol's OUTPUT (candidate sets /
-  // verdicts), for differential comparison against a blocking run.
+  // verdicts), for differential comparison against a blocking run. Valid
+  // once the machine is kDone.
   virtual std::uint64_t result_fingerprint() const = 0;
 
  protected:
@@ -183,28 +182,6 @@ class ProtocolMachine {
   std::uint64_t steps_ = 0;
   std::uint64_t acks_ = 0;
   std::uint64_t frame_parks_ = 0;
-};
-
-// Machine over one bare core protocol: owns the channel and the parking
-// checkpoint, and steps by re-entering the blocking protocol function
-// with park-at-boundaries armed. The multiparty certified session has
-// its own driver-based machine (multiparty/session_machine.h) because
-// its retry/degradation ladder lives ABOVE the checkpointed protocol.
-class CheckpointedMachine : public ProtocolMachine {
- public:
-  sim::Channel& channel() override { return channel_; }
-  Checkpoint& checkpoint() { return ckpt_; }
-
- protected:
-  CheckpointedMachine() { channel_.enable_digest(); }
-
-  bool advance() final;
-  // One blocking call of the underlying protocol with (channel_, &ckpt_);
-  // invoked repeatedly, each entry restoring the parked boundary.
-  virtual void run_protocol() = 0;
-
-  sim::Channel channel_;
-  Checkpoint ckpt_;
 };
 
 // ---- Factory over the four core protocols ----

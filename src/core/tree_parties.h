@@ -1,9 +1,10 @@
 // The verification-tree protocol (Algorithm 1) as strictly-separated
-// party state machines — its only implementation. The public entry point,
-// verification_tree_intersection (core/verification_tree.h), builds a
-// TreeAlice and a TreeBob over views of the two inputs and runs them with
-// sim::run_two_party, which also proves the protocol needs no out-of-band
-// knowledge. Every message is produced and read by the equality and
+// party state machines — its only implementation. VerificationTreeRun
+// (below) builds a TreeAlice and a TreeBob over views of the two inputs
+// and runs them with a sim::TwoPartyRun, which also proves the protocol
+// needs no out-of-band knowledge; the public entry point,
+// verification_tree_intersection (core/verification_tree.h), steps it to
+// completion. Every message is produced and read by the equality and
 // Basic-Intersection parties of core/parties.h, so the wire formats exist
 // once.
 //
@@ -44,8 +45,10 @@
 
 #include "core/parties.h"
 #include "core/verification_tree.h"
+#include "obs/tracer.h"
 #include "sim/randomness.h"
 #include "sim/runtime.h"
+#include "util/arena.h"
 #include "util/flat_buckets.h"
 #include "util/set_util.h"
 
@@ -154,6 +157,66 @@ class TreeBob final : public TreeParty {
 
  private:
   std::optional<BasicIntersectionBob> bi_;
+};
+
+// One verification-tree run as a steppable object: the public parameters,
+// the r = 1 base case, both parties and the run between them, the verdict
+// check, the vt.* metrics and the worst-case cutoff fallback.
+// verification_tree_intersection steps it to completion; the sans-IO "vt"
+// machine (core/engine.h) and the certified session
+// (multiparty/coordinator.h) step it one stage at a time. The channel,
+// the shared randomness, the inputs and the checkpoint must outlive the
+// run.
+class VerificationTreeRun {
+ public:
+  VerificationTreeRun(sim::Channel& channel,
+                      const sim::SharedRandomness& shared, std::uint64_t nonce,
+                      std::uint64_t universe, util::SetView s,
+                      util::SetView t, const VerificationTreeParams& params,
+                      Checkpoint* ckpt = nullptr);
+
+  // Runs to the next stage boundary (false) or to the end (true).
+  bool step();
+  // Final once step() has returned true.
+  IntersectionOutput& output() { return output_; }
+  const IntersectionOutput& output() const { return output_; }
+  // Empty for r = 1.
+  const VerificationTreeDiag& diag() const;
+
+ private:
+  // Alice as the runner drives her, plus the loud check a simulation that
+  // holds both parties can afford: once Alice has read Bob's verdicts,
+  // both must repair the same leaves. A tampered verdict frame fails the
+  // run right there, before the desynchronised repair sends anything.
+  class CheckedAlice final : public sim::Party {
+   public:
+    CheckedAlice(TreeAlice& alice, const TreeBob& bob)
+        : alice_(alice), bob_(bob) {}
+    std::optional<sim::Outgoing> start() override { return alice_.start(); }
+    std::optional<sim::Outgoing> on_message(
+        const util::BitBuffer& message) override;
+    bool done() const override { return alice_.done(); }
+
+   private:
+    TreeAlice& alice_;
+    const TreeBob& bob_;
+  };
+
+  sim::Channel& channel_;
+  const sim::SharedRandomness& shared_;
+  std::uint64_t nonce_;
+  std::uint64_t universe_;
+  util::SetView s_;
+  util::SetView t_;
+  VerificationTreeParams pub_;  // bucket_count and rounds_r derived
+  obs::Span span_;
+  // Unused for r = 1, where step() runs the one-round protocol.
+  std::optional<util::ScratchArena::Frame> frame_;
+  std::optional<TreeAlice> alice_;
+  std::optional<TreeBob> bob_;
+  std::optional<CheckedAlice> checked_;
+  std::optional<sim::TwoPartyRun> run_;
+  IntersectionOutput output_;
 };
 
 }  // namespace setint::core

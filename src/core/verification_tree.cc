@@ -16,29 +16,25 @@ namespace setint::core {
 
 namespace {
 
-// Alice as the runner drives her, plus the loud check a simulation that
-// holds both parties can afford: once Alice has read Bob's verdicts, both
-// must repair the same leaves. A tampered verdict frame fails the run
-// right there, before the desynchronised repair sends anything.
-class CheckedAlice final : public sim::Party {
- public:
-  CheckedAlice(TreeAlice& alice, const TreeBob& bob)
-      : alice_(alice), bob_(bob) {}
-  std::optional<sim::Outgoing> start() override { return alice_.start(); }
-  std::optional<sim::Outgoing> on_message(
-      const util::BitBuffer& message) override {
-    std::optional<sim::Outgoing> reply = alice_.on_message(message);
-    if (alice_.failed_leaves() != bob_.failed_leaves()) {
-      throw std::logic_error("verification_tree: equality verdict mismatch");
-    }
-    return reply;
+// The public parameters both parties derive from: the size bound k and
+// the stage count r.
+VerificationTreeParams public_params(std::uint64_t universe, util::SetView s,
+                                     util::SetView t,
+                                     const VerificationTreeParams& params) {
+  validate_instance(universe, s, t);
+  VerificationTreeParams pub = params;
+  if (pub.bucket_count == 0) {
+    pub.bucket_count = std::max<std::size_t>({s.size(), t.size(), 2});
   }
-  bool done() const override { return alice_.done(); }
-
- private:
-  TreeAlice& alice_;
-  const TreeBob& bob_;
-};
+  if (pub.rounds_r == 0) {
+    pub.rounds_r =
+        std::max(1, util::log_star(static_cast<double>(pub.bucket_count)));
+  }
+  if (pub.rounds_r < 1 || pub.rounds_r > kMaxTreeStages) {
+    throw std::invalid_argument("verification_tree: r out of range");
+  }
+  return pub;
+}
 
 // The vt.* and bi.* metrics of a finished run, from the parties'
 // diagnostics; stages the cutoff skipped recorded no bits and emit nothing.
@@ -79,51 +75,65 @@ verification_tree_layout(std::size_t leaves, int rounds_r) {
   return *tree_layout(leaves, rounds_r);
 }
 
+std::optional<sim::Outgoing> VerificationTreeRun::CheckedAlice::on_message(
+    const util::BitBuffer& message) {
+  std::optional<sim::Outgoing> reply = alice_.on_message(message);
+  if (alice_.failed_leaves() != bob_.failed_leaves()) {
+    throw std::logic_error("verification_tree: equality verdict mismatch");
+  }
+  return reply;
+}
+
+VerificationTreeRun::VerificationTreeRun(
+    sim::Channel& channel, const sim::SharedRandomness& shared,
+    std::uint64_t nonce, std::uint64_t universe, util::SetView s,
+    util::SetView t, const VerificationTreeParams& params, Checkpoint* ckpt)
+    : channel_(channel), shared_(shared), nonce_(nonce), universe_(universe),
+      s_(s), t_(t), pub_(public_params(universe, s, t, params)),
+      span_(channel.tracer(), "verification_tree") {
+  // Theorem 3.6, r = 1 base case: plain hash exchange with range k^c —
+  // exactly the one-round protocol, c k log k bits in two messages.
+  if (pub_.rounds_r == 1) return;
+  frame_.emplace(channel.scratch());
+  const sim::PartyEnv env(channel);
+  alice_.emplace(shared, nonce, universe, s, pub_, env);
+  bob_.emplace(shared, nonce, universe, t, pub_, env);
+  checked_.emplace(*alice_, *bob_);
+  // At most six messages per stage; every completed stage is a "vt"
+  // checkpoint boundary.
+  run_.emplace(channel, *checked_, *bob_,
+               6 * static_cast<std::size_t>(pub_.rounds_r), ckpt, "vt");
+}
+
+bool VerificationTreeRun::step() {
+  if (!run_) {
+    output_ = one_round_hash(channel_, shared_, nonce_, universe_, s_, t_);
+    return true;
+  }
+  if (!run_->step()) return false;
+  emit_metrics(channel_.tracer(), *alice_, *bob_, pub_.bucket_count);
+  output_ = alice_->diag().fallback_used
+                ? deterministic_exchange(channel_, universe_, s_, t_)
+                : IntersectionOutput{alice_->output(), bob_->output()};
+  return true;
+}
+
+const VerificationTreeDiag& VerificationTreeRun::diag() const {
+  static const VerificationTreeDiag kNone;
+  return alice_ ? alice_->diag() : kNone;
+}
+
 IntersectionOutput verification_tree_intersection(
     sim::Channel& channel, const sim::SharedRandomness& shared,
     std::uint64_t nonce, std::uint64_t universe, util::SetView s,
     util::SetView t, const VerificationTreeParams& params,
     VerificationTreeDiag* diag, Checkpoint* ckpt) {
-  validate_instance(universe, s, t);
-  // The public parameters both parties derive from: the size bound k and
-  // the stage count r.
-  VerificationTreeParams pub = params;
-  if (pub.bucket_count == 0) {
-    pub.bucket_count = std::max<std::size_t>({s.size(), t.size(), 2});
+  VerificationTreeRun run(channel, shared, nonce, universe, s, t, params,
+                          ckpt);
+  while (!run.step()) {
   }
-  if (pub.rounds_r == 0) {
-    pub.rounds_r =
-        std::max(1, util::log_star(static_cast<double>(pub.bucket_count)));
-  }
-  if (pub.rounds_r < 1 || pub.rounds_r > kMaxTreeStages) {
-    throw std::invalid_argument("verification_tree: r out of range");
-  }
-
-  obs::Tracer* tracer = channel.tracer();
-  obs::Span protocol_span(tracer, "verification_tree");
-
-  // Theorem 3.6, r = 1 base case: plain hash exchange with range k^c —
-  // exactly the one-round protocol, c k log k bits in two messages.
-  if (pub.rounds_r == 1) {
-    if (diag != nullptr) *diag = VerificationTreeDiag{};
-    return one_round_hash(channel, shared, nonce, universe, s, t);
-  }
-
-  util::ScratchArena::Frame scratch_frame(channel.scratch());
-  const sim::PartyEnv env(channel);
-  TreeAlice alice(shared, nonce, universe, s, pub, env);
-  TreeBob bob(shared, nonce, universe, t, pub, env);
-  CheckedAlice checked(alice, bob);
-  // At most six messages per stage; every completed stage is a "vt"
-  // checkpoint boundary.
-  sim::run_two_party(channel, checked, bob,
-                     6 * static_cast<std::size_t>(pub.rounds_r), ckpt, "vt");
-  emit_metrics(tracer, alice, bob, pub.bucket_count);
-  if (diag != nullptr) *diag = alice.diag();
-  if (alice.diag().fallback_used) {
-    return deterministic_exchange(channel, universe, s, t);
-  }
-  return IntersectionOutput{alice.output(), bob.output()};
+  if (diag != nullptr) *diag = run.diag();
+  return std::move(run.output());
 }
 
 std::string VerificationTreeProtocol::name() const {

@@ -1,9 +1,11 @@
 #include "eq/amortized_eq.h"
 
 #include <cmath>
+#include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
-#include "eq/equality.h"
 #include "obs/tracer.h"
 #include "util/iterated_log.h"
 #include "util/rng.h"
@@ -12,55 +14,153 @@ namespace setint::eq {
 
 namespace {
 
-using Group = std::vector<std::size_t>;
-
-// Self-delimiting concatenation of one side's contents for a group:
-// gamma(length) + payload per item, so distinct item tuples encode
-// distinctly. Appends into a caller-owned buffer so word storage is
-// reused across tests.
-void group_content(const Group& group,
-                   const std::vector<util::BitBuffer>& side,
-                   util::BitBuffer& out) {
-  out.clear();
-  for (std::size_t idx : group) {
-    out.append_gamma64(side[idx].size_bits());
-    out.append_buffer(side[idx]);
-  }
-}
-
-// Content-encode scratch shared by every test_groups call in one
-// amortized_equality run: the level-0 test has the most groups, so later
-// (smaller) batches reuse its buffers' word storage instead of
-// re-allocating per call.
-struct ContentScratch {
-  std::vector<util::BitBuffer> a;
-  std::vector<util::BitBuffer> b;
-};
-
-// One batched hash comparison over `groups` with `bits` bits per group.
-// Two rounds. Returns per-group pass flags.
-std::vector<bool> test_groups(sim::Channel& channel,
-                              const sim::SharedRandomness& shared,
-                              std::uint64_t batch_nonce,
-                              const std::vector<Group>& groups,
-                              const std::vector<util::BitBuffer>& xs,
-                              const std::vector<util::BitBuffer>& ys,
-                              std::size_t bits, ContentScratch& scratch) {
-  if (scratch.a.size() < groups.size()) {
-    scratch.a.resize(groups.size());
-    scratch.b.resize(groups.size());
-  }
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    group_content(groups[g], xs, scratch.a[g]);
-    group_content(groups[g], ys, scratch.b[g]);
-  }
-  const auto n = static_cast<std::ptrdiff_t>(groups.size());
-  const std::vector<util::BitSpan> a(scratch.a.begin(), scratch.a.begin() + n);
-  const std::vector<util::BitSpan> b(scratch.b.begin(), scratch.b.begin() + n);
-  return batch_equality_test(channel, shared, batch_nonce, a, b, bits);
+// Hash bits of every test at `level`: beta = Theta(2^(level/2)).
+std::size_t level_bits(unsigned level) {
+  return static_cast<std::size_t>(
+      std::max(1.0, std::round(std::pow(2.0, level / 2.0))));
 }
 
 }  // namespace
+
+AmortizedEqParty::AmortizedEqParty(bool alice,
+                                   const sim::SharedRandomness& shared,
+                                   std::uint64_t nonce,
+                                   std::span<const util::BitBuffer> side,
+                                   sim::PartyEnv env)
+    : alice_(alice), shared_(shared), env_(env), nonce_(nonce) {
+  begin(side);
+}
+
+void AmortizedEqParty::begin(std::span<const util::BitBuffer> side) {
+  side_ = side;
+  max_level_ = side.size() >= 2 ? util::ceil_log2(side.size()) : 0;
+  equal_.assign(side.size(), true);
+  tested_.items.resize(side.size());
+  std::iota(tested_.items.begin(), tested_.items.end(), std::size_t{0});
+  tested_.offsets.resize(side.size() + 1);
+  std::iota(tested_.offsets.begin(), tested_.offsets.end(), std::size_t{0});
+  done_ = side.empty();
+}
+
+std::optional<sim::Outgoing> AmortizedEqParty::start() {
+  if (!alice_ || done_) return std::nullopt;
+  eq_.emplace(shared_, test_nonce(), contents(), level_bits(level_), env_);
+  return tagged(eq_->start());
+}
+
+std::optional<sim::Outgoing> AmortizedEqParty::on_message(
+    const util::BitBuffer& message) {
+  if (done_ || (alice_ && !eq_)) {
+    throw std::logic_error("amortized_eq: unexpected message");
+  }
+  if (alice_) {
+    eq_->on_message(message);  // Bob's verdicts
+    advance(eq_->verdicts());
+    eq_.reset();
+    return AmortizedEqParty::start();
+  }
+  core::EqualityBob eq(shared_, test_nonce(), contents(), level_bits(level_),
+                       env_);
+  sim::Outgoing reply = tagged(eq.on_message(message));
+  reply.boundary = advance(eq.verdicts());
+  return reply;
+}
+
+// Each level's tests draw from their own nonce substream, so a resumed run
+// sends exactly what an uninterrupted one would.
+std::uint64_t AmortizedEqParty::test_nonce() const {
+  return util::mix64(nonce_, util::mix64(level_, batch_));
+}
+
+// The tested groups' contents: gamma(length) + payload per item, so
+// distinct item tuples encode distinctly. Level 0 tests the most groups,
+// so later tests reuse its buffers.
+std::span<const util::BitSpan> AmortizedEqParty::contents() {
+  if (buffers_.size() < tested_.size()) buffers_.resize(tested_.size());
+  spans_.clear();
+  for (std::size_t g = 0; g < tested_.size(); ++g) {
+    util::BitBuffer& out = buffers_[g];
+    out.clear();
+    for (const std::size_t idx : tested_[g]) {
+      out.append_gamma64(side_[idx].size_bits());
+      out.append_buffer(side_[idx]);
+    }
+    spans_.push_back(out);
+  }
+  return spans_;
+}
+
+// Tags a test's message with its tracer path. Outgoing::phase is a view,
+// so the paths live in a table built once per process; levels never
+// exceed ceil(log2 K) <= 64.
+sim::Outgoing AmortizedEqParty::tagged(std::optional<sim::Outgoing> msg) const {
+  static const std::vector<std::string> table = [] {
+    std::vector<std::string> t;
+    for (int level = 0; level <= 64; ++level) {
+      t.push_back("amortized_eq/level=" + std::to_string(level));
+      t.push_back(t.back() + "/binary_search");
+    }
+    return t;
+  }();
+  msg->phase = table[2 * level_ + (batch_ > 0 ? 1 : 0)];
+  return std::move(*msg);
+}
+
+bool AmortizedEqParty::advance(const std::vector<bool>& pass) {
+  // Passing groups survive the level. A failed singleton is certainly
+  // unequal (the hash is one-sided); a larger failed group is halved, and
+  // the halves form the next test of the level. All failed groups advance
+  // together, so round cost stays O(level) per level.
+  Groups halves;
+  for (std::size_t g = 0; g < tested_.size(); ++g) {
+    const std::span<const std::size_t> group = tested_[g];
+    if (pass[g]) {
+      survivors_.add(group);
+    } else if (group.size() == 1) {
+      equal_[group[0]] = false;
+    } else {
+      halves.add(group.first(group.size() / 2));
+      halves.add(group.subspan(group.size() / 2));
+    }
+  }
+  if (halves.size() > 0) {
+    stats_.split_tests += halves.size();
+    tested_ = std::move(halves);
+    ++batch_;
+    return false;
+  }
+  // Level complete: both parties agree on the verdicts so far.
+  const std::size_t groups = survivors_.size();
+  stats_.levels = level_ + 1;
+  if (groups == 0 || (level_ >= max_level_ && groups <= 1)) {
+    done_ = true;
+    return false;
+  }
+  // Merge adjacent survivors pairwise for the next level: keep every
+  // other group boundary.
+  tested_.items = std::move(survivors_.items);
+  tested_.offsets.clear();
+  for (std::size_t g = 0; g < groups; g += 2) {
+    tested_.offsets.push_back(survivors_.offsets[g]);
+  }
+  tested_.offsets.push_back(tested_.items.size());
+  survivors_ = Groups{};
+  ++level_;
+  batch_ = 0;
+  return true;
+}
+
+void AmortizedEqParty::emit_metrics(obs::Tracer* tracer) const {
+  if (tracer == nullptr) return;
+  obs::count(tracer, "eq.amortized_instances", equal_.size());
+  for (unsigned level = 0; level < stats_.levels; ++level) {
+    obs::observe(tracer, "eq.mask_bits", level_bits(level));
+  }
+  if (stats_.split_tests > 0) {
+    obs::count(tracer, "eq.split_tests", stats_.split_tests);
+  }
+  obs::observe(tracer, "eq.levels", stats_.levels);
+}
 
 std::vector<bool> amortized_equality(sim::Channel& channel,
                                      const sim::SharedRandomness& shared,
@@ -72,128 +172,33 @@ std::vector<bool> amortized_equality(sim::Channel& channel,
   if (xs.size() != ys.size()) {
     throw std::invalid_argument("amortized_equality: size mismatch");
   }
-  const std::size_t k = xs.size();
-  std::vector<bool> equal(k, true);  // overwritten for resolved-unequal items
-  if (k == 0) return equal;
-
-  std::vector<Group> groups;
-  unsigned start_level = 0;
-  if (ckpt != nullptr && ckpt->has("amortized_eq")) {
-    // Crash resume: resolved verdicts and surviving groups come out of the
-    // snapshot; the protocol continues at the first unfinished level.
-    util::BitReader rd(ckpt->state());
-    const std::uint64_t saved_k = rd.read_gamma64();
-    if (saved_k != k) {
-      throw std::logic_error("amortized_equality: checkpoint instance count "
-                             "mismatch");
-    }
-    for (std::size_t i = 0; i < k; ++i) equal[i] = rd.read_bit();
-    const std::uint64_t ngroups = rd.read_gamma64();
-    groups.reserve(ngroups);
-    for (std::uint64_t g = 0; g < ngroups; ++g) {
-      Group group(rd.read_gamma64());
-      for (std::size_t& idx : group) {
-        idx = static_cast<std::size_t>(rd.read_gamma64());
-      }
-      groups.push_back(std::move(group));
-    }
-    start_level = static_cast<unsigned>(ckpt->phase());
-    ckpt->note_restore();
-  } else {
-    groups.reserve(k);
-    for (std::size_t i = 0; i < k; ++i) groups.push_back(Group{i});
+  if (xs.empty()) return {};
+  AmortizedEqRun run(channel, shared, nonce, xs, ys, ckpt);
+  while (!run.step()) {
   }
+  if (stats != nullptr) *stats = run.stats();
+  return run.verdicts();
+}
 
-  const unsigned max_level = k >= 2 ? util::ceil_log2(k) : 0;
-  ContentScratch scratch;
-  AmortizedEqStats local_stats;
-  obs::Tracer* tracer = channel.tracer();
-  obs::Span protocol_span(tracer, "amortized_eq");
-  obs::count(tracer, "eq.amortized_instances", k);
+AmortizedEqRun::AmortizedEqRun(sim::Channel& channel,
+                               const sim::SharedRandomness& shared,
+                               std::uint64_t nonce,
+                               std::span<const util::BitBuffer> xs,
+                               std::span<const util::BitBuffer> ys,
+                               core::Checkpoint* ckpt)
+    : channel_(channel),
+      alice_(true, shared, nonce, xs, sim::PartyEnv(channel)),
+      bob_(false, shared, nonce, ys, sim::PartyEnv(channel)),
+      run_(channel, alice_, bob_, 1u << 20, ckpt, "amortized_eq") {}
 
-  for (unsigned level = start_level; level <= max_level + 16; ++level) {
-    obs::Span level_span(tracer, "level=" + std::to_string(level));
-    const auto beta = static_cast<std::size_t>(
-        std::max(1.0, std::round(std::pow(2.0, level / 2.0))));
-    obs::observe(tracer, "eq.mask_bits", beta);
-    std::uint64_t batch = 0;
-    const auto batch_nonce = [&](std::uint64_t b) {
-      return util::mix64(nonce, util::mix64(level, b));
-    };
-
-    const std::vector<bool> pass = test_groups(
-        channel, shared, batch_nonce(batch++), groups, xs, ys, beta, scratch);
-
-    std::vector<Group> survivors;
-    std::vector<Group> pending;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      (pass[g] ? survivors : pending).push_back(std::move(groups[g]));
-    }
-
-    // Binary-search the failed groups down to the unequal culprits. Each
-    // BFS wave is one more batched test (two rounds); all failed groups
-    // advance together so round cost stays O(level) per level.
-    while (!pending.empty()) {
-      std::vector<Group> halves;
-      for (Group& g : pending) {
-        if (g.size() == 1) {
-          // The mismatching hash already certifies inequality (one-sided).
-          equal[g[0]] = false;
-          continue;
-        }
-        const std::size_t mid = g.size() / 2;
-        halves.emplace_back(g.begin(), g.begin() + mid);
-        halves.emplace_back(g.begin() + mid, g.end());
-      }
-      if (halves.empty()) break;
-      local_stats.split_tests += halves.size();
-      obs::count(tracer, "eq.split_tests", halves.size());
-      obs::Span split_span(tracer, "binary_search");
-      const std::vector<bool> half_pass =
-          test_groups(channel, shared, batch_nonce(batch++), halves, xs, ys,
-                      beta, scratch);
-      pending.clear();
-      for (std::size_t h = 0; h < halves.size(); ++h) {
-        (half_pass[h] ? survivors : pending).push_back(std::move(halves[h]));
-      }
-    }
-
-    groups = std::move(survivors);
-    local_stats.levels = level + 1;
-    if (groups.empty()) break;
-    if (level >= max_level && groups.size() <= 1) break;
-
-    // Merge adjacent survivors pairwise for the next level.
-    std::vector<Group> merged;
-    merged.reserve((groups.size() + 1) / 2);
-    for (std::size_t g = 0; g + 1 < groups.size(); g += 2) {
-      Group m = std::move(groups[g]);
-      m.insert(m.end(), groups[g + 1].begin(), groups[g + 1].end());
-      merged.push_back(std::move(m));
-    }
-    if (groups.size() % 2 == 1) merged.push_back(std::move(groups.back()));
-    groups = std::move(merged);
-
-    // Phase boundary: level complete, both parties agree on the verdicts
-    // so far and the merged survivor groups. (Not reached when the run
-    // finished above, so a restored snapshot always has live groups.)
-    if (ckpt != nullptr) {
-      util::BitBuffer blob;
-      blob.append_gamma64(k);
-      for (std::size_t i = 0; i < k; ++i) blob.append_bit(equal[i]);
-      blob.append_gamma64(groups.size());
-      for (const Group& g : groups) {
-        blob.append_gamma64(g.size());
-        for (std::size_t idx : g) blob.append_gamma64(idx);
-      }
-      ckpt->save("amortized_eq", level + 1, std::move(blob),
-                 channel.cost().bits_total);
-    }
+bool AmortizedEqRun::step() {
+  if (!run_.step()) return false;
+  // Both parties now hold the verdicts; they must agree.
+  if (alice_.verdicts() != bob_.verdicts()) {
+    throw std::logic_error("amortized_equality: verdict mismatch");
   }
-
-  obs::observe(tracer, "eq.levels", local_stats.levels);
-  if (stats != nullptr) *stats = local_stats;
-  return equal;
+  bob_.emit_metrics(channel_.tracer());
+  return true;
 }
 
 }  // namespace setint::eq

@@ -22,7 +22,7 @@ VerifiedRunResult verified_two_party_intersection(
     const core::VerificationTreeParams& params, std::size_t k_bound,
     const core::RetryPolicy& retry, const SessionHooks& hooks) {
   VerifiedSessionDriver driver(shared, nonce, universe, s, t, params, k_bound,
-                               retry, hooks, /*resumable=*/false);
+                               retry, hooks);
   return driver.run();
 }
 
@@ -30,7 +30,7 @@ VerifiedSessionDriver::VerifiedSessionDriver(
     const sim::SharedRandomness& shared, std::uint64_t nonce,
     std::uint64_t universe, util::SetView s, util::SetView t,
     const core::VerificationTreeParams& params, std::size_t k_bound,
-    const core::RetryPolicy& retry, const SessionHooks& hooks, bool resumable)
+    const core::RetryPolicy& retry, const SessionHooks& hooks)
     : shared_(shared),
       nonce_(nonce),
       universe_(universe),
@@ -41,7 +41,6 @@ VerifiedSessionDriver::VerifiedSessionDriver(
                             : k_bound),
       retry_(retry),
       hooks_(hooks),
-      resumable_(resumable),
       tracer_(hooks.tracer),
       faults_(hooks.faults),
       adversary_(hooks.adversary),
@@ -63,15 +62,11 @@ VerifiedSessionDriver::VerifiedSessionDriver(
       // Phase-boundary checkpoint store, shared by every attempt. It earns
       // its keep under chaos — iid faults corrupt single messages (the
       // retry loop is the right tool), while crash/partition blocks lose
-      // whole half-finished sessions that a snapshot can rescue — and
-      // under a budget, whose cooperative enforcement points are exactly
-      // these boundaries (Checkpoint::set_budget). The sans-IO engine
-      // additionally needs the store as its parking seam, so resumable
-      // mode forces it on; emit_ckpt_metrics_ preserves the blocking
-      // path's metric surface either way.
-      emit_ckpt_metrics_((chaos_ != nullptr || budget_enabled_) &&
-                         hooks.checkpoint),
-      max_attempts_(retry.max_attempts) {
+      // whole half-finished sessions that a snapshot can rescue. Budgeted
+      // sessions install it as well and report its checkpoint.* metrics.
+      ckpt_((chaos_ != nullptr || budget_enabled_) && hooks.checkpoint
+                ? &ckpt_store_
+                : nullptr) {
   channel_.set_tracer(tracer_);
   channel_.set_recorder(recorder_);
   channel_.set_fault_plan(faults_);
@@ -82,28 +77,18 @@ VerifiedSessionDriver::VerifiedSessionDriver(
   if (chaos_ != nullptr) {
     channel_.set_chaos(chaos_, hooks_.player_a, hooks_.player_b);
   }
-  ckpt_ = (emit_ckpt_metrics_ || (resumable_ && hooks_.checkpoint))
-              ? &ckpt_store_
-              : nullptr;
-  if (ckpt_ != nullptr && budget_enabled_) ckpt_->set_budget(&budget_);
   result_.repetitions = 0;
 }
 
 void VerifiedSessionDriver::finish() {
   result_.cost = channel_.cost();
   result_.budget_reason = budget_.reason();
-  if (ckpt_ != nullptr && emit_ckpt_metrics_) {
+  if (ckpt_ != nullptr) {
     obs::count(tracer_, "checkpoint.snapshots", ckpt_->snapshots());
     obs::count(tracer_, "checkpoint.restores", ckpt_->restores());
   }
   if (budget_enabled_) {
     obs::count(tracer_, "budget.checks", budget_.checks());
-  }
-  // Engine bookkeeping under its own family: park resumes are not crash
-  // recoveries, and the checkpoint.* family totals must stay comparable
-  // with the blocking path (tests/sansio_test.cc pins the parity).
-  if (ckpt_ != nullptr && ckpt_->park_resumes() > 0) {
-    obs::count(tracer_, "engine.park_resumes", ckpt_->park_resumes());
   }
   done_ = true;
 }
@@ -143,16 +128,73 @@ bool VerifiedSessionDriver::wait_out_block(std::uint64_t resume_tick,
   return true;
 }
 
-bool VerifiedSessionDriver::run_attempt_loop() {
+bool VerifiedSessionDriver::step_attempt() {
+  try {
+    if (!vt_) {
+      // Inside the try: with limits installed the backoff charge itself
+      // can breach max_rounds, which burns the attempt like any failure.
+      if (backoff_due_) {
+        backoff_due_ = false;
+        const core::BackoffPolicy schedule{
+            retry_.backoff_rounds, retry_.backoff_multiplier,
+            retry_.backoff_cap_rounds, retry_.backoff_jitter};
+        channel_.charge_extra_rounds(
+            core::backoff_rounds_for_attempt(schedule, nonce_, rep_));
+      }
+      // Budget enforcement point before every (re)start of the attempt.
+      if (budget_enabled_) budget_.check();
+      vt_.emplace(channel_, shared_, util::mix64(nonce_, rep_), universe_, s_,
+                  t_, params_, ckpt_);
+    }
+    if (!vt_->step()) {
+      // Stage boundary: the step ends here, after the budget check.
+      if (budget_enabled_) budget_.check();
+      return true;
+    }
+  } catch (...) {
+    // Close the run's spans and arena frame before the handlers meter the
+    // recovery.
+    vt_.reset();
+    throw;
+  }
+  const core::IntersectionOutput out = std::move(vt_->output());
+  vt_.reset();
+  // 2k-bit certificate (Section 4): candidates are subsets of the inputs
+  // and supersets of the intersection, so equality implies exactness.
+  util::ScratchArena::Frame certificate_frame(channel_.scratch());
+  const util::BitSpan ca = util::pack_set(out.alice, channel_.scratch());
+  const util::BitSpan cb = util::pack_set(out.bob, channel_.scratch());
+  obs::Span certificate_span(tracer_, "certificate");
+  const bool certified = eq::equality_test(
+      channel_, shared_, util::mix64(nonce_, util::mix64(0xCE27, rep_)), ca,
+      cb, 2 * k_bound_);
+  if (!certified) return false;
+  obs::count(tracer_, "mp.verified_runs");
+  obs::count(tracer_, "mp.repetitions", result_.repetitions);
+  if (ckpt_ != nullptr && ckpt_->restores() > 0) {
+    obs::count(tracer_, "checkpoint.resume_successes");
+  }
+  if (breaker_ != nullptr) {
+    const core::BreakerState before = breaker_->state();
+    breaker_->on_success();
+    if (before != core::BreakerState::kClosed &&
+        breaker_->state() == core::BreakerState::kClosed) {
+      obs::count(tracer_, "breaker.closes");
+    }
+  }
+  result_.intersection = out.alice;
+  finish();
+  return true;
+}
+
+bool VerifiedSessionDriver::step_attempts() {
   // The per-session attempt budget, taken literally: 0 means no certified
   // attempt at all — straight to the backstop (reliable transport) or the
   // degradation ladder (hostile).
-  while (true) {
-    if (!in_attempt_) {
-      if (!(rep_ < max_attempts_ && !result_.peer_lost &&
-            !budget_.exhausted())) {
-        return false;
-      }
+  while (attempt_live_ ||
+         (rep_ < retry_.max_attempts && !result_.peer_lost &&
+          !budget_.exhausted())) {
+    if (!attempt_live_) {
       if (breaker_ != nullptr && !breaker_->allow()) {
         // Open breaker: the accumulated evidence says this link is dead —
         // stop burning attempts (and pool tokens) and take the ladder.
@@ -181,81 +223,20 @@ bool VerifiedSessionDriver::run_attempt_loop() {
       }
       backoff_due_ = rep_ > 0;
       attempt_live_ = true;
-      skip_pre_ = false;
-      in_attempt_ = true;
     }
-    // Inner recovery loop: a crash or partition inside the attempt is
-    // waited out and the attempt resumes — from its last phase checkpoint
-    // when one is installed, from scratch otherwise — under the SAME
-    // nonce, so the replayed transcript is deterministic. A sans-IO park
-    // unwinds from here too (rethrown below) and re-enters with skip_pre_
-    // set, because the blocking path runs backoff and the between-attempt
-    // budget check once per attempt, not once per boundary.
+    // A crash or partition inside the attempt is waited out and the
+    // attempt resumes — from its last phase checkpoint when one is
+    // installed, from scratch otherwise — under the SAME nonce, so the
+    // replayed transcript is deterministic.
     while (attempt_live_) {
       try {
-        if (!skip_pre_) {
-          // Inside the try: with limits installed the backoff charge
-          // itself can breach max_rounds, which burns the attempt like
-          // any failure.
-          if (backoff_due_) {
-            backoff_due_ = false;
-            const core::BackoffPolicy schedule{
-                retry_.backoff_rounds, retry_.backoff_multiplier,
-                retry_.backoff_cap_rounds, retry_.backoff_jitter};
-            channel_.charge_extra_rounds(
-                core::backoff_rounds_for_attempt(schedule, nonce_, rep_));
-          }
-          // Between-attempt budget enforcement point (phase boundaries
-          // inside the attempt are covered by the checkpoint hook).
-          if (budget_enabled_) budget_.check();
-        }
-        skip_pre_ = false;
-        const core::IntersectionOutput out =
-            core::verification_tree_intersection(
-                channel_, shared_, util::mix64(nonce_, rep_), universe_, s_,
-                t_, params_, /*diag=*/nullptr, ckpt_);
-        // 2k-bit certificate (Section 4): candidates are subsets of the
-        // inputs and supersets of the intersection, so equality implies
-        // exactness.
-        util::ScratchArena::Frame certificate_frame(channel_.scratch());
-        const util::BitSpan ca = util::pack_set(out.alice, channel_.scratch());
-        const util::BitSpan cb = util::pack_set(out.bob, channel_.scratch());
-        obs::Span certificate_span(tracer_, "certificate");
-        const bool certified = eq::equality_test(
-            channel_, shared_,
-            util::mix64(nonce_, util::mix64(0xCE27, rep_)), ca, cb,
-            2 * k_bound_);
-        if (certified) {
-          obs::count(tracer_, "mp.verified_runs");
-          obs::count(tracer_, "mp.repetitions", result_.repetitions);
-          if (ckpt_ != nullptr && ckpt_->restores() > 0) {
-            obs::count(tracer_, "checkpoint.resume_successes");
-          }
-          if (breaker_ != nullptr) {
-            const core::BreakerState before = breaker_->state();
-            breaker_->on_success();
-            if (before != core::BreakerState::kClosed &&
-                breaker_->state() == core::BreakerState::kClosed) {
-              obs::count(tracer_, "breaker.closes");
-            }
-          }
-          result_.intersection = out.alice;
-          finish();
-          return true;
-        }
+        if (step_attempt()) return true;
         attempt_live_ = false;  // failed certificate: fresh attempt
-      } catch (const core::CheckpointPark&) {
-        // Sans-IO park at a phase boundary: nothing failed — suspend the
-        // session exactly here. MUST stay ahead of the generic handler
-        // below, which would otherwise burn the attempt as a decode
-        // failure.
-        skip_pre_ = true;
-        throw;
       } catch (const sim::PlayerCrashError& e) {
         obs::count(tracer_, "chaos.crashes");
         if (e.permanent || !wait_out_block(e.revive_tick, "crash")) {
           result_.peer_lost = true;
-          break;
+          attempt_live_ = false;
         }
         // Without a checkpoint the wait still happened (the link is only
         // usable again after the outage) but the attempt burns.
@@ -264,14 +245,14 @@ bool VerifiedSessionDriver::run_attempt_loop() {
         obs::count(tracer_, "chaos.partitions");
         if (!wait_out_block(e.heal_tick, "partition")) {
           result_.peer_lost = true;
-          break;
+          attempt_live_ = false;
         }
         if (ckpt_ == nullptr) attempt_live_ = false;
       } catch (const core::BudgetExhaustedError& e) {
-        // A spending cap tripped at a phase boundary or between attempts.
-        // The snapshot (if any) landed before the throw, so the boundary
+        // A spending cap tripped at a stage boundary or between attempts.
+        // The snapshot (if any) landed before the check, so the boundary
         // loses nothing — but no further exact attempt can be afforded:
-        // the sticky exhausted flag ends the outer loop and the run
+        // the sticky exhausted flag ends the attempt loop and the run
         // descends the degradation ladder.
         obs::count(tracer_, "budget.exhaustions");
         obs::count(tracer_, std::string("budget.exhausted_") +
@@ -297,8 +278,7 @@ bool VerifiedSessionDriver::run_attempt_loop() {
         attempt_live_ = false;
       }
     }
-    in_attempt_ = false;
-    // Every exit from the inner loop without a certificate is one failed
+    // Every exit from an attempt without a certificate is one failed
     // attempt — feed the breaker so persistent link failure trips it.
     if (breaker_ != nullptr) {
       const core::BreakerState before = breaker_->state();
@@ -315,6 +295,7 @@ bool VerifiedSessionDriver::run_attempt_loop() {
     }
     rep_ += 1;
   }
+  return false;
 }
 
 void VerifiedSessionDriver::run_ladder() {
@@ -445,37 +426,14 @@ void VerifiedSessionDriver::run_ladder() {
   finish();
 }
 
-void VerifiedSessionDriver::run_session() {
-  if (!post_loop_) {
-    if (run_attempt_loop()) return;
-    post_loop_ = true;
-  }
-  run_ladder();
-}
-
 VerifiedRunResult VerifiedSessionDriver::run() {
-  if (done_) return result_;
-  run_session();
+  while (!step()) {
+  }
   return result_;
 }
 
 bool VerifiedSessionDriver::step() {
-  if (done_) return true;
-  if (!resumable_) {
-    throw std::logic_error(
-        "VerifiedSessionDriver::step on a blocking-mode driver");
-  }
-  if (ckpt_ != nullptr) ckpt_->set_park_at_boundaries(true);
-  try {
-    run_session();
-  } catch (const core::CheckpointPark&) {
-    // Parked on a phase boundary inside the current attempt; the next
-    // step re-enters run_session and resumes from the snapshot.
-  } catch (...) {
-    if (ckpt_ != nullptr) ckpt_->set_park_at_boundaries(false);
-    throw;
-  }
-  if (ckpt_ != nullptr) ckpt_->set_park_at_boundaries(false);
+  if (!done_ && !step_attempts()) run_ladder();
   return done_;
 }
 

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include <cstddef>
@@ -20,6 +21,7 @@
 #include "core/checkpoint.h"
 #include "core/resource_limits.h"
 #include "core/retry.h"
+#include "core/tree_parties.h"
 #include "core/verification_tree.h"
 #include "sim/channel.h"
 #include "obs/tracer.h"
@@ -95,11 +97,11 @@ struct VerifiedRunResult {
 //               retry.max_restarts times; a permanently dead peer yields
 //               peer_lost + the degraded input-fallback superset.
 //   budget    — per-session spending caps (core/budget.h), enforced at
-//               phase boundaries (via the checkpoint hook) and between
-//               attempts. Exhaustion ends certified attempts, skips the
-//               backstop (which would spend more), and descends the
-//               degradation ladder — or refuses outright when
-//               refuse_on_exhaustion is set.
+//               every verification-tree stage boundary and between
+//               attempts, with or without a checkpoint. Exhaustion ends
+//               certified attempts, skips the backstop (which would spend
+//               more), and descends the degradation ladder — or refuses
+//               outright when refuse_on_exhaustion is set.
 //   retry_pool— shared coordinator-level retry-token pool; every
 //               RE-attempt draws one token, and a dry pool ends this
 //               session's retries (budget_reason = kPool).
@@ -129,28 +131,19 @@ VerifiedRunResult verified_two_party_intersection(
     const core::RetryPolicy& retry = {}, const SessionHooks& hooks = {});
 
 // The certified session — attempt loop, 2k-bit certificate, backstop,
-// degradation ladder — as an explicitly re-enterable driver. It exists in
-// two modes sharing ONE code path:
+// degradation ladder — as one steppable object. step() advances the
+// session to the next stage boundary of the current attempt's
+// verification tree (a core::VerificationTreeRun held in place) or to the
+// end; run() steps it to completion, which is all
+// verified_two_party_intersection does. The sans-IO machine
+// (multiparty/session_machine.h) steps the same object, so the blocking
+// and the stepped session cannot drift apart.
 //
-//   * blocking (resumable = false): run() executes the session start to
-//     finish, byte-identical to the historical function above (which is
-//     now a thin wrapper over this class);
-//   * resumable (resumable = true): step() arms the checkpoint's
-//     park-at-boundaries knob and advances the session exactly one phase
-//     boundary of the underlying verification-tree protocol per call —
-//     the seam multiparty/session_machine.h turns into a sans-IO
-//     ProtocolMachine.
-//
-// A park-resume re-entry skips the between-attempt backoff/budget check
-// (which the blocking path runs once per attempt, not per boundary) and
-// lands in Checkpoint::park_resumes() rather than checkpoint.restores,
-// so every checkpoint.*/budget.* metric and the final VerifiedRunResult
-// match the blocking path exactly — pinned by tests/sansio_test.cc.
+// Session budgets are checked between attempts and after every stage
+// boundary, whether or not a checkpoint is installed.
 //
 // Lifetime: `shared`, the SetView inputs and every SessionHooks pointer
-// must outlive the driver. In resumable mode the driver forces a
-// checkpoint store even without chaos/budget (parking needs a seam), but
-// only emits checkpoint.* metrics when the blocking path would.
+// must outlive the driver.
 class VerifiedSessionDriver {
  public:
   VerifiedSessionDriver(const sim::SharedRandomness& shared,
@@ -158,28 +151,27 @@ class VerifiedSessionDriver {
                         util::SetView s, util::SetView t,
                         const core::VerificationTreeParams& params,
                         std::size_t k_bound, const core::RetryPolicy& retry,
-                        const SessionHooks& hooks, bool resumable);
+                        const SessionHooks& hooks);
 
-  // Blocking mode: the whole session in one call.
+  // The whole session in one call.
   VerifiedRunResult run();
 
-  // Resumable mode: advances to the next phase boundary; returns true
-  // once the session has finished and result() is final. With
-  // hooks.checkpoint = false there is no parking seam and the first step
-  // runs the session to completion.
+  // Advances to the next stage boundary; returns true once the session
+  // has finished and result() is final.
   bool step();
 
-  bool finished() const { return done_; }
   const VerifiedRunResult& result() const { return result_; }
   sim::Channel& channel() { return channel_; }
-  core::Checkpoint* checkpoint() { return ckpt_; }
 
  private:
-  // Returns true when the session finished inside the attempt loop (a
-  // certified answer); false when control falls through to the ladder.
-  bool run_attempt_loop();
+  // Returns true when the step ends inside the attempt loop (at a stage
+  // boundary, or with a certified answer); false when control falls
+  // through to the ladder.
+  bool step_attempts();
+  // Advances the current attempt: true when the step ends in it (at a
+  // stage boundary, or certified), false when its certificate failed.
+  bool step_attempt();
   void run_ladder();
-  void run_session();
   void finish();
   bool wait_out_block(std::uint64_t resume_tick, const char* what);
 
@@ -192,7 +184,6 @@ class VerifiedSessionDriver {
   const std::size_t k_bound_;
   const core::RetryPolicy retry_;
   const SessionHooks hooks_;
-  const bool resumable_;
 
   obs::Tracer* tracer_;
   sim::FaultPlan* faults_;
@@ -207,21 +198,18 @@ class VerifiedSessionDriver {
   core::CircuitBreaker* breaker_;
   core::Checkpoint ckpt_store_;
   core::Checkpoint* ckpt_;
-  bool emit_ckpt_metrics_;
 
-  std::uint64_t max_attempts_;
   VerifiedRunResult result_;
   std::uint64_t restarts_used_ = 0;
   std::uint64_t attempt_start_bits_ = 0;
   bool breaker_denied_ = false;
 
-  // Resume cursor: which part of the session the next (re-)entry lands in.
-  std::uint64_t rep_ = 0;     // current attempt index
-  bool in_attempt_ = false;   // attempt initialized, inner loop live
-  bool attempt_live_ = false;
+  std::uint64_t rep_ = 0;        // current attempt index
+  bool attempt_live_ = false;    // current attempt still running
   bool backoff_due_ = false;
-  bool skip_pre_ = false;     // park-resume: skip backoff + budget precheck
-  bool post_loop_ = false;    // attempt loop exhausted; ladder next
+  // The current attempt's verification tree; rebuilt (resuming from the
+  // checkpoint, if any) after a crash.
+  std::optional<core::VerificationTreeRun> vt_;
   bool done_ = false;
 };
 

@@ -5,12 +5,12 @@
 namespace setint::multiparty {
 
 VerifiedSessionMachine::VerifiedSessionMachine(SessionMachineConfig cfg)
-    : cfg_(std::move(cfg)), shared_(cfg_.seed) {
-  driver_ = std::make_unique<VerifiedSessionDriver>(
-      shared_, cfg_.nonce, cfg_.universe, util::SetView(cfg_.s),
-      util::SetView(cfg_.t), cfg_.tree, cfg_.k_bound, cfg_.retry, cfg_.hooks,
-      /*resumable=*/true);
-  driver_->channel().enable_digest();
+    : cfg_(std::move(cfg)),
+      shared_(cfg_.seed),
+      driver_(shared_, cfg_.nonce, cfg_.universe, util::SetView(cfg_.s),
+              util::SetView(cfg_.t), cfg_.tree, cfg_.k_bound, cfg_.retry,
+              cfg_.hooks) {
+  driver_.channel().enable_digest();
 }
 
 std::uint64_t fingerprint_verified_result(const VerifiedRunResult& r) {

@@ -1,17 +1,14 @@
 // The certified multiparty session as a sans-IO protocol machine.
 //
-// core::CheckpointedMachine wraps one BARE protocol; the certified
-// two-party session is bigger — retry loop, 2k-bit certificate,
-// deterministic backstop, degradation ladder — and its control flow lives
-// ABOVE the checkpointed verification tree. VerifiedSessionMachine
-// therefore drives multiparty::VerifiedSessionDriver in resumable mode:
-// each engine step calls driver.step(), which advances exactly one phase
-// boundary of the underlying protocol (or one rung of the ladder) and
-// parks. Everything the blocking verified_two_party_intersection()
-// produces — VerifiedRunResult, checkpoint.*/budget.* metrics, the
-// transcript digest — is available afterwards and must match the
-// blocking run bit for bit; tests/sansio_test.cc pins this under fault,
-// chaos and budget hooks.
+// VerifiedSessionMachine steps a multiparty::VerifiedSessionDriver: each
+// engine step calls driver.step(), which advances the session to the
+// next stage boundary of the current attempt's verification tree (or
+// through the certificate, the next attempt's first stage, or the
+// ladder). The blocking verified_two_party_intersection() steps the same
+// driver to completion, so everything it produces — VerifiedRunResult,
+// checkpoint.*/budget.* metrics, the transcript digest — matches the
+// machine's bit for bit; tests/sansio_test.cc pins this under fault,
+// chaos and budget hooks, with and without checkpoints.
 //
 // The machine owns copies of its inputs and its SharedRandomness, so a
 // scheduler can hold 10^5 of them with no external lifetime obligations
@@ -21,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "core/engine.h"
 #include "multiparty/coordinator.h"
@@ -45,21 +41,20 @@ class VerifiedSessionMachine final : public core::ProtocolMachine {
   explicit VerifiedSessionMachine(SessionMachineConfig cfg);
 
   std::string_view kind() const override { return "verified_session"; }
-  sim::Channel& channel() override { return driver_->channel(); }
-  const VerifiedRunResult& result() const { return driver_->result(); }
-  VerifiedSessionDriver& driver() { return *driver_; }
+  sim::Channel& channel() override { return driver_.channel(); }
+  const VerifiedRunResult& result() const { return driver_.result(); }
 
   // Hash over the answer AND its contract flags: a superset that arrives
   // flagged verified (or vice versa) must not compare equal.
   std::uint64_t result_fingerprint() const override;
 
  protected:
-  bool advance() override { return driver_->step(); }
+  bool advance() override { return driver_.step(); }
 
  private:
   SessionMachineConfig cfg_;
   sim::SharedRandomness shared_;
-  std::unique_ptr<VerifiedSessionDriver> driver_;
+  VerifiedSessionDriver driver_;
 };
 
 // The same fingerprint over a blocking run's result, for differential

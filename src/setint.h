@@ -102,9 +102,14 @@ struct IntersectOptions {
   sim::ChaosPlan* chaos_plan = nullptr;
   // Phase-boundary checkpointing (core/checkpoint.h) for chaos recovery.
   // Off = a crash burns the whole attempt and replays it from scratch.
+  // Only crash recovery depends on it: budgets are enforced at the same
+  // boundaries either way.
   bool checkpoint = true;
   // Overload governance (core/budget.h): per-session caps on bits, rounds
-  // and a simulated deadline, enforced cooperatively at phase boundaries.
+  // and a simulated deadline, enforced cooperatively after every
+  // verification-tree stage boundary and between attempts, whether or
+  // not `checkpoint` is set. A session therefore overshoots a cap by at
+  // most one stage (or one certificate, backstop or ladder rung).
   // Exhaustion descends the degradation ladder (exact -> flagged superset
   // -> input fallback) — or, with budget.refuse_on_exhaustion, stops at
   // an explicit refusal (IntersectResult::refused, empty answer). Default

@@ -33,103 +33,112 @@ std::vector<util::BitBuffer> read_messages(const util::BitBuffer& log) {
   return messages;
 }
 
-// The tracer phase live messages are metered under, a '/'-separated path
-// below the caller's span. Moving to the next message's path pops and
-// pushes only the segments that change, so consecutive messages of one
-// phase share a single span entry; leaving the run (also by exception)
-// closes every open segment.
-class PhaseSpan {
- public:
-  explicit PhaseSpan(obs::Tracer* tracer) : tracer_(tracer) {}
-  ~PhaseSpan() { enter({}); }
-  PhaseSpan(const PhaseSpan&) = delete;
-  PhaseSpan& operator=(const PhaseSpan&) = delete;
+// Length of the leading whole segments two '/'-separated paths share.
+std::size_t shared_prefix(std::string_view a, std::string_view b) {
+  const auto ends_segment = [](std::string_view path, std::size_t i) {
+    return i == path.size() || path[i] == '/';
+  };
+  std::size_t i = static_cast<std::size_t>(
+      std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first -
+      a.begin());
+  while (i > 0 && !(ends_segment(a, i) && ends_segment(b, i))) --i;
+  return i;
+}
 
-  void enter(std::string_view phase) {
-    if (phase == phase_ || tracer_ == nullptr) return;
-    const std::size_t keep = shared_prefix(phase_, phase);
-    for (std::size_t n = segments(phase_.substr(keep)); n > 0; --n) {
-      tracer_->pop();
-    }
-    for (std::string_view rest = phase.substr(keep); !rest.empty();) {
-      if (rest.front() == '/') rest.remove_prefix(1);
-      const std::size_t end = std::min(rest.find('/'), rest.size());
-      tracer_->push(rest.substr(0, end));
-      rest.remove_prefix(end);
-    }
-    phase_ = phase;
-  }
-
- private:
-  // Length of the leading whole segments two paths share.
-  static std::size_t shared_prefix(std::string_view a, std::string_view b) {
-    const auto ends_segment = [](std::string_view path, std::size_t i) {
-      return i == path.size() || path[i] == '/';
-    };
-    std::size_t i = static_cast<std::size_t>(
-        std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first -
-        a.begin());
-    while (i > 0 && !(ends_segment(a, i) && ends_segment(b, i))) --i;
-    return i;
-  }
-
-  // Segments in a path remainder ("", "/a/b" or "a/b").
-  static std::size_t segments(std::string_view rest) {
-    if (!rest.empty() && rest.front() == '/') rest.remove_prefix(1);
-    return rest.empty()
-               ? 0
-               : 1 + static_cast<std::size_t>(
-                         std::count(rest.begin(), rest.end(), '/'));
-  }
-
-  obs::Tracer* tracer_;
-  std::string_view phase_;
-};
+// Segments in a path remainder ("", "/a/b" or "a/b").
+std::size_t segments(std::string_view rest) {
+  if (!rest.empty() && rest.front() == '/') rest.remove_prefix(1);
+  return rest.empty()
+             ? 0
+             : 1 + static_cast<std::size_t>(
+                       std::count(rest.begin(), rest.end(), '/'));
+}
 
 }  // namespace
+
+// Live messages are metered under a '/'-separated path below the caller's
+// span. Moving to the next message's path pops and pushes only the
+// segments that change, so consecutive messages of one phase share a
+// single span entry; the run closes every open segment when it ends (also
+// by exception).
+void TwoPartyRun::enter(std::string_view phase) {
+  obs::Tracer* tracer = channel_.tracer();
+  if (phase == phase_ || tracer == nullptr) return;
+  const std::size_t keep = shared_prefix(phase_, phase);
+  for (std::size_t n = segments(phase_.substr(keep)); n > 0; --n) {
+    tracer->pop();
+  }
+  for (std::string_view rest = phase.substr(keep); !rest.empty();) {
+    if (rest.front() == '/') rest.remove_prefix(1);
+    const std::size_t end = std::min(rest.find('/'), rest.size());
+    tracer->push(rest.substr(0, end));
+    rest.remove_prefix(end);
+  }
+  phase_ = phase;
+}
+
+TwoPartyRun::TwoPartyRun(Channel& channel, Party& alice, Party& bob,
+                         std::size_t max_messages, core::Checkpoint* ckpt,
+                         std::string_view tag)
+    : channel_(channel), alice_(alice), bob_(bob),
+      max_messages_(max_messages), ckpt_(ckpt), tag_(tag) {
+  if (ckpt_ != nullptr && ckpt_->has(tag_)) {
+    replay_ = read_messages(ckpt_->state());
+    ckpt_->note_restore();
+  }
+  out_ = alice_.start();
+}
+
+void TwoPartyRun::hand_over() {
+  Party& receiver = sender_ == PartyId::kAlice ? bob_ : alice_;
+  out_ = receiver.on_message(delivered_);
+  sender_ = other(sender_);
+}
+
+bool TwoPartyRun::step() {
+  if (pending_) {
+    pending_ = false;
+    hand_over();
+  }
+  while (out_.has_value()) {
+    if (++messages_ > max_messages_) {
+      throw std::runtime_error("run_two_party: message budget exceeded");
+    }
+    const bool live = messages_ > replay_.size();
+    if (live) {
+      enter(out_->phase);
+      delivered_ = channel_.send(sender_, std::move(out_->bits),
+                                 std::string(out_->label));
+    } else {
+      delivered_ = std::move(replay_[messages_ - 1]);
+    }
+    const bool boundary = out_->boundary && live;
+    if (ckpt_ != nullptr) {
+      append_message(log_, delivered_);
+      boundaries_ += out_->boundary ? 1 : 0;
+      if (boundary) {
+        ckpt_->save(tag_, boundaries_, log_, channel_.cost().bits_total);
+      }
+    }
+    if (boundary) {
+      pending_ = true;
+      return false;
+    }
+    hand_over();
+  }
+  enter({});
+  if (!alice_.done() || !bob_.done()) {
+    throw std::runtime_error(
+        "run_two_party: conversation stalled before both parties finished");
+  }
+  return true;
+}
 
 void run_two_party(Channel& channel, Party& alice, Party& bob,
                    std::size_t max_messages, core::Checkpoint* ckpt,
                    std::string_view tag) {
-  std::vector<util::BitBuffer> replay;
-  if (ckpt != nullptr && ckpt->has(tag)) {
-    replay = read_messages(ckpt->state());
-    ckpt->note_restore();
-  }
-  util::BitBuffer log;
-  std::uint64_t boundaries = 0;
-  PhaseSpan span(channel.tracer());
-
-  std::optional<Outgoing> out = alice.start();
-  PartyId sender = PartyId::kAlice;
-  std::size_t messages = 0;
-  while (out.has_value()) {
-    if (++messages > max_messages) {
-      throw std::runtime_error("run_two_party: message budget exceeded");
-    }
-    util::BitBuffer delivered;
-    const bool live = messages > replay.size();
-    if (live) {
-      span.enter(out->phase);
-      delivered = channel.send(sender, std::move(out->bits),
-                               std::string(out->label));
-    } else {
-      delivered = std::move(replay[messages - 1]);
-    }
-    if (ckpt != nullptr) {
-      append_message(log, delivered);
-      boundaries += out->boundary ? 1 : 0;
-      if (out->boundary && live) {
-        ckpt->save(tag, boundaries, log, channel.cost().bits_total);
-      }
-    }
-    Party& receiver = sender == PartyId::kAlice ? bob : alice;
-    out = receiver.on_message(delivered);
-    sender = other(sender);
-  }
-  if (!alice.done() || !bob.done()) {
-    throw std::runtime_error(
-        "run_two_party: conversation stalled before both parties finished");
+  TwoPartyRun run(channel, alice, bob, max_messages, ckpt, tag);
+  while (!run.step()) {
   }
 }
 

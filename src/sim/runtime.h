@@ -11,11 +11,14 @@
 // The runner owns everything that is not protocol logic, so no party
 // repeats it: transcript labels and tracer phases (from each Outgoing),
 // crash resume at the boundaries parties flag, and the message budget.
+// A run steps one stage at a time, so a sans-IO machine (core/engine.h)
+// advances the object a blocking entry point steps to completion.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string_view>
+#include <vector>
 
 #include "sim/channel.h"
 #include "util/arena.h"
@@ -80,16 +83,54 @@ class Party {
   virtual bool done() const = 0;
 };
 
-// Runs alice (the opener) against bob through `channel` until both report
-// done. Throws std::runtime_error if the conversation stalls (neither
-// party speaks while one is unfinished) or exceeds max_messages.
+// Alice (the opener) run against bob through `channel`, one stage at a
+// time: step() delivers messages up to and including the next live one
+// flagged `boundary` (returning false) or to the end (true). The boundary
+// message reaches its receiver at the start of the next step. Throws
+// std::runtime_error if the conversation stalls (neither party speaks
+// while one is unfinished) or exceeds max_messages.
 //
 // With a checkpoint, every delivered message flagged `boundary` saves a
 // snapshot under `tag` (phase = boundaries crossed so far, state = every
 // message delivered so far). A run that finds a snapshot with its tag
 // resumes from it: the parties are fed the recorded messages — the bytes
 // that were actually delivered, not regenerated ones — and only the rest
-// goes over the channel.
+// goes over the channel. The parties, checkpoint and tag must outlive the
+// run.
+class TwoPartyRun {
+ public:
+  TwoPartyRun(Channel& channel, Party& alice, Party& bob,
+              std::size_t max_messages = 1u << 20,
+              core::Checkpoint* ckpt = nullptr, std::string_view tag = {});
+  ~TwoPartyRun() { enter({}); }
+  TwoPartyRun(const TwoPartyRun&) = delete;
+  TwoPartyRun& operator=(const TwoPartyRun&) = delete;
+
+  bool step();
+
+ private:
+  // Moves the tracer to the phase path of the next live message.
+  void enter(std::string_view phase);
+  void hand_over();
+
+  Channel& channel_;
+  Party& alice_;
+  Party& bob_;
+  std::size_t max_messages_;
+  core::Checkpoint* ckpt_;
+  std::string_view tag_;
+  std::string_view phase_;
+  std::vector<util::BitBuffer> replay_;
+  util::BitBuffer log_;
+  std::uint64_t boundaries_ = 0;
+  std::size_t messages_ = 0;
+  std::optional<Outgoing> out_;
+  PartyId sender_ = PartyId::kAlice;
+  util::BitBuffer delivered_;
+  bool pending_ = false;  // delivered_ not yet handed to its receiver
+};
+
+// Constructs a TwoPartyRun and steps it to completion.
 void run_two_party(Channel& channel, Party& alice, Party& bob,
                    std::size_t max_messages = 1u << 20,
                    core::Checkpoint* ckpt = nullptr,

@@ -24,17 +24,7 @@ FlatBuckets build_impl(std::span<const std::uint64_t> keys,
   for (std::size_t i = 0; i < keys.size(); ++i) {
     data[cursor[keys[i]]++] = payload(i);
   }
-  // Occupancy bitmap: one pass over the counts just computed. Trailing
-  // bits beyond num_buckets stay zero (alloc_u64_zeroed), which the
-  // bitmap AND kernels rely on.
-  const std::span<std::uint64_t> occupancy =
-      arena.alloc_u64_zeroed((num_buckets + 63) / 64);
-  for (std::size_t b = 0; b < num_buckets; ++b) {
-    if (offsets[b + 1] != offsets[b]) {
-      occupancy[b >> 6] |= std::uint64_t{1} << (b & 63);
-    }
-  }
-  return FlatBuckets{offsets, data, occupancy};
+  return FlatBuckets{offsets, data};
 }
 
 }  // namespace

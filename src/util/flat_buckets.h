@@ -29,13 +29,6 @@ struct FlatBuckets {
   // data[offsets[b] .. offsets[b + 1]).
   std::span<const std::uint64_t> offsets;
   std::span<const std::uint64_t> data;
-  // One bit per bucket (ceil(num_buckets / 64) words, trailing bits 0):
-  // bit b set iff bucket b is non-empty. Built alongside the counting
-  // sort so the SIMD bitmap kernels (simd::bitmap_and_count and friends)
-  // can join two tables' membership without touching the offsets — the
-  // StormBitmaps-style fast path core/bucket_eq uses to skip buckets
-  // empty on either side.
-  std::span<const std::uint64_t> occupancy;
 
   std::size_t num_buckets() const {
     return offsets.empty() ? 0 : offsets.size() - 1;
@@ -46,9 +39,6 @@ struct FlatBuckets {
   }
   std::size_t bucket_size(std::size_t b) const {
     return offsets[b + 1] - offsets[b];
-  }
-  bool occupied(std::size_t b) const {
-    return (occupancy[b >> 6] >> (b & 63)) & 1u;
   }
 };
 

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <exception>
 
 #include "core/bucket_eq.h"
+#include "sim/adversary.h"
 #include "sim/channel.h"
 #include "sim/randomness.h"
 #include "util/rng.h"
@@ -129,6 +131,33 @@ TEST(BucketEq, RejectsBadStrength) {
   EXPECT_THROW(core::bucket_eq_intersection(ch, shared, 0, 100, util::Set{1},
                                             util::Set{1}, 2),
                std::invalid_argument);
+}
+
+// Each party sees only the peer's size vector, so a Byzantine Bob can
+// claim any sizes. Claims past the public bound k must be refused before
+// Alice lists an instance per claimed pair; whatever else a crafted frame
+// does, Alice either fails loudly or answers a subset of her own input.
+TEST(BucketEq, ByzantinePeerSizesAreBounded) {
+  util::Rng wrng(11);
+  const util::SetPair p = util::random_set_pair(wrng, 1u << 20, 64, 32);
+  sim::SharedRandomness shared(11);
+  for (const sim::AttackClass attack :
+       {sim::AttackClass::kInflatedLength, sim::AttackClass::kUnaryBomb,
+        sim::AttackClass::kRandomGarbage, sim::AttackClass::kSemanticLie}) {
+    SCOPED_TRACE(sim::attack_class_name(attack));
+    sim::AdversarySpec spec;
+    spec.attack = attack;
+    sim::Adversary adversary(spec);
+    sim::Channel ch;
+    ch.set_adversary(&adversary);
+    try {
+      const auto out =
+          core::bucket_eq_intersection(ch, shared, 0, 1u << 20, p.s, p.t);
+      EXPECT_TRUE(util::is_subset(out.alice, p.s));
+    } catch (const std::exception&) {
+    }
+    EXPECT_GT(adversary.stats().frames_crafted, 0u);
+  }
 }
 
 TEST(BucketEqWrapper, RunInterface) {

@@ -13,6 +13,7 @@
 #include <cstdint>
 
 #include "core/basic_intersection.h"
+#include "core/bucket_eq.h"
 #include "core/checkpoint.h"
 #include "core/verification_tree.h"
 #include "eq/amortized_eq.h"
@@ -180,6 +181,46 @@ TEST(Checkpoint, VerificationTreeResumeMatchesUninterrupted) {
     EXPECT_EQ(ch.transcript()->digest(), clean.transcript()->digest());
   }
   EXPECT_GE(interrupted, 3u);
+}
+
+// Bucket-EQ checkpoints after its size exchange and after every completed
+// non-final amortized-equality level; resuming at any of those boundaries
+// must reproduce the uninterrupted outputs, bits, rounds and transcript.
+TEST(Checkpoint, BucketEqResumeMatchesUninterrupted) {
+  const std::uint64_t universe = std::uint64_t{1} << 20;
+  util::Rng wrng(909);
+  const util::SetPair p = util::random_set_pair(wrng, universe, 128, 48);
+  sim::SharedRandomness sh(4711);
+
+  sim::Channel clean(/*record_transcript=*/true);
+  const auto want =
+      core::bucket_eq_intersection(clean, sh, 5, universe, p.s, p.t);
+  EXPECT_EQ(want.alice, p.expected_intersection);
+
+  std::uint64_t interrupted = 0;
+  for (std::uint64_t phase = 1; phase <= 16; ++phase) {
+    SCOPED_TRACE(testing::Message() << "interrupt at boundary " << phase);
+    sim::Channel ch(/*record_transcript=*/true);
+    core::Checkpoint ckpt;
+    ckpt.interrupt_after("bucket_eq", phase);
+    try {
+      (void)core::bucket_eq_intersection(ch, sh, 5, universe, p.s, p.t, 3,
+                                         nullptr, &ckpt);
+      continue;  // fewer boundaries than `phase`: nothing to resume
+    } catch (const core::CheckpointInterrupt&) {
+    }
+    ++interrupted;
+    EXPECT_EQ(ckpt.phase(), phase);
+    const auto got = core::bucket_eq_intersection(ch, sh, 5, universe, p.s,
+                                                  p.t, 3, nullptr, &ckpt);
+    EXPECT_EQ(got.alice, want.alice);
+    EXPECT_EQ(got.bob, want.bob);
+    EXPECT_EQ(ckpt.restores(), 1u);
+    EXPECT_EQ(ch.cost().bits_total, clean.cost().bits_total);
+    EXPECT_EQ(ch.cost().rounds, clean.cost().rounds);
+    EXPECT_EQ(ch.transcript()->digest(), clean.transcript()->digest());
+  }
+  EXPECT_GE(interrupted, 4u);
 }
 
 }  // namespace

@@ -125,6 +125,31 @@ TEST(Facade, DeterministicForSeed) {
   EXPECT_EQ(a.rounds, b.rounds);
 }
 
+// A session budget is checked at every verification-tree stage boundary
+// whether or not checkpoints are on. A cap a third of the way into the
+// first attempt must trip in both modes, at the same point: the session
+// may not finish the attempt and report an unflagged exact answer past
+// max_bits.
+TEST(Facade, BudgetHoldsWithoutCheckpoint) {
+  util::Rng wrng(5);
+  const std::uint64_t universe = std::uint64_t{1} << 32;
+  const util::SetPair p = util::random_set_pair(wrng, universe, 2048, 1024);
+  IntersectOptions options{.universe = universe, .seed = 5};
+  options.budget.max_bits = 26404;
+  options.checkpoint = true;
+  const IntersectResult with_ckpt = intersect(p.s, p.t, options);
+  options.checkpoint = false;
+  const IntersectResult without_ckpt = intersect(p.s, p.t, options);
+  for (const IntersectResult* r : {&with_ckpt, &without_ckpt}) {
+    EXPECT_EQ(r->budget_reason, core::BudgetDimension::kBits);
+    EXPECT_NE(r->rung, core::DegradeRung::kExact);
+    EXPECT_FALSE(r->verified);
+    EXPECT_TRUE(util::is_subset(p.expected_intersection, r->intersection));
+  }
+  EXPECT_EQ(without_ckpt.bits, with_ckpt.bits);
+  EXPECT_EQ(without_ckpt.rung, with_ckpt.rung);
+}
+
 // ---------- whole-zoo differential fuzz ----------
 
 std::vector<std::unique_ptr<core::IntersectionProtocol>> fuzz_zoo() {

@@ -1,5 +1,5 @@
 // Differential harness for the sans-IO engine (core/engine.h), the
-// event-loop scheduler (runtime/scheduler.h) and the resumable certified
+// event-loop scheduler (runtime/scheduler.h) and the stepped certified
 // session (multiparty/session_machine.h).
 //
 // The load-bearing invariant everywhere below: a protocol machine driven
@@ -429,7 +429,7 @@ TEST(SansioDifferential, ServiceRunThreadInvariance) {
   }
 }
 
-// ---------- the resumable certified session (interop satellites) ----------
+// ---------- the stepped certified session (interop satellites) ----------
 
 using multiparty::SessionHooks;
 using multiparty::SessionMachineConfig;
@@ -439,7 +439,6 @@ using multiparty::VerifiedSessionMachine;
 std::map<std::string, std::uint64_t> counter_snapshot(const obs::Tracer& tr) {
   std::map<std::string, std::uint64_t> out;
   for (const auto& [name, counter] : tr.metrics().counters()) {
-    if (name.rfind("engine.", 0) == 0) continue;  // engine-only family
     out[name] = counter.value();
   }
   return out;
@@ -488,7 +487,8 @@ SessionInputs certified_inputs(std::uint64_t seed) {
 template <typename Rig>
 void differential_certified_session(std::uint64_t seed, Rig rig,
                                     VerifiedRunResult* blocking_out = nullptr,
-                                    VerifiedRunResult* machine_out = nullptr) {
+                                    VerifiedRunResult* machine_out = nullptr,
+                                    std::uint64_t* machine_steps = nullptr) {
   const SessionInputs in = certified_inputs(seed);
 
   obs::Tracer tr_blocking;
@@ -497,9 +497,12 @@ void differential_certified_session(std::uint64_t seed, Rig rig,
   auto env_blocking = rig(hooks_blocking);
   (void)env_blocking;
   const sim::SharedRandomness shared(in.seed);
-  const VerifiedRunResult blocking = multiparty::verified_two_party_intersection(
-      shared, in.nonce, in.universe, in.s, in.t, {}, 0, in.retry,
-      hooks_blocking);
+  // What verified_two_party_intersection runs, with the digest enabled.
+  multiparty::VerifiedSessionDriver driver(shared, in.nonce, in.universe,
+                                           in.s, in.t, {}, 0, in.retry,
+                                           hooks_blocking);
+  driver.channel().enable_digest();
+  const VerifiedRunResult blocking = driver.run();
 
   obs::Tracer tr_machine;
   SessionMachineConfig cfg;
@@ -517,12 +520,13 @@ void differential_certified_session(std::uint64_t seed, Rig rig,
   ASSERT_EQ(machine.status(), core::MachineStatus::kDone);
 
   expect_results_match(blocking, machine.result());
+  EXPECT_EQ(machine.digest(), driver.channel().digest());
   // Every counter family the session emits — retry.*, checkpoint.*,
-  // budget.*, chaos.*, fault.*, degraded.*, mp.* — must match exactly
-  // (engine.* excluded: park resumes exist only in resumable mode).
+  // budget.*, chaos.*, fault.*, degraded.*, mp.* — must match exactly.
   EXPECT_EQ(counter_snapshot(tr_blocking), counter_snapshot(tr_machine));
   if (blocking_out != nullptr) *blocking_out = blocking;
   if (machine_out != nullptr) *machine_out = machine.result();
+  if (machine_steps != nullptr) *machine_steps = machine.steps();
 }
 
 TEST(SansioCertified, CleanSessionMatchesBlocking) {
@@ -535,9 +539,25 @@ TEST(SansioCertified, CleanSessionMatchesBlocking) {
   EXPECT_EQ(blocking.rung, core::DegradeRung::kExact);
 }
 
+TEST(SansioCertified, WithoutCheckpointStepsPerStage) {
+  // Stepping does not need a checkpoint: the machine still stops at every
+  // verification-tree stage boundary, and matches the blocking run.
+  VerifiedRunResult blocking;
+  std::uint64_t steps = 0;
+  differential_certified_session(
+      0xC1EB,
+      [](SessionHooks& hooks) {
+        hooks.checkpoint = false;
+        return 0;
+      },
+      &blocking, nullptr, &steps);
+  EXPECT_TRUE(blocking.verified);
+  EXPECT_GT(steps, 1u);
+}
+
 TEST(SansioCertified, FaultPlanInteropMatchesBlocking) {
   // Unreliable transport: flips + drops force retries; the machine's
-  // park/resume stepping must leave the retry ladder's behavior — and
+  // stage-by-stage stepping must leave the retry ladder's behavior — and
   // every fault.*/retry.* counter — untouched.
   sim::FaultSpec spec;
   spec.flip_per_bit = 5e-4;
@@ -562,8 +582,7 @@ TEST(SansioCertified, FaultPlanInteropMatchesBlocking) {
 TEST(SansioCertified, ChaosPlanInteropMatchesBlocking) {
   // Crash/restart chaos: checkpoint resume in both modes, with
   // checkpoint.snapshots / checkpoint.restores / chaos.* counters and
-  // restarts/bits_replayed asserted identical by the harness. Park
-  // resumes must NOT leak into checkpoint.restores.
+  // restarts/bits_replayed asserted identical by the harness.
   sim::ChaosSpec spec;
   spec.players = 2;
   spec.seed = 0xC405;
@@ -587,7 +606,7 @@ TEST(SansioCertified, ChaosPlanInteropMatchesBlocking) {
 TEST(SansioCertified, BudgetCapInteropMatchesBlocking) {
   // A bit cap that trips mid-session: identical ladder descent
   // (retry -> degrade) and identical budget.checks/budget.exhaustions in
-  // both modes — the park-resume stepping must not re-run (or skip) any
+  // both modes — the stepping must not re-run (or skip) any
   // between-attempt budget check.
   VerifiedRunResult blocking;
   differential_certified_session(

@@ -367,10 +367,9 @@ TEST(TranscriptDigest, BucketEqResumesToSamePin) {
   sim::Channel ch(/*record_transcript=*/true);
   sim::SharedRandomness sh(31337);
   core::Checkpoint ckpt;
-  // Crash inside the amortized-EQ ladder (after its second level), two
-  // protocols deep: bucket_eq restores its size exchange from the nested
-  // snapshot's existence, amortized_eq restores the level state.
-  ckpt.interrupt_after("amortized_eq", 2);
+  // Crash inside the amortized-EQ ladder, after its second level: boundary
+  // 1 is the size exchange, boundaries 2, 3, ... the completed levels.
+  ckpt.interrupt_after("bucket_eq", 3);
   EXPECT_THROW(core::bucket_eq_intersection(ch, sh, 7, kUniverse, p.s, p.t, 3,
                                             nullptr, &ckpt),
                core::CheckpointInterrupt);

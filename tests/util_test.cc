@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -622,35 +621,6 @@ TEST(FlatBuckets, HandlesEmptyInputAndEmptyBuckets) {
   EXPECT_EQ(one.bucket(3)[4], 4u);
   for (std::size_t b = 0; b < 8; ++b) {
     if (b != 3) EXPECT_EQ(one.bucket_size(b), 0u);
-  }
-}
-
-TEST(FlatBuckets, OccupancyBitmapTracksNonEmptyBuckets) {
-  util::Rng rng(0x0CC0);
-  for (int trial = 0; trial < 60; ++trial) {
-    // Bucket counts straddling the 64-bit word boundary, plus sparse and
-    // dense fills.
-    const std::size_t k = 1 + rng.below(200);
-    const std::size_t n = rng.below(3 * k);
-    std::vector<std::uint64_t> keys(n);
-    for (auto& key : keys) key = rng.below(k);
-    util::ScratchArena arena;
-    util::ScratchArena::Frame frame(arena);
-    const auto fb = util::build_flat_buckets(keys, k, arena);
-    ASSERT_EQ(fb.occupancy.size(), (k + 63) / 64);
-    std::uint64_t expected_occupied = 0;
-    for (std::size_t b = 0; b < k; ++b) {
-      ASSERT_EQ(fb.occupied(b), fb.bucket_size(b) != 0)
-          << "trial " << trial << " bucket " << b;
-      if (fb.bucket_size(b) != 0) ++expected_occupied;
-    }
-    // Trailing bits beyond num_buckets must be zero — the SIMD bitmap AND
-    // kernels count whole words.
-    std::uint64_t popcount_total = 0;
-    for (const std::uint64_t w : fb.occupancy) {
-      popcount_total += static_cast<std::uint64_t>(std::popcount(w));
-    }
-    ASSERT_EQ(popcount_total, expected_occupied) << "trial " << trial;
   }
 }
 
