@@ -23,7 +23,8 @@ struct RetryPolicy {
   // degradation ladder (hostile transport), with zero retry.* activity
   // (pinned by tests/robustness_test.cc). The default is sized for the
   // BENCH_faults acceptance bar: at flip rate 1e-3/bit an attempt survives
-  // the integrity check with probability ~0.17, so 40 attempts leave
+  // the integrity check with probability ~0.17 even without the channel's
+  // link-level resends (which only raise it), so 40 attempts leave
   // < 1e-3 exhaustion probability (>= 99% verified); a reliable channel
   // never uses more than one plus the rare certificate collision.
   std::uint64_t max_attempts = 40;

@@ -375,19 +375,15 @@ void VerifiedSessionDriver::run_ladder() {
   }
   result_.verified = false;
   result_.degraded = true;
-  // An attempt only counts as a clean superset if neither the stochastic
-  // plan damaged content NOR the adversary substituted a frame during it —
-  // a crafted frame that decodes cleanly can still lie, and a lie can
-  // knock true elements out of the candidate (no superset guarantee).
-  // Bursty chaos corruption counts for the same reason.
+  // An attempt only counts as a clean superset if no damaged frame reached
+  // a decoder (fault or chaos corruption that slipped past the checksum;
+  // damage a resend repaired is harmless) AND the adversary substituted no
+  // frame during it — a crafted frame that decodes cleanly can still lie,
+  // and a lie can knock true elements out of the candidate (no superset
+  // guarantee).
   const auto content_faults = [this] {
-    std::uint64_t events = 0;
-    if (faults_ != nullptr) {
-      const sim::FaultStats& st = faults_->stats();
-      events += st.bits_flipped + st.truncated_bits + st.dropped_messages;
-    }
+    std::uint64_t events = channel_.undetected_damage();
     if (adversary_ != nullptr) events += adversary_->stats().frames_crafted;
-    if (chaos_ != nullptr) events += chaos_->stats().content_events;
     return events;
   };
   // A lost peer cannot answer Basic-Intersection either: go straight to

@@ -182,20 +182,14 @@ std::vector<std::size_t> advance_bracket(
         // exceptions below: the attempt burns and the match may end up
         // skipped — honest degradation without a per-match recovery loop.
         if (chaos != nullptr) channel.set_chaos(chaos, left, right);
-        // Duplicates and delays cost bandwidth but never corrupt content,
-        // so only content-damaging fault classes disqualify the match
-        // (the channel's integrity framing throws on most of them; this
-        // snapshot closes the checksum-collision window). Crafted frames
-        // disqualify it too: a semantic lie decodes cleanly but can knock
-        // true elements out of the candidates, and an uncertified match
-        // has no certificate to catch that.
-        const auto content_events = [faults, match_adversary] {
-          std::uint64_t events = 0;
-          if (faults != nullptr) {
-            events += faults->stats().bits_flipped +
-                      faults->stats().truncated_bits +
-                      faults->stats().dropped_messages;
-          }
+        // Only damage that reached a decoder disqualifies the match: the
+        // channel's integrity framing resends every damaged frame it
+        // catches, and this snapshot closes the checksum-collision window.
+        // Crafted frames disqualify it too: a semantic lie decodes cleanly
+        // but can knock true elements out of the candidates, and an
+        // uncertified match has no certificate to catch that.
+        const auto content_events = [&channel, match_adversary] {
+          std::uint64_t events = channel.undetected_damage();
           if (match_adversary != nullptr) {
             events += match_adversary->stats().frames_crafted;
           }

@@ -16,16 +16,25 @@
 // latency rounds). Injected faults are attributed to the current tracer
 // phase and counted under the fault.* metrics — see docs/ROBUSTNESS.md.
 //
-// Integrity framing: with a fault plan active, every message is framed
-// with a 32-bit content checksum (charged to the sender like any other
-// bits). A frame damaged in flight fails the check on delivery and send()
-// throws ChannelIntegrityError instead of handing corrupted bits to the
-// decoder — the retry layer treats it like any decode failure. This is
-// load-bearing for soundness: without it, a corrupted hashed image can
-// knock a true element out of one party's candidate at stage i, after
-// which stage i+1's honest Basic-Intersection rerun removes it from the
-// OTHER party too, and the final certificate passes on equal-but-wrong
-// candidates. The checksum caps that silent path at ~2^-32 per message.
+// Integrity framing: with a fault plan (or chaos link corruption) active,
+// every message is framed with a 32-bit content checksum (charged to the
+// sender like any other bits). A frame damaged in flight fails the check
+// on delivery and is resent at the link: the receiver NACKs (1 bit, its
+// own round, label suffix " [nack]") and the sender transmits the same
+// frame again (" [resend]", another round), both metered, attributed to
+// the current tracer phase and checked against the resource limits like
+// any first send. Each delivery draws afresh from the fault and chaos
+// plans. After kMaxResends resends the frame is abandoned and send()
+// throws ChannelIntegrityError — the retry layer treats it like any
+// decode failure and starts a fresh certified attempt. The receiver only
+// ever decodes a frame that passed the checksum. This is load-bearing for
+// soundness: without it, a corrupted hashed image can knock a true
+// element out of one party's candidate at stage i, after which stage
+// i+1's honest Basic-Intersection rerun removes it from the OTHER party
+// too, and the final certificate passes on equal-but-wrong candidates
+// (Lemma 3.3's one-sided invariant breaks). The checksum caps that silent
+// path at ~2^-32 per delivery. Unframed (clean) channels never copy a
+// frame and never resend.
 // Byzantine hardening (docs/ROBUSTNESS.md): an optional sim::Adversary
 // lets one party substitute crafted frames for its honest messages
 // (crafting happens sender-side, BEFORE integrity framing — a Byzantine
@@ -55,17 +64,24 @@ class Tracer;
 
 namespace setint::sim {
 
-// A message's integrity frame failed verification on delivery (corrupted,
-// truncated, or dropped in flight). Counted under "fault.integrity_failures".
+// A message's integrity frame failed verification on every delivery
+// (corrupted, truncated, or dropped in flight), resends included. Each
+// failed delivery counts under "fault.integrity_failures".
 struct ChannelIntegrityError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
 class Channel {
  public:
-  // record_transcript: keep a bit-exact copy of every message (memory-heavy
-  // for large runs; tests only).
+  // record_transcript: keep a bit-exact copy of every delivered body
+  // (memory-heavy for large runs; tests only). Resends and NACKs are
+  // metered but not recorded.
   explicit Channel(bool record_transcript = false);
+
+  // Resends of one damaged frame before send() gives up and throws
+  // ChannelIntegrityError, so a frame is delivered at most
+  // kMaxResends + 1 times.
+  static constexpr unsigned kMaxResends = 3;
 
   // Delivers `payload` from `from` to the other party and returns it for
   // decoding. Zero-bit payloads are allowed but still count as a message
@@ -75,6 +91,13 @@ class Channel {
                        std::string label = {});
 
   const CostStats& cost() const { return cost_; }
+
+  // Deliveries the fault or chaos plan damaged that still passed the
+  // checksum (a ~2^-32 collision) and so reached the decoder. Only the
+  // simulator can know this; uncertified callers snapshot it around a run
+  // to discard candidates a collision may have corrupted. Damage that a
+  // resend repaired never counts.
+  std::uint64_t undetected_damage() const { return undetected_damage_; }
 
   // Transcript if recording was enabled, else nullptr.
   const Transcript* transcript() const { return transcript_.get(); }
@@ -163,7 +186,23 @@ class Channel {
   util::ScratchArena& scratch() { return scratch_; }
 
  private:
+  // Adds `bits` to the cost and a message, with no round or limit check.
+  void charge_bits(PartyId from, std::uint64_t bits);
+  // One transmission: cost, round, tracer, recorder, then the limits.
+  void meter(PartyId from, std::uint64_t bits, const std::string& label);
+  // Delivers an already metered integrity frame, resending it while it
+  // arrives damaged; leaves the verified body in `frame` or throws.
+  void deliver_framed(PartyId from, util::BitBuffer& frame,
+                      const std::string& label, bool faulty, bool chaotic);
+  // One pass of `frame` through the plans plus the checksum check. Strips
+  // the checksum and returns nullptr when the frame arrives intact, else
+  // names the failure.
+  const char* deliver_once(PartyId from, util::BitBuffer& frame,
+                           const std::string& label, bool faulty,
+                           bool chaotic);
+
   CostStats cost_;
+  std::uint64_t undetected_damage_ = 0;
   bool digest_enabled_ = false;
   std::uint64_t digest_ = kTranscriptDigestSeed;
   bool has_last_direction_ = false;

@@ -9,11 +9,13 @@
 // determinism contract pins.
 //
 // The protocols' correctness story under faults (docs/ROBUSTNESS.md):
-// damaged frames fail the channel's 32-bit integrity check and send()
-// throws ChannelIntegrityError (the decoder-level bounds checks back this
-// up for the residual checksum-collision window); the retry layer in
-// multiparty/coordinator.h catches, re-runs with fresh randomness, and
-// after budget exhaustion degrades to an honestly-flagged superset.
+// damaged frames fail the channel's 32-bit integrity check and are resent
+// at the link; a frame still damaged after Channel::kMaxResends resends
+// makes send() throw ChannelIntegrityError (the decoder-level bounds
+// checks back the checksum up for its residual collision window); the
+// retry layer in multiparty/coordinator.h catches, re-runs with fresh
+// randomness, and after budget exhaustion degrades to an honestly-flagged
+// superset.
 #pragma once
 
 #include <cstdint>
@@ -81,8 +83,8 @@ class FaultPlan {
 
   // Mutates `payload` into what the receiver observes and returns what was
   // injected. Drop wins over truncation; flips apply to the surviving
-  // prefix. Called once per Channel::send in delivery order, which keeps
-  // the fault stream deterministic.
+  // prefix. Called once per delivery (a resend is a delivery) in order,
+  // which keeps the fault stream deterministic.
   AppliedFaults apply(util::BitBuffer& payload);
 
  private:

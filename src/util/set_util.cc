@@ -28,12 +28,12 @@ void validate_set(SetView s, std::uint64_t universe) {
 Set set_intersection(SetView a, SetView b) {
   // Adaptive SIMD oracle (scalar merge / galloping / block kernels by
   // size ratio and dispatch tier — src/simd/kernels.h). The over-sized
-  // allocation is the kernel's compress-store padding contract; the
-  // resize trims it to the exact result.
-  Set out(std::min(a.size(), b.size()) + simd::kIntersectPadding);
-  const std::size_t n = simd::intersect_sorted(a, b, out);
-  out.resize(n);
-  return out;
+  // buffer is the kernel's compress-store padding contract; the result is
+  // copied out at exact capacity so long-lived answers do not pin the
+  // padded bound.
+  Set padded(std::min(a.size(), b.size()) + simd::kIntersectPadding);
+  const std::size_t n = simd::intersect_sorted(a, b, padded);
+  return Set(padded.begin(), padded.begin() + static_cast<std::ptrdiff_t>(n));
 }
 
 Set set_union(SetView a, SetView b) {

@@ -1,11 +1,17 @@
 // Tests for the communication simulator: bit/message/round accounting on
-// the two-party channel, transcript recording, shared randomness
-// synchronization, and the m-party network's per-player billing.
+// the two-party channel (link-level resends of damaged frames included),
+// transcript recording, shared randomness synchronization, and the m-party
+// network's per-player billing.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
+#include "core/resource_limits.h"
+#include "obs/recorder.h"
+#include "obs/tracer.h"
 #include "sim/channel.h"
+#include "sim/fault.h"
 #include "sim/network.h"
 #include "sim/randomness.h"
 #include "util/bitio.h"
@@ -87,6 +93,152 @@ TEST(Channel, TranscriptRecordsWhenEnabled) {
   EXPECT_EQ(entries[0].label, "first");
   EXPECT_EQ(entries[0].payload.size_bits(), 4u);
   EXPECT_EQ(entries[1].from, sim::PartyId::kBob);
+}
+
+// ---------- Link-level resend of damaged frames ----------
+
+std::uint64_t counter_value(const obs::Tracer& tracer, const std::string& name) {
+  const auto& counters = tracer.metrics().counters();
+  const auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second.value();
+}
+
+// A framed send whose frame fails d deliveries costs (d+1) frames plus d
+// one-bit NACKs from the receiver and 2d extra rounds, all attributed to
+// the phase that sent it, so the tracer's root row still equals CostStats.
+// drop_prob = 0.5 makes d a fair coin run; drops always fail the checksum,
+// so d is exactly the plan's drop count.
+TEST(ChannelResend, DamagedFrameCostsResendsAndNacks) {
+  constexpr std::uint64_t kFrame = 20 + 32;  // body + integrity checksum
+  std::set<std::uint64_t> seen;
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    sim::FaultSpec spec;
+    spec.drop_prob = 0.5;
+    spec.seed = seed;
+    sim::FaultPlan plan(spec);
+    obs::Tracer tracer;
+    sim::Channel ch;
+    ch.set_fault_plan(&plan);
+    ch.set_tracer(&tracer);
+    util::BitBuffer got;
+    try {
+      obs::Span span(&tracer, "phase");
+      got = ch.send(sim::PartyId::kAlice, bits_of(0xABCDE, 20), "frame");
+    } catch (const sim::ChannelIntegrityError&) {
+      continue;  // d = kMaxResends + 1, pinned by the next test
+    }
+    const std::uint64_t d = plan.stats().dropped_messages;
+    seen.insert(d);
+    ASSERT_LE(d, sim::Channel::kMaxResends) << seed;
+    EXPECT_TRUE(got == bits_of(0xABCDE, 20)) << seed;
+    EXPECT_EQ(ch.undetected_damage(), 0u) << seed;  // repaired, not delivered
+    const sim::CostStats& cost = ch.cost();
+    EXPECT_EQ(cost.bits_total, (d + 1) * kFrame + d) << seed;
+    EXPECT_EQ(cost.bits_from_alice, (d + 1) * kFrame) << seed;
+    EXPECT_EQ(cost.bits_from_bob, d) << seed;
+    EXPECT_EQ(cost.messages, 2 * d + 1) << seed;
+    EXPECT_EQ(cost.rounds, 2 * d + 1) << seed;
+    EXPECT_EQ(plan.stats().messages_seen, d + 1) << seed;
+    EXPECT_EQ(counter_value(tracer, "fault.resends"), d) << seed;
+    EXPECT_EQ(counter_value(tracer, "fault.integrity_failures"), d) << seed;
+    EXPECT_EQ(counter_value(tracer, "fault.injected"),
+              plan.stats().faults_injected)
+        << seed;
+    const std::vector<obs::PhaseRow> rows = tracer.breakdown();
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0].bits, cost.bits_total) << seed;
+    EXPECT_EQ(rows[0].messages, cost.messages) << seed;
+    EXPECT_EQ(rows[0].rounds, cost.rounds) << seed;
+    EXPECT_EQ(rows[1].path, "phase");
+    EXPECT_EQ(rows[1].self_bits, cost.bits_total) << seed;
+  }
+  // Every resend depth below the cap occurred among the seeds.
+  EXPECT_EQ(seen, (std::set<std::uint64_t>{0, 1, 2, 3}));
+}
+
+// A frame lost on every delivery is abandoned after kMaxResends resends:
+// one ChannelIntegrityError, one recorder incident, but one integrity
+// failure event per delivery.
+TEST(ChannelResend, AbandonsFrameAfterMaxResends) {
+  constexpr std::uint64_t kFrame = 12 + 32;
+  constexpr std::uint64_t kResends = sim::Channel::kMaxResends;
+  sim::FaultSpec spec;
+  spec.drop_prob = 1.0;
+  sim::FaultPlan plan(spec);
+  obs::Tracer tracer;
+  obs::FlightRecorder rec(64);
+  sim::Channel ch;
+  ch.set_fault_plan(&plan);
+  ch.set_tracer(&tracer);
+  ch.set_recorder(&rec);
+  int throws = 0;
+  try {
+    ch.send(sim::PartyId::kAlice, bits_of(0xABC, 12), "doomed");
+  } catch (const sim::ChannelIntegrityError&) {
+    ++throws;
+  }
+  EXPECT_EQ(throws, 1);
+  EXPECT_EQ(ch.cost().bits_total, (kResends + 1) * kFrame + kResends);
+  EXPECT_EQ(ch.cost().rounds, 2 * kResends + 1);
+  EXPECT_EQ(plan.stats().messages_seen, kResends + 1);
+  EXPECT_EQ(counter_value(tracer, "fault.resends"), kResends);
+  EXPECT_EQ(counter_value(tracer, "fault.integrity_failures"), kResends + 1);
+  std::uint64_t failures = 0;
+  std::uint64_t incidents = 0;
+  for (const obs::FlightEvent& e : rec.snapshot()) {
+    failures += e.kind == obs::FlightEventKind::kIntegrityFailure;
+    incidents += e.kind == obs::FlightEventKind::kIncident;
+  }
+  EXPECT_EQ(failures, kResends + 1);
+  EXPECT_EQ(incidents, 1u);
+  EXPECT_EQ(rec.deliveries(), 0u);  // nothing reached the decoder
+}
+
+// A resend is metered like a first send, so it can breach the run caps.
+TEST(ChannelResend, ResendIsLimitChecked) {
+  sim::FaultSpec spec;
+  spec.drop_prob = 1.0;
+  {
+    sim::FaultPlan plan(spec);
+    core::ResourceLimits limits;
+    limits.max_total_bits = 60;  // frame 48 + NACK 1 fit; the resend not
+    sim::Channel ch;
+    ch.set_fault_plan(&plan);
+    ch.set_limits(&limits);
+    EXPECT_THROW(ch.send(sim::PartyId::kAlice, bits_of(0xFFFF, 16), "big"),
+                 core::ResourceLimitError);
+    EXPECT_EQ(ch.cost().bits_total, 48u + 1u + 48u);
+    EXPECT_EQ(plan.stats().messages_seen, 1u);
+  }
+  {
+    sim::FaultPlan plan(spec);
+    core::ResourceLimits limits;
+    limits.max_rounds = 2;  // send + NACK fit; the resend opens round 3
+    sim::Channel ch;
+    ch.set_fault_plan(&plan);
+    ch.set_limits(&limits);
+    EXPECT_THROW(ch.send(sim::PartyId::kAlice, bits_of(0xFFFF, 16), "slow"),
+                 core::ResourceLimitError);
+    EXPECT_EQ(ch.cost().rounds, 3u);
+  }
+}
+
+// Clean channels never frame, so they never take a pristine copy from
+// the pool; a framed send borrows one buffer and returns it.
+TEST(ChannelResend, OnlyFramedSendsCopyTheFrame) {
+  sim::Channel clean;
+  clean.send(sim::PartyId::kAlice, bits_of(0x1234, 16));
+  EXPECT_EQ(clean.buffer_pool().acquired(), 0u);
+
+  sim::FaultSpec spec;
+  spec.flip_per_bit = 1e-9;
+  sim::FaultPlan plan(spec);
+  sim::Channel framed;
+  framed.set_fault_plan(&plan);
+  framed.send(sim::PartyId::kAlice, bits_of(0x1234, 16));
+  framed.send(sim::PartyId::kBob, bits_of(0x5678, 16));
+  EXPECT_EQ(framed.buffer_pool().acquired(), 2u);
+  EXPECT_EQ(framed.buffer_pool().recycled(), 1u);
 }
 
 TEST(Transcript, DigestIsOrderSensitive) {

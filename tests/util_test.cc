@@ -395,6 +395,23 @@ TEST(SetUtil, ValidateSetEnforcesUniverse) {
   EXPECT_THROW(util::validate_set(util::Set{3, 3}, 10), std::invalid_argument);
 }
 
+// The kernel needs a padded output buffer; the returned set must not keep
+// that padding (long-lived answers would pin min(|a|,|b|) + padding words).
+TEST(SetUtil, IntersectionHasExactCapacity) {
+  util::Set a;
+  util::Set b;
+  for (std::uint64_t x = 0; x < 1000; ++x) {
+    a.push_back(2 * x);
+    b.push_back(3 * x);
+  }
+  const util::Set out = util::set_intersection(a, b);
+  EXPECT_EQ(out.size(), 334u);  // multiples of 6 below 2000
+  EXPECT_EQ(out.capacity(), out.size());
+  const util::Set none = util::set_intersection(util::Set{1, 3}, util::Set{2});
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.capacity(), 0u);
+}
+
 TEST(SetUtil, BasicOperations) {
   const util::Set a{1, 3, 5, 7};
   const util::Set b{3, 4, 5, 8};

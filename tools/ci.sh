@@ -35,8 +35,9 @@
 #      verification-tree, bucket-EQ and amortized-equality suites,
 #      transcript, golden, checkpoint and sans-IO pins), natively and under
 #      ASan/UBSan
-#   7d. the robustness tests (robustness_test, adversary_test, fuzz_smoke)
-#      under ASan/UBSan: crafted frames through the word-level decoders
+#   7d. the robustness tests (robustness_test, adversary_test, fuzz_smoke,
+#      chaos_test, recorder_test) under ASan/UBSan: crafted frames through
+#      the word-level decoders, link-level resends under burst corruption
 #   8. the telemetry-overhead gate (exp_cpu --gate-overhead=50) and the
 #      bench_compare self-diff + injected-regression check
 #   9. the bench determinism contract (same seed => identical JSON modulo
@@ -204,8 +205,12 @@ tools/run_sanitized_tests.sh -L parties
 step "robustness sanitizer pass (ASan+UBSan over the word-level decoders)"
 # BitReader reads a word and its successor at a time; truncated, flipped
 # and crafted frames from the fault, adversary and fuzz tests put every
-# read next to the end of the word vector. Reuses build-sanitize/.
-tools/run_sanitized_tests.sh -R '^(robustness_test|adversary_test|fuzz_smoke)$'
+# read next to the end of the word vector. The chaos and recorder tests
+# drive the channel's link-level resends (pooled pristine copies restored
+# over damaged, truncated and dropped frames) under burst corruption.
+# Reuses build-sanitize/.
+tools/run_sanitized_tests.sh \
+  -R '^(robustness_test|adversary_test|fuzz_smoke|chaos_test|recorder_test)$'
 
 step "telemetry overhead gate (exp_cpu --gate-overhead=50)"
 # The recorder hook may cost at most 50% on the un-instrumented hot path

@@ -109,8 +109,9 @@ Scenario make_scenario(const std::string& name, std::uint64_t seed) {
   sc.options.universe = std::uint64_t{1} << 16;
   sc.options.seed = seed;
   if (name == "integrity") {
-    // Aggressive bit flips: the first damaged frame fails the integrity
-    // check, which raises a channel incident immediately.
+    // Aggressive bit flips: a large frame stays damaged through every
+    // link-level resend, and the channel raises an integrity incident when
+    // it abandons the frame.
     setint::sim::FaultSpec spec;
     spec.flip_per_bit = 5e-3;
     sc.fault = spec;
