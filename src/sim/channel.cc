@@ -1,5 +1,7 @@
 #include "sim/channel.h"
 
+#include <bit>
+
 #include "obs/recorder.h"
 #include "obs/tracer.h"
 
@@ -17,7 +19,92 @@ std::uint64_t checksum_of(const util::BitBuffer& payload) {
   return payload.fingerprint() & ((std::uint64_t{1} << kChecksumBits) - 1);
 }
 
+// The `width` bits of `b` that start at bit `pos`; pos + width must not
+// pass the end.
+std::uint64_t field_at(const util::BitBuffer& b, std::size_t pos,
+                       unsigned width) {
+  const std::vector<std::uint64_t>& words = b.words();
+  const std::size_t q = pos / 64;
+  const unsigned r = pos % 64;
+  std::uint64_t v = words[q] >> r;
+  if (r != 0 && q + 1 < words.size()) v |= words[q + 1] << (64 - r);
+  return width == 64 ? v : v & ((std::uint64_t{1} << width) - 1);
+}
+
+// Appends the integrity frame's tail to `body`: the 32-bit checksum, then
+// the w-bit syndrome and the parity of the n = |body| + 32 bits before
+// it, w = bit_width(n). One reserve covers all of it.
+void seal(util::BitBuffer& body) {
+  const std::size_t n = body.size_bits() + kChecksumBits;
+  const unsigned w = std::bit_width(n);
+  body.reserve_bits(n + w + 1);
+  body.append_bits(checksum_of(body), kChecksumBits);
+  const FrameCode code = frame_code(body, n);
+  body.append_bits(code.syndrome, w);
+  body.append_bit(code.parity);
+}
+
+// The n of a frame of `len` bits: the inverse of n -> n + bit_width(n) + 1,
+// which is strictly increasing. 0 when no frame has that length.
+std::size_t protected_bits(std::size_t len) {
+  for (unsigned w = std::bit_width(len); w > 0; --w) {
+    if (len <= w) continue;
+    const std::size_t n = len - w - 1;
+    if (std::bit_width(n) == w) return n;
+  }
+  return 0;
+}
+
+// True when `frame` starts with the bits of `body`.
+bool starts_with(const util::BitBuffer& frame, const util::BitBuffer& body) {
+  if (frame.size_bits() < body.size_bits()) return false;
+  const std::size_t full = body.size_bits() / 64;
+  for (std::size_t q = 0; q < full; ++q) {
+    if (frame.words()[q] != body.words()[q]) return false;
+  }
+  const unsigned tail = body.size_bits() % 64;
+  if (tail == 0) return true;
+  const std::uint64_t mask = (std::uint64_t{1} << tail) - 1;
+  return (frame.words()[full] & mask) == body.words()[full];
+}
+
 }  // namespace
+
+FrameCode frame_code(const util::BitBuffer& frame, std::size_t n) {
+  // Bit i sits at position i + 1. Shifted up one bit, word q of the frame
+  // holds positions 64q .. 64q + 63, so a set bit's position is q in the
+  // high part and its index in the shifted word in the low six bits. The
+  // low six syndrome bits are linear in the word: bit j is the parity of
+  // the set bits at indices with bit j set, taken once over the XOR of
+  // all shifted words. The high part XORs in q for every shifted word
+  // with an odd popcount.
+  constexpr std::uint64_t kIndexBit[6] = {
+      0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+      0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+  const std::vector<std::uint64_t>& words = frame.words();
+  const std::size_t last = n / 64;  // shifted word holding position n
+  std::uint64_t folded = 0;
+  std::uint64_t high = 0;
+  std::uint64_t carry = 0;
+  for (std::size_t q = 0; q <= last; ++q) {
+    const std::uint64_t w = q < words.size() ? words[q] : 0;
+    std::uint64_t shifted = (w << 1) | carry;
+    carry = w >> 63;
+    // Keep positions <= n; at n % 64 == 63 the mask wraps to all ones.
+    if (q == last) shifted &= (std::uint64_t{2} << (n % 64)) - 1;
+    folded ^= shifted;
+    if (std::popcount(shifted) & 1) high ^= q;
+  }
+  FrameCode code;
+  code.syndrome = high << 6;
+  for (unsigned j = 0; j < 6; ++j) {
+    code.syndrome |=
+        static_cast<std::uint64_t>(std::popcount(folded & kIndexBit[j]) & 1)
+        << j;
+  }
+  code.parity = std::popcount(folded) & 1;
+  return code;
+}
 
 util::BitBuffer Channel::send(PartyId from, util::BitBuffer payload,
                               std::string label) {
@@ -59,11 +146,8 @@ util::BitBuffer Channel::send(PartyId from, util::BitBuffer payload,
   const bool faulty = fault_plan_ != nullptr && fault_plan_->enabled();
   const bool framed =
       faulty || (chaotic && chaos_->corrupts_links());
-  if (framed) {
-    // Integrity frame: body + 32-bit checksum, transmitted (and billed)
-    // like any other bits.
-    payload.append_bits(checksum_of(payload), kChecksumBits);
-  }
+  // Integrity frame, transmitted (and billed) like any other bits.
+  if (framed) seal(payload);
   meter(from, payload.size_bits(), label);
   if (framed) deliver_framed(from, payload, label, faulty, chaotic);
 
@@ -154,7 +238,8 @@ void Channel::deliver_framed(PartyId from, util::BitBuffer& frame,
   util::PooledBuffer pristine(buffer_pool_);
   *pristine = frame;
   for (unsigned resends = 0;; ++resends) {
-    const char* failure = deliver_once(from, frame, label, faulty, chaotic);
+    const char* failure =
+        deliver_once(from, frame, *pristine, label, faulty, chaotic);
     if (failure == nullptr) return;
     obs::count(tracer_, "fault.integrity_failures");
     if (recorder_ != nullptr) {
@@ -182,6 +267,7 @@ void Channel::deliver_framed(PartyId from, util::BitBuffer& frame,
 }
 
 const char* Channel::deliver_once(PartyId from, util::BitBuffer& frame,
+                                  const util::BitBuffer& pristine,
                                   const std::string& label, bool faulty,
                                   bool chaotic) {
   // The sender's transmission is metered; the plans now decide what the
@@ -245,21 +331,38 @@ const char* Channel::deliver_once(PartyId from, util::BitBuffer& frame,
     if (chaos_faults.dropped) obs::count(tracer_, "chaos.drops");
   }
 
-  // Delivery-side integrity check: strip the checksum and verify it
-  // against the (possibly corrupted) body. Any damage — flips,
-  // truncation, a drop — fails here with probability 1 - 2^-32.
-  if (frame.size_bits() < kChecksumBits) return "lost in flight";
-  const std::size_t body_bits = frame.size_bits() - kChecksumBits;
-  std::uint64_t delivered_sum = 0;
-  for (unsigned i = 0; i < kChecksumBits; ++i) {
-    if (frame.bit(body_bits + i)) delivered_sum |= std::uint64_t{1} << i;
+  // Delivery-side decode. The receiver reads n from the frame's length,
+  // lets the syndrome and parity repair a single flipped bit, then makes
+  // one checksum comparison against the one body that results, so any
+  // damage the code cannot undo (two flips, a flip in the syndrome field,
+  // truncation, a drop) fails with probability 1 - 2^-32.
+  const std::size_t n = protected_bits(frame.size_bits());
+  if (n < kChecksumBits) return "lost in flight";
+  const unsigned w = std::bit_width(n);
+  const FrameCode code = frame_code(frame, n);
+  const std::uint64_t diff = code.syndrome ^ field_at(frame, n, w);
+  // Parity differs: an odd number of flips, taken to be one, at position
+  // diff; diff == 0 means the parity bit itself.
+  const bool one_flip = code.parity != frame.bit(n + w);
+  if (one_flip) {
+    if (diff > n) return "uncorrectable damage";
+    if (diff != 0) frame.toggle_bit(diff - 1);
+  } else if (diff != 0) {
+    return "uncorrectable damage";
   }
+  const std::size_t body_bits = n - kChecksumBits;
+  const std::uint64_t delivered_sum =
+      field_at(frame, body_bits, kChecksumBits);
   // Strip the frame in place — truncate normalizes the tail word, so
   // the body the receiver decodes is bit- and word-identical to one
   // built from scratch (no per-message re-copy).
   frame.truncate(body_bits);
   if (delivered_sum != checksum_of(frame)) return "checksum mismatch";
-  if (f.bits_flipped > 0 || f.truncated_bits > 0) ++undetected_damage_;
+  if (one_flip) obs::count(tracer_, "fault.corrected");
+  if ((f.bits_flipped > 0 || f.truncated_bits > 0) &&
+      !starts_with(pristine, frame)) {
+    ++undetected_damage_;
+  }
   return nullptr;
 }
 

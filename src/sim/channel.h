@@ -17,24 +17,31 @@
 // phase and counted under the fault.* metrics — see docs/ROBUSTNESS.md.
 //
 // Integrity framing: with a fault plan (or chaos link corruption) active,
-// every message is framed with a 32-bit content checksum (charged to the
-// sender like any other bits). A frame damaged in flight fails the check
-// on delivery and is resent at the link: the receiver NACKs (1 bit, its
-// own round, label suffix " [nack]") and the sender transmits the same
-// frame again (" [resend]", another round), both metered, attributed to
-// the current tracer phase and checked against the resource limits like
-// any first send. Each delivery draws afresh from the fault and chaos
-// plans. After kMaxResends resends the frame is abandoned and send()
-// throws ChannelIntegrityError — the retry layer treats it like any
-// decode failure and starts a fresh certified attempt. The receiver only
-// ever decodes a frame that passed the checksum. This is load-bearing for
-// soundness: without it, a corrupted hashed image can knock a true
-// element out of one party's candidate at stage i, after which stage
-// i+1's honest Basic-Intersection rerun removes it from the OTHER party
-// too, and the final certificate passes on equal-but-wrong candidates
-// (Lemma 3.3's one-sided invariant breaks). The checksum caps that silent
-// path at ~2^-32 per delivery. Unframed (clean) channels never copy a
-// frame and never resend.
+// every message is framed as body ‖ 32-bit content checksum ‖ w-bit
+// syndrome ‖ 1 parity bit, with n = |body| + 32 and w = bit_width(n), all
+// charged to the sender like any other bits. The syndrome is the XOR of
+// (i + 1) over the set bits i < n and the parity bit covers the same n
+// bits (an extended Hamming code, SECDED). The receiver reads n from the
+// delivered length and repairs a single flipped bit in place: correct
+// first, then resend, then retry. A frame the code cannot repair (two
+// flips, a flip in the syndrome field, truncation, a drop) is resent at
+// the link: the receiver NACKs (1 bit, its own round, label suffix
+// " [nack]") and the sender transmits the same frame again (" [resend]",
+// another round), both metered, attributed to the current tracer phase
+// and checked against the resource limits like any first send. Each
+// delivery draws afresh from the fault and chaos plans. After kMaxResends
+// resends the frame is abandoned and send() throws ChannelIntegrityError
+// — the retry layer treats it like any decode failure and starts a fresh
+// certified attempt. Whatever the code did, the receiver compares the
+// checksum once, against the one body it settled on, and only ever
+// decodes a body that passed. This is load-bearing for soundness: without
+// it, a corrupted hashed image can knock a true element out of one
+// party's candidate at stage i, after which stage i+1's honest
+// Basic-Intersection rerun removes it from the OTHER party too, and the
+// final certificate passes on equal-but-wrong candidates (Lemma 3.3's
+// one-sided invariant breaks). The checksum caps that silent path at
+// ~2^-32 per delivery; correction never asks it twice. Unframed (clean)
+// channels never frame, copy or resend.
 // Byzantine hardening (docs/ROBUSTNESS.md): an optional sim::Adversary
 // lets one party substitute crafted frames for its honest messages
 // (crafting happens sender-side, BEFORE integrity framing — a Byzantine
@@ -71,6 +78,16 @@ struct ChannelIntegrityError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+// The extended-Hamming check over the first `n` bits of `frame`: the XOR
+// of (i + 1) over every set bit i < n (fits in bit_width(n) bits), and
+// the parity of those bits. Computed a word at a time; frame bits at or
+// past n are ignored.
+struct FrameCode {
+  std::uint64_t syndrome = 0;
+  bool parity = false;
+};
+FrameCode frame_code(const util::BitBuffer& frame, std::size_t n);
+
 class Channel {
  public:
   // record_transcript: keep a bit-exact copy of every delivered body
@@ -92,11 +109,12 @@ class Channel {
 
   const CostStats& cost() const { return cost_; }
 
-  // Deliveries the fault or chaos plan damaged that still passed the
-  // checksum (a ~2^-32 collision) and so reached the decoder. Only the
-  // simulator can know this; uncertified callers snapshot it around a run
-  // to discard candidates a collision may have corrupted. Damage that a
-  // resend repaired never counts.
+  // Deliveries whose decoded body differs from the body that was sent:
+  // damage that passed the checksum (a ~2^-32 collision) and so reached
+  // the decoder. Only the simulator can know this; uncertified callers
+  // snapshot it around a run to discard candidates a collision may have
+  // corrupted. Damage that the code corrected or a resend repaired never
+  // counts.
   std::uint64_t undetected_damage() const { return undetected_damage_; }
 
   // Transcript if recording was enabled, else nullptr.
@@ -194,10 +212,12 @@ class Channel {
   // arrives damaged; leaves the verified body in `frame` or throws.
   void deliver_framed(PartyId from, util::BitBuffer& frame,
                       const std::string& label, bool faulty, bool chaotic);
-  // One pass of `frame` through the plans plus the checksum check. Strips
-  // the checksum and returns nullptr when the frame arrives intact, else
-  // names the failure.
+  // One pass of `frame` through the plans, single-bit correction and the
+  // checksum check. Strips the frame's tail and returns nullptr when the
+  // body arrives intact or corrected, else names the failure. `pristine`
+  // is the frame as sent.
   const char* deliver_once(PartyId from, util::BitBuffer& frame,
+                           const util::BitBuffer& pristine,
                            const std::string& label, bool faulty,
                            bool chaotic);
 

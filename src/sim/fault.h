@@ -9,13 +9,16 @@
 // determinism contract pins.
 //
 // The protocols' correctness story under faults (docs/ROBUSTNESS.md):
-// damaged frames fail the channel's 32-bit integrity check and are resent
+// the channel's integrity frame corrects a single flipped bit in place;
+// other damage fails its 32-bit integrity check and the frame is resent
 // at the link; a frame still damaged after Channel::kMaxResends resends
 // makes send() throw ChannelIntegrityError (the decoder-level bounds
 // checks back the checksum up for its residual collision window); the
 // retry layer in multiparty/coordinator.h catches, re-runs with fresh
 // randomness, and after budget exhaustion degrades to an honestly-flagged
-// superset.
+// superset. The plan draws once per delivered bit, so the frame's length
+// (checksum, syndrome and parity included) fixes how much of the stream a
+// delivery consumes.
 #pragma once
 
 #include <cstdint>

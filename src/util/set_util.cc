@@ -1,7 +1,9 @@
 #include "util/set_util.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -225,14 +227,37 @@ Set random_set(Rng& rng, std::uint64_t universe, std::size_t size) {
   if (size > universe) {
     throw std::invalid_argument("random_set: size > universe");
   }
-  std::unordered_set<std::uint64_t> chosen;
-  chosen.reserve(size * 2);
-  // Floyd's algorithm: uniform without replacement, O(size) samples.
+  // Floyd's algorithm: uniform without replacement, O(size) samples. The
+  // membership test is a flat open-addressing table (linear probing, at
+  // most half full). ~0 marks an empty slot: every element is below
+  // universe <= 2^64 - 1.
+  constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  const std::size_t capacity =
+      std::bit_ceil(std::max<std::size_t>(2 * size, 2));
+  const int shift = 64 - std::countr_zero(capacity);
+  std::vector<std::uint64_t> table(capacity, kEmpty);
+  // Inserts x; false when it was already there.
+  auto insert = [&](std::uint64_t x) {
+    for (std::size_t i = (x * 0x9E3779B97F4A7C15ull) >> shift;;
+         i = (i + 1) & (capacity - 1)) {
+      if (table[i] == x) return false;
+      if (table[i] == kEmpty) {
+        table[i] = x;
+        return true;
+      }
+    }
+  };
+  Set out;
+  out.reserve(size);
   for (std::uint64_t j = universe - size; j < universe; ++j) {
     const std::uint64_t t = rng.below(j + 1);
-    chosen.insert(chosen.count(t) ? j : t);
+    if (insert(t)) {
+      out.push_back(t);
+    } else {
+      insert(j);  // j exceeds every element drawn so far
+      out.push_back(j);
+    }
   }
-  Set out(chosen.begin(), chosen.end());
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -243,21 +268,31 @@ SetPair random_set_pair(Rng& rng, std::uint64_t universe, std::size_t k,
   if (2 * k - shared > universe) {
     throw std::invalid_argument("random_set_pair: universe too small");
   }
-  // Draw 2k - shared distinct elements, then deal them out: the first
-  // `shared` go to both sets, the next k - shared to S only, the rest to T
-  // only. A random permutation of the pooled draw keeps the roles uniform.
-  Set pool = random_set(rng, universe, 2 * k - shared);
-  for (std::size_t i = pool.size(); i > 1; --i) {
-    std::swap(pool[i - 1], pool[rng.below(i)]);
+  // Draw 2k - shared distinct elements, shuffle them and deal them out:
+  // the first `shared` go to both sets, the next k - shared to S only, the
+  // rest to T only. A random permutation of the pooled draw keeps the
+  // roles uniform. The Fisher-Yates swaps run on pool indices, so one
+  // pass over the sorted pool deals every set out already sorted.
+  const Set pool = random_set(rng, universe, 2 * k - shared);
+  std::vector<std::size_t> order(pool.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.below(i)]);
+  }
+  enum Role : std::uint8_t { kBoth, kOnlyS, kOnlyT };
+  std::vector<std::uint8_t> role(pool.size());
+  for (std::size_t p = 0; p < order.size(); ++p) {
+    role[order[p]] = p < shared ? kBoth : p < k ? kOnlyS : kOnlyT;
   }
   SetPair out;
-  out.s.assign(pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(k));
-  out.t.assign(pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(shared));
-  out.t.insert(out.t.end(), pool.begin() + static_cast<std::ptrdiff_t>(k),
-               pool.end());
-  std::sort(out.s.begin(), out.s.end());
-  std::sort(out.t.begin(), out.t.end());
-  out.expected_intersection = set_intersection(out.s, out.t);
+  out.s.reserve(k);
+  out.t.reserve(k);
+  out.expected_intersection.reserve(shared);
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    if (role[i] != kOnlyT) out.s.push_back(pool[i]);
+    if (role[i] != kOnlyS) out.t.push_back(pool[i]);
+    if (role[i] == kBoth) out.expected_intersection.push_back(pool[i]);
+  }
   return out;
 }
 

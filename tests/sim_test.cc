@@ -1,11 +1,15 @@
 // Tests for the communication simulator: bit/message/round accounting on
-// the two-party channel (link-level resends of damaged frames included),
+// the two-party channel (single-bit correction and link-level resends of
+// damaged frames included),
 // transcript recording, shared randomness synchronization, and the m-party
 // network's per-player billing.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "core/resource_limits.h"
 #include "obs/recorder.h"
@@ -15,6 +19,7 @@
 #include "sim/network.h"
 #include "sim/randomness.h"
 #include "util/bitio.h"
+#include "util/rng.h"
 
 namespace setint {
 namespace {
@@ -109,7 +114,8 @@ std::uint64_t counter_value(const obs::Tracer& tracer, const std::string& name) 
 // drop_prob = 0.5 makes d a fair coin run; drops always fail the checksum,
 // so d is exactly the plan's drop count.
 TEST(ChannelResend, DamagedFrameCostsResendsAndNacks) {
-  constexpr std::uint64_t kFrame = 20 + 32;  // body + integrity checksum
+  // body + checksum + syndrome (bit_width(52) = 6) + parity
+  constexpr std::uint64_t kFrame = 20 + 32 + 6 + 1;
   std::set<std::uint64_t> seen;
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
     sim::FaultSpec spec;
@@ -160,7 +166,7 @@ TEST(ChannelResend, DamagedFrameCostsResendsAndNacks) {
 // one ChannelIntegrityError, one recorder incident, but one integrity
 // failure event per delivery.
 TEST(ChannelResend, AbandonsFrameAfterMaxResends) {
-  constexpr std::uint64_t kFrame = 12 + 32;
+  constexpr std::uint64_t kFrame = 12 + 32 + 6 + 1;
   constexpr std::uint64_t kResends = sim::Channel::kMaxResends;
   sim::FaultSpec spec;
   spec.drop_prob = 1.0;
@@ -201,13 +207,13 @@ TEST(ChannelResend, ResendIsLimitChecked) {
   {
     sim::FaultPlan plan(spec);
     core::ResourceLimits limits;
-    limits.max_total_bits = 60;  // frame 48 + NACK 1 fit; the resend not
+    limits.max_total_bits = 60;  // frame 55 + NACK 1 fit; the resend not
     sim::Channel ch;
     ch.set_fault_plan(&plan);
     ch.set_limits(&limits);
     EXPECT_THROW(ch.send(sim::PartyId::kAlice, bits_of(0xFFFF, 16), "big"),
                  core::ResourceLimitError);
-    EXPECT_EQ(ch.cost().bits_total, 48u + 1u + 48u);
+    EXPECT_EQ(ch.cost().bits_total, 55u + 1u + 55u);
     EXPECT_EQ(plan.stats().messages_seen, 1u);
   }
   {
@@ -239,6 +245,156 @@ TEST(ChannelResend, OnlyFramedSendsCopyTheFrame) {
   framed.send(sim::PartyId::kBob, bits_of(0x5678, 16));
   EXPECT_EQ(framed.buffer_pool().acquired(), 2u);
   EXPECT_EQ(framed.buffer_pool().recycled(), 1u);
+}
+
+// ---------- Single-bit correction inside the integrity frame ----------
+
+// Bits of the frame that carries a `body`-bit message: body, checksum,
+// syndrome, parity.
+std::uint64_t frame_bits(std::uint64_t body) {
+  const std::uint64_t n = body + 32;
+  return n + std::bit_width(n) + 1;
+}
+
+util::BitBuffer patterned_body(std::size_t bits) {
+  util::Rng rng(bits);
+  util::BitBuffer b;
+  for (std::size_t i = 0; i < bits; ++i) b.append_bit(rng.coin());
+  return b;
+}
+
+// The frame bits a FaultPlan with only flip_per_bit = p flips in each of
+// `deliveries` deliveries of a `len`-bit frame. The plan draws one unit()
+// per delivered bit, in order, from an Rng seeded with the spec's seed.
+std::vector<std::vector<std::size_t>> predicted_flips(std::uint64_t seed,
+                                                      double p,
+                                                      std::size_t len,
+                                                      int deliveries) {
+  util::Rng rng(seed);
+  std::vector<std::vector<std::size_t>> flips(deliveries);
+  for (auto& delivery : flips) {
+    for (std::size_t i = 0; i < len; ++i) {
+      if (rng.unit() < p) delivery.push_back(i);
+    }
+  }
+  return flips;
+}
+
+// Every single flip in the body, checksum or parity bit is corrected on
+// delivery: one frame's bits, one round, no resend. A single flip in the
+// syndrome field is caught and costs exactly one resend. Seeds are picked
+// by replaying the plan's draws until every frame bit has been hit.
+TEST(ChannelCorrection, SingleFlipsAreCorrectedInPlace) {
+  for (std::size_t body_bits : {0, 1, 31, 63, 64, 65, 200}) {
+    const util::BitBuffer body = patterned_body(body_bits);
+    const std::size_t len = frame_bits(body_bits);
+    const std::size_t n = body_bits + 32;
+    const std::size_t syndrome_end = n + std::bit_width(n);
+    const double p = 1.0 / static_cast<double>(len);
+    std::vector<bool> covered(len, false);
+    std::size_t left = len;
+    for (std::uint64_t seed = 0; left > 0 && seed < 1'000'000; ++seed) {
+      const auto flips = predicted_flips(seed, p, len, 2);
+      if (flips[0].size() != 1 || covered[flips[0][0]]) continue;
+      const std::size_t pos = flips[0][0];
+      const bool in_syndrome = pos >= n && pos < syndrome_end;
+      if (in_syndrome && !flips[1].empty()) continue;  // want a clean resend
+      covered[pos] = true;
+      --left;
+
+      sim::FaultSpec spec;
+      spec.flip_per_bit = p;
+      spec.seed = seed;
+      sim::FaultPlan plan(spec);
+      obs::Tracer tracer;
+      sim::Channel ch;
+      ch.set_fault_plan(&plan);
+      ch.set_tracer(&tracer);
+      const util::BitBuffer got = ch.send(sim::PartyId::kAlice, body, "f");
+      const std::string where =
+          std::to_string(body_bits) + "-bit body, flip at " +
+          std::to_string(pos);
+      EXPECT_TRUE(got == body) << where;
+      EXPECT_EQ(ch.undetected_damage(), 0u) << where;
+      EXPECT_EQ(plan.stats().bits_flipped, 1u) << where;
+      if (in_syndrome) {
+        EXPECT_EQ(counter_value(tracer, "fault.resends"), 1u) << where;
+        EXPECT_EQ(counter_value(tracer, "fault.corrected"), 0u) << where;
+        EXPECT_EQ(ch.cost().bits_total, 2 * len + 1) << where;
+        EXPECT_EQ(ch.cost().rounds, 3u) << where;
+      } else {
+        EXPECT_EQ(counter_value(tracer, "fault.resends"), 0u) << where;
+        EXPECT_EQ(counter_value(tracer, "fault.integrity_failures"), 0u)
+            << where;
+        EXPECT_EQ(counter_value(tracer, "fault.corrected"), 1u) << where;
+        EXPECT_EQ(ch.cost().bits_total, len) << where;
+        EXPECT_EQ(ch.cost().messages, 1u) << where;
+        EXPECT_EQ(ch.cost().rounds, 1u) << where;
+      }
+    }
+    EXPECT_EQ(left, 0u) << body_bits << "-bit body: frame bits never hit";
+  }
+}
+
+// Every pair of flips in the frame of a 20-bit body is caught: the frame
+// is resent (or abandoned), and no damaged body reaches the decoder.
+TEST(ChannelCorrection, DoubleFlipsAreResentNeverDecodedDamaged) {
+  const util::BitBuffer body = patterned_body(20);
+  const std::size_t len = frame_bits(20);
+  const double p = 2.0 / static_cast<double>(len);
+  std::set<std::pair<std::size_t, std::size_t>> covered;
+  const std::size_t pairs = len * (len - 1) / 2;
+  for (std::uint64_t seed = 0; covered.size() < pairs && seed < 1'000'000;
+       ++seed) {
+    const auto flips = predicted_flips(seed, p, len, 1);
+    if (flips[0].size() != 2) continue;
+    if (!covered.emplace(flips[0][0], flips[0][1]).second) continue;
+
+    sim::FaultSpec spec;
+    spec.flip_per_bit = p;
+    spec.seed = seed;
+    sim::FaultPlan plan(spec);
+    obs::Tracer tracer;
+    sim::Channel ch;
+    ch.set_fault_plan(&plan);
+    ch.set_tracer(&tracer);
+    const std::string where = "flips at " + std::to_string(flips[0][0]) +
+                              ", " + std::to_string(flips[0][1]);
+    try {
+      const util::BitBuffer got = ch.send(sim::PartyId::kAlice, body, "f");
+      EXPECT_TRUE(got == body) << where;
+    } catch (const sim::ChannelIntegrityError&) {
+      // Abandoned after kMaxResends: nothing was decoded.
+    }
+    EXPECT_GE(counter_value(tracer, "fault.integrity_failures"), 1u) << where;
+    EXPECT_GE(plan.stats().messages_seen, 2u) << where;
+    EXPECT_EQ(ch.undetected_damage(), 0u) << where;
+  }
+  EXPECT_EQ(covered.size(), pairs);
+}
+
+// The word-level syndrome and parity equal a bit-at-a-time reference,
+// with frame bits past n ignored, at lengths around word boundaries.
+TEST(FrameCode, MatchesBitAtATimeReference) {
+  util::Rng rng(0x5EC);
+  for (std::size_t n : {0, 1, 63, 64, 65, 127, 128, 129, 191, 1024, 1025,
+                        1087}) {
+    for (std::size_t extra : {0, 1, 70}) {
+      util::BitBuffer frame;
+      for (std::size_t i = 0; i < n + extra; ++i) frame.append_bit(rng.coin());
+      std::uint64_t syndrome = 0;
+      bool parity = false;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!frame.bit(i)) continue;
+        syndrome ^= i + 1;
+        parity = !parity;
+      }
+      const sim::FrameCode code = sim::frame_code(frame, n);
+      EXPECT_EQ(code.syndrome, syndrome) << n << " + " << extra;
+      EXPECT_EQ(code.parity, parity) << n << " + " << extra;
+      EXPECT_LT(code.syndrome, std::uint64_t{1} << std::bit_width(n));
+    }
+  }
 }
 
 TEST(Transcript, DigestIsOrderSensitive) {

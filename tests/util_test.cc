@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <unordered_set>
 #include <vector>
 
 #include "util/arena.h"
@@ -486,6 +487,69 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(PairCase{1, 0}, PairCase{1, 1}, PairCase{8, 0},
                       PairCase{8, 8}, PairCase{64, 1}, PairCase{64, 32},
                       PairCase{256, 255}, PairCase{1024, 512}));
+
+// The generators as they were before the flat Floyd table and the
+// index-dealt pair, kept as the reference for their output and Rng use.
+util::Set reference_random_set(util::Rng& rng, std::uint64_t universe,
+                               std::size_t size) {
+  std::unordered_set<std::uint64_t> chosen;
+  for (std::uint64_t j = universe - size; j < universe; ++j) {
+    const std::uint64_t t = rng.below(j + 1);
+    chosen.insert(chosen.count(t) ? j : t);
+  }
+  util::Set out(chosen.begin(), chosen.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+util::SetPair reference_random_set_pair(util::Rng& rng,
+                                        std::uint64_t universe,
+                                        std::size_t k, std::size_t shared) {
+  util::Set pool = reference_random_set(rng, universe, 2 * k - shared);
+  for (std::size_t i = pool.size(); i > 1; --i) {
+    std::swap(pool[i - 1], pool[rng.below(i)]);
+  }
+  const auto at = [&](std::size_t i) {
+    return pool.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  util::SetPair out;
+  out.s.assign(at(0), at(k));
+  out.t.assign(at(0), at(shared));
+  out.t.insert(out.t.end(), at(k), pool.end());
+  std::sort(out.s.begin(), out.s.end());
+  std::sort(out.t.begin(), out.t.end());
+  out.expected_intersection = util::set_intersection(out.s, out.t);
+  return out;
+}
+
+TEST(RandomSetPair, MatchesReferenceGeneratorAndRngUse) {
+  for (std::uint64_t universe :
+       {std::uint64_t{0}, std::uint64_t{64}, std::uint64_t{1} << 12,
+        std::uint64_t{1} << 22, ~std::uint64_t{0}}) {
+    for (std::size_t k : {0, 1, 7, 64, 1000}) {
+      for (std::size_t shared : {std::size_t{0}, std::size_t{1}, k / 2, k}) {
+        if (shared > k) continue;
+        // Universe 0 stands for the tightest fit, 2k - shared.
+        const std::uint64_t n = universe == 0 ? 2 * k - shared : universe;
+        if (2 * k - shared > n) continue;
+        SCOPED_TRACE(::testing::Message() << n << " " << k << " " << shared);
+        const std::uint64_t seed = n ^ (k << 20) ^ (shared << 40);
+        util::Rng rng(seed);
+        util::Rng ref_rng(seed);
+        const util::SetPair got = util::random_set_pair(rng, n, k, shared);
+        const util::SetPair want =
+            reference_random_set_pair(ref_rng, n, k, shared);
+        EXPECT_EQ(got.s, want.s);
+        EXPECT_EQ(got.t, want.t);
+        EXPECT_EQ(got.expected_intersection, want.expected_intersection);
+        EXPECT_EQ(rng.next(), ref_rng.next());
+        EXPECT_EQ(util::random_set(rng, n, k),
+                  reference_random_set(ref_rng, n, k));
+        EXPECT_EQ(rng.next(), ref_rng.next());
+      }
+    }
+  }
+}
 
 TEST(RandomMultiSets, PlantsExactIntersection) {
   util::Rng rng(31);

@@ -36,8 +36,9 @@
 #      transcript, golden, checkpoint and sans-IO pins), natively and under
 #      ASan/UBSan
 #   7d. the robustness tests (robustness_test, adversary_test, fuzz_smoke,
-#      chaos_test, recorder_test) under ASan/UBSan: crafted frames through
-#      the word-level decoders, link-level resends under burst corruption
+#      chaos_test, recorder_test, sim_test) under ASan/UBSan: crafted
+#      frames through the word-level decoders, link-level resends under
+#      burst corruption, the integrity frame's word-level syndrome
 #   8. the telemetry-overhead gate (exp_cpu --gate-overhead=50) and the
 #      bench_compare self-diff + injected-regression check
 #   9. the bench determinism contract (same seed => identical JSON modulo
@@ -207,10 +208,12 @@ step "robustness sanitizer pass (ASan+UBSan over the word-level decoders)"
 # and crafted frames from the fault, adversary and fuzz tests put every
 # read next to the end of the word vector. The chaos and recorder tests
 # drive the channel's link-level resends (pooled pristine copies restored
-# over damaged, truncated and dropped frames) under burst corruption.
-# Reuses build-sanitize/.
+# over damaged, truncated and dropped frames) under burst corruption. The
+# sim tests run the integrity frame's syndrome code, which reads frame
+# words up to the tail, over every single and double flip. Reuses
+# build-sanitize/.
 tools/run_sanitized_tests.sh \
-  -R '^(robustness_test|adversary_test|fuzz_smoke|chaos_test|recorder_test)$'
+  -R '^(robustness_test|adversary_test|fuzz_smoke|chaos_test|recorder_test|sim_test)$'
 
 step "telemetry overhead gate (exp_cpu --gate-overhead=50)"
 # The recorder hook may cost at most 50% on the un-instrumented hot path

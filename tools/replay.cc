@@ -109,11 +109,12 @@ Scenario make_scenario(const std::string& name, std::uint64_t seed) {
   sc.options.universe = std::uint64_t{1} << 16;
   sc.options.seed = seed;
   if (name == "integrity") {
-    // Aggressive bit flips: a large frame stays damaged through every
+    // Aggressive bit flips: the link corrects single flips, so the rate
+    // puts several in a typical frame; one stays damaged through every
     // link-level resend, and the channel raises an integrity incident when
     // it abandons the frame.
     setint::sim::FaultSpec spec;
-    spec.flip_per_bit = 5e-3;
+    spec.flip_per_bit = 1.5e-2;
     sc.fault = spec;
   } else if (name == "crash") {
     // Peer dies on first contact: recovery declares it lost and the
