@@ -28,7 +28,6 @@
 //   return rep.finish();
 #pragma once
 
-#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -44,6 +43,7 @@
 #include "obs/metrics.h"
 #include "sim/channel.h"
 #include "simd/dispatch.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "util/set_util.h"
 
@@ -59,26 +59,16 @@ namespace setint::bench {
 // notes.envelope_audit blocks. tools/bench_compare consumes both v1 and
 // v2.
 //
-// v3 (SIMD engine PR): environment gains a "cpu" block — the detected
-// feature bits (avx2, sse4_1, popcnt, pclmul) and the kernel tier the process
-// actually dispatched to (environment.cpu.dispatch_tier: "scalar" |
-// "sse41" | "avx2", after SETINT_FORCE_SCALAR / SETINT_FORCE_TIER).
-// Timing numbers from records with different dispatch_tier values are
-// incomparable; tools/bench_compare refuses to diff them even under
-// --perf-tol. tools/bench_compare consumes v1 through v3.
+// v3 (SIMD engine PR): environment gains a "cpu" block — the cpuid bits
+// the dispatcher reads (sse4_1, pclmul) and the tier the process actually
+// dispatched to (environment.cpu.dispatch_tier: "scalar" | "clmul", after
+// SETINT_FORCE_SCALAR). Older v3 records also carry avx2/popcnt bits and
+// may say "sse41" | "avx2" from the retired three-tier ladder; the block
+// is read only for dispatch_tier, so both shapes compare. Timing numbers
+// from records with different dispatch_tier values are incomparable;
+// tools/bench_compare refuses to diff them even under --perf-tol.
+// tools/bench_compare consumes v1 through v3.
 inline constexpr int kBenchSchemaVersion = 3;
-
-// The whole of `value` as a number, or a usage error naming `flag`.
-template <typename T>
-T parse_flag_value(const std::string& flag, const std::string& value) {
-  T out{};
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
-  if (value.empty() || ec != std::errc() || ptr != end) {
-    throw std::runtime_error("bad value for " + flag + ": '" + value + "'");
-  }
-  return out;
-}
 
 struct Options {
   std::uint64_t seed = 0x5e71;
@@ -95,18 +85,18 @@ struct Options {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg.rfind("--seed=", 0) == 0) {
-        o.seed = parse_flag_value<std::uint64_t>("--seed", arg.substr(7));
+        o.seed = util::parse_number<std::uint64_t>("--seed", arg.substr(7));
       } else if (arg.rfind("--json=", 0) == 0) {
         o.json_path = arg.substr(7);
         if (o.json_path.empty()) throw std::runtime_error("--json= needs a path");
       } else if (arg.rfind("--threads=", 0) == 0) {
-        o.threads = parse_flag_value<int>("--threads", arg.substr(10));
+        o.threads = util::parse_number<int>("--threads", arg.substr(10));
         if (o.threads < 0) {
           throw std::runtime_error("--threads must be >= 0 (0 = auto)");
         }
       } else if (arg.rfind("--gate-overhead=", 0) == 0) {
         o.gate_overhead_pct =
-            parse_flag_value<double>("--gate-overhead", arg.substr(16));
+            util::parse_number<double>("--gate-overhead", arg.substr(16));
       } else if (arg == "--smoke") {
         o.smoke = true;
       } else {
@@ -148,9 +138,7 @@ inline obs::Json environment_json() {
   // (bench_compare enforces this).
   const simd::CpuFeatures& cpu = simd::detected_features();
   obs::Json cpu_block = obs::Json::object();
-  cpu_block["avx2"] = cpu.avx2;
   cpu_block["sse4_1"] = cpu.sse4_1;
-  cpu_block["popcnt"] = cpu.popcnt;
   cpu_block["pclmul"] = cpu.pclmul;
   cpu_block["dispatch_tier"] = simd::tier_name(simd::active_tier());
   env["cpu"] = std::move(cpu_block);

@@ -17,15 +17,14 @@
 // determinism filter strips them (the bench_util.h contract); everything
 // else — counts, checksums, digests — is deterministic and compared.
 //
-// SIMD lane (E-CPU.5..7): the adaptive intersection oracle and bitmap
-// kernels engine-vs-baseline (checksum-gated, timing informational), plus
-// a scalar-vs-SIMD differential gate that forces every kernel tier
-// against the scalar reference. The record's environment.cpu block says
-// which tier the timing columns were measured on (schema v3); records
-// from different tiers are timing-incomparable (tools/bench_compare
-// enforces this).
+// Kernel lane (E-CPU.5, E-CPU.7): the adaptive intersection oracle
+// engine-vs-baseline (checksum-gated, timing informational), plus a
+// differential gate that forces each dispatch tier (scalar, clmul)
+// against bit-at-a-time and element-wise references. The record's
+// environment.cpu block says which tier the timing columns were measured
+// on (schema v3); records from different tiers are timing-incomparable
+// (tools/bench_compare enforces this).
 #include <algorithm>
-#include <bit>
 #include <ctime>
 #include <optional>
 #include <span>
@@ -505,14 +504,13 @@ std::uint64_t intersect_checksum(std::span<const std::uint64_t> out,
 bool run_intersect_oracle(bench::Reporter& rep) {
   auto& t = rep.table(
       "E-CPU.5: adaptive intersection oracle vs std::set_intersection",
-      {"shape", "na", "nb", "algo", "tier", "out", "checksum", "identical",
+      {"shape", "na", "nb", "algo", "out", "checksum", "identical",
        "baseline ns_per_elem (wall_ms)", "engine ns_per_elem (wall_ms)",
        "speedup (wall_ms ratio)"});
   bool all_ok = true;
 
-  // Shapes straddle the heuristic's crossovers: balanced -> kBlock,
-  // ratio >= kGallopRatio -> kGallop, ratio >= kBlockGallopRatio ->
-  // kBlockGallop, and a tiny-small case that stays on scalar merge.
+  // Shapes on both sides of the crossover: balanced and tiny -> kMerge,
+  // ratio >= kGallopRatio -> kGallop.
   struct Shape {
     const char* name;
     std::size_t na;
@@ -560,13 +558,11 @@ bool run_intersect_oracle(bench::Reporter& rep) {
 
     const bool match = baseline_sum == engine_sum;
     all_ok = all_ok && match;
-    const simd::IntersectAlgo algo =
-        simd::plan_intersect(sh.na, sh.nb, simd::active_tier());
     const double total =
         static_cast<double>(sh.na + sh.nb) * reps;
     t.add_row({sh.name, bench::fmt_u64(sh.na), bench::fmt_u64(sh.nb),
-               simd::intersect_algo_name(algo),
-               simd::tier_name(simd::active_tier()), bench::fmt_u64(n_out),
+               simd::intersect_algo_name(simd::plan_intersect(sh.na, sh.nb)),
+               bench::fmt_u64(n_out),
                fmt_hex(engine_sum), match ? "yes" : "NO",
                bench::fmt_double(baseline_ms * 1e6 / total, 2),
                bench::fmt_double(engine_ms * 1e6 / total, 2),
@@ -577,94 +573,32 @@ bool run_intersect_oracle(bench::Reporter& rep) {
 }
 
 // ---------------------------------------------------------------------------
-// E-CPU.6: bitmap AND + popcount — engine vs the word-at-a-time loop.
-// ---------------------------------------------------------------------------
-
-bool run_bitmap_micro(bench::Reporter& rep) {
-  auto& t = rep.table(
-      "E-CPU.6: occupancy-bitmap AND+popcount, engine vs scalar loop",
-      {"op", "words", "reps", "checksum", "identical",
-       "baseline ns_per_word (wall_ms)", "engine ns_per_word (wall_ms)",
-       "speedup (wall_ms ratio)"});
-  bool all_ok = true;
-  const std::size_t words = rep.smoke() ? (1u << 9) : (1u << 13);
-  const int reps = rep.smoke() ? 20 : 200;
-  util::Rng rng(rep.seed_for(0xC6));
-  std::vector<std::uint64_t> a(words), b(words);
-  for (auto& w : a) w = rng.next();
-  for (auto& w : b) w = rng.next();
-
-  MicroResult r;
-  double t0 = cpu_seconds();
-  for (int i = 0; i < reps; ++i) {
-    std::uint64_t acc = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      acc += static_cast<std::uint64_t>(std::popcount(a[w] & b[w]));
-    }
-    r.checksum_baseline = acc;
-  }
-  r.baseline_ms = (cpu_seconds() - t0) * 1e3;
-  t0 = cpu_seconds();
-  for (int i = 0; i < reps; ++i) {
-    r.checksum_engine = simd::bitmap_and_count(a, b);
-  }
-  r.engine_ms = (cpu_seconds() - t0) * 1e3;
-  add_micro_row(t, "bitmap_and_count", words, reps, r, all_ok);
-
-  t.print();
-  return all_ok;
-}
-
-// ---------------------------------------------------------------------------
-// E-CPU.7: scalar-vs-SIMD differential gate. Forces every dispatch tier
-// the hardware supports against the scalar reference over a randomized
-// battery; any mismatch fails the binary. No timing columns — this
-// section exists purely so a silent divergence between tiers cannot
-// survive a bench run even if the unit suite was skipped.
+// E-CPU.7: scalar-vs-clmul differential gate. Forces each dispatch tier
+// the hardware supports and checks batched hashing against element-wise
+// evaluation and the Toeplitz product against its bit-at-a-time
+// reference over a randomized battery; any mismatch fails the binary. No
+// timing columns — this section exists purely so a silent divergence
+// between tiers cannot survive a bench run even if the unit suite was
+// skipped.
 // ---------------------------------------------------------------------------
 
 bool run_simd_differential_gate(bench::Reporter& rep) {
   auto& t = rep.table(
       "E-CPU.7: scalar-vs-SIMD differential gate (forced tiers)",
-      {"tier", "intersect_cases", "hash_cases", "bitmap_cases",
-       "identical", "toeplitz_cases"});
+      {"tier", "hash_cases", "identical", "toeplitz_cases"});
   bool all_ok = true;
   const int trials = rep.smoke() ? 12 : 60;
   const std::uint64_t universe = std::uint64_t{1} << 24;
 
-  for (const simd::Tier tier :
-       {simd::Tier::kScalar, simd::Tier::kSse41, simd::Tier::kAvx2}) {
+  for (const simd::Tier tier : {simd::Tier::kScalar, simd::Tier::kClmul}) {
     if (tier > simd::detected_tier()) continue;
-    std::uint64_t isect_cases = 0, hash_cases = 0, bitmap_cases = 0;
+    const simd::ScopedTierOverride forced(tier);
+    std::uint64_t hash_cases = 0, toeplitz_cases = 0;
     bool tier_ok = true;
     util::Rng rng(rep.seed_for(0xC7));  // same battery for every tier
 
-    // Intersection: every algorithm at this tier vs the scalar merge.
-    for (int trial = 0; trial < trials; ++trial) {
-      const std::size_t na = 1 + rng.below(1u << 10);
-      const std::size_t nb = 1 + rng.below(1u << 12);
-      const std::uint64_t u = std::max<std::uint64_t>(na + nb, 4 * nb);
-      const util::Set a = util::random_set(rng, u, na);
-      const util::Set b = util::random_set(rng, u, nb);
-      std::vector<std::uint64_t> ref(std::min(na, nb) +
-                                     simd::kIntersectPadding);
-      std::vector<std::uint64_t> got(ref.size());
-      const std::size_t n_ref = simd::intersect_sorted_with(
-          simd::IntersectAlgo::kScalarMerge, simd::Tier::kScalar, a, b, ref);
-      for (const simd::IntersectAlgo algo :
-           {simd::IntersectAlgo::kScalarMerge, simd::IntersectAlgo::kGallop,
-            simd::IntersectAlgo::kBlock, simd::IntersectAlgo::kBlockGallop}) {
-        const std::size_t n_got =
-            simd::intersect_sorted_with(algo, tier, a, b, got);
-        tier_ok = tier_ok && intersect_checksum(got, n_got) ==
-                                 intersect_checksum(ref, n_ref);
-        ++isect_cases;
-      }
-    }
-
-    // Hash lanes: batched evaluation under a forced tier vs element-wise.
+    // Batched hashing vs element-wise.
     {
-      const simd::ScopedTierOverride forced(tier);
       std::vector<std::uint64_t> xs(1u << 10), out(1u << 10);
       for (auto& x : xs) x = rng.below(universe);
       const auto h =
@@ -682,57 +616,24 @@ bool run_simd_differential_gate(bench::Reporter& rep) {
       }
     }
 
-    // Bitmap kernels under a forced tier vs the plain loop.
-    {
-      const simd::ScopedTierOverride forced(tier);
-      for (int trial = 0; trial < trials; ++trial) {
-        const std::size_t words = 1 + rng.below(1u << 8);
-        std::vector<std::uint64_t> a(words), b(words), out(words);
-        for (auto& w : a) w = rng.next();
-        for (auto& w : b) w = rng.next();
-        std::uint64_t want = 0;
-        for (std::size_t w = 0; w < words; ++w) {
-          want += static_cast<std::uint64_t>(std::popcount(a[w] & b[w]));
-        }
-        tier_ok = tier_ok && simd::bitmap_and_count(a, b) == want;
-        simd::bitmap_and(a, b, out);
-        for (std::size_t w = 0; w < words; ++w) {
-          tier_ok = tier_ok && out[w] == (a[w] & b[w]);
-        }
-        ++bitmap_cases;
-      }
-    }
-
-    // Toeplitz product (the carry-less multiply from kSse41 up on
-    // PCLMULQDQ parts) vs the scalar word loop, on random lengths and
-    // widths across word boundaries.
-    std::uint64_t toeplitz_cases = 0;
-    {
-      util::ScratchArena arena;
-      for (int trial = 0; trial < trials; ++trial) {
-        util::BitBuffer data;
-        const std::size_t nbits = rng.below(3000);
-        for (std::size_t i = 0; i < nbits; ++i) data.append_bit(rng.coin());
-        const std::size_t bits = 1 + rng.below(3000);
-        const util::Rng stream = rng.substream(trial);
-        std::vector<std::uint64_t> want(hashing::toeplitz_hash_words(bits));
-        std::vector<std::uint64_t> got(want.size());
-        {
-          const simd::ScopedTierOverride scalar(simd::Tier::kScalar);
-          hashing::toeplitz_hash(data, bits, stream, arena, want);
-        }
-        {
-          const simd::ScopedTierOverride forced(tier);
-          hashing::toeplitz_hash(data, bits, stream, arena, got);
-        }
-        tier_ok = tier_ok && got == want;
-        ++toeplitz_cases;
-      }
+    // Toeplitz hashing vs the bit-at-a-time reference, on random lengths
+    // and widths across word boundaries.
+    util::ScratchArena arena;
+    for (int trial = 0; trial < trials; ++trial) {
+      util::BitBuffer data;
+      const std::size_t nbits = rng.below(3000);
+      for (std::size_t i = 0; i < nbits; ++i) data.append_bit(rng.coin());
+      const std::size_t bits = 1 + rng.below(3000);
+      const util::Rng stream = rng.substream(trial);
+      std::vector<std::uint64_t> got(hashing::toeplitz_hash_words(bits));
+      hashing::toeplitz_hash(data, bits, stream, arena, got);
+      tier_ok =
+          tier_ok && got == toeplitz_hash_reference(data, bits, stream);
+      ++toeplitz_cases;
     }
 
     all_ok = all_ok && tier_ok;
-    t.add_row({simd::tier_name(tier), bench::fmt_u64(isect_cases),
-               bench::fmt_u64(hash_cases), bench::fmt_u64(bitmap_cases),
+    t.add_row({simd::tier_name(tier), bench::fmt_u64(hash_cases),
                tier_ok ? "yes" : "NO", bench::fmt_u64(toeplitz_cases)});
   }
   t.print();
@@ -741,8 +642,6 @@ bool run_simd_differential_gate(bench::Reporter& rep) {
   note["detected_tier"] = simd::tier_name(simd::detected_tier());
   note["dispatch_tier"] = simd::tier_name(simd::active_tier());
   note["gallop_ratio"] = std::uint64_t{simd::kGallopRatio};
-  note["block_gallop_ratio"] = std::uint64_t{simd::kBlockGallopRatio};
-  note["block_min_small"] = std::uint64_t{simd::kBlockMinSmall};
   rep.note("simd", std::move(note));
   return all_ok;
 }
@@ -783,7 +682,6 @@ int main(int argc, char** argv) {
   ok = run_telemetry_overhead(rep) && ok;
   ok = report_envelope(rep, auditor) && ok;
   ok = run_intersect_oracle(rep) && ok;
-  ok = run_bitmap_micro(rep) && ok;
   ok = run_simd_differential_gate(rep) && ok;
   if (!ok) {
     std::fprintf(stderr,

@@ -18,7 +18,6 @@
 // 1 transmitted bit) plus PATH.report.json with the phase breakdown and
 // metric snapshot. Only the default tree protocol can be traced this way.
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -36,6 +35,7 @@
 #include "obs/export.h"
 #include "obs/tracer.h"
 #include "setint.h"
+#include "util/parse.h"
 #include "util/set_util.h"
 
 namespace {
@@ -72,18 +72,6 @@ std::unique_ptr<core::IntersectionProtocol> make_protocol(
     return std::make_unique<core::DeterministicExchangeProtocol>();
   }
   throw std::runtime_error("unknown protocol: " + name);
-}
-
-// The whole of `value` as a number, or a usage error naming `flag`.
-template <typename T>
-T parse_number(const std::string& flag, const std::string& value) {
-  T out{};
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
-  if (value.empty() || ec != std::errc() || ptr != end) {
-    throw std::runtime_error("bad value for " + flag + ": '" + value + "'");
-  }
-  return out;
 }
 
 // Facade run with full tracing; writes the Chrome trace + run report and
@@ -157,11 +145,11 @@ int main(int argc, char** argv) {
     for (int i = 3; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg.rfind("--protocol=", 0) == 0) protocol_name = arg.substr(11);
-      else if (arg.rfind("--r=", 0) == 0) r = parse_number<int>("--r", arg.substr(4));
+      else if (arg.rfind("--r=", 0) == 0) r = util::parse_number<int>("--r", arg.substr(4));
       else if (arg.rfind("--universe=", 0) == 0)
-        universe = parse_number<std::uint64_t>("--universe", arg.substr(11));
+        universe = util::parse_number<std::uint64_t>("--universe", arg.substr(11));
       else if (arg.rfind("--seed=", 0) == 0)
-        seed = parse_number<std::uint64_t>("--seed", arg.substr(7));
+        seed = util::parse_number<std::uint64_t>("--seed", arg.substr(7));
       else if (arg.rfind("--trace-out=", 0) == 0) trace_path = arg.substr(12);
       else if (arg == "--print") print_elements = true;
       else throw std::runtime_error("unknown flag: " + arg);

@@ -59,16 +59,12 @@ double estimate_bits(PlanKind kind, const PlannerQuery& query, int rounds_r) {
 }
 
 double estimate_local_ns(PlanKind kind, const PlannerQuery& query,
-                         int rounds_r, simd::Tier tier) {
+                         int rounds_r) {
   validate(query);
   // Per-element throughput constants (ns/element on the reference box,
-  // BENCH_cpu.json SIMD lane). Hash lanes are scalar on every tier (see
-  // simd/kernels.h), so their cost is tier-independent.
-  // The intersection oracle genuinely gains on both vector tiers.
+  // BENCH_cpu.json E-CPU.1 and E-CPU.5).
   const double hash_ns = 5.0;
-  const double isect_ns = tier == simd::Tier::kAvx2  ? 0.6
-                          : tier == simd::Tier::kSse41 ? 2.0
-                                                       : 3.0;
+  const double isect_ns = 3.0;
   const double k = static_cast<double>(query.k);
   switch (kind) {
     case PlanKind::kDeterministicExchange:
@@ -87,7 +83,7 @@ double estimate_local_ns(PlanKind kind, const PlannerQuery& query,
       return k * (4.0 * hash_ns + 24.0);
     case PlanKind::kVerificationTree: {
       if (rounds_r <= 1) {
-        return estimate_local_ns(PlanKind::kOneRoundHash, query, 1, tier);
+        return estimate_local_ns(PlanKind::kOneRoundHash, query, 1);
       }
       // Each of the r stages re-hashes the surviving candidates.
       return k * (2.0 * static_cast<double>(rounds_r) * hash_ns + 12.0);
@@ -120,15 +116,13 @@ std::uint64_t estimate_rounds(PlanKind kind, const PlannerQuery& query,
 std::vector<Plan> enumerate_plans(const PlannerQuery& query) {
   validate(query);
   std::vector<Plan> plans;
-  const simd::Tier tier = simd::active_tier();
   auto add = [&](PlanKind kind, int r, std::string description) {
     Plan plan;
     plan.kind = kind;
     plan.rounds_r = r;
     plan.estimated_bits = estimate_bits(kind, query, r);
     plan.estimated_rounds = estimate_rounds(kind, query, r);
-    plan.estimated_local_ns = estimate_local_ns(kind, query, r, tier);
-    plan.kernel_tier = tier;
+    plan.estimated_local_ns = estimate_local_ns(kind, query, r);
     plan.description = std::move(description);
     if (query.round_budget == 0 ||
         plan.estimated_rounds <= query.round_budget) {
@@ -146,7 +140,7 @@ std::vector<Plan> enumerate_plans(const PlannerQuery& query) {
         "verification tree, r = " + std::to_string(r));
   }
   // Bits first (communication is the paper's currency); ties break toward
-  // the plan that is locally cheaper on the dispatched kernel tier.
+  // the plan that is locally cheaper.
   std::sort(plans.begin(), plans.end(), [](const Plan& a, const Plan& b) {
     if (a.estimated_bits != b.estimated_bits) {
       return a.estimated_bits < b.estimated_bits;

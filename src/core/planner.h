@@ -9,14 +9,8 @@
 // Models are calibrated against the measured constants from EXPERIMENTS.md
 // and are validated to within a factor of two by tests/planner_test.cc.
 //
-// Besides bits-on-the-wire, every plan carries a local-compute estimate
-// that knows which SIMD kernel tier the process dispatched to (scalar /
-// SSE4.1 / AVX2 — src/simd/dispatch.h): the same protocol costs
-// measurably different CPU depending on whether the hash lanes and the
-// intersection oracle run vectorized. Ties on bits break toward the
-// cheaper local estimate. The dispatch ladder, kernel-selection
-// heuristic, and the crossover table behind these constants are
-// documented in docs/PERFORMANCE.md ("The SIMD dispatch ladder").
+// Besides bits-on-the-wire, every plan carries a coarse local-compute
+// estimate; ties on bits break toward the cheaper local estimate.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +18,6 @@
 #include <vector>
 
 #include "core/protocol.h"
-#include "simd/dispatch.h"
 
 namespace setint::core {
 
@@ -41,12 +34,9 @@ struct Plan {
   int rounds_r = 0;            // tree stage count (kVerificationTree only)
   double estimated_bits = 0;   // expected total communication
   std::uint64_t estimated_rounds = 0;
-  // Local-compute estimate for both parties combined, priced for
-  // kernel_tier (the tier simd::active_tier() reported when the plan was
-  // built). Coarse — it ranks plans and breaks bit ties, it is not a
-  // profiler.
+  // Local-compute estimate for both parties combined. Coarse — it ranks
+  // plans and breaks bit ties, it is not a profiler.
   double estimated_local_ns = 0;
-  simd::Tier kernel_tier = simd::Tier::kScalar;
   std::string description;
 };
 
@@ -62,11 +52,10 @@ double estimate_bits(PlanKind kind, const PlannerQuery& query, int rounds_r);
 std::uint64_t estimate_rounds(PlanKind kind, const PlannerQuery& query,
                               int rounds_r);
 
-// Closed-form local-compute estimate (ns, both parties) priced for the
-// given kernel tier: hashing substrate throughput and intersection-oracle
-// throughput differ per tier (constants from the exp_cpu SIMD lane).
+// Closed-form local-compute estimate (ns, both parties) from per-element
+// hashing and intersection throughput.
 double estimate_local_ns(PlanKind kind, const PlannerQuery& query,
-                         int rounds_r, simd::Tier tier);
+                         int rounds_r);
 
 // All candidate plans meeting the round budget, cheapest first.
 std::vector<Plan> enumerate_plans(const PlannerQuery& query);

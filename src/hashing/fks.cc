@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "hashing/primes.h"
-#include "simd/kernels.h"
 #include "util/iterated_log.h"
 
 namespace setint::hashing {
@@ -40,12 +39,7 @@ void FksCompressor::hash_many(std::span<const std::uint64_t> xs,
   if (out.size() < xs.size()) {
     throw std::invalid_argument("FksCompressor::hash_many: output too small");
   }
-  // Batched fixed-divisor reduction through the SIMD engine (exact on
-  // every tier, so the image — and anything seeded from it — is
-  // unchanged).
-  const simd::ReduceConstants c{red_q_.magic_hi(), red_q_.magic_lo(),
-                                red_q_.divisor()};
-  simd::reduce_mod_many(c, xs, out);
+  for (std::size_t i = 0; i < xs.size(); ++i) out[i] = (*this)(xs[i]);
 }
 
 bool FksCompressor::injective_on(util::SetView s) const {

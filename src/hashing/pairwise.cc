@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "simd/kernels.h"
-
 namespace setint::hashing {
 
 namespace {
@@ -48,18 +46,7 @@ void PairwiseHash::hash_many(std::span<const std::uint64_t> xs,
   if (out.size() < xs.size()) {
     throw std::invalid_argument("PairwiseHash::hash_many: output too small");
   }
-  // Hand the whole batch to the SIMD engine's hash lanes (the batched
-  // scalar chain on every tier), so batched == element-wise output bit
-  // for bit.
-  simd::PairwiseConstants c;
-  c.p = kPrime;
-  c.b = b_;
-  c.t = t_;
-  c.a_mont = a_mont_;
-  c.neg_inv = mont_.neg_inv();
-  c.red_p = {red_p_.magic_hi(), red_p_.magic_lo(), red_p_.divisor()};
-  c.red_t = {red_t_.magic_hi(), red_t_.magic_lo(), red_t_.divisor()};
-  simd::pairwise_hash_many(c, xs, out);
+  for (std::size_t i = 0; i < xs.size(); ++i) out[i] = (*this)(xs[i]);
 }
 
 double PairwiseHash::collision_probability() const {

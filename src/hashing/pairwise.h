@@ -48,8 +48,7 @@ class PairwiseHash {
   }
 
   // Array-batched evaluation: out[i] = (*this)(xs[i]). Requires
-  // out.size() >= xs.size(). Same values as the scalar loop (pinned by
-  // tests/bitio_property_test.cc) on every SIMD tier.
+  // out.size() >= xs.size().
   void hash_many(std::span<const std::uint64_t> xs,
                  std::span<std::uint64_t> out) const;
 

@@ -8,9 +8,8 @@
 // docs/PROTOCOL.md, "The equality hash"). The length word keeps x and
 // x||0...0 apart.
 //
-// The product itself is simd::toeplitz_product (kernel family 4): a word
-// loop at the scalar tier, carry-less multiplies from kSse41 up on parts
-// with PCLMULQDQ. Every tier returns the same bits.
+// The product itself is simd::toeplitz_product: a word loop at the scalar
+// tier, carry-less multiplies at kClmul. Both return the same bits.
 #pragma once
 
 #include <cstddef>

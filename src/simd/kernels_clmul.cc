@@ -1,6 +1,6 @@
-// Carry-less Toeplitz product (kernel family 4). Compiled with -mpclmul
-// -msse4.1 (per-file flags in src/CMakeLists.txt); the dispatcher enters
-// it only at tier kSse41 or above when cpuid reports PCLMULQDQ.
+// Carry-less Toeplitz product. Compiled with -mpclmul -msse4.1 (per-file
+// flags in src/CMakeLists.txt); the dispatcher enters it only at tier
+// kClmul, which requires cpuid to report both.
 //
 // With zrev[i] the bit reversal of z[i], bit 63 + s of the carry-less
 // product clmul(zrev[i], r[m]) is the parity of z[i] AND (r[m] >> s)

@@ -28,14 +28,12 @@ void validate_set(SetView s, std::uint64_t universe) {
 }
 
 Set set_intersection(SetView a, SetView b) {
-  // Adaptive SIMD oracle (scalar merge / galloping / block kernels by
-  // size ratio and dispatch tier — src/simd/kernels.h). The over-sized
-  // buffer is the kernel's compress-store padding contract; the result is
+  // Merge or gallop by size ratio (src/simd/kernels.h). The result is
   // copied out at exact capacity so long-lived answers do not pin the
-  // padded bound.
-  Set padded(std::min(a.size(), b.size()) + simd::kIntersectPadding);
-  const std::size_t n = simd::intersect_sorted(a, b, padded);
-  return Set(padded.begin(), padded.begin() + static_cast<std::ptrdiff_t>(n));
+  // min(|a|, |b|) bound.
+  Set bound(std::min(a.size(), b.size()));
+  const std::size_t n = simd::intersect_sorted(a, b, bound);
+  return Set(bound.begin(), bound.begin() + static_cast<std::ptrdiff_t>(n));
 }
 
 Set set_union(SetView a, SetView b) {

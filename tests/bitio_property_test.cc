@@ -566,10 +566,10 @@ TEST(BatchedHash, FksHashManyMatchesScalarLoop) {
   }
 }
 
-// The batched==scalar pin, re-checked per SIMD kernel tier: hash_many now
-// dispatches through src/simd/ (4-wide AVX2 lanes when available), and
-// every tier must reproduce the scalar operator() chain bit for bit —
-// this is what keeps seeded draw order and golden transcripts unchanged.
+// The batched==scalar pin, re-checked under each dispatch tier: whatever
+// the process dispatches to, hash_many must reproduce the scalar
+// operator() chain bit for bit — this is what keeps seeded draw order and
+// golden transcripts unchanged.
 TEST(BatchedHash, HashManyLanesMatchScalarOnEveryTier) {
   Rng rng(0x71E2);
   for (int trial = 0; trial < 60; ++trial) {
@@ -584,8 +584,7 @@ TEST(BatchedHash, HashManyLanesMatchScalarOnEveryTier) {
       x = rng.below(8) == 0 ? rng.next() : rng.below(universe);
     }
     std::vector<std::uint64_t> pairwise_batch(n), fks_batch(n);
-    for (simd::Tier tier :
-         {simd::Tier::kScalar, simd::Tier::kSse41, simd::Tier::kAvx2}) {
+    for (simd::Tier tier : {simd::Tier::kScalar, simd::Tier::kClmul}) {
       simd::ScopedTierOverride forced(tier);
       h.hash_many(xs, pairwise_batch);
       f.hash_many(xs, fks_batch);
@@ -716,11 +715,10 @@ class ToeplitzReference {
 };
 
 // Every tier this machine runs: the scalar word loop, and the carry-less
-// multiply product at kSse41 and kAvx2 when the CPU reports PCLMULQDQ.
+// multiply product when the CPU reports PCLMULQDQ.
 std::vector<simd::Tier> toeplitz_tiers() {
   std::vector<simd::Tier> tiers;
-  for (const simd::Tier t :
-       {simd::Tier::kScalar, simd::Tier::kSse41, simd::Tier::kAvx2}) {
+  for (const simd::Tier t : {simd::Tier::kScalar, simd::Tier::kClmul}) {
     if (t <= simd::detected_tier()) tiers.push_back(t);
   }
   return tiers;

@@ -1,15 +1,14 @@
-// Differential suite for the SIMD local-compute engine (ctest -L simd).
+// Differential suite for the local-compute kernels (ctest -L simd).
 //
-// Every kernel tier is driven via forced dispatch against the portable
-// scalar reference on randomized inputs plus the adversarial shapes the
-// kernels special-case: empty sets, one-element sets, full overlap,
-// disjoint ranges, ragged tails, and sizes straddling every crossover of
-// the intersection heuristic. The ci.sh simd lane runs this suite twice —
-// natively and under SETINT_FORCE_SCALAR=1 — and the forced entry points
-// deliberately reach the real vector tiers in both modes (they clamp to
-// hardware capability, not to the environment override), so the
-// differential coverage is identical either way; what the scalar re-run
-// checks is that the *dispatched* paths degrade correctly.
+// The intersection algorithms are driven against std::set_intersection on
+// randomized inputs plus the shapes the kernels special-case: empty sets,
+// one-element sets, full overlap, disjoint ranges, ragged tails, and
+// sizes straddling the merge/gallop crossover. The ci.sh simd lane runs
+// this suite twice — natively and under SETINT_FORCE_SCALAR=1 — and
+// ScopedTierOverride reaches the clmul Toeplitz product in both modes (it
+// clamps to hardware capability, not to the environment override), so
+// what the scalar re-run checks is that the *dispatched* paths degrade
+// correctly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,9 +33,7 @@ namespace {
 using simd::IntersectAlgo;
 using simd::Tier;
 
-std::vector<Tier> all_tiers() {
-  return {Tier::kScalar, Tier::kSse41, Tier::kAvx2};
-}
+std::vector<Tier> all_tiers() { return {Tier::kScalar, Tier::kClmul}; }
 
 // Strictly increasing set of the given size with geometric-ish gaps.
 std::vector<std::uint64_t> make_canonical(util::Rng& rng, std::size_t n,
@@ -51,22 +48,14 @@ std::vector<std::uint64_t> make_canonical(util::Rng& rng, std::size_t n,
   return out;
 }
 
-// ---------- dispatch ladder ----------
+// ---------- dispatch ----------
 
-TEST(SimdDispatch, TierLadderIsConsistent) {
+TEST(SimdDispatch, ClmulTierNeedsPclmulAndSse41) {
   const simd::CpuFeatures& f = simd::detected_features();
-  const Tier hw = simd::detected_tier();
-  // The ladder is monotone: avx2 implies the sse41 prerequisites.
-  if (hw == Tier::kAvx2) {
-    EXPECT_TRUE(f.avx2);
-    EXPECT_TRUE(f.popcnt);
-  }
-  if (hw >= Tier::kSse41) {
-    EXPECT_TRUE(f.sse4_1);
-    EXPECT_TRUE(f.popcnt);
-  }
+  EXPECT_EQ(simd::detected_tier() == Tier::kClmul, f.pclmul && f.sse4_1);
   // active_tier never exceeds the hardware.
-  EXPECT_LE(static_cast<int>(simd::active_tier()), static_cast<int>(hw));
+  EXPECT_LE(static_cast<int>(simd::active_tier()),
+            static_cast<int>(simd::detected_tier()));
 }
 
 TEST(SimdDispatch, ForcedScalarEnvironmentWins) {
@@ -76,7 +65,7 @@ TEST(SimdDispatch, ForcedScalarEnvironmentWins) {
   if (forced != nullptr && forced[0] != '\0' &&
       !(forced[0] == '0' && forced[1] == '\0')) {
     EXPECT_EQ(simd::active_tier(), Tier::kScalar);
-  } else if (std::getenv("SETINT_FORCE_TIER") == nullptr) {
+  } else {
     EXPECT_EQ(simd::active_tier(), simd::detected_tier());
   }
 }
@@ -88,86 +77,56 @@ TEST(SimdDispatch, ScopedOverrideClampsAndNests) {
     EXPECT_EQ(simd::active_tier(), Tier::kScalar);
     {
       // Requests above the hardware clamp instead of faulting.
-      simd::ScopedTierOverride inner(Tier::kAvx2);
-      EXPECT_EQ(simd::active_tier(), std::min(Tier::kAvx2, hw));
+      simd::ScopedTierOverride inner(Tier::kClmul);
+      EXPECT_EQ(simd::active_tier(), hw);
     }
     EXPECT_EQ(simd::active_tier(), Tier::kScalar);
   }
-  EXPECT_EQ(static_cast<int>(simd::active_tier()) <= static_cast<int>(hw),
-            true);
+  EXPECT_LE(static_cast<int>(simd::active_tier()), static_cast<int>(hw));
 }
 
 TEST(SimdDispatch, TierNamesAreStable) {
   // bench_util.h writes these into BENCH environment blocks and
   // bench_compare keys on them: renaming is a schema change.
   EXPECT_STREQ(simd::tier_name(Tier::kScalar), "scalar");
-  EXPECT_STREQ(simd::tier_name(Tier::kSse41), "sse41");
-  EXPECT_STREQ(simd::tier_name(Tier::kAvx2), "avx2");
+  EXPECT_STREQ(simd::tier_name(Tier::kClmul), "clmul");
 }
 
 // ---------- intersection heuristic ----------
 
-TEST(SimdPlan, CrossoversMatchDocumentedTable) {
-  // Straddle each crossover from docs/PERFORMANCE.md exactly.
-  const std::size_t g = simd::kGallopRatio;        // 50
-  const std::size_t bg = simd::kBlockGallopRatio;  // 1000
-  const std::size_t bm = simd::kBlockMinSmall;     // 16
-
-  // Vector tiers.
-  for (Tier tier : {Tier::kSse41, Tier::kAvx2}) {
-    EXPECT_EQ(simd::plan_intersect(0, 100, tier), IntersectAlgo::kScalarMerge);
-    EXPECT_EQ(simd::plan_intersect(4, 4 * (bg - 1), tier),
-              IntersectAlgo::kGallop);
-    EXPECT_EQ(simd::plan_intersect(4, 4 * bg, tier),
-              IntersectAlgo::kBlockGallop);
-    EXPECT_EQ(simd::plan_intersect(bm, bm * (g - 1), tier),
-              IntersectAlgo::kBlock);
-    EXPECT_EQ(simd::plan_intersect(bm, bm * g, tier), IntersectAlgo::kGallop);
-    EXPECT_EQ(simd::plan_intersect(bm - 1, bm - 1, tier),
-              IntersectAlgo::kScalarMerge);
-    EXPECT_EQ(simd::plan_intersect(bm, bm, tier), IntersectAlgo::kBlock);
-    // Symmetry: operand order never changes the plan.
-    EXPECT_EQ(simd::plan_intersect(4 * bg, 4, tier),
-              simd::plan_intersect(4, 4 * bg, tier));
-  }
-
-  // Scalar tier: no block kernels, ever.
-  EXPECT_EQ(simd::plan_intersect(bm, bm, Tier::kScalar),
-            IntersectAlgo::kScalarMerge);
-  EXPECT_EQ(simd::plan_intersect(4, 4 * bg, Tier::kScalar),
-            IntersectAlgo::kGallop);
-  EXPECT_EQ(simd::plan_intersect(bm, bm * g, Tier::kScalar),
-            IntersectAlgo::kGallop);
+TEST(SimdPlan, GallopCrossoverMatchesDocumentedRatio) {
+  const std::size_t g = simd::kGallopRatio;  // 50
+  EXPECT_EQ(simd::plan_intersect(0, 100), IntersectAlgo::kMerge);
+  EXPECT_EQ(simd::plan_intersect(16, 16), IntersectAlgo::kMerge);
+  EXPECT_EQ(simd::plan_intersect(16, 16 * g - 1), IntersectAlgo::kMerge);
+  EXPECT_EQ(simd::plan_intersect(16, 16 * g), IntersectAlgo::kGallop);
+  EXPECT_EQ(simd::plan_intersect(4, 4000), IntersectAlgo::kGallop);
+  // Symmetry: operand order never changes the plan.
+  EXPECT_EQ(simd::plan_intersect(16 * g, 16), IntersectAlgo::kGallop);
 }
 
-// ---------- intersection kernels: every algo x tier vs reference ----------
+// ---------- intersection kernels: merge and gallop vs the STL ----------
 
 void check_intersection(const std::vector<std::uint64_t>& a,
                         const std::vector<std::uint64_t>& b,
                         const char* label) {
-  // Reference: the STL on canonical inputs.
   std::vector<std::uint64_t> want;
   std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
                         std::back_inserter(want));
   std::vector<std::uint64_t> out(std::min(a.size(), b.size()) +
                                  simd::kIntersectPadding);
-  for (Tier tier : all_tiers()) {
-    for (IntersectAlgo algo :
-         {IntersectAlgo::kScalarMerge, IntersectAlgo::kGallop,
-          IntersectAlgo::kBlock, IntersectAlgo::kBlockGallop}) {
-      const std::size_t n = simd::intersect_sorted_with(algo, tier, a, b, out);
-      ASSERT_EQ(n, want.size())
+  for (IntersectAlgo algo : {IntersectAlgo::kMerge, IntersectAlgo::kGallop}) {
+    const std::size_t n = simd::intersect_sorted_with(algo, a, b, out);
+    ASSERT_EQ(n, want.size())
+        << label << " algo=" << simd::intersect_algo_name(algo)
+        << " na=" << a.size() << " nb=" << b.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(out[i], want[i])
           << label << " algo=" << simd::intersect_algo_name(algo)
-          << " tier=" << simd::tier_name(tier) << " na=" << a.size()
-          << " nb=" << b.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(out[i], want[i])
-            << label << " algo=" << simd::intersect_algo_name(algo)
-            << " tier=" << simd::tier_name(tier) << " i=" << i;
-      }
+          << " i=" << i;
     }
   }
-  // The adaptive entry (dispatched tier) agrees too.
+  // The adaptive entry agrees too.
   const std::size_t n = simd::intersect_sorted(a, b, out);
   ASSERT_EQ(n, want.size()) << label << " adaptive";
   for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(out[i], want[i]);
@@ -189,7 +148,7 @@ TEST(SimdIntersect, EdgeShapes) {
   check_intersection(small, small, "full-overlap");
   check_intersection(big, big, "full-overlap-big");
 
-  // Fully disjoint value ranges (vector loops terminate on block maxes).
+  // Fully disjoint value ranges.
   std::vector<std::uint64_t> lo_range = make_canonical(rng, 64, 3);
   std::vector<std::uint64_t> hi_range = make_canonical(rng, 64, 3);
   for (auto& v : hi_range) v += 1'000'000;
@@ -204,10 +163,9 @@ TEST(SimdIntersect, EdgeShapes) {
   check_intersection(odds, evens, "interleaved-disjoint");
 }
 
-TEST(SimdIntersect, SizesStraddlingEveryCrossover) {
+TEST(SimdIntersect, SizesStraddlingTheCrossover) {
   util::Rng rng(0xC0DE);
-  // (na, nb) pairs bracketing each heuristic boundary, including ragged
-  // non-multiple-of-vector-width sizes.
+  // (na, nb) pairs bracketing the merge/gallop boundary and ragged sizes.
   const std::size_t cases[][2] = {
       {15, 15},   {16, 16},     {17, 31},    {16, 799},  {16, 800},
       {16, 801},  {4, 3996},    {4, 4000},   {4, 4100},  {1, 1000},
@@ -243,39 +201,16 @@ TEST(SimdIntersect, RandomizedDifferential) {
 TEST(SimdIntersect, RejectsUnderSizedOutput) {
   const std::vector<std::uint64_t> a{1, 2, 3, 4};
   const std::vector<std::uint64_t> b{2, 3};
-  // Needs min(na, nb) + padding = 2 + 8.
-  std::vector<std::uint64_t> out(9);
+  // Needs min(na, nb) + padding = 2.
+  std::vector<std::uint64_t> out(1 + simd::kIntersectPadding);
   EXPECT_THROW(simd::intersect_sorted(a, b, out), std::invalid_argument);
-  out.resize(10);
+  out.resize(2 + simd::kIntersectPadding);
   EXPECT_EQ(simd::intersect_sorted(a, b, out), 2u);
 }
 
-// ---------- hash lanes: forced-scalar vs dispatched tier ----------
+// ---------- batched hashing under every tier ----------
 
-TEST(SimdHashLanes, ReduceModManyMatchesPlainRemainder) {
-  util::Rng rng(0xBA22);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::uint64_t d = 1 + rng.below(std::uint64_t{1} << (1 + rng.below(63)));
-    const hashing::Reducer64 red(d);
-    const simd::ReduceConstants c{red.magic_hi(), red.magic_lo(),
-                                  red.divisor()};
-    const std::size_t n = rng.below(133);
-    std::vector<std::uint64_t> xs(n);
-    for (auto& x : xs) x = rng.next();
-    std::vector<std::uint64_t> dispatched(n), forced(n);
-    simd::reduce_mod_many(c, xs, dispatched);
-    {
-      simd::ScopedTierOverride scalar_only(Tier::kScalar);
-      simd::reduce_mod_many(c, xs, forced);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(dispatched[i], xs[i] % d) << "d=" << d << " x=" << xs[i];
-      ASSERT_EQ(dispatched[i], forced[i]);
-    }
-  }
-}
-
-TEST(SimdHashLanes, PairwiseHashManyIdenticalAcrossTiers) {
+TEST(SimdHashBatch, PairwiseHashManyIdenticalAcrossTiers) {
   util::Rng rng(0x4A5E);
   for (int trial = 0; trial < 100; ++trial) {
     const std::uint64_t universe = 2 + rng.below(std::uint64_t{1} << 40);
@@ -302,7 +237,7 @@ TEST(SimdHashLanes, PairwiseHashManyIdenticalAcrossTiers) {
   }
 }
 
-TEST(SimdHashLanes, FksHashManyIdenticalAcrossTiers) {
+TEST(SimdHashBatch, FksHashManyIdenticalAcrossTiers) {
   util::Rng rng(0xF4A5);
   for (int trial = 0; trial < 100; ++trial) {
     const std::uint64_t universe = 2 + rng.below(std::uint64_t{1} << 44);
@@ -322,37 +257,11 @@ TEST(SimdHashLanes, FksHashManyIdenticalAcrossTiers) {
       f.hash_many(xs, got);
       ASSERT_EQ(got, reference) << "tier=" << simd::tier_name(tier);
     }
-  }
-}
-
-// ---------- bitmap kernels ----------
-
-TEST(SimdBitmap, AndCountMatchesReferenceAcrossTiers) {
-  util::Rng rng(0xB175);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t n = rng.below(131);  // straddles all vector widths
-    std::vector<std::uint64_t> a(n), b(n), out(n);
-    for (auto& x : a) x = rng.next();
-    for (auto& x : b) x = rng.next();
-    std::uint64_t want = 0;
+    // And the reference is the plain remainder.
     for (std::size_t i = 0; i < n; ++i) {
-      want += static_cast<std::uint64_t>(__builtin_popcountll(a[i] & b[i]));
-    }
-    for (Tier tier : all_tiers()) {
-      simd::ScopedTierOverride forced(tier);
-      ASSERT_EQ(simd::bitmap_and_count(a, b), want)
-          << "tier=" << simd::tier_name(tier) << " n=" << n;
-      simd::bitmap_and(a, b, out);
-      for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(out[i], a[i] & b[i]);
+      ASSERT_EQ(reference[i], xs[i] % f.range()) << "x=" << xs[i];
     }
   }
-}
-
-TEST(SimdBitmap, RejectsMismatchedLengths) {
-  const std::vector<std::uint64_t> a(4), b(5);
-  std::vector<std::uint64_t> out(5);
-  EXPECT_THROW(simd::bitmap_and_count(a, b), std::invalid_argument);
-  EXPECT_THROW(simd::bitmap_and(a, b, out), std::invalid_argument);
 }
 
 // ---------- end to end: transcripts are tier-invariant ----------

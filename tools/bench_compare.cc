@@ -14,8 +14,8 @@
 //             see bench_util.h). Even with --perf-tol, timing cells are
 //             only compared when both records carry the same
 //             environment.cpu.dispatch_tier (schema v3): numbers measured
-//             on different SIMD tiers are incomparable, so a tier change
-//             downgrades the whole timing comparison to a note.
+//             on different dispatch tiers are incomparable, so a tier
+//             change downgrades the whole timing comparison to a note.
 //   identity  digest / checksum / identical / identity / within /
 //             verdict / exact / ok — must match byte-for-byte
 //   quality   verified / speedup / slack — fails when NEW < OLD·(1-tol)
@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -75,6 +76,16 @@ struct Options {
   std::exit(2);
 }
 
+// A flag's value, parsed whole; anything else is a usage error.
+template <typename T>
+T parse_flag(const std::string& flag, const std::string& value) {
+  try {
+    return setint::util::parse_number<T>(flag, value);
+  } catch (const std::exception& e) {
+    usage(e.what());
+  }
+}
+
 Options parse_args(int argc, char** argv) {
   Options o;
   std::vector<std::string> positional;
@@ -83,9 +94,9 @@ Options parse_args(int argc, char** argv) {
     if (arg == "--inject") {
       o.inject = true;
     } else if (arg.rfind("--tol=", 0) == 0) {
-      o.tol_pct = std::strtod(arg.c_str() + 6, nullptr);
+      o.tol_pct = parse_flag<double>("--tol", arg.substr(6));
     } else if (arg.rfind("--perf-tol=", 0) == 0) {
-      o.perf_tol_pct = std::strtod(arg.c_str() + 11, nullptr);
+      o.perf_tol_pct = parse_flag<double>("--perf-tol", arg.substr(11));
     } else if (arg.rfind("--", 0) == 0) {
       usage(("unknown flag: " + arg).c_str());
     } else {
@@ -365,8 +376,8 @@ int compare_records(Verdict& v, const std::string& record, const Json& olddoc,
       }
     }
   }
-  // Timing cells are only meaningful between runs on the same SIMD
-  // dispatch tier: an AVX2 box vs a scalar box differ by design, not by
+  // Timing cells are only meaningful between runs on the same dispatch
+  // tier: a clmul box vs a scalar box differ by design, not by
   // regression. A tier mismatch (or a v2 record without the cpu block)
   // turns --perf-tol off for this pair and leaves a note.
   Options eff = opts;

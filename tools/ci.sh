@@ -16,9 +16,10 @@
 #      (framing/park pins, re-chunking invariance, the scheduler-vs-
 #      blocking digest differential, exp_service gates, bench_compare
 #      identity on the committed BENCH_service.json)
-#   4b. the simd slice by label (forced-tier differential suite for the
-#      SIMD local-compute engine, golden + digest pins), run twice: with
-#      native dispatch and under SETINT_FORCE_SCALAR=1
+#   4b. the simd slice by label (the scalar and clmul Toeplitz products
+#      against a bit-at-a-time reference, merge and gallop intersect
+#      against std::set_intersection, golden + digest pins), run twice:
+#      with native dispatch and under SETINT_FORCE_SCALAR=1
 #   5. a longer seeded fuzz run than the in-suite smoke test
 #   6. every bench binary end-to-end at smoke size (each one gates its own
 #      safety/acceptance claims via its exit code)
@@ -29,7 +30,7 @@
 #      and bench_compare'd against the native-dispatch record — every
 #      checksum, digest, bits and rounds cell must be bit-identical across
 #      tiers (timing is skipped as cross-tier incomparable) — plus an
-#      ASan/UBSan pass over the intrinsics (ctest -L simd in
+#      ASan/UBSan pass over the kernels (ctest -L simd in
 #      build-sanitize/)
 #   7c. the parties slice by label (runner + party tests, the
 #      verification-tree, bucket-EQ and amortized-equality suites,
@@ -124,10 +125,10 @@ cp "$REPO_ROOT/BENCH_service.json" "$SANSIO_DIR/committed/"
     "$SANSIO_DIR/committed"
 
 step "simd slice (ctest -L simd), native dispatch + forced scalar"
-# The PR-10 lane: randomized differential suite forcing every kernel
-# family through each dispatch tier vs the scalar reference, plus the
-# golden-transcript and digest pins. Run twice so the scalar fallback
-# path is proven bit-identical on the same box that dispatches AVX2.
+# The clmul Toeplitz product and the scalar word loop, each forced, vs a
+# bit-at-a-time reference; merge and gallop vs std::set_intersection; the
+# golden-transcript and digest pins. Run twice so the word loop is proven
+# bit-identical, end to end, on the same box that dispatches clmul.
 (cd "$BUILD_DIR" && ctest --output-on-failure -L simd -j "$JOBS")
 (cd "$BUILD_DIR" &&
      SETINT_FORCE_SCALAR=1 ctest --output-on-failure -L simd -j "$JOBS")
@@ -174,21 +175,21 @@ step "perf smoke: exp_cpu bit-identity gate + JSON emission"
   echo "[ci] FAIL: exp_cpu produced no JSON record" >&2; exit 1; }
 
 step "simd bench lane: forced-scalar exp_cpu vs native dispatch"
-# The scalar-vs-SIMD trajectory gate: the same seed under
+# The scalar-vs-clmul trajectory gate: the same seed under
 # SETINT_FORCE_SCALAR=1 must reproduce every deterministic cell of the
 # native-dispatch record — transcript digests, engine checksums, bits,
 # rounds. bench_compare skips wall_ms cells here by design (different
-# dispatch tiers are timing-incomparable); the E-CPU.5 algo/tier columns
-# legitimately differ and only warn (info class).
+# dispatch tiers are timing-incomparable); only environment.cpu differs.
 SETINT_FORCE_SCALAR=1 "$BUILD_DIR/bench/exp_cpu" --smoke --seed=24145 \
     --json="$SMOKE_DIR/perf_smoke_cpu_scalar.json" > /dev/null
 "$BUILD_DIR/tools/bench_compare" "$SMOKE_DIR/perf_smoke_cpu.json" \
     "$SMOKE_DIR/perf_smoke_cpu_scalar.json"
 
-step "simd sanitizer pass (ASan+UBSan over the intrinsics, -L simd)"
-# Compress-stores write up to kIntersectPadding elements past the logical
-# output; ASan proves the padding contract is honored, UBSan the pointer
-# arithmetic in the gallop kernels. Reuses the build-sanitize/ tree.
+step "simd sanitizer pass (ASan+UBSan over the kernels, -L simd)"
+# The intersect tests size outputs at exactly min(na, nb), so ASan proves
+# merge and gallop never write past their result; UBSan checks the
+# gallop's index arithmetic and the Toeplitz products' shifts, and ASan
+# the clmul loads of z and r. Reuses the build-sanitize/ tree.
 tools/run_sanitized_tests.sh -L simd
 
 step "parties slice (ctest -L parties), native + ASan/UBSan"

@@ -1,8 +1,12 @@
 # ctest driver: values from outside fail loudly. Every malformed flag of a
-# bench binary and of the example CLI must exit with code 2 (the usage-error
-# code unknown flags already get), never run on a silent default. Run as
-#   cmake -DEXP=<exp_* binary> -DCLI=<example_setint_cli> -DSCRATCH=<dir> -P this_file
-foreach(var EXP CLI SCRATCH)
+# bench binary, of the example CLI and of the bench_compare and replay
+# tools must exit with code 2 (the usage-error code unknown flags already
+# get), never run on a silent default; so must a replay dump with a
+# malformed field, naming the field. Run as
+#   cmake -DEXP=<exp_* binary> -DCLI=<example_setint_cli>
+#         -DBENCH_COMPARE=<bench_compare> -DREPLAY=<replay> -DSCRATCH=<dir>
+#         -P this_file
+foreach(var EXP CLI BENCH_COMPARE REPLAY SCRATCH)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "missing -D${var}=")
   endif()
@@ -28,10 +32,49 @@ foreach(flag --r=abc --r= --universe=1e6 --universe= --seed=abc --seed=-1)
   expect_usage_error("${CLI}" "${SCRATCH}/a.txt" "${SCRATCH}/b.txt" "${flag}")
 endforeach()
 
+# bench_compare tolerances: two comparable records, so only the flag can
+# fail.
+set(record "${SCRATCH}/record.json")
+file(WRITE "${record}"
+     "{\"experiment\": \"flags\", \"seed\": 1, \"smoke\": true, \"sections\": []}\n")
+foreach(flag --tol=abc --tol=5% --tol= --perf-tol= --perf-tol=1x)
+  expect_usage_error("${BENCH_COMPARE}" "${record}" "${record}" "${flag}")
+endforeach()
+
+expect_usage_error("${REPLAY}" "--record=${SCRATCH}/incident"
+                   --scenario=integrity --seed=12x)
+
+# A dump whose seed field does not parse whole is refused, by name.
+execute_process(COMMAND "${REPLAY}" "--record=${SCRATCH}/incident"
+                        --scenario=integrity --seed=5
+                OUTPUT_VARIABLE dump OUTPUT_STRIP_TRAILING_WHITESPACE
+                RESULT_VARIABLE rc ERROR_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "replay --record failed (rc=${rc})")
+endif()
+file(READ "${dump}" contents)
+string(REPLACE "\"seed\":\"5\"" "\"seed\":\"5x\"" tampered "${contents}")
+if(tampered STREQUAL contents)
+  message(FATAL_ERROR "dump ${dump} has no seed field to tamper with")
+endif()
+file(WRITE "${SCRATCH}/tampered.jsonl" "${tampered}")
+execute_process(COMMAND "${REPLAY}" "${SCRATCH}/tampered.jsonl"
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+string(FIND "${err}" "seed" named)
+if(NOT rc EQUAL 2 OR named EQUAL -1)
+  message(FATAL_ERROR "malformed dump seed: rc=${rc}, stderr '${err}'")
+endif()
+
 # The well-formed spellings still run.
 execute_process(COMMAND "${CLI}" "${SCRATCH}/a.txt" "${SCRATCH}/b.txt"
                         --r=2 --universe=16 --seed=7
                 RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "well-formed CLI flags failed (rc=${rc})")
+endif()
+execute_process(COMMAND "${BENCH_COMPARE}" "${record}" "${record}"
+                        --tol=0.5 --perf-tol=5
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "well-formed bench_compare flags failed (rc=${rc})")
 endif()

@@ -39,6 +39,7 @@
 #include "setint.h"
 #include "sim/chaos.h"
 #include "sim/fault.h"
+#include "util/parse.h"
 #include "util/set_util.h"
 
 namespace {
@@ -56,21 +57,22 @@ using setint::obs::Json;
   std::exit(2);
 }
 
-std::uint64_t parse_u64(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 10);
+// A flag value or dump field parsed whole; `what` names it in the error.
+std::uint64_t parse_u64(const std::string& what, const std::string& s) {
+  return setint::util::parse_number<std::uint64_t>(what, s);
 }
 
-double parse_double(const std::string& s) {
-  return std::strtod(s.c_str(), nullptr);
+double parse_double(const std::string& what, const std::string& s) {
+  return setint::util::parse_number<double>(what, s);
 }
 
-setint::util::Set parse_set(const std::string& csv) {
+setint::util::Set parse_set(const std::string& what, const std::string& csv) {
   setint::util::Set out;
   std::size_t pos = 0;
   while (pos < csv.size()) {
     std::size_t comma = csv.find(',', pos);
     if (comma == std::string::npos) comma = csv.size();
-    out.push_back(parse_u64(csv.substr(pos, comma - pos)));
+    out.push_back(parse_u64(what, csv.substr(pos, comma - pos)));
     pos = comma + 1;
   }
   return out;
@@ -205,6 +207,16 @@ bool has_key(const Json& ctx, const char* key) {
   return ctx.find(key) != nullptr;
 }
 
+std::uint64_t u64_field(const Json& ctx, const char* key,
+                        const std::string& fallback) {
+  return parse_u64(key, context_value(ctx, key, fallback));
+}
+
+double double_field(const Json& ctx, const char* key,
+                    const std::string& fallback) {
+  return parse_double(key, context_value(ctx, key, fallback));
+}
+
 int replay_mode(const std::string& dump_path) {
   std::ifstream in(dump_path);
   if (!in) {
@@ -249,76 +261,66 @@ int replay_mode(const std::string& dump_path) {
   }
 
   // Rebuild the session from the context block.
-  const setint::util::Set s = parse_set(context_value(ctx, "s"));
-  const setint::util::Set t = parse_set(context_value(ctx, "t"));
+  const setint::util::Set s = parse_set("s", context_value(ctx, "s"));
+  const setint::util::Set t = parse_set("t", context_value(ctx, "t"));
   setint::IntersectOptions options;
-  options.seed = parse_u64(context_value(ctx, "seed", "0"));
-  options.universe = parse_u64(context_value(ctx, "universe", "0"));
-  options.rounds_r =
-      static_cast<int>(parse_u64(context_value(ctx, "rounds_r", "0")));
+  options.seed = u64_field(ctx, "seed", "0");
+  options.universe = u64_field(ctx, "universe", "0");
+  options.rounds_r = setint::util::parse_number<int>(
+      "rounds_r", context_value(ctx, "rounds_r", "0"));
   options.checkpoint = context_value(ctx, "checkpoint", "1") == "1";
-  options.retry.max_attempts =
-      parse_u64(context_value(ctx, "retry.max_attempts", "40"));
-  options.retry.backoff_rounds =
-      parse_u64(context_value(ctx, "retry.backoff_rounds", "0"));
+  options.retry.max_attempts = u64_field(ctx, "retry.max_attempts", "40");
+  options.retry.backoff_rounds = u64_field(ctx, "retry.backoff_rounds", "0");
   options.retry.backoff_multiplier =
-      parse_double(context_value(ctx, "retry.backoff_multiplier", "1"));
+      double_field(ctx, "retry.backoff_multiplier", "1");
   options.retry.backoff_cap_rounds =
-      parse_u64(context_value(ctx, "retry.backoff_cap_rounds", "4096"));
-  options.retry.backoff_jitter =
-      parse_double(context_value(ctx, "retry.backoff_jitter", "0"));
+      u64_field(ctx, "retry.backoff_cap_rounds", "4096");
+  options.retry.backoff_jitter = double_field(ctx, "retry.backoff_jitter", "0");
   options.retry.degraded_attempts =
-      parse_u64(context_value(ctx, "retry.degraded_attempts", "4"));
-  options.retry.max_restarts =
-      parse_u64(context_value(ctx, "retry.max_restarts", "16"));
+      u64_field(ctx, "retry.degraded_attempts", "4");
+  options.retry.max_restarts = u64_field(ctx, "retry.max_restarts", "16");
   options.retry.max_resume_wait_rounds =
-      parse_u64(context_value(ctx, "retry.max_resume_wait_rounds", "4096"));
+      u64_field(ctx, "retry.max_resume_wait_rounds", "4096");
   if (has_key(ctx, "budget.max_bits")) {
-    options.budget.max_bits =
-        parse_u64(context_value(ctx, "budget.max_bits", "0"));
-    options.budget.max_rounds =
-        parse_u64(context_value(ctx, "budget.max_rounds", "0"));
+    options.budget.max_bits = u64_field(ctx, "budget.max_bits", "0");
+    options.budget.max_rounds = u64_field(ctx, "budget.max_rounds", "0");
     options.budget.deadline_ticks =
-        parse_u64(context_value(ctx, "budget.deadline_ticks", "0"));
+        u64_field(ctx, "budget.deadline_ticks", "0");
     options.budget.refuse_on_exhaustion =
         context_value(ctx, "budget.refuse_on_exhaustion", "0") == "1";
   }
   if (has_key(ctx, "limits.max_total_bits")) {
     options.limits.max_message_bits =
-        parse_u64(context_value(ctx, "limits.max_message_bits", "0"));
+        u64_field(ctx, "limits.max_message_bits", "0");
     options.limits.max_total_bits =
-        parse_u64(context_value(ctx, "limits.max_total_bits", "0"));
-    options.limits.max_rounds =
-        parse_u64(context_value(ctx, "limits.max_rounds", "0"));
+        u64_field(ctx, "limits.max_total_bits", "0");
+    options.limits.max_rounds = u64_field(ctx, "limits.max_rounds", "0");
     options.limits.max_decoded_items =
-        parse_u64(context_value(ctx, "limits.max_decoded_items", "0"));
+        u64_field(ctx, "limits.max_decoded_items", "0");
   }
   std::unique_ptr<setint::sim::FaultPlan> fault_plan;
   if (has_key(ctx, "fault.seed")) {
     setint::sim::FaultSpec spec;
-    spec.flip_per_bit = parse_double(context_value(ctx, "fault.flip_per_bit", "0"));
-    spec.truncate_prob = parse_double(context_value(ctx, "fault.truncate_prob", "0"));
-    spec.drop_prob = parse_double(context_value(ctx, "fault.drop_prob", "0"));
-    spec.duplicate_prob =
-        parse_double(context_value(ctx, "fault.duplicate_prob", "0"));
-    spec.delay_prob = parse_double(context_value(ctx, "fault.delay_prob", "0"));
-    spec.delay_rounds = parse_u64(context_value(ctx, "fault.delay_rounds", "1"));
-    spec.seed = parse_u64(context_value(ctx, "fault.seed", "0"));
+    spec.flip_per_bit = double_field(ctx, "fault.flip_per_bit", "0");
+    spec.truncate_prob = double_field(ctx, "fault.truncate_prob", "0");
+    spec.drop_prob = double_field(ctx, "fault.drop_prob", "0");
+    spec.duplicate_prob = double_field(ctx, "fault.duplicate_prob", "0");
+    spec.delay_prob = double_field(ctx, "fault.delay_prob", "0");
+    spec.delay_rounds = u64_field(ctx, "fault.delay_rounds", "1");
+    spec.seed = u64_field(ctx, "fault.seed", "0");
     fault_plan = std::make_unique<setint::sim::FaultPlan>(spec);
     options.fault_plan = fault_plan.get();
   }
   std::unique_ptr<setint::sim::ChaosPlan> chaos_plan;
   if (has_key(ctx, "chaos.seed")) {
     setint::sim::ChaosSpec spec;
-    spec.players = parse_u64(context_value(ctx, "chaos.players", "2"));
-    spec.seed = parse_u64(context_value(ctx, "chaos.seed", "0"));
-    spec.crash.crash_prob =
-        parse_double(context_value(ctx, "chaos.crash_prob", "0"));
-    spec.crash.restart_ticks =
-        parse_u64(context_value(ctx, "chaos.restart_ticks", "4"));
+    spec.players = u64_field(ctx, "chaos.players", "2");
+    spec.seed = u64_field(ctx, "chaos.seed", "0");
+    spec.crash.crash_prob = double_field(ctx, "chaos.crash_prob", "0");
+    spec.crash.restart_ticks = u64_field(ctx, "chaos.restart_ticks", "4");
     spec.crash.max_crashes =
-        parse_u64(context_value(ctx, "chaos.max_crashes",
-                                std::to_string(setint::sim::kUnlimitedCrashes)));
+        u64_field(ctx, "chaos.max_crashes",
+                  std::to_string(setint::sim::kUnlimitedCrashes));
     for (const std::string& field :
          split(context_value(ctx, "chaos.overrides"), ';')) {
       if (field.empty()) continue;
@@ -328,10 +330,11 @@ int replay_mode(const std::string& dump_path) {
         return 2;
       }
       setint::sim::CrashSchedule sched;
-      sched.crash_prob = parse_double(parts[1]);
-      sched.restart_ticks = parse_u64(parts[2]);
-      sched.max_crashes = parse_u64(parts[3]);
-      spec.crash_overrides.emplace_back(parse_u64(parts[0]), sched);
+      sched.crash_prob = parse_double("chaos.overrides", parts[1]);
+      sched.restart_ticks = parse_u64("chaos.overrides", parts[2]);
+      sched.max_crashes = parse_u64("chaos.overrides", parts[3]);
+      spec.crash_overrides.emplace_back(
+          parse_u64("chaos.overrides", parts[0]), sched);
     }
     if (has_key(ctx, "chaos.burst")) {
       const std::vector<std::string> parts =
@@ -340,12 +343,12 @@ int replay_mode(const std::string& dump_path) {
         std::fprintf(stderr, "replay: malformed chaos.burst\n");
         return 2;
       }
-      spec.burst.p_good_to_bad = parse_double(parts[0]);
-      spec.burst.p_bad_to_good = parse_double(parts[1]);
-      spec.burst.loss_good = parse_double(parts[2]);
-      spec.burst.loss_bad = parse_double(parts[3]);
-      spec.burst.flip_good = parse_double(parts[4]);
-      spec.burst.flip_bad = parse_double(parts[5]);
+      spec.burst.p_good_to_bad = parse_double("chaos.burst", parts[0]);
+      spec.burst.p_bad_to_good = parse_double("chaos.burst", parts[1]);
+      spec.burst.loss_good = parse_double("chaos.burst", parts[2]);
+      spec.burst.loss_bad = parse_double("chaos.burst", parts[3]);
+      spec.burst.flip_good = parse_double("chaos.burst", parts[4]);
+      spec.burst.flip_bad = parse_double("chaos.burst", parts[5]);
     }
     for (const std::string& field :
          split(context_value(ctx, "chaos.partitions"), ';')) {
@@ -356,14 +359,14 @@ int replay_mode(const std::string& dump_path) {
         return 2;
       }
       setint::sim::PartitionWindow w;
-      w.a = parse_u64(parts[0]);
-      w.b = parse_u64(parts[1]);
-      w.start_tick = parse_u64(parts[2]);
-      w.end_tick = parse_u64(parts[3]);
+      w.a = parse_u64("chaos.partitions", parts[0]);
+      w.b = parse_u64("chaos.partitions", parts[1]);
+      w.start_tick = parse_u64("chaos.partitions", parts[2]);
+      w.end_tick = parse_u64("chaos.partitions", parts[3]);
       spec.partitions.push_back(w);
     }
     chaos_plan = std::make_unique<setint::sim::ChaosPlan>(
-        spec, parse_u64(context_value(ctx, "chaos.protocol_seed", "0")));
+        spec, u64_field(ctx, "chaos.protocol_seed", "0"));
     options.chaos_plan = chaos_plan.get();
   }
 
@@ -443,7 +446,11 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--scenario=", 0) == 0) {
       scenario = arg.substr(11);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = parse_u64(arg.substr(7));
+      try {
+        seed = parse_u64("--seed", arg.substr(7));
+      } catch (const std::exception& e) {
+        usage(e.what());
+      }
     } else if (!arg.empty() && arg[0] != '-') {
       if (!dump.empty()) usage("more than one dump file");
       dump = arg;
