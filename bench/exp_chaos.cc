@@ -275,9 +275,9 @@ int main(int argc, char** argv) {
         obs::Tracer tracer;
         sim::Network network(instance.sets.size());
         network.set_tracer(&tracer);
-        network.set_chaos_plan(&plan);
         sim::SharedRandomness shared(session_seed);
         multiparty::MultipartyParams params;
+        params.chaos = &plan;
         const multiparty::MultipartyResult result =
             multiparty::coordinator_intersection(network, shared, mp_universe,
                                                  instance.sets, params);

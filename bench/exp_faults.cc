@@ -237,11 +237,11 @@ int main(int argc, char** argv) {
         obs::Tracer tracer;
         sim::Network network(instance.sets.size());
         network.set_tracer(&tracer);
-        network.set_fault_plan(&plan);
         sim::SharedRandomness shared(
             rep.seed_for(0x420 + static_cast<std::uint64_t>(t),
                          tournament ? 2 : 1));
         multiparty::MultipartyParams params;
+        params.fault_plan = &plan;
         const multiparty::MultipartyResult result =
             tournament ? multiparty::tournament_intersection(
                              network, shared, mp_universe, instance.sets,

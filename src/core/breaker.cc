@@ -4,18 +4,6 @@
 
 namespace setint::core {
 
-const char* breaker_state_name(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half_open";
-  }
-  return "unknown";
-}
-
 bool CircuitBreaker::allow() {
   if (!policy_.enabled()) return true;
   switch (state_) {
@@ -39,29 +27,31 @@ bool CircuitBreaker::allow() {
   return true;
 }
 
-void CircuitBreaker::on_success() {
-  if (!policy_.enabled()) return;
+bool CircuitBreaker::on_success() {
+  if (!policy_.enabled()) return false;
   if (state_ == BreakerState::kHalfOpen) {
     ++trial_successes_;
     if (trial_successes_ >= std::max<std::uint64_t>(1, policy_.close_after)) {
       state_ = BreakerState::kClosed;
       consecutive_failures_ = 0;
       ++closes_;
+      return true;
     }
-    return;
+    return false;
   }
   consecutive_failures_ = 0;
+  return false;
 }
 
-void CircuitBreaker::on_failure() {
-  if (!policy_.enabled()) return;
+bool CircuitBreaker::on_failure() {
+  if (!policy_.enabled()) return false;
   if (state_ == BreakerState::kHalfOpen) {
     // Failed probe: straight back to open for a fresh cooldown.
     state_ = BreakerState::kOpen;
     open_denials_ = 0;
     consecutive_failures_ = policy_.failure_threshold;
     ++opens_;
-    return;
+    return true;
   }
   ++consecutive_failures_;
   if (state_ == BreakerState::kClosed &&
@@ -69,7 +59,9 @@ void CircuitBreaker::on_failure() {
     state_ = BreakerState::kOpen;
     open_denials_ = 0;
     ++opens_;
+    return true;
   }
+  return false;
 }
 
 CircuitBreaker& BreakerBoard::link(std::size_t a, std::size_t b) {
@@ -84,12 +76,6 @@ CircuitBreaker& BreakerBoard::link(std::size_t a, std::size_t b) {
 std::uint64_t BreakerBoard::total_opens() const {
   std::uint64_t n = 0;
   for (const auto& [key, b] : breakers_) n += b.opens();
-  return n;
-}
-
-std::uint64_t BreakerBoard::total_denials() const {
-  std::uint64_t n = 0;
-  for (const auto& [key, b] : breakers_) n += b.denials();
   return n;
 }
 

@@ -29,8 +29,6 @@ namespace setint::core {
 
 enum class BreakerState : std::uint8_t { kClosed = 0, kOpen, kHalfOpen };
 
-const char* breaker_state_name(BreakerState state);
-
 struct BreakerPolicy {
   // Consecutive failures before the breaker trips; 0 disables it
   // (allow() always true, outcomes ignored).
@@ -54,9 +52,11 @@ class CircuitBreaker {
   // Half-open: admits (the probe's outcome decides what happens next).
   bool allow();
 
-  // Outcome feedback for an attempt that allow() admitted.
-  void on_success();
-  void on_failure();
+  // Outcome feedback for an attempt that allow() admitted. on_success()
+  // returns true when it closed the breaker, on_failure() when it opened
+  // it.
+  bool on_success();
+  bool on_failure();
 
   BreakerState state() const { return state_; }
   const BreakerPolicy& policy() const { return policy_; }
@@ -92,7 +92,6 @@ class BreakerBoard {
 
   // Aggregates across every link touched so far.
   std::uint64_t total_opens() const;
-  std::uint64_t total_denials() const;
   std::size_t open_links() const;  // links currently open or half-open
 
  private:

@@ -90,23 +90,23 @@ void SessionBudget::mark_exhausted(BudgetDimension dimension) {
   if (reason_ == BudgetDimension::kNone) reason_ = dimension;
 }
 
-std::uint64_t backoff_rounds_for_attempt(const BackoffPolicy& policy,
+std::uint64_t backoff_rounds_for_attempt(const RetryPolicy& policy,
                                          std::uint64_t seed,
                                          std::uint64_t attempt) {
-  if (policy.base_rounds == 0 || attempt == 0) return 0;
-  const double multiplier = std::max(1.0, policy.multiplier);
-  double step = static_cast<double>(policy.base_rounds);
+  if (policy.backoff_rounds == 0 || attempt == 0) return 0;
+  const double multiplier = std::max(1.0, policy.backoff_multiplier);
+  double step = static_cast<double>(policy.backoff_rounds);
   // Iterative growth (attempts are small) avoids pow() cross-platform
   // rounding drift; saturate at the cap instead of overflowing.
-  const double cap = policy.cap_rounds != 0
-                         ? static_cast<double>(policy.cap_rounds)
+  const double cap = policy.backoff_cap_rounds != 0
+                         ? static_cast<double>(policy.backoff_cap_rounds)
                          : static_cast<double>(UINT64_MAX);
   for (std::uint64_t i = 1; i < attempt && step < cap; ++i) {
     step *= multiplier;
   }
   step = std::min(step, cap);
   std::uint64_t rounds = static_cast<std::uint64_t>(step);
-  const double jitter = std::clamp(policy.jitter, 0.0, 1.0);
+  const double jitter = std::clamp(policy.backoff_jitter, 0.0, 1.0);
   if (jitter > 0.0 && rounds > 0) {
     const std::uint64_t span =
         static_cast<std::uint64_t>(jitter * static_cast<double>(rounds)) + 1;
@@ -131,10 +131,7 @@ double RetryBudgetPool::remaining_fraction() const {
 }
 
 bool AdmissionController::admit(std::uint64_t nonce) {
-  if (!enabled()) {
-    ++admitted_;
-    return true;
-  }
+  if (!enabled()) return true;
   const double threshold = shed_fraction();
   if (threshold > 0.0) {
     // Seeded priority in [0, 1): pairs whose priority falls below the
@@ -148,7 +145,6 @@ bool AdmissionController::admit(std::uint64_t nonce) {
       return false;
     }
   }
-  ++admitted_;
   return true;
 }
 

@@ -15,11 +15,10 @@
 //    the recovery layer routes into the degradation ladder instead of the
 //    next attempt. The retry-count budget stays where it always lived,
 //    `RetryPolicy::max_attempts`.
-// 2. `retry_backoff_rounds` — a deterministic seeded
-//    exponential-backoff-with-jitter schedule replacing the flat
-//    `backoff_rounds` charge. The default policy (multiplier 1, no
-//    jitter) reproduces the flat schedule bit-for-bit, so transcripts of
-//    pre-existing configurations are unchanged.
+// 2. `backoff_rounds_for_attempt` — a deterministic seeded
+//    exponential-backoff-with-jitter schedule over RetryPolicy's backoff
+//    knobs. The default policy (multiplier 1, no jitter) reproduces the
+//    flat `backoff_rounds` charge bit-for-bit.
 // 3. `RetryBudgetPool` — a shared pool of retry tokens across the m-1
 //    pairwise sessions of one coordinator/tournament run, so one
 //    pathological link cannot starve every healthy session of its retry
@@ -40,6 +39,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/retry.h"
 #include "sim/transcript.h"
 
 namespace setint::sim {
@@ -157,22 +157,16 @@ class SessionBudget {
   std::uint64_t checks_ = 0;
 };
 
-// Deterministic seeded exponential-backoff-with-jitter schedule.
-//
-// Retry attempt `attempt` (1-based: the first RE-attempt is 1) waits
-//   step   = min(backoff_rounds * multiplier^(attempt-1), cap)
-//   jitter = hash(seed, attempt) mod (jitter_fraction * step + 1)
+// Deterministic seeded exponential-backoff-with-jitter schedule over the
+// RetryPolicy's backoff knobs. Retry attempt `attempt` (1-based: the
+// first RE-attempt is 1) waits
+//   step   = min(backoff_rounds * backoff_multiplier^(attempt-1),
+//                backoff_cap_rounds)
+//   jitter = hash(seed, attempt) mod (backoff_jitter * step + 1)
 // rounds before running. Defaults (multiplier 1, jitter 0) reproduce the
 // PR-2 flat schedule exactly; `backoff_rounds == 0` stays free whatever
 // the other knobs say. Pure function of its arguments — replayable.
-struct BackoffPolicy {
-  std::uint64_t base_rounds = 0;     // 0 = immediate retry
-  double multiplier = 1.0;           // >= 1; 2.0 = classic doubling
-  std::uint64_t cap_rounds = 4096;   // upper bound on the deterministic step
-  double jitter = 0.0;               // in [0, 1]: fraction of step randomized
-};
-
-std::uint64_t backoff_rounds_for_attempt(const BackoffPolicy& policy,
+std::uint64_t backoff_rounds_for_attempt(const RetryPolicy& policy,
                                          std::uint64_t seed,
                                          std::uint64_t attempt);
 
@@ -241,13 +235,11 @@ class AdmissionController {
   double shed_fraction() const;
 
   std::uint64_t shed() const { return shed_; }
-  std::uint64_t admitted() const { return admitted_; }
 
  private:
   AdmissionPolicy policy_;
   const RetryBudgetPool* pool_;
   std::uint64_t shed_ = 0;
-  std::uint64_t admitted_ = 0;
 };
 
 }  // namespace setint::core

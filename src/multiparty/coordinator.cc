@@ -4,15 +4,13 @@
 #include <stdexcept>
 
 #include "core/basic_intersection.h"
-#include "core/checkpoint.h"
 #include "core/deterministic_exchange.h"
 #include "eq/equality.h"
+#include "multiparty/pair_sessions.h"
 #include "obs/recorder.h"
-#include "sim/channel.h"
 #include "util/arena.h"
 #include "util/bitio.h"
 #include "util/rng.h"
-#include "util/set_util.h"
 
 namespace setint::multiparty {
 
@@ -42,8 +40,6 @@ VerifiedSessionDriver::VerifiedSessionDriver(
       retry_(retry),
       hooks_(hooks),
       tracer_(hooks.tracer),
-      faults_(hooks.faults),
-      adversary_(hooks.adversary),
       recorder_(hooks.recorder),
       chaos_(hooks.chaos != nullptr && hooks.chaos->enabled() ? hooks.chaos
                                                               : nullptr),
@@ -69,8 +65,8 @@ VerifiedSessionDriver::VerifiedSessionDriver(
                 : nullptr) {
   channel_.set_tracer(tracer_);
   channel_.set_recorder(recorder_);
-  channel_.set_fault_plan(faults_);
-  channel_.set_adversary(adversary_);
+  channel_.set_fault_plan(hooks_.faults);
+  channel_.set_adversary(hooks_.adversary);
   if (hooks_.limits != nullptr && hooks_.limits->enabled()) {
     channel_.set_limits(hooks_.limits);
   }
@@ -135,11 +131,8 @@ bool VerifiedSessionDriver::step_attempt() {
       // can breach max_rounds, which burns the attempt like any failure.
       if (backoff_due_) {
         backoff_due_ = false;
-        const core::BackoffPolicy schedule{
-            retry_.backoff_rounds, retry_.backoff_multiplier,
-            retry_.backoff_cap_rounds, retry_.backoff_jitter};
         channel_.charge_extra_rounds(
-            core::backoff_rounds_for_attempt(schedule, nonce_, rep_));
+            core::backoff_rounds_for_attempt(retry_, nonce_, rep_));
       }
       // Budget enforcement point before every (re)start of the attempt.
       if (budget_enabled_) budget_.check();
@@ -174,13 +167,8 @@ bool VerifiedSessionDriver::step_attempt() {
   if (ckpt_ != nullptr && ckpt_->restores() > 0) {
     obs::count(tracer_, "checkpoint.resume_successes");
   }
-  if (breaker_ != nullptr) {
-    const core::BreakerState before = breaker_->state();
-    breaker_->on_success();
-    if (before != core::BreakerState::kClosed &&
-        breaker_->state() == core::BreakerState::kClosed) {
-      obs::count(tracer_, "breaker.closes");
-    }
+  if (breaker_ != nullptr && breaker_->on_success()) {
+    obs::count(tracer_, "breaker.closes");
   }
   result_.intersection = out.alice;
   finish();
@@ -227,27 +215,24 @@ bool VerifiedSessionDriver::step_attempts() {
     // A crash or partition inside the attempt is waited out and the
     // attempt resumes — from its last phase checkpoint when one is
     // installed, from scratch otherwise — under the SAME nonce, so the
-    // replayed transcript is deterministic.
+    // replayed transcript is deterministic. A block that cannot be waited
+    // out loses the peer. Without a checkpoint the wait still happened
+    // (the link is only usable again after the outage) but the attempt
+    // burns.
+    const auto after_block = [this](bool resumed) {
+      if (!resumed) result_.peer_lost = true;
+      if (!resumed || ckpt_ == nullptr) attempt_live_ = false;
+    };
     while (attempt_live_) {
       try {
         if (step_attempt()) return true;
         attempt_live_ = false;  // failed certificate: fresh attempt
       } catch (const sim::PlayerCrashError& e) {
         obs::count(tracer_, "chaos.crashes");
-        if (e.permanent || !wait_out_block(e.revive_tick, "crash")) {
-          result_.peer_lost = true;
-          attempt_live_ = false;
-        }
-        // Without a checkpoint the wait still happened (the link is only
-        // usable again after the outage) but the attempt burns.
-        if (ckpt_ == nullptr) attempt_live_ = false;
+        after_block(!e.permanent && wait_out_block(e.revive_tick, "crash"));
       } catch (const sim::LinkPartitionedError& e) {
         obs::count(tracer_, "chaos.partitions");
-        if (!wait_out_block(e.heal_tick, "partition")) {
-          result_.peer_lost = true;
-          attempt_live_ = false;
-        }
-        if (ckpt_ == nullptr) attempt_live_ = false;
+        after_block(wait_out_block(e.heal_tick, "partition"));
       } catch (const core::BudgetExhaustedError& e) {
         // A spending cap tripped at a stage boundary or between attempts.
         // The snapshot (if any) landed before the check, so the boundary
@@ -280,17 +265,12 @@ bool VerifiedSessionDriver::step_attempts() {
     }
     // Every exit from an attempt without a certificate is one failed
     // attempt — feed the breaker so persistent link failure trips it.
-    if (breaker_ != nullptr) {
-      const core::BreakerState before = breaker_->state();
-      breaker_->on_failure();
-      if (before != core::BreakerState::kOpen &&
-          breaker_->state() == core::BreakerState::kOpen) {
-        obs::count(tracer_, "breaker.opens");
-        if (recorder_ != nullptr) {
-          recorder_->record(obs::FlightEventKind::kBreakerOpen,
-                            "link breaker open", -1, 0,
-                            channel_.cost().bits_total);
-        }
+    if (breaker_ != nullptr && breaker_->on_failure()) {
+      obs::count(tracer_, "breaker.opens");
+      if (recorder_ != nullptr) {
+        recorder_->record(obs::FlightEventKind::kBreakerOpen,
+                          "link breaker open", -1, 0,
+                          channel_.cost().bits_total);
       }
     }
     rep_ += 1;
@@ -304,9 +284,10 @@ void VerifiedSessionDriver::run_ladder() {
   // peer (enabled adversary) would simply lie to it; degrade instead. A
   // chaos plan counts as hostile too: the backstop has no recovery layer
   // of its own, so a mid-exchange crash would escape it.
-  const bool hostile = (faults_ != nullptr && faults_->enabled()) ||
-                       (adversary_ != nullptr && adversary_->enabled()) ||
-                       chaos_ != nullptr;
+  const bool hostile =
+      (hooks_.faults != nullptr && hooks_.faults->enabled()) ||
+      (hooks_.adversary != nullptr && hooks_.adversary->enabled()) ||
+      chaos_ != nullptr;
   // An exhausted budget (or an open breaker) must not reach the backstop
   // either: the deterministic exchange costs Theta(k log(n/k)) bits the
   // session by definition can no longer afford.
@@ -375,17 +356,11 @@ void VerifiedSessionDriver::run_ladder() {
   }
   result_.verified = false;
   result_.degraded = true;
-  // An attempt only counts as a clean superset if no damaged frame reached
-  // a decoder (fault or chaos corruption that slipped past the checksum;
-  // damage a resend repaired is harmless) AND the adversary substituted no
-  // frame during it — a crafted frame that decodes cleanly can still lie,
-  // and a lie can knock true elements out of the candidate (no superset
-  // guarantee).
-  const auto content_faults = [this] {
-    std::uint64_t events = channel_.undetected_damage();
-    if (adversary_ != nullptr) events += adversary_->stats().frames_crafted;
-    return events;
-  };
+  // An attempt only counts as a clean superset if nothing untrusted reached
+  // a decoder during it (Channel::untrusted_deliveries): no damage that
+  // slipped past the checksum, and no crafted frame — one that decodes
+  // cleanly can still lie, and a lie can knock true elements out of the
+  // candidate (no superset guarantee).
   // A lost peer cannot answer Basic-Intersection either: go straight to
   // the input fallback instead of burning attempts against a dead link.
   // A blown deadline skips the middle rung for the same reason — the
@@ -398,12 +373,12 @@ void VerifiedSessionDriver::run_ladder() {
           ? 0
           : std::max<std::uint64_t>(1, retry_.degraded_attempts);
   for (std::uint64_t d = 0; d < degraded_attempts; ++d) {
-    const std::uint64_t before = content_faults();
+    const std::uint64_t before = channel_.untrusted_deliveries();
     try {
       const core::CandidatePair cand = core::basic_intersection(
           channel_, shared_, util::mix64(nonce_, util::mix64(0xDE64, d)),
           universe_, s_, t_, /*target_failure=*/1.0 / 64.0);
-      if (content_faults() == before) {
+      if (channel_.untrusted_deliveries() == before) {
         obs::count(tracer_, "degraded.clean_supersets");
         result_.rung = core::DegradeRung::kFlaggedSuperset;
         result_.intersection = cand.s_candidate;
@@ -441,47 +416,15 @@ MultipartyResult coordinator_intersection(sim::Network& network,
   if (sets.size() != network.players()) {
     throw std::invalid_argument("coordinator: players/sets mismatch");
   }
-  std::size_t k = params.k_bound;
-  for (const util::Set& s : sets) {
-    util::validate_set(s, universe);
-    if (params.k_bound == 0) k = std::max(k, s.size());
-  }
-  k = std::max<std::size_t>(k, 2);
-  const std::size_t group_size = 2 * k;
-
   MultipartyResult result;
+  PairSessions pairs(network, shared, universe, sets, params, result);
+  const std::size_t group_size = 2 * pairs.k();
   std::vector<std::size_t> active(sets.size());
   for (std::size_t i = 0; i < active.size(); ++i) active[i] = i;
   std::vector<util::Set> current = sets;
 
-  // Attribution happens once, at the network billing layer — the inner
-  // two-party channels run untraced so bits are not double-counted.
   obs::Tracer* tracer = network.tracer();
   obs::Span protocol_span(tracer, "coordinator");
-  sim::FaultPlan* faults = params.fault_plan != nullptr
-                               ? params.fault_plan
-                               : network.fault_plan();
-  const core::ResourceLimits* limits =
-      params.limits.enabled() ? &params.limits : nullptr;
-  sim::ChaosPlan* chaos =
-      params.chaos != nullptr ? params.chaos : network.chaos_plan();
-  if (chaos != nullptr && !chaos->enabled()) chaos = nullptr;
-
-  // Overload governance, shared across every pairwise session of the run:
-  // one retry-token pool, one breaker per link (persisting across levels
-  // so evidence about a dead link accumulates), and a deterministic
-  // admission controller shedding sessions when the pool runs critical.
-  core::RetryBudgetPool pool(params.retry_pool_attempts);
-  core::BreakerBoard breakers(params.breaker);
-  core::AdmissionController admission(params.admission, &pool);
-  result.per_player_degraded.assign(sets.size(), 0);
-  // Honest accounting: a pair governed away (shed / short-circuited /
-  // refused / degraded / dead-skipped) charges BOTH endpoints.
-  const auto charge_pair = [&result](std::size_t x, std::size_t y) {
-    result.per_player_degraded[x] += 1;
-    result.per_player_degraded[y] += 1;
-  };
-
   while (active.size() > 1) {
     obs::Span level_span(tracer, "level=" + std::to_string(result.levels));
     std::vector<std::size_t> coordinators;
@@ -493,102 +436,15 @@ MultipartyResult coordinator_intersection(sim::Network& network,
       util::Set acc = current[coord];
       for (std::size_t j = lo + 1; j < hi; ++j) {
         const std::size_t member = active[j];
-        // A permanently dead player cannot run its pairwise session at
-        // all; skipping it leaves the accumulator unchanged — still a
-        // superset of the m-way intersection, honestly flagged.
-        if (chaos != nullptr &&
-            (chaos->player_dead(coord) || chaos->player_dead(member))) {
-          result.dead_player_skips += 1;
-          result.degraded_pairs += 1;
-          result.degraded = true;
-          charge_pair(coord, member);
-          obs::count(tracer, "chaos.dead_player_skips");
-          obs::count(tracer, "mp.degraded_pairs");
-          continue;
-        }
         const std::uint64_t nonce = util::mix64(
             util::mix64(result.levels, coord), util::mix64(member, 0xC0));
-        // Admission control: under critical pool pressure, shed the
-        // session before it spends anything. The seeded-priority decision
-        // is a pure function of (admission seed, pair nonce, pool level),
-        // so identical runs shed identical pairs.
-        if (!admission.admit(nonce)) {
-          result.shed_pairs += 1;
-          result.degraded_pairs += 1;
-          result.degraded = true;
-          charge_pair(coord, member);
-          obs::count(tracer, "budget.shed");
-          obs::count(tracer, "mp.degraded_pairs");
-          continue;
-        }
-        // Circuit-breaker gate: a link whose breaker is open goes
-        // straight to degradation — the accumulator keeps the superset
-        // invariant and the pool keeps its tokens.
-        core::CircuitBreaker* pair_breaker =
-            breakers.enabled() ? &breakers.link(coord, member) : nullptr;
-        if (pair_breaker != nullptr && !pair_breaker->allow()) {
-          result.breaker_short_circuits += 1;
-          result.degraded_pairs += 1;
-          result.degraded = true;
-          charge_pair(coord, member);
-          obs::count(tracer, "breaker.short_circuits");
-          obs::count(tracer, "mp.degraded_pairs");
-          continue;
-        }
-        // Bind the Byzantine player (if any) to the channel role it holds
-        // in this pair; pairs of honest players run with no adversary.
-        sim::Adversary* pair_adversary = nullptr;
-        if (params.adversary != nullptr) {
-          if (coord == params.byzantine_player) {
-            params.adversary->set_party(sim::PartyId::kAlice);
-            pair_adversary = params.adversary;
-          } else if (member == params.byzantine_player) {
-            params.adversary->set_party(sim::PartyId::kBob);
-            pair_adversary = params.adversary;
-          }
-        }
-        SessionHooks hooks;
-        hooks.faults = faults;
-        hooks.adversary = pair_adversary;
-        hooks.limits = limits;
-        hooks.chaos = chaos;
-        hooks.player_a = coord;
-        hooks.player_b = member;
-        hooks.checkpoint = params.checkpoint;
-        hooks.budget = params.budget;
-        hooks.retry_pool = pool.enabled() ? &pool : nullptr;
-        hooks.breaker = pair_breaker;
-        VerifiedRunResult vr = verified_two_party_intersection(
-            shared, nonce, universe, current[coord], current[member],
-            params.tree, k, params.retry, hooks);
-        if (pair_adversary != nullptr) {
-          obs::count(tracer, "mp.byzantine_pairs");
-        }
-        network.bill_pairwise_in_batch(coord, member, vr.cost);
-        result.total_repetitions += vr.repetitions;
-        result.total_restarts += vr.restarts;
-        result.total_bits_replayed += vr.bits_replayed;
-        obs::count(tracer, "mp.pairwise_runs");
-        obs::count(tracer, "mp.repetitions", vr.repetitions);
-        if (vr.refused) {
-          result.refused_pairs += 1;
-          obs::count(tracer, "budget.refused_pairs");
-        }
-        if (vr.degraded || vr.refused) {
-          // The degraded answer is still a superset of coord-cap-member,
-          // hence of the m-way intersection, so intersecting it into the
-          // accumulator keeps the one-sided invariant. A refusal carries
-          // no answer at all and is handled below like a skip.
-          result.degraded_pairs += 1;
-          result.degraded = true;
-          charge_pair(coord, member);
-          obs::count(tracer, "mp.degraded_pairs");
-        }
-        // A refused session returned the EMPTY set by contract —
-        // intersecting that in would silently destroy the superset
-        // invariant, so a refused pair leaves the accumulator untouched.
-        if (!vr.refused) {
-          acc = util::set_intersection(acc, vr.intersection);
+        // A skipped or refused pair leaves the accumulator unchanged, and
+        // a degraded answer is still a superset of coord-cap-member: either
+        // way the accumulator stays a superset of the m-way intersection.
+        if (!pairs.admit(coord, member, nonce)) continue;
+        if (const std::optional<util::Set> answer = pairs.certified(
+                coord, member, nonce, current[coord], current[member])) {
+          acc = util::set_intersection(acc, *answer);
         }
       }
       current[coord] = std::move(acc);
@@ -597,13 +453,7 @@ MultipartyResult coordinator_intersection(sim::Network& network,
     active = std::move(coordinators);
     result.levels += 1;
   }
-
-  result.pool_retry_denials = pool.denials();
-  result.breaker_opens = breakers.total_opens();
-  if (pool.enabled()) {
-    obs::count(tracer, "budget.pool_spent", pool.spent());
-  }
-
+  pairs.finish();
   result.intersection = current[active[0]];
 
   if (params.broadcast_result && network.players() > 1) {

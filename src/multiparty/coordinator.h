@@ -8,6 +8,11 @@
 // dominated by the first level: O(k log^(r) k) average bits per player,
 // rounds O(r * max(1, log(m)/log(k))), success 1 - 1/2^k via the 2k-bit
 // verification equality checks.
+//
+// This header also holds the certified two-party session both topologies
+// run on their pairs. The pair policy lives in multiparty/pair_sessions.h;
+// coordinator_intersection keeps only its groups, the accumulator and the
+// broadcast.
 #pragma once
 
 #include <cstdint>
@@ -107,8 +112,8 @@ struct VerifiedRunResult {
 //               session's retries (budget_reason = kPool).
 //   breaker   — per-link circuit breaker. The session feeds it attempt
 //               outcomes (on_success on a passing certificate, on_failure
-//               otherwise) and honors allow() before every attempt; the
-//               coordinator additionally gates whole sessions on it.
+//               otherwise) and honors allow() before every attempt; both
+//               multiparty topologies additionally gate whole pairs on it.
 struct SessionHooks {
   obs::Tracer* tracer = nullptr;
   sim::FaultPlan* faults = nullptr;
@@ -186,8 +191,6 @@ class VerifiedSessionDriver {
   const SessionHooks hooks_;
 
   obs::Tracer* tracer_;
-  sim::FaultPlan* faults_;
-  sim::Adversary* adversary_;
   obs::FlightRecorder* recorder_;
   sim::ChaosPlan* chaos_;
   sim::Channel channel_;
@@ -225,8 +228,8 @@ struct MultipartyParams {
   // Retry/degradation budget for every certified two-party sub-run.
   core::RetryPolicy retry;
 
-  // Per-call fault plan override (not owned); when null the Network's
-  // installed plan (sim::Network::set_fault_plan) is used, if any.
+  // Fault plan (not owned) installed on every pair channel of the run, so
+  // one deterministic fault stream covers the whole m-party run.
   sim::FaultPlan* fault_plan = nullptr;
 
   // Byzantine player model (docs/ROBUSTNESS.md): `adversary` (not owned)
@@ -244,11 +247,10 @@ struct MultipartyParams {
   // (all zero) is disabled and free.
   core::ResourceLimits limits;
 
-  // Per-call chaos plan override (not owned); when null the Network's
-  // installed plan (sim::Network::set_chaos_plan) is used, if any. Pairs
-  // are addressed inside the plan by their global player indices; a pair
-  // with a permanently dead player is skipped (the accumulator keeps the
-  // superset invariant) and counted in dead_player_skips.
+  // Chaos plan (not owned) installed on every pair channel of the run.
+  // Pairs are addressed inside the plan by their global player indices; a
+  // pair with a permanently dead player is skipped (the accumulator keeps
+  // the superset invariant) and counted in dead_player_skips.
   sim::ChaosPlan* chaos = nullptr;
 
   // Phase-boundary checkpointing for chaos recovery (core/checkpoint.h).

@@ -14,6 +14,9 @@
 // Effect vs. Corollary 4.1: no single player talks to 2k peers; the
 // worst-case per-player communication drops to O(depth * k log^(r) k) at
 // the price of a depth factor in rounds.
+//
+// The pair policy lives in multiparty/pair_sessions.h; the tournament keeps
+// only its brackets and the attempt loop of its uncertified matches.
 #pragma once
 
 #include "multiparty/coordinator.h"

@@ -113,10 +113,13 @@ util::BitBuffer Channel::send(PartyId from, util::BitBuffer payload,
   // crafted frame exactly as it would to an honest one.
   if (adversary_ != nullptr && adversary_->controls(from)) {
     const AttackClass attack = adversary_->craft(payload);
-    if (attack != AttackClass::kNone && tracer_ != nullptr) {
-      obs::count(tracer_, "adversary.crafted");
-      obs::count(tracer_,
-                 std::string("adversary.") + attack_class_name(attack));
+    if (attack != AttackClass::kNone) {
+      crafted_frames_ += 1;
+      if (tracer_ != nullptr) {
+        obs::count(tracer_, "adversary.crafted");
+        obs::count(tracer_,
+                   std::string("adversary.") + attack_class_name(attack));
+      }
     }
   }
   // Chaos gate: a crashed endpoint or partitioned link refuses the send

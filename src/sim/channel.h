@@ -117,6 +117,13 @@ class Channel {
   // counts.
   std::uint64_t undetected_damage() const { return undetected_damage_; }
 
+  // undetected_damage() plus the frames an installed adversary actually
+  // substituted: a crafted frame checksums cleanly and can still lie.
+  // Callers without a certificate discard candidates when this moved.
+  std::uint64_t untrusted_deliveries() const {
+    return undetected_damage_ + crafted_frames_;
+  }
+
   // Transcript if recording was enabled, else nullptr.
   const Transcript* transcript() const { return transcript_.get(); }
 
@@ -144,19 +151,16 @@ class Channel {
   // window if a dump path is configured. Same single-thread session
   // affinity as the tracer.
   void set_recorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
-  obs::FlightRecorder* recorder() const { return recorder_; }
 
   // Install (or clear) a fault plan; not owned. The plan is stateful (its
   // Rng advances per message), so sharing one plan across channels is how
   // multiparty runs keep a single deterministic fault stream.
   void set_fault_plan(FaultPlan* plan) { fault_plan_ = plan; }
-  FaultPlan* fault_plan() const { return fault_plan_; }
 
   // Install (or clear) a Byzantine-peer model; not owned, stateful like a
   // fault plan. Frames sent by the party the adversary controls are
   // substituted with crafted ones before framing and metering.
   void set_adversary(Adversary* adversary) { adversary_ = adversary; }
-  Adversary* adversary() const { return adversary_; }
 
   // Install (or clear) a chaos plan (sim/chaos.h); not owned, stateful and
   // shared across channels like a fault plan. (a, b) are this channel's
@@ -171,7 +175,6 @@ class Channel {
     chaos_a_ = a;
     chaos_b_ = b;
   }
-  ChaosPlan* chaos() const { return chaos_; }
 
   // Install (or clear) resource limits; not owned, must outlive the run.
   // Disabled or absent limits are free (one branch per send).
@@ -223,6 +226,7 @@ class Channel {
 
   CostStats cost_;
   std::uint64_t undetected_damage_ = 0;
+  std::uint64_t crafted_frames_ = 0;
   bool digest_enabled_ = false;
   std::uint64_t digest_ = kTranscriptDigestSeed;
   bool has_last_direction_ = false;

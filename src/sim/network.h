@@ -5,14 +5,14 @@
 // the Network aggregates their costs per player and tracks rounds in
 // "parallel batches": sub-protocols declared part of one batch run
 // concurrently, so the batch contributes the MAX of their round counts.
+// The Network only bills costs: fault and chaos plans reach the pair
+// channels through multiparty::MultipartyParams.
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
-#include "sim/chaos.h"
-#include "sim/fault.h"
 #include "sim/transcript.h"
 
 namespace setint::obs {
@@ -60,21 +60,6 @@ class Network {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   obs::Tracer* tracer() const { return tracer_; }
 
-  // Optional unreliable-transport model (not owned): the Network never
-  // sees payloads itself, but multiparty protocols install this plan on
-  // every internal two-party Channel, so one deterministic fault stream
-  // covers the whole m-party run (see sim/fault.h).
-  void set_fault_plan(FaultPlan* plan) { fault_plan_ = plan; }
-  FaultPlan* fault_plan() const { return fault_plan_; }
-
-  // Optional topology-level chaos model (not owned): crash/restart
-  // schedules, partition windows, bursty links (sim/chaos.h). Installed on
-  // every internal two-party Channel with the real player ids as
-  // endpoints, so one deterministic chaos stream covers the whole m-party
-  // run and a crashed player affects every pair it appears in.
-  void set_chaos_plan(ChaosPlan* plan) { chaos_plan_ = plan; }
-  ChaosPlan* chaos_plan() const { return chaos_plan_; }
-
  private:
   void check_ids(std::size_t a, std::size_t b) const;
 
@@ -85,8 +70,6 @@ class Network {
   bool in_batch_ = false;
   std::uint64_t batch_max_rounds_ = 0;
   obs::Tracer* tracer_ = nullptr;
-  FaultPlan* fault_plan_ = nullptr;
-  ChaosPlan* chaos_plan_ = nullptr;
 };
 
 }  // namespace setint::sim

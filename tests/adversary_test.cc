@@ -521,9 +521,9 @@ TEST(MetricsMatch, CoordinatorCountersMatchResultFields) {
   obs::Tracer tracer;
   sim::Network network(instance.sets.size());
   network.set_tracer(&tracer);
-  network.set_fault_plan(&plan);
   sim::SharedRandomness shared(0xC3);
   multiparty::MultipartyParams params;
+  params.fault_plan = &plan;
   params.retry.max_attempts = 6;
 
   const multiparty::MultipartyResult result =
@@ -552,9 +552,9 @@ TEST(MetricsMatch, TournamentCountersMatchResultFields) {
   obs::Tracer tracer;
   sim::Network network(instance.sets.size());
   network.set_tracer(&tracer);
-  network.set_fault_plan(&plan);
   sim::SharedRandomness shared(0xC6);
   multiparty::MultipartyParams params;
+  params.fault_plan = &plan;
   params.retry.max_attempts = 6;
 
   const multiparty::MultipartyResult result =

@@ -274,10 +274,11 @@ TEST(Chaos, CoordinatorSurvivesTransientCrashes) {
   sim::ChaosPlan plan(spec, 88);
 
   sim::Network net(6);
-  net.set_chaos_plan(&plan);
   sim::SharedRandomness sh(99);
+  multiparty::MultipartyParams params;
+  params.chaos = &plan;
   const auto res = multiparty::coordinator_intersection(
-      net, sh, std::uint64_t{1} << 14, inst.sets);
+      net, sh, std::uint64_t{1} << 14, inst.sets, params);
   if (!res.degraded) {
     EXPECT_EQ(res.intersection, inst.expected_intersection);
   }
@@ -297,10 +298,11 @@ TEST(Chaos, CoordinatorDegradesWhenAPlayerNeverReturns) {
   sim::ChaosPlan plan(spec, 77);
 
   sim::Network net(6);
-  net.set_chaos_plan(&plan);
   sim::SharedRandomness sh(99);
+  multiparty::MultipartyParams params;
+  params.chaos = &plan;
   const auto res = multiparty::coordinator_intersection(
-      net, sh, std::uint64_t{1} << 14, inst.sets);
+      net, sh, std::uint64_t{1} << 14, inst.sets, params);
   EXPECT_TRUE(res.degraded);
   EXPECT_GT(res.degraded_pairs, 0u);
   // Honest degradation: still a superset of the true m-way intersection.

@@ -130,24 +130,24 @@ TEST(Budget, NamesAreStable) {
 TEST(Backoff, DefaultKnobsReproduceFlatSchedule) {
   // multiplier 1 + jitter 0 is the PR-2 flat policy bit-for-bit — the
   // property that keeps golden transcripts of retrying sessions stable.
-  core::BackoffPolicy flat;
-  flat.base_rounds = 7;
+  core::RetryPolicy flat;
+  flat.backoff_rounds = 7;
   for (std::uint64_t attempt = 1; attempt <= 6; ++attempt) {
     EXPECT_EQ(core::backoff_rounds_for_attempt(flat, 123, attempt), 7u);
     EXPECT_EQ(core::backoff_rounds_for_attempt(flat, 456, attempt), 7u);
   }
   // Zero base stays free whatever the other knobs say.
-  core::BackoffPolicy zero;
-  zero.multiplier = 8.0;
-  zero.jitter = 1.0;
+  core::RetryPolicy zero;
+  zero.backoff_multiplier = 8.0;
+  zero.backoff_jitter = 1.0;
   EXPECT_EQ(core::backoff_rounds_for_attempt(zero, 1, 5), 0u);
 }
 
 TEST(Backoff, ExponentialGrowthIsCapped) {
-  core::BackoffPolicy expo;
-  expo.base_rounds = 4;
-  expo.multiplier = 2.0;
-  expo.cap_rounds = 20;
+  core::RetryPolicy expo;
+  expo.backoff_rounds = 4;
+  expo.backoff_multiplier = 2.0;
+  expo.backoff_cap_rounds = 20;
   EXPECT_EQ(core::backoff_rounds_for_attempt(expo, 9, 1), 4u);
   EXPECT_EQ(core::backoff_rounds_for_attempt(expo, 9, 2), 8u);
   EXPECT_EQ(core::backoff_rounds_for_attempt(expo, 9, 3), 16u);
@@ -156,11 +156,11 @@ TEST(Backoff, ExponentialGrowthIsCapped) {
 }
 
 TEST(Backoff, JitterIsDeterministicAndBounded) {
-  core::BackoffPolicy jittered;
-  jittered.base_rounds = 16;
-  jittered.multiplier = 2.0;
-  jittered.cap_rounds = 1024;
-  jittered.jitter = 0.5;
+  core::RetryPolicy jittered;
+  jittered.backoff_rounds = 16;
+  jittered.backoff_multiplier = 2.0;
+  jittered.backoff_cap_rounds = 1024;
+  jittered.backoff_jitter = 0.5;
   bool saw_nonbase = false;
   for (std::uint64_t attempt = 1; attempt <= 8; ++attempt) {
     const std::uint64_t a =
@@ -168,8 +168,8 @@ TEST(Backoff, JitterIsDeterministicAndBounded) {
     const std::uint64_t b =
         core::backoff_rounds_for_attempt(jittered, 77, attempt);
     EXPECT_EQ(a, b) << "same (seed, attempt) must draw the same jitter";
-    core::BackoffPolicy plain = jittered;
-    plain.jitter = 0.0;
+    core::RetryPolicy plain = jittered;
+    plain.backoff_jitter = 0.0;
     const std::uint64_t step =
         core::backoff_rounds_for_attempt(plain, 77, attempt);
     EXPECT_GE(a, step);

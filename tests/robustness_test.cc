@@ -537,9 +537,9 @@ TEST(FaultE2E, MultipartyCoordinatorSafeUnderFaults) {
   spec.seed = 21;
   sim::FaultPlan plan(spec);
   sim::Network network(instance.sets.size());
-  network.set_fault_plan(&plan);
   sim::SharedRandomness shared(0x6F5);
   multiparty::MultipartyParams params;
+  params.fault_plan = &plan;
   params.retry.max_attempts = 8;
   const multiparty::MultipartyResult result =
       multiparty::coordinator_intersection(network, shared, 1u << 14,
@@ -563,9 +563,9 @@ TEST(FaultE2E, MultipartyTournamentSafeUnderFaults) {
   spec.seed = 31;
   sim::FaultPlan plan(spec);
   sim::Network network(instance.sets.size());
-  network.set_fault_plan(&plan);
   sim::SharedRandomness shared(0x6F6);
   multiparty::MultipartyParams params;
+  params.fault_plan = &plan;
   params.retry.max_attempts = 8;
   const multiparty::MultipartyResult result =
       multiparty::tournament_intersection(network, shared, 1u << 14,
