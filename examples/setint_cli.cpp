@@ -5,7 +5,9 @@
 //                      [--universe=N] [--seed=N] [--print]
 //                      [--trace-out=PATH]
 //
-// Each input file holds one unsigned 64-bit key per line. Protocols:
+// Each input file holds one unsigned 64-bit key per line (any whitespace
+// separates keys; a token that is not a whole number is a usage error).
+// Protocols:
 //   tree (default) | one-round | bucket-eq | toy | private-coin | naive
 //
 // Prints the intersection size (and the elements with --print) plus the
@@ -46,8 +48,13 @@ util::Set load_keys(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open " + path);
   util::Set keys;
-  std::uint64_t v = 0;
-  while (in >> v) keys.push_back(v);
+  // Each whitespace-separated token must parse whole: "3x" is an error
+  // naming the file, not the end of the input.
+  std::string token;
+  while (in >> token) {
+    keys.push_back(
+        util::parse_number<std::uint64_t>("key file " + path, token));
+  }
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   return keys;

@@ -1,8 +1,9 @@
 # ctest driver: values from outside fail loudly. Every malformed flag of a
 # bench binary, of the example CLI and of the bench_compare and replay
 # tools must exit with code 2 (the usage-error code unknown flags already
-# get), never run on a silent default; so must a replay dump with a
-# malformed field, naming the field. Run as
+# get), never run on a silent default; so must the example CLI given a key
+# file with a malformed key, and a replay dump with a malformed field,
+# naming the field. Run as
 #   cmake -DEXP=<exp_* binary> -DCLI=<example_setint_cli>
 #         -DBENCH_COMPARE=<bench_compare> -DREPLAY=<replay> -DSCRATCH=<dir>
 #         -P this_file
@@ -31,6 +32,11 @@ endforeach()
 foreach(flag --r=abc --r= --universe=1e6 --universe= --seed=abc --seed=-1)
   expect_usage_error("${CLI}" "${SCRATCH}/a.txt" "${SCRATCH}/b.txt" "${flag}")
 endforeach()
+
+# A key file with a token that does not parse whole is refused, not read
+# up to the bad token.
+file(WRITE "${SCRATCH}/bad_keys.txt" "1 2 3x 4 5\n")
+expect_usage_error("${CLI}" "${SCRATCH}/bad_keys.txt" "${SCRATCH}/b.txt")
 
 # bench_compare tolerances: two comparable records, so only the flag can
 # fail.
