@@ -40,6 +40,8 @@
 #      chaos_test, recorder_test, sim_test) under ASan/UBSan: crafted
 #      frames through the word-level decoders, link-level resends under
 #      burst corruption, the integrity frame's word-level syndrome
+#   7e. the multiparty slice by label (both topologies, their shared pair
+#      policy and its pins), natively and under ASan/UBSan
 #   8. the telemetry-overhead gate (exp_cpu --gate-overhead=50) and the
 #      bench_compare self-diff + injected-regression check
 #   9. the bench determinism contract (same seed => identical JSON modulo
@@ -215,6 +217,15 @@ step "robustness sanitizer pass (ASan+UBSan over the word-level decoders)"
 # build-sanitize/.
 tools/run_sanitized_tests.sh \
   -R '^(robustness_test|adversary_test|fuzz_smoke|chaos_test|recorder_test|sim_test)$'
+
+step "multiparty slice (ctest -L multiparty), native + ASan/UBSan"
+# Coordinator and tournament runs through the one pair-session path: dead
+# players, admission sheds, breakers, the shared retry pool, Byzantine
+# players and refusals, plus the table pins over both topologies. The
+# sanitizers watch the pair channels' crafted and damaged frames and the
+# per-player accounting. Reuses build-sanitize/.
+(cd "$BUILD_DIR" && ctest --output-on-failure -L multiparty -j "$JOBS")
+tools/run_sanitized_tests.sh -L multiparty
 
 step "telemetry overhead gate (exp_cpu --gate-overhead=50)"
 # The recorder hook may cost at most 50% on the un-instrumented hot path
