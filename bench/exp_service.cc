@@ -1,4 +1,4 @@
-// S — sans-IO service engine: sessions/sec and simulated round-trip
+// S — sans-IO service engine: sessions/sec and simulated completion
 // latency for the runtime/scheduler.h event loop multiplexing 10^4+
 // interleaved protocol machines per thread (docs/PROTOCOL.md § sans-IO
 // engine).
@@ -11,12 +11,12 @@
 //     peak concurrency must reach the full session count (>= 10^4 in
 //     --smoke on one core);
 //   * S2 Zipf-distributed set sizes (inverse-CDF rank sampling over
-//     theta in {0, 0.8, 1.2}): p50/p99 simulated ack round-trip and
-//     session completion ticks, plus throughput;
+//     theta in {0, 0.8, 1.2}): p50/p99 session completion ticks, plus
+//     throughput;
 //   * S3 thread invariance: the identical fleet run with 1, 2 and
 //     --threads shards must produce the same digest fold, completion
-//     counts, peak concurrency and latency histograms (wall-clock
-//     aside).
+//     counts, peak concurrency, event count and completion histogram
+//     (wall-clock aside).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -64,7 +64,7 @@ std::string_view kind_of(std::uint64_t g) {
 }
 
 // Blocking engine reference: the bare protocol function over a
-// digest-enabled channel — no sans-IO engine, no framing, no scheduler.
+// digest-enabled channel — no sans-IO engine, no scheduler.
 // What S1 compares EVERY scheduler-driven session to.
 struct BlockingRef {
   std::uint64_t digest = 0;
@@ -103,10 +103,10 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// Inverse-CDF sample of a Zipf(theta) rank in [1, ranks]: weight r^-theta.
-std::size_t zipf_rank(util::Rng& rng, double theta, std::size_t ranks,
+// Inverse-CDF sample of a rank in [1, ranks] from the cumulative Zipf
+// weights `cdf` (weight r^-theta).
+std::size_t zipf_rank(util::Rng& rng, std::size_t ranks,
                       const std::vector<double>& cdf) {
-  (void)theta;
   const double u = rng.unit() * cdf[ranks - 1];
   std::size_t lo = 0, hi = ranks - 1;
   while (lo < hi) {
@@ -149,8 +149,7 @@ int main(int argc, char** argv) {
     runtime::SchedulerOptions opts;
     opts.seed = rep.seed_for(1, 2);
     opts.shuffle = true;
-    opts.max_ack_latency = 4;
-    opts.chunk_bytes = 11;  // force mid-frame parks on the ack stream
+    opts.max_step_latency = 4;
     opts.arrival_window = 0;  // everyone concurrent: peak == fleet
     const auto t_run = std::chrono::steady_clock::now();
     runtime::ServiceRun run =
@@ -159,45 +158,41 @@ int main(int argc, char** argv) {
 
     std::uint64_t digest_mismatches = 0;
     std::uint64_t bits_mismatches = 0;
-    std::uint64_t parked_sessions = 0;
     for (std::size_t g = 0; g < fleet; ++g) {
       const runtime::SessionRecord& rec = run.record(g);
       if (rec.digest != refs[g].digest) digest_mismatches += 1;
       if (rec.bits_total != refs[g].bits) bits_mismatches += 1;
-      if (rec.frame_parks > 0) parked_sessions += 1;
     }
     const bool s1_ok = digest_mismatches == 0 && bits_mismatches == 0 &&
                        run.failed == 0 && run.completed == fleet &&
                        run.peak_inflight >= std::min<std::uint64_t>(fleet,
-                                                                    10'000) &&
-                       parked_sessions > 0;
+                                                                    10'000);
     ok = ok && s1_ok;
 
     auto& table = rep.table(
         "S1: mixed fleet vs blocking engine  (4 kinds round-robin, n=2^16)",
         {"sessions", "completed", "failed", "peak_inflight",
-         "digest_mismatches", "bits_mismatches", "parked_sessions", "events",
+         "digest_mismatches", "bits_mismatches", "events",
          "gate", "sessions/s (wall_ms)", "build sessions/s (wall_ms)"});
     table.add_row(
         {bench::fmt_u64(fleet), bench::fmt_u64(run.completed),
          bench::fmt_u64(run.failed), bench::fmt_u64(run.peak_inflight),
          bench::fmt_u64(digest_mismatches), bench::fmt_u64(bits_mismatches),
-         bench::fmt_u64(parked_sessions), bench::fmt_u64(run.events_processed),
+         bench::fmt_u64(run.events_processed),
          s1_ok ? "PASS" : "FAIL",
          bench::fmt_double(static_cast<double>(fleet) / (run_ms / 1000.0), 0),
          bench::fmt_double(static_cast<double>(fleet) / (build_ms / 1000.0),
                            0)});
   }
 
-  // ---- S2: Zipf-distributed set sizes -> RTT / completion latency ----
+  // ---- S2: Zipf-distributed set sizes -> completion latency ----
   {
     const std::size_t sessions = rep.smoke() ? 2'000 : 8'000;
     constexpr std::size_t kRanks = 61;  // sizes 4..64
     auto& table = rep.table(
         "S2: Zipf set sizes -> simulated latency  (sizes 4..64, n=2^16)",
-        {"theta", "sessions", "rtt_p50", "rtt_p99", "complete_p50",
-         "complete_p99", "peak_inflight", "events",
-         "sessions/s (wall_ms)"});
+        {"theta", "sessions", "complete_p50", "complete_p99", "peak_inflight",
+         "events", "sessions/s (wall_ms)"});
     for (const double theta : {0.0, 0.8, 1.2}) {
       const std::uint64_t seed =
           rep.seed_for(2, static_cast<std::uint64_t>(theta * 10));
@@ -211,14 +206,13 @@ int main(int argc, char** argv) {
       machines.reserve(sessions);
       for (std::size_t g = 0; g < sessions; ++g) {
         util::Rng size_rng(util::mix64(seed, util::mix64(0x21f, g)));
-        const std::size_t k = 3 + zipf_rank(size_rng, theta, kRanks, cdf);
+        const std::size_t k = 3 + zipf_rank(size_rng, kRanks, cdf);
         machines.push_back(
             core::make_machine(kind_of(g), session_config(seed, g, k)));
       }
       runtime::SchedulerOptions opts;
       opts.seed = util::mix64(seed, 0x5c4e);
-      opts.max_ack_latency = 8;
-      opts.chunk_bytes = 11;
+      opts.max_step_latency = 8;
       opts.arrival_window = 256;
       const auto t_run = std::chrono::steady_clock::now();
       runtime::ServiceRun run =
@@ -227,7 +221,6 @@ int main(int argc, char** argv) {
       ok = ok && run.failed == 0 && run.completed == sessions;
       table.add_row(
           {bench::fmt_double(theta, 1), bench::fmt_u64(sessions),
-           bench::fmt_u64(run.ack_rtt.p50()), bench::fmt_u64(run.ack_rtt.p99()),
            bench::fmt_u64(run.completion_ticks.p50()),
            bench::fmt_u64(run.completion_ticks.p99()),
            bench::fmt_u64(run.peak_inflight),
@@ -244,8 +237,7 @@ int main(int argc, char** argv) {
     const int max_threads = rep.threads() > 1 ? rep.threads() : 4;
     runtime::SchedulerOptions opts;
     opts.seed = util::mix64(seed, 0x731d);
-    opts.max_ack_latency = 4;
-    opts.chunk_bytes = 7;
+    opts.max_step_latency = 4;
     opts.arrival_window = 64;
 
     auto build = [&] {
@@ -263,8 +255,7 @@ int main(int argc, char** argv) {
     auto& table = rep.table(
         "S3: thread invariance  (same fleet, 1/2/N shards)",
         {"threads", "sessions", "completed", "failed", "peak_inflight",
-         "digest_fold", "rtt_p99", "complete_p99", "gate",
-         "sessions/s (wall_ms)"});
+         "digest_fold", "complete_p99", "gate", "sessions/s (wall_ms)"});
     runtime::ServiceRun base;
     bool have_base = false;
     for (const int threads : {1, 2, max_threads}) {
@@ -277,8 +268,6 @@ int main(int argc, char** argv) {
                run.completed == base.completed && run.failed == base.failed &&
                run.peak_inflight == base.peak_inflight &&
                run.events_processed == base.events_processed &&
-               run.ack_rtt.count() == base.ack_rtt.count() &&
-               run.ack_rtt.sum() == base.ack_rtt.sum() &&
                run.completion_ticks.count() == base.completion_ticks.count() &&
                run.completion_ticks.sum() == base.completion_ticks.sum();
       }
@@ -287,7 +276,7 @@ int main(int argc, char** argv) {
           {bench::fmt_u64(static_cast<std::uint64_t>(threads)),
            bench::fmt_u64(sessions), bench::fmt_u64(run.completed),
            bench::fmt_u64(run.failed), bench::fmt_u64(run.peak_inflight),
-           bench::fmt_u64(run.digest_fold), bench::fmt_u64(run.ack_rtt.p99()),
+           bench::fmt_u64(run.digest_fold),
            bench::fmt_u64(run.completion_ticks.p99()), same ? "PASS" : "FAIL",
            bench::fmt_double(static_cast<double>(sessions) / (run_ms / 1000.0),
                              0)});

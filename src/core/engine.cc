@@ -1,6 +1,5 @@
 #include "core/engine.h"
 
-#include <cstring>
 #include <stdexcept>
 #include <type_traits>
 #include <variant>
@@ -14,161 +13,18 @@
 
 namespace setint::core {
 
-namespace {
-
-constexpr std::size_t kFramePayloadBytes = 1 + 3 * 8;  // kind + 3 x u64
-
-void append_u32_le(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+MachineStatus ProtocolMachine::step() {
+  if (status_ == MachineStatus::kDone || status_ == MachineStatus::kFailed) {
+    return status_;
   }
-}
-
-void append_u64_le(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint64_t read_u64_le(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[i]} << (8 * i);
-  return v;
-}
-
-}  // namespace
-
-void append_frame(std::vector<std::uint8_t>& out, const ProgressFrame& f) {
-  append_u32_le(out, static_cast<std::uint32_t>(kFramePayloadBytes));
-  out.push_back(static_cast<std::uint8_t>(f.kind));
-  append_u64_le(out, f.step);
-  append_u64_le(out, f.bits_total);
-  append_u64_le(out, f.digest);
-}
-
-void append_ack_frame(std::vector<std::uint8_t>& out, std::uint64_t ack_id) {
-  ProgressFrame f;
-  f.kind = FrameKind::kAck;
-  f.step = ack_id;
-  append_frame(out, f);
-}
-
-bool parse_frame_payload(const std::vector<std::uint8_t>& payload,
-                         ProgressFrame* out) {
-  if (payload.size() != kFramePayloadBytes) return false;
-  if (payload[0] > static_cast<std::uint8_t>(FrameKind::kAck)) return false;
-  out->kind = static_cast<FrameKind>(payload[0]);
-  out->step = read_u64_le(payload.data() + 1);
-  out->bits_total = read_u64_le(payload.data() + 9);
-  out->digest = read_u64_le(payload.data() + 17);
-  return true;
-}
-
-void FrameAssembler::push(const std::uint8_t* data, std::size_t size) {
-  // Compact lazily: once everything buffered has been consumed the vector
-  // can restart from zero instead of growing for the session's lifetime.
-  if (pos_ == buf_.size()) {
-    buf_.clear();
-    pos_ = 0;
-  }
-  buf_.insert(buf_.end(), data, data + size);
-}
-
-bool FrameAssembler::next(std::vector<std::uint8_t>& payload) {
-  if (pending_bytes() < kFrameHeaderBytes) return false;
-  std::uint32_t len = 0;
-  for (std::size_t i = 0; i < kFrameHeaderBytes; ++i) {
-    len |= std::uint32_t{buf_[pos_ + i]} << (8 * i);
-  }
-  if (len > kMaxFramePayloadBytes) {
-    throw std::length_error("frame header declares " + std::to_string(len) +
-                            " payload bytes, cap is " +
-                            std::to_string(kMaxFramePayloadBytes));
-  }
-  if (pending_bytes() < kFrameHeaderBytes + len) return false;
-  payload.assign(buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + kFrameHeaderBytes),
-                 buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + kFrameHeaderBytes + len));
-  pos_ += kFrameHeaderBytes + len;
-  return true;
-}
-
-std::string_view machine_status_name(MachineStatus s) {
-  switch (s) {
-    case MachineStatus::kIdle: return "idle";
-    case MachineStatus::kNeedInput: return "need_input";
-    case MachineStatus::kDone: return "done";
-    case MachineStatus::kFailed: return "failed";
-  }
-  return "?";
-}
-
-MachineOutput ProtocolMachine::start() {
-  MachineOutput out;
-  if (status_ != MachineStatus::kIdle) {
-    throw std::logic_error("ProtocolMachine::start called twice");
-  }
-  step_once(out);
-  out.status = status_;
-  return out;
-}
-
-MachineOutput ProtocolMachine::on_bytes(const std::uint8_t* data,
-                                        std::size_t size) {
-  if (status_ == MachineStatus::kIdle) {
-    throw std::logic_error("ProtocolMachine::on_bytes before start");
-  }
-  MachineOutput out;
-  assembler_.push(data, size);
   try {
-    std::vector<std::uint8_t> payload;
-    while (status_ == MachineStatus::kNeedInput && assembler_.next(payload)) {
-      acks_ += 1;
-      step_once(out);
-    }
-    // A finished (or failed) machine drains stale acks without reacting.
-    if (status_ != MachineStatus::kNeedInput) {
-      while (assembler_.next(payload)) {
-      }
-    } else if (assembler_.pending_bytes() > 0) {
-      // Truncated frame: suspend — never throw, never hand a partial frame
-      // to a decoder (see the partial-read audit in the header).
-      frame_parks_ += 1;
-    }
-  } catch (const std::length_error& e) {
-    // A lying length header is not a partial frame — the stream is
-    // unrecoverable. Fail the session (with a frame telling the peer so)
-    // instead of letting the throw escape the event loop.
-    status_ = MachineStatus::kFailed;
-    error_ = e.what();
-    ProgressFrame f;
-    f.kind = FrameKind::kFailed;
-    f.step = steps_;
-    f.bits_total = cost().bits_total;
-    f.digest = digest();
-    append_frame(out.bytes, f);
-    out.frames += 1;
-  }
-  out.status = status_;
-  return out;
-}
-
-void ProtocolMachine::step_once(MachineOutput& out) {
-  ProgressFrame f;
-  try {
-    const bool finished = advance();
-    status_ = finished ? MachineStatus::kDone : MachineStatus::kNeedInput;
-    f.kind = finished ? FrameKind::kDone : FrameKind::kProgress;
+    status_ = advance() ? MachineStatus::kDone : MachineStatus::kRunning;
   } catch (const std::exception& e) {
     status_ = MachineStatus::kFailed;
     error_ = e.what();
-    f.kind = FrameKind::kFailed;
   }
   steps_ += 1;
-  f.step = steps_;
-  f.bits_total = cost().bits_total;
-  f.digest = digest();
-  append_frame(out.bytes, f);
-  out.frames += 1;
+  return status_;
 }
 
 std::uint64_t fingerprint_set(std::uint64_t h, util::SetView s) {

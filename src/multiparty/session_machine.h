@@ -1,9 +1,9 @@
 // The certified multiparty session as a sans-IO protocol machine.
 //
 // VerifiedSessionMachine steps a multiparty::VerifiedSessionDriver: each
-// engine step calls driver.step(), which advances the session to the
-// next stage boundary of the current attempt's verification tree (or
-// through the certificate, the next attempt's first stage, or the
+// ProtocolMachine::step() calls driver.step(), which advances the session
+// to the next stage boundary of the current attempt's verification tree
+// (or through the certificate, the next attempt's first stage, or the
 // ladder). The blocking verified_two_party_intersection() steps the same
 // driver to completion, so everything it produces — VerifiedRunResult,
 // checkpoint.*/budget.* metrics, the transcript digest — matches the

@@ -1,6 +1,7 @@
 #include "runtime/scheduler.h"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "runtime/batch.h"
@@ -14,53 +15,23 @@ namespace {
 // mixes the GLOBAL session key so resharding cannot move a timeline.
 constexpr std::uint64_t kLatencyTag = 0x5ced01a7;
 constexpr std::uint64_t kArrivalTag = 0x5ceda221;
-constexpr std::uint64_t kChunkTag = 0x5cedc4c4;
 constexpr std::uint64_t kShuffleTag = 0x5ced5f1e;
 
 }  // namespace
 
-struct Scheduler::Session {
-  std::unique_ptr<core::ProtocolMachine> machine;
-  util::Rng chunk_rng{0};     // per-session chunk-boundary stream
-  std::uint64_t pending_events = 0;  // undelivered events in the heap
-  bool started = false;
-  bool finished = false;
-};
-
-struct Scheduler::Event {
-  std::uint64_t tick = 0;
-  std::uint64_t seq = 0;  // FIFO tiebreak: same-tick order is insertion order
-  std::uint32_t session = 0;
-  bool is_start = false;
-  std::vector<std::uint8_t> bytes;
-};
-
-// Min-heap comparator (std::push_heap builds a max-heap, so invert).
-struct Scheduler::EventAfter {
-  bool operator()(const Event& a, const Event& b) const {
-    if (a.tick != b.tick) return a.tick > b.tick;
-    return a.seq > b.seq;
-  }
-};
-
 Scheduler::Scheduler(const SchedulerOptions& options) : options_(options) {
-  if (options_.max_ack_latency == 0) options_.max_ack_latency = 1;
+  if (options_.max_step_latency == 0) options_.max_step_latency = 1;
 }
-
-Scheduler::~Scheduler() = default;
 
 void Scheduler::add(std::unique_ptr<core::ProtocolMachine> machine,
                     std::uint64_t key) {
   if (ran_) throw std::logic_error("Scheduler::add after run");
-  Session s;
-  s.machine = std::move(machine);
-  s.chunk_rng = util::Rng(util::mix64(options_.seed, util::mix64(key, kChunkTag)));
-  sessions_.push_back(std::move(s));
+  machines_.push_back(std::move(machine));
   SessionRecord rec;
   rec.key = key;
-  rec.ack_latency =
+  rec.step_latency =
       1 + util::mix64(options_.seed, util::mix64(key, kLatencyTag)) %
-              options_.max_ack_latency;
+              options_.max_step_latency;
   rec.start_tick =
       options_.arrival_window == 0
           ? 0
@@ -69,173 +40,84 @@ void Scheduler::add(std::unique_ptr<core::ProtocolMachine> machine,
   records_.push_back(rec);
 }
 
-std::size_t Scheduler::session_count() const { return sessions_.size(); }
+std::size_t Scheduler::session_count() const { return machines_.size(); }
 
 core::ProtocolMachine& Scheduler::machine(std::size_t local_index) {
-  return *sessions_.at(local_index).machine;
+  return *machines_.at(local_index);
 }
 
 const SessionRecord& Scheduler::record(std::size_t local_index) const {
   return records_.at(local_index);
 }
 
-void Scheduler::schedule_bytes(std::size_t idx, std::vector<std::uint8_t> bytes,
-                               std::uint64_t tick) {
-  Event ev;
-  ev.tick = tick;
-  ev.seq = next_seq_++;
-  ev.session = static_cast<std::uint32_t>(idx);
-  ev.bytes = std::move(bytes);
-  sessions_[idx].pending_events += 1;
-  heap_.push_back(std::move(ev));
-  std::push_heap(heap_.begin(), heap_.end(), EventAfter{});
+void Scheduler::schedule(std::uint32_t idx, std::uint64_t tick) {
+  heap_.push_back({tick, next_seq_++, idx});
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
 }
 
-void Scheduler::handle_output(std::size_t idx, const core::MachineOutput& out) {
-  Session& s = sessions_[idx];
+void Scheduler::step(std::uint32_t idx) {
+  core::ProtocolMachine& m = *machines_[idx];
   SessionRecord& rec = records_[idx];
-  if (out.status == core::MachineStatus::kNeedInput && out.frames > 0) {
-    // One ack per emitted frame, all landing after this session's fixed
-    // latency. With chunking on, the ack byte stream is cut at seeded
-    // boundaries and the pieces arrive on successive ticks — in order
-    // (the heap's seq tiebreak is FIFO), but forcing mid-frame parks.
-    std::vector<std::uint8_t> acks;
-    for (std::uint32_t i = 0; i < out.frames; ++i) {
-      core::append_ack_frame(acks, rec.acks + i);
-    }
-    const std::uint64_t due = now_ + rec.ack_latency;
-    if (options_.chunk_bytes == 0) {
-      schedule_bytes(idx, std::move(acks), due);
-    } else {
-      std::size_t pos = 0;
-      std::uint64_t piece = 0;
-      while (pos < acks.size()) {
-        const std::size_t len = std::min<std::size_t>(
-            1 + s.chunk_rng.below(options_.chunk_bytes), acks.size() - pos);
-        schedule_bytes(idx,
-                       std::vector<std::uint8_t>(
-                           acks.begin() + static_cast<std::ptrdiff_t>(pos),
-                           acks.begin() + static_cast<std::ptrdiff_t>(pos + len)),
-                       due + piece);
-        pos += len;
-        piece += 1;
-      }
-    }
-    return;
-  }
-  if (out.status == core::MachineStatus::kDone ||
-      out.status == core::MachineStatus::kFailed) {
-    if (!s.finished) {
-      s.finished = true;
-      rec.end_tick = now_;
-      rec.final_status = out.status;
-      rec.steps = s.machine->steps();
-      rec.acks = s.machine->acks();
-      rec.frame_parks = s.machine->frame_parks();
-      rec.bits_total = s.machine->cost().bits_total;
-      rec.digest = s.machine->digest();
-      rec.result_fingerprint = out.status == core::MachineStatus::kDone
-                                   ? s.machine->result_fingerprint()
-                                   : 0;
-      completion_.observe(rec.end_tick - rec.start_tick + 1);
-      if (out.status == core::MachineStatus::kDone) {
-        completed_ += 1;
-      } else {
-        failed_ += 1;
-      }
-      inflight_ -= 1;
-    }
-  }
-}
-
-void Scheduler::deliver(std::size_t idx, const std::vector<std::uint8_t>& bytes,
-                        bool is_start) {
-  Session& s = sessions_[idx];
-  SessionRecord& rec = records_[idx];
-  if (s.finished) return;  // stale chunk events after completion
-  if (is_start) {
-    s.started = true;
+  if (m.status() == core::MachineStatus::kIdle) {
     inflight_ += 1;
     peak_inflight_ = std::max(peak_inflight_, inflight_);
-    const core::MachineOutput out = s.machine->start();
-    handle_output(idx, out);
+  }
+  events_processed_ += 1;
+  const core::MachineStatus status = m.step();
+  if (status == core::MachineStatus::kRunning) {
+    schedule(idx, now_ + rec.step_latency);
     return;
   }
-  const std::uint64_t acks_before = s.machine->acks();
-  const core::MachineOutput out = s.machine->on_bytes(bytes.data(), bytes.size());
-  const std::uint64_t consumed = s.machine->acks() - acks_before;
-  if (consumed > 0) ack_rtt_.observe(rec.ack_latency, consumed);
-  rec.acks = s.machine->acks();
-  handle_output(idx, out);
+  rec.end_tick = now_;
+  rec.final_status = status;
+  rec.steps = m.steps();
+  rec.bits_total = m.cost().bits_total;
+  rec.digest = m.digest();
+  rec.result_fingerprint =
+      status == core::MachineStatus::kDone ? m.result_fingerprint() : 0;
+  completion_.observe(rec.end_tick - rec.start_tick + 1);
+  if (status == core::MachineStatus::kDone) {
+    completed_ += 1;
+  } else {
+    failed_ += 1;
+  }
+  inflight_ -= 1;
 }
 
 void Scheduler::run() {
   if (ran_) throw std::logic_error("Scheduler::run called twice");
   ran_ = true;
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    Event ev;
-    ev.tick = records_[i].start_tick;
-    ev.seq = next_seq_++;
-    ev.session = static_cast<std::uint32_t>(i);
-    ev.is_start = true;
-    sessions_[i].pending_events += 1;
-    heap_.push_back(std::move(ev));
+  for (std::size_t i = 0; i < machines_.size(); ++i) {
+    schedule(static_cast<std::uint32_t>(i), records_[i].start_tick);
   }
-  std::make_heap(heap_.begin(), heap_.end(), EventAfter{});
 
-  std::vector<Event> batch;
-  std::vector<std::uint32_t> ready;           // unique sessions, seq order
-  std::vector<std::vector<std::size_t>> by_session;  // event idxs per ready[i]
-  // session -> slot in `ready` this tick, stamped to avoid an O(sessions)
-  // clear per tick.
-  std::vector<std::uint64_t> slot_stamp(sessions_.size(), 0);
-  std::vector<std::size_t> slot_of(sessions_.size(), 0);
-  std::uint64_t stamp = 0;
+  std::vector<std::uint32_t> due;  // sessions due this tick, seq order
   while (!heap_.empty()) {
     now_ = heap_.front().tick;
-    stamp += 1;
-    // Drain every event due this tick, grouping by session while keeping
-    // each session's events in (tick, seq) pop order — i.e. FIFO.
-    batch.clear();
-    ready.clear();
+    due.clear();
     while (!heap_.empty() && heap_.front().tick == now_) {
-      std::pop_heap(heap_.begin(), heap_.end(), EventAfter{});
-      Event ev = std::move(heap_.back());
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      due.push_back(heap_.back().session);
       heap_.pop_back();
-      if (slot_stamp[ev.session] != stamp) {
-        slot_stamp[ev.session] = stamp;
-        slot_of[ev.session] = ready.size();
-        ready.push_back(ev.session);
-        if (by_session.size() < ready.size()) by_session.emplace_back();
-        by_session[ready.size() - 1].clear();
-      }
-      by_session[slot_of[ev.session]].push_back(batch.size());
-      batch.push_back(std::move(ev));
     }
-    // Seeded Fisher-Yates over the READY SESSIONS: adversarial
-    // interleaving across sessions, per-session byte order untouched —
-    // reordering bytes within one stream would be corruption, not
-    // scheduling.
-    if (options_.shuffle && ready.size() > 1) {
+    // Seeded Fisher-Yates over the due sessions: adversarial interleaving
+    // across sessions. A session's own steps stay in order because it has
+    // at most one pending event.
+    if (options_.shuffle && due.size() > 1) {
       util::Rng shuffle_rng(
           util::mix64(options_.seed, util::mix64(now_, kShuffleTag)));
-      for (std::size_t i = ready.size() - 1; i > 0; --i) {
-        std::swap(ready[i], ready[shuffle_rng.below(i + 1)]);
+      for (std::size_t i = due.size() - 1; i > 0; --i) {
+        std::swap(due[i], due[shuffle_rng.below(i + 1)]);
       }
     }
-    for (const std::uint32_t session : ready) {
-      for (const std::size_t idx : by_session[slot_of[session]]) {
-        Event& e = batch[idx];
-        events_processed_ += 1;
-        sessions_[e.session].pending_events -= 1;
-        deliver(e.session, e.bytes, e.is_start);
-      }
-    }
+    for (const std::uint32_t session : due) step(session);
   }
   // Every session must have resolved; a live machine with an empty heap
-  // would mean the engine lost an ack (a bug worth failing loudly on).
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    if (!sessions_[i].finished) {
+  // would mean the loop lost a step (a bug worth failing loudly on).
+  for (std::size_t i = 0; i < machines_.size(); ++i) {
+    const core::MachineStatus status = machines_[i]->status();
+    if (status != core::MachineStatus::kDone &&
+        status != core::MachineStatus::kFailed) {
       throw std::logic_error("scheduler: session " +
                              std::to_string(records_[i].key) +
                              " stalled with no pending events");
@@ -287,7 +169,6 @@ ServiceRun run_service(
     out.completed += shard->completed();
     out.failed += shard->failed();
     out.events_processed += shard->events_processed();
-    out.ack_rtt.merge(shard->ack_rtt());
     out.completion_ticks.merge(shard->completion_ticks());
     for (const SessionRecord& rec : shard->records()) {
       out.digest_fold ^= fold_session(rec.key, rec.digest, rec.result_fingerprint);

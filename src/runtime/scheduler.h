@@ -2,21 +2,18 @@
 //
 // One Scheduler multiplexes thousands to millions of core::ProtocolMachine
 // sessions on a single thread over a SIMULATED tick clock: no sockets, no
-// wall time, no OS scheduler — every byte movement is an event in a
-// deterministic priority queue. Per tick the ready sessions are visited in
-// a seeded Fisher-Yates order, each delivered its due bytes via
-// machine->on_bytes(); frames the machine emits are answered with one ack
-// frame each, scheduled one-or-more ticks later (per-session deterministic
-// latency). With chunk_bytes > 0 the ack bytes are additionally re-chunked
-// at seeded byte boundaries and the pieces land on successive ticks, which
-// forces genuine mid-message parks (FrameAssembler suspensions) on live
-// sessions — the adversarial delivery schedule the differential tests run
-// under.
+// wall time, no OS scheduler — every step of every session is an event in
+// a deterministic priority queue, and each session has at most one
+// pending event. Per tick the due sessions are visited in a seeded
+// Fisher-Yates order and each takes one machine->step(); a session left
+// running takes its next step its own deterministic latency later. The
+// seeded interleaving across sessions is the adversarial step schedule
+// the differential tests run under.
 //
 // Determinism + thread invariance (the load-bearing property): a session's
-// entire timeline — start tick, ack latency, chunk boundaries, every tick
-// it wakes on — is a pure function of (options.seed, session key). Sessions
-// never interact, so ALL aggregate statistics are independent of how the
+// entire timeline — start tick, step latency, every tick it wakes on — is
+// a pure function of (options.seed, session key). Sessions never
+// interact, so ALL aggregate statistics are independent of how the
 // sessions are sharded across schedulers: run_service() with 1, 2 or N
 // threads produces bit-identical records, histograms, digests and peak
 // concurrency. bench/exp_service gates on exactly this, and
@@ -33,37 +30,31 @@
 namespace setint::runtime {
 
 struct SchedulerOptions {
-  std::uint64_t seed = 1;         // schedule randomness master seed
-  bool shuffle = true;            // seeded per-tick shuffle of ready sessions
-  std::uint64_t max_ack_latency = 4;   // per-session ack delay in [1, max]
-  std::uint64_t chunk_bytes = 0;  // > 0: re-chunk ack bytes, pieces <= this
+  std::uint64_t seed = 1;              // schedule randomness master seed
+  bool shuffle = true;                 // seeded per-tick shuffle of due ones
+  std::uint64_t max_step_latency = 4;  // per-session step delay in [1, max]
   std::uint64_t arrival_window = 0;    // session start ticks in [0, window]
 };
 
 // Everything the differential harness needs to compare one scheduler-driven
-// session against its blocking reference, plus the latency samples the
-// service bench aggregates. Pure function of (options.seed, key, machine
+// session against its blocking reference, plus the timeline the service
+// bench aggregates. Pure function of (options.seed, key, machine
 // inputs) — never of sharding or thread count.
 struct SessionRecord {
-  std::uint64_t key = 0;          // caller-assigned global session key
+  std::uint64_t key = 0;           // caller-assigned global session key
   std::uint64_t start_tick = 0;
   std::uint64_t end_tick = 0;
   core::MachineStatus final_status = core::MachineStatus::kIdle;
   std::uint64_t steps = 0;
-  std::uint64_t acks = 0;
-  std::uint64_t frame_parks = 0;  // mid-message suspensions observed
-  std::uint64_t ack_latency = 0;  // this session's deterministic ack delay
+  std::uint64_t step_latency = 0;  // this session's deterministic step delay
   std::uint64_t bits_total = 0;
-  std::uint64_t digest = 0;       // streaming transcript digest
+  std::uint64_t digest = 0;        // streaming transcript digest
   std::uint64_t result_fingerprint = 0;
 };
 
 class Scheduler {
  public:
   explicit Scheduler(const SchedulerOptions& options);
-  // Out of line: Session/Event are incomplete here, so the implicit
-  // (inline) destructor would not compile in other translation units.
-  ~Scheduler();
 
   // Registers a session under `key` (the GLOBAL session identity: every
   // per-session schedule draw mixes the key, not the local index, so a
@@ -84,21 +75,23 @@ class Scheduler {
   std::uint64_t peak_inflight() const { return peak_inflight_; }
   std::uint64_t ticks() const { return now_; }
   std::uint64_t events_processed() const { return events_processed_; }
-  const obs::HdrHistogram& ack_rtt() const { return ack_rtt_; }
   const obs::HdrHistogram& completion_ticks() const { return completion_; }
 
  private:
-  struct Session;
-  struct Event;
-  struct EventAfter;
-  void deliver(std::size_t idx, const std::vector<std::uint8_t>& bytes,
-               bool is_start);
-  void handle_output(std::size_t idx, const core::MachineOutput& out);
-  void schedule_bytes(std::size_t idx, std::vector<std::uint8_t> bytes,
-                      std::uint64_t tick);
+  struct Event {
+    std::uint64_t tick = 0;
+    std::uint64_t seq = 0;  // FIFO tiebreak: same-tick order is insertion order
+    std::uint32_t session = 0;
+    // Later in (tick, seq) order; std::greater<> on it makes the min-heap.
+    bool operator>(const Event& o) const {
+      return tick != o.tick ? tick > o.tick : seq > o.seq;
+    }
+  };
+  void schedule(std::uint32_t idx, std::uint64_t tick);
+  void step(std::uint32_t idx);
 
   SchedulerOptions options_;
-  std::vector<Session> sessions_;
+  std::vector<std::unique_ptr<core::ProtocolMachine>> machines_;
   std::vector<SessionRecord> records_;
   std::vector<Event> heap_;  // min-heap on (tick, seq)
   std::uint64_t next_seq_ = 0;
@@ -108,7 +101,6 @@ class Scheduler {
   std::uint64_t peak_inflight_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
-  obs::HdrHistogram ack_rtt_;
   obs::HdrHistogram completion_;
   bool ran_ = false;
 };
@@ -133,8 +125,7 @@ struct ServiceRun {
   // so summing them would overcount and break thread invariance).
   std::uint64_t peak_inflight = 0;
   std::uint64_t events_processed = 0;
-  obs::HdrHistogram ack_rtt;          // exact merge across shards
-  obs::HdrHistogram completion_ticks; // exact merge across shards
+  obs::HdrHistogram completion_ticks;  // exact merge across shards
   // Order-invariant fold of every session's (key, digest, result
   // fingerprint) — the one number exp_service compares across thread
   // counts and against the blocking reference fleet.

@@ -13,7 +13,7 @@
 #      overload slice by label (budgets, breakers, retry pool, admission,
 #      degradation ladder, exp_overload gates, bench_compare identity on
 #      the committed BENCH_overload.json), and the sansio slice by label
-#      (framing/park pins, re-chunking invariance, the scheduler-vs-
+#      (step-by-step replay, the failed-session path, the scheduler-vs-
 #      blocking digest differential, exp_service gates, bench_compare
 #      identity on the committed BENCH_service.json)
 #   4b. the simd slice by label (the scalar and clmul Toeplitz products
@@ -111,11 +111,11 @@ cp "$REPO_ROOT/BENCH_overload.json" "$OVERLOAD_DIR/committed/"
     "$OVERLOAD_DIR/committed"
 
 step "sansio slice (ctest -L sansio)"
-# Sans-IO engine + scheduler — the PR-9 lane: framing/park regression
-# pins, random re-chunking invariance, the scheduler-vs-blocking digest
-# differential, and the exp_service gates (S1 digest identity against the
-# blocking engine, S3 thread invariance) via its exit code. bench_compare
-# must also pass the committed BENCH_service.json against itself.
+# Sans-IO engine + scheduler: step-by-step replay and failed-session
+# pins, the scheduler-vs-blocking digest differential, and the
+# exp_service gates (S1 digest identity against the blocking engine, S3
+# thread invariance) via its exit code. bench_compare must also pass the
+# committed BENCH_service.json against itself.
 (cd "$BUILD_DIR" && ctest --output-on-failure -L sansio -j "$JOBS")
 SANSIO_DIR="$BUILD_DIR/sansio-lane"
 rm -rf "$SANSIO_DIR"
