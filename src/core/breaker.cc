@@ -64,27 +64,4 @@ bool CircuitBreaker::on_failure() {
   return false;
 }
 
-CircuitBreaker& BreakerBoard::link(std::size_t a, std::size_t b) {
-  const auto key = std::minmax(a, b);
-  auto it = breakers_.find(key);
-  if (it == breakers_.end()) {
-    it = breakers_.emplace(key, CircuitBreaker(policy_)).first;
-  }
-  return it->second;
-}
-
-std::uint64_t BreakerBoard::total_opens() const {
-  std::uint64_t n = 0;
-  for (const auto& [key, b] : breakers_) n += b.opens();
-  return n;
-}
-
-std::size_t BreakerBoard::open_links() const {
-  std::size_t n = 0;
-  for (const auto& [key, b] : breakers_) {
-    if (b.state() != BreakerState::kClosed) ++n;
-  }
-  return n;
-}
-
 }  // namespace setint::core

@@ -2,10 +2,9 @@
 //
 // A breaker watches attempt outcomes on one (unordered) player pair and
 // trips after `failure_threshold` consecutive failures. While open it
-// denies attempts outright — the session (or the coordinator, before it
-// even opens a session) routes the pair straight down the degradation
-// ladder instead of burning retry tokens on a link the evidence says is
-// dead. After `cooldown` denied probes the breaker moves to half-open
+// denies attempts outright — the pair's session (or uncertified match)
+// goes straight down the degradation ladder instead of burning retry
+// tokens on a link the evidence says is dead. After `cooldown` denied probes the breaker moves to half-open
 // and admits a single trial attempt: success (then `close_after - 1`
 // more) closes it, failure re-opens it.
 //
@@ -22,8 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <utility>
 
 namespace setint::core {
 
@@ -76,27 +73,6 @@ class CircuitBreaker {
   std::uint64_t closes_ = 0;
   std::uint64_t half_opens_ = 0;
   std::uint64_t denials_ = 0;
-};
-
-// One breaker per unordered player pair, lazily created, shared by the
-// coordinator across its sessions so evidence accumulates per link.
-class BreakerBoard {
- public:
-  explicit BreakerBoard(const BreakerPolicy& policy = {})
-      : policy_(policy) {}
-
-  bool enabled() const { return policy_.enabled(); }
-
-  // The breaker for link {a, b} (order-insensitive).
-  CircuitBreaker& link(std::size_t a, std::size_t b);
-
-  // Aggregates across every link touched so far.
-  std::uint64_t total_opens() const;
-  std::size_t open_links() const;  // links currently open or half-open
-
- private:
-  BreakerPolicy policy_;
-  std::map<std::pair<std::size_t, std::size_t>, CircuitBreaker> breakers_;
 };
 
 }  // namespace setint::core

@@ -268,9 +268,9 @@ struct MultipartyParams {
   std::uint64_t retry_pool_attempts = 0;
 
   // Per-link circuit breaker policy (failure_threshold 0 = disabled).
-  // Breakers persist across levels of the recursion, so evidence about a
-  // dead link accumulates; an open breaker short-circuits the whole pair
-  // straight to honest degradation without spending a bit.
+  // Both topologies pair a link at most once per run, so each pair gets
+  // a fresh breaker: once it opens, that pair stops spending attempts
+  // (and pool tokens) and takes the degradation ladder.
   core::BreakerPolicy breaker;
 
   // Deterministic admission control: when the retry pool drains below
@@ -298,18 +298,17 @@ struct MultipartyResult {
   std::uint64_t total_bits_replayed = 0;
   std::uint64_t dead_player_skips = 0;
 
-  // Overload-governance accounting. Shed, short-circuited and refused
-  // pairs are all also counted in degraded_pairs (the accumulator skipped
-  // them, so the answer is a flagged superset).
-  std::uint64_t shed_pairs = 0;              // admission control rejections
-  std::uint64_t breaker_short_circuits = 0;  // open-breaker pair skips
-  std::uint64_t refused_pairs = 0;           // sessions ending on kRefused
-  std::uint64_t pool_retry_denials = 0;      // dry-pool retry denials
-  std::uint64_t breaker_opens = 0;           // breaker trips across links
+  // Overload-governance accounting. Shed and refused pairs are also
+  // counted in degraded_pairs (the accumulator skipped them, so the
+  // answer is a flagged superset).
+  std::uint64_t shed_pairs = 0;          // admission control rejections
+  std::uint64_t refused_pairs = 0;       // sessions ending on kRefused
+  std::uint64_t pool_retry_denials = 0;  // dry-pool retry denials
+  std::uint64_t breaker_opens = 0;       // breaker trips across pairs
 
   // Honest per-player accounting: per_player_degraded[p] counts the
   // pairwise sub-runs involving global player p that ended degraded,
-  // shed, short-circuited, refused or dead-skipped — both endpoints of a
+  // shed, refused or dead-skipped — both endpoints of a
   // governed-away pair are charged, so no player's loss is hidden.
   std::vector<std::uint64_t> per_player_degraded;
 };

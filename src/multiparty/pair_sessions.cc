@@ -25,7 +25,6 @@ PairSessions::PairSessions(sim::Network& network,
       chaos_(params.chaos != nullptr && params.chaos->enabled() ? params.chaos
                                                                 : nullptr),
       pool_(params.retry_pool_attempts),
-      breakers_(params.breaker),
       admission_(params.admission, &pool_) {
   for (const util::Set& s : sets) {
     util::validate_set(s, universe);
@@ -35,11 +34,8 @@ PairSessions::PairSessions(sim::Network& network,
   result_.per_player_degraded.assign(sets.size(), 0);
 }
 
-std::optional<core::CircuitBreaker*> PairSessions::admit(std::size_t a,
-                                                         std::size_t b,
-                                                         std::uint64_t nonce) {
+bool PairSessions::admit(std::size_t a, std::size_t b, std::uint64_t nonce) {
   const char* skip = nullptr;
-  core::CircuitBreaker* breaker = nullptr;
   if (chaos_ != nullptr &&
       (chaos_->player_dead(a) || chaos_->player_dead(b))) {
     // A permanently dead player cannot run the session at all.
@@ -50,27 +46,21 @@ std::optional<core::CircuitBreaker*> PairSessions::admit(std::size_t a,
     // pure function of (admission seed, pair nonce, pool level).
     result_.shed_pairs += 1;
     skip = "budget.shed";
-  } else {
-    breaker = breakers_.enabled() ? &breakers_.link(a, b) : nullptr;
-    if (breaker != nullptr && !breaker->allow()) {
-      // The link's evidence says it is dead: keep the pool's tokens.
-      result_.breaker_short_circuits += 1;
-      skip = "breaker.short_circuits";
-    }
   }
   if (skip != nullptr) {
     obs::count(tracer_, skip);
     degrade(a, b);
-    return std::nullopt;
+    return false;
   }
   if (adversary_for(a, b) != nullptr) obs::count(tracer_, "mp.byzantine_pairs");
-  return breaker;
+  return true;
 }
 
 std::optional<util::Set> PairSessions::certified(std::size_t a, std::size_t b,
                                                  std::uint64_t nonce,
                                                  util::SetView sa,
                                                  util::SetView sb) {
+  core::CircuitBreaker breaker(params_.breaker);
   const SessionHooks hooks{
       .faults = params_.fault_plan,
       .adversary = adversary_for(a, b),
@@ -81,11 +71,12 @@ std::optional<util::Set> PairSessions::certified(std::size_t a, std::size_t b,
       .checkpoint = params_.checkpoint,
       .budget = params_.budget,
       .retry_pool = pool_.enabled() ? &pool_ : nullptr,
-      .breaker = breakers_.enabled() ? &breakers_.link(a, b) : nullptr};
+      .breaker = &breaker};
   VerifiedRunResult vr =
       verified_two_party_intersection(shared_, nonce, universe_, sa, sb,
                                       params_.tree, k_, params_.retry, hooks);
   network_.bill_pairwise_in_batch(a, b, vr.cost);
+  add_breaker_opens(breaker);
   result_.total_repetitions += vr.repetitions;
   result_.total_restarts += vr.restarts;
   result_.total_bits_replayed += vr.bits_replayed;
@@ -119,9 +110,12 @@ void PairSessions::degrade(std::size_t a, std::size_t b) {
   obs::count(tracer_, "mp.degraded_pairs");
 }
 
+void PairSessions::add_breaker_opens(const core::CircuitBreaker& breaker) {
+  result_.breaker_opens += breaker.opens();
+}
+
 void PairSessions::finish() {
   result_.pool_retry_denials = pool_.denials();
-  result_.breaker_opens = breakers_.total_opens();
   if (pool_.enabled()) obs::count(tracer_, "budget.pool_spent", pool_.spent());
 }
 

@@ -2,10 +2,10 @@
 // 4.2 run one certified two-party session over different topologies).
 // A PairSessions is built once per run and holds everything about a pair
 // that is not topology: the plans and limits from MultipartyParams, the
-// run's governance (one retry-token pool, one breaker per link persisting
-// across levels, one admission controller), the Byzantine player's
-// binding, and the MultipartyResult's per-pair accounting. Internal to
-// src/multiparty/.
+// run's governance (one retry-token pool and one admission controller;
+// each pair builds its own breaker, since both topologies pair a link at
+// most once per run), the Byzantine player's binding, and the
+// MultipartyResult's per-pair accounting. Internal to src/multiparty/.
 #pragma once
 
 #include <optional>
@@ -25,12 +25,10 @@ class PairSessions {
 
   std::size_t k() const { return k_; }
 
-  // Gates pair (a, b) before it spends anything. A permanently dead
-  // player, an admission shed under pool pressure, or an open breaker
-  // degrades the pair, charging both players, and returns nullopt.
-  // Otherwise returns the pair's breaker (null when breakers are off).
-  std::optional<core::CircuitBreaker*> admit(std::size_t a, std::size_t b,
-                                             std::uint64_t nonce);
+  // Gates pair (a, b) before it spends anything: returns whether it runs.
+  // A permanently dead player or an admission shed under pool pressure
+  // degrades the pair, charging both players.
+  bool admit(std::size_t a, std::size_t b, std::uint64_t nonce);
 
   // Runs the certified session with a as Alice and b as Bob, bills it and
   // accounts for it. A degraded answer is still a superset of the pair's
@@ -47,9 +45,12 @@ class PairSessions {
   // Counts pair (a, b) as degraded and charges both players.
   void degrade(std::size_t a, std::size_t b);
 
+  // Adds a finished pair's breaker trips to the run's breaker_opens.
+  void add_breaker_opens(const core::CircuitBreaker& breaker);
+
   core::RetryBudgetPool& pool() { return pool_; }
 
-  // Writes the pool and breaker totals; call once after the last pair.
+  // Writes the pool totals; call once after the last pair.
   void finish();
 
  private:
@@ -66,7 +67,6 @@ class PairSessions {
   std::size_t k_;
   sim::ChaosPlan* chaos_;
   core::RetryBudgetPool pool_;
-  core::BreakerBoard breakers_;
   core::AdmissionController admission_;
 };
 

@@ -39,11 +39,9 @@ std::vector<std::size_t> advance_bracket(
     next.push_back(left);
     const std::uint64_t nonce =
         util::mix64(level_nonce, util::mix64(left, right));
-    // A skipped match (dead player, shed, open breaker) carries left's set
-    // up unchanged: still a superset of the true intersection.
-    const std::optional<core::CircuitBreaker*> admitted =
-        pairs.admit(left, right, nonce);
-    if (!admitted) {
+    // A skipped match (dead player, shed) carries left's set up unchanged:
+    // still a superset of the true intersection.
+    if (!pairs.admit(left, right, nonce)) {
       obs::count(tracer, "mp.skipped_matches");
       continue;
     }
@@ -57,14 +55,14 @@ std::vector<std::size_t> advance_bracket(
       }
       continue;
     }
-    core::CircuitBreaker* breaker = *admitted;
+    core::CircuitBreaker breaker(params.breaker);
     // The per-match attempt budget, taken literally: 0 attempts means the
     // match is skipped outright (honest degradation), mirroring the
     // certified-session semantics.
     bool advanced = false;
     for (std::uint64_t attempt = 0;
          attempt < params.retry.max_attempts && !advanced; ++attempt) {
-      if (breaker != nullptr && !breaker->allow()) {
+      if (!breaker.allow()) {
         obs::count(tracer, "breaker.denials");
         break;
       }
@@ -108,14 +106,13 @@ std::vector<std::size_t> advance_bracket(
       }
       // Every attempt's traffic is billed, discarded or not.
       network.bill_pairwise_in_batch(left, right, channel.cost());
-      if (breaker != nullptr) {
-        if (advanced) {
-          breaker->on_success();
-        } else if (breaker->on_failure()) {
-          obs::count(tracer, "breaker.opens");
-        }
+      if (advanced) {
+        breaker.on_success();
+      } else if (breaker.on_failure()) {
+        obs::count(tracer, "breaker.opens");
       }
     }
+    pairs.add_breaker_opens(breaker);
     if (!advanced) {
       // Skipped match: left carries its set up unchanged (still a
       // superset); right's constraint is lost, so flag degradation.

@@ -77,7 +77,6 @@ struct Observed {
   std::uint64_t total_bits_replayed = 0;
   std::uint64_t dead_player_skips = 0;
   std::uint64_t shed_pairs = 0;
-  std::uint64_t breaker_short_circuits = 0;
   std::uint64_t refused_pairs = 0;
   std::uint64_t pool_retry_denials = 0;
   std::uint64_t breaker_opens = 0;
@@ -215,7 +214,6 @@ Observed run_case(Topology topology, Case c) {
   o.total_bits_replayed = r.total_bits_replayed;
   o.dead_player_skips = r.dead_player_skips;
   o.shed_pairs = r.shed_pairs;
-  o.breaker_short_circuits = r.breaker_short_circuits;
   o.refused_pairs = r.refused_pairs;
   o.pool_retry_denials = r.pool_retry_denials;
   o.breaker_opens = r.breaker_opens;
@@ -246,41 +244,41 @@ struct Pin {
 
 // Each `want` lists the Observed fields in declaration order: intersection
 // size and fold, levels, repetitions, broadcast bits, degraded pairs and
-// flag, restarts, bits replayed, dead skips, shed pairs, short circuits,
-// refused pairs, pool denials, breaker opens, per-player degraded counts,
+// flag, restarts, bits replayed, dead skips, shed pairs, refused pairs,
+// pool denials, breaker opens, per-player degraded counts,
 // network bits / rounds / max player bits, the counter fold, and the
 // kNamedCounters values. Recorded from the implementation that kept a
 // separate pair policy in each topology.
 // clang-format off
 const Pin kPins[] = {
     {"coordinator/Clean", Topology::kCoordinator, Case::kClean,
-     {2u, 0x08b0e2f0f30710e5ull, 2u, 8u, 408u, 0u, false, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u}, 1312u, 21u, 1312u, 0xed810da0b15cea4cull, {8u, 0u, 0u, 0u, 0u, 0u}}},
+     {2u, 0x08b0e2f0f30710e5ull, 2u, 8u, 408u, 0u, false, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u}, 1312u, 21u, 1312u, 0xed810da0b15cea4cull, {8u, 0u, 0u, 0u, 0u, 0u}}},
     {"coordinator/IidFaults", Topology::kCoordinator, Case::kIidFaults,
-     {6u, 0xbe5135864f685650ull, 1u, 5u, 0u, 0u, false, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {0u, 0u, 0u, 0u, 0u, 0u}, 10543u, 28u, 10543u, 0xd35a66e13abaa855ull, {5u, 0u, 0u, 0u, 0u, 0u}}},
+     {6u, 0xbe5135864f685650ull, 1u, 5u, 0u, 0u, false, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {0u, 0u, 0u, 0u, 0u, 0u}, 10543u, 28u, 10543u, 0xd35a66e13abaa855ull, {5u, 0u, 0u, 0u, 0u, 0u}}},
     {"coordinator/DeadPlayer", Topology::kCoordinator, Case::kDeadPlayer,
-     {24u, 0xcde648ef6d23624dull, 1u, 1u, 0u, 5u, true, 0u, 0u, 4u, 0u, 0u, 0u, 0u, 0u, {5u, 1u, 1u, 1u, 1u, 1u}, 0u, 0u, 0u, 0x4d88149a424273c4ull, {1u, 5u, 0u, 0u, 0u, 0u}}},
+     {24u, 0xcde648ef6d23624dull, 1u, 1u, 0u, 5u, true, 0u, 0u, 4u, 0u, 0u, 0u, 0u, {5u, 1u, 1u, 1u, 1u, 1u}, 0u, 0u, 0u, 0x4d88149a424273c4ull, {1u, 5u, 0u, 0u, 0u, 0u}}},
     {"coordinator/DeadLink", Topology::kCoordinator, Case::kDeadLink,
-     {6u, 0xb4ee1c72c18563d1ull, 1u, 7u, 0u, 2u, true, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 2u, {2u, 0u, 1u, 0u, 1u, 0u}, 8154u, 22u, 8154u, 0xdf8836ceaf50663bull, {5u, 2u, 0u, 0u, 0u, 0u}}},
+     {6u, 0xb4ee1c72c18563d1ull, 1u, 7u, 0u, 2u, true, 0u, 0u, 0u, 0u, 0u, 0u, 2u, {2u, 0u, 1u, 0u, 1u, 0u}, 8154u, 22u, 8154u, 0xdf8836ceaf50663bull, {5u, 2u, 0u, 0u, 0u, 0u}}},
     {"coordinator/DrainedPool", Topology::kCoordinator, Case::kDrainedPool,
-     {24u, 0x08254ca3a2cd6b86ull, 1u, 3u, 0u, 5u, true, 0u, 0u, 0u, 4u, 0u, 0u, 1u, 0u, {5u, 1u, 1u, 1u, 1u, 1u}, 1848u, 25u, 1848u, 0xa18803c5fcbff543ull, {1u, 5u, 0u, 0u, 0u, 0u}}},
+     {24u, 0x08254ca3a2cd6b86ull, 1u, 3u, 0u, 5u, true, 0u, 0u, 0u, 4u, 0u, 1u, 0u, {5u, 1u, 1u, 1u, 1u, 1u}, 1848u, 25u, 1848u, 0xa18803c5fcbff543ull, {1u, 5u, 0u, 0u, 0u, 0u}}},
     {"coordinator/Byzantine", Topology::kCoordinator, Case::kByzantine,
-     {6u, 0xaaaba3d033df6d3cull, 1u, 8u, 0u, 1u, true, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {1u, 0u, 1u, 0u, 0u, 0u}, 21634u, 22u, 21634u, 0x55d26d4a60bb3f75ull, {5u, 1u, 0u, 1u, 0u, 0u}}},
+     {6u, 0xaaaba3d033df6d3cull, 1u, 8u, 0u, 1u, true, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {1u, 0u, 1u, 0u, 0u, 0u}, 21634u, 22u, 21634u, 0x55d26d4a60bb3f75ull, {5u, 1u, 0u, 1u, 0u, 0u}}},
     {"coordinator/Refuse", Topology::kCoordinator, Case::kRefuse,
-     {24u, 0x7e8ecee2e49dc7c4ull, 1u, 5u, 0u, 5u, true, 0u, 0u, 0u, 0u, 0u, 5u, 0u, 0u, {5u, 1u, 1u, 1u, 1u, 1u}, 2522u, 6u, 2522u, 0x8779165d0268c706ull, {5u, 5u, 0u, 0u, 0u, 0u}}},
+     {24u, 0x7e8ecee2e49dc7c4ull, 1u, 5u, 0u, 5u, true, 0u, 0u, 0u, 0u, 5u, 0u, 0u, {5u, 1u, 1u, 1u, 1u, 1u}, 2522u, 6u, 2522u, 0x8779165d0268c706ull, {5u, 5u, 0u, 0u, 0u, 0u}}},
     {"tournament/Clean", Topology::kTournament, Case::kClean,
-     {2u, 0x08b0e2f0f30710e5ull, 2u, 2u, 0u, 0u, false, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u}, 690u, 28u, 318u, 0xa86d40640011392cull, {2u, 0u, 0u, 0u, 0u, 0u}}},
+     {2u, 0x08b0e2f0f30710e5ull, 2u, 2u, 0u, 0u, false, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u}, 690u, 28u, 318u, 0xa86d40640011392cull, {2u, 0u, 0u, 0u, 0u, 0u}}},
     {"tournament/IidFaults", Topology::kTournament, Case::kIidFaults,
-     {6u, 0xbe5135864f685650ull, 1u, 1u, 0u, 0u, false, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {0u, 0u, 0u, 0u, 0u, 0u}, 6979u, 48u, 2720u, 0x5a02c16500b6347dull, {1u, 0u, 0u, 0u, 0u, 0u}}},
+     {6u, 0xbe5135864f685650ull, 1u, 1u, 0u, 0u, false, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {0u, 0u, 0u, 0u, 0u, 0u}, 6979u, 48u, 2720u, 0x5a02c16500b6347dull, {1u, 0u, 0u, 0u, 0u, 0u}}},
     {"tournament/DeadPlayer", Topology::kTournament, Case::kDeadPlayer,
-     {24u, 0xcde648ef6d23624dull, 1u, 0u, 0u, 3u, true, 0u, 0u, 2u, 0u, 0u, 0u, 0u, 0u, {3u, 1u, 1u, 0u, 1u, 0u}, 1799u, 12u, 941u, 0xf2f415204ee607deull, {0u, 3u, 3u, 0u, 39u, 0u}}},
+     {24u, 0xcde648ef6d23624dull, 1u, 0u, 0u, 3u, true, 0u, 0u, 2u, 0u, 0u, 0u, 0u, {3u, 1u, 1u, 0u, 1u, 0u}, 1799u, 12u, 941u, 0xf2f415204ee607deull, {0u, 3u, 3u, 0u, 39u, 0u}}},
     {"tournament/DeadLink", Topology::kTournament, Case::kDeadLink,
-     {6u, 0xb4ee1c72c18563d1ull, 1u, 2u, 0u, 2u, true, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 2u, {2u, 0u, 1u, 0u, 1u, 0u}, 5685u, 42u, 2591u, 0x03302667e06e3bbaull, {1u, 2u, 1u, 0u, 1u, 1u}}},
+     {6u, 0xb4ee1c72c18563d1ull, 1u, 2u, 0u, 2u, true, 0u, 0u, 0u, 0u, 0u, 0u, 2u, {2u, 0u, 1u, 0u, 1u, 0u}, 5685u, 42u, 2591u, 0x03302667e06e3bbaull, {1u, 2u, 1u, 0u, 1u, 1u}}},
     {"tournament/DrainedPool", Topology::kTournament, Case::kDrainedPool,
-     {24u, 0x08254ca3a2cd6b86ull, 1u, 0u, 0u, 5u, true, 0u, 0u, 0u, 4u, 0u, 0u, 1u, 0u, {3u, 1u, 2u, 1u, 2u, 1u}, 1653u, 7u, 1653u, 0x57538b0f14cd3488ull, {0u, 5u, 5u, 0u, 2u, 0u}}},
+     {24u, 0x08254ca3a2cd6b86ull, 1u, 0u, 0u, 5u, true, 0u, 0u, 0u, 4u, 0u, 1u, 0u, {3u, 1u, 2u, 1u, 2u, 1u}, 1653u, 7u, 1653u, 0x57538b0f14cd3488ull, {0u, 5u, 5u, 0u, 2u, 0u}}},
     {"tournament/Byzantine", Topology::kTournament, Case::kByzantine,
-     {6u, 0xaaaba3d033df6d3cull, 1u, 1u, 0u, 2u, true, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {1u, 0u, 2u, 1u, 0u, 0u}, 27767u, 26u, 25800u, 0x089ed9d6ebf48a00ull, {1u, 2u, 2u, 2u, 6u, 0u}}},
+     {6u, 0xaaaba3d033df6d3cull, 1u, 1u, 0u, 2u, true, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {1u, 0u, 2u, 1u, 0u, 0u}, 27767u, 26u, 25800u, 0x089ed9d6ebf48a00ull, {1u, 2u, 2u, 2u, 6u, 0u}}},
     {"tournament/Refuse", Topology::kTournament, Case::kRefuse,
-     {6u, 0xf3ac04b5bd030bd4ull, 1u, 1u, 0u, 1u, true, 0u, 0u, 0u, 0u, 0u, 1u, 0u, 0u, {1u, 0u, 0u, 0u, 1u, 0u}, 2812u, 24u, 1047u, 0x8f5e12b24b9e04d6ull, {1u, 1u, 0u, 0u, 0u, 0u}}},
+     {6u, 0xf3ac04b5bd030bd4ull, 1u, 1u, 0u, 1u, true, 0u, 0u, 0u, 0u, 1u, 0u, 0u, {1u, 0u, 0u, 0u, 1u, 0u}, 2812u, 24u, 1047u, 0x8f5e12b24b9e04d6ull, {1u, 1u, 0u, 0u, 0u, 0u}}},
 };
 // clang-format on
 
@@ -303,7 +301,6 @@ TEST(MultipartyPin, EveryTopologyAndPolicyMatchesItsPin) {
     EXPECT_EQ(got.total_bits_replayed, want.total_bits_replayed);
     EXPECT_EQ(got.dead_player_skips, want.dead_player_skips);
     EXPECT_EQ(got.shed_pairs, want.shed_pairs);
-    EXPECT_EQ(got.breaker_short_circuits, want.breaker_short_circuits);
     EXPECT_EQ(got.refused_pairs, want.refused_pairs);
     EXPECT_EQ(got.pool_retry_denials, want.pool_retry_denials);
     EXPECT_EQ(got.breaker_opens, want.breaker_opens);

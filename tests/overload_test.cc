@@ -317,17 +317,6 @@ TEST(Breaker, DisabledPolicyIsTransparent) {
   EXPECT_EQ(breaker.opens(), 0u);
 }
 
-TEST(Breaker, BoardKeysLinksUnordered) {
-  core::BreakerPolicy policy;
-  policy.failure_threshold = 1;
-  core::BreakerBoard board(policy);
-  board.link(3, 1).on_failure();
-  EXPECT_EQ(board.link(1, 3).state(), core::BreakerState::kOpen);
-  EXPECT_EQ(board.open_links(), 1u);
-  EXPECT_EQ(board.total_opens(), 1u);
-  EXPECT_EQ(board.link(1, 2).state(), core::BreakerState::kClosed);
-}
-
 // ---------------------------------------------------------------------
 // End-to-end: the degradation ladder through the facade
 
