@@ -6,6 +6,7 @@
 #include "multiparty/pair_sessions.h"
 #include "obs/tracer.h"
 #include "sim/channel.h"
+#include "sim/chaos.h"
 #include "util/rng.h"
 
 namespace setint::multiparty {
@@ -60,8 +61,10 @@ std::vector<std::size_t> advance_bracket(
     // match is skipped outright (honest degradation), mirroring the
     // certified-session semantics.
     bool advanced = false;
+    bool peer_lost = false;
     for (std::uint64_t attempt = 0;
-         attempt < params.retry.max_attempts && !advanced; ++attempt) {
+         attempt < params.retry.max_attempts && !advanced && !peer_lost;
+         ++attempt) {
       if (!breaker.allow()) {
         obs::count(tracer, "breaker.denials");
         break;
@@ -70,9 +73,11 @@ std::vector<std::size_t> advance_bracket(
         obs::count(tracer, "budget.pool_denials");
         break;
       }
-      // Crash/partition blocks in an uncertified match surface as plain
+      // Crash/partition blocks in an uncertified match surface as
       // exceptions below: the attempt burns and the match may end up
       // skipped — honest degradation without a per-match recovery loop.
+      // A player that never returns ends the match at once, as it ends a
+      // certified session (peer_lost): no later attempt could reach it.
       sim::Channel channel;
       pairs.install(channel, left, right);
       if (attempt > 0) obs::count(tracer, "retry.attempts");
@@ -101,6 +106,9 @@ std::vector<std::size_t> advance_bracket(
       } catch (const core::ResourceLimitError&) {
         obs::count(tracer, "limit.breaches");
         obs::count(tracer, "retry.decode_failures");
+      } catch (const sim::PlayerCrashError& e) {
+        obs::count(tracer, "retry.decode_failures");
+        peer_lost = e.permanent;
       } catch (const std::exception&) {
         obs::count(tracer, "retry.decode_failures");
       }
