@@ -146,23 +146,23 @@ void validate_options(const IntersectOptions& options) {
 IntersectResult intersect(util::SetView s, util::SetView t,
                           const IntersectOptions& options) {
   validate_options(options);
+  // An inferred universe is max element + 1.
+  std::uint64_t universe = options.universe;
+  if (universe == 0) {
+    std::uint64_t max_element = 0;
+    if (!s.empty()) max_element = s.back();
+    if (!t.empty()) max_element = std::max(max_element, t.back());
+    universe = max_element + 1;
+  }
   // Degenerate inputs: with either side empty the intersection is empty
   // by definition and no protocol run is needed — this also covers
   // universe = 0 with both sets empty, which would otherwise bottom out
   // in the log*/floor-log2 parameter derivations. Zero cost, verified
-  // (exact with certainty), zero attempts consumed.
+  // (exact with certainty), zero attempts consumed. With an inferred
+  // universe the check reduces to canonicality.
   if (s.empty() || t.empty()) {
-    std::uint64_t bound = options.universe;
-    if (bound == 0) {
-      // Inferred universe, same rule as the main path: max element + 1
-      // (so the check below reduces to canonicality).
-      std::uint64_t max_element = 0;
-      if (!s.empty()) max_element = s.back();
-      if (!t.empty()) max_element = std::max(max_element, t.back());
-      bound = max_element + 1;
-    }
-    util::validate_set(s, bound);
-    util::validate_set(t, bound);
+    util::validate_set(s, universe);
+    util::validate_set(t, universe);
     IntersectResult empty;
     empty.verified = true;
     empty.repetitions = 0;
@@ -170,13 +170,6 @@ IntersectResult intersect(util::SetView s, util::SetView t,
       empty.report = obs::make_run_report(sim::CostStats{}, *options.tracer);
     }
     return empty;
-  }
-  std::uint64_t universe = options.universe;
-  if (universe == 0) {
-    std::uint64_t max_element = 0;
-    if (!s.empty()) max_element = s.back();
-    if (!t.empty()) max_element = std::max(max_element, t.back());
-    universe = max_element + 1;
   }
   core::VerificationTreeParams params;
   params.rounds_r = options.rounds_r;

@@ -259,10 +259,4 @@ bool ChaosPlan::player_dead(std::size_t p) const {
   return p < players_.size() && players_[p].dead;
 }
 
-bool ChaosPlan::player_up(std::size_t p) const {
-  if (p >= players_.size()) return false;
-  const PlayerState& ps = players_[p];
-  return !ps.dead && ps.down_until <= now_;
-}
-
 }  // namespace setint::sim

@@ -182,7 +182,6 @@ class ChaosPlan {
                         util::BitBuffer& payload);
 
   bool player_dead(std::size_t p) const;
-  bool player_up(std::size_t p) const;
 
  private:
   struct PlayerState {
