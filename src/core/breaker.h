@@ -4,9 +4,10 @@
 // trips after `failure_threshold` consecutive failures. While open it
 // denies attempts outright — the pair's session (or uncertified match)
 // goes straight down the degradation ladder instead of burning retry
-// tokens on a link the evidence says is dead. After `cooldown` denied probes the breaker moves to half-open
-// and admits a single trial attempt: success (then `close_after - 1`
-// more) closes it, failure re-opens it.
+// tokens on a link the evidence says is dead. After `cooldown` denied
+// probes the breaker moves to half-open and admits a single trial
+// attempt: success (then `close_after - 1` more) closes it, failure
+// re-opens it.
 //
 //            failure_threshold                cooldown denials
 //   CLOSED ---------------------> OPEN -------------------------> HALF-OPEN
