@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
