@@ -107,8 +107,12 @@ std::vector<std::size_t> advance_bracket(
         obs::count(tracer, "limit.breaches");
         obs::count(tracer, "retry.decode_failures");
       } catch (const sim::PlayerCrashError& e) {
-        obs::count(tracer, "retry.decode_failures");
+        // Counted like the certified driver counts a block: chaos, not a
+        // decode failure.
+        obs::count(tracer, "chaos.crashes");
         peer_lost = e.permanent;
+      } catch (const sim::LinkPartitionedError&) {
+        obs::count(tracer, "chaos.partitions");
       } catch (const std::exception&) {
         obs::count(tracer, "retry.decode_failures");
       }
