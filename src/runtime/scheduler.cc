@@ -40,8 +40,6 @@ void Scheduler::add(std::unique_ptr<core::ProtocolMachine> machine,
   records_.push_back(rec);
 }
 
-std::size_t Scheduler::session_count() const { return machines_.size(); }
-
 core::ProtocolMachine& Scheduler::machine(std::size_t local_index) {
   return *machines_.at(local_index);
 }
@@ -58,10 +56,6 @@ void Scheduler::schedule(std::uint32_t idx, std::uint64_t tick) {
 void Scheduler::step(std::uint32_t idx) {
   core::ProtocolMachine& m = *machines_[idx];
   SessionRecord& rec = records_[idx];
-  if (m.status() == core::MachineStatus::kIdle) {
-    inflight_ += 1;
-    peak_inflight_ = std::max(peak_inflight_, inflight_);
-  }
   events_processed_ += 1;
   const core::MachineStatus status = m.step();
   if (status == core::MachineStatus::kRunning) {
@@ -81,7 +75,6 @@ void Scheduler::step(std::uint32_t idx) {
   } else {
     failed_ += 1;
   }
-  inflight_ -= 1;
 }
 
 void Scheduler::run() {
@@ -138,12 +131,6 @@ core::ProtocolMachine& ServiceRun::machine(std::size_t g) {
 const SessionRecord& ServiceRun::record(std::size_t g) const {
   const std::size_t shard_count = shards.size();
   return shards[g % shard_count]->record(g / shard_count);
-}
-
-std::size_t ServiceRun::session_count() const {
-  std::size_t n = 0;
-  for (const auto& s : shards) n += s->session_count();
-  return n;
 }
 
 ServiceRun run_service(

@@ -64,16 +64,12 @@ class Scheduler {
   // Runs the event loop until every session is kDone or kFailed.
   void run();
 
-  std::size_t session_count() const;
   core::ProtocolMachine& machine(std::size_t local_index);
   const SessionRecord& record(std::size_t local_index) const;
   const std::vector<SessionRecord>& records() const { return records_; }
 
   std::uint64_t completed() const { return completed_; }
   std::uint64_t failed() const { return failed_; }
-  // Peak number of simultaneously live (started, unfinished) sessions.
-  std::uint64_t peak_inflight() const { return peak_inflight_; }
-  std::uint64_t ticks() const { return now_; }
   std::uint64_t events_processed() const { return events_processed_; }
   const obs::HdrHistogram& completion_ticks() const { return completion_; }
 
@@ -97,8 +93,6 @@ class Scheduler {
   std::uint64_t next_seq_ = 0;
   std::uint64_t now_ = 0;
   std::uint64_t events_processed_ = 0;
-  std::uint64_t inflight_ = 0;
-  std::uint64_t peak_inflight_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
   obs::HdrHistogram completion_;
@@ -116,7 +110,6 @@ struct ServiceRun {
   // The machine registered under global key g.
   core::ProtocolMachine& machine(std::size_t g);
   const SessionRecord& record(std::size_t g) const;
-  std::size_t session_count() const;
 
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
