@@ -18,6 +18,7 @@
 #include "obs/tracer.h"
 #include "setint.h"
 #include "sim/chaos.h"
+#include "sim/fault.h"
 #include "sim/network.h"
 #include "util/rng.h"
 #include "util/set_util.h"
@@ -59,7 +60,11 @@ ChaosTally run_two_party(bench::Reporter& rep, std::uint64_t salt, int trials,
     std::unique_ptr<sim::FaultPlan> fault_plan;
     if (faults != nullptr) {
       sim::FaultSpec fs = *faults;
-      fs.seed = rep.seed_for(salt, 0xFA00 + static_cast<std::uint64_t>(t));
+      // A burst is seeded as the chaos plan seeded it when it carried the
+      // burst, so C3's bursty stream is the one earlier records measured.
+      fs.seed = fs.burst.enabled()
+                    ? util::mix64(chaos_spec.seed, session_seed)
+                    : rep.seed_for(salt, 0xFA00 + static_cast<std::uint64_t>(t));
       fault_plan = std::make_unique<sim::FaultPlan>(fs);
     }
     obs::Tracer tracer;
@@ -200,8 +205,8 @@ int main(int argc, char** argv) {
 
   // C3: Gilbert-Elliott bursts vs an iid fault plan with the same
   // stationary loss average. Bursts concentrate the damage, so they cost
-  // more restarts/attempts at equal average loss — the reason the chaos
-  // layer models them at all.
+  // more restarts/attempts at equal average loss — the reason the fault
+  // plan models them at all. Both arms run without crashes or partitions.
   {
     auto& table = rep.table(
         "C3: bursty loss vs matched-average iid  (k=32, n=2^16)",
@@ -211,19 +216,19 @@ int main(int argc, char** argv) {
     // 1e-3/bit, leaving on average after 5 frames. Stationary bad-state
     // occupancy = p_gb / (p_gb + p_bg) = 0.02/0.22 ~ 9.1%; average drop
     // rate ~ 4.5%.
-    sim::ChaosSpec burst_spec;
-    burst_spec.burst.p_good_to_bad = 0.02;
-    burst_spec.burst.p_bad_to_good = 0.2;
-    burst_spec.burst.loss_bad = 0.5;
-    burst_spec.burst.flip_bad = 1e-3;
-    const ChaosTally bursty = run_two_party(rep, 0x300, trials, burst_spec,
-                                            true, nullptr, universe, k);
+    sim::ChaosSpec none;  // chaos disabled; the fault plan carries the damage
+    sim::FaultSpec burst;
+    burst.burst.p_good_to_bad = 0.02;
+    burst.burst.p_bad_to_good = 0.2;
+    burst.burst.loss_bad = 0.5;
+    burst.burst.flip_bad = 1e-3;
+    const ChaosTally bursty =
+        run_two_party(rep, 0x300, trials, none, true, &burst, universe, k);
     violations += bursty.unflagged_wrong + bursty.superset_violations;
     add_tally_row(table, {"GE burst (avg drop 4.5%)"}, bursty);
     sim::FaultSpec iid;
     iid.drop_prob = 0.045;
     iid.flip_per_bit = 1e-3 * (0.02 / 0.22);
-    sim::ChaosSpec none;  // chaos disabled; iid plan carries the damage
     const ChaosTally smooth =
         run_two_party(rep, 0x301, trials, none, true, &iid, universe, k);
     violations += smooth.unflagged_wrong + smooth.superset_violations;

@@ -23,7 +23,7 @@
 #include "multiparty/coordinator.h"
 #include "obs/tracer.h"
 #include "setint.h"
-#include "sim/chaos.h"
+#include "sim/fault.h"
 #include "sim/network.h"
 #include "util/rng.h"
 #include "util/set_util.h"
@@ -112,18 +112,15 @@ std::vector<std::string> with_prefix(std::vector<std::string> prefix) {
   return columns;
 }
 
-// The O2/O3 star: a 4-player coordinator run whose chaos plan kills link
-// (0, 3) with a drop-everything fault overlay while the other links stay
-// clean.
-sim::ChaosPlan dead_link_plan(std::uint64_t chaos_seed,
-                              std::uint64_t protocol_seed) {
-  sim::ChaosSpec spec;
-  spec.players = 4;
-  spec.seed = chaos_seed;
-  sim::ChaosPlan plan(spec, protocol_seed);
+// The O2 star: a 4-player coordinator run whose fault plan kills link
+// (0, 3) with a drop-everything overlay while the other links stay clean.
+sim::FaultPlan dead_link_plan(std::uint64_t seed) {
+  sim::FaultSpec clean;
+  clean.seed = seed;
+  sim::FaultPlan plan(clean);
   sim::FaultSpec drop_all;
   drop_all.drop_prob = 1.0;
-  drop_all.seed = chaos_seed ^ 0xD0D0;
+  drop_all.seed = seed ^ 0xD0D0;
   plan.set_link_faults(0, 3, drop_all);
   return plan;
 }
@@ -216,7 +213,7 @@ int main(int argc, char** argv) {
   }
 
   // O2: permanently-dead link, PR-2 flat retry vs circuit breaker, on
-  // identical chaos schedules. The gate: the breaker arm spends strictly
+  // identical fault schedules. The gate: the breaker arm spends strictly
   // fewer total bits — the retries it refuses to burn on a link the
   // evidence says is dead.
   bool breaker_wins = true;
@@ -241,14 +238,14 @@ int main(int argc, char** argv) {
             wrng, mp_universe, /*players=*/4, /*k=*/24, /*shared=*/6);
         const std::uint64_t session_seed =
             rep.seed_for(0x210, static_cast<std::uint64_t>(t));
-        sim::ChaosPlan plan = dead_link_plan(
-            rep.seed_for(0x220, static_cast<std::uint64_t>(t)), session_seed);
+        sim::FaultPlan plan =
+            dead_link_plan(rep.seed_for(0x220, static_cast<std::uint64_t>(t)));
         obs::Tracer tracer;
         sim::Network network(4);
         network.set_tracer(&tracer);
         sim::SharedRandomness shared(session_seed);
         multiparty::MultipartyParams params;
-        params.chaos = &plan;
+        params.fault_plan = &plan;
         params.retry.max_attempts = 8;
         params.retry.degraded_attempts = 1;
         if (with_breaker) params.breaker.failure_threshold = 2;

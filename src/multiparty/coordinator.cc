@@ -65,14 +65,13 @@ VerifiedSessionDriver::VerifiedSessionDriver(
                 : nullptr) {
   channel_.set_tracer(tracer_);
   channel_.set_recorder(recorder_);
+  channel_.set_link(hooks_.player_a, hooks_.player_b);
   channel_.set_fault_plan(hooks_.faults);
   channel_.set_adversary(hooks_.adversary);
   if (hooks_.limits != nullptr && hooks_.limits->enabled()) {
     channel_.set_limits(hooks_.limits);
   }
-  if (chaos_ != nullptr) {
-    channel_.set_chaos(chaos_, hooks_.player_a, hooks_.player_b);
-  }
+  channel_.set_chaos(chaos_);
   result_.repetitions = 0;
 }
 

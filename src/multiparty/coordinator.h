@@ -81,7 +81,8 @@ struct VerifiedRunResult {
 //   tracer    — installed on the internal channel, so phase spans and
 //               metrics from the whole certified run (repetitions,
 //               certificate, recovery) land under the caller's span.
-//   faults    — iid fault plan (sim/fault.h); makes the channel unreliable.
+//   faults    — fault plan (sim/fault.h): iid damage, bursts and per-link
+//               overlays on this pair's link; makes the channel unreliable.
 //   adversary — makes one PARTY Byzantine (sim/adversary.h); because a
 //               Byzantine peer could feed the deterministic-exchange
 //               backstop lying bytes, an enabled adversary — like an
@@ -93,9 +94,9 @@ struct VerifiedRunResult {
 //               own events it receives kRetry/kBackstop/kDegrade/kRestart
 //               markers from this recovery layer, and a degradation fires
 //               FlightRecorder::incident().
-//   chaos     — crash/partition/burst schedule (sim/chaos.h) driving the
+//   chaos     — crash/partition schedule (sim/chaos.h) driving the
 //               session clock; player_a/player_b name this pair's global
-//               player ids inside the plan. A crash or partition mid-
+//               player ids, the link both plans read. A crash or partition mid-
 //               attempt is waited out (retry.max_resume_wait_rounds) and
 //               the attempt resumes from its last phase checkpoint — or
 //               from scratch when `checkpoint` is false — up to
@@ -229,7 +230,9 @@ struct MultipartyParams {
   core::RetryPolicy retry;
 
   // Fault plan (not owned) installed on every pair channel of the run, so
-  // one deterministic fault stream covers the whole m-party run.
+  // one deterministic fault stream covers the whole m-party run. Pair
+  // channels name their link by global player indices, which is what the
+  // plan's bursts and per-link overlays (set_link_faults) key on.
   sim::FaultPlan* fault_plan = nullptr;
 
   // Byzantine player model (docs/ROBUSTNESS.md): `adversary` (not owned)

@@ -93,11 +93,12 @@ std::optional<util::Set> PairSessions::certified(std::size_t a, std::size_t b,
 
 void PairSessions::install(sim::Channel& channel, std::size_t a,
                            std::size_t b) {
+  channel.set_link(a, b);
   channel.set_fault_plan(params_.fault_plan);
   channel.set_adversary(adversary_for(a, b));
   // Disabled limits cost one branch per send, like no limits at all.
   channel.set_limits(&params_.limits);
-  if (chaos_ != nullptr) channel.set_chaos(chaos_, a, b);
+  channel.set_chaos(chaos_);
 }
 
 void PairSessions::degrade(std::size_t a, std::size_t b) {

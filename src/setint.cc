@@ -36,9 +36,9 @@ std::string join_set(util::SetView s) {
 
 // Writes everything tools/replay needs to re-execute this session into
 // the recorder's context block, so any incident dump the session produces
-// is self-describing. Per-link fault overlays installed directly on a
-// ChaosPlan (set_link_faults) are not part of ChaosSpec and are not
-// serialized; the replay tool covers the facade-reachable configuration.
+// is self-describing. Per-link fault overlays (FaultPlan::set_link_faults)
+// are not part of FaultSpec and are not serialized; the replay tool covers
+// the spec-reachable configuration.
 void set_replay_context(obs::FlightRecorder& rec, util::SetView s,
                         util::SetView t, std::uint64_t universe,
                         const IntersectOptions& options) {
@@ -92,6 +92,13 @@ void set_replay_context(obs::FlightRecorder& rec, util::SetView s,
     rec.set_context("fault.duplicate_prob", fmt_double(f.duplicate_prob));
     rec.set_context("fault.delay_prob", fmt_double(f.delay_prob));
     rec.set_context("fault.delay_rounds", std::to_string(f.delay_rounds));
+    const sim::GilbertElliott& g = f.burst;
+    rec.set_context("fault.burst",
+                    fmt_double(g.p_good_to_bad) + ',' +
+                        fmt_double(g.p_bad_to_good) + ',' +
+                        fmt_double(g.loss_good) + ',' + fmt_double(g.loss_bad) +
+                        ',' + fmt_double(g.flip_good) + ',' +
+                        fmt_double(g.flip_bad));
     rec.set_context("fault.seed", std::to_string(f.seed));
   }
   if (options.chaos_plan != nullptr) {
@@ -113,13 +120,6 @@ void set_replay_context(obs::FlightRecorder& rec, util::SetView s,
                    std::to_string(sched.max_crashes);
     }
     if (!overrides.empty()) rec.set_context("chaos.overrides", overrides);
-    const sim::GilbertElliott& g = c.burst;
-    rec.set_context("chaos.burst",
-                    fmt_double(g.p_good_to_bad) + ',' +
-                        fmt_double(g.p_bad_to_good) + ',' +
-                        fmt_double(g.loss_good) + ',' + fmt_double(g.loss_bad) +
-                        ',' + fmt_double(g.flip_good) + ',' +
-                        fmt_double(g.flip_bad));
     std::string partitions;
     for (const sim::PartitionWindow& w : c.partitions) {
       if (!partitions.empty()) partitions += ';';

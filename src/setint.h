@@ -82,7 +82,8 @@ struct IntersectOptions {
   // when an integrity failure, limit breach or degradation fires — see
   // obs/recorder.h and docs/OBSERVABILITY.md § flight recorder.
   obs::FlightRecorder* recorder = nullptr;
-  // Optional unreliable-transport model (not owned, stateful).
+  // Optional unreliable-transport model (not owned, stateful): iid damage,
+  // Gilbert-Elliott bursts and per-link overlays (sim/fault.h).
   sim::FaultPlan* fault_plan = nullptr;
   // Optional Byzantine-peer model (not owned, stateful): one party's
   // frames are replaced with crafted ones (sim/adversary.h).
@@ -94,9 +95,9 @@ struct IntersectOptions {
   // Retry budget + backoff cost + degradation budget (plus the chaos
   // restart/resume-wait budgets).
   core::RetryPolicy retry;
-  // Optional crash/partition/burst schedule (not owned, stateful): player
-  // crash-restart, link partition windows and Gilbert-Elliott bursty loss
-  // (sim/chaos.h). Crashed sessions wait out the outage and resume from
+  // Optional crash/partition schedule (not owned, stateful): player
+  // crash-restart and link partition windows (sim/chaos.h); damage in
+  // flight is the fault plan's. Crashed sessions wait out the outage and resume from
   // their last phase checkpoint; a peer that never returns degrades the
   // run honestly (docs/ROBUSTNESS.md § crash faults).
   sim::ChaosPlan* chaos_plan = nullptr;
@@ -192,7 +193,8 @@ struct BatchResult {
 };
 
 // Runs intersect() on every instance. The per-run stateful hooks of
-// IntersectOptions (tracer, fault_plan, adversary) are single-session
+// IntersectOptions (tracer, recorder, fault_plan, adversary, chaos_plan)
+// are single-session
 // objects and must be null — sharing one across concurrent sessions
 // would break both thread safety and determinism, so run_batch throws
 // std::invalid_argument instead (see docs/OBSERVABILITY.md § thread

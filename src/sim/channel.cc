@@ -126,10 +126,9 @@ util::BitBuffer Channel::send(PartyId from, util::BitBuffer payload,
   // BEFORE metering — the frame never left the sender, so no bits are
   // charged. The recovery layer catches, waits out the outage, and
   // resumes from the last checkpoint.
-  const bool chaotic = chaos_ != nullptr && chaos_->enabled();
-  if (chaotic) {
+  if (chaos_ != nullptr && chaos_->enabled()) {
     try {
-      chaos_->on_send_attempt(chaos_a_, chaos_b_);
+      chaos_->on_send_attempt(link_a_, link_b_);
     } catch (const PlayerCrashError& e) {
       obs::count(tracer_, "chaos.crash_blocks");
       if (recorder_ != nullptr) {
@@ -146,13 +145,11 @@ util::BitBuffer Channel::send(PartyId from, util::BitBuffer payload,
       throw;
     }
   }
-  const bool faulty = fault_plan_ != nullptr && fault_plan_->enabled();
-  const bool framed =
-      faulty || (chaotic && chaos_->corrupts_links());
+  const bool framed = fault_plan_ != nullptr && fault_plan_->enabled();
   // Integrity frame, transmitted (and billed) like any other bits.
   if (framed) seal(payload);
   meter(from, payload.size_bits(), label);
-  if (framed) deliver_framed(from, payload, label, faulty, chaotic);
+  if (framed) deliver_framed(from, payload, label);
 
   // Fold every delivered body into the recorder's running transcript
   // digest — the bit-for-bit equality tools/replay asserts between an
@@ -232,17 +229,15 @@ void Channel::meter(PartyId from, std::uint64_t bits,
 }
 
 void Channel::deliver_framed(PartyId from, util::BitBuffer& frame,
-                             const std::string& label, bool faulty,
-                             bool chaotic) {
-  // The plans damage `frame` in place; the pooled copy keeps the pristine
+                             const std::string& label) {
+  // The plan damages `frame` in place; the pooled copy keeps the pristine
   // frame for resends. Pool capacity is reused across sends, so a framed
   // send allocates nothing once the pool has grown to the session's
   // largest frame.
   util::PooledBuffer pristine(buffer_pool_);
   *pristine = frame;
   for (unsigned resends = 0;; ++resends) {
-    const char* failure =
-        deliver_once(from, frame, *pristine, label, faulty, chaotic);
+    const char* failure = deliver_once(from, frame, *pristine, label);
     if (failure == nullptr) return;
     obs::count(tracer_, "fault.integrity_failures");
     if (recorder_ != nullptr) {
@@ -271,24 +266,11 @@ void Channel::deliver_framed(PartyId from, util::BitBuffer& frame,
 
 const char* Channel::deliver_once(PartyId from, util::BitBuffer& frame,
                                   const util::BitBuffer& pristine,
-                                  const std::string& label, bool faulty,
-                                  bool chaotic) {
-  // The sender's transmission is metered; the plans now decide what the
-  // receiver observes and what extra cost the link charges. Order is
-  // load-bearing for bit-identity: the iid fault plan draws first
-  // (exactly as before the chaos layer existed), then the chaos plan's
-  // link-level damage lands on top.
+                                  const std::string& label) {
+  // The sender's transmission is metered; the plan now decides what the
+  // receiver observes and what extra cost the link charges.
   const std::uint64_t sent_bits = frame.size_bits();
-  AppliedFaults plan_faults;
-  if (faulty) plan_faults = fault_plan_->apply(frame);
-  AppliedFaults chaos_faults;
-  if (chaotic) chaos_faults = chaos_->corrupt(chaos_a_, chaos_b_, frame);
-  AppliedFaults f = plan_faults;
-  f.bits_flipped += chaos_faults.bits_flipped;
-  f.truncated_bits += chaos_faults.truncated_bits;
-  f.dropped = f.dropped || chaos_faults.dropped;
-  f.duplicated = f.duplicated || chaos_faults.duplicated;
-  f.delay_rounds += chaos_faults.delay_rounds;
+  const AppliedFaults f = fault_plan_->apply(frame, link_a_, link_b_);
   if (f.duplicated) {
     // The same frame crosses the link twice. The receiver's decode API
     // sees one copy, but the bandwidth is spent and billed.
@@ -310,28 +292,16 @@ const char* Channel::deliver_once(PartyId from, util::BitBuffer& frame,
                       cost_.bits_total);
   }
   if (tracer_ != nullptr) {
-    // fault.* stays attributed to the iid plan alone (pre-chaos metric
-    // meanings are pinned by tests); chaos link damage gets its own
-    // family.
-    obs::count(tracer_, "fault.injected", plan_faults.events());
-    if (plan_faults.bits_flipped > 0) {
-      obs::count(tracer_, "fault.flipped_bits", plan_faults.bits_flipped);
+    obs::count(tracer_, "fault.injected", f.events());
+    if (f.bits_flipped > 0) {
+      obs::count(tracer_, "fault.flipped_bits", f.bits_flipped);
     }
-    if (plan_faults.truncated_bits > 0) {
-      obs::count(tracer_, "fault.truncations");
+    if (f.truncated_bits > 0) obs::count(tracer_, "fault.truncations");
+    if (f.dropped) obs::count(tracer_, "fault.drops");
+    if (f.duplicated) obs::count(tracer_, "fault.duplicates");
+    if (f.delay_rounds > 0) {
+      obs::count(tracer_, "fault.delay_rounds", f.delay_rounds);
     }
-    if (plan_faults.dropped) obs::count(tracer_, "fault.drops");
-    if (plan_faults.duplicated) obs::count(tracer_, "fault.duplicates");
-    if (plan_faults.delay_rounds > 0) {
-      obs::count(tracer_, "fault.delay_rounds", plan_faults.delay_rounds);
-    }
-    if (chaos_faults.events() > 0) {
-      obs::count(tracer_, "chaos.link_faults", chaos_faults.events());
-    }
-    if (chaos_faults.bits_flipped > 0) {
-      obs::count(tracer_, "chaos.flipped_bits", chaos_faults.bits_flipped);
-    }
-    if (chaos_faults.dropped) obs::count(tracer_, "chaos.drops");
   }
 
   // Delivery-side decode. The receiver reads n from the frame's length,

@@ -13,11 +13,12 @@
 // An optional sim::FaultPlan makes the transport adversarial: after the
 // sender's bits are metered, the plan may corrupt what the receiver
 // decodes (flip/truncate/drop) and charge extra cost (duplicate bits,
-// latency rounds). Injected faults are attributed to the current tracer
+// latency rounds). It is the only model of in-flight damage — iid knobs,
+// bursts and per-link overlays alike, each delivery one apply() on this
+// channel's link. Injected faults are attributed to the current tracer
 // phase and counted under the fault.* metrics — see docs/ROBUSTNESS.md.
 //
-// Integrity framing: with a fault plan (or chaos link corruption) active,
-// every message is framed as body ‖ 32-bit content checksum ‖ w-bit
+// Integrity framing: with an enabled fault plan, every message is framed as body ‖ 32-bit content checksum ‖ w-bit
 // syndrome ‖ 1 parity bit, with n = |body| + 32 and w = bit_width(n), all
 // charged to the sender like any other bits. The syndrome is the XOR of
 // (i + 1) over the set bits i < n and the parity bit covers the same n
@@ -29,7 +30,7 @@
 // " [nack]") and the sender transmits the same frame again (" [resend]",
 // another round), both metered, attributed to the current tracer phase
 // and checked against the resource limits like any first send. Each
-// delivery draws afresh from the fault and chaos plans. After kMaxResends
+// delivery draws afresh from the fault plan. After kMaxResends
 // resends the frame is abandoned and send() throws ChannelIntegrityError
 // — the retry layer treats it like any decode failure and starts a fresh
 // certified attempt. Whatever the code did, the receiver compares the
@@ -152,8 +153,16 @@ class Channel {
   // affinity as the tracer.
   void set_recorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
 
+  // Names this channel's endpoints {a, b} in the run's topology (default
+  // {0, 1}, the two-party link). The chaos gate asks whether they are up
+  // and the link uncut; the fault plan draws the link's burst and overlay.
+  void set_link(std::size_t a, std::size_t b) {
+    link_a_ = a;
+    link_b_ = b;
+  }
+
   // Install (or clear) a fault plan; not owned. The plan is stateful (its
-  // Rng advances per message), so sharing one plan across channels is how
+  // Rngs advance per message), so sharing one plan across channels is how
   // multiparty runs keep a single deterministic fault stream.
   void set_fault_plan(FaultPlan* plan) { fault_plan_ = plan; }
 
@@ -163,18 +172,12 @@ class Channel {
   void set_adversary(Adversary* adversary) { adversary_ = adversary; }
 
   // Install (or clear) a chaos plan (sim/chaos.h); not owned, stateful and
-  // shared across channels like a fault plan. (a, b) are this channel's
-  // endpoints in the plan's topology. Every send first asks the plan
-  // whether the link is usable — a crashed endpoint or partitioned link
-  // throws PlayerCrashError / LinkPartitionedError BEFORE any bits are
-  // metered (the frame never left the sender) — and link-level corruption
-  // from the plan merges with the iid fault plan under the same integrity
-  // framing.
-  void set_chaos(ChaosPlan* plan, std::size_t a = 0, std::size_t b = 1) {
-    chaos_ = plan;
-    chaos_a_ = a;
-    chaos_b_ = b;
-  }
+  // shared across channels like a fault plan. Every send first asks the
+  // plan whether this channel's link is usable — a crashed endpoint or
+  // partitioned link throws PlayerCrashError / LinkPartitionedError
+  // BEFORE any bits are metered (the frame never left the sender). The
+  // chaos plan never touches a frame's contents.
+  void set_chaos(ChaosPlan* plan) { chaos_ = plan; }
 
   // Install (or clear) resource limits; not owned, must outlive the run.
   // Disabled or absent limits are free (one branch per send).
@@ -214,15 +217,14 @@ class Channel {
   // Delivers an already metered integrity frame, resending it while it
   // arrives damaged; leaves the verified body in `frame` or throws.
   void deliver_framed(PartyId from, util::BitBuffer& frame,
-                      const std::string& label, bool faulty, bool chaotic);
-  // One pass of `frame` through the plans, single-bit correction and the
-  // checksum check. Strips the frame's tail and returns nullptr when the
-  // body arrives intact or corrected, else names the failure. `pristine`
-  // is the frame as sent.
+                      const std::string& label);
+  // One pass of `frame` through the fault plan, single-bit correction and
+  // the checksum check. Strips the frame's tail and returns nullptr when
+  // the body arrives intact or corrected, else names the failure.
+  // `pristine` is the frame as sent.
   const char* deliver_once(PartyId from, util::BitBuffer& frame,
                            const util::BitBuffer& pristine,
-                           const std::string& label, bool faulty,
-                           bool chaotic);
+                           const std::string& label);
 
   CostStats cost_;
   std::uint64_t undetected_damage_ = 0;
@@ -237,8 +239,8 @@ class Channel {
   FaultPlan* fault_plan_ = nullptr;
   Adversary* adversary_ = nullptr;
   ChaosPlan* chaos_ = nullptr;
-  std::size_t chaos_a_ = 0;
-  std::size_t chaos_b_ = 1;
+  std::size_t link_a_ = 0;
+  std::size_t link_b_ = 1;
   const core::ResourceLimits* limits_ = nullptr;
   util::BufferPool buffer_pool_;
   util::ScratchArena scratch_;

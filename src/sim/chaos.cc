@@ -13,18 +13,12 @@ void check_probability(double p, const char* field) {
   }
 }
 
-void check_schedule(const CrashSchedule& sched, const char* field) {
-  check_probability(sched.crash_prob, field);
-}
-
 std::pair<std::size_t, std::size_t> link_key(std::size_t a, std::size_t b) {
   return {std::min(a, b), std::max(a, b)};
 }
 
 bool window_covers(const PartitionWindow& w, std::size_t a, std::size_t b) {
-  if (w.a == kAllLinks) return true;
-  const auto key = link_key(a, b);
-  return link_key(w.a, w.b) == key;
+  return w.a == kAllLinks || link_key(w.a, w.b) == link_key(a, b);
 }
 
 }  // namespace
@@ -58,7 +52,6 @@ bool ChaosSpec::enabled() const {
     (void)player;
     if (sched.crash_prob > 0.0) return true;
   }
-  if (burst.enabled()) return true;
   for (const PartitionWindow& w : partitions) {
     if (w.end_tick > w.start_tick) return true;
   }
@@ -72,20 +65,14 @@ ChaosPlan::ChaosPlan(const ChaosSpec& spec, std::uint64_t protocol_seed)
   if (spec_.players < 2) {
     throw std::invalid_argument("ChaosSpec: players must be >= 2");
   }
-  check_schedule(spec_.crash, "crash.crash_prob");
+  check_probability(spec_.crash.crash_prob, "crash.crash_prob");
   for (const auto& [player, sched] : spec_.crash_overrides) {
     if (player >= spec_.players) {
       throw std::invalid_argument(
           "ChaosSpec: crash_overrides player out of range");
     }
-    check_schedule(sched, "crash_overrides crash_prob");
+    check_probability(sched.crash_prob, "crash_overrides crash_prob");
   }
-  check_probability(spec_.burst.p_good_to_bad, "burst.p_good_to_bad");
-  check_probability(spec_.burst.p_bad_to_good, "burst.p_bad_to_good");
-  check_probability(spec_.burst.loss_good, "burst.loss_good");
-  check_probability(spec_.burst.loss_bad, "burst.loss_bad");
-  check_probability(spec_.burst.flip_good, "burst.flip_good");
-  check_probability(spec_.burst.flip_bad, "burst.flip_bad");
   for (const PartitionWindow& w : spec_.partitions) {
     if (w.end_tick < w.start_tick) {
       throw std::invalid_argument(
@@ -109,40 +96,6 @@ ChaosPlan::ChaosPlan(const ChaosSpec& spec, std::uint64_t protocol_seed)
   }
 }
 
-void ChaosPlan::set_link_faults(std::size_t a, std::size_t b,
-                                const FaultSpec& spec) {
-  if (a >= spec_.players || b >= spec_.players || a == b) {
-    throw std::invalid_argument("ChaosPlan: link endpoints out of range");
-  }
-  FaultSpec derived = spec;
-  // Fold the link identity into the per-link stream so two links sharing a
-  // spec draw independently; FaultPlan's own constructor validates the
-  // probabilities.
-  const auto key = link_key(a, b);
-  derived.seed = util::mix64(plan_seed_,
-                             util::mix64(spec.seed,
-                                         util::mix64(key.first, key.second)));
-  link_state(a, b).faults = std::make_unique<FaultPlan>(derived);
-}
-
-bool ChaosPlan::enabled() const {
-  if (spec_.enabled()) return true;
-  for (const auto& [key, state] : links_) {
-    (void)key;
-    if (state.faults != nullptr && state.faults->enabled()) return true;
-  }
-  return false;
-}
-
-bool ChaosPlan::corrupts_links() const {
-  if (spec_.burst.enabled()) return true;
-  for (const auto& [key, state] : links_) {
-    (void)key;
-    if (state.faults != nullptr && state.faults->enabled()) return true;
-  }
-  return false;
-}
-
 void ChaosPlan::advance_to(std::uint64_t tick) {
   now_ = std::max(now_, tick);
 }
@@ -152,22 +105,6 @@ ChaosPlan::PlayerState& ChaosPlan::player_state(std::size_t p) {
     throw std::invalid_argument("ChaosPlan: player id out of range");
   }
   return players_[p];
-}
-
-ChaosPlan::LinkState& ChaosPlan::link_state(std::size_t a, std::size_t b) {
-  const auto key = link_key(a, b);
-  auto it = links_.find(key);
-  if (it == links_.end()) {
-    // The stream seed depends only on the link identity, so lazy creation
-    // order cannot perturb determinism.
-    it = links_
-             .emplace(key, LinkState(util::mix64(
-                               plan_seed_,
-                               util::mix64(0x11CCu, util::mix64(key.first,
-                                                                key.second)))))
-             .first;
-  }
-  return it->second;
 }
 
 void ChaosPlan::check_crash(std::size_t p) {
@@ -210,49 +147,6 @@ void ChaosPlan::on_send_attempt(std::size_t a, std::size_t b) {
     stats_.blocked_sends += 1;
     throw LinkPartitionedError(a, b, heal);
   }
-}
-
-AppliedFaults ChaosPlan::corrupt(std::size_t a, std::size_t b,
-                                 util::BitBuffer& payload) {
-  AppliedFaults applied;
-  LinkState& ls = link_state(a, b);
-  if (spec_.burst.enabled()) {
-    const double transition =
-        ls.bad ? spec_.burst.p_bad_to_good : spec_.burst.p_good_to_bad;
-    if (transition > 0.0 && ls.rng.unit() < transition) {
-      ls.bad = !ls.bad;
-      if (ls.bad) stats_.burst_state_entries += 1;
-    }
-    const double loss = ls.bad ? spec_.burst.loss_bad : spec_.burst.loss_good;
-    const double flip = ls.bad ? spec_.burst.flip_bad : spec_.burst.flip_good;
-    if (loss > 0.0 && ls.rng.unit() < loss) {
-      applied.dropped = true;
-      payload.clear();
-      stats_.burst_drops += 1;
-    } else if (flip > 0.0) {
-      for (std::size_t i = 0; i < payload.size_bits(); ++i) {
-        if (ls.rng.unit() < flip) {
-          payload.toggle_bit(i);
-          applied.bits_flipped += 1;
-          stats_.burst_flipped_bits += 1;
-        }
-      }
-    }
-  }
-  if (ls.faults != nullptr && ls.faults->enabled()) {
-    const AppliedFaults f = ls.faults->apply(payload);
-    applied.bits_flipped += f.bits_flipped;
-    applied.truncated_bits += f.truncated_bits;
-    applied.dropped = applied.dropped || f.dropped;
-    applied.duplicated = applied.duplicated || f.duplicated;
-    applied.delay_rounds += f.delay_rounds;
-    stats_.link_fault_events += f.events();
-  }
-  if (applied.bits_flipped > 0 || applied.truncated_bits > 0 ||
-      applied.dropped) {
-    stats_.content_events += 1;
-  }
-  return applied;
 }
 
 bool ChaosPlan::player_dead(std::size_t p) const {

@@ -1,16 +1,15 @@
-// Topology-level chaos: crash/restart schedules, link partition windows,
-// and a Gilbert–Elliott bursty-loss model layered on top of the iid
-// FaultPlan knobs.
+// Topology-level chaos: who is up and which links are cut.
 //
-// FaultPlan damages individual frames; a ChaosPlan models the failures
-// that live above single messages: a player process crashing and coming
-// back `restart_ticks` later (or never), a link partitioned for a window
-// of the session, and loss/corruption that arrives in bursts (two-state
-// Markov channel) instead of iid. Time is a logical clock: one tick per
-// attempted send, advanced by the plan itself, so every decision is a
-// deterministic function of (protocol seed, chaos seed) exactly like the
-// FaultPlan stream — the property bench/exp_chaos's determinism contract
-// and tools/replay both rely on.
+// sim::FaultPlan models everything that happens to a frame in flight
+// (iid, Markov-correlated and per-link damage); a ChaosPlan models the
+// failures that live above single messages: a player process crashing
+// and coming back `restart_ticks` later (or never), and a link
+// partitioned for a window of the session. It never touches a frame's
+// contents. Time is a logical clock: one tick per attempted send,
+// advanced by the plan itself, so every decision is a deterministic
+// function of (protocol seed, chaos seed) exactly like the FaultPlan
+// stream — the property bench/exp_chaos's determinism contract and
+// tools/replay both rely on.
 //
 // The recovery story (docs/ROBUSTNESS.md § crash faults): the channel
 // asks the plan `on_send_attempt(a, b)` before metering; a crashed
@@ -24,15 +23,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "sim/fault.h"
-#include "util/bitio.h"
 #include "util/rng.h"
 
 namespace setint::sim {
@@ -60,28 +55,6 @@ class LinkPartitionedError : public std::runtime_error {
   std::size_t a;
   std::size_t b;
   std::uint64_t heal_tick;
-};
-
-// Two-state Markov loss/corruption channel (Gilbert–Elliott). The link
-// starts in the good state; before each frame it transitions
-// good->bad with p_good_to_bad and bad->good with p_bad_to_good, then the
-// frame is dropped with loss_{state} or has each bit flipped with
-// flip_{state}. Matching the stationary average of an iid FaultSpec while
-// concentrating the damage into bursts is the point — bursts are what
-// break naive retry loops.
-struct GilbertElliott {
-  double p_good_to_bad = 0.0;
-  double p_bad_to_good = 1.0;
-  double loss_good = 0.0;
-  double loss_bad = 0.0;
-  double flip_good = 0.0;
-  double flip_bad = 0.0;
-
-  bool enabled() const {
-    return (p_good_to_bad > 0.0 &&
-            (loss_bad > 0.0 || flip_bad > 0.0)) ||
-           loss_good > 0.0 || flip_good > 0.0;
-  }
 };
 
 // A player never returns once it has crashed more than `max_crashes`
@@ -119,7 +92,6 @@ struct ChaosSpec {
   std::uint64_t seed = 0xC405;
   CrashSchedule crash;
   std::vector<std::pair<std::size_t, CrashSchedule>> crash_overrides;
-  GilbertElliott burst;
   std::vector<PartitionWindow> partitions;
 
   bool enabled() const;
@@ -132,11 +104,6 @@ struct ChaosStats {
   std::uint64_t permanent_losses = 0;   // players that will never return
   std::uint64_t blocked_sends = 0;      // attempts refused (down/partition)
   std::uint64_t partition_blocks = 0;   // attempts refused by a window
-  std::uint64_t burst_state_entries = 0;  // good->bad transitions
-  std::uint64_t burst_drops = 0;
-  std::uint64_t burst_flipped_bits = 0;
-  std::uint64_t link_fault_events = 0;  // per-link FaultPlan events
-  std::uint64_t content_events = 0;     // drops/flips/truncations (any source)
 };
 
 class ChaosPlan {
@@ -147,21 +114,13 @@ class ChaosPlan {
   // independent while staying reproducible from the two seeds alone.
   ChaosPlan(const ChaosSpec& spec, std::uint64_t protocol_seed);
 
-  // Installs an asymmetric per-link fault model (validated like any
-  // FaultSpec; the spec's own seed is folded with a link-derived seed so
-  // two links with the same spec draw independent streams).
-  void set_link_faults(std::size_t a, std::size_t b, const FaultSpec& spec);
-
   const ChaosSpec& spec() const { return spec_; }
   // The protocol seed this plan was constructed with — recorded in replay
   // contexts so tools/replay can rebuild an identical plan.
   std::uint64_t protocol_seed() const { return protocol_seed_; }
   const ChaosStats& stats() const { return stats_; }
-  bool enabled() const;
-
-  // True when this plan can damage frame contents on some link, i.e. the
-  // channel must add integrity framing even without a global FaultPlan.
-  bool corrupts_links() const;
+  // True when some player can crash or some window can cut a link.
+  bool enabled() const { return spec_.enabled(); }
 
   std::uint64_t now() const { return now_; }
   // Jumps the logical clock forward (never backward); the recovery layer
@@ -171,15 +130,8 @@ class ChaosPlan {
   // One logical tick per attempted send on link (a, b). Evaluates both
   // endpoints' crash schedules and the partition calendar; throws
   // PlayerCrashError / LinkPartitionedError when the send cannot happen.
-  // Nothing is thrown for a healthy link and the frame proceeds to
-  // corrupt().
+  // Nothing is thrown for a healthy link.
   void on_send_attempt(std::size_t a, std::size_t b);
-
-  // Applies link-level damage (Gilbert–Elliott step + per-link faults) to
-  // a frame in flight on (a, b). Returns the merged fault summary so the
-  // channel can meter duplicates/delays and run the integrity check.
-  AppliedFaults corrupt(std::size_t a, std::size_t b,
-                        util::BitBuffer& payload);
 
   bool player_dead(std::size_t p) const;
 
@@ -194,16 +146,8 @@ class ChaosPlan {
     PlayerState(const CrashSchedule& s, std::uint64_t seed)
         : sched(s), rng(seed) {}
   };
-  struct LinkState {
-    util::Rng rng;
-    bool bad = false;  // Gilbert–Elliott state
-    std::unique_ptr<FaultPlan> faults;
-
-    explicit LinkState(std::uint64_t seed) : rng(seed) {}
-  };
 
   PlayerState& player_state(std::size_t p);
-  LinkState& link_state(std::size_t a, std::size_t b);
   void check_crash(std::size_t p);
 
   ChaosSpec spec_;
@@ -211,7 +155,6 @@ class ChaosPlan {
   std::uint64_t plan_seed_;
   std::uint64_t now_ = 0;
   std::vector<PlayerState> players_;
-  std::map<std::pair<std::size_t, std::size_t>, LinkState> links_;
   ChaosStats stats_;
 };
 

@@ -1,9 +1,13 @@
 // Chaos layer: crash/restart, partitions, bursty links, and the session
 // recovery built on core::Checkpoint (docs/ROBUSTNESS.md § crash faults).
+// Bursts and per-link overlays belong to sim::FaultPlan; they are pinned
+// here beside the chaos they used to ride with.
 //
 // Invariants pinned here:
 //  * ChaosSpec / FaultSpec probabilities are validated at construction —
 //    std::invalid_argument outside [0, 1], bad links, bad windows.
+//  * Burst and overlay damage counts under fault.* only, and the tracer's
+//    fault.injected equals the plan's faults_injected.
 //  * Every chaos decision is a deterministic function of (protocol seed,
 //    chaos seed): identical sessions produce identical costs, restarts,
 //    and answers.
@@ -23,6 +27,7 @@
 
 #include "multiparty/coordinator.h"
 #include "obs/recorder.h"
+#include "obs/tracer.h"
 #include "setint.h"
 #include "sim/chaos.h"
 #include "sim/fault.h"
@@ -64,11 +69,11 @@ TEST(ChaosValidation, OverrideValidatedToo) {
   EXPECT_THROW(sim::ChaosPlan{out_of_range}, std::invalid_argument);
 }
 
-TEST(ChaosValidation, BurstProbabilitiesOutOfRange) {
+TEST(FaultValidation, BurstProbabilitiesOutOfRange) {
   const auto bad = [](auto set_field) {
-    sim::ChaosSpec spec;
+    sim::FaultSpec spec;
     set_field(spec.burst);
-    EXPECT_THROW(sim::ChaosPlan{spec}, std::invalid_argument);
+    EXPECT_THROW(sim::FaultPlan{spec}, std::invalid_argument);
   };
   bad([](sim::GilbertElliott& b) { b.p_good_to_bad = 1.01; });
   bad([](sim::GilbertElliott& b) { b.p_bad_to_good = -0.5; });
@@ -95,17 +100,26 @@ TEST(ChaosValidation, PartitionWindowsValidated) {
   EXPECT_THROW(sim::ChaosPlan{self_link}, std::invalid_argument);
 }
 
-TEST(ChaosValidation, PlayersAndLinkFaults) {
+TEST(ChaosValidation, TooFewPlayers) {
   sim::ChaosSpec spec;
   spec.players = 1;
   EXPECT_THROW(sim::ChaosPlan{spec}, std::invalid_argument);
+}
 
-  sim::ChaosPlan plan{sim::ChaosSpec{}};
+TEST(FaultValidation, LinkFaultsRejected) {
+  sim::FaultPlan plan;
   sim::FaultSpec bad;
-  bad.flip_per_bit = 3.0;  // FaultPlan's own validation
+  bad.flip_per_bit = 3.0;  // validated like the plan's own spec
   EXPECT_THROW(plan.set_link_faults(0, 1, bad), std::invalid_argument);
-  EXPECT_THROW(plan.set_link_faults(0, 7, sim::FaultSpec{}),
+  // A fault plan has no player count; the endpoint check it can make is
+  // that a link joins two players.
+  EXPECT_THROW(plan.set_link_faults(7, 7, sim::FaultSpec{}),
                std::invalid_argument);
+  // A burst is the plan's, never an overlay's.
+  sim::FaultSpec bursty;
+  bursty.burst.loss_good = 0.5;
+  EXPECT_THROW(plan.set_link_faults(0, 1, bursty), std::invalid_argument);
+  EXPECT_FALSE(plan.enabled());
 }
 
 TEST(ChaosValidation, FaultSpecOutOfRange) {
@@ -118,13 +132,16 @@ TEST(ChaosValidation, FaultSpecOutOfRange) {
 // Determinism: chaos is a pure function of (protocol seed, chaos seed).
 
 IntersectResult run_with_chaos(const sim::ChaosSpec& spec, bool checkpoint,
-                               std::uint64_t session_seed) {
+                               std::uint64_t session_seed,
+                               const sim::FaultSpec& faults = {}) {
   const util::SetPair p = make_pair(9001);
   sim::ChaosPlan plan(spec, session_seed);
+  sim::FaultPlan fault_plan(faults);
   IntersectOptions options;
   options.universe = kUniverse;
   options.seed = session_seed;
   options.chaos_plan = &plan;
+  options.fault_plan = &fault_plan;
   options.checkpoint = checkpoint;
   return intersect(p.s, p.t, options);
 }
@@ -133,12 +150,13 @@ TEST(Chaos, DeterministicAcrossRuns) {
   sim::ChaosSpec spec;
   spec.crash.crash_prob = 0.03;
   spec.crash.restart_ticks = 5;
-  spec.burst.p_good_to_bad = 0.02;
-  spec.burst.p_bad_to_good = 0.25;
-  spec.burst.flip_bad = 5e-4;
+  sim::FaultSpec burst;
+  burst.burst.p_good_to_bad = 0.02;
+  burst.burst.p_bad_to_good = 0.25;
+  burst.burst.flip_bad = 5e-4;
 
-  const IntersectResult a = run_with_chaos(spec, true, 777);
-  const IntersectResult b = run_with_chaos(spec, true, 777);
+  const IntersectResult a = run_with_chaos(spec, true, 777, burst);
+  const IntersectResult b = run_with_chaos(spec, true, 777, burst);
   EXPECT_EQ(a.intersection, b.intersection);
   EXPECT_EQ(a.bits, b.bits);
   EXPECT_EQ(a.rounds, b.rounds);
@@ -147,7 +165,7 @@ TEST(Chaos, DeterministicAcrossRuns) {
   EXPECT_EQ(a.verified, b.verified);
 
   // A different protocol seed draws a different chaos stream (same spec).
-  const IntersectResult c = run_with_chaos(spec, true, 778);
+  const IntersectResult c = run_with_chaos(spec, true, 778, burst);
   EXPECT_TRUE(c.verified || c.degraded);
 }
 
@@ -241,23 +259,65 @@ TEST(Chaos, CheckpointedRecoveryReplaysFewerBits) {
 
 TEST(Chaos, BurstyLinkDamagesFramesButSessionSurvives) {
   const util::SetPair p = make_pair(66);
-  sim::ChaosSpec spec;
+  sim::FaultSpec spec;
   spec.burst.p_good_to_bad = 0.05;
   spec.burst.p_bad_to_good = 0.3;
   spec.burst.loss_bad = 0.4;
   spec.burst.flip_bad = 1e-3;
+  // The burst stream a ChaosPlan(ChaosSpec{}, 555) drew when chaos
+  // carried bursts.
+  spec.seed = util::mix64(sim::ChaosSpec{}.seed, 555);
 
-  sim::ChaosPlan plan(spec, 555);
-  ASSERT_TRUE(plan.corrupts_links());
+  sim::FaultPlan plan(spec);
+  ASSERT_TRUE(plan.enabled());
   IntersectOptions options;
   options.universe = kUniverse;
   options.seed = 555;
-  options.chaos_plan = &plan;
+  options.fault_plan = &plan;
   const IntersectResult r = intersect(p.s, p.t, options);
   EXPECT_TRUE(r.verified || r.degraded);
   EXPECT_TRUE(util::is_subset(p.expected_intersection, r.intersection));
   EXPECT_GT(plan.stats().burst_state_entries, 0u);
-  EXPECT_GT(plan.stats().content_events, 0u);
+  // Deliveries whose contents were damaged (flipped, truncated, dropped).
+  EXPECT_GT(plan.stats().flipped_messages + plan.stats().truncated_messages +
+                plan.stats().dropped_messages,
+            0u);
+}
+
+TEST(Chaos, BurstAndOverlayCountOnlyAsFaults) {
+  const util::SetPair p = make_pair(67);
+  sim::FaultSpec spec;
+  spec.burst.p_good_to_bad = 0.2;
+  spec.burst.p_bad_to_good = 0.3;
+  spec.burst.loss_bad = 0.4;
+  spec.burst.flip_bad = 1e-3;
+  spec.seed = 0xB0B;
+  sim::FaultPlan plan(spec);
+  sim::FaultSpec overlay;  // the facade's one link is {0, 1}
+  overlay.duplicate_prob = 0.1;
+  overlay.delay_prob = 0.1;
+  overlay.truncate_prob = 0.02;
+  overlay.seed = 0x0E;
+  plan.set_link_faults(0, 1, overlay);
+
+  obs::Tracer tracer;
+  IntersectOptions options;
+  options.universe = kUniverse;
+  options.seed = 4242;
+  options.fault_plan = &plan;
+  options.tracer = &tracer;
+  const IntersectResult r = intersect(p.s, p.t, options);
+  EXPECT_TRUE(util::is_subset(p.expected_intersection, r.intersection));
+
+  const auto& counters = tracer.metrics().counters();
+  const auto injected = counters.find("fault.injected");
+  ASSERT_NE(injected, counters.end());
+  EXPECT_GT(plan.stats().burst_state_entries, 0u);
+  EXPECT_GT(plan.stats().duplicated_messages, 0u);
+  EXPECT_EQ(injected->second.value(), plan.stats().faults_injected);
+  for (const auto& [name, counter] : counters) {
+    EXPECT_NE(name.rfind("chaos.", 0), 0u) << name;
+  }
 }
 
 // ------------------------------------------------------------------

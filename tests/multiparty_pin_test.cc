@@ -134,7 +134,7 @@ Observed run_case(Topology topology, Case c) {
       break;
     }
     case Case::kDeadLink:
-      use_chaos = true;
+      use_faults = true;
       params.retry.max_attempts = 8;
       params.retry.degraded_attempts = 1;
       params.breaker.failure_threshold = 2;
@@ -173,8 +173,8 @@ Observed run_case(Topology topology, Case c) {
     drop_all.seed = 99;
     // (0, 2) is a coordinator pair and an uncertified tournament match;
     // (0, 4) is a coordinator pair and the tournament's certified root.
-    chaos.set_link_faults(0, 2, drop_all);
-    chaos.set_link_faults(0, 4, drop_all);
+    faults.set_link_faults(0, 2, drop_all);
+    faults.set_link_faults(0, 4, drop_all);
   }
   sim::Adversary adversary(adversary_spec);
   if (use_faults) params.fault_plan = &faults;

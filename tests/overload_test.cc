@@ -467,7 +467,7 @@ TEST(OverloadE2E, CrashResumeChargesReplayedBitsExactlyOnce) {
 // Multiparty: pool, breaker, admission, refusal accounting
 
 // A 4-player star (coordinator variant): one level, coordinator 0 runs
-// pairwise sessions against 1, 2 and 3. The chaos plan's per-link fault
+// pairwise sessions against 1, 2 and 3. The fault plan's per-link
 // overlay makes link (0, 3) permanently dead (drops every frame) while
 // (0, 1) and (0, 2) stay clean.
 struct StarFixture {
@@ -481,21 +481,19 @@ struct StarFixture {
   }
 
   multiparty::MultipartyResult run(const multiparty::MultipartyParams& params,
-                                   sim::ChaosPlan* chaos,
+                                   sim::FaultPlan* faults,
                                    obs::Tracer* tracer = nullptr) const {
     sim::Network network(4);
     if (tracer != nullptr) network.set_tracer(tracer);
     sim::SharedRandomness shared(0x5747);
     multiparty::MultipartyParams p = params;
-    p.chaos = chaos;
+    p.fault_plan = faults;
     return multiparty::coordinator_intersection(network, shared, universe,
                                                 inst.sets, p);
   }
 
-  static sim::ChaosPlan dead_link_plan() {
-    sim::ChaosSpec spec;
-    spec.players = 4;
-    sim::ChaosPlan plan(spec, 0xDEAD);
+  static sim::FaultPlan dead_link_plan() {
+    sim::FaultPlan plan;
     sim::FaultSpec drop_all;
     drop_all.drop_prob = 1.0;
     drop_all.seed = 99;
@@ -510,12 +508,12 @@ TEST(OverloadMP, BreakerStopsRetrySpendOnDeadLink) {
   flat.retry.max_attempts = 8;
   flat.retry.degraded_attempts = 1;
 
-  sim::ChaosPlan plan_a = StarFixture::dead_link_plan();
+  sim::FaultPlan plan_a = StarFixture::dead_link_plan();
   const multiparty::MultipartyResult without = fx.run(flat, &plan_a);
 
   multiparty::MultipartyParams governed = flat;
   governed.breaker.failure_threshold = 2;
-  sim::ChaosPlan plan_b = StarFixture::dead_link_plan();
+  sim::FaultPlan plan_b = StarFixture::dead_link_plan();
   const multiparty::MultipartyResult with = fx.run(governed, &plan_b);
 
   // Both answers honor the superset contract and flag the dead pair.
@@ -545,7 +543,7 @@ TEST(OverloadMP, SharedPoolBoundsRetriesAcrossTheRun) {
   params.retry.degraded_attempts = 1;
   params.retry_pool_attempts = 5;
 
-  sim::ChaosPlan plan = StarFixture::dead_link_plan();
+  sim::FaultPlan plan = StarFixture::dead_link_plan();
   obs::Tracer tracer;
   const multiparty::MultipartyResult result = fx.run(params, &plan, &tracer);
 

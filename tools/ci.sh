@@ -39,7 +39,8 @@
 #   7d. the robustness tests (robustness_test, adversary_test, fuzz_smoke,
 #      chaos_test, recorder_test, sim_test) under ASan/UBSan: crafted
 #      frames through the word-level decoders, link-level resends under
-#      burst corruption, the integrity frame's word-level syndrome
+#      fault-plan bursts and link overlays, the integrity frame's
+#      word-level syndrome
 #   7e. the multiparty slice by label (both topologies, their shared pair
 #      policy and its pins), natively and under ASan/UBSan
 #   8. the telemetry-overhead gate (exp_cpu --gate-overhead=50) and the
@@ -211,7 +212,8 @@ step "robustness sanitizer pass (ASan+UBSan over the word-level decoders)"
 # and crafted frames from the fault, adversary and fuzz tests put every
 # read next to the end of the word vector. The chaos and recorder tests
 # drive the channel's link-level resends (pooled pristine copies restored
-# over damaged, truncated and dropped frames) under burst corruption. The
+# over damaged, truncated and dropped frames) under fault-plan bursts and
+# link overlays. The
 # sim tests run the integrity frame's syndrome code, which reads frame
 # words up to the tail, over every single and double flip. Reuses
 # build-sanitize/.

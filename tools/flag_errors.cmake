@@ -71,6 +71,20 @@ if(NOT rc EQUAL 2 OR named EQUAL -1)
   message(FATAL_ERROR "malformed dump seed: rc=${rc}, stderr '${err}'")
 endif()
 
+# So is a dump whose burst field does not hold six probabilities.
+string(REGEX REPLACE "\"fault\\.burst\":\"[^\"]*\"" "\"fault.burst\":\"0.1,0.2\""
+       tampered "${contents}")
+if(tampered STREQUAL contents)
+  message(FATAL_ERROR "dump ${dump} has no fault.burst field to tamper with")
+endif()
+file(WRITE "${SCRATCH}/tampered_burst.jsonl" "${tampered}")
+execute_process(COMMAND "${REPLAY}" "${SCRATCH}/tampered_burst.jsonl"
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+string(FIND "${err}" "fault.burst" named)
+if(NOT rc EQUAL 2 OR named EQUAL -1)
+  message(FATAL_ERROR "malformed dump fault.burst: rc=${rc}, stderr '${err}'")
+endif()
+
 # The well-formed spellings still run.
 execute_process(COMMAND "${CLI}" "${SCRATCH}/a.txt" "${SCRATCH}/b.txt"
                         --r=2 --universe=16 --seed=7

@@ -5,9 +5,8 @@
 //   replay <dump.jsonl>
 //
 // Record mode runs one canned facade session whose configuration is known
-// to raise an incident (scenarios: integrity, crash, partition, degrade,
-// overload)
-// with the flight recorder's dump path set to <prefix>; it prints the
+// to raise an incident (scenarios: integrity, burst, crash, partition,
+// degrade, overload) with the flight recorder's dump path set to <prefix>; it prints the
 // JSONL post-mortem file it produced. Every facade session stamps its full
 // configuration — seeds, inputs, retry policy, fault and chaos specs —
 // into the recorder's context block, so the dump is self-describing.
@@ -53,7 +52,8 @@ using setint::obs::Json;
                "usage: replay --record=<prefix> --scenario=<name> "
                "[--seed=<u64>]\n"
                "       replay <dump.jsonl>\n"
-               "scenarios: integrity, crash, partition, degrade, overload\n");
+               "scenarios: integrity, burst, crash, partition, degrade, "
+               "overload\n");
   std::exit(2);
 }
 
@@ -117,6 +117,15 @@ Scenario make_scenario(const std::string& name, std::uint64_t seed) {
     // it abandons the frame.
     setint::sim::FaultSpec spec;
     spec.flip_per_bit = 1.5e-2;
+    sc.fault = spec;
+  } else if (name == "burst") {
+    // A Gilbert-Elliott link that, once bad, stays bad for ~20 frames and
+    // drops most of them: a frame dropped on every resend is abandoned
+    // and the integrity incident fires.
+    setint::sim::FaultSpec spec;
+    spec.burst.p_good_to_bad = 0.1;
+    spec.burst.p_bad_to_good = 0.05;
+    spec.burst.loss_bad = 0.9;
     sc.fault = spec;
   } else if (name == "crash") {
     // Peer dies on first contact: recovery declares it lost and the
@@ -307,6 +316,20 @@ int replay_mode(const std::string& dump_path) {
     spec.duplicate_prob = double_field(ctx, "fault.duplicate_prob", "0");
     spec.delay_prob = double_field(ctx, "fault.delay_prob", "0");
     spec.delay_rounds = u64_field(ctx, "fault.delay_rounds", "1");
+    if (has_key(ctx, "fault.burst")) {
+      const std::vector<std::string> parts =
+          split(context_value(ctx, "fault.burst"), ',');
+      if (parts.size() != 6) {
+        std::fprintf(stderr, "replay: malformed fault.burst\n");
+        return 2;
+      }
+      spec.burst.p_good_to_bad = parse_double("fault.burst", parts[0]);
+      spec.burst.p_bad_to_good = parse_double("fault.burst", parts[1]);
+      spec.burst.loss_good = parse_double("fault.burst", parts[2]);
+      spec.burst.loss_bad = parse_double("fault.burst", parts[3]);
+      spec.burst.flip_good = parse_double("fault.burst", parts[4]);
+      spec.burst.flip_bad = parse_double("fault.burst", parts[5]);
+    }
     spec.seed = u64_field(ctx, "fault.seed", "0");
     fault_plan = std::make_unique<setint::sim::FaultPlan>(spec);
     options.fault_plan = fault_plan.get();
@@ -335,20 +358,6 @@ int replay_mode(const std::string& dump_path) {
       sched.max_crashes = parse_u64("chaos.overrides", parts[3]);
       spec.crash_overrides.emplace_back(
           parse_u64("chaos.overrides", parts[0]), sched);
-    }
-    if (has_key(ctx, "chaos.burst")) {
-      const std::vector<std::string> parts =
-          split(context_value(ctx, "chaos.burst"), ',');
-      if (parts.size() != 6) {
-        std::fprintf(stderr, "replay: malformed chaos.burst\n");
-        return 2;
-      }
-      spec.burst.p_good_to_bad = parse_double("chaos.burst", parts[0]);
-      spec.burst.p_bad_to_good = parse_double("chaos.burst", parts[1]);
-      spec.burst.loss_good = parse_double("chaos.burst", parts[2]);
-      spec.burst.loss_bad = parse_double("chaos.burst", parts[3]);
-      spec.burst.flip_good = parse_double("chaos.burst", parts[4]);
-      spec.burst.flip_bad = parse_double("chaos.burst", parts[5]);
     }
     for (const std::string& field :
          split(context_value(ctx, "chaos.partitions"), ';')) {

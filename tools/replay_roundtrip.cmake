@@ -7,7 +7,7 @@ if(NOT REPLAY OR NOT SCRATCH)
 endif()
 file(MAKE_DIRECTORY ${SCRATCH})
 
-foreach(scenario integrity crash partition degrade)
+foreach(scenario integrity burst crash partition degrade)
   execute_process(
     COMMAND ${REPLAY} --record=${SCRATCH}/${scenario} --scenario=${scenario}
             --seed=24145
@@ -19,6 +19,14 @@ foreach(scenario integrity crash partition degrade)
   endif()
   if(NOT EXISTS ${dump_path})
     message(FATAL_ERROR "scenario ${scenario}: dump ${dump_path} missing")
+  endif()
+  if(scenario STREQUAL "burst")
+    # The burst must abandon a frame, not fall back to a forced dump.
+    file(READ ${dump_path} dump)
+    string(FIND "${dump}" "integrity: " abandoned)
+    if(abandoned EQUAL -1)
+      message(FATAL_ERROR "scenario burst: no integrity incident in ${dump_path}")
+    endif()
   endif()
   execute_process(
     COMMAND ${REPLAY} ${dump_path}
