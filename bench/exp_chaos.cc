@@ -60,11 +60,12 @@ ChaosTally run_two_party(bench::Reporter& rep, std::uint64_t salt, int trials,
     std::unique_ptr<sim::FaultPlan> fault_plan;
     if (faults != nullptr) {
       sim::FaultSpec fs = *faults;
-      // A burst is seeded as the chaos plan seeded it when it carried the
-      // burst, so C3's bursty stream is the one earlier records measured.
-      fs.seed = fs.burst.enabled()
-                    ? util::mix64(chaos_spec.seed, session_seed)
-                    : rep.seed_for(salt, 0xFA00 + static_cast<std::uint64_t>(t));
+      // A burst draws from (chaos seed, session seed), so C3's bursty arm
+      // keeps the stream BENCH_chaos.json has always recorded.
+      fs.seed =
+          fs.burst.enabled()
+              ? util::mix64(chaos_spec.seed, session_seed)
+              : rep.seed_for(salt, 0xFA00 + static_cast<std::uint64_t>(t));
       fault_plan = std::make_unique<sim::FaultPlan>(fs);
     }
     obs::Tracer tracer;

@@ -96,10 +96,11 @@ struct VerifiedRunResult {
 //               FlightRecorder::incident().
 //   chaos     — crash/partition schedule (sim/chaos.h) driving the
 //               session clock; player_a/player_b name this pair's global
-//               player ids, the link both plans read. A crash or partition mid-
-//               attempt is waited out (retry.max_resume_wait_rounds) and
-//               the attempt resumes from its last phase checkpoint — or
-//               from scratch when `checkpoint` is false — up to
+//               player ids, the link both plans read. A crash or
+//               partition mid-attempt is waited out
+//               (retry.max_resume_wait_rounds) and the attempt resumes
+//               from its last phase checkpoint — or from scratch when
+//               `checkpoint` is false — up to
 //               retry.max_restarts times; a permanently dead peer yields
 //               peer_lost + the degraded input-fallback superset.
 //   budget    — per-session spending caps (core/budget.h), enforced at

@@ -97,9 +97,9 @@ struct IntersectOptions {
   core::RetryPolicy retry;
   // Optional crash/partition schedule (not owned, stateful): player
   // crash-restart and link partition windows (sim/chaos.h); damage in
-  // flight is the fault plan's. Crashed sessions wait out the outage and resume from
-  // their last phase checkpoint; a peer that never returns degrades the
-  // run honestly (docs/ROBUSTNESS.md § crash faults).
+  // flight is the fault plan's. Crashed sessions wait out the outage and
+  // resume from their last phase checkpoint; a peer that never returns
+  // degrades the run honestly (docs/ROBUSTNESS.md § crash faults).
   sim::ChaosPlan* chaos_plan = nullptr;
   // Phase-boundary checkpointing (core/checkpoint.h) for chaos recovery.
   // Off = a crash burns the whole attempt and replays it from scratch.

@@ -18,11 +18,12 @@
 // channel's link. Injected faults are attributed to the current tracer
 // phase and counted under the fault.* metrics — see docs/ROBUSTNESS.md.
 //
-// Integrity framing: with an enabled fault plan, every message is framed as body ‖ 32-bit content checksum ‖ w-bit
-// syndrome ‖ 1 parity bit, with n = |body| + 32 and w = bit_width(n), all
-// charged to the sender like any other bits. The syndrome is the XOR of
-// (i + 1) over the set bits i < n and the parity bit covers the same n
-// bits (an extended Hamming code, SECDED). The receiver reads n from the
+// Integrity framing: with an enabled fault plan, every message is framed
+// as body ‖ 32-bit content checksum ‖ w-bit syndrome ‖ 1 parity bit, with
+// n = |body| + 32 and w = bit_width(n), all charged to the sender like any
+// other bits. The syndrome is the XOR of (i + 1) over the set bits i < n
+// and the parity bit covers the same n bits (an extended Hamming code,
+// SECDED). The receiver reads n from the
 // delivered length and repairs a single flipped bit in place: correct
 // first, then resend, then retry. A frame the code cannot repair (two
 // flips, a flip in the syndrome field, truncation, a drop) is resent at

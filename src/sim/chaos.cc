@@ -13,12 +13,18 @@ void check_probability(double p, const char* field) {
   }
 }
 
+void check_schedule(const CrashSchedule& sched, const char* field) {
+  check_probability(sched.crash_prob, field);
+}
+
 std::pair<std::size_t, std::size_t> link_key(std::size_t a, std::size_t b) {
   return {std::min(a, b), std::max(a, b)};
 }
 
 bool window_covers(const PartitionWindow& w, std::size_t a, std::size_t b) {
-  return w.a == kAllLinks || link_key(w.a, w.b) == link_key(a, b);
+  if (w.a == kAllLinks) return true;
+  const auto key = link_key(a, b);
+  return link_key(w.a, w.b) == key;
 }
 
 }  // namespace
@@ -65,13 +71,13 @@ ChaosPlan::ChaosPlan(const ChaosSpec& spec, std::uint64_t protocol_seed)
   if (spec_.players < 2) {
     throw std::invalid_argument("ChaosSpec: players must be >= 2");
   }
-  check_probability(spec_.crash.crash_prob, "crash.crash_prob");
+  check_schedule(spec_.crash, "crash.crash_prob");
   for (const auto& [player, sched] : spec_.crash_overrides) {
     if (player >= spec_.players) {
       throw std::invalid_argument(
           "ChaosSpec: crash_overrides player out of range");
     }
-    check_probability(sched.crash_prob, "crash_overrides crash_prob");
+    check_schedule(sched, "crash_overrides crash_prob");
   }
   for (const PartitionWindow& w : spec_.partitions) {
     if (w.end_tick < w.start_tick) {

@@ -1,7 +1,7 @@
 // Chaos layer: crash/restart, partitions, bursty links, and the session
 // recovery built on core::Checkpoint (docs/ROBUSTNESS.md § crash faults).
-// Bursts and per-link overlays belong to sim::FaultPlan; they are pinned
-// here beside the chaos they used to ride with.
+// Bursts and per-link overlays are sim::FaultPlan knobs; they are pinned
+// here with the other link failures the recovery layer must survive.
 //
 // Invariants pinned here:
 //  * ChaosSpec / FaultSpec probabilities are validated at construction —
@@ -264,8 +264,8 @@ TEST(Chaos, BurstyLinkDamagesFramesButSessionSurvives) {
   spec.burst.p_bad_to_good = 0.3;
   spec.burst.loss_bad = 0.4;
   spec.burst.flip_bad = 1e-3;
-  // The burst stream a ChaosPlan(ChaosSpec{}, 555) drew when chaos
-  // carried bursts.
+  // The stream these expectations were first checked on: a burst seeded
+  // from the default chaos seed and this session's seed.
   spec.seed = util::mix64(sim::ChaosSpec{}.seed, 555);
 
   sim::FaultPlan plan(spec);

@@ -6,8 +6,9 @@
 //
 // Record mode runs one canned facade session whose configuration is known
 // to raise an incident (scenarios: integrity, burst, crash, partition,
-// degrade, overload) with the flight recorder's dump path set to <prefix>; it prints the
-// JSONL post-mortem file it produced. Every facade session stamps its full
+// degrade, overload) with the flight recorder's dump path set to
+// <prefix>; it prints the JSONL post-mortem file it produced. Every
+// facade session stamps its full
 // configuration — seeds, inputs, retry policy, fault and chaos specs —
 // into the recorder's context block, so the dump is self-describing.
 //
