@@ -233,7 +233,9 @@ struct MultipartyParams {
   // Fault plan (not owned) installed on every pair channel of the run, so
   // one deterministic fault stream covers the whole m-party run. Pair
   // channels name their link by global player indices, which is what the
-  // plan's bursts and per-link overlays (set_link_faults) key on.
+  // plan's bursts and per-link overlays (set_link_faults) key on. An
+  // overlay naming a player >= network.players() throws
+  // std::invalid_argument before any pair runs.
   sim::FaultPlan* fault_plan = nullptr;
 
   // Byzantine player model (docs/ROBUSTNESS.md): `adversary` (not owned)

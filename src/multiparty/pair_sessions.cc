@@ -1,6 +1,7 @@
 #include "multiparty/pair_sessions.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/tracer.h"
@@ -26,6 +27,12 @@ PairSessions::PairSessions(sim::Network& network,
                                                                 : nullptr),
       pool_(params.retry_pool_attempts),
       admission_(params.admission, &pool_) {
+  if (params.fault_plan != nullptr &&
+      params.fault_plan->players_needed() > network.players()) {
+    throw std::invalid_argument(
+        "multiparty: a fault plan overlay names a player the run does not "
+        "have");
+  }
   for (const util::Set& s : sets) {
     util::validate_set(s, universe);
     if (params.k_bound == 0) k_ = std::max(k_, s.size());

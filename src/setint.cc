@@ -139,6 +139,13 @@ void validate_options(const IntersectOptions& options) {
   if (options.rounds_r < 0 || options.rounds_r > core::kMaxTreeStages) {
     throw std::invalid_argument("intersect: rounds_r out of range");
   }
+  // A two-party session has the one link {0, 1}; an overlay anywhere else
+  // would silently never fire.
+  if (options.fault_plan != nullptr &&
+      options.fault_plan->players_needed() > 2) {
+    throw std::invalid_argument(
+        "intersect: a fault plan overlay names a link other than {0, 1}");
+  }
 }
 
 }  // namespace

@@ -83,7 +83,9 @@ struct IntersectOptions {
   // obs/recorder.h and docs/OBSERVABILITY.md § flight recorder.
   obs::FlightRecorder* recorder = nullptr;
   // Optional unreliable-transport model (not owned, stateful): iid damage,
-  // Gilbert-Elliott bursts and per-link overlays (sim/fault.h).
+  // Gilbert-Elliott bursts and per-link overlays (sim/fault.h). An
+  // overlay off the session's one link {0, 1} throws
+  // std::invalid_argument before any attempt runs.
   sim::FaultPlan* fault_plan = nullptr;
   // Optional Byzantine-peer model (not owned, stateful): one party's
   // frames are replaced with crafted ones (sim/adversary.h).

@@ -104,6 +104,7 @@ void FaultPlan::set_link_faults(std::size_t a, std::size_t b,
   link.overlay_rng = util::Rng(util::mix64(
       spec_.seed, util::mix64(spec.seed, link_id(key.first, key.second))));
   enabled_ = enabled_ || spec.enabled();
+  players_needed_ = std::max(players_needed_, key.second + 1);
 }
 
 FaultPlan::Link* FaultPlan::link_state(std::size_t a, std::size_t b) {

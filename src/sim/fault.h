@@ -121,8 +121,13 @@ class FaultPlan {
   // stream is derived from the plan seed, the overlay's seed and the link,
   // so two links sharing a spec draw independently. The overlay is
   // validated like the plan's spec; it cannot carry a burst (set
-  // FaultSpec::burst on the plan) and a == b is rejected.
+  // FaultSpec::burst on the plan) and a == b is rejected. The plan has no
+  // player count: a run checks players_needed() against its own.
   void set_link_faults(std::size_t a, std::size_t b, const FaultSpec& spec);
+
+  // The fewest players a run must have for every overlay to name one of
+  // its links: the highest overlay endpoint + 1, or 0 with no overlay.
+  std::size_t players_needed() const { return players_needed_; }
 
   const FaultSpec& spec() const { return spec_; }
   const FaultStats& stats() const { return stats_; }
@@ -159,6 +164,7 @@ class FaultPlan {
   util::Rng rng_;
   FaultStats stats_;
   bool enabled_ = false;
+  std::size_t players_needed_ = 0;
   std::map<LinkKey, Link> links_;
 };
 

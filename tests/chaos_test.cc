@@ -26,6 +26,7 @@
 #include <string>
 
 #include "multiparty/coordinator.h"
+#include "multiparty/tournament.h"
 #include "obs/recorder.h"
 #include "obs/tracer.h"
 #include "setint.h"
@@ -120,6 +121,46 @@ TEST(FaultValidation, LinkFaultsRejected) {
   bursty.burst.loss_good = 0.5;
   EXPECT_THROW(plan.set_link_faults(0, 1, bursty), std::invalid_argument);
   EXPECT_FALSE(plan.enabled());
+  EXPECT_EQ(plan.players_needed(), 0u);
+}
+
+TEST(FaultValidation, LinkFaultsOffTheRunRejected) {
+  // Player 7 does not exist in a two-player run: the run that knows its
+  // player count refuses the overlay instead of never firing it.
+  sim::FaultPlan plan;
+  sim::FaultSpec dead;
+  dead.drop_prob = 1.0;
+  plan.set_link_faults(0, 7, dead);
+  EXPECT_EQ(plan.players_needed(), 8u);
+
+  const util::SetPair p = make_pair(11);
+  IntersectOptions options;
+  options.universe = kUniverse;
+  options.fault_plan = &plan;
+  EXPECT_THROW(intersect(p.s, p.t, options), std::invalid_argument);
+
+  util::Rng wrng(12);
+  const auto inst = util::random_multi_sets(wrng, kUniverse, 2, 32, 8);
+  multiparty::MultipartyParams params;
+  params.fault_plan = &plan;
+  sim::Network net(2);
+  sim::SharedRandomness sh(13);
+  EXPECT_THROW(multiparty::coordinator_intersection(net, sh, kUniverse,
+                                                    inst.sets, params),
+               std::invalid_argument);
+  sim::Network tnet(2);
+  EXPECT_THROW(multiparty::tournament_intersection(tnet, sh, kUniverse,
+                                                   inst.sets, params),
+               std::invalid_argument);
+  EXPECT_EQ(plan.stats().messages_seen, 0u);
+
+  // An eight-player run has the link {0, 7}, and the overlay fires there.
+  const auto wide = util::random_multi_sets(wrng, kUniverse, 8, 32, 8);
+  sim::Network wnet(8);
+  const auto res = multiparty::coordinator_intersection(wnet, sh, kUniverse,
+                                                        wide.sets, params);
+  EXPECT_GT(plan.stats().dropped_messages, 0u);
+  EXPECT_TRUE(util::is_subset(wide.expected_intersection, res.intersection));
 }
 
 TEST(ChaosValidation, FaultSpecOutOfRange) {
@@ -300,14 +341,28 @@ TEST(Chaos, BurstAndOverlayCountOnlyAsFaults) {
   overlay.seed = 0x0E;
   plan.set_link_faults(0, 1, overlay);
 
+  // An enabled chaos plan whose one partition window opens long after the
+  // session ends: every send takes the chaos-gate path and none is blocked,
+  // so the damage has both plans to be counted under.
+  sim::ChaosSpec never;
+  never.partitions.push_back({.a = 0,
+                              .b = 1,
+                              .start_tick = std::uint64_t{1} << 40,
+                              .end_tick = (std::uint64_t{1} << 40) + 1});
+  sim::ChaosPlan chaos(never, 4242);
+  ASSERT_TRUE(chaos.enabled());
+
   obs::Tracer tracer;
   IntersectOptions options;
   options.universe = kUniverse;
   options.seed = 4242;
   options.fault_plan = &plan;
+  options.chaos_plan = &chaos;
   options.tracer = &tracer;
   const IntersectResult r = intersect(p.s, p.t, options);
   EXPECT_TRUE(util::is_subset(p.expected_intersection, r.intersection));
+  EXPECT_GT(chaos.stats().ticks, 0u);
+  EXPECT_EQ(chaos.stats().blocked_sends, 0u);
 
   const auto& counters = tracer.metrics().counters();
   const auto injected = counters.find("fault.injected");
@@ -315,8 +370,12 @@ TEST(Chaos, BurstAndOverlayCountOnlyAsFaults) {
   EXPECT_GT(plan.stats().burst_state_entries, 0u);
   EXPECT_GT(plan.stats().duplicated_messages, 0u);
   EXPECT_EQ(injected->second.value(), plan.stats().faults_injected);
+  // Only the gate's own block counters may carry the chaos. prefix.
   for (const auto& [name, counter] : counters) {
-    EXPECT_NE(name.rfind("chaos.", 0), 0u) << name;
+    if (name.rfind("chaos.", 0) != 0) continue;
+    EXPECT_TRUE(name == "chaos.crash_blocks" ||
+                name == "chaos.partition_blocks")
+        << name;
   }
 }
 

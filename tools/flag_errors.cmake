@@ -85,6 +85,21 @@ if(NOT rc EQUAL 2 OR named EQUAL -1)
   message(FATAL_ERROR "malformed dump fault.burst: rc=${rc}, stderr '${err}'")
 endif()
 
+# A dump recorded when bursts were a chaos-plan knob (chaos.burst) is
+# unusable, not diverged: the burst it names is no longer rebuilt.
+string(REPLACE "\"seed\":\"5\"" "\"chaos.burst\":\"0.1,0.05,0,0.9,0,0\",\"seed\":\"5\""
+       tampered "${contents}")
+if(tampered STREQUAL contents)
+  message(FATAL_ERROR "dump ${dump} has no seed field to add chaos.burst by")
+endif()
+file(WRITE "${SCRATCH}/chaos_burst.jsonl" "${tampered}")
+execute_process(COMMAND "${REPLAY}" "${SCRATCH}/chaos_burst.jsonl"
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+string(FIND "${err}" "chaos.burst" named)
+if(NOT rc EQUAL 2 OR named EQUAL -1)
+  message(FATAL_ERROR "pre-fault-plan chaos.burst dump: rc=${rc}, stderr '${err}'")
+endif()
+
 # The well-formed spellings still run.
 execute_process(COMMAND "${CLI}" "${SCRATCH}/a.txt" "${SCRATCH}/b.txt"
                         --r=2 --universe=16 --seed=7

@@ -263,6 +263,13 @@ int replay_mode(const std::string& dump_path) {
                  "replayable (crafted frames depend on live state)\n");
     return 2;
   }
+  if (has_key(ctx, "chaos.burst")) {
+    // Bursts moved to the fault plan (fault.burst); replaying such a dump
+    // without its burst would report a divergence that is not one.
+    std::fprintf(stderr,
+                 "replay: chaos.burst is from a pre-fault-plan dump\n");
+    return 2;
+  }
   const Json* digest = meta.find("transcript_digest");
   const Json* incidents = meta.find("incidents");
   if (digest == nullptr || !digest->is_string() || incidents == nullptr) {
