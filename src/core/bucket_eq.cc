@@ -89,8 +89,14 @@ class BucketEqParty final : public eq::AmortizedEqParty {
  private:
   sim::Outgoing sizes_message() const {
     // Bucket sizes sum to at most k, so gamma coding is O(k).
-    sim::Outgoing msg{{}, alice_ ? "bucket-sizes-a" : "bucket-sizes-b",
+    sim::Outgoing msg{env_.pool->acquire(),
+                      alice_ ? "bucket-sizes-a" : "bucket-sizes-b",
                       "size_exchange", /*boundary=*/!alice_};
+    std::size_t bits = 0;
+    for (std::size_t i = 0; i < k_; ++i) {
+      bits += util::gamma64_cost_bits(buckets_.bucket_size(i));
+    }
+    msg.bits.reserve_bits(bits);
     for (std::size_t i = 0; i < k_; ++i) {
       msg.bits.append_gamma64(buckets_.bucket_size(i));
     }

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <limits>
-#include <map>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 
@@ -18,47 +15,6 @@
 namespace setint::core {
 
 namespace {
-
-using Range = std::pair<std::size_t, std::size_t>;  // [first, second)
-
-// Leaves covered by a level-i node: |C(v)| = log^(r-i) k, rounded, clamped
-// into [1, k] and kept monotone in i so ranges nest.
-std::vector<std::size_t> level_cover_sizes(std::size_t leaves, int r) {
-  std::vector<std::size_t> cover(static_cast<std::size_t>(r) + 1);
-  cover[static_cast<std::size_t>(r)] = leaves;
-  for (int i = r - 1; i >= 0; --i) {
-    const double v =
-        util::iterated_log(r - i, static_cast<double>(leaves));
-    auto c = static_cast<std::size_t>(std::llround(std::max(1.0, v)));
-    c = std::min(c, cover[static_cast<std::size_t>(i) + 1]);
-    cover[static_cast<std::size_t>(i)] = std::max<std::size_t>(1, c);
-  }
-  cover[0] = 1;  // level 0 nodes are the leaves themselves
-  return cover;
-}
-
-TreeLayout compute_layout(std::size_t leaves, int rounds_r) {
-  if (leaves == 0) throw std::invalid_argument("layout: zero leaves");
-  if (rounds_r < 1) throw std::invalid_argument("layout: r < 1");
-  const std::vector<std::size_t> cover = level_cover_sizes(leaves, rounds_r);
-  TreeLayout layout(static_cast<std::size_t>(rounds_r) + 1);
-  layout[static_cast<std::size_t>(rounds_r)] = {Range{0, leaves}};
-  for (int i = rounds_r - 1; i >= 0; --i) {
-    const std::size_t chunk = cover[static_cast<std::size_t>(i)];
-    for (const Range& parent : layout[static_cast<std::size_t>(i) + 1]) {
-      for (std::size_t lo = parent.first; lo < parent.second; lo += chunk) {
-        layout[static_cast<std::size_t>(i)].push_back(
-            Range{lo, std::min(lo + chunk, parent.second)});
-      }
-    }
-  }
-  return layout;
-}
-
-// Bounded, thread-safe memo: the iterated-log level-degree schedule depends
-// only on (leaves, r), and benchmark/batch workloads ask for the same
-// shapes thousands of times (each session twice, once per party).
-constexpr std::size_t kMaxLayoutCacheEntries = 256;
 
 // Tracer paths of one stage's messages. Outgoing::phase is a view, so the
 // paths live in a table built once per process, not in per-session
@@ -90,55 +46,80 @@ double stage_tower(int r, int stage, std::size_t leaves) {
                                           static_cast<double>(leaves)));
 }
 
+// Stage count of a tree party: explicit, or log*(k); at least 2.
+int party_rounds(const VerificationTreeParams& params) {
+  if (params.bucket_count == 0) {
+    // A party cannot see the peer's size, so the public bound must be
+    // explicit in this execution mode.
+    throw std::invalid_argument("tree party: bucket_count must be explicit");
+  }
+  const int r =
+      params.rounds_r != 0
+          ? params.rounds_r
+          : std::max(1, util::log_star(
+                            static_cast<double>(params.bucket_count)));
+  if (r < 2) throw std::invalid_argument("tree party: requires r >= 2");
+  return r;  // TreeShape rejects r > kMaxTreeStages
+}
+
 }  // namespace
 
-std::shared_ptr<const TreeLayout> tree_layout(std::size_t leaves,
-                                              int rounds_r) {
-  static std::mutex mu;
-  static std::map<std::pair<std::size_t, int>,
-                  std::shared_ptr<const TreeLayout>>
-      cache;
-  const std::pair<std::size_t, int> key{leaves, rounds_r};
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    const auto it = cache.find(key);
-    if (it != cache.end()) return it->second;
+TreeShape::TreeShape(std::size_t leaves, int rounds_r)
+    : leaves_(leaves), r_(rounds_r) {
+  if (leaves == 0) throw std::invalid_argument("layout: zero leaves");
+  if (rounds_r < 1) throw std::invalid_argument("layout: r < 1");
+  if (rounds_r > kMaxTreeStages) {
+    throw std::invalid_argument("layout: r > kMaxTreeStages");
   }
-  auto fresh =
-      std::make_shared<const TreeLayout>(compute_layout(leaves, rounds_r));
-  std::lock_guard<std::mutex> lock(mu);
-  const auto [it, inserted] = cache.try_emplace(key, fresh);
-  if (!inserted) return it->second;  // another thread won the race
-  if (cache.size() > kMaxLayoutCacheEntries) {
-    // Never evict the entry just added: the peer party asks for the same
-    // shape right after this one.
-    cache.erase(cache.begin() != it ? cache.begin() : std::next(it));
+  cover_[static_cast<std::size_t>(r_)] = leaves;
+  for (int i = r_ - 1; i >= 0; --i) {
+    const double v = util::iterated_log(r_ - i, static_cast<double>(leaves));
+    auto c = static_cast<std::size_t>(std::llround(std::max(1.0, v)));
+    c = std::min(c, cover_[static_cast<std::size_t>(i) + 1]);
+    cover_[static_cast<std::size_t>(i)] = std::max<std::size_t>(1, c);
   }
-  return fresh;
+  cover_[0] = 1;  // level 0 nodes are the leaves themselves
+}
+
+// Each level-j node is cut into chunks of cover(j - 1) leaves, the last
+// one possibly shorter, down to the level asked for. Covers are monotone
+// and cover(0) = 1, so below a level of single leaves every level is the
+// leaves themselves.
+void TreeShape::append_starts(int j, std::size_t lo, std::size_t hi,
+                              int level,
+                              std::vector<std::size_t>& starts) const {
+  if (j == level) {
+    starts.push_back(lo);
+    return;
+  }
+  const std::size_t chunk = cover(j - 1);
+  if (chunk == 1) {
+    for (std::size_t u = lo; u < hi; ++u) starts.push_back(u);
+    return;
+  }
+  for (std::size_t s = lo; s < hi; s += chunk) {
+    append_starts(j - 1, s, std::min(s + chunk, hi), level, starts);
+  }
+}
+
+void TreeShape::level_bounds(int level,
+                             std::vector<std::size_t>& bounds) const {
+  bounds.clear();
+  append_starts(r_, 0, leaves_, level, bounds);
+  bounds.push_back(leaves_);
 }
 
 TreeParty::TreeParty(const sim::SharedRandomness& shared, std::uint64_t nonce,
                      std::uint64_t universe, util::SetView input,
                      const VerificationTreeParams& params, sim::PartyEnv env)
     : shared_(shared), nonce_(nonce), universe_(universe), params_(params),
-      env_(env) {
-  if (params.bucket_count == 0) {
-    // A party cannot see the peer's size, so the public bound must be
-    // explicit in this execution mode.
-    throw std::invalid_argument("tree party: bucket_count must be explicit");
-  }
+      env_(env), shape_(params.bucket_count, party_rounds(params)) {
   const std::size_t k = params.bucket_count;
   const double kd = static_cast<double>(k);
-  r_ = params.rounds_r != 0 ? params.rounds_r
-                            : std::max(1, util::log_star(kd));
-  if (r_ < 2) throw std::invalid_argument("tree party: requires r >= 2");
-  if (r_ > kMaxTreeStages) {
-    throw std::invalid_argument("tree party: r > kMaxTreeStages");
-  }
-  layout_ = tree_layout(k, r_);
+  const int r = shape_.rounds();
   budget_ = params.worst_case_cutoff_factor > 0
                 ? params.worst_case_cutoff_factor * kd *
-                      std::max(1.0, util::iterated_log(r_, kd))
+                      std::max(1.0, util::iterated_log(r, kd))
                 : std::numeric_limits<double>::infinity();
 
   // Bucket partition (the leaves' initial assignments S^(-1), T^(-1)):
@@ -152,8 +133,11 @@ TreeParty::TreeParty(const sim::SharedRandomness& shared, std::uint64_t nonce,
   buckets_ = util::build_flat_buckets_values(keys, input, k, *env_.arena);
   assignment_.resize(k);
   for (std::size_t u = 0; u < k; ++u) assignment_[u] = buckets_.bucket(u);
+  // Stage 0's nodes are the k leaves.
+  bounds_.reserve(k + 1);
+  shape_.level_bounds(0, bounds_);
 
-  const auto stages = static_cast<std::size_t>(r_);
+  const auto stages = static_cast<std::size_t>(r);
   diag_.stage_failures.assign(stages, 0);
   diag_.stage_eq_bits.assign(stages, 0);
   diag_.stage_bi_bits.assign(stages, 0);
@@ -165,44 +149,49 @@ std::uint64_t TreeParty::eq_nonce() const {
 }
 
 std::size_t TreeParty::eq_bits(int stage) const {
-  const double tower = stage_tower(r_, stage, params_.bucket_count);
+  const double tower =
+      stage_tower(shape_.rounds(), stage, params_.bucket_count);
   return static_cast<std::size_t>(std::max(
       1.0, std::ceil(params_.eq_bits_scale * 4.0 * std::log2(tower))));
 }
 
 template <typename BiParty>
 void TreeParty::start_repair(std::optional<BiParty>& bi) {
-  const double tower = stage_tower(r_, stage_, params_.bucket_count);
+  const double tower =
+      stage_tower(shape_.rounds(), stage_, params_.bucket_count);
   const double failure = std::min(
       0.25, (1.0 / std::pow(tower, 4.0)) /
                 std::max(1e-6, params_.bi_range_scale));
-  bi.emplace(shared_, util::mix64(nonce_, util::mix64(0xB1, stage_)),
-             universe_, failed_sets_, failure, env_);
+  const std::uint64_t nonce = util::mix64(nonce_, util::mix64(0xB1, stage_));
+  if (bi) {
+    bi->restart(nonce, failed_sets_, failure);
+  } else {
+    bi.emplace(shared_, nonce, universe_, failed_sets_, failure, env_);
+  }
+  repairing_ = true;
 }
 
 std::span<const util::BitSpan> TreeParty::node_contents() {
-  const auto& ranges = (*layout_)[static_cast<std::size_t>(stage_)];
-  // Stage 0 has the most nodes, so later stages never reallocate.
-  nodes_.resize(ranges.size());
-  util::pack_sets(assignment_, ranges, *env_.arena, nodes_);
+  nodes_.resize(bounds_.size() - 1);
+  util::pack_sets(assignment_, bounds_, *env_.arena, nodes_);
   return nodes_;
 }
 
-bool TreeParty::fail_leaves(const std::vector<bool>& pass) {
-  const auto& ranges = (*layout_)[static_cast<std::size_t>(stage_)];
+bool TreeParty::fail_leaves() {
+  const std::size_t nodes = bounds_.size() - 1;
   std::size_t leaves = 0;
-  for (std::size_t v = 0; v < ranges.size(); ++v) {
-    if (pass[v]) continue;
+  for (std::size_t v = 0; v < nodes; ++v) {
+    if (verdicts_[v]) continue;
     diag_.stage_failures[static_cast<std::size_t>(stage_)] += 1;
-    leaves += ranges[v].second - ranges[v].first;
+    leaves += bounds_[v + 1] - bounds_[v];
   }
   failed_leaves_.clear();
   failed_sets_.clear();
   failed_leaves_.reserve(leaves);
   failed_sets_.reserve(leaves);
-  for (std::size_t v = 0; v < ranges.size(); ++v) {
-    if (pass[v]) continue;
-    for (std::size_t u = ranges[v].first; u < ranges[v].second; ++u) {
+  for (std::size_t v = 0; v < nodes; ++v) {
+    if (verdicts_[v]) continue;
+    for (std::size_t u = bounds_[v]; u < bounds_[v + 1]; ++u) {
       failed_leaves_.push_back(u);
       failed_sets_.push_back(assignment_[u]);
     }
@@ -217,6 +206,7 @@ void TreeParty::take_candidates(const BasicIntersectionParty& bi) {
     diag_.leaf_reruns[u] += 1;
   }
   diag_.total_bi_runs += failed_leaves_.size();
+  repairing_ = false;
 }
 
 void TreeParty::meter(const util::BitBuffer& frame, bool repair) {
@@ -239,11 +229,16 @@ sim::Outgoing TreeParty::send(std::optional<sim::Outgoing> msg, bool repair) {
 bool TreeParty::end_stage() {
   ++stage_;
   if (static_cast<double>(bits_seen_) > budget_) diag_.fallback_used = true;
-  return !done();
+  if (done()) return false;
+  shape_.level_bounds(stage_, bounds_);
+  return true;
 }
 
 util::Set TreeParty::output() const {
+  std::size_t size = 0;
+  for (util::SetView leaf : assignment_) size += leaf.size();
   util::Set out;
+  out.reserve(size);
   for (util::SetView leaf : assignment_) {
     out.insert(out.end(), leaf.begin(), leaf.end());
   }
@@ -258,24 +253,24 @@ std::optional<sim::Outgoing> TreeAlice::start() { return begin_stage(); }
 std::optional<sim::Outgoing> TreeAlice::begin_stage() {
   // EqualityAlice reads the node contents only in start().
   util::ScratchArena::Frame contents_frame(*env_.arena);
-  eq_.emplace(shared_, eq_nonce(), node_contents(), eq_bits(stage_), env_);
+  eq_.emplace(shared_, eq_nonce(), node_contents(), eq_bits(stage_),
+              verdicts_, env_);
   return send(eq_->start(), /*repair=*/false);
 }
 
 std::optional<sim::Outgoing> TreeAlice::on_message(
     const util::BitBuffer& message) {
-  if (bi_) {
+  if (repairing_) {
     meter(message, /*repair=*/true);
     std::optional<sim::Outgoing> reply = bi_->on_message(message);
     if (!bi_->done()) return send(std::move(reply), /*repair=*/true);
     take_candidates(*bi_);
-    bi_.reset();
   } else {
     if (!eq_) throw std::logic_error("TreeAlice: unexpected message");
     meter(message, /*repair=*/false);
     eq_->on_message(message);
-    const bool repair = fail_leaves(eq_->verdicts());
     eq_.reset();
+    const bool repair = fail_leaves();
     if (repair) {
       start_repair(bi_);
       return send(bi_->start(), /*repair=*/true);
@@ -290,27 +285,22 @@ std::optional<sim::Outgoing> TreeAlice::on_message(
 std::optional<sim::Outgoing> TreeBob::on_message(
     const util::BitBuffer& message) {
   if (done()) throw std::logic_error("TreeBob: unexpected message");
-  const bool repair = bi_.has_value();
+  const bool repair = repairing_;
   meter(message, repair);
   std::optional<sim::Outgoing> reply;
   bool stage_over = true;
   if (repair) {
     reply = bi_->on_message(message);
     stage_over = bi_->done();
-    if (stage_over) {
-      take_candidates(*bi_);
-      bi_.reset();
-    }
+    if (stage_over) take_candidates(*bi_);
   } else {
-    std::vector<bool> pass;
     {
       util::ScratchArena::Frame contents_frame(*env_.arena);
       EqualityBob eq(shared_, eq_nonce(), node_contents(), eq_bits(stage_),
-                     env_);
+                     verdicts_, env_);
       reply = eq.on_message(message);
-      pass = eq.take_verdicts();
     }
-    if (fail_leaves(pass)) {
+    if (fail_leaves()) {
       start_repair(bi_);
       stage_over = false;
     }

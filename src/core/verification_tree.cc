@@ -70,9 +70,24 @@ void emit_metrics(obs::Tracer* tracer, const TreeAlice& alice,
 
 }  // namespace
 
+// Top-down from the root: each level-(i+1) range is cut into chunks of
+// cover(i) leaves, the last one possibly shorter.
 std::vector<std::vector<std::pair<std::size_t, std::size_t>>>
 verification_tree_layout(std::size_t leaves, int rounds_r) {
-  return *tree_layout(leaves, rounds_r);
+  const TreeShape shape(leaves, rounds_r);
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> layout(
+      static_cast<std::size_t>(rounds_r) + 1);
+  layout[static_cast<std::size_t>(rounds_r)] = {{0, leaves}};
+  for (int i = rounds_r - 1; i >= 0; --i) {
+    const std::size_t chunk = shape.cover(i);
+    for (const auto& [lo, hi] : layout[static_cast<std::size_t>(i) + 1]) {
+      for (std::size_t s = lo; s < hi; s += chunk) {
+        layout[static_cast<std::size_t>(i)].emplace_back(
+            s, std::min(s + chunk, hi));
+      }
+    }
+  }
+  return layout;
 }
 
 std::optional<sim::Outgoing> VerificationTreeRun::CheckedAlice::on_message(

@@ -102,7 +102,11 @@ class VerificationTreeProtocol final : public IntersectionProtocol {
 
 // The tree layout used by the protocol, exposed for tests: level_ranges[i]
 // is the partition of [0, leaves) into the level-i node ranges
-// (level_ranges[0] = singletons ... level_ranges[r] = one root range).
+// (level_ranges[0] = singletons ... level_ranges[r] = one root range),
+// built top-down from core::TreeShape's cover sizes. The parties derive
+// each stage's ranges from the same covers themselves and hold no layout.
+// Throws std::invalid_argument unless leaves >= 1 and
+// 1 <= rounds_r <= kMaxTreeStages.
 std::vector<std::vector<std::pair<std::size_t, std::size_t>>>
 verification_tree_layout(std::size_t leaves, int rounds_r);
 

@@ -44,7 +44,8 @@ void AmortizedEqParty::begin(std::span<const util::BitBuffer> side) {
 
 std::optional<sim::Outgoing> AmortizedEqParty::start() {
   if (!alice_ || done_) return std::nullopt;
-  eq_.emplace(shared_, test_nonce(), contents(), level_bits(level_), env_);
+  eq_.emplace(shared_, test_nonce(), contents(), level_bits(level_),
+              test_verdicts_, env_);
   return tagged(eq_->start());
 }
 
@@ -55,14 +56,14 @@ std::optional<sim::Outgoing> AmortizedEqParty::on_message(
   }
   if (alice_) {
     eq_->on_message(message);  // Bob's verdicts
-    advance(eq_->verdicts());
     eq_.reset();
+    advance(test_verdicts_);
     return AmortizedEqParty::start();
   }
   core::EqualityBob eq(shared_, test_nonce(), contents(), level_bits(level_),
-                       env_);
+                       test_verdicts_, env_);
   sim::Outgoing reply = tagged(eq.on_message(message));
-  reply.boundary = advance(eq.verdicts());
+  reply.boundary = advance(test_verdicts_);
   return reply;
 }
 

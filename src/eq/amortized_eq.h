@@ -112,6 +112,7 @@ class AmortizedEqParty : public sim::Party {
   std::vector<util::BitBuffer> buffers_;  // contents() scratch
   std::vector<util::BitSpan> spans_;
   std::optional<core::EqualityAlice> eq_;  // Alice's pending test
+  std::vector<bool> test_verdicts_;  // the last test's, reused by the next
   std::vector<bool> equal_;
   AmortizedEqStats stats_;
   bool done_ = false;

@@ -36,14 +36,16 @@ std::vector<bool> batch_equality_test(sim::Channel& channel,
   if (xa.empty()) return {};
 
   const sim::PartyEnv env(channel);
-  core::EqualityAlice alice(shared, nonce, xa, bits, env);
-  core::EqualityBob bob(shared, nonce, xb, bits, env);
+  std::vector<bool> alice_verdicts;
+  std::vector<bool> bob_verdicts;
+  core::EqualityAlice alice(shared, nonce, xa, bits, alice_verdicts, env);
+  core::EqualityBob bob(shared, nonce, xb, bits, bob_verdicts, env);
   sim::run_two_party(channel, alice, bob, 2);
   // Both parties now hold the verdicts; they must agree.
-  if (alice.verdicts() != bob.verdicts()) {
+  if (alice_verdicts != bob_verdicts) {
     throw std::logic_error("equality verdict mismatch");
   }
-  return bob.take_verdicts();
+  return bob_verdicts;
 }
 
 }  // namespace setint::eq

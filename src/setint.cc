@@ -36,9 +36,12 @@ std::string join_set(util::SetView s) {
 
 // Writes everything tools/replay needs to re-execute this session into
 // the recorder's context block, so any incident dump the session produces
-// is self-describing. Per-link fault overlays (FaultPlan::set_link_faults)
-// are not part of FaultSpec and are not serialized; the replay tool covers
-// the spec-reachable configuration.
+// is self-describing. Two kinds of session are recorded but marked
+// non-replayable, and tools/replay refuses their dumps: one with an
+// adversary ("adversary"), whose crafted frames depend on live protocol
+// state, and one whose fault plan carries per-link overlays
+// (FaultPlan::set_link_faults; "fault.overlays"), which FaultSpec does not
+// describe and this context does not serialize.
 void set_replay_context(obs::FlightRecorder& rec, util::SetView s,
                         util::SetView t, std::uint64_t universe,
                         const IntersectOptions& options) {
@@ -100,6 +103,9 @@ void set_replay_context(obs::FlightRecorder& rec, util::SetView s,
                         ',' + fmt_double(g.flip_good) + ',' +
                         fmt_double(g.flip_bad));
     rec.set_context("fault.seed", std::to_string(f.seed));
+    if (options.fault_plan->players_needed() > 0) {
+      rec.set_context("fault.overlays", "1");
+    }
   }
   if (options.chaos_plan != nullptr) {
     const sim::ChaosSpec& c = options.chaos_plan->spec();

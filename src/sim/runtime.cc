@@ -93,6 +93,9 @@ void TwoPartyRun::hand_over() {
   Party& receiver = sender_ == PartyId::kAlice ? bob_ : alice_;
   out_ = receiver.on_message(delivered_);
   sender_ = other(sender_);
+  // No party holds a message past on_message, so its storage goes back to
+  // the session's pool for a later message to be built in.
+  channel_.buffer_pool().release(std::move(delivered_));
 }
 
 bool TwoPartyRun::step() {

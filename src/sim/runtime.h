@@ -10,7 +10,11 @@
 //
 // The runner owns everything that is not protocol logic, so no party
 // repeats it: transcript labels and tracer phases (from each Outgoing),
-// crash resume at the boundaries parties flag, and the message budget.
+// crash resume at the boundaries parties flag, the message budget, and
+// message storage — once a receiver's on_message returns, the runner
+// releases the delivered message to the channel's BufferPool, where the
+// next message is built. A party must not hold a delivered message (or a
+// view into it) past on_message.
 // A run steps one stage at a time, so a sans-IO machine (core/engine.h)
 // advances the object a blocking entry point steps to completion.
 #pragma once
@@ -43,9 +47,10 @@ struct Outgoing {
 };
 
 // What a party may borrow from the session that runs it: the decode
-// limits every received frame is read under, and the session's scratch.
-// Never the channel itself: a party sees only the messages handed to it.
-// Both parties of a run share one arena, so the caller opens the
+// limits every received frame is read under, and the session's scratch —
+// the buffer pool its messages are built in and the word arena. Never the
+// channel itself: a party sees only the messages handed to it. Both
+// parties of a run share one arena, so the caller opens the
 // util::ScratchArena::Frame around the whole run.
 struct PartyEnv {
   explicit PartyEnv(Channel& channel)
@@ -76,7 +81,8 @@ class Party {
   // First message, for the party that opens the protocol.
   virtual std::optional<Outgoing> start() { return std::nullopt; }
 
-  // React to a delivered message; optionally reply.
+  // React to a delivered message; optionally reply. The message is valid
+  // only during the call: the runner recycles its storage afterwards.
   virtual std::optional<Outgoing> on_message(
       const util::BitBuffer& message) = 0;
 

@@ -183,8 +183,12 @@ class BitReader {
 
 // Capacity-recycling free list of BitBuffers. acquire() returns an empty
 // buffer that keeps whatever word storage a previously released buffer
-// had grown, so per-message scratch encoding stops hitting the allocator
-// once a session reaches steady state. Single-threaded by design: a pool
+// had grown, so per-message encoding stops hitting the allocator once a
+// session reaches steady state. The protocol parties build every message
+// in an acquired buffer and sim::TwoPartyRun releases each one after its
+// receiver has read it, so a run cycles a couple of buffers whose
+// capacity grows to the largest message; the channel's integrity framing
+// leases its scratch copy here too. Single-threaded by design: a pool
 // belongs to exactly one protocol session (sim::Channel owns one per
 // channel); the batch engine gives every session its own channel, so
 // pools are never shared across threads.

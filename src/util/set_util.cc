@@ -121,16 +121,16 @@ std::size_t set_encoding_cost_bits(SetView s) {
 }
 
 void pack_sets(std::span<const SetView> sets,
-               std::span<const std::pair<std::size_t, std::size_t>> groups,
-               ScratchArena& arena, std::span<BitSpan> out) {
-  if (out.size() != groups.size()) {
+               std::span<const std::size_t> bounds, ScratchArena& arena,
+               std::span<BitSpan> out) {
+  if (out.size() + 1 != bounds.size()) {
     throw std::invalid_argument("pack_sets: output size != group count");
   }
   // Sizes first, so the region is allocated once and exactly.
   std::size_t words = 0;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
+  for (std::size_t g = 0; g < out.size(); ++g) {
     std::size_t bits = 0;
-    for (std::size_t i = groups[g].first; i < groups[g].second; ++i) {
+    for (std::size_t i = bounds[g]; i < bounds[g + 1]; ++i) {
       bits += set_encoding_cost_bits(sets[i]);
     }
     out[g].bits = bits;
@@ -138,10 +138,10 @@ void pack_sets(std::span<const SetView> sets,
   }
   const std::span<std::uint64_t> region = arena.alloc_u64_zeroed(words);
   std::size_t offset = 0;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
+  for (std::size_t g = 0; g < out.size(); ++g) {
     const std::size_t n = (out[g].bits + 63) / 64;
     BitSpanWriter writer(region.subspan(offset, n));
-    for (std::size_t i = groups[g].first; i < groups[g].second; ++i) {
+    for (std::size_t i = bounds[g]; i < bounds[g + 1]; ++i) {
       append_set(writer, sets[i]);
     }
     out[g].words = region.subspan(offset, n);
@@ -150,9 +150,9 @@ void pack_sets(std::span<const SetView> sets,
 }
 
 BitSpan pack_set(SetView s, ScratchArena& arena) {
-  const std::pair<std::size_t, std::size_t> group{0, 1};
+  const std::size_t bounds[] = {0, 1};
   BitSpan out;
-  pack_sets({&s, 1}, {&group, 1}, arena, {&out, 1});
+  pack_sets({&s, 1}, bounds, arena, {&out, 1});
   return out;
 }
 

@@ -45,14 +45,15 @@ Set read_set(BitReader& in);
 std::size_t set_encoding_cost_bits(SetView s);
 
 // Encodes groups of sets into one zero-filled arena region: out[g] is the
-// append_set encodings of sets[groups[g].first, groups[g].second)
-// concatenated. Every string starts on a word boundary and keeps its tail
-// bits zero, so out[g] is word for word the BitBuffer the same append_set
-// calls would build. Requires out.size() == groups.size(); the strings
-// live as long as the caller's arena frame.
+// append_set encodings of sets[bounds[g], bounds[g + 1]) concatenated
+// (bounds are the groups' fence posts, non-decreasing). Every string
+// starts on a word boundary and keeps its tail bits zero, so out[g] is
+// word for word the BitBuffer the same append_set calls would build.
+// Requires out.size() + 1 == bounds.size(); the strings live as long as
+// the caller's arena frame.
 void pack_sets(std::span<const SetView> sets,
-               std::span<const std::pair<std::size_t, std::size_t>> groups,
-               ScratchArena& arena, std::span<BitSpan> out);
+               std::span<const std::size_t> bounds, ScratchArena& arena,
+               std::span<BitSpan> out);
 
 // pack_sets for a single set.
 BitSpan pack_set(SetView s, ScratchArena& arena);

@@ -666,18 +666,17 @@ TEST(BitioProperty, PackSetsMatchesAppendSet) {
                      rng.below(6));
     }
     const std::vector<SetView> sets(owned.begin(), owned.end());
-    std::vector<std::pair<std::size_t, std::size_t>> groups;
-    for (std::size_t lo = 0; lo < sets.size();) {
-      const std::size_t hi = std::min(sets.size(), lo + rng.below(4));
-      groups.emplace_back(lo, hi);  // empty groups too
-      lo = hi;
+    std::vector<std::size_t> bounds{0};
+    while (bounds.back() < sets.size()) {
+      // Empty groups too.
+      bounds.push_back(std::min(sets.size(), bounds.back() + rng.below(4)));
     }
     ScratchArena::Frame frame(arena);
-    std::vector<BitSpan> packed(groups.size());
-    pack_sets(sets, groups, arena, packed);
-    for (std::size_t g = 0; g < groups.size(); ++g) {
+    std::vector<BitSpan> packed(bounds.size() - 1);
+    pack_sets(sets, bounds, arena, packed);
+    for (std::size_t g = 0; g + 1 < bounds.size(); ++g) {
       BitBuffer ref;
-      for (std::size_t i = groups[g].first; i < groups[g].second; ++i) {
+      for (std::size_t i = bounds[g]; i < bounds[g + 1]; ++i) {
         append_set(ref, sets[i]);
       }
       EXPECT_EQ(packed[g].bits, ref.size_bits());

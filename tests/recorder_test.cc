@@ -1,19 +1,23 @@
 // Tests for the flight recorder (obs/recorder.h): ring wraparound keeps
 // exactly the newest capacity() events with contiguous sequence numbers,
 // labels truncate instead of allocating, incident() dumps parseable JSONL
-// post-mortems under a bounded budget, and the channel hooks record
-// messages, faults, integrity failures and limit breaches end to end.
+// post-mortems under a bounded budget, the channel hooks record
+// messages, faults, integrity failures and limit breaches end to end, and
+// the facade marks the sessions tools/replay cannot rebuild.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/resource_limits.h"
 #include "obs/json.h"
 #include "obs/recorder.h"
+#include "setint.h"
 #include "sim/channel.h"
 #include "sim/fault.h"
 #include "util/bitio.h"
@@ -244,6 +248,37 @@ TEST(FlightRecorder, ChannelLimitBreachIsRecorded) {
   }
   EXPECT_TRUE(saw_breach);
   EXPECT_TRUE(saw_incident);
+}
+
+// ---------- replay context ----------
+
+// A facade session whose fault plan carries a link overlay is recorded
+// with the fault.overlays key, which tools/replay refuses: the context
+// holds the plan's FaultSpec only, so a re-run would lack the overlay.
+// Without an overlay the key is absent.
+TEST(FlightRecorder, FacadeMarksOverlaySessionsNonReplayable) {
+  const util::Set s{1, 5, 9, 12, 17};
+  const util::Set t{5, 9, 20, 31};
+  for (const bool overlay : {false, true}) {
+    sim::FaultSpec spec;
+    spec.seed = 3;
+    sim::FaultPlan plan(spec);
+    if (overlay) plan.set_link_faults(0, 1, sim::FaultSpec{});
+    FlightRecorder rec(64);
+    IntersectOptions options;
+    options.universe = 32;
+    options.seed = 11;
+    options.fault_plan = &plan;
+    options.recorder = &rec;
+    const IntersectResult result = intersect(s, t, options);
+    EXPECT_EQ(result.intersection, (util::Set{5, 9}));
+    const auto& context = rec.context();
+    const bool marked =
+        std::find(context.begin(), context.end(),
+                  std::pair<std::string, std::string>{"fault.overlays",
+                                                      "1"}) != context.end();
+    EXPECT_EQ(marked, overlay) << "overlay=" << overlay;
+  }
 }
 
 }  // namespace

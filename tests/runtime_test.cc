@@ -189,8 +189,12 @@ TEST(RuntimeEquality, CorrectVerdicts) {
   const util::BitSpan eight[] = {eight_bits};
   {
     sim::Channel ch;
-    core::EqualityAlice alice(shared, 0, seven, 24, sim::PartyEnv(ch));
-    core::EqualityBob bob(shared, 0, seven, 24, sim::PartyEnv(ch));
+    std::vector<bool> alice_verdicts;
+    std::vector<bool> bob_verdicts;
+    core::EqualityAlice alice(shared, 0, seven, 24, alice_verdicts,
+                              sim::PartyEnv(ch));
+    core::EqualityBob bob(shared, 0, seven, 24, bob_verdicts,
+                          sim::PartyEnv(ch));
     sim::run_two_party(ch, alice, bob);
     EXPECT_EQ(alice.verdicts(), std::vector<bool>{true});
     EXPECT_EQ(bob.verdicts(), std::vector<bool>{true});
@@ -199,8 +203,12 @@ TEST(RuntimeEquality, CorrectVerdicts) {
   }
   {
     sim::Channel ch;
-    core::EqualityAlice alice(shared, 1, seven, 24, sim::PartyEnv(ch));
-    core::EqualityBob bob(shared, 1, eight, 24, sim::PartyEnv(ch));
+    std::vector<bool> alice_verdicts;
+    std::vector<bool> bob_verdicts;
+    core::EqualityAlice alice(shared, 1, seven, 24, alice_verdicts,
+                              sim::PartyEnv(ch));
+    core::EqualityBob bob(shared, 1, eight, 24, bob_verdicts,
+                          sim::PartyEnv(ch));
     sim::run_two_party(ch, alice, bob);
     EXPECT_EQ(alice.verdicts(), std::vector<bool>{false});
     EXPECT_EQ(bob.verdicts(), std::vector<bool>{false});

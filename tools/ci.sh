@@ -49,7 +49,9 @@
 #      wall_ms)
 #  10. the ThreadSanitizer lane: the concurrency + statistical slices
 #      rebuilt under TSan (build-tsan/) — the batch engine's data-race
-#      gate — plus exp_service --threads=2/8 (the sharded event loop's
+#      gate, including tree_parties_test's two-thread batch whose heap
+#      allocation count must not depend on the interleaving — plus
+#      exp_service --threads=2/8 (the sharded event loop's
 #      thread-invariance gate under TSan)
 #
 # Usage: tools/ci.sh [--fast]

@@ -100,6 +100,21 @@ if(NOT rc EQUAL 2 OR named EQUAL -1)
   message(FATAL_ERROR "pre-fault-plan chaos.burst dump: rc=${rc}, stderr '${err}'")
 endif()
 
+# A dump whose fault plan carried per-link overlays (fault.overlays) is
+# non-replayable: the context does not serialize the overlays.
+string(REPLACE "\"seed\":\"5\"" "\"fault.overlays\":\"1\",\"seed\":\"5\""
+       tampered "${contents}")
+if(tampered STREQUAL contents)
+  message(FATAL_ERROR "dump ${dump} has no seed field to add fault.overlays by")
+endif()
+file(WRITE "${SCRATCH}/fault_overlays.jsonl" "${tampered}")
+execute_process(COMMAND "${REPLAY}" "${SCRATCH}/fault_overlays.jsonl"
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+string(FIND "${err}" "fault.overlays" named)
+if(NOT rc EQUAL 2 OR named EQUAL -1)
+  message(FATAL_ERROR "overlay dump fault.overlays: rc=${rc}, stderr '${err}'")
+endif()
+
 # The well-formed spellings still run.
 execute_process(COMMAND "${CLI}" "${SCRATCH}/a.txt" "${SCRATCH}/b.txt"
                         --r=2 --universe=16 --seed=7

@@ -22,7 +22,7 @@
 //
 // Exit codes: 0 = replay matched (or record mode produced a dump),
 // 1 = replay diverged, 2 = usage error or non-replayable dump (no context,
-// adversary session, malformed JSON).
+// adversary session, fault-plan link overlays, malformed JSON).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -261,6 +261,14 @@ int replay_mode(const std::string& dump_path) {
     std::fprintf(stderr,
                  "replay: adversary sessions are recorded but not "
                  "replayable (crafted frames depend on live state)\n");
+    return 2;
+  }
+  if (has_key(ctx, "fault.overlays")) {
+    // The context holds the plan's FaultSpec only; a re-run without the
+    // overlays would report a divergence that is not one.
+    std::fprintf(stderr,
+                 "replay: fault.overlays sessions are recorded but not "
+                 "replayable (per-link overlays are not serialized)\n");
     return 2;
   }
   if (has_key(ctx, "chaos.burst")) {
