@@ -111,6 +111,7 @@ struct SessionBudgetSpec {
   bool enabled() const {
     return max_bits != 0 || max_rounds != 0 || deadline_ticks != 0;
   }
+  bool operator==(const SessionBudgetSpec&) const = default;
 };
 
 // One session's live budget: wraps the channel's monotonic CostStats (and

@@ -44,6 +44,7 @@ struct ResourceLimits {
     return max_message_bits > 0 || max_total_bits > 0 || max_rounds > 0 ||
            max_decoded_items > 0;
   }
+  bool operator==(const ResourceLimits&) const = default;
 
   // A permissive-but-finite profile sized for sets of <= k elements over
   // [0, universe): generous constant factors over the honest protocol's

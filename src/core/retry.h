@@ -67,6 +67,8 @@ struct RetryPolicy {
   // many latency rounds (charged to the channel like backoff_rounds);
   // longer outages are treated as a lost peer.
   std::uint64_t max_resume_wait_rounds = 4096;
+
+  bool operator==(const RetryPolicy&) const = default;
 };
 
 }  // namespace setint::core

@@ -111,9 +111,11 @@ void TreeShape::level_bounds(int level,
 
 TreeParty::TreeParty(const sim::SharedRandomness& shared, std::uint64_t nonce,
                      std::uint64_t universe, util::SetView input,
-                     const VerificationTreeParams& params, sim::PartyEnv env)
+                     const VerificationTreeParams& params, sim::PartyEnv env,
+                     bool full_diag)
     : shared_(shared), nonce_(nonce), universe_(universe), params_(params),
-      env_(env), shape_(params.bucket_count, party_rounds(params)) {
+      env_(env), shape_(params.bucket_count, party_rounds(params)),
+      full_diag_(full_diag) {
   const std::size_t k = params.bucket_count;
   const double kd = static_cast<double>(k);
   const int r = shape_.rounds();
@@ -137,6 +139,7 @@ TreeParty::TreeParty(const sim::SharedRandomness& shared, std::uint64_t nonce,
   bounds_.reserve(k + 1);
   shape_.level_bounds(0, bounds_);
 
+  if (!full_diag_) return;
   const auto stages = static_cast<std::size_t>(r);
   diag_.stage_failures.assign(stages, 0);
   diag_.stage_eq_bits.assign(stages, 0);
@@ -182,7 +185,9 @@ bool TreeParty::fail_leaves() {
   std::size_t leaves = 0;
   for (std::size_t v = 0; v < nodes; ++v) {
     if (verdicts_[v]) continue;
-    diag_.stage_failures[static_cast<std::size_t>(stage_)] += 1;
+    if (full_diag_) {
+      diag_.stage_failures[static_cast<std::size_t>(stage_)] += 1;
+    }
     leaves += bounds_[v + 1] - bounds_[v];
   }
   failed_leaves_.clear();
@@ -203,7 +208,7 @@ void TreeParty::take_candidates(const BasicIntersectionParty& bi) {
   for (std::size_t j = 0; j < failed_leaves_.size(); ++j) {
     const std::size_t u = failed_leaves_[j];
     assignment_[u] = bi.candidate(j);
-    diag_.leaf_reruns[u] += 1;
+    if (full_diag_) diag_.leaf_reruns[u] += 1;
   }
   diag_.total_bi_runs += failed_leaves_.size();
   repairing_ = false;
@@ -212,6 +217,7 @@ void TreeParty::take_candidates(const BasicIntersectionParty& bi) {
 void TreeParty::meter(const util::BitBuffer& frame, bool repair) {
   const std::uint64_t bits = frame.size_bits();
   bits_seen_ += bits;
+  if (!full_diag_) return;
   auto& stage_bits = repair ? diag_.stage_bi_bits : diag_.stage_eq_bits;
   stage_bits[static_cast<std::size_t>(stage_)] += bits;
 }

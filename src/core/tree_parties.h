@@ -97,9 +97,13 @@ class TreeShape {
 // derived from public parameters plus the party's own input.
 class TreeParty : public sim::Party {
  public:
+  // `full_diag`: keep the per-stage and per-leaf diag() vectors. Only
+  // Alice's reach a caller; Bob keeps fallback_used alone, which drives
+  // his done() and his boundary flag.
   TreeParty(const sim::SharedRandomness& shared, std::uint64_t nonce,
             std::uint64_t universe, util::SetView input,
-            const VerificationTreeParams& params, sim::PartyEnv env);
+            const VerificationTreeParams& params, sim::PartyEnv env,
+            bool full_diag);
 
   bool done() const override {
     return stage_ >= shape_.rounds() || diag_.fallback_used;
@@ -107,8 +111,8 @@ class TreeParty : public sim::Party {
 
   // Union of the per-leaf candidate assignments, sorted.
   util::Set output() const;
-  // What this party saw: per-stage failures and bits, per-leaf re-runs,
-  // whether the cutoff fired.
+  // What this party saw: per-stage failures and bits, per-leaf re-runs
+  // (empty vectors unless full_diag), whether the cutoff fired.
   const VerificationTreeDiag& diag() const { return diag_; }
   // Own elements hashed into leaf u by the initial bucket partition.
   std::size_t bucket_size(std::size_t u) const {
@@ -170,12 +174,17 @@ class TreeParty : public sim::Party {
   std::vector<bool> verdicts_;                // stage's equality verdicts
   std::vector<std::size_t> failed_leaves_;    // current stage's repairs
   std::vector<util::SetView> failed_sets_;    // own sets of those leaves
+  bool full_diag_;
   VerificationTreeDiag diag_;
 };
 
 class TreeAlice final : public TreeParty {
  public:
-  using TreeParty::TreeParty;
+  TreeAlice(const sim::SharedRandomness& shared, std::uint64_t nonce,
+            std::uint64_t universe, util::SetView input,
+            const VerificationTreeParams& params, sim::PartyEnv env)
+      : TreeParty(shared, nonce, universe, input, params, env,
+                  /*full_diag=*/true) {}
   std::optional<sim::Outgoing> start() override;
   std::optional<sim::Outgoing> on_message(
       const util::BitBuffer& message) override;
@@ -188,7 +197,11 @@ class TreeAlice final : public TreeParty {
 
 class TreeBob final : public TreeParty {
  public:
-  using TreeParty::TreeParty;
+  TreeBob(const sim::SharedRandomness& shared, std::uint64_t nonce,
+          std::uint64_t universe, util::SetView input,
+          const VerificationTreeParams& params, sim::PartyEnv env)
+      : TreeParty(shared, nonce, universe, input, params, env,
+                  /*full_diag=*/false) {}
   std::optional<sim::Outgoing> on_message(
       const util::BitBuffer& message) override;
 

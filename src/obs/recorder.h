@@ -91,10 +91,11 @@ class FlightRecorder {
   void set_dump_path(std::string prefix, std::uint64_t max_dumps = 8);
 
   // Replay context: string key/value pairs emitted under "context" in the
-  // dump meta line. The facade records everything tools/replay needs to
-  // re-execute the session (seeds, inputs, fault/chaos specs) so every
-  // incident dump is a self-contained reproduction recipe. Setting an
-  // existing key overwrites it. Not on the hot path.
+  // dump meta line. The facade sets one pair per entry of
+  // to_context(spec) (src/run_spec.h), the one codec of the session's
+  // setint::RunSpec, so every incident dump is a self-contained
+  // reproduction recipe that tools/replay reads back with parse_context.
+  // Setting an existing key overwrites it. Not on the hot path.
   void set_context(std::string_view key, std::string_view value);
   const std::vector<std::pair<std::string, std::string>>& context() const {
     return context_;

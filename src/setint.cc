@@ -1,14 +1,13 @@
 #include "setint.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <stdexcept>
-#include <string>
 
 #include "core/verification_tree.h"
 #include "multiparty/coordinator.h"
 #include "obs/envelope.h"
+#include "run_spec.h"
 #include "runtime/batch.h"
 #include "sim/randomness.h"
 #include "util/rng.h"
@@ -16,129 +15,6 @@
 namespace setint {
 
 namespace {
-
-// %.17g round-trips every double exactly through text (shortest would be
-// nicer but 17 significant digits is always sufficient).
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string join_set(util::SetView s) {
-  std::string out;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(s[i]);
-  }
-  return out;
-}
-
-// Writes everything tools/replay needs to re-execute this session into
-// the recorder's context block, so any incident dump the session produces
-// is self-describing. Two kinds of session are recorded but marked
-// non-replayable, and tools/replay refuses their dumps: one with an
-// adversary ("adversary"), whose crafted frames depend on live protocol
-// state, and one whose fault plan carries per-link overlays
-// (FaultPlan::set_link_faults; "fault.overlays"), which FaultSpec does not
-// describe and this context does not serialize.
-void set_replay_context(obs::FlightRecorder& rec, util::SetView s,
-                        util::SetView t, std::uint64_t universe,
-                        const IntersectOptions& options) {
-  rec.set_context("kind", "two_party");
-  rec.set_context("seed", std::to_string(options.seed));
-  rec.set_context("universe", std::to_string(universe));
-  rec.set_context("rounds_r", std::to_string(options.rounds_r));
-  rec.set_context("s", join_set(s));
-  rec.set_context("t", join_set(t));
-  rec.set_context("checkpoint", options.checkpoint ? "1" : "0");
-  rec.set_context("retry.max_attempts",
-                  std::to_string(options.retry.max_attempts));
-  rec.set_context("retry.backoff_rounds",
-                  std::to_string(options.retry.backoff_rounds));
-  rec.set_context("retry.backoff_multiplier",
-                  fmt_double(options.retry.backoff_multiplier));
-  rec.set_context("retry.backoff_cap_rounds",
-                  std::to_string(options.retry.backoff_cap_rounds));
-  rec.set_context("retry.backoff_jitter",
-                  fmt_double(options.retry.backoff_jitter));
-  rec.set_context("retry.degraded_attempts",
-                  std::to_string(options.retry.degraded_attempts));
-  rec.set_context("retry.max_restarts",
-                  std::to_string(options.retry.max_restarts));
-  rec.set_context("retry.max_resume_wait_rounds",
-                  std::to_string(options.retry.max_resume_wait_rounds));
-  if (options.budget.enabled()) {
-    rec.set_context("budget.max_bits", std::to_string(options.budget.max_bits));
-    rec.set_context("budget.max_rounds",
-                    std::to_string(options.budget.max_rounds));
-    rec.set_context("budget.deadline_ticks",
-                    std::to_string(options.budget.deadline_ticks));
-    rec.set_context("budget.refuse_on_exhaustion",
-                    options.budget.refuse_on_exhaustion ? "1" : "0");
-  }
-  if (options.limits.enabled()) {
-    rec.set_context("limits.max_message_bits",
-                    std::to_string(options.limits.max_message_bits));
-    rec.set_context("limits.max_total_bits",
-                    std::to_string(options.limits.max_total_bits));
-    rec.set_context("limits.max_rounds",
-                    std::to_string(options.limits.max_rounds));
-    rec.set_context("limits.max_decoded_items",
-                    std::to_string(options.limits.max_decoded_items));
-  }
-  if (options.fault_plan != nullptr) {
-    const sim::FaultSpec& f = options.fault_plan->spec();
-    rec.set_context("fault.flip_per_bit", fmt_double(f.flip_per_bit));
-    rec.set_context("fault.truncate_prob", fmt_double(f.truncate_prob));
-    rec.set_context("fault.drop_prob", fmt_double(f.drop_prob));
-    rec.set_context("fault.duplicate_prob", fmt_double(f.duplicate_prob));
-    rec.set_context("fault.delay_prob", fmt_double(f.delay_prob));
-    rec.set_context("fault.delay_rounds", std::to_string(f.delay_rounds));
-    const sim::GilbertElliott& g = f.burst;
-    rec.set_context("fault.burst",
-                    fmt_double(g.p_good_to_bad) + ',' +
-                        fmt_double(g.p_bad_to_good) + ',' +
-                        fmt_double(g.loss_good) + ',' + fmt_double(g.loss_bad) +
-                        ',' + fmt_double(g.flip_good) + ',' +
-                        fmt_double(g.flip_bad));
-    rec.set_context("fault.seed", std::to_string(f.seed));
-    if (options.fault_plan->players_needed() > 0) {
-      rec.set_context("fault.overlays", "1");
-    }
-  }
-  if (options.chaos_plan != nullptr) {
-    const sim::ChaosSpec& c = options.chaos_plan->spec();
-    rec.set_context("chaos.players", std::to_string(c.players));
-    rec.set_context("chaos.seed", std::to_string(c.seed));
-    rec.set_context("chaos.protocol_seed",
-                    std::to_string(options.chaos_plan->protocol_seed()));
-    rec.set_context("chaos.crash_prob", fmt_double(c.crash.crash_prob));
-    rec.set_context("chaos.restart_ticks",
-                    std::to_string(c.crash.restart_ticks));
-    rec.set_context("chaos.max_crashes", std::to_string(c.crash.max_crashes));
-    std::string overrides;
-    for (const auto& [player, sched] : c.crash_overrides) {
-      if (!overrides.empty()) overrides += ';';
-      overrides += std::to_string(player) + ':' +
-                   fmt_double(sched.crash_prob) + ':' +
-                   std::to_string(sched.restart_ticks) + ':' +
-                   std::to_string(sched.max_crashes);
-    }
-    if (!overrides.empty()) rec.set_context("chaos.overrides", overrides);
-    std::string partitions;
-    for (const sim::PartitionWindow& w : c.partitions) {
-      if (!partitions.empty()) partitions += ';';
-      partitions += std::to_string(w.a) + ':' + std::to_string(w.b) + ':' +
-                    std::to_string(w.start_tick) + ':' +
-                    std::to_string(w.end_tick);
-    }
-    if (!partitions.empty()) rec.set_context("chaos.partitions", partitions);
-  }
-  // An adversary's crafted frames depend on live protocol state, so a
-  // session with one is recorded but declared non-replayable.
-  if (options.adversary != nullptr) rec.set_context("adversary", "1");
-}
 
 // Options a caller can get wrong in ways no attempt should absorb.
 void validate_options(const IntersectOptions& options) {
@@ -190,7 +66,11 @@ IntersectResult intersect(util::SetView s, util::SetView t,
 
   sim::SharedRandomness shared(options.seed);
   if (options.recorder != nullptr) {
-    set_replay_context(*options.recorder, s, t, universe, options);
+    // Any incident dump the session produces is self-describing.
+    for (const auto& [key, value] :
+         to_context(run_spec_of(s, t, universe, options))) {
+      options.recorder->set_context(key, value);
+    }
   }
   multiparty::SessionHooks hooks;
   hooks.tracer = options.tracer;

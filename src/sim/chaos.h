@@ -69,6 +69,7 @@ struct CrashSchedule {
   double crash_prob = 0.0;
   std::uint64_t restart_ticks = 4;
   std::uint64_t max_crashes = kUnlimitedCrashes;
+  bool operator==(const CrashSchedule&) const = default;
 };
 
 // Matches every link when used as PartitionWindow::a.
@@ -81,6 +82,7 @@ struct PartitionWindow {
   std::size_t b = 1;
   std::uint64_t start_tick = 0;
   std::uint64_t end_tick = 0;
+  bool operator==(const PartitionWindow&) const = default;
 };
 
 // Declarative chaos configuration. `crash` applies to every player unless
@@ -95,6 +97,7 @@ struct ChaosSpec {
   std::vector<PartitionWindow> partitions;
 
   bool enabled() const;
+  bool operator==(const ChaosSpec&) const = default;
 };
 
 // Running totals over the whole plan (all players, all links).

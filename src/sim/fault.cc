@@ -105,6 +105,10 @@ void FaultPlan::set_link_faults(std::size_t a, std::size_t b,
       spec_.seed, util::mix64(spec.seed, link_id(key.first, key.second))));
   enabled_ = enabled_ || spec.enabled();
   players_needed_ = std::max(players_needed_, key.second + 1);
+  std::erase_if(overlays_, [&](const LinkFaults& o) {
+    return o.a == key.first && o.b == key.second;
+  });
+  overlays_.push_back({key.first, key.second, spec});
 }
 
 FaultPlan::Link* FaultPlan::link_state(std::size_t a, std::size_t b) {

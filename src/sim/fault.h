@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "util/bitio.h"
 #include "util/rng.h"
@@ -58,6 +59,7 @@ struct GilbertElliott {
             (loss_bad > 0.0 || flip_bad > 0.0)) ||
            loss_good > 0.0 || flip_good > 0.0;
   }
+  bool operator==(const GilbertElliott&) const = default;
 };
 
 // Per-message fault probabilities, all in [0, 1] (validated at FaultPlan
@@ -76,6 +78,15 @@ struct FaultSpec {
     return flip_per_bit > 0.0 || truncate_prob > 0.0 || drop_prob > 0.0 ||
            duplicate_prob > 0.0 || delay_prob > 0.0 || burst.enabled();
   }
+  bool operator==(const FaultSpec&) const = default;
+};
+
+// One overlay of FaultPlan::set_link_faults, endpoints ordered a < b.
+struct LinkFaults {
+  std::size_t a = 0;
+  std::size_t b = 1;
+  FaultSpec spec;
+  bool operator==(const LinkFaults&) const = default;
 };
 
 // Running totals over every message the plan has touched, all three
@@ -128,6 +139,8 @@ class FaultPlan {
   // The fewest players a run must have for every overlay to name one of
   // its links: the highest overlay endpoint + 1, or 0 with no overlay.
   std::size_t players_needed() const { return players_needed_; }
+  // The installed overlays, one per link, the latest installed last.
+  const std::vector<LinkFaults>& overlays() const { return overlays_; }
 
   const FaultSpec& spec() const { return spec_; }
   const FaultStats& stats() const { return stats_; }
@@ -165,6 +178,7 @@ class FaultPlan {
   FaultStats stats_;
   bool enabled_ = false;
   std::size_t players_needed_ = 0;
+  std::vector<LinkFaults> overlays_;
   std::map<LinkKey, Link> links_;
 };
 

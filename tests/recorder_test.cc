@@ -3,22 +3,28 @@
 // labels truncate instead of allocating, incident() dumps parseable JSONL
 // post-mortems under a bounded budget, the channel hooks record
 // messages, faults, integrity failures and limit breaches end to end, and
-// the facade marks the sessions tools/replay cannot rebuild.
+// the replay context: random run specs round-trip through its codec, bad
+// keys are refused by name, and the facade records overlays and marks the
+// sessions tools/replay cannot rebuild.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/resource_limits.h"
+#include "core/verification_tree.h"
 #include "obs/json.h"
 #include "obs/recorder.h"
+#include "run_spec.h"
 #include "setint.h"
 #include "sim/channel.h"
+#include "sim/chaos.h"
 #include "sim/fault.h"
 #include "util/bitio.h"
 #include "util/rng.h"
@@ -252,18 +258,156 @@ TEST(FlightRecorder, ChannelLimitBreachIsRecorded) {
 
 // ---------- replay context ----------
 
-// A facade session whose fault plan carries a link overlay is recorded
-// with the fault.overlays key, which tools/replay refuses: the context
-// holds the plan's FaultSpec only, so a re-run would lack the overlay.
-// Without an overlay the key is absent.
-TEST(FlightRecorder, FacadeMarksOverlaySessionsNonReplayable) {
+// The replay context as a dump carries it: a JSON object of strings,
+// through text.
+obs::Json as_dump(const ReplayContext& context) {
+  obs::Json object = obs::Json::object();
+  for (const auto& [key, value] : context) object[key] = value;
+  return obs::Json::parse(object.dump());
+}
+
+// A random valid spec, every block and list drawn present or absent.
+RunSpec random_spec(util::Rng& rng) {
+  const auto coin = [&] { return rng.below(2) == 1; };
+  const auto prob = [&] { return coin() ? rng.unit() : 0.0; };
+  RunSpec spec;
+  const util::SetPair pair =
+      util::random_set_pair(rng, 1u << 12, 1 + rng.below(20), rng.below(2));
+  spec.s = pair.s;
+  spec.t = pair.t;
+  spec.seed = rng.next();
+  spec.universe = 1u << 12;
+  spec.rounds_r = static_cast<int>(rng.below(core::kMaxTreeStages + 1));
+  spec.checkpoint = coin();
+  spec.retry.max_attempts = rng.below(100);
+  spec.retry.backoff_rounds = rng.below(100);
+  spec.retry.backoff_multiplier = 1.0 + rng.unit();
+  spec.retry.backoff_cap_rounds = rng.next();
+  spec.retry.backoff_jitter = prob();
+  spec.retry.degraded_attempts = rng.below(10);
+  spec.retry.max_restarts = rng.below(10);
+  spec.retry.max_resume_wait_rounds = rng.below(10000);
+  if (coin()) {
+    spec.budget.max_bits = rng.below(1u << 20);
+    spec.budget.max_rounds = rng.below(1000);
+    spec.budget.deadline_ticks = rng.below(1000);
+    spec.budget.refuse_on_exhaustion = coin();
+  }
+  if (coin()) spec.limits = core::ResourceLimits::for_workload(1u << 12, 20);
+  const auto iid = [&] {
+    sim::FaultSpec f;
+    f.flip_per_bit = prob();
+    f.truncate_prob = prob();
+    f.drop_prob = prob();
+    f.duplicate_prob = prob();
+    f.delay_prob = prob();
+    f.delay_rounds = rng.below(8);
+    f.seed = rng.next();
+    return f;
+  };
+  if (coin()) {
+    RunSpec::Faults& fault = spec.fault.emplace();
+    fault.spec = iid();
+    fault.spec.burst = {prob(), prob(), prob(), prob(), prob(), prob()};
+    for (std::uint64_t i = rng.below(3); i > 0; --i) {
+      const std::size_t a = rng.below(4);
+      fault.overlays.push_back({a, a + 1 + rng.below(4), iid()});
+    }
+  }
+  if (coin()) {
+    RunSpec::Chaos& chaos = spec.chaos.emplace();
+    chaos.spec.players = 2 + rng.below(4);
+    chaos.spec.seed = rng.next();
+    chaos.protocol_seed = rng.next();
+    chaos.spec.crash = {prob(), rng.below(16), rng.next()};
+    for (std::uint64_t i = rng.below(3); i > 0; --i) {
+      chaos.spec.crash_overrides.emplace_back(
+          rng.below(4), sim::CrashSchedule{prob(), rng.below(16), rng.next()});
+    }
+    for (std::uint64_t i = rng.below(3); i > 0; --i) {
+      const std::uint64_t start = rng.below(100);
+      chaos.spec.partitions.push_back(
+          {coin() ? sim::kAllLinks : rng.below(4), rng.below(4), start,
+           start + rng.below(100)});
+    }
+  }
+  if (coin()) spec.non_replayable = "adversary";
+  return spec;
+}
+
+TEST(RunSpec, RandomSpecsRoundTripExactly) {
+  util::Rng rng(0x5BEC);
+  for (int i = 0; i < 500; ++i) {
+    const RunSpec spec = random_spec(rng);
+    EXPECT_EQ(parse_context(as_dump(to_context(spec))), spec) << "spec " << i;
+  }
+}
+
+// Each refusal names its key.
+void expect_refused(const obs::Json& context, const std::string& key) {
+  try {
+    (void)parse_context(context);
+    ADD_FAILURE() << "accepted a bad " << key;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+        << e.what();
+  }
+}
+
+// A spec that writes every key.
+RunSpec full_spec() {
+  RunSpec spec;
+  spec.s = {1, 2};
+  spec.t = {2, 3};
+  spec.budget.max_bits = 1000;
+  spec.limits.max_rounds = 10;
+  spec.fault.emplace().overlays.push_back({});
+  spec.chaos.emplace().spec.crash_overrides.emplace_back(1,
+                                                         sim::CrashSchedule{});
+  spec.chaos->spec.partitions.push_back({});
+  spec.non_replayable = "adversary";
+  return spec;
+}
+
+TEST(RunSpec, BadValuesAreRefusedByKey) {
+  const ReplayContext context = to_context(full_spec());
+  ASSERT_EQ(context.size(), 41u);
+  for (std::size_t i = 0; i < context.size(); ++i) {
+    const std::string& key = context[i].first;
+    ReplayContext bad = context;
+    // Any string is a well-formed reason.
+    if (key != "non_replayable") {
+      bad[i].second = "x";
+      expect_refused(as_dump(bad), key);
+    }
+    obs::Json numeric = as_dump(context);
+    numeric[key] = std::uint64_t{1};
+    expect_refused(numeric, key);
+  }
+  for (const char* key : {"kind", "seed", "universe", "s", "t"}) {
+    ReplayContext missing;
+    for (const auto& entry : context) {
+      if (entry.first != key) missing.push_back(entry);
+    }
+    expect_refused(as_dump(missing), key);
+  }
+  ReplayContext unknown = context;
+  unknown.emplace_back("chaos.burst", "0.1,0.05,0,0.9,0,0");
+  expect_refused(as_dump(unknown), "chaos.burst");
+}
+
+// A facade session records its fault plan's link overlays, so its dump
+// rebuilds the same plan; without an overlay the key is absent.
+TEST(FlightRecorder, FacadeRecordsFaultPlanOverlays) {
   const util::Set s{1, 5, 9, 12, 17};
   const util::Set t{5, 9, 20, 31};
   for (const bool overlay : {false, true}) {
     sim::FaultSpec spec;
     spec.seed = 3;
     sim::FaultPlan plan(spec);
-    if (overlay) plan.set_link_faults(0, 1, sim::FaultSpec{});
+    sim::FaultSpec lossy;
+    lossy.drop_prob = 0.25;
+    if (overlay) plan.set_link_faults(1, 0, lossy);
     FlightRecorder rec(64);
     IntersectOptions options;
     options.universe = 32;
@@ -272,13 +416,43 @@ TEST(FlightRecorder, FacadeMarksOverlaySessionsNonReplayable) {
     options.recorder = &rec;
     const IntersectResult result = intersect(s, t, options);
     EXPECT_EQ(result.intersection, (util::Set{5, 9}));
-    const auto& context = rec.context();
-    const bool marked =
-        std::find(context.begin(), context.end(),
-                  std::pair<std::string, std::string>{"fault.overlays",
-                                                      "1"}) != context.end();
-    EXPECT_EQ(marked, overlay) << "overlay=" << overlay;
+    const RunSpec recorded = parse_context(as_dump(rec.context()));
+    ASSERT_TRUE(recorded.fault.has_value());
+    EXPECT_EQ(recorded.fault->overlays, plan.overlays());
+    EXPECT_EQ(recorded.fault->overlays.size(), overlay ? 1u : 0u);
+    EXPECT_TRUE(recorded.non_replayable.empty());
   }
+}
+
+// A plan that has already carried traffic is in a state no spec
+// describes, so the session is marked non-replayable.
+std::string non_replayable_of(const IntersectOptions& options) {
+  FlightRecorder rec(64);
+  IntersectOptions recorded = options;
+  recorded.recorder = &rec;
+  (void)intersect(util::Set{1, 5, 9}, util::Set{5, 9, 20}, recorded);
+  return parse_context(as_dump(rec.context())).non_replayable;
+}
+
+TEST(FlightRecorder, FacadeMarksReusedFaultPlanNonReplayable) {
+  sim::FaultSpec spec;
+  spec.flip_per_bit = 1e-3;
+  sim::FaultPlan plan(spec);
+  IntersectOptions options;
+  options.universe = 32;
+  options.fault_plan = &plan;
+  EXPECT_EQ(non_replayable_of(options), "");
+  ASSERT_GT(plan.stats().messages_seen, 0u);
+  EXPECT_EQ(non_replayable_of(options), "fault plan reused");
+}
+
+TEST(FlightRecorder, FacadeMarksReusedChaosPlanNonReplayable) {
+  sim::ChaosPlan plan(sim::ChaosSpec{}, 7);
+  IntersectOptions options;
+  options.universe = 32;
+  options.chaos_plan = &plan;
+  plan.advance_to(18);
+  EXPECT_EQ(non_replayable_of(options), "chaos plan reused");
 }
 
 }  // namespace

@@ -27,8 +27,9 @@
 // --tol defaults to 0: records produced from the same seed are
 // deterministic, so any cost increase is a real regression. On top of the
 // table diff the tool fails when NEW's exit_code is non-zero, when NEW's
-// notes.envelope_audit went red (all_within = false), and when a
-// robustness family total (fault/adversary/retry/degraded/limit) grew.
+// notes.envelope_audit went red (all_within = false), when a
+// robustness family total (fault/adversary/retry/degraded/limit) grew,
+// and when NEW's environment.cpu.dispatch_tier is no simd::tier_name.
 // Environment-block differences are reported but informational — they
 // explain a perf delta, they are not one.
 //
@@ -53,12 +54,14 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "simd/dispatch.h"
 #include "util/parse.h"
 
 namespace {
 
 namespace fs = std::filesystem;
 using setint::obs::Json;
+namespace simd = setint::simd;
 
 struct Options {
   std::string old_path;
@@ -376,19 +379,29 @@ int compare_records(Verdict& v, const std::string& record, const Json& olddoc,
       }
     }
   }
+  auto tier_of = [](const Json* env) -> std::string {
+    const Json* cpu = env != nullptr ? env->find("cpu") : nullptr;
+    const Json* tier = cpu != nullptr ? cpu->find("dispatch_tier") : nullptr;
+    return tier != nullptr ? tier->dump() : "<absent>";
+  };
+  // A tier that is no simd::tier_name value is a stale or hand-edited
+  // cpu block: the record does not say what it was measured on.
+  const std::string new_tier = tier_of(newe);
+  const auto named = [&](simd::Tier t) {
+    return new_tier == Json(simd::tier_name(t)).dump();
+  };
+  if (new_tier != "<absent>" && !named(simd::Tier::kScalar) &&
+      !named(simd::Tier::kClmul)) {
+    v.fail(record, "environment.cpu.dispatch_tier",
+           "unknown dispatch tier " + new_tier);
+  }
   // Timing cells are only meaningful between runs on the same dispatch
   // tier: a clmul box vs a scalar box differ by design, not by
   // regression. A tier mismatch (or a v2 record without the cpu block)
   // turns --perf-tol off for this pair and leaves a note.
   Options eff = opts;
   if (opts.perf_tol_pct >= 0.0 && olde != nullptr && newe != nullptr) {
-    auto tier_of = [](const Json* env) -> std::string {
-      const Json* cpu = env->find("cpu");
-      const Json* tier = cpu != nullptr ? cpu->find("dispatch_tier") : nullptr;
-      return tier != nullptr ? tier->dump() : "<absent>";
-    };
     const std::string old_tier = tier_of(olde);
-    const std::string new_tier = tier_of(newe);
     if (old_tier != new_tier) {
       v.warn(record, "environment.cpu.dispatch_tier",
              "timing incomparable across SIMD tiers (" + old_tier + " -> " +

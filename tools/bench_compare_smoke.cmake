@@ -1,6 +1,7 @@
 # ctest driver for bench_compare: self-compare must pass, and comparing
-# against an --inject'ed copy must fail with exit code 1 (the comparator
-# has to be able to go red to be a gate). Run as
+# against an --inject'ed copy, or against a copy whose cpu block names a
+# dispatch tier that is no simd::tier_name value, must fail with exit
+# code 1 (the comparator has to be able to go red to be a gate). Run as
 #   cmake -DBENCH_COMPARE=... -DRECORD=... -DSCRATCH=... -P this_file
 foreach(var BENCH_COMPARE RECORD SCRATCH)
   if(NOT DEFINED ${var})
@@ -29,4 +30,19 @@ if(NOT REGRESSION_RC EQUAL 1)
   message(FATAL_ERROR
           "comparator did not flag the injected cost regression "
           "(rc=${REGRESSION_RC}, expected 1)")
+endif()
+
+file(READ "${RECORD}" record)
+string(REGEX REPLACE "\"dispatch_tier\": \"[a-z0-9]*\""
+       "\"dispatch_tier\": \"avx2\"" stale "${record}")
+if(stale STREQUAL record)
+  message(FATAL_ERROR "${RECORD} has no dispatch_tier to make stale")
+endif()
+file(WRITE "${SCRATCH}/stale_tier.json" "${stale}")
+execute_process(COMMAND "${BENCH_COMPARE}" "${RECORD}" "${SCRATCH}/stale_tier.json"
+                RESULT_VARIABLE STALE_RC)
+if(NOT STALE_RC EQUAL 1)
+  message(FATAL_ERROR
+          "comparator did not flag an unknown dispatch tier "
+          "(rc=${STALE_RC}, expected 1)")
 endif()

@@ -143,9 +143,11 @@ step "incident replay round-trip (record -> replay, bit-for-bit)"
 # an operator would on a fresh incident dump.
 REPLAY_DIR="$(mktemp -d)"
 trap 'rm -rf "$REPLAY_DIR"' EXIT
-DUMP="$("$BUILD_DIR/tools/replay" --record="$REPLAY_DIR/incident" \
-    --scenario=integrity --seed=20260808)"
-"$BUILD_DIR/tools/replay" "$DUMP"
+for scenario in integrity overlay; do
+  DUMP="$("$BUILD_DIR/tools/replay" --record="$REPLAY_DIR/$scenario" \
+      --scenario="$scenario" --seed=20260808)"
+  "$BUILD_DIR/tools/replay" "$DUMP"
+done
 
 if [[ -n "$FAST" ]]; then
   echo

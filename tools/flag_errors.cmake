@@ -100,8 +100,9 @@ if(NOT rc EQUAL 2 OR named EQUAL -1)
   message(FATAL_ERROR "pre-fault-plan chaos.burst dump: rc=${rc}, stderr '${err}'")
 endif()
 
-# A dump whose fault plan carried per-link overlays (fault.overlays) is
-# non-replayable: the context does not serialize the overlays.
+# A dump whose fault.overlays field is not a list of link overlays
+# (a:b:flip:truncate:drop:duplicate:delay:delay_rounds:seed, ';'-joined)
+# is refused, by name.
 string(REPLACE "\"seed\":\"5\"" "\"fault.overlays\":\"1\",\"seed\":\"5\""
        tampered "${contents}")
 if(tampered STREQUAL contents)
@@ -114,6 +115,31 @@ string(FIND "${err}" "fault.overlays" named)
 if(NOT rc EQUAL 2 OR named EQUAL -1)
   message(FATAL_ERROR "overlay dump fault.overlays: rc=${rc}, stderr '${err}'")
 endif()
+
+# Every context value is a string, the required keys are present, and no
+# key is unknown: each refusal names its key.
+string(REPLACE "\"seed\":\"5\"" "\"seed\":5" tampered "${contents}")
+file(WRITE "${SCRATCH}/numeric_seed.jsonl" "${tampered}")
+string(REPLACE "\"seed\":\"5\"," "" tampered "${contents}")
+file(WRITE "${SCRATCH}/missing_seed.jsonl" "${tampered}")
+string(REPLACE "\"seed\":\"5\"" "\"bogus.key\":\"1\",\"seed\":\"5\""
+       tampered "${contents}")
+file(WRITE "${SCRATCH}/unknown_key.jsonl" "${tampered}")
+foreach(case numeric_seed:seed missing_seed:seed unknown_key:bogus.key)
+  string(REPLACE ":" ";" parts "${case}")
+  list(GET parts 0 file)
+  list(GET parts 1 key)
+  file(READ "${SCRATCH}/${file}.jsonl" tampered)
+  if(tampered STREQUAL contents)
+    message(FATAL_ERROR "${file}: dump ${dump} was not tampered with")
+  endif()
+  execute_process(COMMAND "${REPLAY}" "${SCRATCH}/${file}.jsonl"
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  string(FIND "${err}" "${key}" named)
+  if(NOT rc EQUAL 2 OR named EQUAL -1)
+    message(FATAL_ERROR "${file} dump: rc=${rc}, stderr '${err}'")
+  endif()
+endforeach()
 
 # The well-formed spellings still run.
 execute_process(COMMAND "${CLI}" "${SCRATCH}/a.txt" "${SCRATCH}/b.txt"

@@ -1,13 +1,15 @@
 # ctest driver for the incident-replay contract (docs/ROBUSTNESS.md):
 # record a canned incident for each scenario, then replay its dump and
-# require a bit-for-bit transcript-digest match (exit 0). Run with
+# require a bit-for-bit transcript-digest match (exit 0). A replay reads
+# only what its own re-run wrote, never files left under TMPDIR by an
+# earlier replay. Run with
 #   cmake -DREPLAY=<bin> -DSCRATCH=<dir> -P replay_roundtrip.cmake
 if(NOT REPLAY OR NOT SCRATCH)
   message(FATAL_ERROR "usage: cmake -DREPLAY=<bin> -DSCRATCH=<dir> -P replay_roundtrip.cmake")
 endif()
 file(MAKE_DIRECTORY ${SCRATCH})
 
-foreach(scenario integrity burst crash partition degrade)
+foreach(scenario integrity burst overlay crash partition degrade overload)
   execute_process(
     COMMAND ${REPLAY} --record=${SCRATCH}/${scenario} --scenario=${scenario}
             --seed=24145
@@ -20,12 +22,18 @@ foreach(scenario integrity burst crash partition degrade)
   if(NOT EXISTS ${dump_path})
     message(FATAL_ERROR "scenario ${scenario}: dump ${dump_path} missing")
   endif()
-  if(scenario STREQUAL "burst")
-    # The burst must abandon a frame, not fall back to a forced dump.
+  if(scenario STREQUAL "burst" OR scenario STREQUAL "overlay")
+    # The lossy link must abandon a frame, not fall back to a forced dump.
     file(READ ${dump_path} dump)
     string(FIND "${dump}" "integrity: " abandoned)
     if(abandoned EQUAL -1)
-      message(FATAL_ERROR "scenario burst: no integrity incident in ${dump_path}")
+      message(FATAL_ERROR "scenario ${scenario}: no integrity incident in ${dump_path}")
+    endif()
+  endif()
+  if(scenario STREQUAL "overlay")
+    string(FIND "${dump}" "\"fault.overlays\":\"0:1:" recorded)
+    if(recorded EQUAL -1)
+      message(FATAL_ERROR "scenario overlay: no link {0, 1} overlay in ${dump_path}")
     endif()
   endif()
   execute_process(
@@ -42,5 +50,25 @@ file(WRITE ${SCRATCH}/empty.jsonl "")
 execute_process(COMMAND ${REPLAY} ${SCRATCH}/empty.jsonl RESULT_VARIABLE rc)
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR "empty dump accepted (rc=${rc}, expected 2)")
+endif()
+# Stale files where an earlier replay of the same seed would have dumped
+# (TMPDIR/setint_replay_<seed>/replay.<incident>.jsonl) must not count.
+# A copy of the integrity dump that claims incident 50, planted there,
+# still diverges: the re-run raises fewer incidents than that.
+set(stale_tmp ${SCRATCH}/stale_tmp)
+file(REMOVE_RECURSE ${stale_tmp})
+file(READ ${SCRATCH}/integrity.1.jsonl dump)
+string(REPLACE "\"incidents\":1," "\"incidents\":50," claimed "${dump}")
+if(claimed STREQUAL dump)
+  message(FATAL_ERROR "integrity dump has no incident count to edit")
+endif()
+file(WRITE ${SCRATCH}/claims_50.jsonl "${claimed}")
+file(WRITE ${stale_tmp}/setint_replay_24145/replay.50.jsonl "${claimed}")
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E env TMPDIR=${stale_tmp}
+          ${REPLAY} ${SCRATCH}/claims_50.jsonl
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "replay read a stale dump (rc=${rc}, expected 1)")
 endif()
 message(STATUS "replay round-trip: all scenarios reproduced bit-for-bit")
