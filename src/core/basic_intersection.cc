@@ -42,8 +42,8 @@ std::vector<util::SetView> alice_then_bob(
 
 }  // namespace
 
-// Crash resume (tag "bi"): phase 1 = sizes exchanged, phase 2 = sizes +
-// Alice's images exchanged.
+// Crash resume (tag "bi"): phase 1 = Alice's sizes delivered, phase 2 =
+// Bob's turn (his sizes and images) delivered.
 BasicIntersectionRun::BasicIntersectionRun(
     sim::Channel& channel, const sim::SharedRandomness& shared,
     std::uint64_t nonce, std::uint64_t universe,
@@ -53,10 +53,10 @@ BasicIntersectionRun::BasicIntersectionRun(
       frame_(channel.scratch()),
       alice_(shared, nonce, universe,
              std::span<const util::SetView>(sides_).first(pairs.size()),
-             target_failure, sim::PartyEnv(channel)),
+             target_failure, sim::PartyEnv(channel), sim::PartyId::kAlice),
       bob_(shared, nonce, universe,
            std::span<const util::SetView>(sides_).last(pairs.size()),
-           target_failure, sim::PartyEnv(channel)),
+           target_failure, sim::PartyEnv(channel), sim::PartyId::kBob),
       run_(channel, alice_, bob_, 4, ckpt, "bi") {
   obs::count(channel.tracer(), "bi.batches");
   obs::count(channel.tracer(), "bi.instances", pairs.size());

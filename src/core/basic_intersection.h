@@ -11,11 +11,14 @@
 // S' == T' implies both equal S cap T — the invariant the verification
 // tree's equality tests exploit.
 //
-// Four rounds: sizes A->B, B->A; hashed sets A->B, B->A. The batched form
-// runs many leaf instances in the same four rounds, which is what keeps a
-// verification-tree stage at six rounds total. Both entry points step a
-// BasicIntersectionRun over the BasicIntersection{Alice,Bob} parties of
-// core/parties.h to completion.
+// Three rounds: Alice's sizes A->B; Bob's sizes and hashed set B->A, one
+// turn; Alice's hashed set A->B. Bob's sizes depend only on T and his
+// image only on the two sizes and T, so nothing waits for a fourth round.
+// The batched form runs many leaf instances in the same three rounds. In
+// the verification tree Bob opens instead, in the turn that carries his
+// equality verdicts, which keeps a repairing stage at four rounds. Both
+// entry points step a BasicIntersectionRun over the BasicIntersection
+// {Opener,Responder} parties of core/parties.h to completion.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +43,10 @@ struct CandidatePair {
 
 // Single instance. `nonce` keys the shared hash; re-runs must use fresh
 // nonces. target_failure in (0, 1). With a Checkpoint installed the
-// protocol snapshots after each delivered round pair (tag "bi": phase 1 =
-// sizes exchanged, phase 2 = Alice's images exchanged) and resumes from
-// there after a crash, replaying only the undelivered messages.
+// protocol snapshots after each of the first two turns (tag "bi": phase 1
+// = Alice's sizes delivered, phase 2 = Bob's sizes and images delivered)
+// and resumes from there after a crash, replaying only the undelivered
+// messages.
 CandidatePair basic_intersection(sim::Channel& channel,
                                  const sim::SharedRandomness& shared,
                                  std::uint64_t nonce, std::uint64_t universe,
@@ -57,7 +61,7 @@ std::uint64_t basic_intersection_range(std::uint64_t total_size,
                                        double target_failure);
 
 // Batched: instance j intersects pairs[j].first (Alice side) with
-// pairs[j].second (Bob side); all instances share the four rounds.
+// pairs[j].second (Bob side); all instances share the three rounds.
 std::vector<CandidatePair> basic_intersection_batch(
     sim::Channel& channel, const sim::SharedRandomness& shared,
     std::uint64_t nonce, std::uint64_t universe,
@@ -85,8 +89,8 @@ class BasicIntersectionRun {
  private:
   std::vector<util::SetView> sides_;  // Alice's views, then Bob's
   util::ScratchArena::Frame frame_;
-  BasicIntersectionAlice alice_;
-  BasicIntersectionBob bob_;
+  BasicIntersectionOpener alice_;
+  BasicIntersectionResponder bob_;
   sim::TwoPartyRun run_;
 };
 

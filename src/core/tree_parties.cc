@@ -159,7 +159,7 @@ std::size_t TreeParty::eq_bits(int stage) const {
 }
 
 template <typename BiParty>
-void TreeParty::start_repair(std::optional<BiParty>& bi) {
+void TreeParty::start_repair(std::optional<BiParty>& bi, sim::PartyId self) {
   const double tower =
       stage_tower(shape_.rounds(), stage_, params_.bucket_count);
   const double failure = std::min(
@@ -169,7 +169,7 @@ void TreeParty::start_repair(std::optional<BiParty>& bi) {
   if (bi) {
     bi->restart(nonce, failed_sets_, failure);
   } else {
-    bi.emplace(shared_, nonce, universe_, failed_sets_, failure, env_);
+    bi.emplace(shared_, nonce, universe_, failed_sets_, failure, env_, self);
   }
   repairing_ = true;
 }
@@ -269,6 +269,7 @@ std::optional<sim::Outgoing> TreeAlice::on_message(
   if (repairing_) {
     meter(message, /*repair=*/true);
     std::optional<sim::Outgoing> reply = bi_->on_message(message);
+    // Bob's sizes: her sizes answer them, her images follow in next().
     if (!bi_->done()) return send(std::move(reply), /*repair=*/true);
     take_candidates(*bi_);
   } else {
@@ -276,14 +277,19 @@ std::optional<sim::Outgoing> TreeAlice::on_message(
     meter(message, /*repair=*/false);
     eq_->on_message(message);
     eq_.reset();
-    const bool repair = fail_leaves();
-    if (repair) {
-      start_repair(bi_);
-      return send(bi_->start(), /*repair=*/true);
+    if (fail_leaves()) {
+      // Bob opens the repair with his sizes, in the turn of his verdicts.
+      start_repair(bi_, sim::PartyId::kAlice);
+      return std::nullopt;
     }
   }
   if (!end_stage()) return std::nullopt;
   return begin_stage();
+}
+
+std::optional<sim::Outgoing> TreeAlice::next() {
+  if (!repairing_) throw std::logic_error("TreeAlice: no turn to continue");
+  return send(bi_->next(), /*repair=*/true);
 }
 
 // ---------- Bob ----------
@@ -297,8 +303,9 @@ std::optional<sim::Outgoing> TreeBob::on_message(
   bool stage_over = true;
   if (repair) {
     reply = bi_->on_message(message);
-    stage_over = bi_->done();
-    if (stage_over) take_candidates(*bi_);
+    // Alice's sizes: her images follow in the same turn.
+    if (!reply) return std::nullopt;
+    take_candidates(*bi_);
   } else {
     {
       util::ScratchArena::Frame contents_frame(*env_.arena);
@@ -307,7 +314,7 @@ std::optional<sim::Outgoing> TreeBob::on_message(
       reply = eq.on_message(message);
     }
     if (fail_leaves()) {
-      start_repair(bi_);
+      start_repair(bi_, sim::PartyId::kBob);
       stage_over = false;
     }
   }
@@ -317,8 +324,15 @@ std::optional<sim::Outgoing> TreeBob::on_message(
     // cutoff ends the protocol here.
     end_stage();
     out.boundary = !diag_.fallback_used;
+  } else {
+    out.keep_floor = true;  // his sizes follow the verdicts
   }
   return out;
+}
+
+std::optional<sim::Outgoing> TreeBob::next() {
+  if (!repairing_) throw std::logic_error("TreeBob: no turn to continue");
+  return send(bi_->start(), /*repair=*/true);
 }
 
 }  // namespace setint::core

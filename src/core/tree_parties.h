@@ -8,14 +8,21 @@
 // Basic-Intersection parties of core/parties.h, so the wire formats exist
 // once.
 //
-// Message flow per stage (at most 6 messages, matching the 6r bound):
+// Message flow per stage: two rounds, or four when a node fails (at most
+// six messages; r stages fit in 4r rounds):
 //   A -> B : equality hashes for every level-i node      (EqualityAlice)
 //   B -> A : verdict bitmap                              (EqualityBob)
-//   [only when some node failed, for every leaf under a failed node]
-//   A -> B : Basic-Intersection sizes          (BasicIntersectionAlice)
-//   B -> A : sizes                             (BasicIntersectionBob)
-//   A -> B : hashed images
+//   [only when some node failed, for every leaf under a failed node;
+//    Bob opens Basic-Intersection in his verdict turn]
+//   B -> A : Basic-Intersection sizes    (BasicIntersectionOpener)
+//   A -> B : sizes, then hashed images   (BasicIntersectionResponder)
 //   B -> A : hashed images
+// Both parties know from the verdicts alone which leaves repair, and a
+// party's sizes depend only on its own candidates, so Bob's sizes need not
+// wait for a turn of Alice's. Each side's images depend only on the two
+// sizes and its own candidates, and each output stays a filter of the
+// party's own candidates, so Lemma 3.3 and Corollary 3.4 hold as in the
+// paper's six-round order.
 //
 // Stage boundary: Bob's last message of a stage is the only one flagged
 // `boundary` (the sub-parties' own Basic-Intersection flags are cleared),
@@ -141,16 +148,17 @@ class TreeParty : public sim::Party {
   // Records the nodes verdicts_ failed and the own sets of the leaves
   // under them (failed_sets_); true if there are any.
   bool fail_leaves();
-  // Basic-Intersection over failed_sets_ for the current stage.
+  // Basic-Intersection over failed_sets_ for the current stage, with
+  // `self`'s message labels.
   template <typename BiParty>
-  void start_repair(std::optional<BiParty>& bi);
+  void start_repair(std::optional<BiParty>& bi, sim::PartyId self);
   // Takes the repaired leaves' candidates; the repair is over.
   void take_candidates(const BasicIntersectionParty& bi);
 
   // Adds a frame's payload to the stage's equality or BI bits.
   void meter(const util::BitBuffer& frame, bool repair);
   // Meters a sub-party's message, tags it with the stage's tracer path
-  // and clears its boundary flag.
+  // and clears its boundary flag (keep_floor passes through).
   sim::Outgoing send(std::optional<sim::Outgoing> msg, bool repair);
   // Closes the current stage; true if the protocol goes on.
   bool end_stage();
@@ -188,11 +196,13 @@ class TreeAlice final : public TreeParty {
   std::optional<sim::Outgoing> start() override;
   std::optional<sim::Outgoing> on_message(
       const util::BitBuffer& message) override;
+  // Her images, after the sizes that answer Bob's.
+  std::optional<sim::Outgoing> next() override;
 
  private:
   std::optional<sim::Outgoing> begin_stage();
   std::optional<EqualityAlice> eq_;
-  std::optional<BasicIntersectionAlice> bi_;
+  std::optional<BasicIntersectionResponder> bi_;
 };
 
 class TreeBob final : public TreeParty {
@@ -204,9 +214,11 @@ class TreeBob final : public TreeParty {
                   /*full_diag=*/false) {}
   std::optional<sim::Outgoing> on_message(
       const util::BitBuffer& message) override;
+  // His Basic-Intersection sizes, after verdicts that fail a node.
+  std::optional<sim::Outgoing> next() override;
 
  private:
-  std::optional<BasicIntersectionBob> bi_;
+  std::optional<BasicIntersectionOpener> bi_;
 };
 
 // One verification-tree run as a steppable object: the public parameters,
@@ -237,7 +249,9 @@ class VerificationTreeRun {
   // Alice as the runner drives her, plus the loud check a simulation that
   // holds both parties can afford: once Alice has read Bob's verdicts,
   // both must repair the same leaves. A tampered verdict frame fails the
-  // run right there, before the desynchronised repair sends anything.
+  // run right there, before the desynchronised repair sends anything:
+  // the runner hands Alice the verdicts before it asks Bob for the sizes
+  // that follow them.
   class CheckedAlice final : public sim::Party {
    public:
     CheckedAlice(TreeAlice& alice, const TreeBob& bob)
@@ -245,6 +259,7 @@ class VerificationTreeRun {
     std::optional<sim::Outgoing> start() override { return alice_.start(); }
     std::optional<sim::Outgoing> on_message(
         const util::BitBuffer& message) override;
+    std::optional<sim::Outgoing> next() override { return alice_.next(); }
     bool done() const override { return alice_.done(); }
 
    private:

@@ -10,8 +10,11 @@
 //      assignments at every level-i node, with failure probability
 //      1/(log^(r-i-1) k)^4 (i.e. 4 log^(r-i) k hash bits) — 2 rounds;
 //   2. for every failed node, re-run Basic-Intersection on all leaves in
-//      its subtree with matching failure probability — 4 rounds.
-// Six rounds per stage -> <= 6r rounds total. Expected communication
+//      its subtree with matching failure probability — 2 more rounds:
+//      Bob sends his sizes in his verdict turn, Alice answers with her
+//      sizes and images in one turn, and Bob's images close the stage.
+// At most four rounds per stage -> <= 4r rounds total (the paper's
+// schedule, one exchange per round, takes 6r). Expected communication
 // O(k log^(r) k): the stage-0 equality tests dominate and every other
 // level costs O(k) (proof of Theorem 3.6); with r = log* k this is the
 // optimal O(k) bits.

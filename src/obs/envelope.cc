@@ -80,10 +80,10 @@ std::uint64_t EnvelopeAuditor::rounds_budget(std::string_view protocol,
   const std::uint64_t reps = std::max<std::uint64_t>(repetitions, 1);
   const std::uint64_t er =
       static_cast<std::uint64_t>(effective_r(k, r));
-  if (protocol == "verification_tree") return 6 * er;
-  if (protocol == "verified_intersection") return (6 * er + 4) * reps;
+  if (protocol == "verification_tree") return 4 * er;
+  if (protocol == "verified_intersection") return (4 * er + 4) * reps;
   if (protocol == "one_round_hash") return 2;
-  if (protocol == "basic_intersection") return 4;
+  if (protocol == "basic_intersection") return 3;
   if (protocol == "bucket_eq") {
     return 8 * std::max<std::uint64_t>(
                    1, util::ceil_log2(std::max<std::uint64_t>(k, 2)));

@@ -31,9 +31,10 @@
 //   bucket_eq              k                          (Theorem 3.1, O(k))
 //   basic_intersection     k                          (Lemma 3.9, fixed eps)
 //
-// Round budgets: verification_tree 6r; verified_intersection (6r + 4) per
-// attempt; one_round_hash 2; basic_intersection 4; bucket_eq
-// 8 * max(1, ceil_log2 k) (amortized-equality binary searches).
+// Round budgets: verification_tree 4r (two rounds per stage, four when
+// it repairs); verified_intersection (4r + 4) per attempt; one_round_hash
+// 2; basic_intersection 3; bucket_eq 8 * max(1, ceil_log2 k)
+// (amortized-equality binary searches).
 //
 // Default c_bounds are calibrated from the committed BENCH_* trajectory
 // with ~40% headroom (see docs/OBSERVABILITY.md § conformance envelopes);

@@ -90,12 +90,26 @@ TwoPartyRun::TwoPartyRun(Channel& channel, Party& alice, Party& bob,
 }
 
 void TwoPartyRun::hand_over() {
+  Party& sender = sender_ == PartyId::kAlice ? alice_ : bob_;
   Party& receiver = sender_ == PartyId::kAlice ? bob_ : alice_;
-  out_ = receiver.on_message(delivered_);
-  sender_ = other(sender_);
+  std::optional<Outgoing> reply = receiver.on_message(delivered_);
   // No party holds a message past on_message, so its storage goes back to
   // the session's pool for a later message to be built in.
   channel_.buffer_pool().release(std::move(delivered_));
+  if (!keep_floor_) {
+    out_ = std::move(reply);
+    sender_ = other(sender_);
+    return;
+  }
+  if (reply.has_value()) {
+    throw std::logic_error(
+        "run_two_party: a party replied before its peer's turn ended");
+  }
+  out_ = sender.next();
+  if (!out_.has_value()) {
+    throw std::logic_error(
+        "run_two_party: a party kept the floor with nothing to send");
+  }
 }
 
 bool TwoPartyRun::step() {
@@ -107,6 +121,11 @@ bool TwoPartyRun::step() {
     if (++messages_ > max_messages_) {
       throw std::runtime_error("run_two_party: message budget exceeded");
     }
+    if (out_->boundary && out_->keep_floor) {
+      throw std::logic_error(
+          "run_two_party: a checkpoint boundary must end its sender's turn");
+    }
+    keep_floor_ = out_->keep_floor;
     const bool live = messages_ > replay_.size();
     if (live) {
       enter(out_->phase);

@@ -42,8 +42,14 @@ struct Outgoing {
   // caller's current span (empty: that span itself); consecutive messages
   // share every leading segment they have in common. Must outlive the run.
   std::string_view phase = {};
-  // Once delivered, the protocol has crossed a checkpoint boundary.
+  // Once delivered, the protocol has crossed a checkpoint boundary. Only
+  // a message that ends its sender's turn may be one.
   bool boundary = false;
+  // The sender keeps the floor: its peer reads this message without
+  // replying, and the runner then asks the sender for its next message
+  // (Party::next()). A turn's messages all travel one way, so the channel
+  // meters them as one round.
+  bool keep_floor = false;
 };
 
 // What a party may borrow from the session that runs it: the decode
@@ -71,9 +77,13 @@ struct PartyEnv {
 };
 
 // One endpoint of a two-party protocol. The runner calls start() once on
-// the opening party, then alternates on_message() with each delivered
-// payload; a party returning std::nullopt yields the floor without
-// speaking (the protocol ends when both parties are done()).
+// the opening party, then hands each delivered message to its receiver's
+// on_message(). A turn is one or more messages from one party: every
+// message but the last is flagged keep_floor, its receiver returns
+// std::nullopt for it, and the runner fetches the sender's next() one.
+// The reply to a turn's last message opens the receiver's turn; a party
+// returning std::nullopt there yields the floor without speaking (the
+// protocol ends when both parties are done()).
 class Party {
  public:
   virtual ~Party() = default;
@@ -86,6 +96,10 @@ class Party {
   virtual std::optional<Outgoing> on_message(
       const util::BitBuffer& message) = 0;
 
+  // The next message of a turn whose last message was flagged
+  // keep_floor, called once the peer has read that message.
+  virtual std::optional<Outgoing> next() { return std::nullopt; }
+
   virtual bool done() const = 0;
 };
 
@@ -94,7 +108,10 @@ class Party {
 // flagged `boundary` (returning false) or to the end (true). The boundary
 // message reaches its receiver at the start of the next step. Throws
 // std::runtime_error if the conversation stalls (neither party speaks
-// while one is unfinished) or exceeds max_messages.
+// while one is unfinished) or exceeds max_messages, and std::logic_error
+// if a party breaks the turn rules: replies to a keep_floor message, has
+// no next() message after one, or flags a boundary that does not end its
+// turn.
 //
 // With a checkpoint, every delivered message flagged `boundary` saves a
 // snapshot under `tag` (phase = boundaries crossed so far, state = every
@@ -132,6 +149,7 @@ class TwoPartyRun {
   std::size_t messages_ = 0;
   std::optional<Outgoing> out_;
   PartyId sender_ = PartyId::kAlice;
+  bool keep_floor_ = false;  // delivered_ does not end its sender's turn
   util::BitBuffer delivered_;
   bool pending_ = false;  // delivered_ not yet handed to its receiver
 };

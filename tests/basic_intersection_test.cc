@@ -91,16 +91,17 @@ TEST(BasicIntersection, LooseFailureTargetActuallyFails) {
   EXPECT_GT(inexact, 10);
 }
 
-TEST(BasicIntersection, FourRoundsSingleInstance) {
+TEST(BasicIntersection, ThreeRoundsSingleInstance) {
   sim::SharedRandomness shared(1);
   sim::Channel ch;
   const util::Set s{1, 5, 9};
   const util::Set t{5, 9, 11};
   core::basic_intersection(ch, shared, 0, 1u << 10, s, t, 0.01);
-  EXPECT_EQ(ch.cost().rounds, 4u);
+  EXPECT_EQ(ch.cost().rounds, 3u);
+  EXPECT_EQ(ch.cost().messages, 4u);
 }
 
-TEST(BasicIntersection, BatchStaysFourRounds) {
+TEST(BasicIntersection, BatchStaysThreeRounds) {
   sim::SharedRandomness shared(2);
   util::Rng wrng(9);
   std::vector<util::SetPair> pairs_storage;
@@ -112,7 +113,7 @@ TEST(BasicIntersection, BatchStaysFourRounds) {
   sim::Channel ch;
   const auto cands =
       core::basic_intersection_batch(ch, shared, 0, 1u << 20, pairs, 0.01);
-  EXPECT_EQ(ch.cost().rounds, 4u);
+  EXPECT_EQ(ch.cost().rounds, 3u);
   ASSERT_EQ(cands.size(), 50u);
   for (std::size_t i = 0; i < cands.size(); ++i) {
     EXPECT_TRUE(util::is_subset(pairs_storage[i].expected_intersection,
@@ -132,7 +133,7 @@ TEST(BasicIntersection, EmptySidesShortCircuit) {
     EXPECT_TRUE(cand.t_candidate.empty());
     // Only the size exchange flows: no hash bits for an empty instance.
     EXPECT_LT(ch.cost().bits_total, 10u);
-    EXPECT_EQ(ch.cost().rounds, 4u);
+    EXPECT_EQ(ch.cost().rounds, 3u);
   }
   {
     sim::Channel ch;

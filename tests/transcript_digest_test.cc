@@ -97,7 +97,7 @@ TEST(TranscriptDigest, BasicIntersection) {
       core::basic_intersection(ch, sh, 7, kUniverse, p.s, p.t, 0.01);
   // Lemma 3.3: candidates always contain the true intersection.
   EXPECT_TRUE(util::is_subset(p.expected_intersection, cand.s_candidate));
-  expect_pin(ch, {12356u, 4u, 0x39744265dda51437ull});
+  expect_pin(ch, {12356u, 3u, 0x4727f6d75712e315ull});
 }
 
 TEST(TranscriptDigest, ToyProtocol) {
@@ -106,7 +106,7 @@ TEST(TranscriptDigest, ToyProtocol) {
   sim::SharedRandomness sh(31337);
   const auto out = core::toy_bucket_intersection(ch, sh, 7, kUniverse, p.s, p.t);
   EXPECT_EQ(out.alice, p.expected_intersection);
-  expect_pin(ch, {6326u, 12u, 0xf0591adbb82d0dd1ull});
+  expect_pin(ch, {6326u, 8u, 0x271a88a402f79d21ull});
 }
 
 // One pin per tree depth: r=1 (the one-round base case), r=2 (one real
@@ -114,8 +114,8 @@ TEST(TranscriptDigest, ToyProtocol) {
 TEST(TranscriptDigest, VerificationTreeDepths) {
   const RunPin pins[] = {
       {12322u, 2u, 0x46b573f738b3d517ull},   // r=1
-      {10541u, 8u, 0xc571e58501bd451full},   // r=2
-      {8773u, 16u, 0x75047fe49cc263a9ull},   // r=0 (auto)
+      {10541u, 6u, 0xe9dc3cb16dc6d9e3ull},   // r=2
+      {8773u, 12u, 0xe624bb1ac50f2ad0ull},   // r=0 (auto)
   };
   const int depths[] = {1, 2, 0};
   const util::SetPair p = reference_pair();
@@ -139,7 +139,7 @@ TEST(TranscriptDigest, PrivateCoin) {
   const auto out =
       core::private_coin_intersection(ch, priv, kUniverse, p.s, p.t, {});
   EXPECT_EQ(out.alice, p.expected_intersection);
-  expect_pin(ch, {9151u, 18u, 0x3e21fc4cd69323e4ull});
+  expect_pin(ch, {9151u, 14u, 0xf3408652d409d7d9ull});
 }
 
 // Fact 3.5 equality on its own (the verification-tree pins cover it only
@@ -246,14 +246,14 @@ TEST(TranscriptDigest, BasicIntersectionBatchPhaseTable) {
       core::basic_intersection_batch(ch, sh, 7, kUniverse, pairs, 0.01);
   ASSERT_EQ(cands.size(), pairs.size());
   const std::vector<std::string> want = {
-      " 7200 4 4 1",
+      " 7200 4 3 1",
       "size_exchange 156 2 2 1",
-      "hash_exchange 7044 2 2 1",
+      "hash_exchange 7044 2 1 1",
   };
   EXPECT_EQ(phase_table(tracer), want);
   EXPECT_EQ(tracer.metrics().counter("bi.batches").value(), 1u);
   EXPECT_EQ(tracer.metrics().counter("bi.instances").value(), 8u);
-  expect_pin(ch, {7200u, 4u, 0xeebd2f4e843f855dull});
+  expect_pin(ch, {7200u, 3u, 0x108a8c2aaf919074ull});
 }
 
 TEST(TranscriptDigest, OneRoundHashPhaseTable) {
@@ -283,25 +283,25 @@ TEST(TranscriptDigest, VerificationTreePhaseTable) {
                                                         p.s, p.t, {});
   EXPECT_EQ(out.alice, p.expected_intersection);
   const std::vector<std::string> want = {
-      " 8773 16 16 1",
-      "verification_tree 8773 16 16 1",
-      "verification_tree/level=0 4644 6 6 1",
+      " 8773 16 12 1",
+      "verification_tree 8773 16 12 1",
+      "verification_tree/level=0 4644 6 4 1",
       "verification_tree/level=0/equality 1280 2 2 1",
-      "verification_tree/level=0/basic_intersection 3364 4 4 1",
-      "verification_tree/level=0/basic_intersection/size_exchange 810 2 2 1",
-      "verification_tree/level=0/basic_intersection/hash_exchange 2554 2 2 1",
-      "verification_tree/level=1 1825 6 6 1",
+      "verification_tree/level=0/basic_intersection 3364 4 2 1",
+      "verification_tree/level=0/basic_intersection/size_exchange 810 2 1 1",
+      "verification_tree/level=0/basic_intersection/hash_exchange 2554 2 1 1",
+      "verification_tree/level=1 1825 6 4 1",
       "verification_tree/level=1/equality 1280 2 2 1",
-      "verification_tree/level=1/basic_intersection 545 4 4 1",
-      "verification_tree/level=1/basic_intersection/size_exchange 104 2 2 1",
-      "verification_tree/level=1/basic_intersection/hash_exchange 441 2 2 1",
+      "verification_tree/level=1/basic_intersection 545 4 2 1",
+      "verification_tree/level=1/basic_intersection/size_exchange 104 2 1 1",
+      "verification_tree/level=1/basic_intersection/hash_exchange 441 2 1 1",
       "verification_tree/level=2 1248 2 2 1",
       "verification_tree/level=2/equality 1248 2 2 1",
       "verification_tree/level=3 1056 2 2 1",
       "verification_tree/level=3/equality 1056 2 2 1",
   };
   EXPECT_EQ(phase_table(tracer), want);
-  expect_pin(ch, {8773u, 16u, 0x75047fe49cc263a9ull});
+  expect_pin(ch, {8773u, 12u, 0xe624bb1ac50f2ad0ull});
 }
 
 // Checkpoint determinism (docs/ROBUSTNESS.md § checkpoint granularity):
@@ -316,7 +316,7 @@ TEST(TranscriptDigest, BasicIntersectionResumesToSamePin) {
   sim::Channel ch(/*record_transcript=*/true);
   sim::SharedRandomness sh(31337);
   core::Checkpoint ckpt;
-  ckpt.interrupt_after("bi", 1);  // crash after the size exchange
+  ckpt.interrupt_after("bi", 1);  // crash after Alice's sizes
   EXPECT_THROW(
       core::basic_intersection(ch, sh, 7, kUniverse, p.s, p.t, 0.01, &ckpt),
       core::CheckpointInterrupt);
@@ -324,7 +324,7 @@ TEST(TranscriptDigest, BasicIntersectionResumesToSamePin) {
       core::basic_intersection(ch, sh, 7, kUniverse, p.s, p.t, 0.01, &ckpt);
   EXPECT_TRUE(util::is_subset(p.expected_intersection, cand.s_candidate));
   EXPECT_EQ(ckpt.restores(), 1u);
-  expect_pin(ch, {12356u, 4u, 0x39744265dda51437ull});
+  expect_pin(ch, {12356u, 3u, 0x4727f6d75712e315ull});
 }
 
 TEST(TranscriptDigest, BasicIntersectionResumesAfterImagesToSamePin) {
@@ -332,7 +332,7 @@ TEST(TranscriptDigest, BasicIntersectionResumesAfterImagesToSamePin) {
   sim::Channel ch(/*record_transcript=*/true);
   sim::SharedRandomness sh(31337);
   core::Checkpoint ckpt;
-  ckpt.interrupt_after("bi", 2);  // crash after Alice's images
+  ckpt.interrupt_after("bi", 2);  // crash after Bob's sizes and images
   EXPECT_THROW(
       core::basic_intersection(ch, sh, 7, kUniverse, p.s, p.t, 0.01, &ckpt),
       core::CheckpointInterrupt);
@@ -341,7 +341,7 @@ TEST(TranscriptDigest, BasicIntersectionResumesAfterImagesToSamePin) {
       core::basic_intersection(ch, sh, 7, kUniverse, p.s, p.t, 0.01, &ckpt);
   EXPECT_TRUE(util::is_subset(p.expected_intersection, cand.s_candidate));
   EXPECT_EQ(ckpt.restores(), 1u);
-  expect_pin(ch, {12356u, 4u, 0x39744265dda51437ull});
+  expect_pin(ch, {12356u, 3u, 0x4727f6d75712e315ull});
 }
 
 TEST(TranscriptDigest, VerificationTreeResumesToSamePin) {
@@ -359,7 +359,7 @@ TEST(TranscriptDigest, VerificationTreeResumesToSamePin) {
       ch, sh, 7, kUniverse, p.s, p.t, params, nullptr, &ckpt);
   EXPECT_EQ(out.alice, p.expected_intersection);
   EXPECT_EQ(ckpt.restores(), 1u);
-  expect_pin(ch, {10541u, 8u, 0xc571e58501bd451full});
+  expect_pin(ch, {10541u, 6u, 0xe9dc3cb16dc6d9e3ull});
 }
 
 TEST(TranscriptDigest, BucketEqResumesToSamePin) {
@@ -390,7 +390,7 @@ TEST(TranscriptDigest, MultipartyCoordinator) {
       multiparty::coordinator_intersection(net, sh, 1u << 20, inst.sets);
   EXPECT_EQ(res.intersection, inst.expected_intersection);
   EXPECT_EQ(net.total_bits(), 20587u);
-  EXPECT_EQ(net.rounds(), 22u);
+  EXPECT_EQ(net.rounds(), 16u);
   EXPECT_EQ(net.max_player_bits(), 20587u);
 }
 
@@ -404,7 +404,7 @@ TEST(TranscriptDigest, MultipartyTournament) {
       multiparty::tournament_intersection(net, sh, 1u << 20, inst.sets);
   EXPECT_EQ(res.intersection, inst.expected_intersection);
   EXPECT_EQ(net.total_bits(), 12209u);
-  EXPECT_EQ(net.rounds(), 46u);
+  EXPECT_EQ(net.rounds(), 38u);
   EXPECT_EQ(net.max_player_bits(), 4704u);
 }
 

@@ -109,18 +109,18 @@ TEST(TreeFsm, TranscriptMatchesRecordedDriverPins) {
     std::uint64_t digest;
   };
   const Pin pins[] = {
-      {18547u, 22u, 0x7d16f8be1d01d26eull},  // k=448 r=5
-      {17275u, 16u, 0x5acf2caaf8db9e76ull},  // k=481 r=4
-      {5093u, 16u, 0xc2ed1e4f2c549bd7ull},   // k=132 r=4
-      {26085u, 8u, 0xeeb221fb90f7d2e6ull},   // k=587 r=2
-      {15359u, 20u, 0xaf9312a77e11f5c0ull},  // k=435 r=4
-      {6396u, 22u, 0xb6c3bbf2d4a41e4eull},   // k=153 r=5
-      {11273u, 16u, 0xeb6594a14a38eeadull},  // k=310 r=4
-      {9706u, 16u, 0x706aab59fd451e99ull},   // k=421 r=4
-      {10400u, 10u, 0xddf60ac52ad4a137ull},  // k=494 r=3
-      {23093u, 26u, 0x361ac79d48a51b5aull},  // k=566 r=5
-      {7122u, 18u, 0x27993cde3ca02979ull},   // k=170 r=5
-      {27547u, 8u, 0x68697d480dc1efa2ull},   // k=593 r=2
+      {18547u, 16u, 0xbd97c7842c57771eull},  // k=448 r=5
+      {17275u, 12u, 0xf76e8410419082ffull},  // k=481 r=4
+      {5093u, 12u, 0x2e3a47b425622917ull},   // k=132 r=4
+      {26085u, 6u, 0xd231d483150c2e72ull},   // k=587 r=2
+      {15359u, 14u, 0xf385cccfe1812c47ull},  // k=435 r=4
+      {6396u, 16u, 0x1720dde932be7278ull},   // k=153 r=5
+      {11273u, 12u, 0x8ea98e94f03e592bull},  // k=310 r=4
+      {9706u, 12u, 0xa090853792a2220full},   // k=421 r=4
+      {10400u, 8u, 0x99bb5c177950954aull},   // k=494 r=3
+      {23093u, 18u, 0x60b126f620e52453ull},  // k=566 r=5
+      {7122u, 14u, 0xc99de90298955ce7ull},   // k=170 r=5
+      {27547u, 6u, 0xf5acd18ec494d05aull},   // k=593 r=2
   };
   util::Rng wrng(9);
   for (std::uint64_t trial = 0; trial < 12; ++trial) {
@@ -254,10 +254,14 @@ TEST(TreeFsm, ImageCountOverDecodeLimitThrows) {
     any_failed = any_failed || !verdicts->bits.bit(v);
   }
   ASSERT_TRUE(any_failed);
-  // Alice claims one element in every failed leaf (surplus codes unread).
+  // His Basic-Intersection sizes follow the verdicts in the same turn.
+  ASSERT_TRUE(verdicts->keep_floor);
+  ASSERT_TRUE(bob.next().has_value());
+  // Alice claims one element in every failed leaf (surplus codes unread);
+  // her images follow in the same turn, so Bob stays silent.
   util::BitBuffer sizes;
   for (int i = 0; i < 4; ++i) sizes.append_gamma64(1);
-  ASSERT_TRUE(bob.on_message(sizes).has_value());
+  ASSERT_FALSE(bob.on_message(sizes).has_value());
   // 40 items of 64 bits each, wider than any image width: the frame holds
   // every item it claims, so only the item cap can refuse it.
   util::BitBuffer images;
@@ -331,13 +335,23 @@ TEST(TreeFsm, PackedNodeContentsMatchAppendSetAtEveryStage) {
     stages_checked.insert(party.stage());
   };
 
+  // Drives the parties by hand, as sim::TwoPartyRun does: a message that
+  // keeps the floor is followed by its sender's next() one.
   std::optional<sim::Outgoing> msg = alice.start();
   bool to_bob = true;
   while (msg.has_value()) {
     check(alice);
     check(bob);
-    msg = to_bob ? bob.on_message(msg->bits) : alice.on_message(msg->bits);
-    to_bob = !to_bob;
+    sim::Party& sender = to_bob ? static_cast<sim::Party&>(alice) : bob;
+    sim::Party& receiver = to_bob ? static_cast<sim::Party&>(bob) : alice;
+    std::optional<sim::Outgoing> reply = receiver.on_message(msg->bits);
+    if (msg->keep_floor) {
+      ASSERT_FALSE(reply.has_value());
+      msg = sender.next();
+    } else {
+      msg = std::move(reply);
+      to_bob = !to_bob;
+    }
   }
   EXPECT_EQ(stages_checked.size(), static_cast<std::size_t>(r));
   EXPECT_GT(alice.diag().total_bi_runs, 0u);

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
+#include "core/basic_intersection.h"
 #include "core/verification_tree.h"
+#include "obs/tracer.h"
 #include "sim/adversary.h"
 #include "sim/channel.h"
 #include "sim/randomness.h"
@@ -204,18 +207,56 @@ TEST(TreeProtocol, RejectsInvalidInputs) {
 
 // ---------- round and cost accounting ----------
 
-TEST(TreeProtocol, RoundsAtMostSixPerStage) {
+// Every stage's phase row reads 2 rounds when all its nodes pass and 4
+// when some fail: Bob's Basic-Intersection sizes ride in his verdict turn,
+// Alice answers with her sizes and images in one turn, and Bob's images
+// close the stage. Standalone Basic-Intersection reads 3.
+TEST(TreeProtocol, StageRoundsFollowTheirRepairs) {
   util::Rng wrng(8);
-  for (int r : {2, 3, 4, 5}) {
-    const util::SetPair p = util::random_set_pair(wrng, 1u << 24, 512, 256);
-    core::VerificationTreeParams params;
-    params.rounds_r = r;
-    sim::SharedRandomness shared(50 + static_cast<std::uint64_t>(r));
-    sim::Channel ch;
-    core::verification_tree_intersection(ch, shared, 0, 1u << 24, p.s, p.t,
-                                         params);
-    EXPECT_LE(ch.cost().rounds, static_cast<std::uint64_t>(6 * r)) << r;
+  std::size_t repaired = 0;
+  std::size_t clean = 0;
+  for (std::size_t k : {16u, 64u, 512u, 4096u}) {
+    const util::SetPair p = util::random_set_pair(wrng, 1u << 24, k, k / 2);
+    const int max_r = util::log_star(static_cast<double>(k)) + 1;
+    for (int r = 2; r <= max_r; ++r) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " r=" << r);
+      core::VerificationTreeParams params;
+      params.rounds_r = r;
+      sim::SharedRandomness shared(50 + k + static_cast<std::uint64_t>(r));
+      sim::Channel ch;
+      obs::Tracer tracer;
+      ch.set_tracer(&tracer);
+      core::VerificationTreeDiag diag;
+      const auto out = core::verification_tree_intersection(
+          ch, shared, 0, 1u << 24, p.s, p.t, params, &diag);
+      EXPECT_EQ(out.alice, p.expected_intersection);
+      const obs::PhaseNode* tree = tracer.root().child("verification_tree");
+      ASSERT_NE(tree, nullptr);
+      std::uint64_t rounds = 0;
+      for (int i = 0; i < r; ++i) {
+        const obs::PhaseNode* level =
+            tree->child("level=" + std::to_string(i));
+        ASSERT_NE(level, nullptr) << "level " << i;
+        const bool repair =
+            diag.stage_failures[static_cast<std::size_t>(i)] > 0;
+        EXPECT_EQ(level->total_rounds(), repair ? 4u : 2u) << "level " << i;
+        rounds += level->total_rounds();
+        (repair ? repaired : clean) += 1;
+      }
+      EXPECT_EQ(ch.cost().rounds, rounds);
+      EXPECT_LE(ch.cost().rounds, static_cast<std::uint64_t>(4 * r));
+
+      sim::Channel bi_ch;
+      obs::Tracer bi_tracer;
+      bi_ch.set_tracer(&bi_tracer);
+      core::basic_intersection(bi_ch, shared, 1, 1u << 24, p.s, p.t, 0.01);
+      EXPECT_EQ(bi_tracer.root().total_rounds(), 3u);
+      EXPECT_EQ(bi_ch.cost().rounds, 3u);
+    }
   }
+  // Both kinds of stage occur.
+  EXPECT_GT(repaired, 0u);
+  EXPECT_GT(clean, 0u);
 }
 
 TEST(TreeProtocol, RoundOneDelegatesToHashExchange) {
