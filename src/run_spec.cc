@@ -246,6 +246,11 @@ RunSpec run_spec_of(util::SetView s, util::SetView t, std::uint64_t universe,
     spec.chaos = RunSpec::Chaos{plan->spec(), plan->protocol_seed()};
     if (plan->now() > 0) mark("chaos plan reused");
   }
+  // Its ring, incident count and transcript digest carry the earlier
+  // session's events, so its dumps would not match a replay's.
+  if (options.recorder != nullptr && options.recorder->recorded() > 0) {
+    mark("recorder reused");
+  }
   return spec;
 }
 

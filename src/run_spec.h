@@ -42,8 +42,8 @@ struct RunSpec {
   };
   std::optional<Chaos> chaos;
   // Why no spec rebuilds the session (an adversary, whose frames depend on
-  // live protocol state, or a plan that had already carried traffic);
-  // empty when one does.
+  // live protocol state, or a plan or flight recorder that had already
+  // carried traffic); empty when one does.
   std::string non_replayable;
 
   bool operator==(const RunSpec&) const = default;

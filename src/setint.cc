@@ -67,10 +67,8 @@ IntersectResult intersect(util::SetView s, util::SetView t,
   sim::SharedRandomness shared(options.seed);
   if (options.recorder != nullptr) {
     // Any incident dump the session produces is self-describing.
-    for (const auto& [key, value] :
-         to_context(run_spec_of(s, t, universe, options))) {
-      options.recorder->set_context(key, value);
-    }
+    options.recorder->replace_context(
+        to_context(run_spec_of(s, t, universe, options)));
   }
   multiparty::SessionHooks hooks;
   hooks.tracer = options.tracer;

@@ -446,6 +446,55 @@ TEST(FlightRecorder, FacadeMarksReusedFaultPlanNonReplayable) {
   EXPECT_EQ(non_replayable_of(options), "fault plan reused");
 }
 
+// A recorder handed to a second session still holds the first one's ring,
+// incident count and digest, so that session is marked non-replayable;
+// its context is the second session's alone.
+TEST(FlightRecorder, FacadeMarksReusedRecorderNonReplayable) {
+  FlightRecorder rec(64);
+  IntersectOptions options;
+  options.universe = 32;
+  options.recorder = &rec;
+  (void)intersect(util::Set{1, 5, 9}, util::Set{5, 9, 20}, options);
+  EXPECT_EQ(parse_context(as_dump(rec.context())).non_replayable, "");
+  ASSERT_GT(rec.recorded(), 0u);
+  (void)intersect(util::Set{1, 5, 9}, util::Set{5, 9, 20}, options);
+  EXPECT_EQ(parse_context(as_dump(rec.context())).non_replayable,
+            "recorder reused");
+}
+
+// The facade replaces a reused recorder's whole context: no fault.* key
+// of a first, faulted session survives into a clean second one.
+TEST(FlightRecorder, FacadeReplacesTheWholeContext) {
+  const util::Set s{1, 5, 9};
+  const util::Set t{5, 9, 20};
+  FlightRecorder rec(64);
+  sim::FaultSpec spec;
+  spec.flip_per_bit = 1e-3;
+  sim::FaultPlan plan(spec);
+  IntersectOptions faulted;
+  faulted.universe = 32;
+  faulted.fault_plan = &plan;
+  faulted.recorder = &rec;
+  (void)intersect(s, t, faulted);
+  const auto has_fault_key = [&] {
+    return std::ranges::any_of(rec.context(), [](const auto& kv) {
+      return kv.first.starts_with("fault.");
+    });
+  };
+  ASSERT_TRUE(has_fault_key());
+  IntersectOptions clean;
+  clean.universe = 32;
+  clean.seed = 3;
+  clean.recorder = &rec;
+  const RunSpec before = run_spec_of(s, t, 32, clean);
+  (void)intersect(s, t, clean);
+  EXPECT_FALSE(has_fault_key());
+  RunSpec want = before;
+  want.non_replayable = "recorder reused";
+  EXPECT_EQ(rec.context(), to_context(want));
+  EXPECT_EQ(parse_context(as_dump(rec.context())), want);
+}
+
 TEST(FlightRecorder, FacadeMarksReusedChaosPlanNonReplayable) {
   sim::ChaosPlan plan(sim::ChaosSpec{}, 7);
   IntersectOptions options;
