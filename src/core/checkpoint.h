@@ -5,7 +5,7 @@
 // full-session retry: every bit already spent is spent again. A
 // core::Checkpoint is the alternative: the checkpointable protocols —
 // verification tree (per stage), bucket-EQ^k (size exchange, then per
-// level), amortized EQ (per level), Basic-Intersection (per round pair) —
+// level), amortized EQ (per level), Basic-Intersection (per turn) —
 // are party pairs under sim::TwoPartyRun, which saves a snapshot at each
 // boundary the parties flag. A run rebuilt after a crash restores the
 // newest snapshot and replays it into fresh parties, sending only the
