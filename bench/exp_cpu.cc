@@ -85,7 +85,7 @@ struct GoldenPin {
 // Constants mirrored from tests/golden_test.cc — update both together,
 // and only for a deliberate protocol change.
 constexpr GoldenPin kPins[] = {
-    {"verification_tree", 18161, 14, 0x4f478ba721da71bfull},
+    {"verification_tree", 18161, 11, 0x95fa00d57b0964d6ull},
     {"one_round_hash", 27686, 0, 0x9083d7c54c7c9afeull},
     {"bucket_eq", 9023, 0, 0xe1cdad82c6c8c0b0ull},
 };

@@ -53,10 +53,12 @@ BasicIntersectionRun::BasicIntersectionRun(
       frame_(channel.scratch()),
       alice_(shared, nonce, universe,
              std::span<const util::SetView>(sides_).first(pairs.size()),
-             target_failure, sim::PartyEnv(channel), sim::PartyId::kAlice),
+             target_failure, sim::PartyEnv(channel), sim::PartyId::kAlice,
+             sim::PartyId::kAlice),
       bob_(shared, nonce, universe,
            std::span<const util::SetView>(sides_).last(pairs.size()),
-           target_failure, sim::PartyEnv(channel), sim::PartyId::kBob),
+           target_failure, sim::PartyEnv(channel), sim::PartyId::kBob,
+           sim::PartyId::kAlice),
       run_(channel, alice_, bob_, 4, ckpt, "bi") {
   obs::count(channel.tracer(), "bi.batches");
   obs::count(channel.tracer(), "bi.instances", pairs.size());

@@ -15,10 +15,11 @@
 // turn; Alice's hashed set A->B. Bob's sizes depend only on T and his
 // image only on the two sizes and T, so nothing waits for a fourth round.
 // The batched form runs many leaf instances in the same three rounds. In
-// the verification tree Bob opens instead, in the turn that carries his
-// equality verdicts, which keeps a repairing stage at four rounds. Both
-// entry points step a BasicIntersectionRun over the BasicIntersection
-// {Opener,Responder} parties of core/parties.h to completion.
+// the verification tree the stage's verifier opens instead, in the turn
+// that carries its equality verdicts, which keeps a repairing stage at
+// three rounds past its hashes. Both entry points step a
+// BasicIntersectionRun over two BasicIntersectionParty objects
+// (core/parties.h) to completion.
 #pragma once
 
 #include <cstdint>
@@ -89,8 +90,8 @@ class BasicIntersectionRun {
  private:
   std::vector<util::SetView> sides_;  // Alice's views, then Bob's
   util::ScratchArena::Frame frame_;
-  BasicIntersectionOpener alice_;
-  BasicIntersectionResponder bob_;
+  BasicIntersectionParty alice_;  // opens
+  BasicIntersectionParty bob_;
   sim::TwoPartyRun run_;
 };
 

@@ -91,7 +91,7 @@ EqualityParty::EqualityParty(const sim::SharedRandomness& shared,
     : shared_(shared), nonce_(nonce), strings_(strings), bits_(bits),
       verdicts_(verdicts), env_(env) {}
 
-std::optional<sim::Outgoing> EqualityAlice::start() {
+std::optional<sim::Outgoing> EqualityHasher::start() {
   sim::Outgoing msg{env_.pool->acquire(), "eq-hashes"};
   msg.bits.reserve_bits(strings_.size() * bits_);
   util::ScratchArena::Frame scratch_frame(*env_.arena);
@@ -109,7 +109,7 @@ std::optional<sim::Outgoing> EqualityAlice::start() {
   return msg;
 }
 
-std::optional<sim::Outgoing> EqualityAlice::on_message(
+std::optional<sim::Outgoing> EqualityHasher::on_message(
     const util::BitBuffer& message) {
   util::BitReader reader = env_.reader(message);
   reader.expect_at_least(verdicts_.size(), 1, "eq verdicts");
@@ -120,7 +120,7 @@ std::optional<sim::Outgoing> EqualityAlice::on_message(
   return std::nullopt;
 }
 
-std::optional<sim::Outgoing> EqualityBob::on_message(
+std::optional<sim::Outgoing> EqualityVerifier::on_message(
     const util::BitBuffer& message) {
   const std::size_t n = strings_.size();
   util::BitReader reader = env_.reader(message);
@@ -226,15 +226,18 @@ std::optional<sim::Outgoing> OneRoundHashBob::on_message(
 BasicIntersectionParty::BasicIntersectionParty(
     const sim::SharedRandomness& shared, std::uint64_t nonce,
     std::uint64_t universe, std::span<const util::SetView> sets,
-    double target_failure, sim::PartyEnv env, sim::PartyId self)
+    double target_failure, sim::PartyEnv env, sim::PartyId self,
+    sim::PartyId opener)
     : shared_(shared), universe_(universe), env_(env), self_(self) {
-  restart(nonce, sets, target_failure);
+  restart(nonce, sets, target_failure, opener);
 }
 
 void BasicIntersectionParty::restart(std::uint64_t nonce,
                                      std::span<const util::SetView> sets,
-                                     double target_failure) {
+                                     double target_failure,
+                                     sim::PartyId opener) {
   nonce_ = nonce;
+  opener_ = opener;
   sets_ = sets;
   target_failure_ = target_failure;
   instances_.assign(sets.size(), Instance{});
@@ -311,33 +314,28 @@ void BasicIntersectionParty::filter_by_peer_images(
   done_ = true;
 }
 
-std::optional<sim::Outgoing> BasicIntersectionOpener::start() {
+std::optional<sim::Outgoing> BasicIntersectionParty::start() {
+  if (!opens()) return std::nullopt;
   return sizes_message(/*boundary=*/true);
 }
 
-std::optional<sim::Outgoing> BasicIntersectionOpener::on_message(
+std::optional<sim::Outgoing> BasicIntersectionParty::on_message(
     const util::BitBuffer& message) {
   if (!sizes_known_) {
     read_peer_sizes(message);
-    return std::nullopt;  // the responder's images follow in its turn
-  }
-  filter_by_peer_images(message);
-  return images_message(/*boundary=*/false);
-}
-
-std::optional<sim::Outgoing> BasicIntersectionResponder::on_message(
-    const util::BitBuffer& message) {
-  if (!sizes_known_) {
-    read_peer_sizes(message);
+    // The responder's images follow in its turn.
+    if (opens()) return std::nullopt;
     sim::Outgoing sizes = sizes_message(/*boundary=*/false);
     sizes.keep_floor = true;
     return sizes;
   }
   filter_by_peer_images(message);
-  return std::nullopt;
+  if (!opens()) return std::nullopt;
+  return images_message(/*boundary=*/false);
 }
 
-std::optional<sim::Outgoing> BasicIntersectionResponder::next() {
+std::optional<sim::Outgoing> BasicIntersectionParty::next() {
+  if (opens()) return std::nullopt;
   return images_message(/*boundary=*/true);
 }
 

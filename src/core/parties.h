@@ -29,15 +29,19 @@ namespace setint::core {
 
 // ---------- Fact 3.5 equality, batched ----------
 //
-// Instance i compares Alice's strings[i] with Bob's strings[i] on a
-// `bits`-bit (>= 1) Toeplitz hash (hashing/toeplitz_hash.h). Alice sends
-// every hash in one message ("eq-hashes"), Bob replies the verdict bitmap
-// ("eq-verdicts"): two rounds for any count. Each party reads the strings
-// only while producing its message — Alice in start(), Bob in
-// on_message() — so callers may release them afterwards. Bob's verdicts
-// (true = declared equal) land in `verdicts`, which the caller owns and
-// which must outlive the party: it is resized to the instance count and
-// keeps its capacity, so a caller testing once per stage reuses it.
+// Instance i compares the hasher's strings[i] with the verifier's
+// strings[i] on a `bits`-bit (>= 1) Toeplitz hash
+// (hashing/toeplitz_hash.h). The hasher sends every hash in one message
+// ("eq-hashes"), the verifier replies the verdict bitmap ("eq-verdicts"):
+// two rounds for any count. h(x) = h(y) under one shared key whichever
+// side hashes, so either party may play either role: standalone tests
+// have Alice hash, the verification tree alternates by stage. Each party
+// reads the strings only while producing its message — the hasher in
+// start(), the verifier in on_message() — so callers may release them
+// afterwards. The verdicts (true = declared equal) land in `verdicts`,
+// which the caller owns and which must outlive the party: it is resized
+// to the instance count and keeps its capacity, so a caller testing once
+// per stage reuses it.
 
 class EqualityParty : public sim::Party {
  public:
@@ -45,7 +49,7 @@ class EqualityParty : public sim::Party {
                 std::span<const util::BitSpan> strings, std::size_t bits,
                 std::vector<bool>& verdicts, sim::PartyEnv env);
   bool done() const override { return done_; }
-  // Bob's verdicts, as this party knows them.
+  // The verifier's verdicts, as this party knows them.
   const std::vector<bool>& verdicts() const { return verdicts_; }
 
  protected:
@@ -58,7 +62,7 @@ class EqualityParty : public sim::Party {
   bool done_ = false;
 };
 
-class EqualityAlice final : public EqualityParty {
+class EqualityHasher final : public EqualityParty {
  public:
   using EqualityParty::EqualityParty;
   std::optional<sim::Outgoing> start() override;
@@ -66,7 +70,7 @@ class EqualityAlice final : public EqualityParty {
       const util::BitBuffer& message) override;
 };
 
-class EqualityBob final : public EqualityParty {
+class EqualityVerifier final : public EqualityParty {
  public:
   using EqualityParty::EqualityParty;
   std::optional<sim::Outgoing> on_message(
@@ -127,29 +131,44 @@ class OneRoundHashBob final : public OneRoundHashParty {
 // the opener's sizes. Each output is a filter of the party's own sets
 // (Lemma 3.3 holds whatever order the images cross in). Either party may
 // open: standalone Basic-Intersection has Alice open, the verification
-// tree Bob. `self` names the party for its message labels (bi-sizes-a,
-// bi-hashes-b, ...). Instances with an empty side send no image bits and
-// end with empty candidates. Candidates live in the session's arena, in
-// the caller's frame.
+// tree the stage's verifier. `self` names the party for its message
+// labels (bi-sizes-a, bi-hashes-b, ...), `opener` the party that opens;
+// a party re-armed with restart() may take the other role. Instances with
+// an empty side send no image bits and end with empty candidates.
+// Candidates live in the session's arena, in the caller's frame.
 
-class BasicIntersectionParty : public sim::Party {
+class BasicIntersectionParty final : public sim::Party {
  public:
   BasicIntersectionParty(const sim::SharedRandomness& shared,
                          std::uint64_t nonce, std::uint64_t universe,
                          std::span<const util::SetView> sets,
                          double target_failure, sim::PartyEnv env,
-                         sim::PartyId self);
+                         sim::PartyId self, sim::PartyId opener);
+  // The opener's sizes.
+  std::optional<sim::Outgoing> start() override;
+  std::optional<sim::Outgoing> on_message(
+      const util::BitBuffer& message) override;
+  // The responder's images, after the sizes that answer the opener's.
+  std::optional<sim::Outgoing> next() override;
   bool done() const override { return done_; }
   util::SetView candidate(std::size_t j) const {
     return instances_[j].candidate;
   }
   // Starts a fresh batch over `sets` in the same session and universe,
-  // keeping the instance table's capacity: a caller running one batch per
-  // stage re-arms one party instead of building a new one.
+  // opened by `opener`, keeping the instance table's capacity: a caller
+  // running one batch per stage re-arms one party instead of building a
+  // new one.
   void restart(std::uint64_t nonce, std::span<const util::SetView> sets,
-               double target_failure);
+               double target_failure, sim::PartyId opener);
 
- protected:
+ private:
+  struct Instance {
+    unsigned width = 0;              // image bits per value; 0 = skipped
+    std::span<std::uint64_t> vals;   // hash of every element
+    util::SetView candidate;         // in the arena
+  };
+
+  bool opens() const { return opener_ == self_; }
   sim::Outgoing sizes_message(bool boundary) const;
   // Reads the peer's sizes, derives every instance's hash function and
   // hashes the own side. Throws std::invalid_argument on bits left after
@@ -159,16 +178,6 @@ class BasicIntersectionParty : public sim::Party {
   sim::Outgoing images_message(bool boundary) const;
   void filter_by_peer_images(const util::BitBuffer& message);
 
-  bool sizes_known_ = false;
-  bool done_ = false;
-
- private:
-  struct Instance {
-    unsigned width = 0;              // image bits per value; 0 = skipped
-    std::span<std::uint64_t> vals;   // hash of every element
-    util::SetView candidate;         // in the arena
-  };
-
   sim::SharedRandomness shared_;
   std::uint64_t nonce_;
   std::uint64_t universe_;
@@ -176,23 +185,10 @@ class BasicIntersectionParty : public sim::Party {
   double target_failure_;
   sim::PartyEnv env_;
   sim::PartyId self_;
+  sim::PartyId opener_;
   std::vector<Instance> instances_;
-};
-
-class BasicIntersectionOpener final : public BasicIntersectionParty {
- public:
-  using BasicIntersectionParty::BasicIntersectionParty;
-  std::optional<sim::Outgoing> start() override;
-  std::optional<sim::Outgoing> on_message(
-      const util::BitBuffer& message) override;
-};
-
-class BasicIntersectionResponder final : public BasicIntersectionParty {
- public:
-  using BasicIntersectionParty::BasicIntersectionParty;
-  std::optional<sim::Outgoing> on_message(
-      const util::BitBuffer& message) override;
-  std::optional<sim::Outgoing> next() override;
+  bool sizes_known_ = false;
+  bool done_ = false;
 };
 
 }  // namespace setint::core

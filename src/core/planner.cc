@@ -108,7 +108,7 @@ std::uint64_t estimate_rounds(PlanKind kind, const PlannerQuery& query,
     }
     case PlanKind::kVerificationTree:
       return rounds_r <= 1 ? 2
-                           : static_cast<std::uint64_t>(4 * rounds_r);
+                           : static_cast<std::uint64_t>(3 * rounds_r + 1);
   }
   throw std::logic_error("planner: unknown kind");
 }

@@ -1,32 +1,41 @@
 // The verification-tree protocol (Algorithm 1) as strictly-separated
 // party state machines — its only implementation. VerificationTreeRun
-// (below) builds a TreeAlice and a TreeBob over views of the two inputs
-// and runs them with a sim::TwoPartyRun, which also proves the protocol
-// needs no out-of-band knowledge; the public entry point,
+// (below) builds one TreeParty per side over views of the two inputs and
+// runs them with a sim::TwoPartyRun, which also proves the protocol needs
+// no out-of-band knowledge; the public entry point,
 // verification_tree_intersection (core/verification_tree.h), steps it to
 // completion. Every message is produced and read by the equality and
 // Basic-Intersection parties of core/parties.h, so the wire formats exist
 // once.
 //
-// Message flow per stage: two rounds, or four when a node fails (at most
-// six messages; r stages fit in 4r rounds):
-//   A -> B : equality hashes for every level-i node      (EqualityAlice)
-//   B -> A : verdict bitmap                              (EqualityBob)
+// Roles alternate by stage: Alice hashes the even stages and Bob the odd
+// ones; the other party verifies. Message flow of stage i, hasher H and
+// verifier V (at most six messages):
+//   H -> V : equality hashes for every level-i node      (EqualityHasher)
+//   V -> H : verdict bitmap                              (EqualityVerifier)
 //   [only when some node failed, for every leaf under a failed node;
-//    Bob opens Basic-Intersection in his verdict turn]
-//   B -> A : Basic-Intersection sizes    (BasicIntersectionOpener)
-//   A -> B : sizes, then hashed images   (BasicIntersectionResponder)
-//   B -> A : hashed images
+//    V opens Basic-Intersection in its verdict turn]
+//   V -> H : Basic-Intersection sizes    (BasicIntersectionParty, opener)
+//   H -> V : sizes, then hashed images   (BasicIntersectionParty, responder)
+//   V -> H : hashed images
+// The verifier sends the stage's last message either way, and it already
+// holds its final candidates then, so it opens stage i + 1 in the same
+// turn with that stage's hashes: stage 0 takes two rounds, four when it
+// repairs, every later stage one, three when it repairs, so r stages take
+// r + 1 rounds clean and 3r + 1 at most. The hashes of stage i + 1 are
+// keyed by shared randomness drawn independently of the node strings, and
+// h(x) = h(y) is symmetric, so who hashes changes no verdict (Fact 3.5).
 // Both parties know from the verdicts alone which leaves repair, and a
-// party's sizes depend only on its own candidates, so Bob's sizes need not
-// wait for a turn of Alice's. Each side's images depend only on the two
-// sizes and its own candidates, and each output stays a filter of the
-// party's own candidates, so Lemma 3.3 and Corollary 3.4 hold as in the
-// paper's six-round order.
+// party's sizes depend only on its own candidates; each side's images
+// depend only on the two sizes and its own candidates, and each output
+// stays a filter of the party's own candidates, so Lemma 3.3 and
+// Corollary 3.4 hold as in the paper's six-round order.
 //
-// Stage boundary: Bob's last message of a stage is the only one flagged
-// `boundary` (the sub-parties' own Basic-Intersection flags are cleared),
-// so the runner's checkpoint phase counts completed stages. Messages are
+// Stage boundary: the verifier's hashes for stage i + 1, the last message
+// of the turn that closes stage i, are the only message flagged
+// `boundary` (the sub-parties' own Basic-Intersection flags are cleared);
+// after the last stage the closing message itself carries the flag. So
+// the runner's checkpoint phase counts completed stages. Messages are
 // metered under the tracer paths `level=i/equality` and
 // `level=i/basic_intersection/{size_exchange,hash_exchange}`.
 //
@@ -39,9 +48,10 @@
 // Heap use: a party holds its tree as r + 1 cover sizes (TreeShape) and
 // derives each stage's node ranges into storage that stage 0 sizes and
 // later stages reuse, like its verdicts, node views and repair lists; its
-// one Basic-Intersection sub-party is re-armed each stage. Messages are
-// built in buffers from the session's pool, which the runner refills with
-// every delivered message. Nothing is shared across sessions.
+// one Basic-Intersection sub-party is re-armed each stage, in the role the
+// stage gives it. Messages are built in buffers from the session's pool,
+// which the runner refills with every delivered message. Nothing is shared
+// across sessions.
 //
 // Public parameters must be explicit: bucket_count > 0 and
 // 2 <= r <= kMaxTreeStages (the r = 1 base case is the one-round
@@ -100,26 +110,44 @@ class TreeShape {
   std::array<std::size_t, kMaxTreeStages + 1> cover_{};
 };
 
-// State and stage schedule common to both endpoints; everything here is
-// derived from public parameters plus the party's own input.
-class TreeParty : public sim::Party {
+// One endpoint, Alice or Bob: it hashes the stages its parity gives it
+// and verifies the others. Everything here is derived from public
+// parameters plus the party's own input.
+class TreeParty final : public sim::Party {
  public:
-  // `full_diag`: keep the per-stage and per-leaf diag() vectors. Only
-  // Alice's reach a caller; Bob keeps fallback_used alone, which drives
-  // his done() and his boundary flag.
+  // Only Alice keeps the per-stage and per-leaf diag() vectors, which
+  // reach a caller; Bob keeps fallback_used alone, which drives his
+  // done() and his boundary flag.
   TreeParty(const sim::SharedRandomness& shared, std::uint64_t nonce,
             std::uint64_t universe, util::SetView input,
             const VerificationTreeParams& params, sim::PartyEnv env,
-            bool full_diag);
+            sim::PartyId self);
 
+  // Alice's stage-0 hashes.
+  std::optional<sim::Outgoing> start() override;
+  std::optional<sim::Outgoing> on_message(
+      const util::BitBuffer& message) override;
+  // The rest of a turn: the verifier's sizes after verdicts that fail a
+  // node, the responder's images after its sizes, or, once this party has
+  // closed a stage, the next stage's hashes.
+  std::optional<sim::Outgoing> next() override;
   bool done() const override {
     return stage_ >= shape_.rounds() || diag_.fallback_used;
   }
 
+  // The party that hashes stage `stage`: Alice at even stages, Bob at
+  // odd ones. The other party verifies it, opens its repair and sends
+  // its last message.
+  static sim::PartyId hasher(int stage) {
+    return stage % 2 == 0 ? sim::PartyId::kAlice : sim::PartyId::kBob;
+  }
+  // True from sending the stage's hashes until reading its verdicts.
+  bool awaiting_verdicts() const { return eq_.has_value(); }
+
   // Union of the per-leaf candidate assignments, sorted.
   util::Set output() const;
   // What this party saw: per-stage failures and bits, per-leaf re-runs
-  // (empty vectors unless full_diag), whether the cutoff fired.
+  // (empty vectors for Bob), whether the cutoff fired.
   const VerificationTreeDiag& diag() const { return diag_; }
   // Own elements hashed into leaf u by the initial bucket partition.
   std::size_t bucket_size(std::size_t u) const {
@@ -143,17 +171,18 @@ class TreeParty : public sim::Party {
   // Valid until the caller's arena frame closes or the next call.
   std::span<const util::BitSpan> node_contents();
 
- protected:
+ private:
   std::uint64_t eq_nonce() const;
+  // The current stage's hashes, with the pending test kept in eq_.
+  sim::Outgoing hashes_message();
   // Records the nodes verdicts_ failed and the own sets of the leaves
   // under them (failed_sets_); true if there are any.
   bool fail_leaves();
-  // Basic-Intersection over failed_sets_ for the current stage, with
-  // `self`'s message labels.
-  template <typename BiParty>
-  void start_repair(std::optional<BiParty>& bi, sim::PartyId self);
+  // Basic-Intersection over failed_sets_ for the current stage, opened
+  // by its verifier.
+  void start_repair();
   // Takes the repaired leaves' candidates; the repair is over.
-  void take_candidates(const BasicIntersectionParty& bi);
+  void take_candidates();
 
   // Adds a frame's payload to the stage's equality or BI bits.
   void meter(const util::BitBuffer& frame, bool repair);
@@ -162,12 +191,16 @@ class TreeParty : public sim::Party {
   sim::Outgoing send(std::optional<sim::Outgoing> msg, bool repair);
   // Closes the current stage; true if the protocol goes on.
   bool end_stage();
+  // The verifier's last message of the stage, once the stage is closed:
+  // it keeps the floor for the next stage's hashes, or ends the run.
+  sim::Outgoing close_stage(sim::Outgoing last);
 
   sim::SharedRandomness shared_;
   std::uint64_t nonce_;
   std::uint64_t universe_;
   VerificationTreeParams params_;
   sim::PartyEnv env_;
+  sim::PartyId self_;
   TreeShape shape_;
   int stage_ = 0;
   bool repairing_ = false;        // the stage's Basic-Intersection runs
@@ -182,43 +215,10 @@ class TreeParty : public sim::Party {
   std::vector<bool> verdicts_;                // stage's equality verdicts
   std::vector<std::size_t> failed_leaves_;    // current stage's repairs
   std::vector<util::SetView> failed_sets_;    // own sets of those leaves
+  std::optional<EqualityHasher> eq_;          // hashes sent, verdicts due
+  std::optional<BasicIntersectionParty> bi_;  // re-armed every repair
   bool full_diag_;
   VerificationTreeDiag diag_;
-};
-
-class TreeAlice final : public TreeParty {
- public:
-  TreeAlice(const sim::SharedRandomness& shared, std::uint64_t nonce,
-            std::uint64_t universe, util::SetView input,
-            const VerificationTreeParams& params, sim::PartyEnv env)
-      : TreeParty(shared, nonce, universe, input, params, env,
-                  /*full_diag=*/true) {}
-  std::optional<sim::Outgoing> start() override;
-  std::optional<sim::Outgoing> on_message(
-      const util::BitBuffer& message) override;
-  // Her images, after the sizes that answer Bob's.
-  std::optional<sim::Outgoing> next() override;
-
- private:
-  std::optional<sim::Outgoing> begin_stage();
-  std::optional<EqualityAlice> eq_;
-  std::optional<BasicIntersectionResponder> bi_;
-};
-
-class TreeBob final : public TreeParty {
- public:
-  TreeBob(const sim::SharedRandomness& shared, std::uint64_t nonce,
-          std::uint64_t universe, util::SetView input,
-          const VerificationTreeParams& params, sim::PartyEnv env)
-      : TreeParty(shared, nonce, universe, input, params, env,
-                  /*full_diag=*/false) {}
-  std::optional<sim::Outgoing> on_message(
-      const util::BitBuffer& message) override;
-  // His Basic-Intersection sizes, after verdicts that fail a node.
-  std::optional<sim::Outgoing> next() override;
-
- private:
-  std::optional<BasicIntersectionOpener> bi_;
 };
 
 // One verification-tree run as a steppable object: the public parameters,
@@ -244,27 +244,32 @@ class VerificationTreeRun {
   const IntersectionOutput& output() const { return output_; }
   // Empty for r = 1.
   const VerificationTreeDiag& diag() const;
+  // The party that sent the run's last message, once step() has returned
+  // true: the last stage's verifier, or Bob, whose reply ends the
+  // one-round protocol and the deterministic exchange. A protocol that
+  // follows on the same channel opens with it to share that turn.
+  sim::PartyId last_sender() const;
 
  private:
-  // Alice as the runner drives her, plus the loud check a simulation that
-  // holds both parties can afford: once Alice has read Bob's verdicts,
-  // both must repair the same leaves. A tampered verdict frame fails the
-  // run right there, before the desynchronised repair sends anything:
-  // the runner hands Alice the verdicts before it asks Bob for the sizes
-  // that follow them.
-  class CheckedAlice final : public sim::Party {
+  // A party as the runner drives it, plus the loud check a simulation
+  // that holds both parties can afford: once a stage's hasher has read
+  // the verdicts, both parties must repair the same leaves. A tampered
+  // verdict frame fails the run right there, before the desynchronised
+  // repair sends anything: the runner hands the hasher the verdicts
+  // before it asks the verifier for the sizes that follow them.
+  class Checked final : public sim::Party {
    public:
-    CheckedAlice(TreeAlice& alice, const TreeBob& bob)
-        : alice_(alice), bob_(bob) {}
-    std::optional<sim::Outgoing> start() override { return alice_.start(); }
+    Checked(TreeParty& self, const TreeParty& peer)
+        : self_(self), peer_(peer) {}
+    std::optional<sim::Outgoing> start() override { return self_.start(); }
     std::optional<sim::Outgoing> on_message(
         const util::BitBuffer& message) override;
-    std::optional<sim::Outgoing> next() override { return alice_.next(); }
-    bool done() const override { return alice_.done(); }
+    std::optional<sim::Outgoing> next() override { return self_.next(); }
+    bool done() const override { return self_.done(); }
 
    private:
-    TreeAlice& alice_;
-    const TreeBob& bob_;
+    TreeParty& self_;
+    const TreeParty& peer_;
   };
 
   sim::Channel& channel_;
@@ -277,9 +282,10 @@ class VerificationTreeRun {
   obs::Span span_;
   // Unused for r = 1, where step() runs the one-round protocol.
   std::optional<util::ScratchArena::Frame> frame_;
-  std::optional<TreeAlice> alice_;
-  std::optional<TreeBob> bob_;
-  std::optional<CheckedAlice> checked_;
+  std::optional<TreeParty> alice_;
+  std::optional<TreeParty> bob_;
+  std::optional<Checked> checked_alice_;
+  std::optional<Checked> checked_bob_;
   std::optional<sim::TwoPartyRun> run_;
   IntersectionOutput output_;
 };

@@ -38,8 +38,8 @@ VerificationTreeParams public_params(std::uint64_t universe, util::SetView s,
 
 // The vt.* and bi.* metrics of a finished run, from the parties'
 // diagnostics; stages the cutoff skipped recorded no bits and emit nothing.
-void emit_metrics(obs::Tracer* tracer, const TreeAlice& alice,
-                  const TreeBob& bob, std::size_t leaves) {
+void emit_metrics(obs::Tracer* tracer, const TreeParty& alice,
+                  const TreeParty& bob, std::size_t leaves) {
   if (tracer == nullptr) return;
   const VerificationTreeDiag& diag = alice.diag();
   for (std::size_t u = 0; u < leaves; ++u) {
@@ -90,10 +90,11 @@ verification_tree_layout(std::size_t leaves, int rounds_r) {
   return layout;
 }
 
-std::optional<sim::Outgoing> VerificationTreeRun::CheckedAlice::on_message(
+std::optional<sim::Outgoing> VerificationTreeRun::Checked::on_message(
     const util::BitBuffer& message) {
-  std::optional<sim::Outgoing> reply = alice_.on_message(message);
-  if (alice_.failed_leaves() != bob_.failed_leaves()) {
+  const bool verdicts = self_.awaiting_verdicts();
+  std::optional<sim::Outgoing> reply = self_.on_message(message);
+  if (verdicts && self_.failed_leaves() != peer_.failed_leaves()) {
     throw std::logic_error("verification_tree: equality verdict mismatch");
   }
   return reply;
@@ -111,12 +112,13 @@ VerificationTreeRun::VerificationTreeRun(
   if (pub_.rounds_r == 1) return;
   frame_.emplace(channel.scratch());
   const sim::PartyEnv env(channel);
-  alice_.emplace(shared, nonce, universe, s, pub_, env);
-  bob_.emplace(shared, nonce, universe, t, pub_, env);
-  checked_.emplace(*alice_, *bob_);
+  alice_.emplace(shared, nonce, universe, s, pub_, env, sim::PartyId::kAlice);
+  bob_.emplace(shared, nonce, universe, t, pub_, env, sim::PartyId::kBob);
+  checked_alice_.emplace(*alice_, *bob_);
+  checked_bob_.emplace(*bob_, *alice_);
   // At most six messages per stage; every completed stage is a "vt"
   // checkpoint boundary.
-  run_.emplace(channel, *checked_, *bob_,
+  run_.emplace(channel, *checked_alice_, *checked_bob_,
                6 * static_cast<std::size_t>(pub_.rounds_r), ckpt, "vt");
 }
 
@@ -136,6 +138,11 @@ bool VerificationTreeRun::step() {
 const VerificationTreeDiag& VerificationTreeRun::diag() const {
   static const VerificationTreeDiag kNone;
   return alice_ ? alice_->diag() : kNone;
+}
+
+sim::PartyId VerificationTreeRun::last_sender() const {
+  if (!alice_ || alice_->diag().fallback_used) return sim::PartyId::kBob;
+  return sim::other(TreeParty::hasher(pub_.rounds_r - 1));
 }
 
 IntersectionOutput verification_tree_intersection(

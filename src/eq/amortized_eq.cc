@@ -60,8 +60,8 @@ std::optional<sim::Outgoing> AmortizedEqParty::on_message(
     advance(test_verdicts_);
     return AmortizedEqParty::start();
   }
-  core::EqualityBob eq(shared_, test_nonce(), contents(), level_bits(level_),
-                       test_verdicts_, env_);
+  core::EqualityVerifier eq(shared_, test_nonce(), contents(),
+                            level_bits(level_), test_verdicts_, env_);
   sim::Outgoing reply = tagged(eq.on_message(message));
   reply.boundary = advance(test_verdicts_);
   return reply;

@@ -52,12 +52,13 @@ std::vector<bool> amortized_equality(sim::Channel& channel,
                                      AmortizedEqStats* stats = nullptr,
                                      core::Checkpoint* ckpt = nullptr);
 
-// One endpoint of the merge tree, built from core::EqualityAlice/Bob the
-// way the tree parties are: each batched test is Alice's hashes and Bob's
-// verdicts, metered under `amortized_eq/level=j[/binary_search]`. Bob
-// flags his last message of every non-final level as a boundary. A party
-// holds only its own strings, which must outlive it; a derived party may
-// supply them later through begin() (the bucket-EQ parties).
+// One endpoint of the merge tree, built from core::EqualityHasher and
+// core::EqualityVerifier the way the tree parties are: each batched test
+// is Alice's hashes and Bob's verdicts, metered under
+// `amortized_eq/level=j[/binary_search]`. Bob flags his last message of
+// every non-final level as a boundary. A party holds only its own
+// strings, which must outlive it; a derived party may supply them later
+// through begin() (the bucket-EQ parties).
 class AmortizedEqParty : public sim::Party {
  public:
   AmortizedEqParty(bool alice, const sim::SharedRandomness& shared,
@@ -111,7 +112,7 @@ class AmortizedEqParty : public sim::Party {
   Groups survivors_;         // groups of this level that passed
   std::vector<util::BitBuffer> buffers_;  // contents() scratch
   std::vector<util::BitSpan> spans_;
-  std::optional<core::EqualityAlice> eq_;  // Alice's pending test
+  std::optional<core::EqualityHasher> eq_;  // Alice's pending test
   std::vector<bool> test_verdicts_;  // the last test's, reused by the next
   std::vector<bool> equal_;
   AmortizedEqStats stats_;

@@ -150,16 +150,18 @@ bool VerifiedSessionDriver::step_attempt() {
     throw;
   }
   const core::IntersectionOutput out = std::move(vt_->output());
+  const sim::PartyId opener = vt_->last_sender();
   vt_.reset();
   // 2k-bit certificate (Section 4): candidates are subsets of the inputs
-  // and supersets of the intersection, so equality implies exactness.
+  // and supersets of the intersection, so equality implies exactness. The
+  // party that sent the tree's last message sends the hash in that turn.
   util::ScratchArena::Frame certificate_frame(channel_.scratch());
   const util::BitSpan ca = util::pack_set(out.alice, channel_.scratch());
   const util::BitSpan cb = util::pack_set(out.bob, channel_.scratch());
   obs::Span certificate_span(tracer_, "certificate");
   const bool certified = eq::equality_test(
       channel_, shared_, util::mix64(nonce_, util::mix64(0xCE27, rep_)), ca,
-      cb, 2 * k_bound_);
+      cb, 2 * k_bound_, opener);
   if (!certified) return false;
   obs::count(tracer_, "mp.verified_runs");
   obs::count(tracer_, "mp.repetitions", result_.repetitions);

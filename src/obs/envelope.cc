@@ -80,8 +80,8 @@ std::uint64_t EnvelopeAuditor::rounds_budget(std::string_view protocol,
   const std::uint64_t reps = std::max<std::uint64_t>(repetitions, 1);
   const std::uint64_t er =
       static_cast<std::uint64_t>(effective_r(k, r));
-  if (protocol == "verification_tree") return 4 * er;
-  if (protocol == "verified_intersection") return (4 * er + 4) * reps;
+  if (protocol == "verification_tree") return 3 * er + 1;
+  if (protocol == "verified_intersection") return (3 * er + 2) * reps;
   if (protocol == "one_round_hash") return 2;
   if (protocol == "basic_intersection") return 3;
   if (protocol == "bucket_eq") {

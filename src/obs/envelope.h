@@ -31,10 +31,12 @@
 //   bucket_eq              k                          (Theorem 3.1, O(k))
 //   basic_intersection     k                          (Lemma 3.9, fixed eps)
 //
-// Round budgets: verification_tree 4r (two rounds per stage, four when
-// it repairs); verified_intersection (4r + 4) per attempt; one_round_hash
-// 2; basic_intersection 3; bucket_eq 8 * max(1, ceil_log2 k)
-// (amortized-equality binary searches).
+// Round budgets: verification_tree 3r + 1 (stage 0 two rounds, every
+// later stage one, as its hashes ride the turn that closed the stage
+// before; two more for a stage that repairs); verified_intersection
+// (3r + 2) per attempt, the certificate's hash riding the tree's last
+// turn; one_round_hash 2; basic_intersection 3; bucket_eq
+// 8 * max(1, ceil_log2 k) (amortized-equality binary searches).
 //
 // Default c_bounds are calibrated from the committed BENCH_* trajectory
 // with ~40% headroom (see docs/OBSERVABILITY.md § conformance envelopes);

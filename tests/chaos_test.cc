@@ -338,7 +338,7 @@ TEST(Chaos, BurstAndOverlayCountOnlyAsFaults) {
   overlay.duplicate_prob = 0.1;
   overlay.delay_prob = 0.1;
   overlay.truncate_prob = 0.02;
-  overlay.seed = 0x0E;
+  overlay.seed = 0x0F;
   plan.set_link_faults(0, 1, overlay);
 
   // An enabled chaos plan whose one partition window opens long after the

@@ -52,13 +52,14 @@ TEST(Theorem11, CommunicationWithinConstantOfKLogRK) {
   }
 }
 
-// Theorem 1.1 allows 6r rounds; stages that send Basic-Intersection sizes
-// in the verdict turn take at most 4r.
-TEST(Theorem11, RoundsAtMostFourR) {
+// Theorem 1.1 allows 6r rounds. Stages whose verifier sends its
+// Basic-Intersection sizes in the verdict turn and opens the next stage in
+// its closing turn take at most 3r + 1.
+TEST(Theorem11, RoundsAtMostThreeRPlusOne) {
   for (std::size_t k : {1024u, 65536u}) {
     for (int r = 1; r <= 6; ++r) {
       const sim::CostStats cost = tree_cost(k, r, 31 * k + static_cast<std::size_t>(r));
-      EXPECT_LE(cost.rounds, static_cast<std::uint64_t>(4 * r));
+      EXPECT_LE(cost.rounds, static_cast<std::uint64_t>(3 * r + 1));
     }
   }
 }

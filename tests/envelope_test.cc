@@ -58,14 +58,16 @@ TEST(Envelope, EffectiveRResolvesAutoToLogStar) {
 }
 
 TEST(Envelope, RoundBudgetsMatchTheoremOneDotOne) {
-  EXPECT_EQ(EnvelopeAuditor::rounds_budget("verification_tree", 512, 4), 16u);
+  // verification_tree: 3r + 1.
+  EXPECT_EQ(EnvelopeAuditor::rounds_budget("verification_tree", 512, 4), 13u);
   EXPECT_EQ(EnvelopeAuditor::rounds_budget("one_round_hash", 512, 0), 2u);
   EXPECT_EQ(EnvelopeAuditor::rounds_budget("basic_intersection", 512, 0), 3u);
   // bucket_eq: 8 per binary-search level.
   EXPECT_EQ(EnvelopeAuditor::rounds_budget("bucket_eq", 512, 0), 8u * 9u);
-  // verified_intersection: (4r + 4) per certified attempt.
+  // verified_intersection: (3r + 2) per certified attempt, the tree and
+  // the certificate's verdict round.
   EXPECT_EQ(EnvelopeAuditor::rounds_budget("verified_intersection", 512, 2, 3),
-            3u * (4u * 2u + 4u));
+            3u * (3u * 2u + 2u));
 }
 
 TEST(Envelope, UnknownProtocolThrows) {
@@ -111,7 +113,7 @@ TEST(Envelope, BitBoundViolationTripsTheAudit) {
 
 TEST(Envelope, RoundBudgetViolationTripsTheAudit) {
   EnvelopeAuditor auditor;
-  // Cheap on bits, but one round over the 4r budget.
+  // Cheap on bits, but one round over the 3r + 1 budget.
   auditor.add("verification_tree", {512, 1, 512, 5, 1});
   const auto audits = auditor.audit();
   ASSERT_EQ(audits.size(), 1u);
@@ -182,8 +184,8 @@ GoldenRun run_reference(const char* protocol) {
 TEST(EnvelopeGolden, VerificationTreeReferenceWithinEnvelope) {
   const GoldenRun run = run_reference("verification_tree");
   EXPECT_EQ(run.bits, 18161u);
-  EXPECT_EQ(run.rounds, 14u);
-  EXPECT_EQ(run.digest, 0x4f478ba721da71bfull);
+  EXPECT_EQ(run.rounds, 11u);
+  EXPECT_EQ(run.digest, 0x95fa00d57b0964d6ull);
   EnvelopeAuditor auditor;
   auditor.add("verification_tree", {512, 0, run.bits, run.rounds, 1});
   EXPECT_TRUE(auditor.all_within());

@@ -40,8 +40,8 @@ TEST(Golden, VerificationTreeReferenceRun) {
       ch, ref.shared, 42, 1u << 24, ref.pair.s, ref.pair.t, {});
   EXPECT_EQ(out.alice, ref.pair.expected_intersection);
   EXPECT_EQ(ch.cost().bits_total, 18161u);
-  EXPECT_EQ(ch.cost().rounds, 14u);
-  EXPECT_EQ(ch.transcript()->digest(), 0x4f478ba721da71bfull);
+  EXPECT_EQ(ch.cost().rounds, 11u);
+  EXPECT_EQ(ch.transcript()->digest(), 0x95fa00d57b0964d6ull);
 }
 
 TEST(Golden, OneRoundHashReferenceRun) {

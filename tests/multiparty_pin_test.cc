@@ -250,13 +250,16 @@ struct Pin {
 // kNamedCounters values. Recorded from the implementation that kept a
 // separate pair policy in each topology; tournament/DeadPlayer's counter
 // fold was re-derived when uncertified matches began counting crash and
-// partition blocks as chaos.* rather than retry.decode_failures.
+// partition blocks as chaos.* rather than retry.decode_failures. Rounds,
+// and the Refuse rows' bits, were re-derived when each tree stage's
+// verifier began opening the next stage in its closing turn: the stage
+// boundary, where the bit budget is checked, now follows those hashes.
 // clang-format off
 const Pin kPins[] = {
     {"coordinator/Clean", Topology::kCoordinator, Case::kClean,
-     {2u, 0x08b0e2f0f30710e5ull, 2u, 8u, 408u, 0u, false, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u}, 1312u, 17u, 1312u, 0xed810da0b15cea4cull, {8u, 0u, 0u, 0u, 0u, 0u}}},
+     {2u, 0x08b0e2f0f30710e5ull, 2u, 8u, 408u, 0u, false, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u}, 1312u, 13u, 1312u, 0xed810da0b15cea4cull, {8u, 0u, 0u, 0u, 0u, 0u}}},
     {"coordinator/IidFaults", Topology::kCoordinator, Case::kIidFaults,
-     {6u, 0xbe5135864f685650ull, 1u, 5u, 0u, 0u, false, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {0u, 0u, 0u, 0u, 0u, 0u}, 10543u, 24u, 10543u, 0xd35a66e13abaa855ull, {5u, 0u, 0u, 0u, 0u, 0u}}},
+     {6u, 0xbe5135864f685650ull, 1u, 5u, 0u, 0u, false, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {0u, 0u, 0u, 0u, 0u, 0u}, 10543u, 20u, 10543u, 0xd35a66e13abaa855ull, {5u, 0u, 0u, 0u, 0u, 0u}}},
     {"coordinator/DeadPlayer", Topology::kCoordinator, Case::kDeadPlayer,
      {24u, 0xcde648ef6d23624dull, 1u, 1u, 0u, 5u, true, 0u, 0u, 4u, 0u, 0u, 0u, 0u, {5u, 1u, 1u, 1u, 1u, 1u}, 0u, 0u, 0u, 0x4d88149a424273c4ull, {1u, 5u, 0u, 0u, 0u, 0u}}},
     {"coordinator/DeadLink", Topology::kCoordinator, Case::kDeadLink,
@@ -264,23 +267,23 @@ const Pin kPins[] = {
     {"coordinator/DrainedPool", Topology::kCoordinator, Case::kDrainedPool,
      {24u, 0x08254ca3a2cd6b86ull, 1u, 3u, 0u, 5u, true, 0u, 0u, 0u, 4u, 0u, 1u, 0u, {5u, 1u, 1u, 1u, 1u, 1u}, 1848u, 25u, 1848u, 0xa18803c5fcbff543ull, {1u, 5u, 0u, 0u, 0u, 0u}}},
     {"coordinator/Byzantine", Topology::kCoordinator, Case::kByzantine,
-     {6u, 0xaaaba3d033df6d3cull, 1u, 8u, 0u, 1u, true, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {1u, 0u, 1u, 0u, 0u, 0u}, 20896u, 16u, 20896u, 0x55d26d4a60bb3f75ull, {5u, 1u, 0u, 1u, 0u, 0u}}},
+     {6u, 0xaaaba3d033df6d3cull, 1u, 8u, 0u, 1u, true, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {1u, 0u, 1u, 0u, 0u, 0u}, 20896u, 12u, 20896u, 0x55d26d4a60bb3f75ull, {5u, 1u, 0u, 1u, 0u, 0u}}},
     {"coordinator/Refuse", Topology::kCoordinator, Case::kRefuse,
-     {24u, 0x7e8ecee2e49dc7c4ull, 1u, 5u, 0u, 5u, true, 0u, 0u, 0u, 0u, 5u, 0u, 0u, {5u, 1u, 1u, 1u, 1u, 1u}, 2522u, 4u, 2522u, 0x8779165d0268c706ull, {5u, 5u, 0u, 0u, 0u, 0u}}},
+     {24u, 0x7e8ecee2e49dc7c4ull, 1u, 5u, 0u, 5u, true, 0u, 0u, 0u, 0u, 5u, 0u, 0u, {5u, 1u, 1u, 1u, 1u, 1u}, 3122u, 4u, 3122u, 0x8779165d0268c706ull, {5u, 5u, 0u, 0u, 0u, 0u}}},
     {"tournament/Clean", Topology::kTournament, Case::kClean,
-     {2u, 0x08b0e2f0f30710e5ull, 2u, 2u, 0u, 0u, false, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u}, 690u, 22u, 318u, 0xa86d40640011392cull, {2u, 0u, 0u, 0u, 0u, 0u}}},
+     {2u, 0x08b0e2f0f30710e5ull, 2u, 2u, 0u, 0u, false, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u}, 690u, 18u, 318u, 0xa86d40640011392cull, {2u, 0u, 0u, 0u, 0u, 0u}}},
     {"tournament/IidFaults", Topology::kTournament, Case::kIidFaults,
-     {6u, 0xbe5135864f685650ull, 1u, 1u, 0u, 0u, false, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {0u, 0u, 0u, 0u, 0u, 0u}, 6979u, 42u, 2720u, 0x5a02c16500b6347dull, {1u, 0u, 0u, 0u, 0u, 0u}}},
+     {6u, 0xbe5135864f685650ull, 1u, 1u, 0u, 0u, false, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {0u, 0u, 0u, 0u, 0u, 0u}, 6979u, 34u, 2720u, 0x5a02c16500b6347dull, {1u, 0u, 0u, 0u, 0u, 0u}}},
     {"tournament/DeadPlayer", Topology::kTournament, Case::kDeadPlayer,
-     {24u, 0xcde648ef6d23624dull, 1u, 0u, 0u, 3u, true, 0u, 0u, 2u, 0u, 0u, 0u, 0u, {3u, 1u, 1u, 0u, 1u, 0u}, 1799u, 10u, 941u, 0xafa50ecf7a585be0ull, {0u, 3u, 3u, 0u, 0u, 0u}}},
+     {24u, 0xcde648ef6d23624dull, 1u, 0u, 0u, 3u, true, 0u, 0u, 2u, 0u, 0u, 0u, 0u, {3u, 1u, 1u, 0u, 1u, 0u}, 1799u, 7u, 941u, 0xafa50ecf7a585be0ull, {0u, 3u, 3u, 0u, 0u, 0u}}},
     {"tournament/DeadLink", Topology::kTournament, Case::kDeadLink,
-     {6u, 0xb4ee1c72c18563d1ull, 1u, 2u, 0u, 2u, true, 0u, 0u, 0u, 0u, 0u, 0u, 2u, {2u, 0u, 1u, 0u, 1u, 0u}, 5685u, 38u, 2591u, 0x03302667e06e3bbaull, {1u, 2u, 1u, 0u, 1u, 1u}}},
+     {6u, 0xb4ee1c72c18563d1ull, 1u, 2u, 0u, 2u, true, 0u, 0u, 0u, 0u, 0u, 0u, 2u, {2u, 0u, 1u, 0u, 1u, 0u}, 5685u, 35u, 2591u, 0x03302667e06e3bbaull, {1u, 2u, 1u, 0u, 1u, 1u}}},
     {"tournament/DrainedPool", Topology::kTournament, Case::kDrainedPool,
      {24u, 0x08254ca3a2cd6b86ull, 1u, 0u, 0u, 5u, true, 0u, 0u, 0u, 4u, 0u, 1u, 0u, {3u, 1u, 2u, 1u, 2u, 1u}, 1653u, 7u, 1653u, 0x57538b0f14cd3488ull, {0u, 5u, 5u, 0u, 2u, 0u}}},
     {"tournament/Byzantine", Topology::kTournament, Case::kByzantine,
-     {6u, 0xaaaba3d033df6d3cull, 1u, 1u, 0u, 2u, true, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {1u, 0u, 2u, 1u, 0u, 0u}, 27881u, 22u, 25914u, 0x089ed9d6ebf48a00ull, {1u, 2u, 2u, 2u, 6u, 0u}}},
+     {6u, 0xaaaba3d033df6d3cull, 1u, 1u, 0u, 2u, true, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {1u, 0u, 2u, 1u, 0u, 0u}, 27881u, 16u, 25914u, 0x089ed9d6ebf48a00ull, {1u, 2u, 2u, 2u, 6u, 0u}}},
     {"tournament/Refuse", Topology::kTournament, Case::kRefuse,
-     {6u, 0xf3ac04b5bd030bd4ull, 1u, 1u, 0u, 1u, true, 0u, 0u, 0u, 0u, 1u, 0u, 0u, {1u, 0u, 0u, 0u, 1u, 0u}, 2812u, 20u, 1047u, 0x8f5e12b24b9e04d6ull, {1u, 1u, 0u, 0u, 0u, 0u}}},
+     {6u, 0xf3ac04b5bd030bd4ull, 1u, 1u, 0u, 1u, true, 0u, 0u, 0u, 0u, 1u, 0u, 0u, {1u, 0u, 0u, 0u, 1u, 0u}, 2848u, 15u, 1083u, 0x8f5e12b24b9e04d6ull, {1u, 1u, 0u, 0u, 0u, 0u}}},
 };
 // clang-format on
 

@@ -117,7 +117,7 @@ TEST(ZooCosts, RoundsGrowWithR) {
     params.rounds_r = r;
     const core::RunResult res = core::VerificationTreeProtocol{params}.run(
         5, std::uint64_t{1} << 30, p.s, p.t);
-    EXPECT_LE(res.cost.rounds, static_cast<std::uint64_t>(4 * r)) << r;
+    EXPECT_LE(res.cost.rounds, static_cast<std::uint64_t>(3 * r + 1)) << r;
   }
 }
 

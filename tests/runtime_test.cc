@@ -335,10 +335,10 @@ TEST(RuntimeEquality, CorrectVerdicts) {
     sim::Channel ch;
     std::vector<bool> alice_verdicts;
     std::vector<bool> bob_verdicts;
-    core::EqualityAlice alice(shared, 0, seven, 24, alice_verdicts,
-                              sim::PartyEnv(ch));
-    core::EqualityBob bob(shared, 0, seven, 24, bob_verdicts,
-                          sim::PartyEnv(ch));
+    core::EqualityHasher alice(shared, 0, seven, 24, alice_verdicts,
+                               sim::PartyEnv(ch));
+    core::EqualityVerifier bob(shared, 0, seven, 24, bob_verdicts,
+                               sim::PartyEnv(ch));
     sim::run_two_party(ch, alice, bob);
     EXPECT_EQ(alice.verdicts(), std::vector<bool>{true});
     EXPECT_EQ(bob.verdicts(), std::vector<bool>{true});
@@ -349,10 +349,10 @@ TEST(RuntimeEquality, CorrectVerdicts) {
     sim::Channel ch;
     std::vector<bool> alice_verdicts;
     std::vector<bool> bob_verdicts;
-    core::EqualityAlice alice(shared, 1, seven, 24, alice_verdicts,
-                              sim::PartyEnv(ch));
-    core::EqualityBob bob(shared, 1, eight, 24, bob_verdicts,
-                          sim::PartyEnv(ch));
+    core::EqualityHasher alice(shared, 1, seven, 24, alice_verdicts,
+                               sim::PartyEnv(ch));
+    core::EqualityVerifier bob(shared, 1, eight, 24, bob_verdicts,
+                               sim::PartyEnv(ch));
     sim::run_two_party(ch, alice, bob);
     EXPECT_EQ(alice.verdicts(), std::vector<bool>{false});
     EXPECT_EQ(bob.verdicts(), std::vector<bool>{false});
@@ -387,12 +387,12 @@ TEST(RuntimeBasicIntersection, LemmaProperties) {
     sim::Channel ch;
     const util::SetView s[] = {p.s};
     const util::SetView t[] = {p.t};
-    core::BasicIntersectionOpener alice(shared, trial, 1u << 24, s, 0.01,
-                                        sim::PartyEnv(ch),
-                                        sim::PartyId::kAlice);
-    core::BasicIntersectionResponder bob(shared, trial, 1u << 24, t, 0.01,
-                                         sim::PartyEnv(ch),
-                                         sim::PartyId::kBob);
+    core::BasicIntersectionParty alice(shared, trial, 1u << 24, s, 0.01,
+                                       sim::PartyEnv(ch), sim::PartyId::kAlice,
+                                       sim::PartyId::kAlice);
+    core::BasicIntersectionParty bob(shared, trial, 1u << 24, t, 0.01,
+                                     sim::PartyEnv(ch), sim::PartyId::kBob,
+                                     sim::PartyId::kAlice);
     sim::run_two_party(ch, alice, bob);
     EXPECT_TRUE(util::is_subset(alice.candidate(0), p.s));
     EXPECT_TRUE(util::is_subset(bob.candidate(0), p.t));
@@ -403,8 +403,9 @@ TEST(RuntimeBasicIntersection, LemmaProperties) {
   }
 }
 
-// Either party may open: with Bob opening (the verification tree's
-// order), every message keeps its label and the candidates are the same.
+// Either party may open: with Bob opening (as the verifier of the
+// verification tree's even stages does), every message keeps its label
+// and the candidates are the same.
 TEST(RuntimeBasicIntersection, BobOpensWithTheSameMessages) {
   util::Rng wrng(5);
   const util::SetPair p = util::random_set_pair(wrng, 1u << 24, 64, 32);
@@ -412,21 +413,23 @@ TEST(RuntimeBasicIntersection, BobOpensWithTheSameMessages) {
   const util::SetView s[] = {p.s};
   const util::SetView t[] = {p.t};
   sim::Channel a_opens(/*record_transcript=*/true);
-  core::BasicIntersectionOpener alice(shared, 0, 1u << 24, s, 0.01,
-                                      sim::PartyEnv(a_opens),
-                                      sim::PartyId::kAlice);
-  core::BasicIntersectionResponder bob(shared, 0, 1u << 24, t, 0.01,
-                                       sim::PartyEnv(a_opens),
-                                       sim::PartyId::kBob);
+  core::BasicIntersectionParty alice(shared, 0, 1u << 24, s, 0.01,
+                                     sim::PartyEnv(a_opens),
+                                     sim::PartyId::kAlice,
+                                     sim::PartyId::kAlice);
+  core::BasicIntersectionParty bob(shared, 0, 1u << 24, t, 0.01,
+                                   sim::PartyEnv(a_opens), sim::PartyId::kBob,
+                                   sim::PartyId::kAlice);
   sim::run_two_party(a_opens, alice, bob);
   sim::Channel b_opens(/*record_transcript=*/true);
-  core::BasicIntersectionResponder alice2(shared, 0, 1u << 24, s, 0.01,
-                                          sim::PartyEnv(b_opens),
-                                          sim::PartyId::kAlice);
-  core::BasicIntersectionOpener bob2(shared, 0, 1u << 24, t, 0.01,
-                                     sim::PartyEnv(b_opens),
-                                     sim::PartyId::kBob);
-  sim::run_two_party(b_opens, bob2, alice2);
+  core::BasicIntersectionParty alice2(shared, 0, 1u << 24, s, 0.01,
+                                      sim::PartyEnv(b_opens),
+                                      sim::PartyId::kAlice, sim::PartyId::kBob);
+  core::BasicIntersectionParty bob2(shared, 0, 1u << 24, t, 0.01,
+                                    sim::PartyEnv(b_opens), sim::PartyId::kBob,
+                                    sim::PartyId::kBob);
+  sim::run_two_party(b_opens, alice2, bob2, 4, nullptr, {},
+                     sim::PartyId::kBob);
   EXPECT_TRUE(std::equal(alice.candidate(0).begin(), alice.candidate(0).end(),
                          alice2.candidate(0).begin(),
                          alice2.candidate(0).end()));
@@ -452,10 +455,11 @@ TEST(RuntimeBasicIntersection, EmptySideShortCircuits) {
   const util::Set one_two = {1, 2};
   const util::SetView s[] = {util::SetView{}};
   const util::SetView t[] = {one_two};
-  core::BasicIntersectionOpener alice(shared, 0, 1000, s, 0.01,
-                                      sim::PartyEnv(ch), sim::PartyId::kAlice);
-  core::BasicIntersectionResponder bob(shared, 0, 1000, t, 0.01,
-                                       sim::PartyEnv(ch), sim::PartyId::kBob);
+  core::BasicIntersectionParty alice(shared, 0, 1000, s, 0.01,
+                                     sim::PartyEnv(ch), sim::PartyId::kAlice,
+                                     sim::PartyId::kAlice);
+  core::BasicIntersectionParty bob(shared, 0, 1000, t, 0.01, sim::PartyEnv(ch),
+                                   sim::PartyId::kBob, sim::PartyId::kAlice);
   sim::run_two_party(ch, alice, bob);
   EXPECT_TRUE(alice.candidate(0).empty());
   EXPECT_TRUE(bob.candidate(0).empty());
@@ -473,8 +477,9 @@ TEST(RuntimeBasicIntersection, ImageCountOverDecodeLimitThrows) {
   ch.set_limits(&limits);
   sim::SharedRandomness shared(7);
   const util::SetView t[] = {p.t};
-  core::BasicIntersectionResponder bob(shared, 0, 1u << 20, t, 0.01,
-                                       sim::PartyEnv(ch), sim::PartyId::kBob);
+  core::BasicIntersectionParty bob(shared, 0, 1u << 20, t, 0.01,
+                                   sim::PartyEnv(ch), sim::PartyId::kBob,
+                                   sim::PartyId::kAlice);
   util::BitBuffer sizes;
   sizes.append_gamma64(64);
   ASSERT_TRUE(bob.on_message(sizes).has_value());
@@ -497,14 +502,14 @@ TEST(RuntimeBasicIntersection, SizesWithTrailingBitsAreRefused) {
   util::BitBuffer sizes;
   sizes.append_gamma64(2);
   sizes.append_bit(true);
-  core::BasicIntersectionOpener opener(shared, 0, 1000, sets, 0.01,
-                                       sim::PartyEnv(ch),
-                                       sim::PartyId::kAlice);
+  core::BasicIntersectionParty opener(shared, 0, 1000, sets, 0.01,
+                                      sim::PartyEnv(ch), sim::PartyId::kAlice,
+                                      sim::PartyId::kAlice);
   ASSERT_TRUE(opener.start().has_value());
   EXPECT_THROW(opener.on_message(sizes), std::invalid_argument);
-  core::BasicIntersectionResponder responder(shared, 0, 1000, sets, 0.01,
-                                             sim::PartyEnv(ch),
-                                             sim::PartyId::kBob);
+  core::BasicIntersectionParty responder(shared, 0, 1000, sets, 0.01,
+                                         sim::PartyEnv(ch), sim::PartyId::kBob,
+                                         sim::PartyId::kAlice);
   EXPECT_THROW(responder.on_message(sizes), std::invalid_argument);
 }
 
@@ -524,10 +529,12 @@ TEST(RuntimeBasicIntersection, ForgedSizesStopTheRunBeforeTheImages) {
   sim::SharedRandomness shared(9);
   const util::SetView s[] = {p.s};
   const util::SetView t[] = {p.t};
-  core::BasicIntersectionOpener alice(shared, 0, 1u << 20, s, 0.01,
-                                      sim::PartyEnv(ch), sim::PartyId::kAlice);
-  core::BasicIntersectionResponder bob(shared, 0, 1u << 20, t, 0.01,
-                                       sim::PartyEnv(ch), sim::PartyId::kBob);
+  core::BasicIntersectionParty alice(shared, 0, 1u << 20, s, 0.01,
+                                     sim::PartyEnv(ch), sim::PartyId::kAlice,
+                                     sim::PartyId::kAlice);
+  core::BasicIntersectionParty bob(shared, 0, 1u << 20, t, 0.01,
+                                   sim::PartyEnv(ch), sim::PartyId::kBob,
+                                   sim::PartyId::kAlice);
   EXPECT_THROW(sim::run_two_party(ch, alice, bob), std::invalid_argument);
   ASSERT_EQ(ch.transcript()->entries().size(), 2u);
   EXPECT_EQ(ch.transcript()->entries()[1].label, "bi-sizes-b");

@@ -114,8 +114,8 @@ TEST(TranscriptDigest, ToyProtocol) {
 TEST(TranscriptDigest, VerificationTreeDepths) {
   const RunPin pins[] = {
       {12322u, 2u, 0x46b573f738b3d517ull},   // r=1
-      {10541u, 6u, 0xe9dc3cb16dc6d9e3ull},   // r=2
-      {8773u, 12u, 0xe624bb1ac50f2ad0ull},   // r=0 (auto)
+      {10541u, 5u, 0x73e13f4c03494fbbull},   // r=2
+      {8773u, 9u, 0x82a1f9b3291792a2ull},    // r=0 (auto)
   };
   const int depths[] = {1, 2, 0};
   const util::SetPair p = reference_pair();
@@ -139,7 +139,7 @@ TEST(TranscriptDigest, PrivateCoin) {
   const auto out =
       core::private_coin_intersection(ch, priv, kUniverse, p.s, p.t, {});
   EXPECT_EQ(out.alice, p.expected_intersection);
-  expect_pin(ch, {9151u, 14u, 0xf3408652d409d7d9ull});
+  expect_pin(ch, {9151u, 11u, 0x945c5aca3959991eull});
 }
 
 // Fact 3.5 equality on its own (the verification-tree pins cover it only
@@ -283,25 +283,25 @@ TEST(TranscriptDigest, VerificationTreePhaseTable) {
                                                         p.s, p.t, {});
   EXPECT_EQ(out.alice, p.expected_intersection);
   const std::vector<std::string> want = {
-      " 8773 16 12 1",
-      "verification_tree 8773 16 12 1",
+      " 8773 16 9 1",
+      "verification_tree 8773 16 9 1",
       "verification_tree/level=0 4644 6 4 1",
       "verification_tree/level=0/equality 1280 2 2 1",
       "verification_tree/level=0/basic_intersection 3364 4 2 1",
       "verification_tree/level=0/basic_intersection/size_exchange 810 2 1 1",
       "verification_tree/level=0/basic_intersection/hash_exchange 2554 2 1 1",
-      "verification_tree/level=1 1825 6 4 1",
-      "verification_tree/level=1/equality 1280 2 2 1",
+      "verification_tree/level=1 1825 6 3 1",
+      "verification_tree/level=1/equality 1280 2 1 1",
       "verification_tree/level=1/basic_intersection 545 4 2 1",
       "verification_tree/level=1/basic_intersection/size_exchange 104 2 1 1",
       "verification_tree/level=1/basic_intersection/hash_exchange 441 2 1 1",
-      "verification_tree/level=2 1248 2 2 1",
-      "verification_tree/level=2/equality 1248 2 2 1",
-      "verification_tree/level=3 1056 2 2 1",
-      "verification_tree/level=3/equality 1056 2 2 1",
+      "verification_tree/level=2 1248 2 1 1",
+      "verification_tree/level=2/equality 1248 2 1 1",
+      "verification_tree/level=3 1056 2 1 1",
+      "verification_tree/level=3/equality 1056 2 1 1",
   };
   EXPECT_EQ(phase_table(tracer), want);
-  expect_pin(ch, {8773u, 12u, 0xe624bb1ac50f2ad0ull});
+  expect_pin(ch, {8773u, 9u, 0x82a1f9b3291792a2ull});
 }
 
 // Checkpoint determinism (docs/ROBUSTNESS.md § checkpoint granularity):
@@ -359,7 +359,7 @@ TEST(TranscriptDigest, VerificationTreeResumesToSamePin) {
       ch, sh, 7, kUniverse, p.s, p.t, params, nullptr, &ckpt);
   EXPECT_EQ(out.alice, p.expected_intersection);
   EXPECT_EQ(ckpt.restores(), 1u);
-  expect_pin(ch, {10541u, 6u, 0xe9dc3cb16dc6d9e3ull});
+  expect_pin(ch, {10541u, 5u, 0x73e13f4c03494fbbull});
 }
 
 TEST(TranscriptDigest, BucketEqResumesToSamePin) {
@@ -390,7 +390,7 @@ TEST(TranscriptDigest, MultipartyCoordinator) {
       multiparty::coordinator_intersection(net, sh, 1u << 20, inst.sets);
   EXPECT_EQ(res.intersection, inst.expected_intersection);
   EXPECT_EQ(net.total_bits(), 20587u);
-  EXPECT_EQ(net.rounds(), 16u);
+  EXPECT_EQ(net.rounds(), 12u);
   EXPECT_EQ(net.max_player_bits(), 20587u);
 }
 
@@ -404,7 +404,7 @@ TEST(TranscriptDigest, MultipartyTournament) {
       multiparty::tournament_intersection(net, sh, 1u << 20, inst.sets);
   EXPECT_EQ(res.intersection, inst.expected_intersection);
   EXPECT_EQ(net.total_bits(), 12209u);
-  EXPECT_EQ(net.rounds(), 38u);
+  EXPECT_EQ(net.rounds(), 27u);
   EXPECT_EQ(net.max_player_bits(), 4704u);
 }
 

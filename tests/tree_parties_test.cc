@@ -84,12 +84,14 @@ TEST_P(TreeFsm, ComputesExactIntersection) {
   sim::SharedRandomness shared(c.k + 13);
   sim::Channel ch;
   const sim::PartyEnv env(ch);
-  core::TreeAlice alice(shared, 5, std::uint64_t{1} << 28, p.s, params, env);
-  core::TreeBob bob(shared, 5, std::uint64_t{1} << 28, p.t, params, env);
+  core::TreeParty alice(shared, 5, std::uint64_t{1} << 28, p.s, params, env,
+                        sim::PartyId::kAlice);
+  core::TreeParty bob(shared, 5, std::uint64_t{1} << 28, p.t, params, env,
+                      sim::PartyId::kBob);
   sim::run_two_party(ch, alice, bob);
   EXPECT_EQ(alice.output(), p.expected_intersection);
   EXPECT_EQ(bob.output(), p.expected_intersection);
-  EXPECT_LE(ch.cost().rounds, static_cast<std::uint64_t>(6 * c.r));
+  EXPECT_LE(ch.cost().rounds, static_cast<std::uint64_t>(3 * c.r + 1));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -109,18 +111,18 @@ TEST(TreeFsm, TranscriptMatchesRecordedDriverPins) {
     std::uint64_t digest;
   };
   const Pin pins[] = {
-      {18547u, 16u, 0xbd97c7842c57771eull},  // k=448 r=5
-      {17275u, 12u, 0xf76e8410419082ffull},  // k=481 r=4
-      {5093u, 12u, 0x2e3a47b425622917ull},   // k=132 r=4
-      {26085u, 6u, 0xd231d483150c2e72ull},   // k=587 r=2
-      {15359u, 14u, 0xf385cccfe1812c47ull},  // k=435 r=4
-      {6396u, 16u, 0x1720dde932be7278ull},   // k=153 r=5
-      {11273u, 12u, 0x8ea98e94f03e592bull},  // k=310 r=4
-      {9706u, 12u, 0xa090853792a2220full},   // k=421 r=4
-      {10400u, 8u, 0x99bb5c177950954aull},   // k=494 r=3
-      {23093u, 18u, 0x60b126f620e52453ull},  // k=566 r=5
-      {7122u, 14u, 0xc99de90298955ce7ull},   // k=170 r=5
-      {27547u, 6u, 0xf5acd18ec494d05aull},   // k=593 r=2
+      {18547u, 12u, 0xad14ec81473a7f41ull},  // k=448 r=5
+      {17275u, 9u, 0xa9645fc122f7bce3ull},   // k=481 r=4
+      {5093u, 9u, 0xb2555e649b7088c5ull},    // k=132 r=4
+      {26085u, 5u, 0xc1bb367db69e9fc1ull},   // k=587 r=2
+      {15359u, 11u, 0xb85159a075a69eb8ull},  // k=435 r=4
+      {6396u, 12u, 0x9ae9746a80728bdbull},   // k=153 r=5
+      {11273u, 9u, 0x879fd7d6da305c8cull},   // k=310 r=4
+      {9706u, 9u, 0x4902737656f7e7b9ull},    // k=421 r=4
+      {10400u, 6u, 0xc42bd10b55ffbdebull},   // k=494 r=3
+      {23093u, 14u, 0xfa855dd4d74ac027ull},  // k=566 r=5
+      {7122u, 10u, 0x086ed086e8354228ull},   // k=170 r=5
+      {27547u, 5u, 0x01c090d95d33986aull},   // k=593 r=2
   };
   util::Rng wrng(9);
   for (std::uint64_t trial = 0; trial < 12; ++trial) {
@@ -137,9 +139,10 @@ TEST(TreeFsm, TranscriptMatchesRecordedDriverPins) {
 
     sim::Channel fsm_ch(/*record_transcript=*/true);
     const sim::PartyEnv env(fsm_ch);
-    core::TreeAlice alice(shared, trial, std::uint64_t{1} << 26, p.s, params,
-                          env);
-    core::TreeBob bob(shared, trial, std::uint64_t{1} << 26, p.t, params, env);
+    core::TreeParty alice(shared, trial, std::uint64_t{1} << 26, p.s, params,
+                          env, sim::PartyId::kAlice);
+    core::TreeParty bob(shared, trial, std::uint64_t{1} << 26, p.t, params,
+                        env, sim::PartyId::kBob);
     sim::run_two_party(fsm_ch, alice, bob);
 
     sim::Channel entry_ch(/*record_transcript=*/true);
@@ -165,11 +168,13 @@ TEST(TreeFsm, RequiresExplicitPublicParameters) {
   const util::Set one{1};
   core::VerificationTreeParams no_buckets;
   no_buckets.rounds_r = 2;
-  EXPECT_THROW(core::TreeAlice(shared, 0, 100, one, no_buckets, env),
+  EXPECT_THROW(core::TreeParty(shared, 0, 100, one, no_buckets, env,
+                               sim::PartyId::kAlice),
                std::invalid_argument);
   core::VerificationTreeParams r1 = params_for(4, 1);
-  EXPECT_THROW(core::TreeAlice(shared, 0, 100, one, r1, env),
-               std::invalid_argument);
+  EXPECT_THROW(
+      core::TreeParty(shared, 0, 100, one, r1, env, sim::PartyId::kAlice),
+      std::invalid_argument);
 }
 
 // With a budget no stage fits in, both parties stop after stage 0 with the
@@ -185,8 +190,10 @@ TEST(TreeFsm, WorstCaseCutoffStopsBothParties) {
 
   sim::Channel ch;
   const sim::PartyEnv env(ch);
-  core::TreeAlice alice(shared, 0, 1u << 22, p.s, params, env);
-  core::TreeBob bob(shared, 0, 1u << 22, p.t, params, env);
+  core::TreeParty alice(shared, 0, 1u << 22, p.s, params, env,
+                        sim::PartyId::kAlice);
+  core::TreeParty bob(shared, 0, 1u << 22, p.t, params, env,
+                      sim::PartyId::kBob);
   core::Checkpoint ckpt;
   sim::run_two_party(ch, alice, bob, 18, &ckpt, "vt");
   EXPECT_TRUE(alice.diag().fallback_used);
@@ -215,16 +222,18 @@ TEST(TreeFsm, EmptyAndDegenerateInputs) {
   {
     sim::Channel ch;
     const sim::PartyEnv env(ch);
-    core::TreeAlice alice(shared, 0, 100, none, params, env);
-    core::TreeBob bob(shared, 0, 100, none, params, env);
+    core::TreeParty alice(shared, 0, 100, none, params, env,
+                          sim::PartyId::kAlice);
+    core::TreeParty bob(shared, 0, 100, none, params, env, sim::PartyId::kBob);
     sim::run_two_party(ch, alice, bob);
     EXPECT_TRUE(alice.output().empty());
   }
   {
     sim::Channel ch;
     const sim::PartyEnv env(ch);
-    core::TreeAlice alice(shared, 1, 100, three, params, env);
-    core::TreeBob bob(shared, 1, 100, none, params, env);
+    core::TreeParty alice(shared, 1, 100, three, params, env,
+                          sim::PartyId::kAlice);
+    core::TreeParty bob(shared, 1, 100, none, params, env, sim::PartyId::kBob);
     sim::run_two_party(ch, alice, bob);
     EXPECT_TRUE(alice.output().empty());
     EXPECT_TRUE(bob.output().empty());
@@ -241,8 +250,8 @@ TEST(TreeFsm, ImageCountOverDecodeLimitThrows) {
   sim::SharedRandomness shared(3);
   util::BufferPool pool;
   util::ScratchArena arena;
-  core::TreeBob bob(shared, 0, 1u << 20, p.t, params_for(4, 2),
-                    sim::PartyEnv(&limits, pool, arena));
+  core::TreeParty bob(shared, 0, 1u << 20, p.t, params_for(4, 2),
+                      sim::PartyEnv(&limits, pool, arena), sim::PartyId::kBob);
   // Stage 0: all-ones "hashes" (more bits than the stage needs) fail the
   // equality tests, so Bob moves on to Basic-Intersection.
   util::BitBuffer hashes;
@@ -312,8 +321,10 @@ TEST(TreeFsm, PackedNodeContentsMatchAppendSetAtEveryStage) {
   sim::SharedRandomness shared(21);
   sim::Channel ch;
   const sim::PartyEnv env(ch);
-  core::TreeAlice alice(shared, 0, 1u << 24, p.s, params, env);
-  core::TreeBob bob(shared, 0, 1u << 24, p.t, params, env);
+  core::TreeParty alice(shared, 0, 1u << 24, p.s, params, env,
+                        sim::PartyId::kAlice);
+  core::TreeParty bob(shared, 0, 1u << 24, p.t, params, env,
+                      sim::PartyId::kBob);
 
   std::set<int> stages_checked;
   const auto check = [&](core::TreeParty& party) {
@@ -376,9 +387,10 @@ TEST(TreeFsm, K4096RunStaysUnderAllocationCeiling) {
     {
       sim::Channel ch;
       const sim::PartyEnv env(ch);
-      core::TreeAlice alice(shared, 1, std::uint64_t{1} << 32, p.s, params,
-                            env);
-      core::TreeBob bob(shared, 1, std::uint64_t{1} << 32, p.t, params, env);
+      core::TreeParty alice(shared, 1, std::uint64_t{1} << 32, p.s, params,
+                            env, sim::PartyId::kAlice);
+      core::TreeParty bob(shared, 1, std::uint64_t{1} << 32, p.t, params,
+                          env, sim::PartyId::kBob);
       sim::run_two_party(ch, alice, bob);
       EXPECT_EQ(alice.output(), p.expected_intersection);
     }
