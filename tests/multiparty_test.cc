@@ -5,8 +5,11 @@
 
 #include <cstdint>
 
+#include "core/tree_parties.h"
 #include "multiparty/coordinator.h"
 #include "multiparty/tournament.h"
+#include "obs/tracer.h"
+#include "sim/channel.h"
 #include "sim/network.h"
 #include "sim/randomness.h"
 #include "util/rng.h"
@@ -45,6 +48,49 @@ TEST(VerifiedTwoParty, SurvivesSabotagedInnerProtocol) {
     const auto vr = multiparty::verified_two_party_intersection(
         shared, trial, 1u << 22, p.s, p.t, hostile, 32);
     EXPECT_EQ(vr.intersection, p.expected_intersection) << trial;
+  }
+}
+
+// The 2k-bit certificate is opened by the party that sent the tree's last
+// message, the last stage's verifier: Bob at r = 3, Alice at r = 4. Its
+// hash rides that party's turn, so a clean first attempt's certificate
+// adds exactly one round, the verdict's.
+TEST(VerifiedTwoParty, CertificateAddsOneRoundToACleanAttempt) {
+  util::Rng wrng(3);
+  const util::SetPair p = util::random_set_pair(wrng, 1u << 24, 256, 128);
+  sim::SharedRandomness shared(3);
+  for (const int r : {3, 4}) {
+    SCOPED_TRACE(testing::Message() << "r=" << r);
+    core::VerificationTreeParams params;
+    params.rounds_r = r;
+    params.bucket_count = 256;
+
+    sim::Channel tree_ch(/*record_transcript=*/true);
+    core::VerificationTreeRun tree(tree_ch, shared, 0, 1u << 24, p.s, p.t,
+                                   params);
+    while (!tree.step()) {
+    }
+    const sim::PartyId last = r % 2 == 1 ? sim::PartyId::kBob
+                                         : sim::PartyId::kAlice;
+    EXPECT_EQ(tree_ch.transcript()->entries().back().from, last);
+    EXPECT_EQ(tree.last_sender(), last);
+
+    obs::Tracer tracer;
+    multiparty::SessionHooks hooks;
+    hooks.tracer = &tracer;
+    const auto vr = multiparty::verified_two_party_intersection(
+        shared, 0, 1u << 24, p.s, p.t, params, 256, {}, hooks);
+    ASSERT_EQ(vr.repetitions, 1u);
+    EXPECT_EQ(vr.intersection, p.expected_intersection);
+    const obs::PhaseNode* session =
+        tracer.root().child("verified_intersection");
+    ASSERT_NE(session, nullptr);
+    const obs::PhaseNode* vt = session->child("verification_tree");
+    const obs::PhaseNode* certificate = session->child("certificate");
+    ASSERT_NE(vt, nullptr);
+    ASSERT_NE(certificate, nullptr);
+    EXPECT_EQ(certificate->total_rounds(), 1u);
+    EXPECT_EQ(vr.cost.rounds, vt->total_rounds() + 1);
   }
 }
 

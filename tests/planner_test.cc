@@ -38,6 +38,30 @@ TEST(Planner, EstimatesWithinFactorTwoOfMeasurement) {
   }
 }
 
+// The tree's round estimate is its worst case, 3r + 1, so every measured
+// run fits under it.
+TEST(Planner, TreeRoundEstimateBoundsMeasuredRounds) {
+  core::PlannerQuery query;
+  query.universe = std::uint64_t{1} << 40;
+  for (std::size_t k : {256u, 4096u}) {
+    query.k = k;
+    for (const core::Plan& plan : core::enumerate_plans(query)) {
+      if (plan.kind != core::PlanKind::kVerificationTree) continue;
+      EXPECT_EQ(plan.estimated_rounds,
+                static_cast<std::uint64_t>(3 * plan.rounds_r + 1));
+      util::Rng wrng(k + plan.rounds_r);
+      const util::SetPair p =
+          util::random_set_pair(wrng, query.universe, k, k / 2);
+      const auto proto = core::instantiate(plan);
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const core::RunResult r = proto->run(seed, query.universe, p.s, p.t);
+        EXPECT_LE(r.cost.rounds, plan.estimated_rounds)
+            << plan.description << " k=" << k << " seed " << seed;
+      }
+    }
+  }
+}
+
 TEST(Planner, PicksDeterministicForSmallUniverses) {
   core::PlannerQuery query;
   query.universe = 1u << 16;
