@@ -7,7 +7,9 @@
 // Record mode runs one canned session known to raise an incident — each
 // scenario (integrity, burst, overlay, crash, partition, degrade,
 // overload) a setint::RunSpec — with the flight recorder dumping under
-// <prefix>, and prints the dump it produced. Replay mode is parse, run,
+// <prefix>, and prints the dump it produced. --seed draws the inputs and
+// the fault or chaos plan's seed; a scenario steps that plan seed up until
+// its session delivers messages before the incident. Replay mode is parse, run,
 // compare: setint::parse_context rebuilds the spec from the dump's context
 // block, setint::run re-executes it into a fresh scratch directory, and
 // the dump that re-run wrote at the same incident index must match the
@@ -73,6 +75,50 @@ std::uint64_t crash_tick(const setint::sim::ChaosSpec& spec,
   return 0;
 }
 
+std::string read_file(const std::string& path) {
+  std::ostringstream text;
+  text << std::ifstream(path).rdbuf();
+  return text.str();
+}
+
+// Removes a scratch directory, whatever the exit path.
+struct RemoveOnExit {
+  explicit RemoveOnExit(fs::path p) : path(std::move(p)) {}
+  ~RemoveOnExit() {
+    std::error_code ignored;
+    fs::remove_all(path, ignored);
+  }
+  RemoveOnExit(const RemoveOnExit&) = delete;
+  RemoveOnExit& operator=(const RemoveOnExit&) = delete;
+  fs::path path;
+};
+
+// A fresh scratch directory under $TMPDIR, named like `pattern`.
+std::string make_scratch_dir(const char* pattern) {
+  std::string dir = (fs::temp_directory_path() / pattern).string();
+  if (mkdtemp(dir.data()) == nullptr) {
+    throw std::runtime_error("cannot create a directory like " + dir);
+  }
+  return dir;
+}
+
+// Deliveries a session under `spec` makes before its first incident, read
+// from the dump a trial run writes into a scratch directory; a session
+// that raises none counts as delivering.
+std::uint64_t deliveries_before_incident(const RunSpec& spec) {
+  const RemoveOnExit scratch(make_scratch_dir("setint_trial_XXXXXX"));
+  setint::obs::FlightRecorder rec(/*capacity=*/256);
+  rec.set_dump_path((scratch.path / "trial").string(), /*max_dumps=*/1);
+  (void)setint::run(spec, &rec);
+  if (rec.dump_files().empty()) return 1;
+  const std::string dump = read_file(rec.dump_files().front());
+  const Json meta = Json::parse(dump.substr(0, dump.find('\n')));
+  const Json* deliveries = meta.find("deliveries");
+  return deliveries == nullptr
+             ? 0
+             : static_cast<std::uint64_t>(deliveries->number_or(0));
+}
+
 RunSpec make_scenario(const std::string& name, std::uint64_t seed) {
   RunSpec spec;
   setint::util::Rng rng(setint::util::mix64(seed, 0x5EED));
@@ -82,17 +128,22 @@ RunSpec make_scenario(const std::string& name, std::uint64_t seed) {
   spec.t = pair.t;
   spec.universe = std::uint64_t{1} << 16;
   spec.seed = seed;
+  // Fault draws vary with --seed too, not only the inputs.
+  const std::uint64_t fault_seed = setint::util::mix64(seed, 0xFA17);
   if (name == "integrity") {
     // Aggressive bit flips: the link corrects single flips, so the rate
     // puts several in a typical frame; one stays damaged through every
     // link-level resend, and the channel raises an integrity incident when
     // it abandons the frame.
-    spec.fault.emplace().spec.flip_per_bit = 1.5e-2;
+    setint::sim::FaultSpec& flips = spec.fault.emplace().spec;
+    flips.flip_per_bit = 1.5e-2;
+    flips.seed = fault_seed;
   } else if (name == "burst") {
     // A Gilbert-Elliott link that, once bad, stays bad for ~20 frames and
     // drops most of them: a frame dropped on every resend is abandoned
     // and the integrity incident fires.
-    setint::sim::GilbertElliott& burst = spec.fault.emplace().spec.burst;
+    spec.fault.emplace().spec.seed = fault_seed;
+    setint::sim::GilbertElliott& burst = spec.fault->spec.burst;
     burst.p_good_to_bad = 0.1;
     burst.p_bad_to_good = 0.05;
     burst.loss_bad = 0.9;
@@ -102,7 +153,8 @@ RunSpec make_scenario(const std::string& name, std::uint64_t seed) {
     // resend is abandoned.
     setint::sim::LinkFaults lossy;
     lossy.spec.drop_prob = 0.5;
-    spec.fault.emplace().overlays.push_back(lossy);
+    spec.fault.emplace().spec.seed = fault_seed;
+    spec.fault->overlays.push_back(lossy);
   } else if (name == "crash") {
     // Peer dies for good at a random send (one in five): recovery declares
     // it lost and the degradation incident fires. The chaos seed is the
@@ -126,7 +178,9 @@ RunSpec make_scenario(const std::string& name, std::uint64_t seed) {
   } else if (name == "degrade") {
     // Bruising flip rate + a tiny retry budget: the session exhausts its
     // attempts and degrades. The rate lets a few frames through first.
-    spec.fault.emplace().spec.flip_per_bit = 1.2e-2;
+    setint::sim::FaultSpec& flips = spec.fault.emplace().spec;
+    flips.flip_per_bit = 1.2e-2;
+    flips.seed = fault_seed;
     spec.retry.max_attempts = 2;
     spec.retry.degraded_attempts = 2;
   } else if (name == "overload") {
@@ -136,6 +190,12 @@ RunSpec make_scenario(const std::string& name, std::uint64_t seed) {
     spec.budget.max_bits = 64;
   } else {
     usage("unknown scenario");
+  }
+  // A fault plan's seed is the first, counting up from the one --seed
+  // derives, under which the session delivers messages before its
+  // incident, so the dump pins them (as crash chooses its chaos seed).
+  while (spec.fault && deliveries_before_incident(spec) == 0) {
+    spec.fault->spec.seed += 1;
   }
   return spec;
 }
@@ -161,24 +221,6 @@ int record_mode(const std::string& prefix, const std::string& scenario,
 
 // --------------------------------------------------------------------
 // Replay mode: parse, run, compare.
-
-std::string read_file(const std::string& path) {
-  std::ostringstream text;
-  text << std::ifstream(path).rdbuf();
-  return text.str();
-}
-
-// Removes the re-run's scratch directory, whatever the exit path.
-struct RemoveOnExit {
-  explicit RemoveOnExit(fs::path p) : path(std::move(p)) {}
-  ~RemoveOnExit() {
-    std::error_code ignored;
-    fs::remove_all(path, ignored);
-  }
-  RemoveOnExit(const RemoveOnExit&) = delete;
-  RemoveOnExit& operator=(const RemoveOnExit&) = delete;
-  fs::path path;
-};
 
 int replay_mode(const std::string& dump_path) {
   const std::string original = read_file(dump_path);
@@ -209,11 +251,7 @@ int replay_mode(const std::string& dump_path) {
 
   // Re-run into a fresh directory of its own, so the comparison reads
   // only the dump this re-run wrote at the SAME incident index.
-  std::string dir =
-      (fs::temp_directory_path() / "setint_replay_XXXXXX").string();
-  if (mkdtemp(dir.data()) == nullptr) {
-    throw std::runtime_error("cannot create a directory like " + dir);
-  }
+  const std::string dir = make_scratch_dir("setint_replay_XXXXXX");
   const RemoveOnExit scratch(dir);
   setint::obs::FlightRecorder rec(/*capacity=*/256);
   rec.set_dump_path(dir + "/replay", /*max_dumps=*/8);

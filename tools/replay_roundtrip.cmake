@@ -50,27 +50,44 @@ foreach(scenario integrity burst overlay crash partition degrade overload)
   endif()
 endforeach()
 
-# The crash scenario picks its chaos seed so that the peer dies after the
-# session's first messages at every --seed, not only at the one above.
-foreach(seed 1 2 3 4 5 6 7 8)
-  execute_process(
-    COMMAND ${REPLAY} --record=${SCRATCH}/crash_${seed} --scenario=crash
-            --seed=${seed}
-    OUTPUT_VARIABLE dump_path
-    OUTPUT_STRIP_TRAILING_WHITESPACE
-    RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0 OR NOT EXISTS "${dump_path}")
-    message(FATAL_ERROR "record failed for crash at seed ${seed} (rc=${rc})")
-  endif()
-  file(READ ${dump_path} dump)
-  string(FIND "${dump}" "\"transcript_digest\":\"0\"" zero_digest)
-  string(FIND "${dump}" "degraded: peer lost" lost)
-  if(NOT zero_digest EQUAL -1 OR lost EQUAL -1)
-    message(FATAL_ERROR "crash at seed ${seed}: ${dump_path} pins no transcript or no lost peer")
-  endif()
-  execute_process(COMMAND ${REPLAY} ${dump_path} RESULT_VARIABLE rc)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "replay diverged for crash at seed ${seed} (rc=${rc})")
+# Each scenario picks its chaos or fault seed from --seed so that the
+# session delivers messages before its incident at every --seed, not only
+# at the one above; a crashed peer is declared lost.
+foreach(scenario crash overlay degrade integrity)
+  set(plan_seeds "")
+  foreach(seed 1 2 3 4 5 6 7 8)
+    execute_process(
+      COMMAND ${REPLAY} --record=${SCRATCH}/${scenario}_${seed}
+              --scenario=${scenario} --seed=${seed}
+      OUTPUT_VARIABLE dump_path
+      OUTPUT_STRIP_TRAILING_WHITESPACE
+      RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0 OR NOT EXISTS "${dump_path}")
+      message(FATAL_ERROR "record failed for ${scenario} at seed ${seed} (rc=${rc})")
+    endif()
+    file(READ ${dump_path} dump)
+    string(FIND "${dump}" "\"transcript_digest\":\"0\"" zero_digest)
+    if(NOT zero_digest EQUAL -1)
+      message(FATAL_ERROR "${scenario} at seed ${seed}: ${dump_path} pins no transcript")
+    endif()
+    if(scenario STREQUAL "crash")
+      string(FIND "${dump}" "degraded: peer lost" lost)
+      if(lost EQUAL -1)
+        message(FATAL_ERROR "crash at seed ${seed}: ${dump_path} has no lost peer")
+      endif()
+    endif()
+    string(REGEX MATCH "\"fault\\.seed\":\"[0-9]+\"" plan_seed "${dump}")
+    list(APPEND plan_seeds "${plan_seed}")
+    execute_process(COMMAND ${REPLAY} ${dump_path} RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "replay diverged for ${scenario} at seed ${seed} (rc=${rc})")
+    endif()
+  endforeach()
+  # A fault plan's own draws follow --seed: eight seeds, eight fault seeds.
+  list(REMOVE_DUPLICATES plan_seeds)
+  list(LENGTH plan_seeds distinct)
+  if(NOT scenario STREQUAL "crash" AND NOT distinct EQUAL 8)
+    message(FATAL_ERROR "${scenario}: seeds 1-8 gave ${distinct} distinct fault seed(s): ${plan_seeds}")
   endif()
 endforeach()
 
