@@ -5,16 +5,21 @@
 // pairwise hash. Build a depth-r tree over the leaves whose level-i nodes
 // cover |C(v)| = log^(r-i) k leaves (so level degrees are
 // d_i = log^(r-i) k / log^(r-i+1) k, d_1 = log^(r-1) k). Then run r
-// stages, i = 0..r-1:
+// stages, i = 0..r-1, hashed by Alice at even stages and by Bob at odd
+// ones, the other party verifying:
 //   1. batched equality tests on the concatenated per-leaf candidate
 //      assignments at every level-i node, with failure probability
-//      1/(log^(r-i-1) k)^4 (i.e. 4 log^(r-i) k hash bits) — 2 rounds;
+//      1/(log^(r-i-1) k)^4 (i.e. 4 log^(r-i) k hash bits): the hasher's
+//      hashes, the verifier's verdicts;
 //   2. for every failed node, re-run Basic-Intersection on all leaves in
 //      its subtree with matching failure probability — 2 more rounds:
-//      Bob sends his sizes in his verdict turn, Alice answers with her
-//      sizes and images in one turn, and Bob's images close the stage.
-// At most four rounds per stage -> <= 4r rounds total (the paper's
-// schedule, one exchange per round, takes 6r). Expected communication
+//      the verifier sends its sizes in its verdict turn, the hasher
+//      answers with its sizes and images in one turn, and the verifier's
+//      images close the stage.
+// The verifier opens stage i + 1 with its hashes in the turn that closes
+// stage i, so stage 0 takes 2 rounds and every later stage 1, plus 2 when
+// it repairs: r + 1 to 3r + 1 rounds in all (the paper's schedule, one
+// exchange per round, takes 6r). Expected communication
 // O(k log^(r) k): the stage-0 equality tests dominate and every other
 // level costs O(k) (proof of Theorem 3.6); with r = log* k this is the
 // optimal O(k) bits.
@@ -27,7 +32,7 @@
 //
 // The protocol exists once, as the party machines of core/tree_parties.h;
 // verification_tree_intersection derives the public parameters (k, r) and
-// runs a TreeAlice against a TreeBob with sim::run_two_party.
+// steps a VerificationTreeRun, which runs Alice's TreeParty against Bob's.
 #pragma once
 
 #include <cstdint>
