@@ -28,7 +28,7 @@ VerifiedSessionDriver::VerifiedSessionDriver(
     const sim::SharedRandomness& shared, std::uint64_t nonce,
     std::uint64_t universe, util::SetView s, util::SetView t,
     const core::VerificationTreeParams& params, std::size_t k_bound,
-    const core::RetryPolicy& retry, const SessionHooks& hooks)
+    const core::RetryPolicy& retry, const SessionHooks& hooks, bool certify)
     : shared_(shared),
       nonce_(nonce),
       universe_(universe),
@@ -39,6 +39,7 @@ VerifiedSessionDriver::VerifiedSessionDriver(
                             : k_bound),
       retry_(retry),
       hooks_(hooks),
+      certify_(certify),
       tracer_(hooks.tracer),
       recorder_(hooks.recorder),
       chaos_(hooks.chaos != nullptr && hooks.chaos->enabled() ? hooks.chaos
@@ -152,18 +153,29 @@ bool VerifiedSessionDriver::step_attempt() {
   const core::IntersectionOutput out = std::move(vt_->output());
   const sim::PartyId opener = vt_->last_sender();
   vt_.reset();
-  // 2k-bit certificate (Section 4): candidates are subsets of the inputs
-  // and supersets of the intersection, so equality implies exactness. The
-  // party that sent the tree's last message sends the hash in that turn.
-  util::ScratchArena::Frame certificate_frame(channel_.scratch());
-  const util::BitSpan ca = util::pack_set(out.alice, channel_.scratch());
-  const util::BitSpan cb = util::pack_set(out.bob, channel_.scratch());
-  obs::Span certificate_span(tracer_, "certificate");
-  const bool certified = eq::equality_test(
-      channel_, shared_, util::mix64(nonce_, util::mix64(0xCE27, rep_)), ca,
-      cb, 2 * k_bound_, opener);
-  if (!certified) return false;
-  obs::count(tracer_, "mp.verified_runs");
+  if (certify_) {
+    // 2k-bit certificate (Section 4): candidates are subsets of the inputs
+    // and supersets of the intersection, so equality implies exactness.
+    // The party that sent the tree's last message sends the hash in that
+    // turn.
+    util::ScratchArena::Frame certificate_frame(channel_.scratch());
+    const util::BitSpan ca = util::pack_set(out.alice, channel_.scratch());
+    const util::BitSpan cb = util::pack_set(out.bob, channel_.scratch());
+    obs::Span certificate_span(tracer_, "certificate");
+    const bool certified = eq::equality_test(
+        channel_, shared_, util::mix64(nonce_, util::mix64(0xCE27, rep_)),
+        ca, cb, 2 * k_bound_, opener);
+    if (!certified) return false;
+    obs::count(tracer_, "mp.verified_runs");
+  } else {
+    // No certificate to catch damage that slipped past the integrity check
+    // or a crafted frame, either of which can knock true elements out of
+    // the candidates: an attempt that met one is discarded.
+    if (channel_.untrusted_deliveries() != attempt_start_untrusted_) {
+      return false;
+    }
+    result_.verified = false;
+  }
   obs::count(tracer_, "mp.repetitions", result_.repetitions);
   if (ckpt_ != nullptr && ckpt_->restores() > 0) {
     obs::count(tracer_, "checkpoint.resume_successes");
@@ -200,6 +212,7 @@ bool VerifiedSessionDriver::step_attempts() {
       }
       result_.repetitions = rep_ + 1;
       attempt_start_bits_ = channel_.cost().bits_total;
+      attempt_start_untrusted_ = channel_.untrusted_deliveries();
       // Attempts draw fresh randomness, so a snapshot from a previous
       // attempt describes a transcript that no longer exists.
       if (ckpt_ != nullptr) ckpt_->clear();
@@ -227,7 +240,7 @@ bool VerifiedSessionDriver::step_attempts() {
     while (attempt_live_) {
       try {
         if (step_attempt()) return true;
-        attempt_live_ = false;  // failed certificate: fresh attempt
+        attempt_live_ = false;  // failed attempt: fresh randomness
       } catch (const sim::PlayerCrashError& e) {
         obs::count(tracer_, "chaos.crashes");
         after_block(!e.permanent && wait_out_block(e.revive_tick, "crash"));
@@ -264,7 +277,7 @@ bool VerifiedSessionDriver::step_attempts() {
         attempt_live_ = false;
       }
     }
-    // Every exit from an attempt without a certificate is one failed
+    // Every exit from an attempt without a passing answer is one failed
     // attempt — feed the breaker so persistent link failure trips it.
     if (breaker_ != nullptr && breaker_->on_failure()) {
       obs::count(tracer_, "breaker.opens");
@@ -443,8 +456,9 @@ MultipartyResult coordinator_intersection(sim::Network& network,
         // a degraded answer is still a superset of coord-cap-member: either
         // way the accumulator stays a superset of the m-way intersection.
         if (!pairs.admit(coord, member, nonce)) continue;
-        if (const std::optional<util::Set> answer = pairs.certified(
-                coord, member, nonce, current[coord], current[member])) {
+        if (const std::optional<util::Set> answer =
+                pairs.run(coord, member, nonce, current[coord],
+                          current[member], /*certify=*/true)) {
           acc = util::set_intersection(acc, *answer);
         }
       }

@@ -9,10 +9,11 @@
 // rounds O(r * max(1, log(m)/log(k))), success 1 - 1/2^k via the 2k-bit
 // verification equality checks.
 //
-// This header also holds the certified two-party session both topologies
-// run on their pairs. The pair policy lives in multiparty/pair_sessions.h;
-// coordinator_intersection keeps only its groups, the accumulator and the
-// broadcast.
+// This header also holds the two-party session both topologies run on
+// every pair: coordinator pairs and the tournament's root match with the
+// certificate, the tournament's other matches without it. The pair policy
+// lives in multiparty/pair_sessions.h; coordinator_intersection keeps only
+// its groups, the accumulator and the broadcast.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +57,7 @@ namespace setint::multiparty {
 struct VerifiedRunResult {
   util::Set intersection;
   sim::CostStats cost;
-  std::uint64_t repetitions = 1;  // certified attempts consumed
+  std::uint64_t repetitions = 1;  // attempts consumed
   bool verified = true;   // certificate (or exact backstop) vouches for it
   bool degraded = false;  // superset-only answer after budget exhaustion
 
@@ -76,10 +77,10 @@ struct VerifiedRunResult {
   core::BudgetDimension budget_reason = core::BudgetDimension::kNone;
 };
 
-// Environment for one certified session. None of the pointers are owned.
+// Environment for one session. None of the pointers are owned.
 //
 //   tracer    — installed on the internal channel, so phase spans and
-//               metrics from the whole certified run (repetitions,
+//               metrics from the whole run (repetitions,
 //               certificate, recovery) land under the caller's span.
 //   faults    — fault plan (sim/fault.h): iid damage, bursts and per-link
 //               overlays on this pair's link; makes the channel unreliable.
@@ -109,13 +110,13 @@ struct VerifiedRunResult {
 //               certified attempts, skips the backstop (which would spend
 //               more), and descends the degradation ladder — or refuses
 //               outright when refuse_on_exhaustion is set.
-//   retry_pool— shared coordinator-level retry-token pool; every
+//   retry_pool— retry-token pool shared across a multiparty run; every
 //               RE-attempt draws one token, and a dry pool ends this
 //               session's retries (budget_reason = kPool).
 //   breaker   — per-link circuit breaker. The session feeds it attempt
-//               outcomes (on_success on a passing certificate, on_failure
-//               otherwise) and honors allow() before every attempt; both
-//               multiparty topologies additionally gate whole pairs on it.
+//               outcomes (on_success on a passing attempt, on_failure
+//               otherwise) and honors allow() before every attempt; an
+//               open breaker sends the session down the ladder.
 struct SessionHooks {
   obs::Tracer* tracer = nullptr;
   sim::FaultPlan* faults = nullptr;
@@ -149,6 +150,14 @@ VerifiedRunResult verified_two_party_intersection(
 // Session budgets are checked between attempts and after every stage
 // boundary, whether or not a checkpoint is installed.
 //
+// `certify` is set only by multiparty/pair_sessions.h, for the tournament's
+// matches below the root. With it off an attempt sends no certificate: it
+// passes when its tree finishes and nothing untrusted
+// (Channel::untrusted_deliveries) reached a decoder since the attempt
+// began, and its answer is Alice's candidates with verified = false. The
+// attempt loop, breaker, pool, backoff, chaos recovery, budget and ladder
+// are the same either way.
+//
 // Lifetime: `shared`, the SetView inputs and every SessionHooks pointer
 // must outlive the driver.
 class VerifiedSessionDriver {
@@ -158,7 +167,7 @@ class VerifiedSessionDriver {
                         util::SetView s, util::SetView t,
                         const core::VerificationTreeParams& params,
                         std::size_t k_bound, const core::RetryPolicy& retry,
-                        const SessionHooks& hooks);
+                        const SessionHooks& hooks, bool certify = true);
 
   // The whole session in one call.
   VerifiedRunResult run();
@@ -172,11 +181,12 @@ class VerifiedSessionDriver {
 
  private:
   // Returns true when the step ends inside the attempt loop (at a stage
-  // boundary, or with a certified answer); false when control falls
+  // boundary, or with a passing answer); false when control falls
   // through to the ladder.
   bool step_attempts();
   // Advances the current attempt: true when the step ends in it (at a
-  // stage boundary, or certified), false when its certificate failed.
+  // stage boundary, or passed), false when it failed its certificate or,
+  // uncertified, met an untrusted delivery.
   bool step_attempt();
   void run_ladder();
   void finish();
@@ -191,6 +201,7 @@ class VerifiedSessionDriver {
   const std::size_t k_bound_;
   const core::RetryPolicy retry_;
   const SessionHooks hooks_;
+  const bool certify_;
 
   obs::Tracer* tracer_;
   obs::FlightRecorder* recorder_;
@@ -207,6 +218,7 @@ class VerifiedSessionDriver {
   VerifiedRunResult result_;
   std::uint64_t restarts_used_ = 0;
   std::uint64_t attempt_start_bits_ = 0;
+  std::uint64_t attempt_start_untrusted_ = 0;
   bool breaker_denied_ = false;
 
   std::uint64_t rep_ = 0;        // current attempt index
@@ -227,7 +239,8 @@ struct MultipartyParams {
   // messages of |result| * O(log(n/|result|)) bits).
   bool broadcast_result = false;
 
-  // Retry/degradation budget for every certified two-party sub-run.
+  // Retry/degradation budget for every pairwise sub-run: coordinator
+  // pairs and tournament matches alike.
   core::RetryPolicy retry;
 
   // Fault plan (not owned) installed on every pair channel of the run, so
@@ -288,14 +301,13 @@ struct MultipartyParams {
 struct MultipartyResult {
   util::Set intersection;
   std::size_t levels = 0;
-  std::uint64_t total_repetitions = 0;  // two-party re-runs across all pairs
+  std::uint64_t total_repetitions = 0;  // attempts across all pairs
   std::uint64_t broadcast_bits = 0;     // 0 unless broadcast_result was set
 
   // Degradation accounting: pairwise sub-runs (coordinator) or matches
-  // (tournament) that exhausted their retry budget or were skipped because
-  // every attempt was fault-touched. When degraded is true the
-  // intersection is still ALWAYS a superset of the true m-way
-  // intersection, but may be strict.
+  // (tournament) that ended degraded, refused, shed or dead-skipped. When
+  // degraded is true the intersection is still ALWAYS a superset of the
+  // true m-way intersection, but may be strict.
   std::uint64_t degraded_pairs = 0;
   bool degraded = false;
 

@@ -63,10 +63,10 @@ bool PairSessions::admit(std::size_t a, std::size_t b, std::uint64_t nonce) {
   return true;
 }
 
-std::optional<util::Set> PairSessions::certified(std::size_t a, std::size_t b,
-                                                 std::uint64_t nonce,
-                                                 util::SetView sa,
-                                                 util::SetView sb) {
+std::optional<util::Set> PairSessions::run(std::size_t a, std::size_t b,
+                                           std::uint64_t nonce,
+                                           util::SetView sa, util::SetView sb,
+                                           bool certify) {
   core::CircuitBreaker breaker(params_.breaker);
   const SessionHooks hooks{
       .faults = params_.fault_plan,
@@ -80,32 +80,34 @@ std::optional<util::Set> PairSessions::certified(std::size_t a, std::size_t b,
       .retry_pool = pool_.enabled() ? &pool_ : nullptr,
       .breaker = &breaker};
   VerifiedRunResult vr =
-      verified_two_party_intersection(shared_, nonce, universe_, sa, sb,
-                                      params_.tree, k_, params_.retry, hooks);
+      VerifiedSessionDriver(shared_, nonce, universe_, sa, sb, params_.tree,
+                            k_, params_.retry, hooks, certify)
+          .run();
   network_.bill_pairwise_in_batch(a, b, vr.cost);
-  add_breaker_opens(breaker);
+  result_.breaker_opens += breaker.opens();
   result_.total_repetitions += vr.repetitions;
   result_.total_restarts += vr.restarts;
   result_.total_bits_replayed += vr.bits_replayed;
   obs::count(tracer_, "mp.pairwise_runs");
   obs::count(tracer_, "mp.repetitions", vr.repetitions);
+  // The session's channel runs untraced, so its recovery counters are
+  // raised here, from the result; one that did not move stays absent.
+  if (vr.repetitions > 1) {
+    obs::count(tracer_, "retry.attempts", vr.repetitions - 1);
+  }
+  if (breaker.opens() > 0) {
+    obs::count(tracer_, "breaker.opens", breaker.opens());
+  }
+  if (vr.restarts > 0) obs::count(tracer_, "chaos.restarts", vr.restarts);
   if (vr.refused) {
     result_.refused_pairs += 1;
     obs::count(tracer_, "budget.refused_pairs");
   }
   if (vr.degraded || vr.refused) degrade(a, b);
-  if (vr.refused) return std::nullopt;
+  if (vr.refused || vr.rung == core::DegradeRung::kInputFallback) {
+    return std::nullopt;
+  }
   return std::move(vr.intersection);
-}
-
-void PairSessions::install(sim::Channel& channel, std::size_t a,
-                           std::size_t b) {
-  channel.set_link(a, b);
-  channel.set_fault_plan(params_.fault_plan);
-  channel.set_adversary(adversary_for(a, b));
-  // Disabled limits cost one branch per send, like no limits at all.
-  channel.set_limits(&params_.limits);
-  channel.set_chaos(chaos_);
 }
 
 void PairSessions::degrade(std::size_t a, std::size_t b) {
@@ -116,10 +118,6 @@ void PairSessions::degrade(std::size_t a, std::size_t b) {
   result_.per_player_degraded[a] += 1;
   result_.per_player_degraded[b] += 1;
   obs::count(tracer_, "mp.degraded_pairs");
-}
-
-void PairSessions::add_breaker_opens(const core::CircuitBreaker& breaker) {
-  result_.breaker_opens += breaker.opens();
 }
 
 void PairSessions::finish() {

@@ -1,11 +1,13 @@
 // The pair policy both multiparty topologies share (Corollaries 4.1 and
-// 4.2 run one certified two-party session over different topologies).
-// A PairSessions is built once per run and holds everything about a pair
+// 4.2 run one two-party session over different topologies). A
+// PairSessions is built once per run and holds everything about a pair
 // that is not topology: the plans and limits from MultipartyParams, the
 // run's governance (one retry-token pool and one admission controller;
 // each pair builds its own breaker, since both topologies pair a link at
 // most once per run), the Byzantine player's binding, and the
-// MultipartyResult's per-pair accounting. Internal to src/multiparty/.
+// MultipartyResult's per-pair accounting. Every pair, certified or not,
+// runs one VerifiedSessionDriver, so both topologies share its attempt
+// loop. Internal to src/multiparty/.
 #pragma once
 
 #include <optional>
@@ -30,30 +32,26 @@ class PairSessions {
   // degrades the pair, charging both players.
   bool admit(std::size_t a, std::size_t b, std::uint64_t nonce);
 
-  // Runs the certified session with a as Alice and b as Bob, bills it and
-  // accounts for it. A degraded answer is still a superset of the pair's
-  // intersection. A refused pair returns nullopt: its empty answer must
-  // not reach an accumulator.
-  std::optional<util::Set> certified(std::size_t a, std::size_t b,
-                                     std::uint64_t nonce, util::SetView sa,
-                                     util::SetView sb);
-
-  // Installs the run's plans, limits and the Byzantine player's role on
-  // an uncertified match's channel between a (Alice) and b (Bob).
-  void install(sim::Channel& channel, std::size_t a, std::size_t b);
-
-  // Counts pair (a, b) as degraded and charges both players.
-  void degrade(std::size_t a, std::size_t b);
-
-  // Adds a finished pair's breaker trips to the run's breaker_opens.
-  void add_breaker_opens(const core::CircuitBreaker& breaker);
-
-  core::RetryBudgetPool& pool() { return pool_; }
+  // Runs pair (a, b)'s session with a as Alice and b as Bob, bills it
+  // into the open batch and accounts for it. With `certify` an attempt
+  // passes on the 2k-bit certificate; without it, when its tree finishes
+  // on trusted deliveries (the tournament's matches below the root).
+  // Returns the answer that replaces a's set, or nullopt when a's set
+  // must stand unchanged: the session was refused (its empty answer must
+  // not reach an accumulator) or ended on the input-fallback rung. Any
+  // other degraded answer is still a superset of the pair's
+  // intersection.
+  std::optional<util::Set> run(std::size_t a, std::size_t b,
+                               std::uint64_t nonce, util::SetView sa,
+                               util::SetView sb, bool certify);
 
   // Writes the pool totals; call once after the last pair.
   void finish();
 
  private:
+  // Counts pair (a, b) as degraded and charges both players.
+  void degrade(std::size_t a, std::size_t b);
+
   // Binds the Byzantine player to its channel role in pair (a, b); null
   // when neither player lies.
   sim::Adversary* adversary_for(std::size_t a, std::size_t b) const;

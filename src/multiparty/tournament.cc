@@ -1,12 +1,11 @@
 #include "multiparty/tournament.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "multiparty/pair_sessions.h"
 #include "obs/tracer.h"
-#include "sim/channel.h"
-#include "sim/chaos.h"
 #include "util/rng.h"
 
 namespace setint::multiparty {
@@ -18,117 +17,35 @@ namespace {
 // batch, so rounds reflect network-wide parallelism). Returns the players
 // advancing to the next bracket level.
 //
-// Non-final matches are uncertified, so under an active fault plan a
-// corrupted match could silently break the candidates-are-supersets
-// invariant the root certificate relies on. Guard: any match whose
-// exchange was fault-touched (or threw) is discarded and retried with
-// fresh randomness; if the retry budget runs out the match is SKIPPED —
-// the left player advances with its set unchanged, which keeps every
-// carried set a superset of the true intersection at the price of a
-// degraded (possibly strict-superset) final answer.
-std::vector<std::size_t> advance_bracket(
-    sim::Network& network, const sim::SharedRandomness& shared,
-    std::uint64_t universe, std::vector<util::Set>& current,
-    const std::vector<std::size_t>& level, const MultipartyParams& params,
-    std::uint64_t level_nonce, PairSessions& pairs) {
+// Only the root match is certified (see header). A match below it runs the
+// same pair session with the certificate off, which discards any attempt
+// that met an untrusted delivery: such an attempt could break the
+// candidates-are-supersets invariant the root certificate relies on. A
+// match that is not admitted, refused, or ends on its input-fallback rung
+// is SKIPPED: the left player advances with its set unchanged, which keeps
+// every carried set a superset of the true intersection at the price of a
+// flagged, possibly strict, superset.
+std::vector<std::size_t> advance_bracket(std::vector<util::Set>& current,
+                                         const std::vector<std::size_t>& level,
+                                         std::uint64_t level_nonce,
+                                         PairSessions& pairs,
+                                         obs::Tracer* tracer) {
   std::vector<std::size_t> next;
-  obs::Tracer* tracer = network.tracer();
-  const bool final_level = level.size() == 2;
+  const bool root = level.size() == 2;
   for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
     const std::size_t left = level[i];
     const std::size_t right = level[i + 1];
     next.push_back(left);
     const std::uint64_t nonce =
         util::mix64(level_nonce, util::mix64(left, right));
-    // A skipped match (dead player, shed) carries left's set up unchanged:
-    // still a superset of the true intersection.
-    if (!pairs.admit(left, right, nonce)) {
-      obs::count(tracer, "mp.skipped_matches");
-      continue;
+    std::optional<util::Set> answer;
+    if (pairs.admit(left, right, nonce)) {
+      answer = pairs.run(left, right, nonce, current[left], current[right],
+                         /*certify=*/root);
     }
-    if (final_level) {
-      // Root match: certified — exactness for the whole bracket follows
-      // from the subset/superset invariants (see header). A refused root
-      // carries left's set up unchanged.
-      if (std::optional<util::Set> answer = pairs.certified(
-              left, right, nonce, current[left], current[right])) {
-        current[left] = std::move(*answer);
-      }
-      continue;
-    }
-    core::CircuitBreaker breaker(params.breaker);
-    // The per-match attempt budget, taken literally: 0 attempts means the
-    // match is skipped outright (honest degradation), mirroring the
-    // certified-session semantics.
-    bool advanced = false;
-    bool peer_lost = false;
-    for (std::uint64_t attempt = 0;
-         attempt < params.retry.max_attempts && !advanced && !peer_lost;
-         ++attempt) {
-      if (!breaker.allow()) {
-        obs::count(tracer, "breaker.denials");
-        break;
-      }
-      if (attempt > 0 && !pairs.pool().try_acquire()) {
-        obs::count(tracer, "budget.pool_denials");
-        break;
-      }
-      // Crash/partition blocks in an uncertified match surface as
-      // exceptions below: the attempt burns and the match may end up
-      // skipped — honest degradation without a per-match recovery loop.
-      // A player that never returns ends the match at once, as it ends a
-      // certified session (peer_lost): no later attempt could reach it.
-      sim::Channel channel;
-      pairs.install(channel, left, right);
-      if (attempt > 0) obs::count(tracer, "retry.attempts");
-      try {
-        // Inside the try: the backoff charge can breach max_rounds when
-        // limits are installed, which discards the attempt.
-        if (attempt > 0) {
-          channel.charge_extra_rounds(
-              core::backoff_rounds_for_attempt(params.retry, nonce, attempt));
-        }
-        const core::IntersectionOutput out =
-            core::verification_tree_intersection(
-                channel, shared, util::mix64(nonce, attempt), universe,
-                current[left], current[right], params.tree);
-        // Only an untrusted delivery disqualifies the match: damage that
-        // slipped past the integrity check, or a crafted frame, which
-        // decodes cleanly but can knock true elements out of the
-        // candidates. An uncertified match has no certificate to catch
-        // either, so its candidates are discarded and it re-runs with a
-        // fresh nonce.
-        if (channel.untrusted_deliveries() == 0) {
-          current[left] = out.alice;
-          current[right] = out.bob;
-          advanced = true;
-        }
-      } catch (const core::ResourceLimitError&) {
-        obs::count(tracer, "limit.breaches");
-        obs::count(tracer, "retry.decode_failures");
-      } catch (const sim::PlayerCrashError& e) {
-        // Counted like the certified driver counts a block: chaos, not a
-        // decode failure.
-        obs::count(tracer, "chaos.crashes");
-        peer_lost = e.permanent;
-      } catch (const sim::LinkPartitionedError&) {
-        obs::count(tracer, "chaos.partitions");
-      } catch (const std::exception&) {
-        obs::count(tracer, "retry.decode_failures");
-      }
-      // Every attempt's traffic is billed, discarded or not.
-      network.bill_pairwise_in_batch(left, right, channel.cost());
-      if (advanced) {
-        breaker.on_success();
-      } else if (breaker.on_failure()) {
-        obs::count(tracer, "breaker.opens");
-      }
-    }
-    pairs.add_breaker_opens(breaker);
-    if (!advanced) {
-      // Skipped match: left carries its set up unchanged (still a
-      // superset); right's constraint is lost, so flag degradation.
-      pairs.degrade(left, right);
+    if (answer) {
+      current[left] = std::move(*answer);
+    } else {
       obs::count(tracer, "mp.skipped_matches");
     }
   }
@@ -173,8 +90,8 @@ MultipartyResult tournament_intersection(sim::Network& network,
         if (bracket.size() <= 1) continue;
         const std::uint64_t level_nonce = util::mix64(
             0x7031, util::mix64(result.levels, util::mix64(depth, bracket[0])));
-        bracket = advance_bracket(network, shared, universe, current, bracket,
-                                  params, level_nonce, pairs);
+        bracket =
+            advance_bracket(current, bracket, level_nonce, pairs, tracer);
       }
       network.end_batch();
       ++depth;

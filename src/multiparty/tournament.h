@@ -15,8 +15,9 @@
 // worst-case per-player communication drops to O(depth * k log^(r) k) at
 // the price of a depth factor in rounds.
 //
-// The pair policy lives in multiparty/pair_sessions.h; the tournament keeps
-// only its brackets and the attempt loop of its uncertified matches.
+// Every match, the root included, runs the pair session of
+// multiparty/pair_sessions.h; the matches below the root run it with the
+// certificate off. The tournament keeps only its brackets and nonces.
 #pragma once
 
 #include "multiparty/coordinator.h"

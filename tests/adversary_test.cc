@@ -29,6 +29,7 @@
 #include "setint.h"
 #include "sim/adversary.h"
 #include "sim/channel.h"
+#include "sim/chaos.h"
 #include "sim/fault.h"
 #include "sim/network.h"
 #include "sim/randomness.h"
@@ -507,67 +508,86 @@ TEST(ByzantineMultiparty, HonestRunsStayExactWithByzantinePlumbingIdle) {
 
 // ---- S3: metrics match result fields under stochastic faults -------------
 
-TEST(MetricsMatch, CoordinatorCountersMatchResultFields) {
-  util::Rng rng(0xC1);
-  const util::MultiSetInstance instance =
-      util::random_multi_sets(rng, 1u << 12, /*players=*/6, /*k=*/24,
-                              /*shared=*/5);
-  sim::FaultSpec fault_spec;
-  fault_spec.flip_per_bit = 0.004;
-  fault_spec.drop_prob = 0.03;
-  fault_spec.seed = 0xC2;
-  sim::FaultPlan plan(fault_spec);
+// Both topologies run every pair through the same session driver, so the
+// same network counters agree with the same result fields on both. The
+// governed rows add a dead link (0, 1) behind a breaker and transient
+// crashes, so the breaker and restart counters move too.
+struct MetricsCase {
+  const char* name;
+  bool tournament;
+  std::uint64_t workload_seed;
+  std::size_t players;
+  double drop_prob;
+  double truncate_prob;
+  std::uint64_t fault_seed;
+  std::uint64_t shared_seed;
+  bool governed;
+};
 
-  obs::Tracer tracer;
-  sim::Network network(instance.sets.size());
-  network.set_tracer(&tracer);
-  sim::SharedRandomness shared(0xC3);
-  multiparty::MultipartyParams params;
-  params.fault_plan = &plan;
-  params.retry.max_attempts = 6;
+TEST(MetricsMatch, CountersMatchResultFields) {
+  const MetricsCase kCases[] = {
+      {"coordinator", false, 0xC1, 6, 0.03, 0.0, 0xC2, 0xC3, false},
+      {"tournament", true, 0xC4, 8, 0.0, 0.03, 0xC5, 0xC6, false},
+      {"coordinator/governed", false, 0xC1, 6, 0.03, 0.0, 0xC2, 0xC3, true},
+      {"tournament/governed", true, 0xC4, 8, 0.0, 0.03, 0xC5, 0xC6, true},
+  };
+  for (const MetricsCase& c : kCases) {
+    SCOPED_TRACE(c.name);
+    util::Rng rng(c.workload_seed);
+    const util::MultiSetInstance instance = util::random_multi_sets(
+        rng, 1u << 12, c.players, /*k=*/24, /*shared=*/5);
+    sim::FaultSpec fault_spec;
+    fault_spec.flip_per_bit = 0.004;
+    fault_spec.drop_prob = c.drop_prob;
+    fault_spec.truncate_prob = c.truncate_prob;
+    fault_spec.seed = c.fault_seed;
+    sim::FaultPlan plan(fault_spec);
+    sim::ChaosSpec chaos_spec;
+    chaos_spec.players = c.players;
+    chaos_spec.crash.crash_prob = 0.02;
+    chaos_spec.crash.restart_ticks = 4;
+    sim::ChaosPlan chaos(chaos_spec, 0xC7);
 
-  const multiparty::MultipartyResult result =
-      multiparty::coordinator_intersection(network, shared, 1u << 12,
-                                           instance.sets, params);
+    obs::Tracer tracer;
+    sim::Network network(instance.sets.size());
+    network.set_tracer(&tracer);
+    sim::SharedRandomness shared(c.shared_seed);
+    multiparty::MultipartyParams params;
+    params.fault_plan = &plan;
+    params.retry.max_attempts = 6;
+    if (c.governed) {
+      sim::FaultSpec drop_all;
+      drop_all.drop_prob = 1.0;
+      drop_all.seed = 0xC8;
+      plan.set_link_faults(0, 1, drop_all);
+      params.breaker.failure_threshold = 2;
+      params.chaos = &chaos;
+    }
 
-  EXPECT_GT(plan.stats().faults_injected, 0u);
-  EXPECT_EQ(counter(tracer, "mp.pairwise_runs"), instance.sets.size() - 1);
-  EXPECT_EQ(counter(tracer, "mp.repetitions"), result.total_repetitions);
-  EXPECT_EQ(counter(tracer, "mp.degraded_pairs"), result.degraded_pairs);
-  EXPECT_TRUE(
-      util::is_subset(instance.expected_intersection, result.intersection));
-}
+    const multiparty::MultipartyResult result =
+        c.tournament
+            ? multiparty::tournament_intersection(network, shared, 1u << 12,
+                                                  instance.sets, params)
+            : multiparty::coordinator_intersection(network, shared, 1u << 12,
+                                                   instance.sets, params);
 
-TEST(MetricsMatch, TournamentCountersMatchResultFields) {
-  util::Rng rng(0xC4);
-  const util::MultiSetInstance instance =
-      util::random_multi_sets(rng, 1u << 12, /*players=*/8, /*k=*/24,
-                              /*shared=*/5);
-  sim::FaultSpec fault_spec;
-  fault_spec.flip_per_bit = 0.004;
-  fault_spec.truncate_prob = 0.03;
-  fault_spec.seed = 0xC5;
-  sim::FaultPlan plan(fault_spec);
-
-  obs::Tracer tracer;
-  sim::Network network(instance.sets.size());
-  network.set_tracer(&tracer);
-  sim::SharedRandomness shared(0xC6);
-  multiparty::MultipartyParams params;
-  params.fault_plan = &plan;
-  params.retry.max_attempts = 6;
-
-  const multiparty::MultipartyResult result =
-      multiparty::tournament_intersection(network, shared, 1u << 12,
-                                          instance.sets, params);
-
-  EXPECT_GT(plan.stats().faults_injected, 0u);
-  // Only the certified root match contributes repetitions in the
-  // tournament topology; the counter and the field must agree exactly.
-  EXPECT_EQ(counter(tracer, "mp.repetitions"), result.total_repetitions);
-  EXPECT_EQ(counter(tracer, "mp.degraded_pairs"), result.degraded_pairs);
-  EXPECT_TRUE(
-      util::is_subset(instance.expected_intersection, result.intersection));
+    EXPECT_GT(plan.stats().faults_injected, 0u);
+    // A star of m - 1 pairs or a bracket of m - 1 matches, none skipped.
+    const std::uint64_t pairs = instance.sets.size() - 1;
+    EXPECT_EQ(counter(tracer, "mp.pairwise_runs"), pairs);
+    EXPECT_EQ(counter(tracer, "mp.repetitions"), result.total_repetitions);
+    EXPECT_EQ(counter(tracer, "retry.attempts"),
+              result.total_repetitions - pairs);
+    EXPECT_EQ(counter(tracer, "breaker.opens"), result.breaker_opens);
+    EXPECT_EQ(counter(tracer, "chaos.restarts"), result.total_restarts);
+    EXPECT_EQ(counter(tracer, "mp.degraded_pairs"), result.degraded_pairs);
+    if (c.governed) {
+      EXPECT_GT(result.breaker_opens, 0u);
+      EXPECT_GT(result.total_restarts, 0u);
+    }
+    EXPECT_TRUE(
+        util::is_subset(instance.expected_intersection, result.intersection));
+  }
 }
 
 TEST(MetricsMatch, FacadeRetryCountersMatchRepetitions) {

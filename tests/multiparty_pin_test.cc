@@ -254,6 +254,27 @@ struct Pin {
 // and the Refuse rows' bits, were re-derived when each tree stage's
 // verifier began opening the next stage in its closing turn: the stage
 // boundary, where the bit budget is checked, now follows those hashes.
+//
+// The tournament rows were re-derived when the matches below the root
+// began running the pair session with the certificate off, and every
+// pair began raising retry.attempts, breaker.opens and chaos.restarts
+// from its result:
+//   * every row: each match counts as a pairwise run and its attempts as
+//     repetitions, so total_repetitions, mp.pairwise_runs and the counter
+//     fold moved; Clean, IidFaults and DeadPlayer kept their bits and
+//     rounds.
+//   * DeadLink, DrainedPool, Byzantine: a retried match bills the sum of
+//     its attempts' rounds instead of its longest attempt, and a match
+//     that runs out of attempts takes the degradation ladder's
+//     Basic-Intersection attempts before it is skipped, which adds bits.
+//   * DeadLink: the certified root that ends on the input-fallback rung
+//     now counts as a skipped match, and its retries and breaker trip
+//     reach retry.attempts and breaker.opens.
+//   * Refuse: the 16-bit session budget reaches every match, so all five
+//     refuse and the answer is player 0's own set, flagged.
+// The coordinator rows moved only where a pair retried or tripped its
+// breaker (DeadLink, DrainedPool, Byzantine): retry.attempts,
+// breaker.opens and the counter fold.
 // clang-format off
 const Pin kPins[] = {
     {"coordinator/Clean", Topology::kCoordinator, Case::kClean,
@@ -263,27 +284,27 @@ const Pin kPins[] = {
     {"coordinator/DeadPlayer", Topology::kCoordinator, Case::kDeadPlayer,
      {24u, 0xcde648ef6d23624dull, 1u, 1u, 0u, 5u, true, 0u, 0u, 4u, 0u, 0u, 0u, 0u, {5u, 1u, 1u, 1u, 1u, 1u}, 0u, 0u, 0u, 0x4d88149a424273c4ull, {1u, 5u, 0u, 0u, 0u, 0u}}},
     {"coordinator/DeadLink", Topology::kCoordinator, Case::kDeadLink,
-     {6u, 0xb4ee1c72c18563d1ull, 1u, 7u, 0u, 2u, true, 0u, 0u, 0u, 0u, 0u, 0u, 2u, {2u, 0u, 1u, 0u, 1u, 0u}, 8154u, 19u, 8154u, 0xdf8836ceaf50663bull, {5u, 2u, 0u, 0u, 0u, 0u}}},
+     {6u, 0xb4ee1c72c18563d1ull, 1u, 7u, 0u, 2u, true, 0u, 0u, 0u, 0u, 0u, 0u, 2u, {2u, 0u, 1u, 0u, 1u, 0u}, 8154u, 19u, 8154u, 0xbd23c1c7bb49ef4full, {5u, 2u, 0u, 0u, 2u, 2u}}},
     {"coordinator/DrainedPool", Topology::kCoordinator, Case::kDrainedPool,
-     {24u, 0x08254ca3a2cd6b86ull, 1u, 3u, 0u, 5u, true, 0u, 0u, 0u, 4u, 0u, 1u, 0u, {5u, 1u, 1u, 1u, 1u, 1u}, 1848u, 25u, 1848u, 0xa18803c5fcbff543ull, {1u, 5u, 0u, 0u, 0u, 0u}}},
+     {24u, 0x08254ca3a2cd6b86ull, 1u, 3u, 0u, 5u, true, 0u, 0u, 0u, 4u, 0u, 1u, 0u, {5u, 1u, 1u, 1u, 1u, 1u}, 1848u, 25u, 1848u, 0x40692a5010800391ull, {1u, 5u, 0u, 0u, 2u, 0u}}},
     {"coordinator/Byzantine", Topology::kCoordinator, Case::kByzantine,
-     {6u, 0xaaaba3d033df6d3cull, 1u, 8u, 0u, 1u, true, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {1u, 0u, 1u, 0u, 0u, 0u}, 20896u, 12u, 20896u, 0x55d26d4a60bb3f75ull, {5u, 1u, 0u, 1u, 0u, 0u}}},
+     {6u, 0xaaaba3d033df6d3cull, 1u, 8u, 0u, 1u, true, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {1u, 0u, 1u, 0u, 0u, 0u}, 20896u, 12u, 20896u, 0x046544e0dc2e520aull, {5u, 1u, 0u, 1u, 3u, 0u}}},
     {"coordinator/Refuse", Topology::kCoordinator, Case::kRefuse,
      {24u, 0x7e8ecee2e49dc7c4ull, 1u, 5u, 0u, 5u, true, 0u, 0u, 0u, 0u, 5u, 0u, 0u, {5u, 1u, 1u, 1u, 1u, 1u}, 3122u, 4u, 3122u, 0x8779165d0268c706ull, {5u, 5u, 0u, 0u, 0u, 0u}}},
     {"tournament/Clean", Topology::kTournament, Case::kClean,
-     {2u, 0x08b0e2f0f30710e5ull, 2u, 2u, 0u, 0u, false, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u}, 690u, 18u, 318u, 0xa86d40640011392cull, {2u, 0u, 0u, 0u, 0u, 0u}}},
+     {2u, 0x08b0e2f0f30710e5ull, 2u, 8u, 0u, 0u, false, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u}, 690u, 18u, 318u, 0xe55745e908d73b54ull, {8u, 0u, 0u, 0u, 0u, 0u}}},
     {"tournament/IidFaults", Topology::kTournament, Case::kIidFaults,
-     {6u, 0xbe5135864f685650ull, 1u, 1u, 0u, 0u, false, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {0u, 0u, 0u, 0u, 0u, 0u}, 6979u, 34u, 2720u, 0x5a02c16500b6347dull, {1u, 0u, 0u, 0u, 0u, 0u}}},
+     {6u, 0xbe5135864f685650ull, 1u, 5u, 0u, 0u, false, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {0u, 0u, 0u, 0u, 0u, 0u}, 6979u, 34u, 2720u, 0xd35a66e13abaa855ull, {5u, 0u, 0u, 0u, 0u, 0u}}},
     {"tournament/DeadPlayer", Topology::kTournament, Case::kDeadPlayer,
-     {24u, 0xcde648ef6d23624dull, 1u, 0u, 0u, 3u, true, 0u, 0u, 2u, 0u, 0u, 0u, 0u, {3u, 1u, 1u, 0u, 1u, 0u}, 1799u, 7u, 941u, 0xafa50ecf7a585be0ull, {0u, 3u, 3u, 0u, 0u, 0u}}},
+     {24u, 0xcde648ef6d23624dull, 1u, 3u, 0u, 3u, true, 0u, 0u, 2u, 0u, 0u, 0u, 0u, {3u, 1u, 1u, 0u, 1u, 0u}, 1799u, 7u, 941u, 0xfbb197eaeb3237f6ull, {3u, 3u, 3u, 0u, 0u, 0u}}},
     {"tournament/DeadLink", Topology::kTournament, Case::kDeadLink,
-     {6u, 0xb4ee1c72c18563d1ull, 1u, 2u, 0u, 2u, true, 0u, 0u, 0u, 0u, 0u, 0u, 2u, {2u, 0u, 1u, 0u, 1u, 0u}, 5685u, 35u, 2591u, 0x03302667e06e3bbaull, {1u, 2u, 1u, 0u, 1u, 1u}}},
+     {6u, 0xb4ee1c72c18563d1ull, 1u, 7u, 0u, 2u, true, 0u, 0u, 0u, 0u, 0u, 0u, 2u, {2u, 0u, 1u, 0u, 1u, 0u}, 5864u, 47u, 2770u, 0x1e963ee0d51d67daull, {5u, 2u, 2u, 0u, 2u, 2u}}},
     {"tournament/DrainedPool", Topology::kTournament, Case::kDrainedPool,
-     {24u, 0x08254ca3a2cd6b86ull, 1u, 0u, 0u, 5u, true, 0u, 0u, 0u, 4u, 0u, 1u, 0u, {3u, 1u, 2u, 1u, 2u, 1u}, 1653u, 7u, 1653u, 0x57538b0f14cd3488ull, {0u, 5u, 5u, 0u, 2u, 0u}}},
+     {24u, 0x08254ca3a2cd6b86ull, 1u, 3u, 0u, 5u, true, 0u, 0u, 0u, 4u, 0u, 1u, 0u, {3u, 1u, 2u, 1u, 2u, 1u}, 1848u, 25u, 1848u, 0xec4775371fcf4307ull, {1u, 5u, 5u, 0u, 2u, 0u}}},
     {"tournament/Byzantine", Topology::kTournament, Case::kByzantine,
-     {6u, 0xaaaba3d033df6d3cull, 1u, 1u, 0u, 2u, true, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {1u, 0u, 2u, 1u, 0u, 0u}, 27881u, 16u, 25914u, 0x089ed9d6ebf48a00ull, {1u, 2u, 2u, 2u, 6u, 0u}}},
+     {6u, 0xaaaba3d033df6d3cull, 1u, 11u, 0u, 2u, true, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {1u, 0u, 2u, 1u, 0u, 0u}, 32980u, 26u, 31013u, 0x048639db5fab2913ull, {5u, 2u, 2u, 2u, 6u, 0u}}},
     {"tournament/Refuse", Topology::kTournament, Case::kRefuse,
-     {6u, 0xf3ac04b5bd030bd4ull, 1u, 1u, 0u, 1u, true, 0u, 0u, 0u, 0u, 1u, 0u, 0u, {1u, 0u, 0u, 0u, 1u, 0u}, 2848u, 15u, 1083u, 0x8f5e12b24b9e04d6ull, {1u, 1u, 0u, 0u, 0u, 0u}}},
+     {24u, 0x7e8ecee2e49dc7c4ull, 1u, 5u, 0u, 5u, true, 0u, 0u, 0u, 0u, 5u, 0u, 0u, {3u, 1u, 2u, 1u, 2u, 1u}, 3080u, 12u, 1847u, 0xa1173977ee4f72fcull, {5u, 5u, 5u, 0u, 0u, 0u}}},
 };
 // clang-format on
 

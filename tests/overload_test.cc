@@ -21,6 +21,7 @@
 #include "core/breaker.h"
 #include "core/budget.h"
 #include "multiparty/coordinator.h"
+#include "multiparty/tournament.h"
 #include "obs/tracer.h"
 #include "setint.h"
 #include "sim/chaos.h"
@@ -612,6 +613,82 @@ TEST(OverloadMP, RefusedPairsKeepTheSupersetInvariant) {
   EXPECT_TRUE(
       util::is_subset(fx.inst.expected_intersection, result.intersection));
   EXPECT_FALSE(result.intersection.empty());
+}
+
+// Three players, one uncertified match (0, 1) in the first batch and the
+// certified root (0, 2) in the second. Link (0, 1) drops every frame, so
+// each attempt of the first match fails the same way and ends the same
+// number of rounds in; the root sees player 0's unchanged set whatever
+// the first match spent.
+std::uint64_t dead_match_rounds(std::uint64_t max_attempts,
+                                std::uint64_t backoff_rounds) {
+  util::Rng rng(0xA12);
+  const std::uint64_t universe = 1u << 16;
+  const util::MultiSetInstance inst = util::random_multi_sets(
+      rng, universe, /*players=*/3, /*k=*/24, /*shared=*/8);
+  sim::FaultPlan plan;
+  sim::FaultSpec drop_all;
+  drop_all.drop_prob = 1.0;
+  drop_all.seed = 99;
+  plan.set_link_faults(0, 1, drop_all);
+  multiparty::MultipartyParams params;
+  params.fault_plan = &plan;
+  params.retry.max_attempts = max_attempts;
+  params.retry.backoff_rounds = backoff_rounds;
+  params.retry.degraded_attempts = 1;
+  sim::Network network(3);
+  sim::SharedRandomness shared(0x5748);
+  const multiparty::MultipartyResult result =
+      multiparty::tournament_intersection(network, shared, universe,
+                                          inst.sets, params);
+  EXPECT_TRUE(
+      util::is_subset(inst.expected_intersection, result.intersection));
+  EXPECT_TRUE(result.degraded);
+  return network.rounds();
+}
+
+// A retried match is one session: its batch is billed every attempt's
+// rounds plus the backoff before each re-attempt, not its longest
+// attempt alone.
+TEST(OverloadMP, RetriedMatchBillsEveryAttemptsRounds) {
+  const std::uint64_t backoff = 5;
+  const std::uint64_t one = dead_match_rounds(1, backoff);
+  const std::uint64_t two = dead_match_rounds(2, backoff);
+  const std::uint64_t three = dead_match_rounds(3, backoff);
+  // The second attempt adds its own rounds on top of its backoff...
+  EXPECT_GT(two - one, backoff);
+  // ...and the third adds as much again.
+  EXPECT_EQ(three - two, two - one);
+}
+
+// The session budget reaches every match, not only the certified root:
+// under a 16-bit cap with refuse_on_exhaustion each admitted match
+// refuses, and the carried answer is player 0's own set, flagged.
+TEST(OverloadMP, TournamentBudgetRefusesEveryMatch) {
+  util::Rng rng(0xA13);
+  const std::uint64_t universe = 1u << 16;
+  const util::MultiSetInstance inst = util::random_multi_sets(
+      rng, universe, /*players=*/6, /*k=*/24, /*shared=*/6);
+  multiparty::MultipartyParams params;
+  params.budget.max_bits = 16;
+  params.budget.refuse_on_exhaustion = true;
+  sim::Network network(6);
+  obs::Tracer tracer;
+  network.set_tracer(&tracer);
+  sim::SharedRandomness shared(0x5749);
+  const multiparty::MultipartyResult result =
+      multiparty::tournament_intersection(network, shared, universe,
+                                          inst.sets, params);
+  // Six players: three first-round matches, one with a bye, the root.
+  const std::uint64_t matches = 5;
+  EXPECT_EQ(counter_value(tracer, "mp.pairwise_runs"), matches);
+  EXPECT_EQ(result.refused_pairs, matches);
+  EXPECT_EQ(counter_value(tracer, "mp.skipped_matches"), matches);
+  EXPECT_EQ(result.degraded_pairs, matches);
+  EXPECT_TRUE(result.degraded);
+  EXPECT_EQ(result.intersection, inst.sets[0]);
+  EXPECT_TRUE(
+      util::is_subset(inst.expected_intersection, result.intersection));
 }
 
 }  // namespace

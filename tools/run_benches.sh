@@ -42,10 +42,10 @@ if [[ "$BUILD_TYPE" != "Release" ]]; then
   exit 1
 fi
 
-EXPERIMENTS=(tradeoff rounds zoo error multiparty_avg multiparty_worst
-             applications intersection_size private_coin eqk internals
-             ablation disj_tradeoff skew planner faults adversary batch cpu
-             chaos overload service)
+EXPERIMENTS=(tradeoff rounds zoo error multiparty applications
+             intersection_size private_coin eqk internals ablation
+             disj_tradeoff skew planner faults adversary batch cpu chaos
+             overload service)
 
 for exp in "${EXPERIMENTS[@]}"; do
   if [[ -n "$ONLY" && ",$ONLY," != *",$exp,"* ]]; then
