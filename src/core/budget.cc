@@ -46,7 +46,6 @@ SessionBudget::SessionBudget(const SessionBudgetSpec& spec,
     : spec_(spec), cost_(cost), clock_(clock) {}
 
 void SessionBudget::check() {
-  ++checks_;
   if (cost_ != nullptr) bits_observed_ = cost_->bits_total;
   if (reason_ != BudgetDimension::kNone) {
     throw BudgetExhaustedError(

@@ -51,7 +51,6 @@ VerifiedSessionDriver::VerifiedSessionDriver(
       // exactly once — the channel meters them once. The chaos plan, when
       // installed, is the deadline clock.
       budget_(hooks.budget, &channel_.cost(), chaos_),
-      budget_enabled_(hooks.budget.enabled()),
       pool_(hooks.retry_pool),
       breaker_(hooks.breaker != nullptr && hooks.breaker->policy().enabled()
                    ? hooks.breaker
@@ -59,11 +58,8 @@ VerifiedSessionDriver::VerifiedSessionDriver(
       // Phase-boundary checkpoint store, shared by every attempt. It earns
       // its keep under chaos — iid faults corrupt single messages (the
       // retry loop is the right tool), while crash/partition blocks lose
-      // whole half-finished sessions that a snapshot can rescue. Budgeted
-      // sessions install it as well and report its checkpoint.* metrics.
-      ckpt_((chaos_ != nullptr || budget_enabled_) && hooks.checkpoint
-                ? &ckpt_store_
-                : nullptr) {
+      // whole half-finished sessions that a snapshot can rescue.
+      ckpt_(chaos_ != nullptr && hooks.checkpoint ? &ckpt_store_ : nullptr) {
   channel_.set_tracer(tracer_);
   channel_.set_recorder(recorder_);
   channel_.set_link(hooks_.player_a, hooks_.player_b);
@@ -73,6 +69,7 @@ VerifiedSessionDriver::VerifiedSessionDriver(
     channel_.set_limits(hooks_.limits);
   }
   channel_.set_chaos(chaos_);
+  if (hooks_.budget.enabled()) channel_.set_budget(&budget_);
   result_.repetitions = 0;
 }
 
@@ -83,16 +80,12 @@ void VerifiedSessionDriver::finish() {
     obs::count(tracer_, "checkpoint.snapshots", ckpt_->snapshots());
     obs::count(tracer_, "checkpoint.restores", ckpt_->restores());
   }
-  if (budget_enabled_) {
-    obs::count(tracer_, "budget.checks", budget_.checks());
-  }
   done_ = true;
 }
 
 // Waits out one crash/partition block: charges the outage as latency
 // rounds and advances the chaos clock past it. Returns false when the
-// peer should be declared lost instead (budget or wait cap exhausted, or
-// the wait itself breaches the round limit).
+// peer should be declared lost instead (restart or wait cap exhausted).
 bool VerifiedSessionDriver::wait_out_block(std::uint64_t resume_tick,
                                            const char* what) {
   // Bits sent since the last phase boundary — or since the attempt began,
@@ -108,12 +101,7 @@ bool VerifiedSessionDriver::wait_out_block(std::uint64_t resume_tick,
   const std::uint64_t now = chaos_->now();
   const std::uint64_t wait = resume_tick > now ? resume_tick - now : 1;
   if (wait > retry_.max_resume_wait_rounds) return false;
-  try {
-    channel_.charge_extra_rounds(wait);
-  } catch (const core::ResourceLimitError&) {
-    obs::count(tracer_, "limit.breaches");
-    return false;
-  }
+  channel_.charge_extra_rounds(wait);
   chaos_->advance_to(resume_tick);
   result_.restarts += 1;
   obs::count(tracer_, "chaos.restarts");
@@ -127,23 +115,15 @@ bool VerifiedSessionDriver::wait_out_block(std::uint64_t resume_tick,
 bool VerifiedSessionDriver::step_attempt() {
   try {
     if (!vt_) {
-      // Inside the try: with limits installed the backoff charge itself
-      // can breach max_rounds, which burns the attempt like any failure.
       if (backoff_due_) {
         backoff_due_ = false;
         channel_.charge_extra_rounds(
             core::backoff_rounds_for_attempt(retry_, nonce_, rep_));
       }
-      // Budget enforcement point before every (re)start of the attempt.
-      if (budget_enabled_) budget_.check();
       vt_.emplace(channel_, shared_, util::mix64(nonce_, rep_), universe_, s_,
                   t_, params_, ckpt_);
     }
-    if (!vt_->step()) {
-      // Stage boundary: the step ends here, after the budget check.
-      if (budget_enabled_) budget_.check();
-      return true;
-    }
+    if (!vt_->step()) return true;  // stage boundary
   } catch (...) {
     // Close the run's spans and arena frame before the handlers meter the
     // recovery.
@@ -248,11 +228,10 @@ bool VerifiedSessionDriver::step_attempts() {
         obs::count(tracer_, "chaos.partitions");
         after_block(wait_out_block(e.heal_tick, "partition"));
       } catch (const core::BudgetExhaustedError& e) {
-        // A spending cap tripped at a stage boundary or between attempts.
-        // The snapshot (if any) landed before the check, so the boundary
-        // loses nothing — but no further exact attempt can be afforded:
-        // the sticky exhausted flag ends the attempt loop and the run
-        // descends the degradation ladder.
+        // The channel refused a send past a spending cap, before any of
+        // its bits left. No further exact attempt can be afforded: the
+        // sticky exhausted flag ends the attempt loop and the run descends
+        // the degradation ladder.
         obs::count(tracer_, "budget.exhaustions");
         obs::count(tracer_, std::string("budget.exhausted_") +
                                 core::budget_dimension_name(e.dimension));
@@ -293,6 +272,9 @@ bool VerifiedSessionDriver::step_attempts() {
 }
 
 void VerifiedSessionDriver::run_ladder() {
+  // The budget caps the attempts only: every rung below runs after it is
+  // spent, and the backstop only when it is not.
+  channel_.set_budget(nullptr);
   // The deterministic backstop trusts every byte the peer sends, so it is
   // only sound against an unreliable-but-honest transport. A Byzantine
   // peer (enabled adversary) would simply lie to it; degrade instead. A

@@ -89,7 +89,7 @@ struct VerifiedRunResult {
 //               backstop lying bytes, an enabled adversary — like an
 //               enabled fault plan or chaos plan — routes budget
 //               exhaustion into the honest degraded path instead.
-//   limits    — resource caps installed on the channel; breaches burn a
+//   limits    — per-frame caps installed on the channel; breaches burn a
 //               retry attempt like any decode failure.
 //   recorder  — flight recorder (obs/recorder.h); besides the channel's
 //               own events it receives kRetry/kBackstop/kDegrade/kRestart
@@ -104,12 +104,12 @@ struct VerifiedRunResult {
 //               `checkpoint` is false — up to
 //               retry.max_restarts times; a permanently dead peer yields
 //               peer_lost + the degraded input-fallback superset.
-//   budget    — per-session spending caps (core/budget.h), enforced at
-//               every verification-tree stage boundary and between
-//               attempts, with or without a checkpoint. Exhaustion ends
-//               certified attempts, skips the backstop (which would spend
-//               more), and descends the degradation ladder — or refuses
-//               outright when refuse_on_exhaustion is set.
+//   budget    — per-session spending caps (core/budget.h), attached to
+//               the channel, which checks them before every send of the
+//               attempts. Exhaustion ends the attempts, skips the backstop
+//               (which would spend more), and descends the degradation
+//               ladder, uncapped — or refuses outright when
+//               refuse_on_exhaustion is set.
 //   retry_pool— retry-token pool shared across a multiparty run; every
 //               RE-attempt draws one token, and a dry pool ends this
 //               session's retries (budget_reason = kPool).
@@ -147,8 +147,9 @@ VerifiedRunResult verified_two_party_intersection(
 // (multiparty/session_machine.h) steps the same object, so the blocking
 // and the stepped session cannot drift apart.
 //
-// Session budgets are checked between attempts and after every stage
-// boundary, whether or not a checkpoint is installed.
+// The session budget is attached to the session's channel, which checks
+// it before every send; run_ladder detaches it, so the ladder's rungs run
+// after exhaustion.
 //
 // `certify` is set only by multiparty/pair_sessions.h, for the tournament's
 // matches below the root. With it off an attempt sends no certificate: it
@@ -209,7 +210,6 @@ class VerifiedSessionDriver {
   sim::Channel channel_;
   obs::Span span_;
   core::SessionBudget budget_;
-  bool budget_enabled_;
   core::RetryBudgetPool* pool_;
   core::CircuitBreaker* breaker_;
   core::Checkpoint ckpt_store_;

@@ -132,8 +132,6 @@ void for_each_key(Spec& spec, Io& io) {
   }
   if (io.block(spec.limits != core::ResourceLimits{})) {
     io.item("limits.max_message_bits", spec.limits.max_message_bits);
-    io.item("limits.max_total_bits", spec.limits.max_total_bits);
-    io.item("limits.max_rounds", spec.limits.max_rounds);
     io.item("limits.max_decoded_items", spec.limits.max_decoded_items);
   }
   if (auto* fault = io.plan(spec.fault, "fault.")) {

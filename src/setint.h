@@ -38,7 +38,7 @@
 //
 // Byzantine hardening: install a sim::Adversary to model a peer that
 // LIES (crafted frames rather than random damage) and/or
-// core::ResourceLimits to cap what a single run may consume:
+// core::ResourceLimits to cap what a single frame may carry:
 //
 //   sim::Adversary adv({.party = sim::PartyId::kBob});
 //   auto result = setint::intersect(S, T, {
@@ -47,7 +47,8 @@
 //   // result.intersection is ALWAYS a subset of S (the honest side's
 //   // own input), whatever the peer sends; oversized or decode-bombing
 //   // frames are rejected via core::ResourceLimitError and burn retry
-//   // attempts until the run degrades honestly.
+//   // attempts until the run degrades honestly. What the whole run may
+//   // spend is capped by `budget` below.
 #pragma once
 
 #include <cstdint>
@@ -90,9 +91,10 @@ struct IntersectOptions {
   // Optional Byzantine-peer model (not owned, stateful): one party's
   // frames are replaced with crafted ones (sim/adversary.h).
   sim::Adversary* adversary = nullptr;
-  // Resource caps enforced on the run's channel and decoders. Default
-  // (all zero) is disabled and free; ResourceLimits::for_workload(u, k)
-  // derives generous caps an honest run never hits.
+  // Per-frame caps enforced on the run's channel (frame size) and
+  // decoders (decoded items). Default (all zero) is disabled and free;
+  // ResourceLimits::for_workload(u, k) derives generous caps an honest run
+  // never hits.
   core::ResourceLimits limits;
   // Retry budget + backoff cost + degradation budget (plus the chaos
   // restart/resume-wait budgets).
@@ -105,18 +107,17 @@ struct IntersectOptions {
   sim::ChaosPlan* chaos_plan = nullptr;
   // Phase-boundary checkpointing (core/checkpoint.h) for chaos recovery.
   // Off = a crash burns the whole attempt and replays it from scratch.
-  // Only crash recovery depends on it: budgets are enforced at the same
-  // boundaries either way.
+  // Without a chaos plan it has no effect.
   bool checkpoint = true;
   // Overload governance (core/budget.h): per-session caps on bits, rounds
-  // and a simulated deadline, enforced cooperatively after every
-  // verification-tree stage boundary and between attempts, whether or
-  // not `checkpoint` is set. A session therefore overshoots a cap by at
-  // most one stage (or one certificate, backstop or ladder rung).
-  // Exhaustion descends the degradation ladder (exact -> flagged superset
-  // -> input fallback) — or, with budget.refuse_on_exhaustion, stops at
-  // an explicit refusal (IntersectResult::refused, empty answer). Default
-  // (all zero) is disabled, free, and leaves transcripts bit-identical.
+  // and a simulated deadline, checked by the channel before every send
+  // of the certified attempts. A session therefore stops before its
+  // first send past a cap and overshoots it by at most the one send that
+  // crossed it. Exhaustion descends the degradation ladder (exact ->
+  // flagged superset -> input fallback), whose rungs run uncapped — or,
+  // with budget.refuse_on_exhaustion, stops at an explicit refusal
+  // (IntersectResult::refused, empty answer). Default (all zero) is
+  // disabled, free, and leaves transcripts bit-identical.
   core::SessionBudgetSpec budget;
 };
 

@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "core/budget.h"
 #include "obs/recorder.h"
 #include "obs/tracer.h"
 
@@ -108,7 +109,9 @@ FrameCode frame_code(const util::BitBuffer& frame, std::size_t n) {
 
 util::BitBuffer Channel::send(PartyId from, util::BitBuffer payload,
                               std::string label) {
-  // Byzantine substitution happens first: the adversary IS the sender, so
+  // The session budget refuses the send before it costs anything.
+  if (budget_ != nullptr) budget_->check();
+  // Byzantine substitution comes next: the adversary IS the sender, so
   // anything added below (integrity framing, metering) applies to the
   // crafted frame exactly as it would to an honest one.
   if (adversary_ != nullptr && adversary_->controls(from)) {
@@ -185,11 +188,11 @@ void Channel::meter(PartyId from, std::uint64_t bits,
                       static_cast<std::uint32_t>(bits), cost_.bits_total);
   }
 
-  // Resource limits fire after metering: the bandwidth was spent (the
+  // The frame cap fires after metering: the bandwidth was spent (the
   // attacker pays for its frame like everyone else) but the receiver
   // refuses to decode it. The throw lands in the retry layer.
-  if (limits_ == nullptr || !limits_->enabled()) return;
-  if (limits_->max_message_bits > 0 && bits > limits_->max_message_bits) {
+  if (limits_ != nullptr && limits_->max_message_bits > 0 &&
+      bits > limits_->max_message_bits) {
     obs::count(tracer_, "limit.message_bits_breaches");
     if (recorder_ != nullptr) {
       recorder_->record(obs::FlightEventKind::kLimitBreach, label,
@@ -200,31 +203,6 @@ void Channel::meter(PartyId from, std::uint64_t bits,
         "max_message_bits: frame of " + std::to_string(bits) +
         " bits exceeds the " + std::to_string(limits_->max_message_bits) +
         "-bit cap (" + label + ")");
-  }
-  if (limits_->max_total_bits > 0 &&
-      cost_.bits_total > limits_->max_total_bits) {
-    obs::count(tracer_, "limit.total_bits_breaches");
-    if (recorder_ != nullptr) {
-      recorder_->record(obs::FlightEventKind::kLimitBreach, label,
-                        index(from), 0, cost_.bits_total);
-      recorder_->incident("limit: max_total_bits");
-    }
-    throw core::ResourceLimitError(
-        "max_total_bits: run total of " + std::to_string(cost_.bits_total) +
-        " bits exceeds the " + std::to_string(limits_->max_total_bits) +
-        "-bit cap (" + label + ")");
-  }
-  if (limits_->max_rounds > 0 && cost_.rounds > limits_->max_rounds) {
-    obs::count(tracer_, "limit.rounds_breaches");
-    if (recorder_ != nullptr) {
-      recorder_->record(obs::FlightEventKind::kLimitBreach, label,
-                        index(from), 0, cost_.bits_total);
-      recorder_->incident("limit: max_rounds");
-    }
-    throw core::ResourceLimitError(
-        "max_rounds: round " + std::to_string(cost_.rounds) +
-        " exceeds the " + std::to_string(limits_->max_rounds) +
-        "-round cap (" + label + ")");
   }
 }
 
@@ -346,19 +324,6 @@ void Channel::charge_extra_rounds(std::uint64_t rounds) {
     CostStats latency;
     latency.rounds = rounds;
     tracer_->on_cost(latency);
-  }
-  if (limits_ != nullptr && limits_->max_rounds > 0 &&
-      cost_.rounds > limits_->max_rounds) {
-    obs::count(tracer_, "limit.rounds_breaches");
-    if (recorder_ != nullptr) {
-      recorder_->record(obs::FlightEventKind::kLimitBreach, "latency charge",
-                        -1, 0, cost_.bits_total);
-      recorder_->incident("limit: max_rounds (latency)");
-    }
-    throw core::ResourceLimitError(
-        "max_rounds: latency charge brings the run to " +
-        std::to_string(cost_.rounds) + " rounds, cap " +
-        std::to_string(limits_->max_rounds));
   }
 }
 

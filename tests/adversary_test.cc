@@ -22,6 +22,7 @@
 #include <string>
 #include <tuple>
 
+#include "core/budget.h"
 #include "core/resource_limits.h"
 #include "multiparty/coordinator.h"
 #include "multiparty/tournament.h"
@@ -126,35 +127,46 @@ TEST(ResourceLimitsUnit, ChannelEnforcesMaxMessageBits) {
   EXPECT_EQ(channel.cost().bits_total, 8u + 128u);
 }
 
-TEST(ResourceLimitsUnit, ChannelEnforcesMaxTotalBits) {
-  core::ResourceLimits limits;
-  limits.max_total_bits = 150;
-  obs::Tracer tracer;
+// The run totals are the session budget's: the channel checks it on entry
+// to every send, so the send that crosses a cap goes through and the next
+// one is refused before it spends anything.
+TEST(SessionBudgetUnit, ChannelRefusesSendsPastMaxBits) {
+  core::SessionBudgetSpec spec;
+  spec.max_bits = 150;
   sim::Channel channel;
-  channel.set_tracer(&tracer);
-  channel.set_limits(&limits);
+  core::SessionBudget budget(spec, &channel.cost());
+  channel.set_budget(&budget);
 
   util::BitBuffer frame;
   for (int i = 0; i < 64; ++i) frame.append_bit(true);
   EXPECT_NO_THROW(channel.send(sim::PartyId::kAlice, frame));  // 64
   EXPECT_NO_THROW(channel.send(sim::PartyId::kBob, frame));    // 128
-  EXPECT_THROW(channel.send(sim::PartyId::kAlice, frame),      // 192 > 150
-               core::ResourceLimitError);
-  EXPECT_EQ(counter(tracer, "limit.total_bits_breaches"), 1u);
+  EXPECT_NO_THROW(channel.send(sim::PartyId::kAlice, frame));  // 192 > 150
+  EXPECT_THROW(channel.send(sim::PartyId::kBob, frame),
+               core::BudgetExhaustedError);
+  EXPECT_EQ(budget.reason(), core::BudgetDimension::kBits);
+  EXPECT_EQ(channel.cost().bits_total, 192u);
+  EXPECT_EQ(channel.cost().messages, 3u);
 }
 
-TEST(ResourceLimitsUnit, ChargeExtraRoundsEnforcesMaxRounds) {
-  core::ResourceLimits limits;
-  limits.max_rounds = 3;
-  obs::Tracer tracer;
+TEST(SessionBudgetUnit, ChannelRefusesSendsPastMaxRounds) {
+  core::SessionBudgetSpec spec;
+  spec.max_rounds = 3;
   sim::Channel channel;
-  channel.set_tracer(&tracer);
-  channel.set_limits(&limits);
+  core::SessionBudget budget(spec, &channel.cost());
+  channel.set_budget(&budget);
+  // Latency charges are not sends: they pass, and the next send is
+  // refused.
   EXPECT_NO_THROW(channel.charge_extra_rounds(2));
-  EXPECT_THROW(channel.charge_extra_rounds(5), core::ResourceLimitError);
-  EXPECT_EQ(counter(tracer, "limit.rounds_breaches"), 1u);
-  // Like bits, the rounds are charged before the refusal.
+  EXPECT_NO_THROW(channel.charge_extra_rounds(5));
   EXPECT_EQ(channel.cost().rounds, 7u);
+  util::BitBuffer frame;
+  frame.append_bits(0x5a, 8);
+  EXPECT_THROW(channel.send(sim::PartyId::kAlice, frame),
+               core::BudgetExhaustedError);
+  EXPECT_EQ(budget.reason(), core::BudgetDimension::kRounds);
+  EXPECT_EQ(channel.cost().rounds, 7u);
+  EXPECT_EQ(channel.cost().bits_total, 0u);
 }
 
 TEST(ResourceLimitsUnit, ChannelReaderEnforcesMaxDecodedItems) {

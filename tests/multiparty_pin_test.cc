@@ -275,6 +275,12 @@ struct Pin {
 // The coordinator rows moved only where a pair retried or tripped its
 // breaker (DeadLink, DrainedPool, Byzantine): retry.attempts,
 // breaker.opens and the counter fold.
+//
+// The Refuse rows' bits, rounds and max player bits were re-derived when
+// the session budget moved into sim::Channel::send: the channel now
+// refuses a pair's first send past the 16-bit cap, so each refused pair
+// spends its first message only instead of running on to the stage
+// boundary. Every other field, the counter fold included, held.
 // clang-format off
 const Pin kPins[] = {
     {"coordinator/Clean", Topology::kCoordinator, Case::kClean,
@@ -290,7 +296,7 @@ const Pin kPins[] = {
     {"coordinator/Byzantine", Topology::kCoordinator, Case::kByzantine,
      {6u, 0xaaaba3d033df6d3cull, 1u, 8u, 0u, 1u, true, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {1u, 0u, 1u, 0u, 0u, 0u}, 20896u, 12u, 20896u, 0x046544e0dc2e520aull, {5u, 1u, 0u, 1u, 3u, 0u}}},
     {"coordinator/Refuse", Topology::kCoordinator, Case::kRefuse,
-     {24u, 0x7e8ecee2e49dc7c4ull, 1u, 5u, 0u, 5u, true, 0u, 0u, 0u, 0u, 5u, 0u, 0u, {5u, 1u, 1u, 1u, 1u, 1u}, 3122u, 4u, 3122u, 0x8779165d0268c706ull, {5u, 5u, 0u, 0u, 0u, 0u}}},
+     {24u, 0x7e8ecee2e49dc7c4ull, 1u, 5u, 0u, 5u, true, 0u, 0u, 0u, 0u, 5u, 0u, 0u, {5u, 1u, 1u, 1u, 1u, 1u}, 480u, 1u, 480u, 0x8779165d0268c706ull, {5u, 5u, 0u, 0u, 0u, 0u}}},
     {"tournament/Clean", Topology::kTournament, Case::kClean,
      {2u, 0x08b0e2f0f30710e5ull, 2u, 8u, 0u, 0u, false, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u, 0u}, 690u, 18u, 318u, 0xe55745e908d73b54ull, {8u, 0u, 0u, 0u, 0u, 0u}}},
     {"tournament/IidFaults", Topology::kTournament, Case::kIidFaults,
@@ -304,7 +310,7 @@ const Pin kPins[] = {
     {"tournament/Byzantine", Topology::kTournament, Case::kByzantine,
      {6u, 0xaaaba3d033df6d3cull, 1u, 11u, 0u, 2u, true, 0u, 0u, 0u, 0u, 0u, 0u, 0u, {1u, 0u, 2u, 1u, 0u, 0u}, 32980u, 26u, 31013u, 0x048639db5fab2913ull, {5u, 2u, 2u, 2u, 6u, 0u}}},
     {"tournament/Refuse", Topology::kTournament, Case::kRefuse,
-     {24u, 0x7e8ecee2e49dc7c4ull, 1u, 5u, 0u, 5u, true, 0u, 0u, 0u, 0u, 5u, 0u, 0u, {3u, 1u, 2u, 1u, 2u, 1u}, 3080u, 12u, 1847u, 0xa1173977ee4f72fcull, {5u, 5u, 5u, 0u, 0u, 0u}}},
+     {24u, 0x7e8ecee2e49dc7c4ull, 1u, 5u, 0u, 5u, true, 0u, 0u, 0u, 0u, 5u, 0u, 0u, {3u, 1u, 2u, 1u, 2u, 1u}, 480u, 3u, 288u, 0xa1173977ee4f72fcull, {5u, 5u, 5u, 0u, 0u, 0u}}},
 };
 // clang-format on
 

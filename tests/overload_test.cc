@@ -88,7 +88,6 @@ TEST(Budget, RepeatedChecksOfSameSpendChargeNothing) {
   spec.max_bits = 64;
   core::SessionBudget budget(spec, &cost);
   for (int i = 0; i < 100; ++i) EXPECT_NO_THROW(budget.check());
-  EXPECT_EQ(budget.checks(), 100u);
   EXPECT_EQ(budget.bits_observed(), 60u);
 }
 

@@ -238,7 +238,7 @@ TEST(FlightRecorder, ChannelIntegrityFailureFiresIncidentDump) {
 
 TEST(FlightRecorder, ChannelLimitBreachIsRecorded) {
   core::ResourceLimits limits;
-  limits.max_total_bits = 8;
+  limits.max_message_bits = 8;
 
   FlightRecorder rec(64);
   sim::Channel ch;
@@ -360,7 +360,8 @@ RunSpec full_spec() {
   spec.s = {1, 2};
   spec.t = {2, 3};
   spec.budget.max_bits = 1000;
-  spec.limits.max_rounds = 10;
+  spec.budget.max_rounds = 10;
+  spec.limits.max_decoded_items = 10;
   spec.fault.emplace().overlays.push_back({});
   spec.chaos.emplace().spec.crash_overrides.emplace_back(1,
                                                          sim::CrashSchedule{});
@@ -371,7 +372,7 @@ RunSpec full_spec() {
 
 TEST(RunSpec, BadValuesAreRefusedByKey) {
   const ReplayContext context = to_context(full_spec());
-  ASSERT_EQ(context.size(), 41u);
+  ASSERT_EQ(context.size(), 39u);
   for (std::size_t i = 0; i < context.size(); ++i) {
     const std::string& key = context[i].first;
     ReplayContext bad = context;
@@ -391,9 +392,14 @@ TEST(RunSpec, BadValuesAreRefusedByKey) {
     }
     expect_refused(as_dump(missing), key);
   }
-  ReplayContext unknown = context;
-  unknown.emplace_back("chaos.burst", "0.1,0.05,0,0.9,0,0");
-  expect_refused(as_dump(unknown), "chaos.burst");
+  for (const auto& [key, value] :
+       {std::pair{"chaos.burst", "0.1,0.05,0,0.9,0,0"},
+        std::pair{"limits.max_total_bits", "100"},
+        std::pair{"limits.max_rounds", "10"}}) {
+    ReplayContext unknown = context;
+    unknown.emplace_back(key, value);
+    expect_refused(as_dump(unknown), key);
+  }
 }
 
 // A facade session records its fault plan's link overlays, so its dump

@@ -442,9 +442,9 @@ TEST(SansioCertified, ChaosPlanInteropMatchesBlocking) {
 
 TEST(SansioCertified, BudgetCapInteropMatchesBlocking) {
   // A bit cap that trips mid-session: identical ladder descent
-  // (retry -> degrade) and identical budget.checks/budget.exhaustions in
-  // both modes — the stepping must not re-run (or skip) any
-  // between-attempt budget check.
+  // (retry -> degrade) and identical budget.exhaustions in both modes —
+  // the stepping must not re-run (or skip) any send the channel checks
+  // against the budget.
   VerifiedRunResult blocking;
   differential_certified_session(
       0xB0D6,

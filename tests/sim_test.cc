@@ -200,35 +200,6 @@ TEST(ChannelResend, AbandonsFrameAfterMaxResends) {
   EXPECT_EQ(rec.deliveries(), 0u);  // nothing reached the decoder
 }
 
-// A resend is metered like a first send, so it can breach the run caps.
-TEST(ChannelResend, ResendIsLimitChecked) {
-  sim::FaultSpec spec;
-  spec.drop_prob = 1.0;
-  {
-    sim::FaultPlan plan(spec);
-    core::ResourceLimits limits;
-    limits.max_total_bits = 60;  // frame 55 + NACK 1 fit; the resend not
-    sim::Channel ch;
-    ch.set_fault_plan(&plan);
-    ch.set_limits(&limits);
-    EXPECT_THROW(ch.send(sim::PartyId::kAlice, bits_of(0xFFFF, 16), "big"),
-                 core::ResourceLimitError);
-    EXPECT_EQ(ch.cost().bits_total, 55u + 1u + 55u);
-    EXPECT_EQ(plan.stats().messages_seen, 1u);
-  }
-  {
-    sim::FaultPlan plan(spec);
-    core::ResourceLimits limits;
-    limits.max_rounds = 2;  // send + NACK fit; the resend opens round 3
-    sim::Channel ch;
-    ch.set_fault_plan(&plan);
-    ch.set_limits(&limits);
-    EXPECT_THROW(ch.send(sim::PartyId::kAlice, bits_of(0xFFFF, 16), "slow"),
-                 core::ResourceLimitError);
-    EXPECT_EQ(ch.cost().rounds, 3u);
-  }
-}
-
 // Clean channels never frame, so they never take a pristine copy from
 // the pool; a framed send borrows one buffer and returns it.
 TEST(ChannelResend, OnlyFramedSendsCopyTheFrame) {

@@ -184,9 +184,9 @@ RunSpec make_scenario(const std::string& name, std::uint64_t seed) {
     spec.retry.max_attempts = 2;
     spec.retry.degraded_attempts = 2;
   } else if (name == "overload") {
-    // A bit budget far below the protocol's cost: the first phase
-    // boundary trips it and the session descends the degradation ladder
-    // (core/budget.h), firing the budget-exhausted incident.
+    // A bit budget far below the protocol's cost: the channel refuses
+    // the first send past it and the session descends the degradation
+    // ladder (core/budget.h), firing the budget-exhausted incident.
     spec.budget.max_bits = 64;
   } else {
     usage("unknown scenario");
