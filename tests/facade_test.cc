@@ -3,6 +3,7 @@
 // protocol and checked against local ground truth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 
@@ -125,11 +126,10 @@ TEST(Facade, DeterministicForSeed) {
   EXPECT_EQ(a.rounds, b.rounds);
 }
 
-// A session budget is checked at every verification-tree stage boundary
-// whether or not checkpoints are on. A cap a third of the way into the
-// first attempt must trip in both modes, at the same point: the session
-// may not finish the attempt and report an unflagged exact answer past
-// max_bits.
+// The channel checks the session budget before every send whether or
+// not checkpoints are on. A cap a third of the way into the first attempt
+// must trip in both modes, at the same point: the session may not finish
+// the attempt and report an unflagged exact answer past max_bits.
 TEST(Facade, BudgetHoldsWithoutCheckpoint) {
   util::Rng wrng(5);
   const std::uint64_t universe = std::uint64_t{1} << 32;
@@ -148,6 +148,53 @@ TEST(Facade, BudgetHoldsWithoutCheckpoint) {
   }
   EXPECT_EQ(without_ckpt.bits, with_ckpt.bits);
   EXPECT_EQ(without_ckpt.rung, with_ckpt.rung);
+}
+
+// The budget is a hard cap at the send: a session stops before its first
+// send past a cap, so a refused session's bits less its last send are
+// within max_bits, and its rounds pass max_rounds by at most the round
+// that send opened. A round cap near the clean cost may instead let the
+// session finish exactly, within the same bound.
+TEST(Facade, BudgetStopsBeforeTheFirstSendPastACap) {
+  util::Rng wrng(512);
+  const std::uint64_t universe = std::uint64_t{1} << 32;
+  const util::SetPair p = util::random_set_pair(wrng, universe, 512, 256);
+  const IntersectOptions clean{.universe = universe, .seed = 9};
+  const IntersectResult full = intersect(p.s, p.t, clean);
+  ASSERT_TRUE(full.verified);
+  for (const double share : {0.25, 0.5, 0.9}) {
+    SCOPED_TRACE(share);
+    obs::FlightRecorder rec;
+    IntersectOptions options = clean;
+    options.recorder = &rec;
+    options.budget.refuse_on_exhaustion = true;
+    options.budget.max_bits =
+        static_cast<std::uint64_t>(share * static_cast<double>(full.bits));
+    const IntersectResult bits_capped = intersect(p.s, p.t, options);
+    EXPECT_TRUE(bits_capped.refused);
+    EXPECT_EQ(bits_capped.budget_reason, core::BudgetDimension::kBits);
+    EXPECT_TRUE(bits_capped.intersection.empty());
+    std::uint64_t last_send = 0;
+    for (const obs::FlightEvent& e : rec.snapshot()) {
+      if (e.kind == obs::FlightEventKind::kMessage) last_send = e.bits;
+    }
+    ASSERT_GT(last_send, 0u);
+    EXPECT_LE(bits_capped.bits - last_send, options.budget.max_bits);
+
+    options.recorder = nullptr;
+    options.budget.max_bits = 0;
+    options.budget.max_rounds = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(share *
+                                      static_cast<double>(full.rounds)));
+    const IntersectResult rounds_capped = intersect(p.s, p.t, options);
+    EXPECT_LE(rounds_capped.rounds, options.budget.max_rounds + 1);
+    if (rounds_capped.refused) {
+      EXPECT_EQ(rounds_capped.budget_reason, core::BudgetDimension::kRounds);
+    } else {
+      EXPECT_TRUE(rounds_capped.verified);
+      EXPECT_EQ(rounds_capped.intersection, full.intersection);
+    }
+  }
 }
 
 // ---------- whole-zoo differential fuzz ----------

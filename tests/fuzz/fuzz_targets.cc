@@ -192,10 +192,11 @@ void target_e2e_honest(const std::uint8_t* data, std::size_t size) {
              "honest run disagrees with std::set_intersection");
 }
 
-// Target 5: end-to-end with a Byzantine Bob and workload-derived limits.
-// The one guarantee a lying peer leaves standing: the honest side never
-// crashes, the run terminates, and the output is a subset of its own
-// input.
+// Target 5: end-to-end with a Byzantine Bob, workload-derived limits and
+// a drawn session budget. The one guarantee a lying peer leaves standing:
+// the honest side never crashes, the run terminates, and the output is a
+// subset of its own input. A refused run answers nothing, flagged neither
+// verified nor degraded.
 void target_e2e_adversary(const std::uint8_t* data, std::size_t size) {
   Cursor cursor(data, size);
   const std::uint64_t universe = 64 + cursor.u64() % 4096;
@@ -226,6 +227,10 @@ void target_e2e_adversary(const std::uint8_t* data, std::size_t size) {
       universe, std::max(s.size(), t.size()));
   options.retry.max_attempts = 4;
   options.retry.degraded_attempts = 2;
+  // A cap drawn as 0 is off.
+  options.budget.max_bits = cursor.u64() % 8192;
+  options.budget.max_rounds = cursor.u64() % 64;
+  options.budget.refuse_on_exhaustion = cursor.u8() % 2 == 1;
 
   IntersectResult result;
   try {
@@ -237,9 +242,15 @@ void target_e2e_adversary(const std::uint8_t* data, std::size_t size) {
   }
   FUZZ_CHECK(util::is_subset(result.intersection, s),
              "honest side's output is not a subset of its own input");
-  if (adversary.stats().frames_crafted == 0) {
-    // The adversary left every frame alone: the differential oracle
-    // applies in full.
+  if (result.refused) {
+    FUZZ_CHECK(result.intersection.empty(), "refused run answered");
+    FUZZ_CHECK(!result.verified && !result.degraded,
+               "refused run flagged verified or degraded");
+  }
+  if (adversary.stats().frames_crafted == 0 &&
+      result.budget_reason == core::BudgetDimension::kNone) {
+    // The adversary left every frame alone and the budget held: the
+    // differential oracle applies in full.
     const util::Set oracle = util::set_intersection(s, t);
     FUZZ_CHECK(result.intersection == oracle,
                "crafted-frame-free run disagrees with the oracle");
