@@ -1,6 +1,6 @@
 # Asserts that a bench JSON record holds at least one section whose title
 # starts with PREFIX, that each such section has rows, and that every row
-# reads "yes" in COLUMN. Lets one bench binary that prints several
+# reads "yes" (in any case) in COLUMN. Lets one bench binary that prints several
 # experiments' tables keep a smoke test per experiment.
 #
 # Invoked by ctest as:
@@ -25,7 +25,8 @@ foreach(s RANGE ${last_section})
   math(EXPR last_row "${n_rows} - 1")
   foreach(r RANGE ${last_row})
     string(JSON cell GET "${record}" sections ${s} rows ${r} ${COLUMN})
-    if(NOT cell STREQUAL "yes")
+    string(TOLOWER "${cell}" verdict)
+    if(NOT verdict STREQUAL "yes")
       message(FATAL_ERROR
               "section '${title}' row ${r}: ${COLUMN} = '${cell}'")
     endif()

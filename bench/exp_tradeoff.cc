@@ -11,7 +11,17 @@
 // run per r with an obs::Tracer installed, whose per-level bit totals sum
 // exactly to CostStats::bits_total — the accounting identity behind
 // Theorem 3.6's per-stage cost telescoping.
+//
+// E2 — Theorem 1.1: round complexity is at most 6r; this implementation
+// takes at most 3r + 1: stage 0 two rounds, every later stage one, each
+// plus two when it repairs (and the r = 1 case is a 2-message protocol).
+// Reports measured rounds and messages against the auditor's round budget
+// (obs::EnvelopeAuditor::rounds_budget, named in the record's
+// "rounds_budget" note) across its own (k, r) sweep, with its own trials
+// and seeds, and audits those samples in E2b.
+#include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "bench_util.h"
 #include "core/verification_tree.h"
@@ -38,6 +48,71 @@ sim::CostStats run_tree(std::uint64_t seed, std::uint64_t universe,
   core::verification_tree_intersection(ch, shared, seed, universe, p.s, p.t,
                                        params);
   return ch.cost();
+}
+
+// Adds the envelope-audit table `id` over every sample `auditor` holds;
+// true when all are within.
+bool audit_table(bench::Reporter& rep, const std::string& id,
+                 const obs::EnvelopeAuditor& auditor) {
+  auto& table = rep.table(
+      id + ": envelope audit  (bits <= c * k * (log^(r) k + r), rounds "
+           "within budget)",
+      {"protocol", "samples", "fitted c", "c bound", "slack",
+       "rounds violations", "within"});
+  for (const obs::EnvelopeAudit& a : auditor.audit()) {
+    table.add_row({a.protocol, bench::fmt_u64(a.samples),
+                   bench::fmt_double(a.fitted_c), bench::fmt_double(a.c_bound),
+                   bench::fmt_double(a.slack),
+                   bench::fmt_u64(a.rounds_violations),
+                   a.within() ? "YES" : "NO"});
+  }
+  table.print();
+  std::printf("\nEnvelope audit: %s\n",
+              auditor.all_within() ? "ALL WITHIN" : "VIOLATED");
+  return auditor.all_within();
+}
+
+// E2: worst rounds and messages of `trials` runs per (k, r) against the
+// round budget, then the E2b audit of every run. True when both hold.
+bool rounds_sweep(bench::Reporter& rep, std::uint64_t universe) {
+  const int trials = rep.smoke() ? 2 : 5;
+  const std::vector<std::size_t> ks = bench::sizes<std::size_t>(
+      rep.options(), {256, 4096, 65536}, {256, 4096});
+  auto& table =
+      rep.table("E2: measured rounds vs the round budget (Theorem 1.1: 6r)",
+                {"k", "r", "rounds (worst of 5)", "budget", "messages"});
+  obs::EnvelopeAuditor auditor;
+  auditor.expect("verification_tree");
+  bool all_within = true;
+  for (std::size_t k : ks) {
+    util::Rng wrng(rep.seed_for(k));
+    const util::SetPair p = util::random_set_pair(wrng, universe, k, k / 2);
+    for (int r = 1; r <= 6; ++r) {
+      std::uint64_t worst_rounds = 0;
+      std::uint64_t worst_messages = 0;
+      for (int t = 0; t < trials; ++t) {
+        const sim::CostStats cost = run_tree(
+            rep.seed_for(k + static_cast<std::uint64_t>(t),
+                         static_cast<std::uint64_t>(r)),
+            universe, p, r);
+        worst_rounds = std::max(worst_rounds, cost.rounds);
+        worst_messages = std::max(worst_messages, cost.messages);
+        auditor.add("verification_tree",
+                    {k, r, cost.bits_total, cost.rounds, 1});
+      }
+      const std::uint64_t budget =
+          obs::EnvelopeAuditor::rounds_budget("verification_tree", k, r);
+      all_within &= worst_rounds <= budget;
+      table.add_row({bench::fmt_u64(k), bench::fmt_u64(r),
+                     bench::fmt_u64(worst_rounds), bench::fmt_u64(budget),
+                     bench::fmt_u64(worst_messages)});
+    }
+  }
+  table.print();
+  std::printf("\nAll runs within the round budget: %s\n",
+              all_within ? "YES" : "NO");
+  rep.note("all_within_budget", all_within);
+  return audit_table(rep, "E2b", auditor) && all_within;
 }
 
 }  // namespace
@@ -190,27 +265,10 @@ int main(int argc, char** argv) {
   }
 
   // E1e: theory-conformance envelope over every sample measured above.
-  bool envelope_ok = true;
-  {
-    auto& table = rep.table(
-        "E1e: envelope audit  (bits <= c * k * (log^(r) k + r), rounds within "
-        "budget)",
-        {"protocol", "samples", "fitted c", "c bound", "slack",
-         "rounds violations", "within"});
-    for (const obs::EnvelopeAudit& a : auditor.audit()) {
-      table.add_row({a.protocol, bench::fmt_u64(a.samples),
-                     bench::fmt_double(a.fitted_c), bench::fmt_double(a.c_bound),
-                     bench::fmt_double(a.slack),
-                     bench::fmt_u64(a.rounds_violations),
-                     a.within() ? "YES" : "NO"});
-    }
-    table.print();
-    envelope_ok = auditor.all_within();
-    rep.note("envelope_audit", auditor.ToJson());
-    rep.note("rounds_budget", "verification_tree: 3r + 1");
-    std::printf("\nEnvelope audit: %s\n",
-                envelope_ok ? "ALL WITHIN" : "VIOLATED");
-  }
+  const bool envelope_ok = audit_table(rep, "E1e", auditor);
+  rep.note("envelope_audit", auditor.ToJson());
+  rep.note("rounds_budget", "verification_tree: 3r + 1");
 
-  return rep.finish(attribution_exact && envelope_ok ? 0 : 1);
+  const bool rounds_ok = rounds_sweep(rep, universe);
+  return rep.finish(attribution_exact && envelope_ok && rounds_ok ? 0 : 1);
 }

@@ -13,8 +13,8 @@
 //
 // and reports the slack against a calibrated hard-fail bound c_bound.
 // A run OUTSIDE the envelope (c_hat > c_bound, or any rounds-budget
-// violation) is a theory-conformance regression: exp_tradeoff, exp_rounds
-// and exp_cpu wire all_within() into their exit codes, tools/bench_compare
+// violation) is a theory-conformance regression: exp_tradeoff (E1e and
+// E2b) and exp_cpu wire all_within() into their exit codes, tools/bench_compare
 // fails on an envelope-audit section that went red, and the facade
 // attaches a per-run audit to RunReport::envelope.
 //

@@ -6,7 +6,7 @@
 # contain "wall_ms" so this filter strips them.
 #
 # Usage: tools/check_bench_determinism.sh [<path-to-bench-binary>...]
-# Default binaries: build/bench/exp_rounds, exp_faults and exp_adversary —
+# Default binaries: build/bench/exp_tradeoff, exp_faults and exp_adversary —
 # exp_faults and exp_adversary additionally pin that the fault-injection
 # and crafted-attack streams are reproducible from the seed alone (the
 # BENCH_faults / BENCH_adversary contracts).
@@ -15,7 +15,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BINS=("$@")
 if [[ ${#BINS[@]} -eq 0 ]]; then
-  BINS=(build/bench/exp_rounds build/bench/exp_faults build/bench/exp_adversary)
+  BINS=(build/bench/exp_tradeoff build/bench/exp_faults build/bench/exp_adversary)
 fi
 
 TMP="$(mktemp -d)"

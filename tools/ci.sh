@@ -253,7 +253,7 @@ fi
 rm -rf "$SMOKE_DIR-injected"
 
 step "bench determinism contract"
-tools/check_bench_determinism.sh build/bench/exp_rounds \
+tools/check_bench_determinism.sh build/bench/exp_tradeoff \
     build/bench/exp_faults build/bench/exp_adversary build/bench/exp_batch \
     build/bench/exp_chaos build/bench/exp_overload build/bench/exp_service
 

@@ -42,7 +42,7 @@ if [[ "$BUILD_TYPE" != "Release" ]]; then
   exit 1
 fi
 
-EXPERIMENTS=(tradeoff rounds zoo error multiparty applications
+EXPERIMENTS=(tradeoff zoo error multiparty applications
              intersection_size private_coin eqk internals ablation
              disj_tradeoff skew planner faults adversary batch cpu chaos
              overload service)
